@@ -17,11 +17,15 @@ Ptilde(z) = (|z - w|^2 + |z ^ w|^2) / (1 + |w|^2), so
 * (a, b) = (0, 0)      gives the chart kernel N(., w),
 * (a, b) = (eps^2, 0)  gives the constant-eps smoothing N_eps,
 * (a, b) = (0, eps^2)  gives the chart lift of the globally smoothed
-                       projective kernel (rho is the same family with
-                       Ptilde = 0, a = 0, b = 1).
+                       projective kernel,
 
-These formulas are the independent oracle for the finite-difference
-machinery; they are also fast enough to drive large grids directly.
+and rho = (1/2) log(1 + |z|^2) is the Ptilde = 0 member with (a, b) = (0, 1),
+which quad_form_batch evaluates when eta is None.
+
+This module is the library's one derivative engine: every production
+gradient, Hessian and Monge-Ampere density is computed from these closed
+forms.  The finite-difference stencils in monge_ampere and potentials are
+kept only as the independent oracle that tests and `verify` compare against.
 """
 
 from __future__ import annotations
@@ -78,66 +82,35 @@ def log_half_hessian(T: np.ndarray, Tz: np.ndarray, Thess: np.ndarray) -> np.nda
     return Thess[None, :, :] / (2.0 * T[:, None, None]) - outer / (2.0 * T[:, None, None] ** 2)
 
 
-def _terms(atoms_eta: np.ndarray, weights: np.ndarray, chart: int,
-           eps: float, smoothing: str):
-    """Yield (weight, eta, a, b) for each term of a weighted field."""
-    if smoothing == "global":
-        a, b = 0.0, eps * eps
-    elif smoothing == "constant":
-        a, b = eps * eps, 0.0
-    elif smoothing == "none":
-        a, b = 0.0, 0.0
-    else:
-        raise ValueError(f"unknown smoothing {smoothing!r}")
-    for eta, w in zip(atoms_eta, weights):
-        yield w, eta, a, b
-
-
-def field_value_batch(Z, atoms_eta, weights, chart, eps=0.0, smoothing="none"):
+def field_value_batch(Z, atoms_eta, weights, chart, a=0.0, b=0.0):
     """Sum of w_i (1/2) log T_i at rows of Z."""
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     out = np.zeros(Z.shape[0])
-    for w, eta, a, b in _terms(atoms_eta, weights, chart, eps, smoothing):
+    for eta, w in zip(atoms_eta, weights):
         T, _, _ = quad_form_batch(Z, eta, chart, a, b)
         out += w * log_half_value(T)
     return out
 
 
-def field_gradient_batch(Z, atoms_eta, weights, chart, eps=0.0, smoothing="none"):
+def field_gradient_batch(Z, atoms_eta, weights, chart, a=0.0, b=0.0):
     """Holomorphic gradient (m, n) of the weighted field."""
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     out = np.zeros(Z.shape, dtype=complex)
-    for w, eta, a, b in _terms(atoms_eta, weights, chart, eps, smoothing):
+    for eta, w in zip(atoms_eta, weights):
         T, Tz, _ = quad_form_batch(Z, eta, chart, a, b)
         out += w * log_half_gradient(T, Tz)
     return out
 
 
-def field_hessian_batch(Z, atoms_eta, weights, chart, eps=0.0, smoothing="none"):
+def field_hessian_batch(Z, atoms_eta, weights, chart, a=0.0, b=0.0):
     """Complex Hessian (m, n, n) of the weighted field."""
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     m, n = Z.shape
     out = np.zeros((m, n, n), dtype=complex)
-    for w, eta, a, b in _terms(atoms_eta, weights, chart, eps, smoothing):
+    for eta, w in zip(atoms_eta, weights):
         T, Tz, Thess = quad_form_batch(Z, eta, chart, a, b)
         out += w * log_half_hessian(T, Tz, Thess)
     return out
-
-
-def fs_gradient_batch(Z) -> np.ndarray:
-    """Holomorphic gradient of rho = (1/2) log(1 + |z|^2): conj(z) / (2T)."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    T = 1.0 + np.sum(np.abs(Z) ** 2, axis=1)
-    return np.conj(Z) / (2.0 * T[:, None])
-
-
-def fs_hessian_batch(Z) -> np.ndarray:
-    """Complex Hessian of rho at rows of Z, shape (m, n, n)."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    m, n = Z.shape
-    T = 1.0 + np.sum(np.abs(Z) ** 2, axis=1)
-    Tz = np.conj(Z)
-    return log_half_hessian(T, Tz, np.eye(n, dtype=complex))
 
 
 def holo_to_real_gradient(fz: np.ndarray) -> np.ndarray:

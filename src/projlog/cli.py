@@ -207,12 +207,11 @@ def cmd_ma_mass(args) -> int:
     mu = _load_measure(args.measure)
     rows = []
     for eps in args.eps_list:
-        rep = ma_total_mass(mu, grid=args.grid, h=args.h, eps=eps,
-                            workers=args.workers)
+        rep = ma_total_mass(mu, grid=args.grid, eps=eps, workers=args.workers)
         rows.append((_fmt(eps), _fmt(rep.total_mass), _fmt(rep.vol_check),
                      rep.clipped_cells))
     write_csv(_outdir(args) / "ma_mass.csv", "ma-mass",
-              {"measure": args.measure, "grid": args.grid, "h": args.h,
+              {"measure": args.measure, "grid": args.grid,
                "eps": ",".join(map(str, args.eps_list))},
               ["eps", "total_mass", "volume_check", "clipped_cells"], rows)
     return EXIT_OK
@@ -250,14 +249,14 @@ def cmd_prop25_check(args) -> int:
         z = 3.0 * (rng.standard_normal(mu.n) + 1j * rng.standard_normal(mu.n))
         if float(np.min(np.linalg.norm(atoms.w - z[None, :], axis=1))) < 0.5:
             continue
-        chk = ma_product_expansion_check(atoms, z, h=args.h)
+        chk = ma_product_expansion_check(atoms, z)
         rows.append(tuple(_fmt(c) for c in z.view(float))
                     + (_fmt(chk.lhs), _fmt(chk.rhs), _fmt(chk.relative)))
     cols = [f"z{i}_{p}" for i in range(mu.n) for p in ("re", "im")] \
         + ["det_direct", "det_expansion", "relative_residual"]
     write_csv(_outdir(args) / "prop25_check.csv", "prop25-check",
-              {"measure": args.measure, "chart": chart, "h": args.h,
-               "seed": args.seed}, cols, rows)
+              {"measure": args.measure, "chart": chart, "seed": args.seed},
+              cols, rows)
     return EXIT_OK
 
 
@@ -320,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--grid", type=int, default=0)
-        p.add_argument("--h", type=float, default=1e-4)
+        p.add_argument("--h", type=float, default=1e-4,
+                       help="singular-guard length at eps = 0: points within "
+                            "10h of an atom are excised or refused")
         p.add_argument("--eps", dest="eps_text", default="0.3",
                        help="comma-separated strictly decreasing positive list")
         p.add_argument("--chart", type=int, default=None)

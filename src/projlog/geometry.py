@@ -18,7 +18,6 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -347,15 +346,3 @@ def sample_fs_uniform(seed: int, count: int, n: int) -> list[HomogeneousPoint]:
         raise ValueError("count must be >= 1")
     arr = sample_fs_array(seed, count, n)
     return [HomogeneousPoint(row) for row in arr]
-
-
-# ---------------------------------------------------------------------------
-# JSON helpers
-# ---------------------------------------------------------------------------
-
-def points_to_json(points) -> str:
-    return json.dumps([p.to_json() for p in points])
-
-
-def points_from_json(text: str) -> list[HomogeneousPoint]:
-    return [HomogeneousPoint.from_json(item) for item in json.loads(text)]

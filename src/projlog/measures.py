@@ -8,9 +8,8 @@ for t <= 1/(2(n+1)) and equal to 1 for t >= 1/(n+1).  Since max_j t_j is
 always >= 1/(n+1), the denominator never vanishes, and each component
 measure is supported compactly inside its chart.
 
-Non-atomic measures are represented by empirical N-atom approximants; the
-atomless_intent flag records that diagnostics should be read in the
-N -> infinity limit.
+Non-atomic measures are represented by empirical N-atom approximants,
+whose diagnostics are read in the N -> infinity limit.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class AtomicMeasure:
     points: np.ndarray = field(repr=False)   # (N, n+1) canonical rows
     weights: np.ndarray = field(repr=False)  # (N,) positive, sums to 1
     n: int
-    atomless_intent: bool = False
 
     @property
     def num_atoms(self) -> int:
@@ -91,8 +89,7 @@ class AtomicMeasure:
         return build_measure(np.array(rows, dtype=complex), np.array(weights), n=n)
 
 
-def build_measure(points, weights, n: int | None = None,
-                  atomless_intent: bool = False) -> AtomicMeasure:
+def build_measure(points, weights, n: int | None = None) -> AtomicMeasure:
     """Validate and canonicalize; merges duplicate atoms by summing weights."""
     if isinstance(points, (list, tuple)) and points and isinstance(points[0], HomogeneousPoint):
         points = np.stack([p.coords for p in points])
@@ -124,8 +121,7 @@ def build_measure(points, weights, n: int | None = None,
         else:
             keep_rows.append(row)
             keep_w.append(float(w))
-    return AtomicMeasure(points=np.stack(keep_rows), weights=np.array(keep_w),
-                         n=n, atomless_intent=atomless_intent)
+    return AtomicMeasure(points=np.stack(keep_rows), weights=np.array(keep_w), n=n)
 
 
 def dirac(point: HomogeneousPoint) -> AtomicMeasure:

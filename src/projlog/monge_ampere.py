@@ -1,5 +1,5 @@
-"""Finite-difference complex Hessians, Monge-Ampere densities, mixed
-discriminants and ball-mass diagnostics.
+"""Closed-form Monge-Ampere densities, masses, ball profiles and mixed
+discriminants, with finite-difference complex Hessians as the oracle.
 
 Densities are reported relative to the unit-mass FS volume as the ratio
 det(H_phi) / det(H_rho) of complex Hessians, which eliminates every d^c and
@@ -185,14 +185,14 @@ class ExpansionCheck:
         return self.residual / self.scale
 
 
-def ma_product_expansion_check(atoms: AffineAtoms, z, h: float = 1e-3,
+def ma_product_expansion_check(atoms: AffineAtoms, z,
                                term_cap: int = 10**7, sample_tuples: int = 0,
                                seed: int = 0) -> ExpansionCheck:
     """Pointwise product-formula check for the affine potential.
 
     Compares det(sum_i w_i H_i) against the multilinear expansion
     sum over n-tuples of atoms of w_(i1)..w_(in) D(H_(i1), .., H_(in)),
-    where H_i is the FD complex Hessian of the kernel with atom i at z.
+    where H_i is the complex Hessian of the kernel with atom i at z.
     Exact expansion requires N^n <= term_cap; beyond the cap a uniform
     tuple sample with inverse-probability weighting is used when
     sample_tuples > 0, else CombinatorialBlowup is raised.
@@ -208,7 +208,7 @@ def ma_product_expansion_check(atoms: AffineAtoms, z, h: float = 1e-3,
     for i in range(N):
         single = AffineAtoms(chart=atoms.chart, w=atoms.w[i:i + 1],
                              weights=np.array([1.0]))
-        hessians.append(complex_hessian_fd(affine_field(single), z, h).entries)
+        hessians.append(affine_field(single).complex_hessian(z))
     w = atoms.weights
     lhs_mat = np.tensordot(w, np.stack(hessians), axes=(0, 0))
     lhs = float(np.linalg.det(lhs_mat).real)
@@ -244,8 +244,8 @@ def ma_product_expansion_check(atoms: AffineAtoms, z, h: float = 1e-3,
                           rhs=rhs, exact=exact)
 
 
-def smooth_wedge_density(atoms: AffineAtoms, psi_field, m: int, z,
-                         h: float = 1e-3) -> float:
+def smooth_wedge_density(atoms: AffineAtoms, psi_field: PotentialField, m: int,
+                         z) -> float:
     """Density of the m-fold potential / (n-m)-fold smooth-field wedge.
 
     Returns binom(n, m) * D(H_V x m, H_psi x (n-m)) relative to Lebesgue:
@@ -256,8 +256,8 @@ def smooth_wedge_density(atoms: AffineAtoms, psi_field, m: int, z,
     if not 0 <= m <= n:
         raise ValueError(f"m = {m} outside 0..{n}")
     z = np.asarray(z, dtype=complex)
-    H_psi = complex_hessian_fd(psi_field, z, h).entries if m < n else None
-    H_V = complex_hessian_fd(affine_field(atoms), z, h).entries if m > 0 else None
+    H_psi = psi_field.complex_hessian(z) if m < n else None
+    H_V = affine_field(atoms).complex_hessian(z) if m > 0 else None
     mats = [H_V] * m + [H_psi] * (n - m)
     return math.comb(n, m) * mixed_discriminant(mats)
 
@@ -270,9 +270,10 @@ def ma_density(mu: AtomicMeasure, chart: int, z, h: float = 1e-4,
                eps: float = 0.0) -> float:
     """det(H_phi) / det(H_rho) at z, phi the (smoothed) chart lift of U_mu.
 
-    Requires eps > 0 or z at chart distance > 10h from every atom.  Values
-    in [-tol, 0) are clipped to 0; below -tol raises NegativeDensity (the
-    step is too large for the local curvature).
+    Both Hessians are closed form.  h is only the singular guard: with
+    eps = 0, z must lie at chart distance > 10h from every atom, else
+    SingularStencil.  Values in [-tol, 0) are rounding and are clipped to 0;
+    below -tol raises NegativeDensity.
     """
     z = np.asarray(z, dtype=complex)
     lift = psh_lift(mu, chart, eps)
@@ -281,16 +282,12 @@ def ma_density(mu: AtomicMeasure, chart: int, z, h: float = 1e-4,
         if sites.shape[0] and float(np.min(np.linalg.norm(sites - z[None, :], axis=1))) <= 10.0 * h:
             raise SingularStencil(
                 "unsmoothed density requested within 10h of an atom")
-    H_phi = complex_hessian_fd(lift, z, h)
-    H_rho = complex_hessian_fd(fs_field(mu.n, chart), z, h)
-    det_phi = float(np.linalg.det(H_phi.entries).real)
-    det_rho = float(np.linalg.det(H_rho.entries).real)
-    density = det_phi / det_rho
-    scale = max(1.0, (np.linalg.norm(H_phi.entries) / np.linalg.norm(H_rho.entries))
-                ** mu.n)
+    H_phi = lift.complex_hessian(z)
+    H_rho = fs_field(mu.n, chart).complex_hessian(z)
+    density = float(np.linalg.det(H_phi).real) / float(np.linalg.det(H_rho).real)
+    scale = max(1.0, (np.linalg.norm(H_phi) / np.linalg.norm(H_rho)) ** mu.n)
     if density < -1e-6 * scale:
-        raise NegativeDensity(
-            f"density {density:.3e} below -1e-6 * {scale:.3e}; reduce h")
+        raise NegativeDensity(f"density {density:.3e} below -1e-6 * {scale:.3e}")
     return max(density, 0.0)
 
 
@@ -313,7 +310,7 @@ class MassReport:
 
 def _mass_chunk(payload, rng):
     """Integrate one range of flat cells of one chart box (module level)."""
-    (points, weights, n, chart, g, L, h, eps) = payload
+    (points, weights, n, chart, g, L, eps) = payload
     lo, hi = rng
     mu = AtomicMeasure(points=points, weights=weights, n=n)
     idx = np.arange(lo, hi)
@@ -333,9 +330,7 @@ def _mass_chunk(payload, rng):
     Z, chi = Z[keep], chi[keep]
     if Z.shape[0] == 0:
         return 0.0, 0.0, 0, 0.0
-    lift_field = psh_lift(mu, chart, eps)
-    H, finite = hessian_fd_batch(lift_field, Z, h)
-    dets = np.where(finite, np.linalg.det(H).real, 0.0)
+    dets = np.linalg.det(psh_lift(mu, chart, eps).complex_hessian(Z)).real
     neg = dets < 0.0
     clipped = int(np.sum(neg))
     worst = float(np.min(dets / fs_volume_density(Z), initial=0.0))
@@ -355,7 +350,7 @@ def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
     every chart with midpoint cells (`grid` points per axis), weighting by
     the partition of unity.  For any measure and any eps > 0 the answer is
     1 up to grid error.  Raises GridTooCoarse when the same grid misses the
-    exact FS volume by more than vol_tol.
+    exact FS volume by more than vol_tol.  h is deprecated and ignored.
     """
     if eps <= 0.0:
         raise NonpositiveEpsilon("total-mass integration requires eps > 0")
@@ -368,7 +363,7 @@ def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
     worst = 0.0
     chunk = 65536 if n == 1 else 16384
     for chart in range(n + 1):
-        payload = (mu.points, mu.weights, n, chart, grid, L, h, eps)
+        payload = (mu.points, mu.weights, n, chart, grid, L, eps)
         parts = run_chunked(_mass_chunk, cells, chunk=chunk, workers=workers,
                             payload=payload)
         masses.extend(p[0] for p in parts)
@@ -379,7 +374,7 @@ def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
     vol_check = pairwise_sum(vols)
     report = MassReport(total_mass=total,
                         grid={"points_per_axis": grid, "charts": n + 1,
-                              "box_halfwidth": L, "h": h, "eps": eps},
+                              "box_halfwidth": L, "eps": eps},
                         clipped_cells=clipped, vol_check=vol_check)
     if abs(vol_check - 1.0) > vol_tol:
         raise GridTooCoarse(
@@ -442,8 +437,9 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
     geodesic balls B_r(center) for each radius (given decreasing; reported
     ascending) on dyadically refined local grids, and reports the mass, the
     ratio to the exact ball volume sin^(2n)(r / sqrt 2), and a pure-volume
-    self-check per radius.  With eps = 0 in the list, cells within 10h of an
-    atom are excised; their FS volume is reported as excised_singular_mass
+    self-check per radius.  Hessians are closed form; h only sets the
+    singular guard.  With eps = 0 in the list, cells within 10h of an atom
+    are excised; their FS volume is reported as excised_singular_mass
     (a bounded diagnostic of the removed region, not a mass estimate).
     """
     n = mu.n
@@ -490,8 +486,7 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
             dets = np.empty(Z.shape[0])
             for sl in range(0, Z.shape[0], 16384):
                 part = slice(sl, min(sl + 16384, Z.shape[0]))
-                Hp, finite = hessian_fd_batch(lift, Z[part], h)
-                dets[part] = np.where(finite, np.linalg.det(Hp).real, 0.0)
+                dets[part] = np.linalg.det(lift.complex_hessian(Z[part])).real
             neg = dets < 0.0
             clipped += int(np.sum(neg))
             dets = np.where(neg, 0.0, dets)

@@ -40,8 +40,15 @@ from .kernels import projective_log_kernel_batch
 from .measures import AffineAtoms, AtomicMeasure
 from .parallel import resolve_workers, run_chunked
 
-# smoothing modes of a lifted/affine field
-_GLOBAL, _CONSTANT, _NONE = "global", "constant", "none"
+
+def _chart_sites(points: np.ndarray, chart: int) -> np.ndarray:
+    """Chart coordinates (k, n) of the homogeneous rows that lie in the chart.
+
+    Rows whose chart coordinate is below 1e-8 in modulus are at infinity
+    for this chart and are left out.
+    """
+    inside = points[np.abs(points[:, chart]) > 1e-8]
+    return np.delete(inside / inside[:, chart][:, None], chart, axis=1)
 
 
 @dataclass(frozen=True)
@@ -50,22 +57,19 @@ class PotentialField:
 
     kind is one of 'lift' (chart representative of U_mu + rho, optionally
     globally smoothed), 'affine' (kernel sum of chart atoms, optionally
-    constant-eps smoothed) or 'fs' (the Kahler potential rho itself).
+    constant-eps smoothed) or 'fs' (the Kahler potential rho itself).  The
+    first two are sum_i w_i (1/2) log(Ptilde_i + a + b (1 + |z|^2)) (see
+    analytic); 'fs' is the Ptilde = 0 member with (a, b) = (0, 1).
     Evaluation is deterministic and vectorized over rows.
     """
 
     kind: str
     chart: int
     n: int
-    eps: float = 0.0
+    a: float = 0.0
+    b: float = 0.0
     atoms_eta: np.ndarray | None = field(default=None, repr=False)
     weights: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def smoothing(self) -> str:
-        if self.eps == 0.0:
-            return _NONE
-        return _GLOBAL if self.kind == "lift" else _CONSTANT
 
     def __call__(self, z) -> np.ndarray | float:
         z = np.asarray(z, dtype=complex)
@@ -75,41 +79,36 @@ class PotentialField:
             out = np.asarray(fs_potential(Z))
         else:
             out = analytic.field_value_batch(Z, self.atoms_eta, self.weights,
-                                             self.chart, self.eps, self.smoothing)
+                                             self.chart, self.a, self.b)
         return float(out[0]) if single else out
 
     def holomorphic_gradient(self, z) -> np.ndarray:
         """Closed-form dphi/dz (the oracle counterpart of fd_gradient)."""
         Z = np.atleast_2d(np.asarray(z, dtype=complex))
         if self.kind == "fs":
-            out = analytic.fs_gradient_batch(Z)
+            T, Tz, _ = analytic.quad_form_batch(Z, None, self.chart, 0.0, 1.0)
+            out = analytic.log_half_gradient(T, Tz)
         else:
             out = analytic.field_gradient_batch(Z, self.atoms_eta, self.weights,
-                                                self.chart, self.eps, self.smoothing)
+                                                self.chart, self.a, self.b)
         return out[0] if np.asarray(z).ndim == 1 else out
 
     def complex_hessian(self, z) -> np.ndarray:
         """Closed-form complex Hessian (batch (m, n, n))."""
         Z = np.atleast_2d(np.asarray(z, dtype=complex))
         if self.kind == "fs":
-            out = analytic.fs_hessian_batch(Z)
+            out = analytic.log_half_hessian(
+                *analytic.quad_form_batch(Z, None, self.chart, 0.0, 1.0))
         else:
             out = analytic.field_hessian_batch(Z, self.atoms_eta, self.weights,
-                                               self.chart, self.eps, self.smoothing)
+                                               self.chart, self.a, self.b)
         return out[0] if np.asarray(z).ndim == 1 else out
 
     def singular_sites(self) -> np.ndarray:
         """Chart coordinates where the unsmoothed field is -inf, shape (k, n)."""
-        if self.eps > 0.0 or self.kind == "fs" or self.atoms_eta is None:
+        if self.a > 0.0 or self.b > 0.0 or self.kind == "fs":
             return np.empty((0, self.n), dtype=complex)
-        sites = []
-        for eta in self.atoms_eta:
-            if abs(eta[self.chart]) > 1e-8:
-                lift = eta / eta[self.chart]
-                sites.append(np.delete(lift, self.chart))
-        if not sites:
-            return np.empty((0, self.n), dtype=complex)
-        return np.stack(sites)
+        return _chart_sites(self.atoms_eta, self.chart)
 
 
 def fs_field(n: int, chart: int = 0) -> PotentialField:
@@ -124,7 +123,7 @@ def psh_lift(mu: AtomicMeasure, chart: int, eps: float = 0.0) -> PotentialField:
     """
     if eps < 0.0:
         raise NonpositiveEpsilon(f"eps = {eps} must be >= 0")
-    return PotentialField(kind="lift", chart=chart, n=mu.n, eps=eps,
+    return PotentialField(kind="lift", chart=chart, n=mu.n, b=eps * eps,
                           atoms_eta=mu.points.copy(), weights=mu.weights.copy())
 
 
@@ -134,7 +133,7 @@ def affine_field(atoms: AffineAtoms, eps: float = 0.0) -> PotentialField:
         raise NonpositiveEpsilon(f"eps = {eps} must be >= 0")
     lifted = np.insert(atoms.w, atoms.chart, 1.0, axis=1)
     norms = np.linalg.norm(lifted, axis=1, keepdims=True)
-    return PotentialField(kind="affine", chart=atoms.chart, n=atoms.n, eps=eps,
+    return PotentialField(kind="affine", chart=atoms.chart, n=atoms.n, a=eps * eps,
                           atoms_eta=lifted / norms, weights=atoms.weights.copy())
 
 
@@ -177,21 +176,22 @@ def affine_potential_smoothed(atoms: AffineAtoms, z, eps: float) -> float:
 # finite-difference gradient
 # ---------------------------------------------------------------------------
 
-def _fd_real_gradient_batch(fieldfn, Z: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference real gradient (m, 2n) of a batch-callable field."""
-    m, n = Z.shape
+def _gradient_stencil_values(fieldfn, z: np.ndarray, h: float) -> np.ndarray:
+    """Field values at z +- h e_j and z +- ih e_j, four per coordinate."""
+    n = z.shape[0]
     shifts = []
     for j in range(n):
         e = np.zeros(n, dtype=complex)
         e[j] = h
         shifts.extend([e, -e, 1j * e, -1j * e])
-    stacked = np.concatenate([Z + s[None, :] for s in shifts], axis=0)
-    vals = np.asarray(fieldfn(stacked)).reshape(4 * n, m)
-    grad = np.empty((m, 2 * n))
-    for j in range(n):
-        grad[:, j] = (vals[4 * j] - vals[4 * j + 1]) / (2.0 * h)
-        grad[:, n + j] = (vals[4 * j + 2] - vals[4 * j + 3]) / (2.0 * h)
-    return grad
+    return np.asarray(fieldfn(np.stack([z + s for s in shifts])))
+
+
+def _central_gradient(vals: np.ndarray, h: float) -> np.ndarray:
+    """Real gradient [d/dx_1.., d/dy_1..] from _gradient_stencil_values."""
+    v = vals.reshape(-1, 4)
+    return np.concatenate([(v[:, 0] - v[:, 1]) / (2.0 * h),
+                           (v[:, 2] - v[:, 3]) / (2.0 * h)])
 
 
 def fd_gradient(fieldfn, z, h: float = 1e-4) -> np.ndarray:
@@ -199,29 +199,17 @@ def fd_gradient(fieldfn, z, h: float = 1e-4) -> np.ndarray:
 
     Falls back to one Richardson extrapolation step when the stencil values
     span more than six orders of magnitude; raises SingularStencil when a
-    stencil point is singular.
+    stencil point is singular.  The test oracle for holomorphic_gradient.
     """
     z = np.asarray(z, dtype=complex)
-    Z = z[None, :]
-
-    def values(hh: float) -> np.ndarray:
-        n = z.shape[0]
-        shifts = []
-        for j in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[j] = hh
-            shifts.extend([e, -e, 1j * e, -1j * e])
-        pts = np.stack([z + s for s in shifts])
-        return np.asarray(fieldfn(pts))
-
-    raw = values(h)
+    raw = _gradient_stencil_values(fieldfn, z, h)
     if not np.all(np.isfinite(raw)):
         raise SingularStencil(f"singular field value on the gradient stencil at {z}")
     span = np.max(np.abs(raw)) / max(np.min(np.abs(raw)), 1e-300)
-    g_h = _fd_real_gradient_batch(fieldfn, Z, h)[0]
+    g_h = _central_gradient(raw, h)
     if span <= 1e6:
         return g_h
-    g_h2 = _fd_real_gradient_batch(fieldfn, Z, h / 2.0)[0]
+    g_h2 = _central_gradient(_gradient_stencil_values(fieldfn, z, h / 2.0), h / 2.0)
     return (4.0 * g_h2 - g_h) / 3.0
 
 
@@ -247,12 +235,18 @@ def _sobolev_chunk(payload, rng):
     lo, hi = rng
     mu = AtomicMeasure(points=points, weights=weights, n=n)
     pts = sample_fs_array(seed, hi - lo, n, start=start + lo)
-    values, excised = _gradient_norm_values(mu, pts, h, 10.0 * h, seed,
+    values, excised = _gradient_norm_values(mu, pts, 10.0 * h, seed,
                                             reserve_start=start + lo)
     return values, excised
 
 
-def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float,
+def _potential_gradient(mu: AtomicMeasure, chart: int, Z: np.ndarray) -> np.ndarray:
+    """Closed-form dU_mu/dz at chart rows Z: the lift's gradient minus rho's."""
+    return (psh_lift(mu, chart).holomorphic_gradient(Z)
+            - fs_field(mu.n, chart).holomorphic_gradient(Z))
+
+
+def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray,
                           excision_radius: float, seed: int,
                           reserve_start: int = 0) -> tuple[np.ndarray, int]:
     """FS gradient norms |grad U_mu| at sample points, with excision.
@@ -266,14 +260,7 @@ def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float,
     excised = 0
     reserve_used = 0
     final = samples.copy()
-    # chart coordinates of atoms per chart, for the excision test
-    atom_chart_coords: dict[int, np.ndarray] = {}
-    for k in range(n + 1):
-        rows = []
-        for eta in mu.points:
-            if abs(eta[k]) > 1e-8:
-                rows.append(np.delete(eta / eta[k], k))
-        atom_chart_coords[k] = np.stack(rows) if rows else np.empty((0, n), complex)
+    atom_chart_coords = [_chart_sites(mu.points, k) for k in range(n + 1)]
 
     def violators(rows: np.ndarray, charts: np.ndarray) -> np.ndarray:
         bad = np.zeros(rows.shape[0], dtype=bool)
@@ -308,13 +295,7 @@ def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float,
             continue
         rows = final[idx]
         Z = np.delete(rows / rows[:, k][:, None], k, axis=1)
-        lift = psh_lift(mu, k)
-
-        def u_field(pts, _lift=lift):
-            return _lift(pts) - fs_potential(pts)
-
-        grad = _fd_real_gradient_batch(u_field, Z, h)
-        fz = analytic.real_to_holo_gradient(grad)
+        fz = _potential_gradient(mu, k, Z)
         norms[idx] = np.sqrt(fs_gradient_norm_sq(Z, fz))
     return norms, excised
 
@@ -326,9 +307,9 @@ def sobolev_scan(mu: AtomicMeasure, p: float, seed: int, samples: int,
 
     The gradient norm is the FS-Riemannian norm from the chart gradient via
     the inverse FS metric.  Reports the co-area majorant
-    2 sqrt(2) c_n int sin^(2n-1-p), which is finite iff p < 2n.  Stencil
-    points within 10h of an atom are rejected and resampled; the count is
-    reported.  Estimates depend only on (seed, sample index), so extending
+    2 sqrt(2) c_n int sin^(2n-1-p), which is finite iff p < 2n.  Samples
+    within chart distance 10h of an atom are rejected and resampled; the
+    count is reported.  Estimates depend only on (seed, sample index), so extending
     the sample count keeps the earlier draws (common-random doubling).
     """
     if p < 1:
@@ -398,10 +379,8 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
         if rest_pts.shape[0] == 0:
             return 0.0, 0.0
         sub = AtomicMeasure(points=rest_pts, weights=rest_w / np.sum(rest_w), n=n)
-        lift = psh_lift(sub, k)
         Z = zpts
-        fz = lift.holomorphic_gradient(Z) - analytic.fs_gradient_batch(Z)
-        fz *= np.sum(rest_w)
+        fz = _potential_gradient(sub, k, Z) * np.sum(rest_w)
         norm2 = fs_gradient_norm_sq(Z, fz)
         # radial component: Riemannian inner product with the unit radial
         # field, computed as the directional derivative along the geodesic

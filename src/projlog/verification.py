@@ -22,8 +22,8 @@ from .geometry import geodesic_distance_batch, sample_fs_array
 from .kernels import affine_log_kernel_batch, projective_log_kernel_batch
 from .measures import AffineAtoms, build_measure, decompose, riesz_lp_scan, \
     riesz_refinement_scan, uniform_on
-from .monge_ampere import ball_mass_profile, ma_product_expansion_check, \
-    ma_total_mass, smooth_wedge_density
+from .monge_ampere import ball_mass_profile, complex_hessian_fd, \
+    ma_product_expansion_check, ma_total_mass, smooth_wedge_density
 from .potentials import affine_field, fs_field, log_potential, psh_lift, \
     sobolev_doubling, sobolev_refinement_scan
 
@@ -83,36 +83,11 @@ def check_chart_identity(seed: int = 2, pairs: int = 10_000):
         w = rng.standard_normal((pairs, n)) + 1j * rng.standard_normal((pairs, n))
         lifts_z = geometry.canonicalize_batch(geometry.chart_lift(z, 0))
         lifts_w = geometry.canonicalize_batch(geometry.chart_lift(w, 0))
-        k = np.empty(pairs)
-        for s in range(0, pairs, 4096):
-            e = min(pairs, s + 4096)
-            k[s:e] = _pairwise_kernel(lifts_z[s:e], lifts_w[s:e])
-        rhs = np.empty(pairs)
-        for s in range(0, pairs, 4096):
-            e = min(pairs, s + 4096)
-            rhs[s:e] = _pairwise_affine(z[s:e], w[s:e]) - geometry.fs_potential(z[s:e])
+        k = projective_log_kernel_batch(lifts_z, lifts_w)
+        rhs = affine_log_kernel_batch(z, w) - geometry.fs_potential(z)
         worst = max(worst, float(np.max(np.abs(k - rhs))))
     return ("chart identity", worst < 1e-12,
             f"max |K - (N - rho)| = {worst:.2e} over 3x{pairs} chart pairs (tol 1e-12)")
-
-
-def _pairwise_kernel(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    i, j = np.triu_indices(A.shape[1], k=1)
-    minors = A[:, i] * B[:, j] - A[:, j] * B[:, i]
-    w2 = np.sum(np.abs(minors) ** 2, axis=1)
-    na = np.sum(np.abs(A) ** 2, axis=1)
-    nb = np.sum(np.abs(B) ** 2, axis=1)
-    with np.errstate(divide="ignore"):
-        return 0.5 * np.log(np.clip(w2 / (na * nb), 0.0, 1.0))
-
-
-def _pairwise_affine(Z: np.ndarray, W: np.ndarray) -> np.ndarray:
-    diff = np.sum(np.abs(Z - W) ** 2, axis=1)
-    i, j = np.triu_indices(Z.shape[1], k=1)
-    minors = Z[:, i] * W[:, j] - Z[:, j] * W[:, i]
-    wedge = np.sum(np.abs(minors) ** 2, axis=1)
-    with np.errstate(divide="ignore"):
-        return 0.5 * np.log((diff + wedge) / (1.0 + np.sum(np.abs(W) ** 2, axis=1)))
 
 
 @_timed
@@ -121,7 +96,7 @@ def check_kernel_bounds(seed: int = 3, pairs: int = 100_000):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((pairs, 2)) + 1j * rng.standard_normal((pairs, 2))
     w = rng.standard_normal((pairs, 2)) + 1j * rng.standard_normal((pairs, 2))
-    mid = _pairwise_affine(z, w)
+    mid = affine_log_kernel_batch(z, w)
     with np.errstate(divide="ignore"):
         lower = 0.5 * np.log(np.sum(np.abs(z - w) ** 2, axis=1)
                              / (1.0 + np.sum(np.abs(w) ** 2, axis=1)))
@@ -221,7 +196,7 @@ def check_mixed_discriminant_expansion(seed: int = 7, configs: int = 100):
         z = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         if float(np.min(np.linalg.norm(nu.w - z[None, :], axis=1))) < 0.5:
             continue
-        chk = ma_product_expansion_check(nu, z, h=1e-3)
+        chk = ma_product_expansion_check(nu, z)
         worst = max(worst, chk.relative)
         done += 1
     return ("mixed-discriminant expansion", worst < 1e-9,
@@ -232,10 +207,10 @@ def check_mixed_discriminant_expansion(seed: int = 7, configs: int = 100):
 def check_mass_conservation(seed: int = 8, grid_n1: int = 256, grid_n2: int = 48):
     """Total smoothed MA mass = 1: n=1 within 1%, n=2 within 2% (eps = 0.3)."""
     mu1 = _random_measure(1, 4, seed)
-    rep1 = ma_total_mass(mu1, grid=grid_n1, h=1e-4, eps=0.3)
+    rep1 = ma_total_mass(mu1, grid=grid_n1, eps=0.3)
     dev1 = abs(rep1.total_mass - 1.0)
     mu2 = _random_measure(2, 2, seed + 1)
-    rep2 = ma_total_mass(mu2, grid=grid_n2, h=5e-4, eps=0.3, vol_tol=0.02)
+    rep2 = ma_total_mass(mu2, grid=grid_n2, eps=0.3, vol_tol=0.02)
     dev2 = abs(rep2.total_mass - 1.0)
     ok = dev1 < 0.01 and dev2 < 0.02
     return ("MA mass conservation", ok,
@@ -299,7 +274,11 @@ def check_absolute_continuity_dichotomy(seed: int = 23, eps: float = 0.005):
 
 @_timed
 def check_smooth_wedge_density(seed: int = 11, points: int = 50):
-    """binom(n,m) D(H_V^m, H_psi^(n-m)) vs brute-force polarization, 1e-5."""
+    """binom(n,m) D(H_V^m, H_psi^(n-m)) vs brute-force polarization, 1e-5.
+
+    The density uses closed-form Hessians; the polarization reference is
+    built from finite-difference Hessians (h = 1e-3), an independent route.
+    """
     rng = np.random.default_rng(seed)
     n = 2
     psi = fs_field(n)
@@ -312,13 +291,13 @@ def check_smooth_wedge_density(seed: int = 11, points: int = 50):
         z = 2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         if float(np.min(np.linalg.norm(nu.w - z[None, :], axis=1))) < 0.4:
             continue
-        H_V = affine_field(nu).complex_hessian(z)
-        H_psi = geometry.fs_metric(z)
+        H_V = complex_hessian_fd(affine_field(nu), z, h=1e-3).entries
+        H_psi = complex_hessian_fd(psi, z, h=1e-3).entries
         ss = np.linspace(0.5, 1.5, n + 1)
         dets = [float(np.linalg.det(s * H_V + H_psi).real) for s in ss]
         coeffs = np.polyfit(ss, dets, n)[::-1]
         for m in (0, 1, 2):
-            val = smooth_wedge_density(nu, psi, m, z, h=1e-3)
+            val = smooth_wedge_density(nu, psi, m, z)
             worst = max(worst, abs(val - coeffs[m]) / max(1.0, abs(coeffs[m])))
         done += 1
     return ("smooth-wedge density", worst < 1e-5,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from projlog import analytic
 from projlog.errors import (
     CombinatorialBlowup,
     DimensionMismatch,
@@ -175,7 +174,7 @@ def test_expansion_random_configs():
             z = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             if np.min(np.linalg.norm(nu.w - z[None, :], axis=1)) < 0.5:
                 continue
-            chk = pl.ma_product_expansion_check(nu, z, h=1e-3)
+            chk = pl.ma_product_expansion_check(nu, z)
             assert chk.relative < 1e-9
 
 
@@ -223,10 +222,10 @@ def test_smooth_wedge_endpoints():
                         weights=np.array([0.5, 0.25, 0.25]))
     psi = pl.fs_field(n)
     z = np.array([1.2 + 0.1j, -0.7 + 0.4j])
-    d0 = pl.smooth_wedge_density(nu, psi, 0, z, h=1e-3)
-    dn = pl.smooth_wedge_density(nu, psi, n, z, h=1e-3)
-    H_psi = pl.complex_hessian_fd(psi, z, h=1e-3).entries
-    H_V = pl.complex_hessian_fd(pl.affine_field(nu), z, h=1e-3).entries
+    d0 = pl.smooth_wedge_density(nu, psi, 0, z)
+    dn = pl.smooth_wedge_density(nu, psi, n, z)
+    H_psi = psi.complex_hessian(z)
+    H_V = pl.affine_field(nu).complex_hessian(z)
     assert abs(d0 - np.linalg.det(H_psi).real) < 1e-12
     assert abs(dn - np.linalg.det(H_V).real) < 1e-12
 
@@ -243,9 +242,9 @@ def test_smooth_wedge_matches_brute_force_polarization():
         if np.min(np.linalg.norm(nu.w - z[None, :], axis=1)) < 0.4:
             continue
         H_V = pl.affine_field(nu).complex_hessian(z)
-        H_psi = analytic.fs_hessian_batch(z[None, :])[0]
+        H_psi = psi.complex_hessian(z)
         for m in (0, 1, 2):
-            val = pl.smooth_wedge_density(nu, psi, m, z, h=1e-3)
+            val = pl.smooth_wedge_density(nu, psi, m, z)
             ref = brute_force_wedge_term(H_V, H_psi, m, n)
             assert abs(val - ref) < 1e-5 * max(1.0, abs(ref))
 
@@ -370,12 +369,24 @@ def test_ball_profile_excision_diagnostic():
     mu = pl.dirac(center)
     rep = pl.ball_mass_profile(mu, center, [0.5], h=1e-3, eps_list=[0.0],
                                points_per_axis=64)[0]
-    # excised region is a bounded small volume; the smooth part of the
-    # unsmoothed Dirac potential carries no appreciable mass for n = 1
-    # (the residual ~ 2e-3 is rectified FD noise at the excision ring,
-    # bounded independently of h by the 10h excision rule)
+    # excised region is a bounded small volume; off the atom the unsmoothed
+    # Dirac lift is log|z|, harmonic for n = 1, so the closed-form density
+    # vanishes up to rounding
     assert 0.0 < rep.excised_singular_mass < 0.01
-    assert rep.total_mass < 0.01
+    assert rep.total_mass < 1e-10
+
+
+def test_total_mass_matches_finite_difference_reference():
+    # masses from the central-difference Hessian route (h = 1e-4 at n = 1,
+    # 5e-4 at n = 2), recorded before the grids switched to closed forms;
+    # the two routes differ by the O(h^2) stencil error only
+    mu1 = random_measure(1, 4, seed=41)
+    rep1 = pl.ma_total_mass(mu1, grid=64, eps=0.3, vol_tol=0.05)
+    assert abs(rep1.total_mass - 0.9999966130147163) < 1e-6 * 0.9999966130147163
+    mu2 = random_measure(2, 2, seed=42)
+    rep2 = pl.ma_total_mass(mu2, grid=12, eps=0.3, vol_tol=0.05)
+    assert abs(rep2.total_mass - 0.9946143679312607) < 1e-6 * 0.9946143679312607
+    assert rep1.clipped_cells == rep2.clipped_cells == 0
 
 
 def test_total_mass_pure_volume_check_is_one():

@@ -278,6 +278,20 @@ def test_sobolev_scan_worker_independence():
     assert a.estimate == b.estimate and a.excised == b.excised
 
 
+def test_fd_gradient_evaluates_each_stencil_point_once():
+    rows = []
+
+    def counted(pts):
+        pts = np.atleast_2d(pts)
+        rows.append(pts.shape[0])
+        return 0.5 * np.log1p(np.sum(np.abs(pts) ** 2, axis=1))
+
+    for n in (1, 2, 3):
+        rows.clear()
+        pl.fd_gradient(counted, np.full(n, 0.3 + 0.2j), h=1e-4)
+        assert sum(rows) == 4 * n
+
+
 def test_fd_gradient_richardson_fallback_on_steep_field():
     # synthetic field whose stencil values span > 6 orders of magnitude
     def steep(pts):
