@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, geometry, measures, monge_ampere, potentials
+from . import __version__, geometry
 from .coarea import area_constant, mean_log_kernel, sobolev_bound
 from .errors import NumericError, ValidationError
-from .geometry import HomogeneousPoint, normalize, sample_fs_array
+from .geometry import HomogeneousPoint, sample_fs_array
 from .kernels import affine_log_kernel, chart_identity_residual, \
     projective_log_kernel, sin_distance_residual
 from .measures import AffineAtoms, AtomicMeasure, decompose, riesz_lp_scan, \
@@ -32,8 +32,7 @@ from .measures import AffineAtoms, AtomicMeasure, decompose, riesz_lp_scan, \
 from .monge_ampere import ball_mass_profile, ma_density, ma_total_mass, \
     ma_product_expansion_check
 from .parallel import resolve_workers
-from .potentials import log_potential_batch, psh_lift, sobolev_doubling, \
-    sobolev_refinement_scan
+from .potentials import log_potential_batch, sobolev_doubling
 from .verification import ALL_CHECKS, run_checks
 
 EXIT_OK = 0

@@ -21,9 +21,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import NonConvergent
+
+# scipy is imported inside the functions that use it: scipy.integrate pulls in
+# scipy.optimize and numpy.f2py, which would otherwise load with every import
+# of projlog
 
 SQRT2 = math.sqrt(2.0)
 
@@ -37,6 +40,8 @@ def area_constant(n: int) -> float:
 
 def area_constant_quadrature(n: int) -> float:
     """c_n recomputed by numerically solving int A(r) dr = 1 (oracle path)."""
+    from scipy import integrate
+
     raw, _ = integrate.quad(
         lambda r: math.sin(r / SQRT2) ** (2 * n - 2) * math.sin(SQRT2 * r),
         0.0, math.pi / SQRT2, epsabs=1e-14, epsrel=1e-13, limit=200,
@@ -58,6 +63,8 @@ def radial_quadrature(f, n: int, rel_tol: float = 1e-10) -> float:
     integrable log/power singularity at r = 0.  Raises NonConvergent when the
     QUADPACK error estimate exceeds the relative target.
     """
+    from scipy import integrate
+
     pref = 2.0 * SQRT2 * area_constant(n)
 
     def integrand(u: float) -> float:
@@ -84,6 +91,8 @@ def mean_log_kernel(n: int) -> float:
     routine returns the adaptive-quadrature value so the identity can be
     checked against mean_log_kernel_closed_form.
     """
+    from scipy import integrate
+
     pref = 2.0 * SQRT2 * area_constant(n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -110,6 +119,8 @@ def sobolev_bound(n: int, p: float) -> float:
         raise ValueError("p must be >= 0")
     if p >= 2 * n:
         return math.inf
+    from scipy import integrate
+
     q = 2 * n - 1 - p
     pref = 2.0 * SQRT2 * area_constant(n)
     with warnings.catch_warnings():
@@ -130,8 +141,10 @@ def sobolev_bound_closed_form(n: int, p: float) -> float:
     """Beta-function form: sqrt 2 c_n B((2n-p)/2, 1/2), +inf for p >= 2n."""
     if p >= 2 * n:
         return math.inf
+    from scipy.special import beta
+
     q = 2 * n - 1 - p
-    return SQRT2 * area_constant(n) * special.beta((q + 1) / 2.0, 0.5)
+    return SQRT2 * area_constant(n) * beta((q + 1) / 2.0, 0.5)
 
 
 def wallis_sin_power_integral(m: int) -> float:

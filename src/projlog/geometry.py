@@ -81,15 +81,6 @@ class HomogeneousPoint:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HomogeneousPoint) and self.equals(other)
 
-    def canonical_key(self, decimals: int = 9) -> tuple:
-        """Rounded canonical coordinates, usable as a dict key.
-
-        Rounding makes the key deterministic but points straddling a rounding
-        boundary may hash apart; use :meth:`equals` for exact decisions.
-        """
-        r = np.round(self.coords.view(float), decimals) + 0.0
-        return tuple(r.tolist())
-
     def to_json(self) -> list:
         return [[float(c.real), float(c.imag)] for c in self.coords]
 

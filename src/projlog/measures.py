@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     AlphaOutOfRange,
@@ -39,6 +38,8 @@ from .geometry import (
 )
 
 WEIGHT_TOL = 1e-12
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,66 @@ class AtomicMeasure:
         return build_measure(np.array(rows, dtype=complex), np.array(weights), n=n)
 
 
+def _merge_labels(pts: np.ndarray) -> np.ndarray:
+    """For each canonical row, the index of the kept row it merges into.
+
+    Same result as the greedy scan that compares every row, in input order,
+    with every kept row: a row joins the first kept row within CANONICAL_TOL
+    (max complex modulus of the difference), else it is kept itself.
+
+    Candidates come from one real projection x = real_view @ c: rows within
+    tolerance have |dx| <= |c|_1 * tol, so after sorting on x a row whose
+    neighbours are all farther than that reach is kept without a test.  Only
+    rows that share a window are replayed in input order, each against the
+    kept rows of its own window.
+    """
+    count = pts.shape[0]
+    labels = np.arange(count)
+    if count < 2:
+        return labels
+    real = pts.view(float)
+    # fixed, incommensurate weights so that structured inputs do not collide
+    c = 1.0 + np.modf(np.arange(1, real.shape[1] + 1) * _GOLDEN)[0]
+    x = real @ c
+    # |real| <= 1 on canonical rows; the margin covers rounding in x and in
+    # the window arithmetic below
+    reach = float(np.sum(c)) * (CANONICAL_TOL + 16.0 * real.shape[1] * np.finfo(float).eps)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    close = np.diff(xs) <= reach
+    shared = np.zeros(count, dtype=bool)
+    shared[:-1] |= close
+    shared[1:] |= close
+    if not np.any(shared):
+        return labels
+    slot = np.empty(count, dtype=np.intp)
+    slot[order] = np.arange(count)
+    lo = np.searchsorted(xs, xs - reach, side="left")
+    hi = np.searchsorted(xs, xs + reach, side="right")
+    kept = np.zeros(count, dtype=bool)      # by sorted slot, shared rows only
+    for i in np.sort(order[shared]):
+        s = slot[i]
+        window = lo[s] + np.flatnonzero(kept[lo[s]:hi[s]])
+        if window.size:
+            rows = order[window]
+            hits = rows[np.max(np.abs(pts[rows] - pts[i]), axis=1) <= CANONICAL_TOL]
+            if hits.size:
+                labels[i] = hits.min()
+                continue
+        kept[s] = True
+    return labels
+
+
 def build_measure(points, weights, n: int | None = None) -> AtomicMeasure:
-    """Validate and canonicalize; merges duplicate atoms by summing weights."""
+    """Validate, canonicalize and merge duplicate atoms.
+
+    Rows are taken in input order.  A row whose canonical coordinates differ
+    from those of an already kept row by at most CANONICAL_TOL in every
+    coordinate (complex modulus) merges into the first such kept row;
+    otherwise it is kept as a new atom.  Kept atoms stay in input order with
+    their first row's coordinates, and the weights of merged rows are added
+    to it in input order.
+    """
     if isinstance(points, (list, tuple)) and points and isinstance(points[0], HomogeneousPoint):
         points = np.stack([p.coords for p in points])
     points = np.asarray(points, dtype=complex)
@@ -110,18 +169,11 @@ def build_measure(points, weights, n: int | None = None) -> AtomicMeasure:
     if abs(total - 1.0) > WEIGHT_TOL:
         raise WeightSumMismatch(f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")
     pts = canonicalize_batch(points)
-    # merge duplicates under canonical equality
-    keep_rows: list[np.ndarray] = []
-    keep_w: list[float] = []
-    for row, w in zip(pts, weights):
-        for j, existing in enumerate(keep_rows):
-            if np.max(np.abs(existing - row)) <= CANONICAL_TOL:
-                keep_w[j] += w
-                break
-        else:
-            keep_rows.append(row)
-            keep_w.append(float(w))
-    return AtomicMeasure(points=np.stack(keep_rows), weights=np.array(keep_w), n=n)
+    labels = _merge_labels(pts)
+    roots = labels == np.arange(labels.size)
+    # bincount adds in index order, i.e. in input order
+    merged = np.bincount((np.cumsum(roots) - 1)[labels], weights=weights)
+    return AtomicMeasure(points=pts[roots], weights=merged, n=n)
 
 
 def dirac(point: HomogeneousPoint) -> AtomicMeasure:
@@ -261,6 +313,8 @@ def riesz_potential(atoms: AffineAtoms, alpha: float, z) -> float:
 def _uniform_ball(seed: int, count: int, dim: int, start: int = 0,
                   stream: int = 1) -> np.ndarray:
     """Uniform draws from the unit ball of R^dim, reproducible by index."""
+    from scipy.special import ndtr
+
     g = _sample_stream(seed, count, dim + 1, start=start, stream=stream)
     direction = g[:, :dim]
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
@@ -325,6 +379,8 @@ def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
     The default base_decades keeps the deepest radius above 1e-60 so that
     |z - w|^(-alpha p) stays inside float64 range.
     """
+    from scipy.special import ndtr
+
     _check_alpha(alpha, atoms.n)
     n = atoms.n
     if base_decades is None:

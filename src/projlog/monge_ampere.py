@@ -37,7 +37,8 @@ from .geometry import (
 )
 from .measures import AffineAtoms, AtomicMeasure, partition_of_unity
 from .parallel import pairwise_sum, resolve_workers, run_chunked
-from .potentials import PotentialField, affine_field, fs_field, psh_lift
+from .potentials import PotentialField, _nearest_site_distance, affine_field, fs_field, \
+    psh_lift
 
 SQRT2 = math.sqrt(2.0)
 
@@ -475,9 +476,7 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
                 continue
             Z, d = Z[in_any], d[in_any]
             if sites.shape[0]:
-                dist_atoms = np.min(np.linalg.norm(
-                    Z[:, None, :] - sites[None, :, :], axis=2), axis=1)
-                cut = dist_atoms <= 10.0 * h
+                cut = _nearest_site_distance(Z, sites) <= 10.0 * h
                 excised_volume += float(np.sum(
                     fs_volume_density(Z[cut]))) * cellvol / fs_volume_norm(n)
                 Z, d = Z[~cut], d[~cut]

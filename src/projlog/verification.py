@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, kernels, measures, monge_ampere, potentials
+from . import geometry, measures
 from .coarea import mean_log_kernel, sobolev_bound
 from .geometry import geodesic_distance_batch, sample_fs_array
 from .kernels import affine_log_kernel_batch, projective_log_kernel_batch
@@ -24,7 +24,7 @@ from .measures import AffineAtoms, build_measure, decompose, riesz_lp_scan, \
     riesz_refinement_scan, uniform_on
 from .monge_ampere import ball_mass_profile, complex_hessian_fd, \
     ma_product_expansion_check, ma_total_mass, smooth_wedge_density
-from .potentials import affine_field, fs_field, log_potential, psh_lift, \
+from .potentials import affine_field, fs_field, log_potential, \
     sobolev_doubling, sobolev_refinement_scan
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from projlog.errors import (
     NegativeWeight,
     WeightSumMismatch,
 )
+from projlog.geometry import CANONICAL_TOL, canonicalize_batch
 from projlog.measures import support_threshold
 
 
@@ -64,6 +66,109 @@ def test_measure_json_round_trip_and_errors():
     with pytest.raises(NegativeWeight) as err:
         pl.AtomicMeasure.from_json(json.dumps(bad))
     assert "atoms[2].weight" in str(err.value)
+
+
+# ---------- duplicate merge ---------------------------------------------------
+
+def greedy_merge(points, weights):
+    """Reference merge: compare each row with every kept row, in input order."""
+    keep_rows, keep_w = [], []
+    for row, w in zip(canonicalize_batch(np.asarray(points, dtype=complex)), weights):
+        for j, existing in enumerate(keep_rows):
+            if np.max(np.abs(existing - row)) <= CANONICAL_TOL:
+                keep_w[j] += w
+                break
+        else:
+            keep_rows.append(row)
+            keep_w.append(float(w))
+    return np.stack(keep_rows), np.array(keep_w)
+
+
+def assert_merge_matches_reference(points, weights):
+    mu = pl.build_measure(points, weights)
+    ref_points, ref_weights = greedy_merge(points, weights)
+    assert mu.points.tobytes() == ref_points.tobytes()
+    assert mu.weights.tobytes() == ref_weights.tobytes()
+    return mu
+
+
+def offset_rows(n, steps, seed=0):
+    """A canonical point moved along one non-pivot coordinate by steps * tol.
+
+    The move is orthogonal to that coordinate's value, so the norm changes at
+    second order only and the canonical distance is |step| * tol to rounding.
+    """
+    rng = np.random.default_rng(seed)
+    base = canonicalize_batch(np.concatenate([[2.0], rng.uniform(-1, 1, n)]) + 0j)
+    direction = 1j * base[1] / abs(base[1])
+    rows = np.repeat(base[None, :], len(steps), axis=0)
+    rows[:, 1] += np.asarray(steps) * CANONICAL_TOL * direction
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_merge_matches_greedy_reference_on_random_duplicates(n):
+    rng = np.random.default_rng(100 + n)
+    unique = rng.standard_normal((200, n + 1)) + 1j * rng.standard_normal((200, n + 1))
+    idx = rng.choice(200, size=120)
+    # the same projective points again, under a random phase and scale
+    scale = rng.uniform(0.5, 2.0, idx.size) * np.exp(2j * np.pi * rng.uniform(size=idx.size))
+    rows = np.concatenate([unique, unique[idx] * scale[:, None]])
+    rows = rows[rng.permutation(rows.shape[0])]
+    w = rng.uniform(0.2, 1.0, rows.shape[0])
+    mu = assert_merge_matches_reference(rows, w / w.sum())
+    assert mu.num_atoms == 200
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("step, atoms", [(0.99, 1), (1.01, 2)])
+def test_merge_tolerance_edge(n, step, atoms):
+    rows = offset_rows(n, [0.0, step], seed=n)
+    canon = canonicalize_batch(rows)
+    assert abs(np.max(np.abs(canon[0] - canon[1])) / CANONICAL_TOL - step) < 1e-3
+    assert assert_merge_matches_reference(rows, [0.25, 0.75]).num_atoms == atoms
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_merge_near_tolerance_in_random_directions(n):
+    # partners moved by 0.6-1.2 tol in every non-pivot coordinate, with random
+    # phases: many pairs sit near the edge of the projection window
+    rng = np.random.default_rng(200 + n)
+    base = canonicalize_batch(rng.standard_normal((300, n + 1))
+                              + 1j * rng.standard_normal((300, n + 1)))
+    step = rng.uniform(0.6, 1.2, base.shape) * np.exp(2j * np.pi * rng.uniform(size=base.shape))
+    step[np.arange(300), np.argmax(np.abs(base), axis=1)] = 0.0
+    rows = np.concatenate([base, base + CANONICAL_TOL * step])
+    rows = rows[rng.permutation(rows.shape[0])]
+    mu = assert_merge_matches_reference(rows, np.full(600, 1.0 / 600))
+    assert 300 < mu.num_atoms < 600
+
+
+@pytest.mark.parametrize("order, atoms", [((0, 1, 2), 2), ((1, 0, 2), 1), ((0, 2, 1), 2),
+                                          ((2, 1, 0), 2), ((1, 2, 0), 1), ((2, 0, 1), 2)])
+def test_merge_chain_keeps_first_match(order, atoms):
+    # a ~ b and b ~ c but a !~ c: the outcome depends on which row is kept first
+    chain = offset_rows(2, [0.0, 0.7, 1.4])[list(order)]
+    mu = assert_merge_matches_reference(chain, [0.2, 0.3, 0.5])
+    assert mu.num_atoms == atoms
+
+
+def test_merge_of_many_copies_stays_small():
+    rng = np.random.default_rng(7)
+    point = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    scale = rng.uniform(0.5, 2.0, 2000) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    rows = point[None, :] * scale[:, None]
+    w = np.full(2000, 1.0 / 2000)
+    tracemalloc.start()
+    try:
+        pl.build_measure(rows, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # all pairs would need 2000^2 complex differences (192 MB at n = 2)
+    assert peak < 4 << 20
+    mu = assert_merge_matches_reference(rows, w)
+    assert mu.num_atoms == 1
 
 
 # ---------- partition of unity ----------------------------------------------

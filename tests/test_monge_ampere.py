@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import projlog as pl
+from projlog import potentials
 from projlog.errors import (
     CombinatorialBlowup,
     DimensionMismatch,
@@ -374,6 +375,20 @@ def test_ball_profile_excision_diagnostic():
     # vanishes up to rounding
     assert 0.0 < rep.excised_singular_mass < 0.01
     assert rep.total_mass < 1e-10
+
+
+def test_ball_profile_excision_blocked_over_atoms(monkeypatch):
+    mu = random_measure(1, 6, seed=71)
+    center = mu.point(0)
+
+    def profile():
+        rep = pl.ball_mass_profile(mu, center, [0.8], h=2e-3, eps_list=[0.0],
+                                   points_per_axis=32, levels=3)[0]
+        return rep.excised_singular_mass, rep.total_mass, rep.vol_check
+
+    whole = profile()
+    monkeypatch.setattr(potentials, "_SITE_BLOCK_ENTRIES", 1)
+    assert whole[0] > 0.0 and profile() == whole
 
 
 def test_total_mass_matches_finite_difference_reference():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from projlog import analytic
+from projlog import analytic, potentials
 from projlog.errors import DimensionMismatch, NonpositiveEpsilon, SingularStencil
 from projlog.geometry import sample_fs_array
 from projlog.potentials import log_potential_batch
@@ -276,6 +276,24 @@ def test_sobolev_scan_worker_independence():
     a = pl.sobolev_scan(mu, p=1.0, seed=37, samples=4_000, workers=1)
     b = pl.sobolev_scan(mu, p=1.0, seed=37, samples=4_000, workers=2)
     assert a.estimate == b.estimate and a.excised == b.excised
+
+
+def test_excision_blocked_over_atoms_matches_one_block(monkeypatch):
+    # a difference block of one (row, site) pair at a time against the
+    # unblocked array: the running minimum must give the same bits
+    rng = np.random.default_rng(57)
+    Z = rng.standard_normal((400, 2)) + 1j * rng.standard_normal((400, 2))
+    sites = rng.standard_normal((90, 2)) + 1j * rng.standard_normal((90, 2))
+    direct = np.min(np.linalg.norm(Z[:, None, :] - sites[None, :, :], axis=2), axis=1)
+    assert potentials._nearest_site_distance(Z, sites).tobytes() == direct.tobytes()
+
+    mu = random_measure(2, 40, seed=59)
+    whole = pl.sobolev_scan(mu, p=1.0, seed=61, samples=3_000, h=2e-2, workers=1)
+    monkeypatch.setattr(potentials, "_SITE_BLOCK_ENTRIES", 1)
+    assert potentials._nearest_site_distance(Z, sites).tobytes() == direct.tobytes()
+    blocked = pl.sobolev_scan(mu, p=1.0, seed=61, samples=3_000, h=2e-2, workers=1)
+    assert whole.excised > 0
+    assert (blocked.estimate, blocked.excised) == (whole.estimate, whole.excised)
 
 
 def test_fd_gradient_evaluates_each_stencil_point_once():
