@@ -22,6 +22,22 @@ Ptilde(z) = (|z - w|^2 + |z ^ w|^2) / (1 + |w|^2), so
 and rho = (1/2) log(1 + |z|^2) is the Ptilde = 0 member with (a, b) = (0, 1),
 which quad_form_batch evaluates when eta is None.
 
+quad_form_batch evaluates a whole (k, n+1) stack of atoms per call: it lifts
+the points once and uses the projection form
+
+    S = <l, eta> / |eta|^2,   l_perp = l - S eta,
+    Ptilde = |eta|^2 |l_perp|^2,   dPtilde/dz = |eta|^2 conj(l_perp[pos]),
+
+which equals the minor form in exact arithmetic.  l_perp is formed directly,
+so near an atom, at chart distance d, its relative rounding error is about
+1e-16 / d, the order of the minors themselves; the Lagrange form
+|l|^2 |eta|^2 - |<l, eta>|^2 would cancel to about 1e-16 / d^2.  The field
+functions take the atoms in blocks (atom_blocks) that keep every (m, k, n+1)
+intermediate near _BLOCK_ENTRIES complex numbers, whatever k is, and make
+one quad_form_batch call per block.  They add the per-atom terms along the
+atom axis of atom-major (k, m) arrays, which numpy reduces in atom order, so
+one-atom blocks give the same bits as one block.
+
 This module is the library's one derivative engine: every production
 gradient, Hessian and Monge-Ampere density is computed from these closed
 forms.  The finite-difference stencils in monge_ampere and potentials are
@@ -35,6 +51,18 @@ import numpy as np
 from .geometry import chart_lift
 
 
+#: complex entries of one (rows, atoms, width) intermediate block (32 MiB);
+#: every loop over atoms in the library takes its atoms in blocks of this size
+_BLOCK_ENTRIES = 1 << 21
+
+
+def atom_blocks(count: int, rows: int, width: int) -> list[slice]:
+    """Slices over `count` atoms so that a (rows, atoms, width) array stays
+    near _BLOCK_ENTRIES entries; one slice covers every atom when they fit."""
+    step = max(1, _BLOCK_ENTRIES // max(1, rows * width))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 def _lift_positions(n: int, chart: int) -> np.ndarray:
     """Indices of the affine coordinates inside the homogeneous lift."""
     return np.delete(np.arange(n + 1), chart)
@@ -45,30 +73,56 @@ def quad_form_batch(Z: np.ndarray, eta: np.ndarray | None, chart: int,
     """Evaluate T, dT/dz and the constant Hessian of T at rows of Z.
 
     Z : (m, n) complex points in the chart
-    eta : unit homogeneous (n+1,) vector, or None for the Ptilde = 0 member
-    returns (T (m,), Tz (m, n), Thess (n, n))
+    eta : (k, n+1) stack of homogeneous atom vectors, one (n+1,) vector, or
+          None for the Ptilde = 0 member
+    returns (T (m, k), Tz (m, k, n), Thess (k, n, n)) for a stack, and
+            (T (m,), Tz (m, n), Thess (n, n)) for one vector or None
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     m, n = Z.shape
     t = np.sum(np.abs(Z) ** 2, axis=1)
     T = np.full(m, a + b, dtype=float) + b * t
-    Tz = (b * np.conj(Z)).astype(complex)
     Thess = b * np.eye(n, dtype=complex)
-    if eta is not None:
-        lifts = chart_lift(Z, chart)  # (m, n+1)
-        pos = _lift_positions(n, chart)
-        # minors M_ij = l_i eta_j - l_j eta_i, per point
-        M = lifts[:, :, None] * eta[None, None, :] - eta[None, :, None] * lifts[:, None, :]
-        T = T + 0.5 * np.sum(np.abs(M) ** 2, axis=(1, 2))
-        Tz = Tz + np.einsum("mij,j->mi", np.conj(M), eta)[:, pos]
-        Thess = Thess + (np.eye(n) * np.sum(np.abs(eta) ** 2)
-                         - np.outer(np.conj(eta[pos]), eta[pos]))
+    if eta is None:
+        return T, (b * np.conj(Z)).astype(complex), Thess
+    E = np.asarray(eta, dtype=complex)
+    single = E.ndim == 1
+    E = np.atleast_2d(E)
+    e2 = np.sum(E.real ** 2 + E.imag ** 2, axis=1)[:, None]      # |eta|^2, (k, 1)
+    # atom-major (k, m) work arrays, written in place to spare temporaries;
+    # the (m, k) results are views of them
+    lifts = chart_lift(Z, chart).T                                # (n+1, m), once for all atoms
+    # S = <l, eta> / |eta|^2 slot by slot, so that an atom's values do not
+    # depend on which other atoms share its block
+    Ec = np.conj(E / e2)
+    S = Ec[:, 0, None] * lifts[0]
+    buf = np.empty_like(S)
+    for j in range(1, n + 1):
+        S += np.multiply(Ec[:, j, None], lifts[j], out=buf)
+    perp_sq = np.zeros(S.shape)
+    sq = np.empty(S.shape)
+    Tz = np.empty((n,) + S.shape, dtype=complex)
+    for j in range(n + 1):
+        c = j - (j > chart)
+        perp = buf if j == chart else Tz[c]
+        np.subtract(lifts[j], np.multiply(S, E[:, j, None], out=perp), out=perp)
+        perp_sq += np.multiply(perp.real, perp.real, out=sq)
+        perp_sq += np.multiply(perp.imag, perp.imag, out=sq)
+        if j != chart:                                            # Tz from slot j of l_perp
+            np.conj(perp, out=perp)
+            perp *= e2
+            if b:
+                perp += b * np.conj(Z[:, c])
+    perp_sq *= e2
+    perp_sq += T
+    T = perp_sq.T
+    Tz = Tz.transpose(2, 1, 0)
+    pos = _lift_positions(n, chart)
+    Thess = (Thess + e2[:, :, None] * np.eye(n)
+             - np.conj(E[:, pos, None]) * E[:, None, pos])
+    if single:
+        return T[:, 0], Tz[:, 0], Thess[0]
     return T, Tz, Thess
-
-
-def log_half_value(T: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return 0.5 * np.log(T)
 
 
 def log_half_gradient(T: np.ndarray, Tz: np.ndarray) -> np.ndarray:
@@ -77,39 +131,84 @@ def log_half_gradient(T: np.ndarray, Tz: np.ndarray) -> np.ndarray:
 
 
 def log_half_hessian(T: np.ndarray, Tz: np.ndarray, Thess: np.ndarray) -> np.ndarray:
-    """Complex Hessian of (1/2) log T, shape (m, n, n)."""
+    """Complex Hessian of (1/2) log T, shape (m, n, n).
+
+    Thess is one (n, n) matrix for every row, or one (n, n) matrix per row
+    (the rows then being the atoms of a stacked quad form at one point).
+    """
     outer = Tz[:, :, None] * np.conj(Tz)[:, None, :]
-    return Thess[None, :, :] / (2.0 * T[:, None, None]) - outer / (2.0 * T[:, None, None] ** 2)
+    return Thess / (2.0 * T[:, None, None]) - outer / (2.0 * T[:, None, None] ** 2)
+
+
+def _field_blocks(Z, atoms_eta, weights):
+    """Points as (m, n), atoms as (k, n+1), weights as a (k, 1) column and
+    the atom blocks."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    E = np.asarray(atoms_eta, dtype=complex).reshape(-1, Z.shape[1] + 1)
+    w = np.asarray(weights, dtype=float).reshape(-1, 1)
+    return Z, E, w, atom_blocks(E.shape[0], Z.shape[0], Z.shape[1] + 1)
 
 
 def field_value_batch(Z, atoms_eta, weights, chart, a=0.0, b=0.0):
     """Sum of w_i (1/2) log T_i at rows of Z."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    Z, E, w, blocks = _field_blocks(Z, atoms_eta, weights)
     out = np.zeros(Z.shape[0])
-    for eta, w in zip(atoms_eta, weights):
-        T, _, _ = quad_form_batch(Z, eta, chart, a, b)
-        out += w * log_half_value(T)
+    for blk in blocks:
+        T, _, _ = quad_form_batch(Z, E[blk], chart, a, b)
+        with np.errstate(divide="ignore"):
+            terms = np.log(T.T)                                   # (k, m)
+        terms *= 0.5 * w[blk]
+        out += np.sum(terms, axis=0)
     return out
 
 
 def field_gradient_batch(Z, atoms_eta, weights, chart, a=0.0, b=0.0):
     """Holomorphic gradient (m, n) of the weighted field."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    Z, E, w, blocks = _field_blocks(Z, atoms_eta, weights)
     out = np.zeros(Z.shape, dtype=complex)
-    for eta, w in zip(atoms_eta, weights):
-        T, Tz, _ = quad_form_batch(Z, eta, chart, a, b)
-        out += w * log_half_gradient(T, Tz)
+    for blk in blocks:
+        T, Tz, _ = quad_form_batch(Z, E[blk], chart, a, b)
+        r = w[blk] / (2.0 * T.T)                                  # (k, m)
+        terms = np.empty(r.shape, dtype=complex)
+        for c, Tz_c in enumerate(Tz.transpose(2, 1, 0)):
+            out[:, c] += np.sum(np.multiply(Tz_c, r, out=terms), axis=0)
     return out
 
 
 def field_hessian_batch(Z, atoms_eta, weights, chart, a=0.0, b=0.0):
-    """Complex Hessian (m, n, n) of the weighted field."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    """Complex Hessian (m, n, n) of the weighted field.
+
+    Each upper-triangle entry sums w (Thess / (2T) - Tz Tz^H / (2T^2)) over
+    the atoms; the lower triangle is the conjugate of the upper and the
+    diagonal is real, so the result is exactly Hermitian.
+    """
+    Z, E, w, blocks = _field_blocks(Z, atoms_eta, weights)
     m, n = Z.shape
+    upper = list(zip(*np.triu_indices(n)))
     out = np.zeros((m, n, n), dtype=complex)
-    for eta, w in zip(atoms_eta, weights):
-        T, Tz, Thess = quad_form_batch(Z, eta, chart, a, b)
-        out += w * log_half_hessian(T, Tz, Thess)
+    for blk in blocks:
+        T, Tz, Thess = quad_form_batch(Z, E[blk], chart, a, b)
+        T, Tz = T.T, Tz.transpose(2, 1, 0)                        # (k, m), (n, k, m)
+        r = w[blk] / (2.0 * T)
+        q = r / T
+        outer, first = np.empty(T.shape, dtype=complex), np.empty(T.shape, dtype=complex)
+        sq, diag = np.empty(T.shape), np.empty(T.shape)
+        for c, d in upper:
+            if c == d:
+                np.multiply(Tz[c].real, Tz[c].real, out=sq)
+                sq += np.multiply(Tz[c].imag, Tz[c].imag, out=diag)
+                sq *= q
+                np.multiply(r, Thess[:, c, c, None].real, out=diag)
+                out[:, c, c] += np.sum(np.subtract(diag, sq, out=diag), axis=0)
+            else:
+                np.conj(Tz[d], out=outer)
+                outer *= Tz[c]
+                outer *= q
+                np.multiply(r, Thess[:, c, d, None], out=first)
+                out[:, c, d] += np.sum(np.subtract(first, outer, out=first), axis=0)
+    for c, d in upper:
+        if c != d:
+            out[:, d, c] = np.conj(out[:, c, d])
     return out
 
 

@@ -314,13 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"projlog {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def command(name, **kwargs):
+        # no prefix matching: an option a subcommand lacks (say --h) must be
+        # an error, not an abbreviation of another option (--help)
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
     def common(p, measure=False):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--grid", type=int, default=0)
-        p.add_argument("--h", type=float, default=1e-4,
-                       help="singular-guard length at eps = 0: points within "
-                            "10h of an atom are excised or refused")
         p.add_argument("--eps", dest="eps_text", default="0.3",
                        help="comma-separated strictly decreasing positive list")
         p.add_argument("--chart", type=int, default=None)
@@ -331,27 +333,34 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--measure", required=True,
                            help="measure JSON file (see README)")
 
-    p = sub.add_parser("kernel", help="evaluate kernels on point pairs from JSON")
+    def guard(p):
+        """--h, for the subcommands that guard eps = 0 singularities."""
+        p.add_argument("--h", type=float, default=1e-4,
+                       help="singular-guard length at eps = 0: points within "
+                            "10h of an atom are excised or refused")
+
+    p = command("kernel", help="evaluate kernels on point pairs from JSON")
     common(p)
     p.add_argument("--pairs", required=True, help="pairs JSON file")
     p.add_argument("--affine", action="store_true",
                    help="pairs hold chart coordinates z, w instead of points")
     p.set_defaults(fn=cmd_kernel)
 
-    p = sub.add_parser("potential", help="evaluate the potential on FS samples")
+    p = command("potential", help="evaluate the potential on FS samples")
     common(p, measure=True)
     p.set_defaults(fn=cmd_potential)
 
-    p = sub.add_parser("measure", help="validate and decompose a measure")
+    p = command("measure", help="validate and decompose a measure")
     common(p, measure=True)
     p.set_defaults(fn=cmd_measure)
 
-    p = sub.add_parser("sobolev", help="gradient p-norm scan with doubling")
+    p = command("sobolev", help="gradient p-norm scan with doubling")
     common(p, measure=True)
+    guard(p)
     p.add_argument("--p", default="1.0", help="comma-separated p values")
     p.set_defaults(fn=cmd_sobolev)
 
-    p = sub.add_parser("riesz", help="Riesz potential L^p scan and refinement")
+    p = command("riesz", help="Riesz potential L^p scan and refinement")
     common(p, measure=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--p-value", type=float, default=1.0)
@@ -359,35 +368,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=3)
     p.set_defaults(fn=cmd_riesz)
 
-    p = sub.add_parser("ma-density", help="pointwise Monge-Ampere densities")
+    p = command("ma-density", help="pointwise Monge-Ampere densities")
     common(p, measure=True)
+    guard(p)
     p.set_defaults(fn=cmd_ma_density)
 
-    p = sub.add_parser("ma-mass", help="total Monge-Ampere mass over P^n")
+    p = command("ma-mass", help="total Monge-Ampere mass over P^n")
     common(p, measure=True)
     p.set_defaults(fn=cmd_ma_mass)
 
-    p = sub.add_parser("ball-profile", help="ball-mass profile around a center")
+    p = command("ball-profile", help="ball-mass profile around a center")
     common(p, measure=True)
+    guard(p)
     p.add_argument("--center", default="",
                    help="center point as JSON [[re,im],...]; default first atom")
     p.add_argument("--radii", default="0.5,0.25", help="decreasing radii")
     p.set_defaults(fn=cmd_ball_profile)
 
-    p = sub.add_parser("prop25-check",
-                       help="product-formula (mixed discriminant) residuals")
+    p = command("prop25-check", help="product-formula (mixed discriminant) residuals")
     common(p, measure=True)
     p.set_defaults(fn=cmd_prop25_check)
 
-    p = sub.add_parser("constants", help="CSV table of c_n, alpha_n, bounds")
+    p = command("constants", help="CSV table of c_n, alpha_n, bounds")
     common(p)
     p.set_defaults(fn=cmd_constants)
 
-    p = sub.add_parser("sample", help="FS-uniform samples as CSV")
+    p = command("sample", help="FS-uniform samples as CSV")
     common(p)
     p.set_defaults(fn=cmd_sample)
 
-    p = sub.add_parser("verify", help="run the quantitative check suite")
+    p = command("verify", help="run the quantitative check suite")
     common(p)
     p.add_argument("--all", action="store_true", help="run every check")
     p.add_argument("--quick", action="store_true", help="skip the slow grids")

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytic import atom_blocks
 from .errors import (
     AlphaOutOfRange,
     ChartUndefined,
@@ -31,10 +32,10 @@ from .errors import (
 )
 from .geometry import (
     CANONICAL_TOL,
+    CHART_FLOOR,
     HomogeneousPoint,
     _sample_stream,
     canonicalize_batch,
-    to_chart,
 )
 
 WEIGHT_TOL = 1e-12
@@ -281,14 +282,22 @@ class AffineAtoms:
 
     @staticmethod
     def from_measure(mu: AtomicMeasure, chart: int) -> "AffineAtoms":
-        rows = []
-        for i in range(mu.num_atoms):
-            try:
-                rows.append(to_chart(mu.point(i), chart).z)
-            except ChartUndefined as exc:
-                raise ChartUndefined(
-                    f"atom {i} is not inside chart {chart}: {exc}") from exc
-        return AffineAtoms(chart=chart, w=np.stack(rows), weights=mu.weights.copy())
+        """Chart coordinates of every atom; ChartUndefined names the first
+        atom whose chart coordinate is at or below CHART_FLOOR."""
+        pts = mu.points
+        k = int(chart)
+        if not 0 <= k < pts.shape[1]:
+            raise ChartUndefined(f"atom 0 is not inside chart {chart}: chart index {k} "
+                                 f"out of range for P^{pts.shape[1] - 1}")
+        scale = np.abs(pts[:, k]) / np.linalg.norm(pts, axis=1)
+        off = np.flatnonzero(scale <= CHART_FLOOR)
+        if off.size:
+            i = int(off[0])
+            raise ChartUndefined(
+                f"atom {i} is not inside chart {chart}: |zeta_{k}|/|zeta| = "
+                f"{scale[i]:.3e} <= chart_floor = {CHART_FLOOR:.1e}")
+        w = np.delete(pts, k, axis=1) / pts[:, k][:, None]
+        return AffineAtoms(chart=chart, w=w, weights=mu.weights.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +332,23 @@ def _uniform_ball(seed: int, count: int, dim: int, start: int = 0,
     return direction * u[:, None] ** (1.0 / dim)
 
 
+def _riesz_sum(differences, weights: np.ndarray, alpha: float, rows: int,
+               n: int) -> np.ndarray:
+    """sum_i w_i |d_i|^(-alpha) per row, taking the atoms in analytic.atom_blocks.
+
+    differences(blk) gives the (rows, atoms in blk, n) displacements to the
+    atoms of one block, so memory stays near analytic._BLOCK_ENTRIES complex
+    numbers however many atoms there are.  With one block this is exactly
+    the unblocked sum (the terms are >= 0, so adding it to 0.0 is exact).
+    """
+    total = np.zeros(rows)
+    for blk in atom_blocks(weights.shape[0], rows, n):
+        d = np.linalg.norm(differences(blk), axis=2)
+        with np.errstate(divide="ignore"):
+            total += np.sum(weights[None, blk] * d ** (-alpha), axis=1)
+    return total
+
+
 @dataclass(frozen=True)
 class ScanResult:
     """Monte Carlo estimate with its standard error and provenance."""
@@ -349,9 +375,8 @@ def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, center, radius: fl
     center = np.asarray(center, dtype=complex)
     pts = _uniform_ball(seed, samples, dim, start=start)
     z = center + radius * (pts[:, :n] + 1j * pts[:, n:])
-    d = np.linalg.norm(z[:, None, :] - atoms.w[None, :, :], axis=2)
-    with np.errstate(divide="ignore"):
-        J = np.sum(atoms.weights[None, :] * d ** (-alpha), axis=1)
+    J = _riesz_sum(lambda blk: z[:, None, :] - atoms.w[None, blk, :],
+                   atoms.weights, alpha, samples, n)
     vals = J**p
     vol = math.pi**n / math.factorial(n) * radius**dim
     finite = np.isfinite(vals)
@@ -408,9 +433,9 @@ def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
             # atoms are evaluated at w1 + s * dir (fp collapse to w1 is fine)
             self_term = atoms.weights[atom_index] * s ** (-alpha)
             if others.shape[0]:
-                d_other = np.linalg.norm(
-                    others[None, :, :] - s[:, None, None] * cdir[:, None, :], axis=2)
-                rest = np.sum(other_weights[None, :] * d_other ** (-alpha), axis=1)
+                rest = _riesz_sum(
+                    lambda blk: others[None, blk, :] - s[:, None, None] * cdir[:, None, :],
+                    other_weights, alpha, samples_per_stratum, n)
             else:
                 rest = 0.0
             vals = (self_term + rest) ** p * s ** (2 * n)

@@ -18,6 +18,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
+from . import analytic
 from .errors import (
     CombinatorialBlowup,
     DimensionMismatch,
@@ -205,13 +206,13 @@ def ma_product_expansion_check(atoms: AffineAtoms, z,
     """
     n = atoms.n
     N = atoms.num_atoms
-    hessians = []
-    for i in range(N):
-        single = AffineAtoms(chart=atoms.chart, w=atoms.w[i:i + 1],
-                             weights=np.array([1.0]))
-        hessians.append(affine_field(single).complex_hessian(z))
+    # every atom's kernel Hessian at z from one stacked quad-form call
+    T, Tz, Thess = analytic.quad_form_batch(np.asarray(z, dtype=complex),
+                                            affine_field(atoms).atoms_eta, atoms.chart,
+                                            0.0, 0.0)
+    hessians = analytic.log_half_hessian(T[0], Tz[0], Thess)      # (N, n, n)
     w = atoms.weights
-    lhs_mat = np.tensordot(w, np.stack(hessians), axes=(0, 0))
+    lhs_mat = np.tensordot(w, hessians, axes=(0, 0))
     lhs = float(np.linalg.det(lhs_mat).real)
     exact = N**n <= term_cap
     if not exact and sample_tuples <= 0:

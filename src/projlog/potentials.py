@@ -51,24 +51,18 @@ def _chart_sites(points: np.ndarray, chart: int) -> np.ndarray:
     return np.delete(inside / inside[:, chart][:, None], chart, axis=1)
 
 
-#: complex entries of one (rows, sites, n) difference block in
-#: _nearest_site_distance (32 MiB)
-_SITE_BLOCK_ENTRIES = 1 << 21
-
-
 def _nearest_site_distance(Z: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Euclidean distance from each chart row of Z to its nearest site.
 
-    The sites are taken in blocks so that the difference array holds about
-    _SITE_BLOCK_ENTRIES complex numbers whatever the number of sites; the
-    running minimum is exact, so the blocking does not change the result.
+    The sites are taken in analytic.atom_blocks, so the difference array
+    stays near analytic._BLOCK_ENTRIES complex numbers whatever the number
+    of sites; the running minimum is exact, so the blocking does not change
+    the result.
     """
-    step = max(1, _SITE_BLOCK_ENTRIES // max(1, Z.shape[0] * Z.shape[1]))
     nearest = np.full(Z.shape[0], np.inf)
-    for start in range(0, sites.shape[0], step):
-        block = sites[None, start:start + step, :]
-        np.minimum(nearest, np.min(np.linalg.norm(Z[:, None, :] - block, axis=2), axis=1),
-                   out=nearest)
+    for blk in analytic.atom_blocks(sites.shape[0], *Z.shape):
+        np.minimum(nearest, np.min(np.linalg.norm(Z[:, None, :] - sites[None, blk, :], axis=2),
+                                   axis=1), out=nearest)
     return nearest
 
 

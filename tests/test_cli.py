@@ -88,13 +88,13 @@ def test_eps_list_validation(tmp_path, measure_file, capsys):
 
 def test_ma_mass_grid_too_coarse_exit_code(tmp_path, measure_file):
     rc = main(["ma-mass", "--measure", str(measure_file), "--grid", "6",
-               "--eps", "0.3", "--h", "0.001", "--output", str(tmp_path)])
+               "--eps", "0.3", "--output", str(tmp_path)])
     assert rc == 3
 
 
 def test_ma_mass_and_determinism(tmp_path, measure_file):
     args = ["ma-mass", "--measure", str(measure_file), "--grid", "64",
-            "--eps", "0.3", "--h", "0.0001"]
+            "--eps", "0.3"]
     rc = main(args + ["--output", str(tmp_path / "a")])
     rc2 = main(args + ["--output", str(tmp_path / "b"), "--workers", "2"])
     assert rc == rc2 == 0
@@ -137,7 +137,7 @@ def test_ball_profile_subcommand(tmp_path):
 
 def test_prop25_subcommand(tmp_path, measure_file):
     rc = main(["prop25-check", "--measure", str(measure_file), "--seed", "4",
-               "--samples", "5", "--h", "0.001", "--output", str(tmp_path)])
+               "--samples", "5", "--output", str(tmp_path)])
     assert rc == 0
     rows = body_of(tmp_path / "prop25_check.csv").splitlines()[1:]
     assert rows
@@ -182,3 +182,25 @@ def test_config_validation_exit_code(tmp_path, capsys):
     rc = main(["sample", "--n", "2", "--samples", "-5", "--output", str(tmp_path)])
     assert rc == 2
     assert "--samples" in capsys.readouterr().err
+
+
+def test_h_only_where_it_is_read(tmp_path, measure_file):
+    # --h is the eps = 0 excision length of sobolev, ma-density and
+    # ball-profile; every other subcommand rejects it (it is not taken as an
+    # abbreviation of --help either)
+    out = ["--output", str(tmp_path)]
+    for cmd in (["ma-mass", "--grid", "6"], ["prop25-check"], ["riesz"], ["potential"],
+                ["measure"]):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd[0], "--measure", str(measure_file), *cmd[1:], "--h", "0.5", *out])
+        assert exc.value.code == 2
+    for cmd in (["sample"], ["constants"], ["verify", "--quick"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*cmd, "--h", "0.5", *out])
+        assert exc.value.code == 2
+    assert main(["sobolev", "--measure", str(measure_file), "--samples", "200",
+                 "--h", "0.001", *out]) == 0
+    assert main(["ma-density", "--measure", str(measure_file), "--samples", "5",
+                 "--h", "0.001", *out]) == 0
+    assert main(["ball-profile", "--measure", str(measure_file), "--radii", "1.0",
+                 "--eps", "0.3", "--h", "0.001", *out]) == 0

@@ -13,8 +13,9 @@ from projlog.errors import (
     NegativeWeight,
     WeightSumMismatch,
 )
-from projlog.geometry import CANONICAL_TOL, canonicalize_batch
-from projlog.measures import support_threshold
+from projlog import analytic
+from projlog.geometry import CANONICAL_TOL, canonicalize_batch, to_chart
+from projlog.measures import _uniform_ball, support_threshold
 
 
 def random_measure(n, atoms, seed):
@@ -247,6 +248,45 @@ def test_decompose_components_inside_charts():
         pl.AffineAtoms.from_measure(comp, j)
 
 
+def per_atom_chart_coords(mu, chart):
+    """The chart coordinates of each atom through to_chart, one at a time."""
+    rows = []
+    for i in range(mu.num_atoms):
+        try:
+            rows.append(to_chart(mu.point(i), chart).z)
+        except ChartUndefined as exc:
+            raise ChartUndefined(f"atom {i} is not inside chart {chart}: {exc}") from exc
+    return np.stack(rows)
+
+
+def test_affine_atoms_match_per_atom_loop():
+    for n in (1, 2, 3):
+        mu = random_measure(n, 300, seed=80 + n)
+        for chart in range(n + 1):
+            atoms = pl.AffineAtoms.from_measure(mu, chart)
+            assert atoms.w.tobytes() == per_atom_chart_coords(mu, chart).tobytes()
+            assert atoms.weights.tobytes() == mu.weights.tobytes()
+    # atoms 2 and 4 have zeta_1 = 0, atom 3 is just above the chart floor
+    pts = [[1, 0.5], [1, -2j], [1, 0], [1e-9, 1], [2j, 0], [1, 3]]
+    mu = pl.build_measure([pl.normalize(p).coords for p in pts], np.full(6, 1 / 6))
+    for chart in (0, 1, 2, -1):
+        try:
+            per_atom_chart_coords(mu, chart)
+        except ChartUndefined as exc:
+            expected = str(exc)
+        else:
+            expected = None
+        if expected is None:
+            assert (pl.AffineAtoms.from_measure(mu, chart).w.tobytes()
+                    == per_atom_chart_coords(mu, chart).tobytes())
+            continue
+        with pytest.raises(ChartUndefined) as got:
+            pl.AffineAtoms.from_measure(mu, chart)
+        assert str(got.value) == expected
+    with pytest.raises(ChartUndefined, match="atom 2 is not inside chart 1"):
+        pl.AffineAtoms.from_measure(mu, 1)
+
+
 # ---------- Riesz potential -----------------------------------------------------
 
 def atoms_at(ws, weights, chart=0):
@@ -327,3 +367,37 @@ def test_riesz_refinement_multi_atom():
     ests = pl.riesz_refinement_scan(nu, alpha=2.0, p=2.0, atom_index=0,
                                     r0=0.1, levels=3, seed=9)
     assert ests[1] >= 9.5 * ests[0] and ests[2] >= 9.5 * ests[1]
+
+
+def unblocked_riesz_lp(atoms, alpha, p, radius, seed, samples):
+    """riesz_lp_scan's estimate from one (samples, atoms, n) difference array."""
+    n = atoms.n
+    pts = _uniform_ball(seed, samples, 2 * n)
+    z = radius * (pts[:, :n] + 1j * pts[:, n:])
+    d = np.linalg.norm(z[:, None, :] - atoms.w[None, :, :], axis=2)
+    vals = np.sum(atoms.weights[None, :] * d ** (-alpha), axis=1) ** p
+    return math.pi**n / math.factorial(n) * radius ** (2 * n) * float(np.mean(vals))
+
+
+def test_riesz_scans_blocked_over_atoms_match_one_block(monkeypatch):
+    rng = np.random.default_rng(93)
+    w = rng.uniform(0.2, 1.0, 40)
+    nu = atoms_at(rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2)),
+                  w / w.sum())
+
+    def scans():
+        lp = pl.riesz_lp_scan(nu, alpha=1.0, p=1.5, center=[0.0, 0.0], radius=2.0,
+                              seed=11, samples=5000)
+        levels = pl.riesz_refinement_scan(nu, alpha=1.0, p=1.5, atom_index=3,
+                                          r0=0.5, levels=3, seed=13)
+        return lp.estimate, levels
+
+    lp, levels = scans()
+    # all 40 atoms fit in one block: the same bits as the unblocked array
+    assert lp == unblocked_riesz_lp(nu, 1.0, 1.5, 2.0, 11, 5000)
+    monkeypatch.setattr(analytic, "_BLOCK_ENTRIES", 1)
+    assert len(analytic.atom_blocks(40, 5000, 2)) == 40
+    lp_blocked, levels_blocked = scans()
+    # one atom per block only reorders each point's sum over the atoms
+    assert lp_blocked == pytest.approx(lp, rel=1e-13)
+    assert levels_blocked == pytest.approx(levels, rel=1e-13)

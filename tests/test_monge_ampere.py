@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from projlog import potentials
+from projlog import analytic
 from projlog.errors import (
     CombinatorialBlowup,
     DimensionMismatch,
@@ -387,7 +387,7 @@ def test_ball_profile_excision_blocked_over_atoms(monkeypatch):
         return rep.excised_singular_mass, rep.total_mass, rep.vol_check
 
     whole = profile()
-    monkeypatch.setattr(potentials, "_SITE_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(analytic, "_BLOCK_ENTRIES", 1)
     assert whole[0] > 0.0 and profile() == whole
 
 

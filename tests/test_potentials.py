@@ -289,7 +289,7 @@ def test_excision_blocked_over_atoms_matches_one_block(monkeypatch):
 
     mu = random_measure(2, 40, seed=59)
     whole = pl.sobolev_scan(mu, p=1.0, seed=61, samples=3_000, h=2e-2, workers=1)
-    monkeypatch.setattr(potentials, "_SITE_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(analytic, "_BLOCK_ENTRIES", 1)
     assert potentials._nearest_site_distance(Z, sites).tobytes() == direct.tobytes()
     blocked = pl.sobolev_scan(mu, p=1.0, seed=61, samples=3_000, h=2e-2, workers=1)
     assert whole.excised > 0
