@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, geometry
 from .coarea import area_constant, mean_log_kernel, sobolev_bound
-from .errors import NumericError, ValidationError
+from .errors import ChartUndefined, NumericError, ValidationError
 from .geometry import HomogeneousPoint, sample_fs_array
 from .kernels import affine_log_kernel, chart_identity_residual, \
     projective_log_kernel, sin_distance_residual
@@ -74,6 +74,13 @@ def _load_measure(path: str) -> AtomicMeasure:
     return AtomicMeasure.from_json(text)
 
 
+def _chart(args, n: int) -> int:
+    """The --chart index, checked against P^n once per run."""
+    if not 0 <= args.chart <= n:
+        raise ValidationError(f"--chart {args.chart} is out of range 0..{n} for P^{n}")
+    return args.chart
+
+
 def _parse_eps_list(text: str) -> list[float]:
     vals = [float(tok) for tok in text.split(",") if tok]
     if not vals or any(e <= 0 for e in vals):
@@ -90,6 +97,7 @@ def _parse_eps_list(text: str) -> list[float]:
 def cmd_kernel(args) -> int:
     data = json.loads(Path(args.pairs).read_text())
     n = int(data["n"])
+    chart = _chart(args, n)
     rows = []
     if args.affine:
         for item in data["pairs"]:
@@ -106,14 +114,15 @@ def cmd_kernel(args) -> int:
             d = geometry.geodesic_distance(zeta, eta)
             res_sin = sin_distance_residual(zeta, eta)
             try:
-                res_chart = chart_identity_residual(zeta, eta, chart=args.chart or 0)
-            except Exception:
+                res_chart = chart_identity_residual(zeta, eta, chart=chart)
+            except ChartUndefined:
                 res_chart = float("nan")
             rows.append((_fmt(val.value), int(val.is_singular), _fmt(d),
                          _fmt(res_sin), _fmt(res_chart)))
         cols = ["value", "is_singular", "distance", "sin_residual", "chart_residual"]
     write_csv(_outdir(args) / "kernel.csv", "kernel",
-              {"pairs": args.pairs, "n": n, "affine": args.affine}, cols, rows)
+              {"pairs": args.pairs, "n": n, "affine": args.affine, "chart": chart},
+              cols, rows)
     return EXIT_OK
 
 
@@ -165,7 +174,7 @@ def cmd_sobolev(args) -> int:
 
 def cmd_riesz(args) -> int:
     mu = _load_measure(args.measure)
-    chart = args.chart or 0
+    chart = _chart(args, mu.n)
     atoms = AffineAtoms.from_measure(mu, chart)
     res = riesz_lp_scan(atoms, args.alpha, args.p_value, center=np.zeros(mu.n),
                         radius=args.radius, seed=args.seed, samples=args.samples)
@@ -177,20 +186,20 @@ def cmd_riesz(args) -> int:
     write_csv(_outdir(args) / "riesz.csv", "riesz",
               {"measure": args.measure, "alpha": args.alpha, "p": args.p_value,
                "radius": args.radius, "seed": args.seed, "samples": args.samples,
-               "chart": chart},
+               "chart": chart, "levels": args.levels},
               ["refinement_level", "estimate", "std_error"], rows)
     return EXIT_OK
 
 
 def cmd_ma_density(args) -> int:
     mu = _load_measure(args.measure)
-    chart = args.chart or 0
+    chart = _chart(args, mu.n)
     rng_pts = sample_fs_array(args.seed, args.samples, mu.n)
     rows = []
     for pt in rng_pts:
         try:
             z = geometry.to_chart(HomogeneousPoint(pt), chart).z
-        except ValidationError:
+        except ChartUndefined:  # the point lies on the chart's hyperplane at infinity
             continue
         val = ma_density(mu, chart, z, h=args.h, eps=args.eps_list[0])
         rows.append(tuple(_fmt(c) for c in z.view(float)) + (_fmt(val),))
@@ -222,9 +231,7 @@ def cmd_ball_profile(args) -> int:
         else mu.point(0)
     radii = [float(t) for t in args.radii.split(",") if t]
     reports = ball_mass_profile(mu, center, radii, h=args.h,
-                                eps_list=args.eps_list,
-                                points_per_axis=args.grid
-                                if args.grid and args.grid % 4 == 0 else 0)
+                                eps_list=args.eps_list, points_per_axis=args.grid)
     rows = []
     for rep in reports:
         for (r, m), (_, ratio) in zip(rep.ball_profile, rep.vol_ratios):
@@ -232,7 +239,9 @@ def cmd_ball_profile(args) -> int:
                          _fmt(rep.excised_singular_mass)))
     write_csv(_outdir(args) / "ball_profile.csv", "ball-profile",
               {"measure": args.measure, "radii": args.radii, "h": args.h,
-               "eps": ",".join(map(str, args.eps_list))},
+               "eps": ",".join(map(str, args.eps_list)),
+               "grid": reports[0].grid["points_per_axis"],
+               "center": args.center or "first atom"},
               ["eps", "radius", "mass", "mass_over_ball_volume",
                "excised_singular_mass"], rows)
     return EXIT_OK
@@ -240,7 +249,7 @@ def cmd_ball_profile(args) -> int:
 
 def cmd_prop25_check(args) -> int:
     mu = _load_measure(args.measure)
-    chart = args.chart or 0
+    chart = _chart(args, mu.n)
     atoms = AffineAtoms.from_measure(mu, chart)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -254,7 +263,8 @@ def cmd_prop25_check(args) -> int:
     cols = [f"z{i}_{p}" for i in range(mu.n) for p in ("re", "im")] \
         + ["det_direct", "det_expansion", "relative_residual"]
     write_csv(_outdir(args) / "prop25_check.csv", "prop25-check",
-              {"measure": args.measure, "chart": chart, "seed": args.seed},
+              {"measure": args.measure, "chart": chart, "seed": args.seed,
+               "samples": args.samples},
               cols, rows)
     return EXIT_OK
 
@@ -306,6 +316,23 @@ def cmd_verify(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+#: run-configuration options; each subcommand gets only those it reads
+OPTIONS = {
+    "seed": dict(type=int, default=0),
+    "samples": dict(type=int, default=1000),
+    "grid": dict(type=int, default=0,
+                 help="grid points per axis (ball-profile: a multiple of 4, or 0 "
+                      "for its default)"),
+    "eps": dict(dest="eps_text", default="0.3",
+                help="comma-separated strictly decreasing positive list"),
+    "chart": dict(type=int, default=0),
+    "n": dict(type=int, default=1),
+    "h": dict(type=float, default=1e-4,
+              help="singular-guard length at eps = 0: points within 10h of an "
+                   "atom are excised or refused"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="projlog",
@@ -314,91 +341,72 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"projlog {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, **kwargs):
+    def command(name, *options, measure=False, **kwargs):
+        """A subcommand with --output, --workers and only the listed OPTIONS."""
         # no prefix matching: an option a subcommand lacks (say --h) must be
         # an error, not an abbreviation of another option (--help)
-        return sub.add_parser(name, allow_abbrev=False, **kwargs)
-
-    def common(p, measure=False):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--grid", type=int, default=0)
-        p.add_argument("--eps", dest="eps_text", default="0.3",
-                       help="comma-separated strictly decreasing positive list")
-        p.add_argument("--chart", type=int, default=None)
-        p.add_argument("--n", type=int, default=1)
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.add_argument("--output", default="projlog-out")
         p.add_argument("--workers", type=int, default=None)
         if measure:
             p.add_argument("--measure", required=True,
                            help="measure JSON file (see README)")
+        for opt in options:
+            p.add_argument(f"--{opt}", **OPTIONS[opt])
+        return p
 
-    def guard(p):
-        """--h, for the subcommands that guard eps = 0 singularities."""
-        p.add_argument("--h", type=float, default=1e-4,
-                       help="singular-guard length at eps = 0: points within "
-                            "10h of an atom are excised or refused")
-
-    p = command("kernel", help="evaluate kernels on point pairs from JSON")
-    common(p)
+    p = command("kernel", "chart", help="evaluate kernels on point pairs from JSON")
     p.add_argument("--pairs", required=True, help="pairs JSON file")
     p.add_argument("--affine", action="store_true",
                    help="pairs hold chart coordinates z, w instead of points")
     p.set_defaults(fn=cmd_kernel)
 
-    p = command("potential", help="evaluate the potential on FS samples")
-    common(p, measure=True)
+    p = command("potential", "seed", "samples", measure=True,
+                help="evaluate the potential on FS samples")
     p.set_defaults(fn=cmd_potential)
 
-    p = command("measure", help="validate and decompose a measure")
-    common(p, measure=True)
+    p = command("measure", measure=True, help="validate and decompose a measure")
     p.set_defaults(fn=cmd_measure)
 
-    p = command("sobolev", help="gradient p-norm scan with doubling")
-    common(p, measure=True)
-    guard(p)
+    p = command("sobolev", "seed", "samples", "h", measure=True,
+                help="gradient p-norm scan with doubling")
     p.add_argument("--p", default="1.0", help="comma-separated p values")
     p.set_defaults(fn=cmd_sobolev)
 
-    p = command("riesz", help="Riesz potential L^p scan and refinement")
-    common(p, measure=True)
+    p = command("riesz", "seed", "samples", "chart", measure=True,
+                help="Riesz potential L^p scan and refinement")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--p-value", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--levels", type=int, default=3)
     p.set_defaults(fn=cmd_riesz)
 
-    p = command("ma-density", help="pointwise Monge-Ampere densities")
-    common(p, measure=True)
-    guard(p)
+    p = command("ma-density", "seed", "samples", "eps", "chart", "h", measure=True,
+                help="pointwise Monge-Ampere densities")
     p.set_defaults(fn=cmd_ma_density)
 
-    p = command("ma-mass", help="total Monge-Ampere mass over P^n")
-    common(p, measure=True)
+    p = command("ma-mass", "grid", "eps", measure=True,
+                help="total Monge-Ampere mass over P^n")
     p.set_defaults(fn=cmd_ma_mass)
 
-    p = command("ball-profile", help="ball-mass profile around a center")
-    common(p, measure=True)
-    guard(p)
+    p = command("ball-profile", "grid", "eps", "h", measure=True,
+                help="ball-mass profile around a center")
     p.add_argument("--center", default="",
                    help="center point as JSON [[re,im],...]; default first atom")
     p.add_argument("--radii", default="0.5,0.25", help="decreasing radii")
     p.set_defaults(fn=cmd_ball_profile)
 
-    p = command("prop25-check", help="product-formula (mixed discriminant) residuals")
-    common(p, measure=True)
+    p = command("prop25-check", "seed", "samples", "chart", measure=True,
+                help="product-formula (mixed discriminant) residuals")
     p.set_defaults(fn=cmd_prop25_check)
 
-    p = command("constants", help="CSV table of c_n, alpha_n, bounds")
-    common(p)
+    p = command("constants", "n", help="CSV table of c_n, alpha_n, bounds")
     p.set_defaults(fn=cmd_constants)
 
-    p = command("sample", help="FS-uniform samples as CSV")
-    common(p)
+    p = command("sample", "seed", "samples", "n", help="FS-uniform samples as CSV")
     p.set_defaults(fn=cmd_sample)
 
-    p = command("verify", help="run the quantitative check suite")
-    common(p)
+    p = command("verify", "seed", help="run the quantitative check suite")
     p.add_argument("--all", action="store_true", help="run every check")
     p.add_argument("--quick", action="store_true", help="skip the slow grids")
     p.add_argument("--checks", default="", help="comma-separated check keys: "

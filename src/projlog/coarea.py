@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonConvergent
+from .geometry import _sample_stream
 
 # scipy is imported inside the functions that use it: scipy.integrate pulls in
 # scipy.optimize and numpy.f2py, which would otherwise load with every import
@@ -182,3 +183,39 @@ class RadialProfile:
 
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
+
+
+def log_radial_levels(stratum, levels: int, base_decades: float, depth_factor: float,
+                      r0: float, seed: int, width: int, samples: int, stream: int,
+                      scale: float = 1.0) -> list[float]:
+    """Cumulative Monte Carlo integrals in d(log s) over shrinking annuli.
+
+    Level l covers r0 * 10^(-D_l) <= s <= r0 with the log-depth
+    D_l = base_decades * depth_factor^l.  Each level adds only its newly
+    exposed annulus, so the comparison between levels is structural, not
+    statistical.  The annulus is split into strata of at most one decade;
+    stratum si of level l draws `samples` rows of width + 1 normals from
+    `stream` at index (l * 4096 + si) * samples and turns the last column
+    into a log-uniform radius s.  stratum(g, s) returns the integrand per
+    row; its mean times log(hi / lo) * scale is the stratum's integral.
+    """
+    from scipy.special import ndtr
+
+    estimates = []
+    depth_prev = 0.0
+    running = 0.0
+    for level in range(levels):
+        depth = base_decades * depth_factor**level
+        strata = max(1, int(math.ceil(depth - depth_prev)))
+        edges = np.linspace(depth_prev, depth, strata + 1)
+        total = 0.0
+        for si, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            lo, hi = r0 * 10.0 ** (-b), r0 * 10.0 ** (-a)
+            g = _sample_stream(seed, samples, width + 1,
+                               start=(level * 4096 + si) * samples, stream=stream)
+            s = lo * (hi / lo) ** ndtr(g[:, width])
+            total += math.log(hi / lo) * scale * float(np.mean(stratum(g, s)))
+        running += total
+        estimates.append(running)
+        depth_prev = depth
+    return estimates

@@ -160,18 +160,17 @@ def wedge_norm_sq(zeta, eta) -> float:
     return float(wedge_norm_sq_batch(_coords(zeta), _coords(eta))[0])
 
 
-def _wedge_ratio_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """|u ^ v| / (|u| |v|), clipped into [0, 1]."""
+def wedge_ratio_sq_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|u ^ v|^2 / (|u|^2 |v|^2) = sin^2(d / sqrt 2), clipped into [0, 1]."""
     u = np.atleast_2d(np.asarray(u, dtype=complex))
     w2 = wedge_norm_sq_batch(u, v)
     nu = np.sum(np.abs(u) ** 2, axis=1)
     nv = np.sum(np.abs(np.asarray(v, dtype=complex)) ** 2, axis=-1)
-    ratio = np.sqrt(np.clip(w2 / (nu * nv), 0.0, 1.0))
-    return ratio
+    return np.clip(w2 / (nu * nv), 0.0, 1.0)
 
 
 def geodesic_distance_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return math.sqrt(2.0) * np.arcsin(_wedge_ratio_batch(u, v))
+    return math.sqrt(2.0) * np.arcsin(np.sqrt(wedge_ratio_sq_batch(u, v)))
 
 
 def geodesic_distance(zeta, eta) -> float:

@@ -28,6 +28,7 @@ from .geometry import (
     geodesic_distance,
     to_chart,
     wedge_norm_sq_batch,
+    wedge_ratio_sq_batch,
 )
 
 #: library-wide tolerance for closed identities (accommodates log/norm rounding)
@@ -55,24 +56,16 @@ def _pair_coords(zeta, eta):
 
 def projective_log_kernel_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """log wedge-ratio for batches; -inf rows mark the diagonal."""
-    u = np.atleast_2d(np.asarray(u, dtype=complex))
-    w2 = wedge_norm_sq_batch(u, v)
-    nu = np.sum(np.abs(u) ** 2, axis=1)
-    nv = np.sum(np.abs(np.asarray(v, dtype=complex)) ** 2, axis=-1)
-    ratio = np.clip(w2 / (nu * nv), 0.0, 1.0)
     with np.errstate(divide="ignore"):
-        return 0.5 * np.log(ratio)
+        return 0.5 * np.log(wedge_ratio_sq_batch(u, v))
 
 
 def projective_log_kernel(zeta, eta) -> KernelValue:
     """The kernel on P^n x P^n; symmetric, <= 0, singular on the diagonal."""
-    a, b = _pair_coords(zeta, eta)
-    w2 = wedge_norm_sq_batch(a, b)[0]
-    if w2 == 0.0:
+    ratio = float(wedge_ratio_sq_batch(*_pair_coords(zeta, eta))[0])
+    if ratio == 0.0:
         return KernelValue(-math.inf, is_singular=True)
-    na = np.sum(np.abs(a) ** 2)
-    nb = np.sum(np.abs(b) ** 2)
-    return KernelValue(0.5 * math.log(min(float(w2 / (na * nb)), 1.0)))
+    return KernelValue(0.5 * math.log(ratio))
 
 
 def affine_wedge_norm_sq(z, w) -> float:

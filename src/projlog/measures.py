@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import atom_blocks
+from .coarea import log_radial_levels
 from .errors import (
     AlphaOutOfRange,
     ChartUndefined,
@@ -404,8 +405,6 @@ def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
     The default base_decades keeps the deepest radius above 1e-60 so that
     |z - w|^(-alpha p) stays inside float64 range.
     """
-    from scipy.special import ndtr
-
     _check_alpha(alpha, atoms.n)
     n = atoms.n
     if base_decades is None:
@@ -413,43 +412,22 @@ def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
     w1 = atoms.w[atom_index]
     others = np.delete(atoms.w, atom_index, axis=0) - w1[None, :]
     other_weights = np.delete(atoms.weights, atom_index)
-    sphere_area_const = 2.0 * math.pi**n / math.factorial(n - 1)
 
-    def annulus(d_out: float, d_in: float, key: int) -> float:
-        """MC integral over depth interval [d_out, d_in], log-radial strata."""
-        ns = max(1, int(math.ceil(d_in - d_out)))
-        edges = np.linspace(d_out, d_in, ns + 1)
-        total = 0.0
-        for si, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            lo, hi = r0 * 10.0 ** (-b), r0 * 10.0 ** (-a)
-            g = _sample_stream(seed, samples_per_stratum, 2 * n + 1,
-                               start=(key * 4096 + si) * samples_per_stratum,
-                               stream=2)
-            dirs = g[:, : 2 * n]
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            cdir = dirs[:, :n] + 1j * dirs[:, n:]
-            s = lo * (hi / lo) ** ndtr(g[:, 2 * n])  # log-uniform radius
-            # J in displacement form: the self term is exact in s, the other
-            # atoms are evaluated at w1 + s * dir (fp collapse to w1 is fine)
-            self_term = atoms.weights[atom_index] * s ** (-alpha)
-            if others.shape[0]:
-                rest = _riesz_sum(
-                    lambda blk: others[None, blk, :] - s[:, None, None] * cdir[:, None, :],
-                    other_weights, alpha, samples_per_stratum, n)
-            else:
-                rest = 0.0
-            vals = (self_term + rest) ** p * s ** (2 * n)
-            total += math.log(hi / lo) * sphere_area_const * float(np.mean(vals))
-        return total
+    def stratum(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+        dirs = g[:, : 2 * n]
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        cdir = dirs[:, :n] + 1j * dirs[:, n:]
+        # J in displacement form: the self term is exact in s, the other
+        # atoms are evaluated at w1 + s * dir (fp collapse to w1 is fine)
+        self_term = atoms.weights[atom_index] * s ** (-alpha)
+        if others.shape[0]:
+            rest = _riesz_sum(
+                lambda blk: others[None, blk, :] - s[:, None, None] * cdir[:, None, :],
+                other_weights, alpha, samples_per_stratum, n)
+        else:
+            rest = 0.0
+        return (self_term + rest) ** p * s ** (2 * n)
 
-    # cumulative estimates: each level adds only the newly exposed annulus,
-    # so the comparison between levels is structural, not statistical
-    estimates = []
-    depth_prev = 0.0
-    running = 0.0
-    for level in range(levels):
-        depth = base_decades * depth_factor**level
-        running += annulus(depth_prev, depth, key=level)
-        estimates.append(running)
-        depth_prev = depth
-    return estimates
+    return log_radial_levels(stratum, levels, base_decades, depth_factor, r0, seed,
+                             width=2 * n, samples=samples_per_stratum, stream=2,
+                             scale=2.0 * math.pi**n / math.factorial(n - 1))

@@ -26,6 +26,7 @@ from .errors import (
     NegativeDensity,
     NonpositiveEpsilon,
     SingularStencil,
+    ValidationError,
 )
 from .geometry import (
     HomogeneousPoint,
@@ -310,6 +311,29 @@ class MassReport:
         return all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
 
 
+def _cell_sums(lift: PotentialField, Z: np.ndarray, weights: np.ndarray,
+               cellvol: float):
+    """MA mass and FS volume of the cells Z under each row of weights.
+
+    Takes det H_phi 16384 cells at a time; negative determinants are
+    rounding, set to 0 and counted.  A row's sums run over its cells of
+    positive weight.  Returns (masses, volumes, clipped cells).
+    """
+    n = Z.shape[1]
+    dets = np.empty(Z.shape[0])
+    for lo in range(0, Z.shape[0], 16384):
+        part = slice(lo, lo + 16384)
+        dets[part] = np.linalg.det(lift.complex_hessian(Z[part])).real
+    neg = dets < 0.0
+    dets[neg] = 0.0
+    fsdens = fs_volume_density(Z)
+    masses = [float(np.sum((w * dets)[w > 0])) * cellvol / fs_volume_norm(n)
+              for w in weights]
+    vols = [float(np.sum((w * fsdens)[w > 0])) * cellvol / fs_volume_norm(n)
+            for w in weights]
+    return masses, vols, int(np.sum(neg))
+
+
 def _mass_chunk(payload, rng):
     """Integrate one range of flat cells of one chart box (module level)."""
     (points, weights, n, chart, g, L, eps) = payload
@@ -322,25 +346,12 @@ def _mass_chunk(payload, rng):
     Z = np.empty((idx.size, n), dtype=complex)
     for j in range(n):
         Z[:, j] = axes[2 * j] + 1j * axes[2 * j + 1]
-    inside = np.sum(np.abs(Z) ** 2, axis=1) <= (2 * n + 1)
-    Z = Z[inside]
-    if Z.shape[0] == 0:
-        return 0.0, 0.0, 0, 0.0
-    lifts = chart_lift(Z, chart)
-    chi = partition_of_unity(lifts)[:, chart]
+    Z = Z[np.sum(np.abs(Z) ** 2, axis=1) <= (2 * n + 1)]
+    chi = partition_of_unity(chart_lift(Z, chart))[:, chart]
     keep = chi > 0.0
-    Z, chi = Z[keep], chi[keep]
-    if Z.shape[0] == 0:
-        return 0.0, 0.0, 0, 0.0
-    dets = np.linalg.det(psh_lift(mu, chart, eps).complex_hessian(Z)).real
-    neg = dets < 0.0
-    clipped = int(np.sum(neg))
-    worst = float(np.min(dets / fs_volume_density(Z), initial=0.0))
-    dets = np.where(neg, 0.0, dets)
-    cellvol = step ** (2 * n)
-    mass = float(np.sum(chi * dets)) * cellvol / fs_volume_norm(n)
-    vol = float(np.sum(chi * fs_volume_density(Z))) * cellvol / fs_volume_norm(n)
-    return mass, vol, clipped, worst
+    lift = psh_lift(mu, chart, eps)
+    (mass,), (vol,), clipped = _cell_sums(lift, Z[keep], chi[None, keep], step ** (2 * n))
+    return mass, vol, clipped
 
 
 def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
@@ -356,13 +367,14 @@ def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
     """
     if eps <= 0.0:
         raise NonpositiveEpsilon("total-mass integration requires eps > 0")
+    if grid < 1:
+        raise ValidationError(f"grid must be at least 1 point per axis, got {grid}")
     n = mu.n
     workers = resolve_workers(workers)
     L = math.sqrt(2.0 * n + 1.0)
     cells = grid ** (2 * n)
     masses, vols = [], []
     clipped = 0
-    worst = 0.0
     chunk = 65536 if n == 1 else 16384
     for chart in range(n + 1):
         payload = (mu.points, mu.weights, n, chart, grid, L, eps)
@@ -371,7 +383,6 @@ def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
         masses.extend(p[0] for p in parts)
         vols.extend(p[1] for p in parts)
         clipped += sum(p[2] for p in parts)
-        worst = min(worst, min(p[3] for p in parts))
     total = pairwise_sum(masses)
     vol_check = pairwise_sum(vols)
     report = MassReport(total_mass=total,
@@ -455,7 +466,7 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
     a0 = _chart_halfwidth(float(np.linalg.norm(c)), r_max)
     m = points_per_axis or (64 if n == 1 else 16)
     if m % 4:
-        raise ValueError("points_per_axis must be a multiple of 4")
+        raise ValidationError(f"points_per_axis must be a multiple of 4, got {m}")
     reports = []
     for eps in eps_list:
         if levels:
@@ -481,20 +492,11 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
                 excised_volume += float(np.sum(
                     fs_volume_density(Z[cut]))) * cellvol / fs_volume_norm(n)
                 Z, d = Z[~cut], d[~cut]
-                if Z.shape[0] == 0:
-                    continue
-            dets = np.empty(Z.shape[0])
-            for sl in range(0, Z.shape[0], 16384):
-                part = slice(sl, min(sl + 16384, Z.shape[0]))
-                dets[part] = np.linalg.det(lift.complex_hessian(Z[part])).real
-            neg = dets < 0.0
-            clipped += int(np.sum(neg))
-            dets = np.where(neg, 0.0, dets)
-            fsdens = fs_volume_density(Z)
-            for i, r in enumerate(radii):
-                sel = d <= r
-                masses[i] += float(np.sum(dets[sel])) * cellvol / fs_volume_norm(n)
-                vols[i] += float(np.sum(fsdens[sel])) * cellvol / fs_volume_norm(n)
+            in_ball = (d[None, :] <= np.array(radii)[:, None]).astype(float)
+            ball_mass, ball_vol, ball_clipped = _cell_sums(lift, Z, in_ball, cellvol)
+            masses += ball_mass
+            vols += ball_vol
+            clipped += ball_clipped
         exact_vols = [fs_ball_volume(n, r) for r in radii]
         rel = abs(vols[-1] - exact_vols[-1]) / max(exact_vols[-1], 1e-300)
         if rel > vol_tol:

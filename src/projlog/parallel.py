@@ -14,6 +14,8 @@ from functools import partial
 
 import numpy as np
 
+from .errors import ValidationError
+
 ENV_WORKERS = "PROJLOG_WORKERS"
 
 
@@ -23,24 +25,20 @@ def resolve_workers(workers: int | None = None) -> int:
         return max(1, int(workers))
     env = os.environ.get(ENV_WORKERS)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValidationError(
+                f"{ENV_WORKERS} must be an integer, got {env!r}") from None
     return 1
 
 
-def chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+def run_chunked(fn, total: int, chunk: int, workers: int, payload) -> list:
+    """Apply fn(payload, (lo, hi)) to each chunk range, in chunk order.
 
-
-def run_chunked(fn, total: int, chunk: int, workers: int = 1, payload=None) -> list:
-    """Apply fn to each (lo, hi) chunk range, in chunk order.
-
-    fn must be a module-level callable of (payload, (lo, hi)) when payload is
-    given (so it can cross a process boundary), or of ((lo, hi)) otherwise;
-    the latter form only runs serially.
+    fn must be a module-level callable so it can cross a process boundary.
     """
-    ranges = chunk_ranges(total, chunk)
-    if payload is None:
-        return [fn(r) for r in ranges]
+    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     if workers <= 1 or len(ranges) <= 1:
         return [fn(payload, r) for r in ranges]
     with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as ex:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .coarea import sobolev_bound, sphere_area
+from .coarea import log_radial_levels, sobolev_bound, sphere_area
 from .errors import (
     DimensionMismatch,
     NonpositiveEpsilon,
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .geometry import (
     HomogeneousPoint,
-    _sample_stream,
     fs_gradient_norm_sq,
     fs_potential,
     sample_fs_array,
@@ -385,64 +384,35 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
     w_self = mu.weights[atom_index]
     rest_pts = np.delete(mu.points, atom_index, axis=0)
     rest_w = np.delete(mu.weights, atom_index)
+    rest = AtomicMeasure(points=rest_pts, weights=rest_w / np.sum(rest_w), n=n) \
+        if rest_pts.shape[0] else None
     sqrt2 = math.sqrt(2.0)
 
-    def rest_grad_terms(zpts: np.ndarray, radial_dirs: np.ndarray, k: int):
-        """(radial component, full norm^2) of grad U_rest at chart rows."""
-        if rest_pts.shape[0] == 0:
-            return 0.0, 0.0
-        sub = AtomicMeasure(points=rest_pts, weights=rest_w / np.sum(rest_w), n=n)
-        Z = zpts
-        fz = _potential_gradient(sub, k, Z) * np.sum(rest_w)
-        norm2 = fs_gradient_norm_sq(Z, fz)
-        # radial component: Riemannian inner product with the unit radial
-        # field, computed as the directional derivative along the geodesic
-        radial = 2.0 * np.real(np.sum(fz * radial_dirs, axis=1))
-        return radial, norm2
+    def stratum(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+        tau = g[:, : n + 1] + 1j * g[:, n + 1: 2 * (n + 1)]
+        tau -= (tau @ np.conj(eta))[:, None] * eta[None, :]
+        tau /= np.linalg.norm(tau, axis=1, keepdims=True)
+        self_mag = w_self / (sqrt2 * np.tan(s / sqrt2))
+        if rest is not None:
+            # geodesic points (fp collapse to eta for tiny s is harmless)
+            pts = np.cos(s / sqrt2)[:, None] * eta[None, :] \
+                + np.sin(s / sqrt2)[:, None] * tau
+            k = int(np.argmax(np.abs(eta)))
+            denom = pts[:, k][:, None]
+            Z = np.delete(pts / denom, k, axis=1)
+            # chart velocity of the geodesic (radial direction at pts)
+            vel = (-np.sin(s / sqrt2)[:, None] * eta[None, :]
+                   + np.cos(s / sqrt2)[:, None] * tau) / sqrt2
+            dchart = np.delete(vel / denom, k, axis=1) \
+                - np.delete(pts / denom, k, axis=1) * (vel[:, k] / pts[:, k])[:, None]
+            fz = _potential_gradient(rest, k, Z) * np.sum(rest_w)
+            # radial component: Riemannian inner product with the unit radial
+            # field, computed as the directional derivative along the geodesic
+            radial = 2.0 * np.real(np.sum(fz * dchart, axis=1))
+            grad2 = self_mag**2 + 2.0 * self_mag * radial + fs_gradient_norm_sq(Z, fz)
+        else:
+            grad2 = self_mag**2
+        return grad2 ** (p / 2.0) * sphere_area(n, s) * s
 
-    from scipy.special import ndtr
-
-    def annulus(d_out: float, d_in: float, key: int) -> float:
-        ns = max(1, int(math.ceil(d_in - d_out)))
-        edges = np.linspace(d_out, d_in, ns + 1)
-        total = 0.0
-        for si, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            lo, hi = r0 * 10.0 ** (-b), r0 * 10.0 ** (-a)
-            g = _sample_stream(seed, samples_per_stratum, 2 * (n + 1) + 1,
-                               start=(key * 4096 + si) * samples_per_stratum,
-                               stream=4)
-            tau = g[:, : n + 1] + 1j * g[:, n + 1: 2 * (n + 1)]
-            tau -= (tau @ np.conj(eta))[:, None] * eta[None, :]
-            tau /= np.linalg.norm(tau, axis=1, keepdims=True)
-            s = lo * (hi / lo) ** ndtr(g[:, 2 * (n + 1)])
-            self_mag = w_self / (sqrt2 * np.tan(s / sqrt2))
-            if rest_pts.shape[0]:
-                # geodesic points (fp collapse to eta for tiny s is harmless)
-                pts = np.cos(s / sqrt2)[:, None] * eta[None, :] \
-                    + np.sin(s / sqrt2)[:, None] * tau
-                k = int(np.argmax(np.abs(eta)))
-                denom = pts[:, k][:, None]
-                Z = np.delete(pts / denom, k, axis=1)
-                # chart velocity of the geodesic (radial direction at pts)
-                vel = (-np.sin(s / sqrt2)[:, None] * eta[None, :]
-                       + np.cos(s / sqrt2)[:, None] * tau) / sqrt2
-                dchart = np.delete(vel / denom, k, axis=1) \
-                    - np.delete(pts / denom, k, axis=1) * (vel[:, k] / pts[:, k])[:, None]
-                radial, norm2 = rest_grad_terms(Z, dchart, k)
-                grad2 = self_mag**2 + 2.0 * self_mag * radial + norm2
-            else:
-                grad2 = self_mag**2
-            vals = grad2 ** (p / 2.0) * sphere_area(n, s) * s
-            total += math.log(hi / lo) * float(np.mean(vals))
-        return total
-
-    # cumulative estimates: each level adds only the newly exposed annulus
-    estimates = []
-    depth_prev = 0.0
-    running = 0.0
-    for level in range(levels):
-        depth = base_decades * depth_factor**level
-        running += annulus(depth_prev, depth, key=level)
-        estimates.append(running)
-        depth_prev = depth
-    return estimates
+    return log_radial_levels(stratum, levels, base_decades, depth_factor, r0, seed,
+                             width=2 * (n + 1), samples=samples_per_stratum, stream=4)

@@ -184,23 +184,106 @@ def test_config_validation_exit_code(tmp_path, capsys):
     assert "--samples" in capsys.readouterr().err
 
 
-def test_h_only_where_it_is_read(tmp_path, measure_file):
-    # --h is the eps = 0 excision length of sobolev, ma-density and
-    # ball-profile; every other subcommand rejects it (it is not taken as an
-    # abbreviation of --help either)
+# the run-configuration options each subcommand reads; --output and --workers
+# are execution settings and stay on every subcommand
+READS = {
+    "kernel": {"chart"},
+    "potential": {"seed", "samples"},
+    "measure": set(),
+    "sobolev": {"seed", "samples", "h"},
+    "riesz": {"seed", "samples", "chart"},
+    "ma-density": {"seed", "samples", "eps", "chart", "h"},
+    "ma-mass": {"grid", "eps"},
+    "ball-profile": {"grid", "eps", "h"},
+    "prop25-check": {"seed", "samples", "chart"},
+    "constants": {"n"},
+    "sample": {"seed", "samples", "n"},
+    "verify": {"seed"},
+}
+
+
+def test_each_option_only_where_it_is_read(tmp_path, measure_file, capsys):
+    # an option a subcommand does not read is an error, not silently ignored
+    # (nor taken as an abbreviation: --h is not --help)
+    from projlog.cli import build_parser
+
+    ap = build_parser()
+    for command, reads in READS.items():
+        required = {"kernel": ["--pairs", "pairs.json"], "constants": [], "sample": [],
+                    "verify": []}.get(command, ["--measure", "mu.json"])
+        for opt in ("seed", "samples", "grid", "eps", "chart", "n", "h"):
+            argv = [command, *required, f"--{opt}", "1", "--output", "out",
+                    "--workers", "2"]
+            if opt in reads:
+                ap.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    ap.parse_args(argv)
+                assert exc.value.code == 2, (command, opt)
     out = ["--output", str(tmp_path)]
-    for cmd in (["ma-mass", "--grid", "6"], ["prop25-check"], ["riesz"], ["potential"],
-                ["measure"]):
-        with pytest.raises(SystemExit) as exc:
-            main([cmd[0], "--measure", str(measure_file), *cmd[1:], "--h", "0.5", *out])
-        assert exc.value.code == 2
-    for cmd in (["sample"], ["constants"], ["verify", "--quick"]):
-        with pytest.raises(SystemExit) as exc:
-            main([*cmd, "--h", "0.5", *out])
-        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--measure", str(measure_file), "--samples", "5", "--grid", "7",
+              "--chart", "3", *out])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
     assert main(["sobolev", "--measure", str(measure_file), "--samples", "200",
                  "--h", "0.001", *out]) == 0
     assert main(["ma-density", "--measure", str(measure_file), "--samples", "5",
                  "--h", "0.001", *out]) == 0
     assert main(["ball-profile", "--measure", str(measure_file), "--radii", "1.0",
                  "--eps", "0.3", "--h", "0.001", *out]) == 0
+
+
+def test_ball_profile_grid_not_multiple_of_4_exit_code(tmp_path, measure_file, capsys):
+    rc = main(["ball-profile", "--measure", str(measure_file), "--grid", "10",
+               "--radii", "0.5", "--output", str(tmp_path)])
+    assert rc == 2
+    assert "multiple of 4" in capsys.readouterr().err
+
+
+def test_chart_out_of_range_exit_code(tmp_path, measure_file, capsys):
+    # both used to exit 0: ma-density with an empty body, kernel with a NaN
+    # chart residual on every row
+    rc = main(["ma-density", "--measure", str(measure_file), "--chart", "5",
+               "--samples", "5", "--output", str(tmp_path)])
+    assert rc == 2
+    assert "--chart 5" in capsys.readouterr().err
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"n": 1, "pairs": [
+        {"zeta": [[1, 0], [0, 0]], "eta": [[0, 0], [1, 0]]}]}))
+    assert main(["kernel", "--pairs", str(pairs), "--chart", "-1",
+                 "--output", str(tmp_path)]) == 2
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_workers_env_not_an_integer_exit_code(tmp_path, measure_file, monkeypatch, capsys):
+    monkeypatch.setenv("PROJLOG_WORKERS", "abc")
+    rc = main(["measure", "--measure", str(measure_file), "--output", str(tmp_path)])
+    assert rc == 2
+    assert "PROJLOG_WORKERS" in capsys.readouterr().err
+
+
+def header_of(path: Path) -> dict:
+    return dict(line[2:].split(" = ", 1) for line in path.read_text().splitlines()
+                if line.startswith("# ") and " = " in line)
+
+
+def test_headers_record_the_options_that_shape_the_body(tmp_path, measure_file):
+    m = ["--measure", str(measure_file)]
+    assert main(["ball-profile", *m, "--grid", "16", "--radii", "0.5",
+                 "--output", str(tmp_path)]) == 0
+    head = header_of(tmp_path / "ball_profile.csv")
+    assert head["grid"] == "16" and head["center"] == "first atom"
+    assert main(["riesz", *m, "--levels", "2", "--samples", "200",
+                 "--output", str(tmp_path)]) == 0
+    assert header_of(tmp_path / "riesz.csv")["levels"] == "2"
+    assert main(["prop25-check", *m, "--samples", "3", "--output", str(tmp_path)]) == 0
+    assert header_of(tmp_path / "prop25_check.csv")["samples"] == "3"
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"n": 1, "pairs": [
+        {"zeta": [[1, 0], [0, 0]], "eta": [[0, 0], [1, 0]]}]}))
+    assert main(["kernel", "--pairs", str(pairs), "--chart", "1",
+                 "--output", str(tmp_path)]) == 0
+    assert header_of(tmp_path / "kernel.csv")["chart"] == "1"
+    assert main(["measure", *m, "--output", str(tmp_path)]) == 0
+    assert header_of(tmp_path / "measure.csv")["atoms"] == "2"

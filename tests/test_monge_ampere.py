@@ -11,6 +11,7 @@ from projlog.errors import (
     GridTooCoarse,
     NonpositiveEpsilon,
     SingularStencil,
+    ValidationError,
 )
 from projlog.monge_ampere import hessian_fd_batch
 
@@ -304,6 +305,12 @@ def test_total_mass_requires_positive_eps():
     mu = pl.dirac(pl.normalize([1, 0]))
     with pytest.raises(NonpositiveEpsilon):
         pl.ma_total_mass(mu, grid=32, eps=0.0)
+
+
+def test_total_mass_requires_a_grid_point():
+    # grid 0 (the CLI default of --grid) has no cells to integrate
+    with pytest.raises(ValidationError):
+        pl.ma_total_mass(pl.dirac(pl.normalize([1, 0])), grid=0)
 
 
 def test_total_mass_n1_single_and_multi_atom():
