@@ -9,10 +9,8 @@ normalization constants.  See README.md for conventions and the CLI.
 __version__ = "0.1.0"
 
 from .coarea import (
-    RadialProfile,
     area_constant,
     mean_log_kernel,
-    mean_log_kernel_closed_form,
     radial_quadrature,
     sobolev_bound,
     sphere_area,
@@ -36,26 +34,18 @@ from .errors import (
     ZeroVector,
 )
 from .geometry import (
-    AffinePoint,
     HomogeneousPoint,
     fs_ball_volume,
-    fs_metric,
-    fs_metric_inverse,
     fs_potential,
-    from_chart,
     geodesic_distance,
     normalize,
     sample_fs_uniform,
     to_chart,
-    wedge_norm_sq,
 )
 from .kernels import (
     KernelValue,
     affine_log_kernel,
-    affine_log_kernel_smoothed,
-    affine_wedge_norm_sq,
     chart_identity_residual,
-    kernel_bounds_check,
     projective_log_kernel,
 )
 from .measures import (
@@ -67,12 +57,10 @@ from .measures import (
     dirac,
     partition_of_unity,
     riesz_lp_scan,
-    riesz_potential,
     riesz_refinement_scan,
     uniform_on,
 )
 from .monge_ampere import (
-    ComplexHessian,
     MassReport,
     ball_mass_profile,
     complex_hessian_fd,
@@ -85,9 +73,6 @@ from .monge_ampere import (
 from .potentials import (
     PotentialField,
     affine_field,
-    affine_potential,
-    affine_potential_smoothed,
-    fd_gradient,
     fs_field,
     log_potential,
     psh_lift,

@@ -40,8 +40,8 @@ one-atom blocks give the same bits as one block.
 
 This module is the library's one derivative engine: every production
 gradient, Hessian and Monge-Ampere density is computed from these closed
-forms.  The finite-difference stencils in monge_ampere and potentials are
-kept only as the independent oracle that tests and `verify` compare against.
+forms.  The finite-difference Hessian in monge_ampere is kept only as the
+independent oracle that `verify` compares against.
 """
 
 from __future__ import annotations
@@ -211,18 +211,3 @@ def field_hessian_batch(Z, atoms_eta, weights, chart, a=0.0, b=0.0):
             out[:, d, c] = np.conj(out[:, c, d])
     return out
 
-
-def holo_to_real_gradient(fz: np.ndarray) -> np.ndarray:
-    """Convert df/dz_j to the real gradient [d/dx_1.., d/dy_1..].
-
-    For real-valued f: df/dx_j = 2 Re(df/dz_j), df/dy_j = -2 Im(df/dz_j).
-    """
-    fz = np.asarray(fz, dtype=complex)
-    return np.concatenate([2.0 * fz.real, -2.0 * fz.imag], axis=-1)
-
-
-def real_to_holo_gradient(g: np.ndarray) -> np.ndarray:
-    """Inverse of holo_to_real_gradient."""
-    g = np.asarray(g, dtype=float)
-    n = g.shape[-1] // 2
-    return 0.5 * (g[..., :n] - 1j * g[..., n:])

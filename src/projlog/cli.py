@@ -62,10 +62,6 @@ def write_csv(path: Path, command: str, params: dict, columns: list[str],
                               for v in row) + "\n")
 
 
-def _outdir(args) -> Path:
-    return Path(args.output)
-
-
 def _load_measure(path: str) -> AtomicMeasure:
     try:
         text = Path(path).read_text()
@@ -81,9 +77,20 @@ def _chart(args, n: int) -> int:
     return args.chart
 
 
+def _reals(text: str, option: str) -> list[float]:
+    """The comma-separated reals of an option, at least one; ValidationError names it."""
+    try:
+        vals = [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        vals = []
+    if not vals:
+        raise ValidationError(f"{option} must be comma-separated reals, got {text!r}")
+    return vals
+
+
 def _parse_eps_list(text: str) -> list[float]:
-    vals = [float(tok) for tok in text.split(",") if tok]
-    if not vals or any(e <= 0 for e in vals):
+    vals = _reals(text, "--eps")
+    if not all(0 < e < math.inf for e in vals):
         raise ValidationError(f"--eps must be positive reals, got {text!r}")
     if any(b >= a for a, b in zip(vals, vals[1:])):
         raise ValidationError("--eps list must be strictly decreasing")
@@ -120,7 +127,7 @@ def cmd_kernel(args) -> int:
             rows.append((_fmt(val.value), int(val.is_singular), _fmt(d),
                          _fmt(res_sin), _fmt(res_chart)))
         cols = ["value", "is_singular", "distance", "sin_residual", "chart_residual"]
-    write_csv(_outdir(args) / "kernel.csv", "kernel",
+    write_csv(Path(args.output) / "kernel.csv", "kernel",
               {"pairs": args.pairs, "n": n, "affine": args.affine, "chart": chart},
               cols, rows)
     return EXIT_OK
@@ -133,7 +140,7 @@ def cmd_potential(args) -> int:
     rows = [tuple(_fmt(c) for c in np.concatenate([pt.view(float), [v]]))
             for pt, v in zip(pts, vals)]
     cols = [f"c{i}_{p}" for i in range(mu.n + 1) for p in ("re", "im")] + ["potential"]
-    write_csv(_outdir(args) / "potential.csv", "potential",
+    write_csv(Path(args.output) / "potential.csv", "potential",
               {"measure": args.measure, "seed": args.seed, "samples": args.samples},
               cols, rows)
     return EXIT_OK
@@ -147,7 +154,7 @@ def cmd_measure(args) -> int:
         comp = dec.components.get(j)
         rows.append((j, _fmt(float(dec.masses[j])),
                      comp.num_atoms if comp is not None else 0))
-    write_csv(_outdir(args) / "measure.csv", "measure",
+    write_csv(Path(args.output) / "measure.csv", "measure",
               {"measure": args.measure, "atoms": mu.num_atoms, "n": mu.n},
               ["chart", "mass", "support_atoms"], rows)
     return EXIT_OK
@@ -155,7 +162,7 @@ def cmd_measure(args) -> int:
 
 def cmd_sobolev(args) -> int:
     mu = _load_measure(args.measure)
-    ps = [float(t) for t in args.p.split(",") if t]
+    ps = _reals(args.p, "--p")
     rows = []
     for p in ps:
         first, doubled = sobolev_doubling(mu, p, args.seed, args.samples,
@@ -164,7 +171,7 @@ def cmd_sobolev(args) -> int:
         rows.append((_fmt(p), _fmt(first.estimate), _fmt(first.std_error),
                      _fmt(doubled.estimate), _fmt(drift),
                      _fmt(first.analytic_bound), doubled.excised))
-    write_csv(_outdir(args) / "sobolev.csv", "sobolev",
+    write_csv(Path(args.output) / "sobolev.csv", "sobolev",
               {"measure": args.measure, "seed": args.seed, "samples": args.samples,
                "h": args.h},
               ["p", "estimate", "std_error", "estimate_doubled", "doubling_drift",
@@ -183,7 +190,7 @@ def cmd_riesz(args) -> int:
                                    seed=args.seed)
     rows = [(-1, _fmt(res.estimate), _fmt(res.std_error))]
     rows += [(i, _fmt(v), "") for i, v in enumerate(levels)]
-    write_csv(_outdir(args) / "riesz.csv", "riesz",
+    write_csv(Path(args.output) / "riesz.csv", "riesz",
               {"measure": args.measure, "alpha": args.alpha, "p": args.p_value,
                "radius": args.radius, "seed": args.seed, "samples": args.samples,
                "chart": chart, "levels": args.levels},
@@ -198,13 +205,13 @@ def cmd_ma_density(args) -> int:
     rows = []
     for pt in rng_pts:
         try:
-            z = geometry.to_chart(HomogeneousPoint(pt), chart).z
+            z = geometry.to_chart(pt, chart)
         except ChartUndefined:  # the point lies on the chart's hyperplane at infinity
             continue
         val = ma_density(mu, chart, z, h=args.h, eps=args.eps_list[0])
         rows.append(tuple(_fmt(c) for c in z.view(float)) + (_fmt(val),))
     cols = [f"z{i}_{p}" for i in range(mu.n) for p in ("re", "im")] + ["density"]
-    write_csv(_outdir(args) / "ma_density.csv", "ma-density",
+    write_csv(Path(args.output) / "ma_density.csv", "ma-density",
               {"measure": args.measure, "chart": chart, "h": args.h,
                "eps": args.eps_list[0], "seed": args.seed, "samples": args.samples},
               cols, rows)
@@ -218,7 +225,7 @@ def cmd_ma_mass(args) -> int:
         rep = ma_total_mass(mu, grid=args.grid, eps=eps, workers=args.workers)
         rows.append((_fmt(eps), _fmt(rep.total_mass), _fmt(rep.vol_check),
                      rep.clipped_cells))
-    write_csv(_outdir(args) / "ma_mass.csv", "ma-mass",
+    write_csv(Path(args.output) / "ma_mass.csv", "ma-mass",
               {"measure": args.measure, "grid": args.grid,
                "eps": ",".join(map(str, args.eps_list))},
               ["eps", "total_mass", "volume_check", "clipped_cells"], rows)
@@ -229,7 +236,7 @@ def cmd_ball_profile(args) -> int:
     mu = _load_measure(args.measure)
     center = HomogeneousPoint.from_json(json.loads(args.center)) if args.center \
         else mu.point(0)
-    radii = [float(t) for t in args.radii.split(",") if t]
+    radii = _reals(args.radii, "--radii")
     reports = ball_mass_profile(mu, center, radii, h=args.h,
                                 eps_list=args.eps_list, points_per_axis=args.grid)
     rows = []
@@ -237,7 +244,7 @@ def cmd_ball_profile(args) -> int:
         for (r, m), (_, ratio) in zip(rep.ball_profile, rep.vol_ratios):
             rows.append((_fmt(rep.grid["eps"]), _fmt(r), _fmt(m), _fmt(ratio),
                          _fmt(rep.excised_singular_mass)))
-    write_csv(_outdir(args) / "ball_profile.csv", "ball-profile",
+    write_csv(Path(args.output) / "ball_profile.csv", "ball-profile",
               {"measure": args.measure, "radii": args.radii, "h": args.h,
                "eps": ",".join(map(str, args.eps_list)),
                "grid": reports[0].grid["points_per_axis"],
@@ -262,7 +269,7 @@ def cmd_prop25_check(args) -> int:
                     + (_fmt(chk.lhs), _fmt(chk.rhs), _fmt(chk.relative)))
     cols = [f"z{i}_{p}" for i in range(mu.n) for p in ("re", "im")] \
         + ["det_direct", "det_expansion", "relative_residual"]
-    write_csv(_outdir(args) / "prop25_check.csv", "prop25-check",
+    write_csv(Path(args.output) / "prop25_check.csv", "prop25-check",
               {"measure": args.measure, "chart": chart, "seed": args.seed,
                "samples": args.samples},
               cols, rows)
@@ -275,7 +282,7 @@ def cmd_constants(args) -> int:
         bounds = [sobolev_bound(n, p) for p in (1.0, 2 * n - 1.0, 2.0 * n)]
         rows.append((n, _fmt(area_constant(n)), _fmt(-mean_log_kernel(n)),
                      _fmt(bounds[0]), _fmt(bounds[1]), _fmt(bounds[2])))
-    write_csv(_outdir(args) / "constants.csv", "constants", {"n_max": args.n},
+    write_csv(Path(args.output) / "constants.csv", "constants", {"n_max": args.n},
               ["n", "c_n", "alpha_n", "sobolev_bound_p1",
                "sobolev_bound_p_2n_minus_1", "sobolev_bound_p_2n"], rows)
     return EXIT_OK
@@ -285,19 +292,15 @@ def cmd_sample(args) -> int:
     pts = sample_fs_array(args.seed, args.samples, args.n)
     cols = [f"c{i}_{p}" for i in range(args.n + 1) for p in ("re", "im")]
     rows = [tuple(_fmt(c) for c in pt.view(float)) for pt in pts]
-    write_csv(_outdir(args) / "sample.csv", "sample",
+    write_csv(Path(args.output) / "sample.csv", "sample",
               {"seed": args.seed, "samples": args.samples, "n": args.n},
               cols, rows)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    names = None if args.all else [t for t in (args.checks or "").split(",") if t]
-    if not names and not args.all and not args.quick:
-        names = None
-        args.all = True
-    results = run_checks(names=names or None, seed=args.seed or 0,
-                         quick=args.quick)
+    names = None if args.all else [t for t in args.checks.split(",") if t]
+    results = run_checks(names=names, seed=args.seed, quick=args.quick)
     rows = []
     ok = True
     for res in results:
@@ -305,7 +308,7 @@ def cmd_verify(args) -> int:
         ok &= res.passed
         rows.append((res.name, "PASS" if res.passed else "FAIL",
                      _fmt(res.seconds), res.detail))
-    write_csv(_outdir(args) / "verify.csv", "verify",
+    write_csv(Path(args.output) / "verify.csv", "verify",
               {"seed": args.seed, "quick": args.quick},
               ["check", "status", "seconds", "detail"],
               [(a, b, c, f'"{d}"') for a, b, c, d in rows])
@@ -421,8 +424,8 @@ def _validate_config(args) -> None:
     for name in ("samples", "n"):
         if getattr(args, name, 1) <= 0:
             raise ValidationError(f"--{name} must be positive")
-    if getattr(args, "h", 1.0) <= 0:
-        raise ValidationError("--h must be positive")
+    if not 0 < getattr(args, "h", 1.0) < math.inf:
+        raise ValidationError(f"--h must be a positive real, got {args.h!r}")
     if getattr(args, "grid", 0) < 0:
         raise ValidationError("--grid must be positive")
     if getattr(args, "seed", 0) < 0:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,23 +30,15 @@ from .geometry import _sample_stream
 
 SQRT2 = math.sqrt(2.0)
 
+#: growth of the log-depth from one refinement level to the next
+DEPTH_FACTOR = 10.0
+
 
 def area_constant(n: int) -> float:
     """c_n = n / sqrt 2 under the unit-volume convention."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return n / SQRT2
-
-
-def area_constant_quadrature(n: int) -> float:
-    """c_n recomputed by numerically solving int A(r) dr = 1 (oracle path)."""
-    from scipy import integrate
-
-    raw, _ = integrate.quad(
-        lambda r: math.sin(r / SQRT2) ** (2 * n - 2) * math.sin(SQRT2 * r),
-        0.0, math.pi / SQRT2, epsabs=1e-14, epsrel=1e-13, limit=200,
-    )
-    return 1.0 / raw
 
 
 def sphere_area(n: int, r) -> np.ndarray | float:
@@ -90,7 +81,7 @@ def mean_log_kernel(n: int) -> float:
 
     The closed form follows from int_0^1 u^(2n-1) log u du = -1/(2n)^2; this
     routine returns the adaptive-quadrature value so the identity can be
-    checked against mean_log_kernel_closed_form.
+    checked.
     """
     from scipy import integrate
 
@@ -103,11 +94,6 @@ def mean_log_kernel(n: int) -> float:
     if err > 1e-11:
         raise NonConvergent(f"log-kernel mean error estimate {err:.2e}")
     return pref * val
-
-
-def mean_log_kernel_closed_form(n: int) -> float:
-    """-c_n / (sqrt 2 n^2) = -1/(2n) under the unit-volume convention."""
-    return -area_constant(n) / (SQRT2 * n * n)
 
 
 def sobolev_bound(n: int, p: float) -> float:
@@ -138,60 +124,14 @@ def sobolev_bound(n: int, p: float) -> float:
     return pref * val
 
 
-def sobolev_bound_closed_form(n: int, p: float) -> float:
-    """Beta-function form: sqrt 2 c_n B((2n-p)/2, 1/2), +inf for p >= 2n."""
-    if p >= 2 * n:
-        return math.inf
-    from scipy.special import beta
-
-    q = 2 * n - 1 - p
-    return SQRT2 * area_constant(n) * beta((q + 1) / 2.0, 0.5)
-
-
-def wallis_sin_power_integral(m: int) -> float:
-    """int_0^(pi/2) sin^m t dt by the Wallis recursion I_m = I_(m-2) (m-1)/m."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    val = math.pi / 2.0 if m % 2 == 0 else 1.0
-    for k in range(2 if m % 2 == 0 else 3, m + 1, 2):
-        val *= (k - 1) / k
-    return val
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Fixed radial quadrature rule for fast repeated co-area integrals."""
-
-    n: int
-    c_n: float
-    nodes: np.ndarray = field(repr=False)    # radii in (0, pi/sqrt 2)
-    weights: np.ndarray = field(repr=False)  # weights against A(r) dr
-
-    @staticmethod
-    def build(n: int, num_nodes: int = 256) -> "RadialProfile":
-        """Gauss-Legendre rule in the u = sin(r / sqrt 2) variable."""
-        u, wu = np.polynomial.legendre.leggauss(num_nodes)
-        u = 0.5 * (u + 1.0)
-        wu = 0.5 * wu
-        r = SQRT2 * np.arcsin(u)
-        w = 2.0 * SQRT2 * area_constant(n) * u ** (2 * n - 1) * wu
-        return RadialProfile(n=n, c_n=area_constant(n), nodes=r, weights=w)
-
-    def integrate(self, f) -> float:
-        """int f(r) A(r) dr with the fixed rule; f must accept arrays."""
-        return float(np.sum(self.weights * f(self.nodes)))
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
-
-def log_radial_levels(stratum, levels: int, base_decades: float, depth_factor: float,
-                      r0: float, seed: int, width: int, samples: int, stream: int,
+def log_radial_levels(stratum, levels: int, deepest: float, r0: float, seed: int,
+                      width: int, samples: int, stream: int,
                       scale: float = 1.0) -> list[float]:
     """Cumulative Monte Carlo integrals in d(log s) over shrinking annuli.
 
     Level l covers r0 * 10^(-D_l) <= s <= r0 with the log-depth
-    D_l = base_decades * depth_factor^l.  Each level adds only its newly
+    D_l = base * DEPTH_FACTOR^l, base = deepest / DEPTH_FACTOR^(levels - 1),
+    so the last level reaches `deepest` decades.  Each level adds only its newly
     exposed annulus, so the comparison between levels is structural, not
     statistical.  The annulus is split into strata of at most one decade;
     stratum si of level l draws `samples` rows of width + 1 normals from
@@ -201,11 +141,12 @@ def log_radial_levels(stratum, levels: int, base_decades: float, depth_factor: f
     """
     from scipy.special import ndtr
 
+    base = deepest / DEPTH_FACTOR ** (levels - 1)
     estimates = []
     depth_prev = 0.0
     running = 0.0
     for level in range(levels):
-        depth = base_decades * depth_factor**level
+        depth = base * DEPTH_FACTOR**level
         strata = max(1, int(math.ceil(depth - depth_prev)))
         edges = np.linspace(depth_prev, depth, strata + 1)
         total = 0.0

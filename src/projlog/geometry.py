@@ -19,7 +19,7 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,10 +69,6 @@ class HomogeneousPoint:
 
     coords: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0] - 1
-
     def equals(self, other: "HomogeneousPoint", tol: float = CANONICAL_TOL) -> bool:
         if self.coords.shape != other.coords.shape:
             return False
@@ -92,18 +88,6 @@ class HomogeneousPoint:
     def __repr__(self) -> str:
         inner = " : ".join(f"{c:.6g}" for c in self.coords)
         return f"[{inner}]"
-
-
-@dataclass(frozen=True)
-class AffinePoint:
-    """Affine coordinates z_j = zeta_j / zeta_k (j != k) in chart k."""
-
-    chart: int
-    z: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.z.shape[0]
 
 
 def normalize(raw) -> HomogeneousPoint:
@@ -155,11 +139,6 @@ def wedge_norm_sq_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum(re * re + im * im, axis=1)
 
 
-def wedge_norm_sq(zeta, eta) -> float:
-    """|zeta ^ eta|^2 for two homogeneous vectors (or points)."""
-    return float(wedge_norm_sq_batch(_coords(zeta), _coords(eta))[0])
-
-
 def wedge_ratio_sq_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """|u ^ v|^2 / (|u|^2 |v|^2) = sin^2(d / sqrt 2), clipped into [0, 1]."""
     u = np.atleast_2d(np.asarray(u, dtype=complex))
@@ -182,24 +161,27 @@ def geodesic_distance(zeta, eta) -> float:
 # chart atlas
 # ---------------------------------------------------------------------------
 
-def to_chart(zeta: HomogeneousPoint, k: int, chart_floor: float = CHART_FLOOR) -> AffinePoint:
-    """Affine coordinates of zeta in chart k; ChartUndefined below the floor."""
+def to_chart(zeta, k: int) -> np.ndarray:
+    """Affine coordinates of zeta in chart k; ChartUndefined at or below CHART_FLOOR."""
     c = _coords(zeta)
     k = int(k)
     if not 0 <= k < c.shape[0]:
         raise ChartUndefined(f"chart index {k} out of range for P^{c.shape[0]-1}")
     scale = abs(c[k]) / np.linalg.norm(c)
-    if scale <= chart_floor:
+    if scale <= CHART_FLOOR:
         raise ChartUndefined(
-            f"|zeta_{k}|/|zeta| = {scale:.3e} <= chart_floor = {chart_floor:.1e}"
+            f"|zeta_{k}|/|zeta| = {scale:.3e} <= chart_floor = {CHART_FLOOR:.1e}"
         )
-    z = np.delete(c, k) / c[k]
-    return AffinePoint(chart=k, z=z)
+    return chart_project(c, k)
 
 
-def from_chart(a: AffinePoint) -> HomogeneousPoint:
-    """Inverse of to_chart up to canonical equality."""
-    return normalize(chart_lift(a.z, a.chart))
+def chart_project(rows: np.ndarray, k: int) -> np.ndarray:
+    """Chart-k coordinates zeta_j / zeta_k (j != k): the inverse of chart_lift.
+
+    Accepts (n+1,) or (m, n+1) homogeneous rows and does not check the floor.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    return np.delete(rows / rows[..., k, None], k, axis=-1)
 
 
 def chart_lift(z: np.ndarray, k: int) -> np.ndarray:
@@ -234,22 +216,6 @@ def fs_potential(z) -> np.ndarray | float:
     t = np.sum(np.abs(z) ** 2, axis=-1)
     out = 0.5 * np.log1p(t)
     return float(out) if out.ndim == 0 else out
-
-
-def fs_metric(z: np.ndarray) -> np.ndarray:
-    """Complex Hessian H_rho of the Kahler potential at z (Hermitian n x n)."""
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[-1]
-    t = 1.0 + np.sum(np.abs(z) ** 2)
-    return 0.5 * (t * np.eye(n) - np.outer(np.conj(z), z)) / t**2
-
-
-def fs_metric_inverse(z: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of fs_metric: 2 (1 + |z|^2) (I + conj(z) z^T)."""
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[-1]
-    t = 1.0 + np.sum(np.abs(z) ** 2)
-    return 2.0 * t * (np.eye(n) + np.outer(np.conj(z), z))
 
 
 def fs_gradient_norm_sq(z: np.ndarray, fz: np.ndarray) -> np.ndarray:

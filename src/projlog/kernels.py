@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonpositiveEpsilon
+from .errors import DimensionMismatch
 from .geometry import (
     HomogeneousPoint,
     fs_potential,
@@ -31,19 +31,12 @@ from .geometry import (
     wedge_ratio_sq_batch,
 )
 
-#: library-wide tolerance for closed identities (accommodates log/norm rounding)
-EXACT_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class KernelValue:
     """A kernel evaluation; value is -inf iff is_singular."""
 
     value: float
     is_singular: bool = False
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _pair_coords(zeta, eta):
@@ -68,18 +61,6 @@ def projective_log_kernel(zeta, eta) -> KernelValue:
     return KernelValue(0.5 * math.log(ratio))
 
 
-def affine_wedge_norm_sq(z, w) -> float:
-    """|z ^ w|^2 = sum over 1 <= i < j <= n of |z_i w_j - z_j w_i|^2.
-
-    Identically zero for n = 1 (no 2x2 minors).
-    """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if z.shape != w.shape:
-        raise DimensionMismatch(f"length {z.shape} vs {w.shape}")
-    return float(wedge_norm_sq_batch(z[None, :], w)[0])
-
-
 def _affine_log_arg_batch(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(|z - w|^2 + |z ^ w|^2) / (1 + |w|^2), batched over rows of z."""
     z = np.atleast_2d(np.asarray(z, dtype=complex))
@@ -102,45 +83,17 @@ def affine_log_kernel(z, w) -> KernelValue:
     return KernelValue(0.5 * math.log(arg))
 
 
-def affine_log_kernel_smoothed(z, w, eps: float) -> float:
-    """N_eps(z, w) = (1/2) log(arg + eps^2); smooth, decreases to N as eps -> 0."""
-    if eps <= 0.0:
-        raise NonpositiveEpsilon(f"eps = {eps} must be > 0")
-    arg = float(_affine_log_arg_batch(np.asarray(z, dtype=complex), w)[0])
-    return 0.5 * math.log(arg + eps * eps)
-
-
 def chart_identity_residual(zeta, eta, chart: int = 0) -> float:
     """| K(zeta,eta) - (N(z,w) - rho(z)) | in the given chart.
 
     Both sides are -inf on the diagonal; the residual is defined as 0 there.
     """
-    z = to_chart(zeta if isinstance(zeta, HomogeneousPoint) else HomogeneousPoint(zeta), chart)
-    w = to_chart(eta if isinstance(eta, HomogeneousPoint) else HomogeneousPoint(eta), chart)
+    z, w = to_chart(zeta, chart), to_chart(eta, chart)
     lhs = projective_log_kernel(zeta, eta)
-    rhs = affine_log_kernel(z.z, w.z)
+    rhs = affine_log_kernel(z, w)
     if lhs.is_singular and rhs.is_singular:
         return 0.0
-    return abs(lhs.value - (rhs.value - fs_potential(z.z)))
-
-
-def kernel_bounds_check(z, w, slack: float = EXACT_TOL) -> tuple[bool, bool]:
-    """Two-sided bound on the chart kernel:
-
-    (1/2) log(|z-w|^2 / (1+|w|^2))  <=  N(z,w)  <=  (1/2) log(1+|z|^2).
-
-    Returns (lower_ok, upper_ok) with the given slack.
-    """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    value = affine_log_kernel(z, w).value
-    d2 = float(np.sum(np.abs(z - w) ** 2))
-    with np.errstate(divide="ignore"):
-        lower = 0.5 * (np.log(d2) - np.log1p(float(np.sum(np.abs(w) ** 2))))
-    upper = fs_potential(z)
-    lower_ok = bool(lower <= value + slack)
-    upper_ok = bool(value <= upper + slack)
-    return lower_ok, upper_ok
+    return abs(lhs.value - (rhs.value - fs_potential(z)))
 
 
 def sin_distance_residual(zeta, eta) -> float:

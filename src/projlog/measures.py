@@ -37,6 +37,7 @@ from .geometry import (
     HomogeneousPoint,
     _sample_stream,
     canonicalize_batch,
+    chart_project,
 )
 
 WEIGHT_TOL = 1e-12
@@ -297,8 +298,7 @@ class AffineAtoms:
             raise ChartUndefined(
                 f"atom {i} is not inside chart {chart}: |zeta_{k}|/|zeta| = "
                 f"{scale[i]:.3e} <= chart_floor = {CHART_FLOOR:.1e}")
-        w = np.delete(pts, k, axis=1) / pts[:, k][:, None]
-        return AffineAtoms(chart=chart, w=w, weights=mu.weights.copy())
+        return AffineAtoms(chart=chart, w=chart_project(pts, k), weights=mu.weights.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +308,6 @@ class AffineAtoms:
 def _check_alpha(alpha: float, n: int) -> None:
     if not 0.0 < alpha < 2.0 * n:
         raise AlphaOutOfRange(f"alpha = {alpha} outside (0, {2 * n})")
-
-
-def riesz_potential(atoms: AffineAtoms, alpha: float, z) -> float:
-    """J(z) = sum w_i |z - w_i|^(-alpha); +inf exactly at the atoms."""
-    _check_alpha(alpha, atoms.n)
-    z = np.asarray(z, dtype=complex)
-    d = np.linalg.norm(atoms.w - z[None, :], axis=1)
-    if np.any(d == 0.0):
-        return math.inf
-    return float(np.sum(atoms.weights * d ** (-alpha)))
 
 
 def _uniform_ball(seed: int, count: int, dim: int, start: int = 0,
@@ -369,8 +359,10 @@ def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, center, radius: fl
     riesz_refinement_scan for behavior at and above the threshold.
     """
     _check_alpha(alpha, atoms.n)
-    if p <= 0:
-        raise ValueError("p must be > 0")
+    if not p > 0:
+        raise ValidationError(f"p = {p!r} must be > 0")
+    if not 0 < radius < math.inf:
+        raise ValidationError(f"radius = {radius!r} must be positive and finite")
     n = atoms.n
     dim = 2 * n
     center = np.asarray(center, dtype=complex)
@@ -391,24 +383,21 @@ def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, center, radius: fl
 
 def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
                           atom_index: int, r0: float, levels: int, seed: int,
-                          samples_per_stratum: int = 2048,
-                          base_decades: float | None = None,
-                          depth_factor: float = 10.0) -> list[float]:
+                          samples_per_stratum: int = 2048) -> list[float]:
     """Singularity-refined estimates of int J^p over shrinking annuli.
 
     Level l integrates over { r0 * 10^(-D_l) <= |z - w| <= r0 } with the
-    resolved log-depth D_l = base_decades * depth_factor^l, using log-radial
+    resolved log-depth D_l of coarea.log_radial_levels, using log-radial
     strata of at most one decade each.  The integrand of the critical case
     p = 2n/alpha contributes a constant per decade (log divergence), so the
-    estimates grow by ~depth_factor per level; for p < 2n/alpha they converge.
+    estimates grow by ~10x per level; for p < 2n/alpha they converge.
 
-    The default base_decades keeps the deepest radius above 1e-60 so that
-    |z - w|^(-alpha p) stays inside float64 range.
+    The deepest level reaches 60 decades (one decade when levels = 1), which
+    keeps the deepest radius above 1e-60 so that |z - w|^(-alpha p) stays
+    inside float64 range.
     """
     _check_alpha(alpha, atoms.n)
     n = atoms.n
-    if base_decades is None:
-        base_decades = 60.0 / depth_factor ** (levels - 1) if levels > 1 else 1.0
     w1 = atoms.w[atom_index]
     others = np.delete(atoms.w, atom_index, axis=0) - w1[None, :]
     other_weights = np.delete(atoms.weights, atom_index)
@@ -428,6 +417,6 @@ def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
             rest = 0.0
         return (self_term + rest) ** p * s ** (2 * n)
 
-    return log_radial_levels(stratum, levels, base_decades, depth_factor, r0, seed,
+    return log_radial_levels(stratum, levels, 60.0 if levels > 1 else 1.0, r0, seed,
                              width=2 * n, samples=samples_per_stratum, stream=2,
                              scale=2.0 * math.pi**n / math.factorial(n - 1))

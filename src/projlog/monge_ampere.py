@@ -13,6 +13,7 @@ grid's strongest self-check.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
@@ -31,6 +32,7 @@ from .errors import (
 from .geometry import (
     HomogeneousPoint,
     chart_lift,
+    chart_project,
     fs_ball_volume,
     fs_volume_density,
     fs_volume_norm,
@@ -39,46 +41,17 @@ from .geometry import (
 )
 from .measures import AffineAtoms, AtomicMeasure, partition_of_unity
 from .parallel import pairwise_sum, resolve_workers, run_chunked
-from .potentials import PotentialField, _nearest_site_distance, affine_field, fs_field, \
-    psh_lift
+from .potentials import PotentialField, affine_field, fs_field, psh_lift, within_guard
 
 SQRT2 = math.sqrt(2.0)
+
+#: most n-tuples of atoms that ma_product_expansion_check expands
+TERM_CAP = 10**7
 
 
 # ---------------------------------------------------------------------------
 # finite-difference complex Hessians
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComplexHessian:
-    """Matrix of d^2 f / dz_j dzbar_k from central differences.
-
-    Hermitian by stencil symmetry (the (k, j) entry is assembled as the
-    conjugate of (j, k) from the same real mixed partials).
-    """
-
-    entries: np.ndarray
-    point: np.ndarray = field(repr=False)
-    step: float = 0.0
-    field_desc: str = ""
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
-    def hermitian_defect(self) -> float:
-        h = self.entries
-        return float(np.max(np.abs(h - h.conj().T)))
-
-    def min_eigenvalue_ratio(self) -> float:
-        """Smallest eigenvalue over the matrix norm (PSD check helper)."""
-        lam = self.eigenvalues()
-        scale = max(float(np.max(np.abs(lam))), 1e-300)
-        return float(lam[0] / scale)
-
 
 def _hessian_stencil(n: int, h: float):
     """Displacements and assembly indices for the FD complex Hessian.
@@ -137,14 +110,17 @@ def hessian_fd_batch(fieldfn, Z: np.ndarray, h: float):
     return H, finite
 
 
-def complex_hessian_fd(fieldfn, z, h: float = 1e-3) -> ComplexHessian:
-    """FD complex Hessian at a single point; SingularStencil on -inf values."""
+def complex_hessian_fd(fieldfn, z, h: float = 1e-3) -> np.ndarray:
+    """FD complex Hessian (n, n) at a single point; SingularStencil on -inf values.
+
+    Hermitian by stencil symmetry: the (k, j) entry is the conjugate of the
+    (j, k) entry assembled from the same real mixed partials.
+    """
     z = np.asarray(z, dtype=complex)
     H, finite = hessian_fd_batch(fieldfn, z[None, :], h)
     if not finite[0]:
         raise SingularStencil(f"field is singular on the Hessian stencil at {z}")
-    desc = getattr(fieldfn, "kind", type(fieldfn).__name__)
-    return ComplexHessian(entries=H[0], point=z.copy(), step=h, field_desc=str(desc))
+    return H[0]
 
 
 # ---------------------------------------------------------------------------
@@ -181,24 +157,19 @@ class ExpansionCheck:
     scale: float
     lhs: float
     rhs: float
-    exact: bool
 
     @property
     def relative(self) -> float:
         return self.residual / self.scale
 
 
-def ma_product_expansion_check(atoms: AffineAtoms, z,
-                               term_cap: int = 10**7, sample_tuples: int = 0,
-                               seed: int = 0) -> ExpansionCheck:
+def ma_product_expansion_check(atoms: AffineAtoms, z) -> ExpansionCheck:
     """Pointwise product-formula check for the affine potential.
 
     Compares det(sum_i w_i H_i) against the multilinear expansion
     sum over n-tuples of atoms of w_(i1)..w_(in) D(H_(i1), .., H_(in)),
     where H_i is the complex Hessian of the kernel with atom i at z.
-    Exact expansion requires N^n <= term_cap; beyond the cap a uniform
-    tuple sample with inverse-probability weighting is used when
-    sample_tuples > 0, else CombinatorialBlowup is raised.
+    Raises CombinatorialBlowup when N^n exceeds TERM_CAP.
 
     The reported scale is max(|lhs| + sum |terms|, ||sum w_i H_i||_F^n): the
     second term is the natural rounding scale of a determinant, which keeps
@@ -207,6 +178,8 @@ def ma_product_expansion_check(atoms: AffineAtoms, z,
     """
     n = atoms.n
     N = atoms.num_atoms
+    if N**n > TERM_CAP:
+        raise CombinatorialBlowup(f"N^n = {N}^{n} exceeds the {TERM_CAP} term cap")
     # every atom's kernel Hessian at z from one stacked quad-form call
     T, Tz, Thess = analytic.quad_form_batch(np.asarray(z, dtype=complex),
                                             affine_field(atoms).atoms_eta, atoms.chart,
@@ -215,36 +188,18 @@ def ma_product_expansion_check(atoms: AffineAtoms, z,
     w = atoms.weights
     lhs_mat = np.tensordot(w, hessians, axes=(0, 0))
     lhs = float(np.linalg.det(lhs_mat).real)
-    exact = N**n <= term_cap
-    if not exact and sample_tuples <= 0:
-        raise CombinatorialBlowup(
-            f"N^n = {N}^{n} exceeds the {term_cap} term cap; "
-            "pass sample_tuples for a sampled estimate")
     rhs = 0.0
     abssum = abs(lhs)
-    if exact:
-        for multiset in combinations_with_replacement(range(N), n):
-            mult: dict[int, int] = {}
-            for i in multiset:
-                mult[i] = mult.get(i, 0) + 1
-            coeff = math.factorial(n)
-            for c in mult.values():
-                coeff //= math.factorial(c)
-            wprod = float(np.prod([w[i] for i in multiset]))
-            term = coeff * wprod * mixed_discriminant([hessians[i] for i in multiset])
-            rhs += term
-            abssum += abs(term)
-    else:
-        rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-        draws = rng.integers(0, N, size=(sample_tuples, n))
-        for row in draws:
-            wprod = float(np.prod([w[i] for i in row]))
-            term = wprod * mixed_discriminant([hessians[i] for i in row])
-            rhs += term * (N**n) / sample_tuples
-        abssum += abs(rhs)
+    for multiset in combinations_with_replacement(range(N), n):
+        coeff = math.factorial(n)
+        for c in Counter(multiset).values():
+            coeff //= math.factorial(c)
+        wprod = float(np.prod([w[i] for i in multiset]))
+        term = coeff * wprod * mixed_discriminant([hessians[i] for i in multiset])
+        rhs += term
+        abssum += abs(term)
     scale = max(abssum, float(np.linalg.norm(lhs_mat)) ** n, 1e-300)
-    return ExpansionCheck(residual=abs(lhs - rhs), scale=scale, lhs=lhs,
-                          rhs=rhs, exact=exact)
+    return ExpansionCheck(residual=abs(lhs - rhs), scale=scale, lhs=lhs, rhs=rhs)
 
 
 def smooth_wedge_density(atoms: AffineAtoms, psi_field: PotentialField, m: int,
@@ -280,11 +235,8 @@ def ma_density(mu: AtomicMeasure, chart: int, z, h: float = 1e-4,
     """
     z = np.asarray(z, dtype=complex)
     lift = psh_lift(mu, chart, eps)
-    if eps == 0.0:
-        sites = lift.singular_sites()
-        if sites.shape[0] and float(np.min(np.linalg.norm(sites - z[None, :], axis=1))) <= 10.0 * h:
-            raise SingularStencil(
-                "unsmoothed density requested within 10h of an atom")
+    if within_guard(z[None, :], lift.singular_sites(), h)[0]:
+        raise SingularStencil("unsmoothed density requested within 10h of an atom")
     H_phi = lift.complex_hessian(z)
     H_rho = fs_field(mu.n, chart).complex_hessian(z)
     density = float(np.linalg.det(H_phi).real) / float(np.linalg.det(H_rho).real)
@@ -305,10 +257,6 @@ class MassReport:
     clipped_cells: int = 0
     vol_check: float = 0.0        # quadrature of the exact FS volume (should be ~ target)
     vol_ratios: list = field(default_factory=list)     # [(radius, mass / ball volume)]
-
-    def profile_nondecreasing(self) -> bool:
-        masses = [m for _, m in self.ball_profile]
-        return all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
 
 
 def _cell_sums(lift: PotentialField, Z: np.ndarray, weights: np.ndarray,
@@ -457,11 +405,13 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
     """
     n = mu.n
     radii = sorted(float(r) for r in radii)
+    if not radii or not all(0 < r < math.inf for r in radii):
+        raise ValidationError(f"radii = {radii} must be a nonempty list of positive reals")
     eps_list = list(eps_list)
     if any(e < 0 for e in eps_list):
         raise NonpositiveEpsilon("eps values must be >= 0")
     chart = max_modulus_chart(center)
-    c = np.delete(center.coords / center.coords[chart], chart)
+    c = chart_project(center.coords, chart)
     r_max = radii[-1]
     a0 = _chart_halfwidth(float(np.linalg.norm(c)), r_max)
     m = points_per_axis or (64 if n == 1 else 16)
@@ -488,7 +438,7 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
                 continue
             Z, d = Z[in_any], d[in_any]
             if sites.shape[0]:
-                cut = _nearest_site_distance(Z, sites) <= 10.0 * h
+                cut = within_guard(Z, sites, h)
                 excised_volume += float(np.sum(
                     fs_volume_density(Z[cut]))) * cellvol / fs_volume_norm(n)
                 Z, d = Z[~cut], d[~cut]

@@ -24,13 +24,10 @@ import numpy as np
 
 from . import analytic
 from .coarea import log_radial_levels, sobolev_bound, sphere_area
-from .errors import (
-    DimensionMismatch,
-    NonpositiveEpsilon,
-    SingularStencil,
-)
+from .errors import DimensionMismatch, NonpositiveEpsilon, ValidationError
 from .geometry import (
     HomogeneousPoint,
+    chart_project,
     fs_gradient_norm_sq,
     fs_potential,
     sample_fs_array,
@@ -46,8 +43,7 @@ def _chart_sites(points: np.ndarray, chart: int) -> np.ndarray:
     Rows whose chart coordinate is below 1e-8 in modulus are at infinity
     for this chart and are left out.
     """
-    inside = points[np.abs(points[:, chart]) > 1e-8]
-    return np.delete(inside / inside[:, chart][:, None], chart, axis=1)
+    return chart_project(points[np.abs(points[:, chart]) > 1e-8], chart)
 
 
 def _nearest_site_distance(Z: np.ndarray, sites: np.ndarray) -> np.ndarray:
@@ -63,6 +59,16 @@ def _nearest_site_distance(Z: np.ndarray, sites: np.ndarray) -> np.ndarray:
         np.minimum(nearest, np.min(np.linalg.norm(Z[:, None, :] - sites[None, blk, :], axis=2),
                                    axis=1), out=nearest)
     return nearest
+
+
+def within_guard(Z: np.ndarray, sites: np.ndarray, h: float) -> np.ndarray:
+    """True for the chart rows of Z within distance 10h of a site.
+
+    The one singular guard of the unsmoothed (eps = 0) field: ma_density
+    refuses such points, ball_mass_profile excises such cells and the
+    Sobolev scan resamples such draws.
+    """
+    return _nearest_site_distance(Z, sites) <= 10.0 * h
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ class PotentialField:
         return float(out[0]) if single else out
 
     def holomorphic_gradient(self, z) -> np.ndarray:
-        """Closed-form dphi/dz (the oracle counterpart of fd_gradient)."""
+        """Closed-form dphi/dz (batch (m, n))."""
         Z = np.atleast_2d(np.asarray(z, dtype=complex))
         if self.kind == "fs":
             T, Tz, _ = analytic.quad_form_batch(Z, None, self.chart, 0.0, 1.0)
@@ -174,59 +180,6 @@ def log_potential_batch(mu: AtomicMeasure, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def affine_potential(atoms: AffineAtoms, z) -> float:
-    """V(z) = sum w_i N(z, w_i); -inf at atoms; V <= rho everywhere."""
-    return float(affine_field(atoms)(np.asarray(z, dtype=complex)))
-
-
-def affine_potential_smoothed(atoms: AffineAtoms, z, eps: float) -> float:
-    """Constant-eps regularization; decreases pointwise to V as eps -> 0."""
-    if eps <= 0.0:
-        raise NonpositiveEpsilon(f"eps = {eps} must be > 0")
-    return float(affine_field(atoms, eps)(np.asarray(z, dtype=complex)))
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient
-# ---------------------------------------------------------------------------
-
-def _gradient_stencil_values(fieldfn, z: np.ndarray, h: float) -> np.ndarray:
-    """Field values at z +- h e_j and z +- ih e_j, four per coordinate."""
-    n = z.shape[0]
-    shifts = []
-    for j in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[j] = h
-        shifts.extend([e, -e, 1j * e, -1j * e])
-    return np.asarray(fieldfn(np.stack([z + s for s in shifts])))
-
-
-def _central_gradient(vals: np.ndarray, h: float) -> np.ndarray:
-    """Real gradient [d/dx_1.., d/dy_1..] from _gradient_stencil_values."""
-    v = vals.reshape(-1, 4)
-    return np.concatenate([(v[:, 0] - v[:, 1]) / (2.0 * h),
-                           (v[:, 2] - v[:, 3]) / (2.0 * h)])
-
-
-def fd_gradient(fieldfn, z, h: float = 1e-4) -> np.ndarray:
-    """O(h^2) central-difference gradient in (Re, Im) coordinates.
-
-    Falls back to one Richardson extrapolation step when the stencil values
-    span more than six orders of magnitude; raises SingularStencil when a
-    stencil point is singular.  The test oracle for holomorphic_gradient.
-    """
-    z = np.asarray(z, dtype=complex)
-    raw = _gradient_stencil_values(fieldfn, z, h)
-    if not np.all(np.isfinite(raw)):
-        raise SingularStencil(f"singular field value on the gradient stencil at {z}")
-    span = np.max(np.abs(raw)) / max(np.min(np.abs(raw)), 1e-300)
-    g_h = _central_gradient(raw, h)
-    if span <= 1e6:
-        return g_h
-    g_h2 = _central_gradient(_gradient_stencil_values(fieldfn, z, h / 2.0), h / 2.0)
-    return (4.0 * g_h2 - g_h) / 3.0
-
-
 # ---------------------------------------------------------------------------
 # Sobolev scan
 # ---------------------------------------------------------------------------
@@ -249,8 +202,7 @@ def _sobolev_chunk(payload, rng):
     lo, hi = rng
     mu = AtomicMeasure(points=points, weights=weights, n=n)
     pts = sample_fs_array(seed, hi - lo, n, start=start + lo)
-    values, excised = _gradient_norm_values(mu, pts, 10.0 * h, seed,
-                                            reserve_start=start + lo)
+    values, excised = _gradient_norm_values(mu, pts, h, seed, reserve_start=start + lo)
     return values, excised
 
 
@@ -260,53 +212,38 @@ def _potential_gradient(mu: AtomicMeasure, chart: int, Z: np.ndarray) -> np.ndar
             - fs_field(mu.n, chart).holomorphic_gradient(Z))
 
 
-def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray,
-                          excision_radius: float, seed: int,
+def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float, seed: int,
                           reserve_start: int = 0) -> tuple[np.ndarray, int]:
     """FS gradient norms |grad U_mu| at sample points, with excision.
 
-    Samples whose chart coordinates fall within excision_radius of an atom
-    are replaced, in order, from a reserved deterministic stream starting at
+    Samples that within_guard puts near an atom (chart distance <= 10h) are
+    replaced, in order, from a reserved deterministic stream starting at
     index reserve_start (callers pass their chunk offset so replacement
     draws never depend on chunk processing order).
     """
     n = mu.n
-    excised = 0
-    reserve_used = 0
+    sites = [_chart_sites(mu.points, k) for k in range(n + 1)]
     final = samples.copy()
-    atom_chart_coords = [_chart_sites(mu.points, k) for k in range(n + 1)]
-
-    def violators(rows: np.ndarray, charts: np.ndarray) -> np.ndarray:
-        bad = np.zeros(rows.shape[0], dtype=bool)
+    excised = 0
+    while True:
+        charts = np.argmax(np.abs(final), axis=1)
+        bad = np.zeros(final.shape[0], dtype=bool)
         for k in range(n + 1):
-            atoms = atom_chart_coords[k]
-            idx = np.where(charts == k)[0]
-            if idx.size == 0 or atoms.shape[0] == 0:
-                continue
-            zc = np.delete(rows[idx] / rows[idx, k][:, None], k, axis=1)
-            bad[idx] = _nearest_site_distance(zc, atoms) < excision_radius
-        return bad
-
-    charts = np.argmax(np.abs(final), axis=1)
-    bad = violators(final, charts)
-    while np.any(bad):
+            idx = np.flatnonzero(charts == k)
+            bad[idx] = within_guard(chart_project(final[idx], k), sites[k], h)
+        if not np.any(bad):
+            break
         # replace in sample order from the reserved deterministic stream
         count = int(np.sum(bad))
-        repl = sample_fs_array(seed, count, n, start=reserve_start + reserve_used,
-                               stream=3)
-        reserve_used += count
+        final[bad] = sample_fs_array(seed, count, n, start=reserve_start + excised, stream=3)
         excised += count
-        final[np.where(bad)[0]] = repl
-        charts = np.argmax(np.abs(final), axis=1)
-        bad = violators(final, charts)
 
     norms = np.empty(final.shape[0])
     for k in range(n + 1):
-        idx = np.where(charts == k)[0]
+        idx = np.flatnonzero(charts == k)
         if idx.size == 0:
             continue
-        rows = final[idx]
-        Z = np.delete(rows / rows[:, k][:, None], k, axis=1)
+        Z = chart_project(final[idx], k)
         fz = _potential_gradient(mu, k, Z)
         norms[idx] = np.sqrt(fs_gradient_norm_sq(Z, fz))
     return norms, excised
@@ -324,8 +261,8 @@ def sobolev_scan(mu: AtomicMeasure, p: float, seed: int, samples: int,
     count is reported.  Estimates depend only on (seed, sample index), so extending
     the sample count keeps the earlier draws (common-random doubling).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1 (smaller p follows by concavity)")
+    if not p >= 1:
+        raise ValidationError(f"p = {p!r} must be >= 1 (smaller p follows by concavity)")
     n = mu.n
     workers = resolve_workers(workers)
     payload = (mu.points, mu.weights, n, h, seed, start)
@@ -359,16 +296,15 @@ def sobolev_doubling(mu: AtomicMeasure, p: float, seed: int, samples: int,
 
 def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
                             levels: int, seed: int, r0: float = 0.5,
-                            samples_per_stratum: int = 2048,
-                            base_decades: float | None = None,
-                            depth_factor: float = 10.0) -> list[float]:
+                            samples_per_stratum: int = 2048) -> list[float]:
     """Near-atom estimates of int |grad U_mu|^p dV over shrinking FS annuli.
 
-    Level l covers { r0 * 10^(-D_l) <= d(zeta, atom) <= r0 } with
-    D_l = base_decades * depth_factor^l, sampled log-radially along random
-    geodesics from the atom.  At p = 2n the radial integrand behaves like
-    C/r, contributing a constant per resolved decade, so estimates grow by
-    ~depth_factor per level; for p < 2n they converge.
+    Level l covers { r0 * 10^(-D_l) <= d(zeta, atom) <= r0 } with the
+    log-depth D_l of coarea.log_radial_levels, sampled log-radially along
+    random geodesics from the atom.  At p = 2n the radial integrand behaves
+    like C/r, contributing a constant per resolved decade, so estimates grow
+    by ~10x per level; for p < 2n they converge.  The deepest level reaches
+    min(60, 280 / p) decades, which keeps cot^p ~ r^(-p) representable.
 
     The self-atom term of the gradient is exact in the radius (the kernel
     gradient is radial with magnitude cot(r/sqrt 2)/sqrt 2); the remaining
@@ -376,10 +312,6 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
     insensitive to fp collapse of tiny radii.
     """
     n = mu.n
-    if base_decades is None:
-        # keep cot^p ~ r^(-p) representable: deepest decade * p < ~290
-        max_dec = 280.0 / max(p, 1.0)
-        base_decades = min(60.0, max_dec) / depth_factor ** (levels - 1)
     eta = mu.points[atom_index]
     w_self = mu.weights[atom_index]
     rest_pts = np.delete(mu.points, atom_index, axis=0)
@@ -398,13 +330,12 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
             pts = np.cos(s / sqrt2)[:, None] * eta[None, :] \
                 + np.sin(s / sqrt2)[:, None] * tau
             k = int(np.argmax(np.abs(eta)))
-            denom = pts[:, k][:, None]
-            Z = np.delete(pts / denom, k, axis=1)
+            Z = chart_project(pts, k)
             # chart velocity of the geodesic (radial direction at pts)
             vel = (-np.sin(s / sqrt2)[:, None] * eta[None, :]
                    + np.cos(s / sqrt2)[:, None] * tau) / sqrt2
-            dchart = np.delete(vel / denom, k, axis=1) \
-                - np.delete(pts / denom, k, axis=1) * (vel[:, k] / pts[:, k])[:, None]
+            dchart = np.delete(vel / pts[:, k, None], k, axis=1) \
+                - Z * (vel[:, k] / pts[:, k])[:, None]
             fz = _potential_gradient(rest, k, Z) * np.sum(rest_w)
             # radial component: Riemannian inner product with the unit radial
             # field, computed as the directional derivative along the geodesic
@@ -414,5 +345,5 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
             grad2 = self_mag**2
         return grad2 ** (p / 2.0) * sphere_area(n, s) * s
 
-    return log_radial_levels(stratum, levels, base_decades, depth_factor, r0, seed,
+    return log_radial_levels(stratum, levels, min(60.0, 280.0 / max(p, 1.0)), r0, seed,
                              width=2 * (n + 1), samples=samples_per_stratum, stream=4)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import geometry, measures
 from .coarea import mean_log_kernel, sobolev_bound
+from .errors import ValidationError
 from .geometry import geodesic_distance_batch, sample_fs_array
 from .kernels import affine_log_kernel_batch, projective_log_kernel_batch
 from .measures import AffineAtoms, build_measure, decompose, riesz_lp_scan, \
@@ -291,8 +292,8 @@ def check_smooth_wedge_density(seed: int = 11, points: int = 50):
         z = 2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         if float(np.min(np.linalg.norm(nu.w - z[None, :], axis=1))) < 0.4:
             continue
-        H_V = complex_hessian_fd(affine_field(nu), z, h=1e-3).entries
-        H_psi = complex_hessian_fd(psi, z, h=1e-3).entries
+        H_V = complex_hessian_fd(affine_field(nu), z, h=1e-3)
+        H_psi = complex_hessian_fd(psi, z, h=1e-3)
         ss = np.linspace(0.5, 1.5, n + 1)
         dets = [float(np.linalg.det(s * H_V + H_psi).real) for s in ss]
         coeffs = np.polyfit(ss, dets, n)[::-1]
@@ -351,6 +352,11 @@ QUICK_CHECKS = {"sin-distance", "chart-identity", "kernel-bounds", "kernel-mean"
 
 def run_checks(names=None, seed: int = 0, quick: bool = False) -> list[CheckResult]:
     """Run the named checks (all by default; quick skips the slow grids)."""
+    keys = [key for key, _ in ALL_CHECKS]
+    unknown = [name for name in names or () if name not in keys]
+    if unknown:
+        raise ValidationError(f"unknown check key {', '.join(map(repr, unknown))}; "
+                              f"valid keys: {', '.join(keys)}")
     results = []
     for key, fn in ALL_CHECKS:
         if names and key not in names:

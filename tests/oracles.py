@@ -1,0 +1,124 @@
+"""Independent reference computations that the tests compare the library to.
+
+None of these is on a production path: each recomputes a quantity the
+library gets another way (a finite-difference gradient against the closed
+forms, the FS metric against the closed-form Hessian, quadratures and
+closed forms of the co-area constants).
+"""
+
+import math
+
+import numpy as np
+
+from projlog.coarea import SQRT2, area_constant
+from projlog.errors import SingularStencil
+
+
+# ---------------------------------------------------------------------------
+# finite-difference gradient
+# ---------------------------------------------------------------------------
+
+def _gradient_stencil_values(fieldfn, z: np.ndarray, h: float) -> np.ndarray:
+    """Field values at z +- h e_j and z +- ih e_j, four per coordinate."""
+    n = z.shape[0]
+    shifts = []
+    for j in range(n):
+        e = np.zeros(n, dtype=complex)
+        e[j] = h
+        shifts.extend([e, -e, 1j * e, -1j * e])
+    return np.asarray(fieldfn(np.stack([z + s for s in shifts])))
+
+
+def _central_gradient(vals: np.ndarray, h: float) -> np.ndarray:
+    """Real gradient [d/dx_1.., d/dy_1..] from _gradient_stencil_values."""
+    v = vals.reshape(-1, 4)
+    return np.concatenate([(v[:, 0] - v[:, 1]) / (2.0 * h),
+                           (v[:, 2] - v[:, 3]) / (2.0 * h)])
+
+
+def fd_gradient(fieldfn, z, h: float = 1e-4) -> np.ndarray:
+    """O(h^2) central-difference gradient in (Re, Im) coordinates.
+
+    Falls back to one Richardson extrapolation step when the stencil values
+    span more than six orders of magnitude; raises SingularStencil when a
+    stencil point is singular.
+    """
+    z = np.asarray(z, dtype=complex)
+    raw = _gradient_stencil_values(fieldfn, z, h)
+    if not np.all(np.isfinite(raw)):
+        raise SingularStencil(f"singular field value on the gradient stencil at {z}")
+    span = np.max(np.abs(raw)) / max(np.min(np.abs(raw)), 1e-300)
+    g_h = _central_gradient(raw, h)
+    if span <= 1e6:
+        return g_h
+    g_h2 = _central_gradient(_gradient_stencil_values(fieldfn, z, h / 2.0), h / 2.0)
+    return (4.0 * g_h2 - g_h) / 3.0
+
+
+def holo_to_real_gradient(fz: np.ndarray) -> np.ndarray:
+    """Convert df/dz_j to the real gradient [d/dx_1.., d/dy_1..].
+
+    For real-valued f: df/dx_j = 2 Re(df/dz_j), df/dy_j = -2 Im(df/dz_j).
+    """
+    fz = np.asarray(fz, dtype=complex)
+    return np.concatenate([2.0 * fz.real, -2.0 * fz.imag], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Fubini-Study metric
+# ---------------------------------------------------------------------------
+
+def fs_metric(z: np.ndarray) -> np.ndarray:
+    """Complex Hessian H_rho of the Kahler potential at z (Hermitian n x n)."""
+    z = np.asarray(z, dtype=complex)
+    n = z.shape[-1]
+    t = 1.0 + np.sum(np.abs(z) ** 2)
+    return 0.5 * (t * np.eye(n) - np.outer(np.conj(z), z)) / t**2
+
+
+def fs_metric_inverse(z: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of fs_metric: 2 (1 + |z|^2) (I + conj(z) z^T)."""
+    z = np.asarray(z, dtype=complex)
+    n = z.shape[-1]
+    t = 1.0 + np.sum(np.abs(z) ** 2)
+    return 2.0 * t * (np.eye(n) + np.outer(np.conj(z), z))
+
+
+# ---------------------------------------------------------------------------
+# co-area constants
+# ---------------------------------------------------------------------------
+
+def area_constant_quadrature(n: int) -> float:
+    """c_n recomputed by numerically solving int A(r) dr = 1."""
+    from scipy import integrate
+
+    raw, _ = integrate.quad(
+        lambda r: math.sin(r / SQRT2) ** (2 * n - 2) * math.sin(SQRT2 * r),
+        0.0, math.pi / SQRT2, epsabs=1e-14, epsrel=1e-13, limit=200,
+    )
+    return 1.0 / raw
+
+
+def mean_log_kernel_closed_form(n: int) -> float:
+    """-c_n / (sqrt 2 n^2) = -1/(2n) under the unit-volume convention."""
+    return -area_constant(n) / (SQRT2 * n * n)
+
+
+def sobolev_bound_closed_form(n: int, p: float) -> float:
+    """Beta-function form: sqrt 2 c_n B((2n-p)/2, 1/2), +inf for p >= 2n."""
+    if p >= 2 * n:
+        return math.inf
+    from scipy.special import beta
+
+    q = 2 * n - 1 - p
+    return SQRT2 * area_constant(n) * beta((q + 1) / 2.0, 0.5)
+
+
+def wallis_sin_power_integral(m: int) -> float:
+    """int_0^(pi/2) sin^m t dt by the Wallis recursion I_m = I_(m-2) (m-1)/m."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    val = math.pi / 2.0 if m % 2 == 0 else 1.0
+    for k in range(2 if m % 2 == 0 else 3, m + 1, 2):
+        val *= (k - 1) / k
+    return val

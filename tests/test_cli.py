@@ -287,3 +287,33 @@ def test_headers_record_the_options_that_shape_the_body(tmp_path, measure_file):
     assert header_of(tmp_path / "kernel.csv")["chart"] == "1"
     assert main(["measure", *m, "--output", str(tmp_path)]) == 0
     assert header_of(tmp_path / "measure.csv")["atoms"] == "2"
+
+
+def test_verify_unknown_check_key_exit_code(tmp_path, capsys):
+    # used to run no check and exit 0 with an empty CSV
+    rc = main(["verify", "--checks", "sobolv", "--output", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'sobolv'" in err and "sobolev" in err and "mass-conservation" in err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["ma-density", "--samples", "5", "--h", "nan"], "--h"),
+    (["ma-mass", "--grid", "16", "--eps", "nan"], "--eps"),
+    (["ma-mass", "--grid", "16", "--eps", "0.3,x"], "--eps"),
+    (["sobolev", "--samples", "50", "--p", "nan"], "p = nan"),
+    (["sobolev", "--samples", "50", "--p", "0.5"], "p = 0.5"),
+    (["sobolev", "--samples", "50", "--p", ""], "--p"),
+    (["riesz", "--samples", "50", "--radius", "-1"], "radius = -1.0"),
+    (["riesz", "--samples", "50", "--p-value", "nan"], "p = nan"),
+    (["ball-profile", "--radii", "0"], "radii"),
+    (["ball-profile", "--radii", "0.5,abc"], "--radii"),
+], ids=["h-nan", "eps-nan", "eps-text", "p-nan", "p-below-1", "p-empty", "radius-negative",
+        "p-value-nan", "radii-zero", "radii-text"])
+def test_bad_numeric_option_exit_code(argv, named, tmp_path, measure_file, capsys):
+    rc = main([argv[0], "--measure", str(measure_file), *argv[1:],
+               "--output", str(tmp_path)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []

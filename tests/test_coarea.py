@@ -1,12 +1,10 @@
 import math
 
 import numpy as np
-import pytest
 from scipy import integrate
 
 import projlog as pl
-from projlog.coarea import (
-    RadialProfile,
+from oracles import (
     area_constant_quadrature,
     mean_log_kernel_closed_form,
     sobolev_bound_closed_form,
@@ -85,11 +83,3 @@ def test_radial_quadrature_mean_distance():
     val = pl.radial_quadrature(lambda r: r, 1)
     assert abs(val - math.pi / (2 * SQRT2)) < 1e-10
 
-
-def test_radial_profile_rule():
-    for n in (1, 2, 4):
-        prof = RadialProfile.build(n)
-        assert abs(prof.total_mass() - 1.0) < 1e-10
-        assert abs(prof.integrate(lambda r: np.log(np.sin(r / SQRT2)))
-                   - (-1.0 / (2 * n))) < 1e-4  # fixed rule, log endpoint
-        assert abs(prof.integrate(lambda r: r * 0 + 1.0) - 1.0) < 1e-10

@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports, and a light import of the package."""
+"""Source hygiene: no unused imports, no library code that only tests call,
+and a light import of the package."""
 
 import ast
 import os
@@ -7,6 +8,11 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "projlog"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+#: test-only names kept on purpose: tests/test_pinning.py reaches its pinned
+#: measures through projlog.sample_fs_uniform and is kept unedited
+KEPT_FOR_PINNED_TESTS = {"sample_fs_uniform"}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -53,6 +59,53 @@ def test_no_unused_imports_in_package():
     found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
              for hit in unused_imports(path)]
     assert found == []
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names read and attributes accessed anywhere under node; strings do not count."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreferenced_definitions(package: Path, users: list[Path]) -> list[str]:
+    """Top-level functions and classes of the package that nothing else uses.
+
+    A definition counts as used when a top-level statement of a package
+    module other than its own definition, or one of the user files, refers
+    to its name.  __init__.py only re-exports, so it does not count.
+    """
+    defined, used = [], set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, own))
+            used |= _references(stmt) - {own}
+    for path in users:
+        used |= _references(ast.parse(path.read_text()))
+    return [f"{module}:{name}" for module, name in defined if name not in used]
+
+
+def test_scanner_flags_an_unreferenced_definition(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .a import helper, orphan, loop, Used\n")
+    (pkg / "a.py").write_text(
+        "def helper():\n    return 1\n\n"
+        "def orphan():\n    return 'helper'\n\n"
+        "def loop(k):\n    return loop(k - 1) if k else 0\n\n"
+        "class Used:\n    pass\n")
+    (pkg / "b.py").write_text("from . import a\n\nVALUE = a.helper()\nNOTE = 'orphan'\n")
+    user = tmp_path / "user.py"
+    user.write_text("from pkg.a import Used\n\nprint(Used())\n")
+    assert unreferenced_definitions(pkg, [user]) == ["a.py:orphan", "a.py:loop"]
+
+
+def test_no_test_only_code_in_package():
+    found = unreferenced_definitions(SRC, sorted(PERFBENCH.glob("*.py")))
+    assert sorted(found) == sorted(f"geometry.py:{name}" for name in KEPT_FOR_PINNED_TESTS)
 
 
 def test_package_import_does_not_load_scipy_submodules():

@@ -5,7 +5,9 @@ import pytest
 
 import projlog as pl
 from projlog.errors import NonpositiveEpsilon
-from projlog.kernels import sin_distance_residual
+from projlog.geometry import wedge_norm_sq_batch
+from projlog.kernels import _affine_log_arg_batch, affine_log_kernel_batch, \
+    sin_distance_residual
 
 
 def random_point(n, rng):
@@ -56,16 +58,20 @@ def test_kernel_nonpositive_and_exactly_symmetric():
 
 # ---------- affine wedge and kernel -------------------------------------------
 
+def wedge(u, v):
+    """|u ^ v|^2 of one pair through the batch wedge."""
+    return float(wedge_norm_sq_batch(u, v)[0])
+
+
 def test_affine_wedge_n1_vanishes():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        assert pl.affine_wedge_norm_sq(random_affine(1, rng), random_affine(1, rng)) == 0.0
+        assert wedge(random_affine(1, rng), random_affine(1, rng)) == 0.0
 
 
 def test_affine_wedge_examples():
-    assert pl.affine_wedge_norm_sq(np.array([1, 0.0j]), np.array([0, 1.0j])) == 1.0
-    val = pl.affine_wedge_norm_sq(np.array([1.0, 2.0], dtype=complex),
-                                  np.array([3.0, 4.0], dtype=complex))
+    assert wedge(np.array([1, 0.0j]), np.array([0, 1.0j])) == 1.0
+    val = wedge(np.array([1.0, 2.0], dtype=complex), np.array([3.0, 4.0], dtype=complex))
     assert abs(val - 4.0) < 1e-14
 
 
@@ -75,8 +81,8 @@ def test_wedge_consistency_with_homogeneous():
     for _ in range(100):
         n = rng.integers(1, 5)
         z, w = random_affine(n, rng), random_affine(n, rng)
-        lhs = pl.wedge_norm_sq(np.concatenate([[1.0], z]), np.concatenate([[1.0], w]))
-        rhs = float(np.sum(np.abs(z - w) ** 2)) + pl.affine_wedge_norm_sq(z, w)
+        lhs = wedge(np.concatenate([[1.0], z]), np.concatenate([[1.0], w]))
+        rhs = float(np.sum(np.abs(z - w) ** 2)) + wedge(z, w)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, rhs)
 
 
@@ -98,33 +104,44 @@ def test_affine_kernel_log_abs_at_origin_measure():
 
 # ---------- smoothed kernel -----------------------------------------------------
 
+def smoothed_kernel(z, w, eps):
+    """N_eps(z, w) through the field engine's constant-eps smoothing."""
+    atom = pl.AffineAtoms(chart=0, w=np.atleast_2d(w), weights=np.ones(1))
+    return float(pl.affine_field(atom, eps)(z))
+
+
 def test_smoothed_kernel_diagonal_is_log_eps():
     z = np.array([0.3 + 1j, -2.0], dtype=complex)
     for eps in (0.5, 0.1, 1e-3):
-        assert abs(pl.affine_log_kernel_smoothed(z, z, eps) - math.log(eps)) < 1e-13
+        assert abs(smoothed_kernel(z, z, eps) - math.log(eps)) < 1e-13
 
 
 def test_smoothed_kernel_monotone_and_bounded_increment():
     rng = np.random.default_rng(6)
+    pairs = []
     for _ in range(10_000):
         n = rng.integers(1, 4)
         z, w = random_affine(n, rng), random_affine(n, rng)
-        e1, e2 = sorted(rng.uniform(1e-3, 1.0, size=2))
-        lo = pl.affine_log_kernel_smoothed(z, w, e1)
-        hi = pl.affine_log_kernel_smoothed(z, w, e2)
-        assert hi >= lo  # monotone in eps
-        base = pl.affine_log_kernel(z, w).value
-        assert hi >= base
-        # log(x + e^2) - log(x) <= e^2 / x
-        from projlog.kernels import _affine_log_arg_batch
-        arg = float(_affine_log_arg_batch(z, w)[0])
-        assert hi - base <= e2 * e2 / (2 * arg) + 1e-12
+        pairs.append((z, w, *sorted(rng.uniform(1e-3, 1.0, size=2))))
+    for n in (1, 2, 3):
+        group = [pair for pair in pairs if pair[0].size == n]
+        Z, W = np.stack([g[0] for g in group]), np.stack([g[1] for g in group])
+        bases = affine_log_kernel_batch(Z, W)
+        args = _affine_log_arg_batch(Z, W)
+        for (z, w, e1, e2), base, arg in zip(group, bases, args):
+            lo = smoothed_kernel(z, w, e1)
+            hi = smoothed_kernel(z, w, e2)
+            assert hi >= lo  # monotone in eps
+            assert hi >= base
+            # log(x + e^2) - log(x) <= e^2 / x
+            assert hi - base <= e2 * e2 / (2 * arg) + 1e-12
 
 
 def test_smoothed_kernel_rejects_bad_eps():
+    # eps = 0 is the unsmoothed kernel; a negative eps is an error
     z = np.zeros(2)
     with pytest.raises(NonpositiveEpsilon):
-        pl.affine_log_kernel_smoothed(z, z, 0.0)
+        smoothed_kernel(z, z, -0.1)
 
 
 # ---------- chart identity --------------------------------------------------------
@@ -156,17 +173,30 @@ def test_chart_identity_near_floor_stable():
 
 # ---------- two-sided bounds --------------------------------------------------------
 
+def bounds_hold(z, w, slack=1e-12):
+    """(lower_ok, upper_ok) over rows of the two-sided chart-kernel bound
+
+    (1/2) log(|z-w|^2 / (1+|w|^2))  <=  N(z,w)  <=  (1/2) log(1+|z|^2).
+    """
+    z, w = np.atleast_2d(np.asarray(z, dtype=complex)), np.asarray(w, dtype=complex)
+    value = affine_log_kernel_batch(z, w)
+    with np.errstate(divide="ignore"):
+        lower = 0.5 * (np.log(np.sum(np.abs(z - w) ** 2, axis=1))
+                       - np.log1p(np.sum(np.abs(w) ** 2, axis=-1)))
+    upper = pl.fs_potential(z)
+    return bool(np.all(lower <= value + slack)), bool(np.all(value <= upper + slack))
+
+
 def test_bounds_diagonal():
     z = np.array([1.0, 2.0], dtype=complex)
-    assert pl.kernel_bounds_check(z, z) == (True, True)
+    assert bounds_hold(z, z) == (True, True)
 
 
 def test_bounds_random_pairs():
     rng = np.random.default_rng(9)
     z = rng.standard_normal((100_000, 2)) + 1j * rng.standard_normal((100_000, 2))
     w = rng.standard_normal((100_000, 2)) + 1j * rng.standard_normal((100_000, 2))
-    # vectorized check of the same inequality the scalar op enforces
-    from projlog.kernels import _affine_log_arg_batch
+    # the same inequality in the argument of the log
     diff = np.sum(np.abs(z - w) ** 2, axis=1)
     denom = 1.0 + np.sum(np.abs(w) ** 2, axis=1)
     arg = _affine_log_arg_batch(z, w)
@@ -180,14 +210,14 @@ def test_bounds_scalar_samples():
     for _ in range(200):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert pl.kernel_bounds_check(z, w) == (True, True)
+        assert bounds_hold(z, w) == (True, True)
 
 
 def test_bounds_at_w_zero():
     rng = np.random.default_rng(11)
     for _ in range(50):
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert pl.kernel_bounds_check(z, np.zeros(3)) == (True, True)
+        assert bounds_hold(z, np.zeros(3)) == (True, True)
 
 
 # ---------- analytic properties ------------------------------------------------------

@@ -14,12 +14,12 @@ from projlog.errors import (
     WeightSumMismatch,
 )
 from projlog import analytic
-from projlog.geometry import CANONICAL_TOL, canonicalize_batch, to_chart
-from projlog.measures import _uniform_ball, support_threshold
+from projlog.geometry import CANONICAL_TOL, canonicalize_batch, sample_fs_array, to_chart
+from projlog.measures import _riesz_sum, _uniform_ball, support_threshold
 
 
 def random_measure(n, atoms, seed):
-    pts = pl.sample_fs_uniform(seed, atoms, n)
+    pts = sample_fs_array(seed, atoms, n)
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.2, 1.0, atoms)
     return pl.build_measure(pts, w / w.sum())
@@ -187,7 +187,7 @@ def test_partition_balanced_point():
 
 
 def test_partition_sums_to_one_and_support():
-    pts = np.stack([p.coords for p in pl.sample_fs_uniform(17, 10_000, 2)])
+    pts = sample_fs_array(17, 10_000, 2)
     chi = pl.partition_of_unity(pts)
     np.testing.assert_allclose(chi.sum(axis=1), 1.0, atol=1e-14)
     assert np.all(chi >= 0)
@@ -253,7 +253,7 @@ def per_atom_chart_coords(mu, chart):
     rows = []
     for i in range(mu.num_atoms):
         try:
-            rows.append(to_chart(mu.point(i), chart).z)
+            rows.append(to_chart(mu.point(i), chart))
         except ChartUndefined as exc:
             raise ChartUndefined(f"atom {i} is not inside chart {chart}: {exc}") from exc
     return np.stack(rows)
@@ -294,37 +294,44 @@ def atoms_at(ws, weights, chart=0):
                           weights=np.asarray(weights, dtype=float))
 
 
+def riesz_potential(nu, alpha, z):
+    """J(z) = sum w_i |z - w_i|^(-alpha) at one point through the scans' batch sum."""
+    z = np.asarray(z, dtype=complex)
+    return float(_riesz_sum(lambda blk: z[None, None, :] - nu.w[None, blk, :],
+                            nu.weights, alpha, 1, nu.n)[0])
+
+
 def test_riesz_single_atom_value():
     nu = atoms_at([[0.0]], [1.0])
-    val = pl.riesz_potential(nu, 1.0, np.array([2.0 + 0j]))
+    val = riesz_potential(nu, 1.0, np.array([2.0 + 0j]))
     assert abs(val - 0.5) < 1e-15
 
 
 def test_riesz_at_atom_infinite():
     nu = atoms_at([[0.0, 0.0]], [1.0])
-    assert pl.riesz_potential(nu, 1.5, np.zeros(2)) == math.inf
+    assert riesz_potential(nu, 1.5, np.zeros(2)) == math.inf
 
 
 def test_riesz_two_atom_hand_value():
     nu = atoms_at([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
-    val = pl.riesz_potential(nu, 2.0, np.array([0.0, 1.0], dtype=complex))
+    val = riesz_potential(nu, 2.0, np.array([0.0, 1.0], dtype=complex))
     assert abs(val - 0.75) < 1e-15
 
 
 def test_riesz_alpha_range():
     nu = atoms_at([[0.0]], [1.0])
     with pytest.raises(AlphaOutOfRange):
-        pl.riesz_potential(nu, 2.0, np.array([1.0 + 0j]))
+        pl.riesz_lp_scan(nu, 2.0, 1.0, center=[0.0], radius=1.0, seed=0, samples=10)
     with pytest.raises(AlphaOutOfRange):
-        pl.riesz_potential(nu, -0.5, np.array([1.0 + 0j]))
+        pl.riesz_refinement_scan(nu, -0.5, 1.0, atom_index=0, r0=0.5, levels=2, seed=0)
 
 
 def test_riesz_scaling_exact_for_pow2():
     nu = atoms_at([[0.0, 0.0]], [1.0])
     z = np.array([0.3 + 0.4j, -0.1j])
     for alpha in (0.5, 1.0, 3.0):
-        v1 = pl.riesz_potential(nu, alpha, z)
-        v2 = pl.riesz_potential(nu, alpha, 2.0 * z)
+        v1 = riesz_potential(nu, alpha, z)
+        v2 = riesz_potential(nu, alpha, 2.0 * z)
         assert v2 == 2.0 ** (-alpha) * v1  # exact for power-of-two scaling
 
 
