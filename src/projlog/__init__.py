@@ -37,17 +37,11 @@ from .geometry import (
     HomogeneousPoint,
     fs_ball_volume,
     fs_potential,
-    geodesic_distance,
+    geodesic_distance_batch,
     normalize,
-    sample_fs_uniform,
-    to_chart,
+    sample_fs_array,
 )
-from .kernels import (
-    KernelValue,
-    affine_log_kernel,
-    chart_identity_residual,
-    projective_log_kernel,
-)
+from .kernels import affine_log_kernel_batch, projective_log_kernel_batch
 from .measures import (
     AffineAtoms,
     AtomicMeasure,
@@ -74,7 +68,7 @@ from .potentials import (
     PotentialField,
     affine_field,
     fs_field,
-    log_potential,
+    log_potential_batch,
     psh_lift,
     sobolev_doubling,
     sobolev_refinement_scan,

@@ -13,6 +13,7 @@ configuration error, 3 numeric nonconvergence.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -21,12 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, geometry
+from . import __version__
 from .coarea import area_constant, mean_log_kernel, sobolev_bound
-from .errors import ChartUndefined, NumericError, ValidationError
-from .geometry import HomogeneousPoint, sample_fs_array
-from .kernels import affine_log_kernel, chart_identity_residual, \
-    projective_log_kernel, sin_distance_residual
+from .errors import NumericError, ValidationError
+from .geometry import HomogeneousPoint, chart_mask, chart_project, complex_from_json, \
+    geodesic_distance_batch, sample_fs_array
+from .kernels import affine_log_kernel_batch, chart_identity_residual_batch, \
+    projective_log_kernel_batch, sin_distance_residual_batch
 from .measures import AffineAtoms, AtomicMeasure, decompose, riesz_lp_scan, \
     riesz_refinement_scan
 from .monge_ampere import ball_mass_profile, ma_density, ma_total_mass, \
@@ -40,34 +42,73 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and (math.isinf(x) or math.isnan(x)):
-        return "inf" if x > 0 else ("-inf" if math.isinf(x) else "nan")
-    return f"{x:.17g}"
-
-
 def write_csv(path: Path, command: str, params: dict, columns: list[str],
-              rows: list[tuple]) -> None:
-    """CSV with a provenance header; body deterministic, timestamp separate."""
+              rows) -> None:
+    """CSV with a provenance header; body deterministic, timestamp separate.
+
+    Floats, numpy's included, get 17 significant digits, which round-trips
+    them and prints inf, -inf and nan as such.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(f"# projlog {__version__}\n")
         fh.write(f"# command = {command}\n")
         for key in sorted(params):
             fh.write(f"# {key} = {params[key]}\n")
         fh.write(f"# generated_at = {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(columns)
+        out.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                      for row in rows)
+
+
+def _read(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def _load_measure(path: str) -> AtomicMeasure:
+    return AtomicMeasure.from_json(_read(path, "measure"))
+
+
+def _parse(text: str, what: str):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read measure file {path}: {exc}") from exc
-    return AtomicMeasure.from_json(text)
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
+        raise ValidationError(f"{what} does not parse as JSON: {exc}") from exc
+
+
+def _json_vector(data, width: int, where: str, point: bool = True) -> np.ndarray:
+    """The entry at `where` of a JSON input: `width` complex numbers, as a
+    canonical point unless point is False."""
+    try:
+        vec = HomogeneousPoint.from_json(data).coords if point else complex_from_json(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+    if vec.shape != (width,):
+        raise ValidationError(f"{where} has {vec.size} entries, expected {width}")
+    return vec
+
+
+def _load_pairs(path: str, affine: bool):
+    """n and the two (m, width) row stacks of a pairs file."""
+    data = _parse(_read(path, "pairs"), f"pairs file {path}")
+    if not isinstance(data, dict) or "n" not in data or not isinstance(data.get("pairs"), list):
+        raise ValidationError(f'pairs file {path} must be {{"n": int, "pairs": [...]}}')
+    n = data["n"]
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"{path}: n = {n!r} must be a positive integer")
+    keys, width = (("z", "w"), n) if affine else (("zeta", "eta"), n + 1)
+    sides = ([], [])
+    for i, item in enumerate(data["pairs"]):
+        for rows, key in zip(sides, keys):
+            where = f"{path}: pairs[{i}].{key}"
+            if not isinstance(item, dict) or key not in item:
+                raise ValidationError(f"{where} is missing")
+            rows.append(_json_vector(item[key], width, where, point=not affine))
+    return (n, *(np.array(rows, dtype=complex).reshape(-1, width) for rows in sides))
 
 
 def _chart(args, n: int) -> int:
@@ -102,30 +143,22 @@ def _parse_eps_list(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def cmd_kernel(args) -> int:
-    data = json.loads(Path(args.pairs).read_text())
-    n = int(data["n"])
+    n, U, V = _load_pairs(args.pairs, args.affine)
     chart = _chart(args, n)
-    rows = []
     if args.affine:
-        for item in data["pairs"]:
-            z = np.array([complex(re, im) for re, im in item["z"]])
-            w = np.array([complex(re, im) for re, im in item["w"]])
-            val = affine_log_kernel(z, w)
-            rows.append((_fmt(val.value), int(val.is_singular)))
+        value = affine_log_kernel_batch(U, V)
+        rows = zip(value, (value == -np.inf).astype(int))
         cols = ["value", "is_singular"]
     else:
-        for item in data["pairs"]:
-            zeta = HomogeneousPoint.from_json(item["zeta"])
-            eta = HomogeneousPoint.from_json(item["eta"])
-            val = projective_log_kernel(zeta, eta)
-            d = geometry.geodesic_distance(zeta, eta)
-            res_sin = sin_distance_residual(zeta, eta)
-            try:
-                res_chart = chart_identity_residual(zeta, eta, chart=chart)
-            except ChartUndefined:
-                res_chart = float("nan")
-            rows.append((_fmt(val.value), int(val.is_singular), _fmt(d),
-                         _fmt(res_sin), _fmt(res_chart)))
+        value = projective_log_kernel_batch(U, V)
+        d = geodesic_distance_batch(U, V)
+        # NaN where either point lies off the chart
+        inside = chart_mask(U, chart) & chart_mask(V, chart)
+        res_chart = np.full(value.shape, np.nan)
+        res_chart[inside] = chart_identity_residual_batch(
+            value[inside], chart_project(U[inside], chart), chart_project(V[inside], chart))
+        rows = zip(value, (value == -np.inf).astype(int), d,
+                   sin_distance_residual_batch(value, d), res_chart)
         cols = ["value", "is_singular", "distance", "sin_residual", "chart_residual"]
     write_csv(Path(args.output) / "kernel.csv", "kernel",
               {"pairs": args.pairs, "n": n, "affine": args.affine, "chart": chart},
@@ -137,23 +170,18 @@ def cmd_potential(args) -> int:
     mu = _load_measure(args.measure)
     pts = sample_fs_array(args.seed, args.samples, mu.n)
     vals = log_potential_batch(mu, pts)
-    rows = [tuple(_fmt(c) for c in np.concatenate([pt.view(float), [v]]))
-            for pt, v in zip(pts, vals)]
     cols = [f"c{i}_{p}" for i in range(mu.n + 1) for p in ("re", "im")] + ["potential"]
     write_csv(Path(args.output) / "potential.csv", "potential",
               {"measure": args.measure, "seed": args.seed, "samples": args.samples},
-              cols, rows)
+              cols, np.column_stack([pts.view(float), vals]).tolist())
     return EXIT_OK
 
 
 def cmd_measure(args) -> int:
     mu = _load_measure(args.measure)
     dec = decompose(mu)
-    rows = []
-    for j in range(mu.n + 1):
-        comp = dec.components.get(j)
-        rows.append((j, _fmt(float(dec.masses[j])),
-                     comp.num_atoms if comp is not None else 0))
+    rows = [(j, dec.masses[j], dec.components[j].num_atoms if j in dec.components else 0)
+            for j in range(mu.n + 1)]
     write_csv(Path(args.output) / "measure.csv", "measure",
               {"measure": args.measure, "atoms": mu.num_atoms, "n": mu.n},
               ["chart", "mass", "support_atoms"], rows)
@@ -168,9 +196,8 @@ def cmd_sobolev(args) -> int:
         first, doubled = sobolev_doubling(mu, p, args.seed, args.samples,
                                           h=args.h, workers=args.workers)
         drift = abs(doubled.estimate - first.estimate) / max(first.estimate, 1e-300)
-        rows.append((_fmt(p), _fmt(first.estimate), _fmt(first.std_error),
-                     _fmt(doubled.estimate), _fmt(drift),
-                     _fmt(first.analytic_bound), doubled.excised))
+        rows.append((p, first.estimate, first.std_error, doubled.estimate, drift,
+                     first.analytic_bound, doubled.excised))
     write_csv(Path(args.output) / "sobolev.csv", "sobolev",
               {"measure": args.measure, "seed": args.seed, "samples": args.samples,
                "h": args.h},
@@ -188,8 +215,8 @@ def cmd_riesz(args) -> int:
     levels = riesz_refinement_scan(atoms, args.alpha, args.p_value, atom_index=0,
                                    r0=args.radius / 2, levels=args.levels,
                                    seed=args.seed)
-    rows = [(-1, _fmt(res.estimate), _fmt(res.std_error))]
-    rows += [(i, _fmt(v), "") for i, v in enumerate(levels)]
+    rows = [(-1, res.estimate, res.std_error)]
+    rows += [(i, v, "") for i, v in enumerate(levels)]
     write_csv(Path(args.output) / "riesz.csv", "riesz",
               {"measure": args.measure, "alpha": args.alpha, "p": args.p_value,
                "radius": args.radius, "seed": args.seed, "samples": args.samples,
@@ -201,20 +228,15 @@ def cmd_riesz(args) -> int:
 def cmd_ma_density(args) -> int:
     mu = _load_measure(args.measure)
     chart = _chart(args, mu.n)
-    rng_pts = sample_fs_array(args.seed, args.samples, mu.n)
-    rows = []
-    for pt in rng_pts:
-        try:
-            z = geometry.to_chart(pt, chart)
-        except ChartUndefined:  # the point lies on the chart's hyperplane at infinity
-            continue
-        val = ma_density(mu, chart, z, h=args.h, eps=args.eps_list[0])
-        rows.append(tuple(_fmt(c) for c in z.view(float)) + (_fmt(val),))
+    pts = sample_fs_array(args.seed, args.samples, mu.n)
+    # points on the chart's hyperplane at infinity are left out
+    Z = chart_project(pts[chart_mask(pts, chart)], chart)
+    dens = ma_density(mu, chart, Z, h=args.h, eps=args.eps_list[0])
     cols = [f"z{i}_{p}" for i in range(mu.n) for p in ("re", "im")] + ["density"]
     write_csv(Path(args.output) / "ma_density.csv", "ma-density",
               {"measure": args.measure, "chart": chart, "h": args.h,
                "eps": args.eps_list[0], "seed": args.seed, "samples": args.samples},
-              cols, rows)
+              cols, np.column_stack([Z.view(float), dens]).tolist())
     return EXIT_OK
 
 
@@ -223,8 +245,7 @@ def cmd_ma_mass(args) -> int:
     rows = []
     for eps in args.eps_list:
         rep = ma_total_mass(mu, grid=args.grid, eps=eps, workers=args.workers)
-        rows.append((_fmt(eps), _fmt(rep.total_mass), _fmt(rep.vol_check),
-                     rep.clipped_cells))
+        rows.append((eps, rep.total_mass, rep.vol_check, rep.clipped_cells))
     write_csv(Path(args.output) / "ma_mass.csv", "ma-mass",
               {"measure": args.measure, "grid": args.grid,
                "eps": ",".join(map(str, args.eps_list))},
@@ -234,16 +255,15 @@ def cmd_ma_mass(args) -> int:
 
 def cmd_ball_profile(args) -> int:
     mu = _load_measure(args.measure)
-    center = HomogeneousPoint.from_json(json.loads(args.center)) if args.center \
-        else mu.point(0)
+    center = HomogeneousPoint(_json_vector(_parse(args.center, "--center"), mu.n + 1,
+                                           "--center")) if args.center else mu.point(0)
     radii = _reals(args.radii, "--radii")
     reports = ball_mass_profile(mu, center, radii, h=args.h,
                                 eps_list=args.eps_list, points_per_axis=args.grid)
     rows = []
     for rep in reports:
         for (r, m), (_, ratio) in zip(rep.ball_profile, rep.vol_ratios):
-            rows.append((_fmt(rep.grid["eps"]), _fmt(r), _fmt(m), _fmt(ratio),
-                         _fmt(rep.excised_singular_mass)))
+            rows.append((rep.grid["eps"], r, m, ratio, rep.excised_singular_mass))
     write_csv(Path(args.output) / "ball_profile.csv", "ball-profile",
               {"measure": args.measure, "radii": args.radii, "h": args.h,
                "eps": ",".join(map(str, args.eps_list)),
@@ -265,8 +285,7 @@ def cmd_prop25_check(args) -> int:
         if float(np.min(np.linalg.norm(atoms.w - z[None, :], axis=1))) < 0.5:
             continue
         chk = ma_product_expansion_check(atoms, z)
-        rows.append(tuple(_fmt(c) for c in z.view(float))
-                    + (_fmt(chk.lhs), _fmt(chk.rhs), _fmt(chk.relative)))
+        rows.append((*z.view(float), chk.lhs, chk.rhs, chk.relative))
     cols = [f"z{i}_{p}" for i in range(mu.n) for p in ("re", "im")] \
         + ["det_direct", "det_expansion", "relative_residual"]
     write_csv(Path(args.output) / "prop25_check.csv", "prop25-check",
@@ -280,8 +299,7 @@ def cmd_constants(args) -> int:
     rows = []
     for n in range(1, args.n + 1):
         bounds = [sobolev_bound(n, p) for p in (1.0, 2 * n - 1.0, 2.0 * n)]
-        rows.append((n, _fmt(area_constant(n)), _fmt(-mean_log_kernel(n)),
-                     _fmt(bounds[0]), _fmt(bounds[1]), _fmt(bounds[2])))
+        rows.append((n, area_constant(n), -mean_log_kernel(n), *bounds))
     write_csv(Path(args.output) / "constants.csv", "constants", {"n_max": args.n},
               ["n", "c_n", "alpha_n", "sobolev_bound_p1",
                "sobolev_bound_p_2n_minus_1", "sobolev_bound_p_2n"], rows)
@@ -291,10 +309,9 @@ def cmd_constants(args) -> int:
 def cmd_sample(args) -> int:
     pts = sample_fs_array(args.seed, args.samples, args.n)
     cols = [f"c{i}_{p}" for i in range(args.n + 1) for p in ("re", "im")]
-    rows = [tuple(_fmt(c) for c in pt.view(float)) for pt in pts]
     write_csv(Path(args.output) / "sample.csv", "sample",
               {"seed": args.seed, "samples": args.samples, "n": args.n},
-              cols, rows)
+              cols, pts.view(float).tolist())
     return EXIT_OK
 
 
@@ -306,12 +323,10 @@ def cmd_verify(args) -> int:
     for res in results:
         print(res.line())
         ok &= res.passed
-        rows.append((res.name, "PASS" if res.passed else "FAIL",
-                     _fmt(res.seconds), res.detail))
+        rows.append((res.name, "PASS" if res.passed else "FAIL", res.seconds, res.detail))
     write_csv(Path(args.output) / "verify.csv", "verify",
               {"seed": args.seed, "quick": args.quick},
-              ["check", "status", "seconds", "detail"],
-              [(a, b, c, f'"{d}"') for a, b, c, d in rows])
+              ["check", "status", "seconds", "detail"], rows)
     return EXIT_OK if ok else 1
 
 

@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .errors import NonConvergent
+from .errors import NonConvergent, ValidationError
 from .geometry import _sample_stream
 
 # scipy is imported inside the functions that use it: scipy.integrate pulls in
@@ -138,7 +138,10 @@ def log_radial_levels(stratum, levels: int, deepest: float, r0: float, seed: int
     `stream` at index (l * 4096 + si) * samples and turns the last column
     into a log-uniform radius s.  stratum(g, s) returns the integrand per
     row; its mean times log(hi / lo) * scale is the stratum's integral.
+    levels must be at least 1.
     """
+    if levels < 1:
+        raise ValidationError(f"levels = {levels} must be at least 1")
     from scipy.special import ndtr
 
     base = deepest / DEPTH_FACTOR ** (levels - 1)

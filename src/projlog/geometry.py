@@ -19,11 +19,12 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartUndefined, DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch, ValidationError, ZeroVector
 
 #: componentwise tolerance for canonical-form equality
 CANONICAL_TOL = 1e-12
@@ -69,25 +70,26 @@ class HomogeneousPoint:
 
     coords: np.ndarray
 
-    def equals(self, other: "HomogeneousPoint", tol: float = CANONICAL_TOL) -> bool:
-        if self.coords.shape != other.coords.shape:
-            return False
-        return bool(np.max(np.abs(self.coords - other.coords)) <= tol)
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, HomogeneousPoint) and self.equals(other)
-
-    def to_json(self) -> list:
-        return [[float(c.real), float(c.imag)] for c in self.coords]
+        return (isinstance(other, HomogeneousPoint) and self.coords.shape == other.coords.shape
+                and bool(np.max(np.abs(self.coords - other.coords)) <= CANONICAL_TOL))
 
     @staticmethod
-    def from_json(data: list) -> "HomogeneousPoint":
-        arr = np.array([complex(re, im) for re, im in data])
-        return normalize(arr)
+    def from_json(data) -> "HomogeneousPoint":
+        return normalize(complex_from_json(data))
 
-    def __repr__(self) -> str:
-        inner = " : ".join(f"{c:.6g}" for c in self.coords)
-        return f"[{inner}]"
+
+def complex_from_json(data) -> np.ndarray:
+    """The complex vector of a JSON list of [re, im] pairs; ValidationError
+    unless every entry is a pair of finite reals (a bool is not a real)."""
+    def real(x) -> bool:
+        return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+    if not (isinstance(data, list)
+            and all(isinstance(c, list) and len(c) == 2 and all(map(real, c)) for c in data)):
+        raise ValidationError(f"expected a list of [re, im] pairs of finite reals, "
+                              f"got {data!r:.60}")
+    return np.array([complex(re, im) for re, im in data], dtype=complex)
 
 
 def normalize(raw) -> HomogeneousPoint:
@@ -100,10 +102,6 @@ def normalize(raw) -> HomogeneousPoint:
     if np.linalg.norm(arr) == 0.0:
         raise ZeroVector("zero vector does not define a projective point")
     return HomogeneousPoint(canonicalize_batch(arr))
-
-
-def _coords(p) -> np.ndarray:
-    return p.coords if isinstance(p, HomogeneousPoint) else np.asarray(p, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -149,30 +147,17 @@ def wedge_ratio_sq_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def geodesic_distance_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Fubini-Study geodesic distance of row pairs, in [0, pi/sqrt(2)]."""
     return math.sqrt(2.0) * np.arcsin(np.sqrt(wedge_ratio_sq_batch(u, v)))
-
-
-def geodesic_distance(zeta, eta) -> float:
-    """Fubini-Study geodesic distance, in [0, pi/sqrt(2)]."""
-    return float(geodesic_distance_batch(_coords(zeta), _coords(eta))[0])
 
 
 # ---------------------------------------------------------------------------
 # chart atlas
 # ---------------------------------------------------------------------------
 
-def to_chart(zeta, k: int) -> np.ndarray:
-    """Affine coordinates of zeta in chart k; ChartUndefined at or below CHART_FLOOR."""
-    c = _coords(zeta)
-    k = int(k)
-    if not 0 <= k < c.shape[0]:
-        raise ChartUndefined(f"chart index {k} out of range for P^{c.shape[0]-1}")
-    scale = abs(c[k]) / np.linalg.norm(c)
-    if scale <= CHART_FLOOR:
-        raise ChartUndefined(
-            f"|zeta_{k}|/|zeta| = {scale:.3e} <= chart_floor = {CHART_FLOOR:.1e}"
-        )
-    return chart_project(c, k)
+def chart_mask(rows: np.ndarray, k: int) -> np.ndarray:
+    """True for the rows (m, n+1) that chart k holds: |zeta_k|/|zeta| > CHART_FLOOR."""
+    return np.abs(rows[:, k]) / np.linalg.norm(rows, axis=1) > CHART_FLOOR
 
 
 def chart_project(rows: np.ndarray, k: int) -> np.ndarray:
@@ -201,21 +186,18 @@ def chart_lift(z: np.ndarray, k: int) -> np.ndarray:
     return out[0] if single else out
 
 
-def max_modulus_chart(zeta) -> int:
+def max_modulus_chart(coords: np.ndarray) -> int:
     """Index of the component of largest modulus (first on ties)."""
-    return int(np.argmax(np.abs(_coords(zeta))))
+    return int(np.argmax(np.abs(coords)))
 
 
 # ---------------------------------------------------------------------------
 # Fubini-Study potential, metric and volume
 # ---------------------------------------------------------------------------
 
-def fs_potential(z) -> np.ndarray | float:
-    """Local Kahler potential rho(z) = (1/2) log(1 + |z|^2); batch-aware."""
-    z = np.asarray(z, dtype=complex)
-    t = np.sum(np.abs(z) ** 2, axis=-1)
-    out = 0.5 * np.log1p(t)
-    return float(out) if out.ndim == 0 else out
+def fs_potential(z) -> np.ndarray:
+    """Local Kahler potential rho(z) = (1/2) log(1 + |z|^2) over the last axis."""
+    return 0.5 * np.log1p(np.sum(np.abs(np.asarray(z, dtype=complex)) ** 2, axis=-1))
 
 
 def fs_gradient_norm_sq(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
@@ -232,13 +214,11 @@ def fs_gradient_norm_sq(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
     return 2.0 * t * (np.sum(np.abs(fz) ** 2, axis=-1) + np.abs(dot) ** 2)
 
 
-def fs_volume_density(z) -> np.ndarray | float:
+def fs_volume_density(z) -> np.ndarray:
     """det H_rho = 2^-n (1 + |z|^2)^-(n+1), the unnormalized FS volume density."""
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
-    t = np.sum(np.abs(z) ** 2, axis=-1)
-    out = 2.0 ** (-n) * (1.0 + t) ** (-(n + 1))
-    return float(out) if out.ndim == 0 else out
+    return 2.0 ** (-n) * (1.0 + np.sum(np.abs(z) ** 2, axis=-1)) ** (-(n + 1))
 
 
 def fs_volume_norm(n: int) -> float:
@@ -295,10 +275,3 @@ def sample_fs_array(seed: int, count: int, n: int, start: int = 0,
     vecs = g[:, : n + 1] + 1j * g[:, n + 1:]
     return canonicalize_batch(vecs)
 
-
-def sample_fs_uniform(seed: int, count: int, n: int) -> list[HomogeneousPoint]:
-    """FS-uniform sample as HomogeneousPoint objects (see sample_fs_array)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    arr = sample_fs_array(seed, count, n)
-    return [HomogeneousPoint(row) for row in arr]

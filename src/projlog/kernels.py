@@ -10,55 +10,23 @@ the affine kernel
     N(z, w) = (1/2) log ( (|z - w|^2 + |z ^ w|^2) / (1 + |w|^2) ),
 
 related by K = N(z, w) - rho(z) with rho the local Kahler potential.  Both
-are -inf exactly on the diagonal; KernelValue carries an explicit singular
-flag so downstream quadrature can excise singular cells deterministically.
+are -inf exactly on the diagonal, which is how callers flag singular pairs.
+Every function here is batched over rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .geometry import (
-    HomogeneousPoint,
-    fs_potential,
-    geodesic_distance,
-    to_chart,
-    wedge_norm_sq_batch,
-    wedge_ratio_sq_batch,
-)
-
-@dataclass(frozen=True)
-class KernelValue:
-    """A kernel evaluation; value is -inf iff is_singular."""
-
-    value: float
-    is_singular: bool = False
-
-
-def _pair_coords(zeta, eta):
-    a = zeta.coords if isinstance(zeta, HomogeneousPoint) else np.asarray(zeta, dtype=complex)
-    b = eta.coords if isinstance(eta, HomogeneousPoint) else np.asarray(eta, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"points live in P^{a.shape[-1]-1} vs P^{b.shape[-1]-1}")
-    return a, b
+from .geometry import fs_potential, wedge_norm_sq_batch, wedge_ratio_sq_batch
 
 
 def projective_log_kernel_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """log wedge-ratio for batches; -inf rows mark the diagonal."""
     with np.errstate(divide="ignore"):
         return 0.5 * np.log(wedge_ratio_sq_batch(u, v))
-
-
-def projective_log_kernel(zeta, eta) -> KernelValue:
-    """The kernel on P^n x P^n; symmetric, <= 0, singular on the diagonal."""
-    ratio = float(wedge_ratio_sq_batch(*_pair_coords(zeta, eta))[0])
-    if ratio == 0.0:
-        return KernelValue(-math.inf, is_singular=True)
-    return KernelValue(0.5 * math.log(ratio))
 
 
 def _affine_log_arg_batch(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -71,35 +39,23 @@ def _affine_log_arg_batch(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def affine_log_kernel_batch(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The chart kernel N(z, w); plurisubharmonic in z, -inf at z = w."""
     with np.errstate(divide="ignore"):
         return 0.5 * np.log(_affine_log_arg_batch(z, w))
 
 
-def affine_log_kernel(z, w) -> KernelValue:
-    """The chart kernel N(z, w); plurisubharmonic in z, singular at z = w."""
-    arg = float(_affine_log_arg_batch(np.asarray(z, dtype=complex), w)[0])
-    if arg == 0.0:
-        return KernelValue(-math.inf, is_singular=True)
-    return KernelValue(0.5 * math.log(arg))
+def _residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """|lhs - rhs|, defined as 0 where both sides are -inf."""
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isneginf(lhs) & np.isneginf(rhs), 0.0, np.abs(lhs - rhs))
 
 
-def chart_identity_residual(zeta, eta, chart: int = 0) -> float:
-    """| K(zeta,eta) - (N(z,w) - rho(z)) | in the given chart.
-
-    Both sides are -inf on the diagonal; the residual is defined as 0 there.
-    """
-    z, w = to_chart(zeta, chart), to_chart(eta, chart)
-    lhs = projective_log_kernel(zeta, eta)
-    rhs = affine_log_kernel(z, w)
-    if lhs.is_singular and rhs.is_singular:
-        return 0.0
-    return abs(lhs.value - (rhs.value - fs_potential(z)))
+def sin_distance_residual_batch(k: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """|K - log sin(d / sqrt 2)| from kernel values k and distances d of the same pairs."""
+    with np.errstate(divide="ignore"):
+        return _residual(k, np.log(np.sin(d / math.sqrt(2.0))))
 
 
-def sin_distance_residual(zeta, eta) -> float:
-    """| K(zeta,eta) - log sin(d(zeta,eta)/sqrt 2) |, 0 on the diagonal."""
-    k = projective_log_kernel(zeta, eta)
-    if k.is_singular:
-        return 0.0
-    d = geodesic_distance(zeta, eta)
-    return abs(k.value - math.log(math.sin(d / math.sqrt(2.0))))
+def chart_identity_residual_batch(k: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|K - (N(z, w) - rho(z))| from kernel values k and the pairs' chart coordinates."""
+    return _residual(k, affine_log_kernel_batch(z, w) - fs_potential(z))

@@ -37,6 +37,7 @@ from .geometry import (
     HomogeneousPoint,
     _sample_stream,
     canonicalize_batch,
+    chart_mask,
     chart_project,
 )
 
@@ -153,8 +154,6 @@ def build_measure(points, weights, n: int | None = None) -> AtomicMeasure:
     their first row's coordinates, and the weights of merged rows are added
     to it in input order.
     """
-    if isinstance(points, (list, tuple)) and points and isinstance(points[0], HomogeneousPoint):
-        points = np.stack([p.coords for p in points])
     points = np.asarray(points, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -184,12 +183,8 @@ def dirac(point: HomogeneousPoint) -> AtomicMeasure:
 
 
 def uniform_on(points) -> AtomicMeasure:
-    """Equal-weight measure on a list of points (after duplicate merge)."""
-    if isinstance(points, np.ndarray):
-        count = points.shape[0]
-    else:
-        count = len(points)
-    return build_measure(points, np.full(count, 1.0 / count))
+    """Equal-weight measure on the rows of points (after duplicate merge)."""
+    return build_measure(points, np.full(len(points), 1.0 / len(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,22 +201,18 @@ def support_threshold(n: int) -> float:
     return 1.0 / (2.0 * (n + 1))
 
 
-def partition_of_unity(zeta) -> np.ndarray:
-    """Weights chi_0..chi_n at a point (or batch): nonnegative, sum to 1.
+def partition_of_unity(zeta: np.ndarray) -> np.ndarray:
+    """Weights chi_0..chi_n at the rows of zeta (m, n+1): nonnegative, sum to 1.
 
     chi_j vanishes whenever t_j = |zeta_j|^2/|zeta|^2 <= 1/(2(n+1)).
     """
-    coords = zeta.coords if isinstance(zeta, HomogeneousPoint) else np.asarray(zeta, dtype=complex)
-    single = coords.ndim == 1
-    c = np.atleast_2d(coords)
-    t = np.abs(c) ** 2
+    t = np.abs(zeta) ** 2
     t = t / np.sum(t, axis=1, keepdims=True)
-    n = c.shape[1] - 1
+    n = zeta.shape[1] - 1
     a = support_threshold(n)
     b = 1.0 / (n + 1)
     beta = smoothstep((t - a) / (b - a))
-    chi = beta / np.sum(beta, axis=1, keepdims=True)
-    return chi[0] if single else chi
+    return beta / np.sum(beta, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -291,13 +282,13 @@ class AffineAtoms:
         if not 0 <= k < pts.shape[1]:
             raise ChartUndefined(f"atom 0 is not inside chart {chart}: chart index {k} "
                                  f"out of range for P^{pts.shape[1] - 1}")
-        scale = np.abs(pts[:, k]) / np.linalg.norm(pts, axis=1)
-        off = np.flatnonzero(scale <= CHART_FLOOR)
+        off = np.flatnonzero(~chart_mask(pts, k))
         if off.size:
             i = int(off[0])
             raise ChartUndefined(
                 f"atom {i} is not inside chart {chart}: |zeta_{k}|/|zeta| = "
-                f"{scale[i]:.3e} <= chart_floor = {CHART_FLOOR:.1e}")
+                f"{abs(pts[i, k]) / np.linalg.norm(pts[i]):.3e} <= chart_floor = "
+                f"{CHART_FLOOR:.1e}")
         return AffineAtoms(chart=chart, w=chart_project(pts, k), weights=mu.weights.copy())
 
 

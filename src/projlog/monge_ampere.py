@@ -224,26 +224,33 @@ def smooth_wedge_density(atoms: AffineAtoms, psi_field: PotentialField, m: int,
 # Monge-Ampere density and mass
 # ---------------------------------------------------------------------------
 
-def ma_density(mu: AtomicMeasure, chart: int, z, h: float = 1e-4,
-               eps: float = 0.0) -> float:
-    """det(H_phi) / det(H_rho) at z, phi the (smoothed) chart lift of U_mu.
+def ma_density(mu: AtomicMeasure, chart: int, Z: np.ndarray, h: float = 1e-4,
+               eps: float = 0.0) -> np.ndarray:
+    """det(H_phi) / det(H_rho) at the chart rows Z (m, n), phi the (smoothed)
+    chart lift of U_mu; returns (m,) densities.
 
     Both Hessians are closed form.  h is only the singular guard: with
-    eps = 0, z must lie at chart distance > 10h from every atom, else
+    eps = 0, every row must lie at chart distance > 10h from every atom, else
     SingularStencil.  Values in [-tol, 0) are rounding and are clipped to 0;
-    below -tol raises NegativeDensity.
+    below -tol raises NegativeDensity.  Both errors name the first row that
+    trips them.
     """
-    z = np.asarray(z, dtype=complex)
+    Z = np.asarray(Z, dtype=complex)
     lift = psh_lift(mu, chart, eps)
-    if within_guard(z[None, :], lift.singular_sites(), h)[0]:
-        raise SingularStencil("unsmoothed density requested within 10h of an atom")
-    H_phi = lift.complex_hessian(z)
-    H_rho = fs_field(mu.n, chart).complex_hessian(z)
-    density = float(np.linalg.det(H_phi).real) / float(np.linalg.det(H_rho).real)
-    scale = max(1.0, (np.linalg.norm(H_phi) / np.linalg.norm(H_rho)) ** mu.n)
-    if density < -1e-6 * scale:
-        raise NegativeDensity(f"density {density:.3e} below -1e-6 * {scale:.3e}")
-    return max(density, 0.0)
+    near = np.flatnonzero(within_guard(Z, lift.singular_sites(), h))
+    if near.size:
+        raise SingularStencil(f"unsmoothed density requested within 10h of an atom "
+                              f"(row {near[0]})")
+    H = np.stack([lift.complex_hessian(Z), fs_field(mu.n, chart).complex_hessian(Z)])
+    det_phi, det_rho = np.linalg.det(H).real
+    norm_phi, norm_rho = np.linalg.norm(H, axis=(2, 3))
+    density = det_phi / det_rho
+    scale = np.maximum(1.0, (norm_phi / norm_rho) ** mu.n)
+    bad = np.flatnonzero(density < -1e-6 * scale)
+    if bad.size:
+        i = bad[0]
+        raise NegativeDensity(f"density {density[i]:.3e} below -1e-6 * {scale[i]:.3e} (row {i})")
+    return np.where(density < 0.0, 0.0, density)
 
 
 @dataclass
@@ -410,7 +417,7 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
     eps_list = list(eps_list)
     if any(e < 0 for e in eps_list):
         raise NonpositiveEpsilon("eps values must be >= 0")
-    chart = max_modulus_chart(center)
+    chart = max_modulus_chart(center.coords)
     c = chart_project(center.coords, chart)
     r_max = radii[-1]
     a0 = _chart_halfwidth(float(np.linalg.norm(c)), r_max)

@@ -26,7 +26,6 @@ from . import analytic
 from .coarea import log_radial_levels, sobolev_bound, sphere_area
 from .errors import DimensionMismatch, NonpositiveEpsilon, ValidationError
 from .geometry import (
-    HomogeneousPoint,
     chart_project,
     fs_gradient_norm_sq,
     fs_potential,
@@ -96,7 +95,7 @@ class PotentialField:
         single = z.ndim == 1
         Z = np.atleast_2d(z)
         if self.kind == "fs":
-            out = np.asarray(fs_potential(Z))
+            out = fs_potential(Z)
         else:
             out = analytic.field_value_batch(Z, self.atoms_eta, self.weights,
                                              self.chart, self.a, self.b)
@@ -161,19 +160,11 @@ def affine_field(atoms: AffineAtoms, eps: float = 0.0) -> PotentialField:
 # pointwise evaluation
 # ---------------------------------------------------------------------------
 
-def log_potential(mu: AtomicMeasure, zeta) -> float:
-    """U_mu(zeta) = sum w_i K(zeta, eta_i); -inf iff zeta is an atom of mu."""
-    coords = zeta.coords if isinstance(zeta, HomogeneousPoint) else np.asarray(zeta, complex)
-    if coords.shape[-1] != mu.n + 1:
-        raise DimensionMismatch(f"point in P^{coords.shape[-1]-1}, measure on P^{mu.n}")
-    vals = projective_log_kernel_batch(coords[None, :].repeat(mu.num_atoms, axis=0),
-                                       mu.points)
-    return float(np.dot(mu.weights, vals))
-
-
 def log_potential_batch(mu: AtomicMeasure, points: np.ndarray) -> np.ndarray:
     """U_mu on rows of (m, n+1); -inf rows at atoms."""
     points = np.atleast_2d(np.asarray(points, dtype=complex))
+    if points.shape[-1] != mu.n + 1:
+        raise DimensionMismatch(f"points in P^{points.shape[-1] - 1}, measure on P^{mu.n}")
     out = np.zeros(points.shape[0])
     for w, eta in zip(mu.weights, mu.points):
         out += w * projective_log_kernel_batch(points, eta)

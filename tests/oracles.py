@@ -2,8 +2,9 @@
 
 None of these is on a production path: each recomputes a quantity the
 library gets another way (a finite-difference gradient against the closed
-forms, the FS metric against the closed-form Hessian, quadratures and
-closed forms of the co-area constants).
+forms, the FS metric against the closed-form Hessian, chart coordinates one
+point at a time against the batch projection, quadratures and closed forms
+of the co-area constants).
 """
 
 import math
@@ -11,7 +12,8 @@ import math
 import numpy as np
 
 from projlog.coarea import SQRT2, area_constant
-from projlog.errors import SingularStencil
+from projlog.errors import ChartUndefined, SingularStencil
+from projlog.geometry import CHART_FLOOR, HomogeneousPoint
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +64,23 @@ def holo_to_real_gradient(fz: np.ndarray) -> np.ndarray:
     """
     fz = np.asarray(fz, dtype=complex)
     return np.concatenate([2.0 * fz.real, -2.0 * fz.imag], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# chart coordinates of one point
+# ---------------------------------------------------------------------------
+
+def to_chart(zeta, k: int) -> np.ndarray:
+    """Affine coordinates of one point in chart k; ChartUndefined at or below CHART_FLOOR."""
+    c = zeta.coords if isinstance(zeta, HomogeneousPoint) else np.asarray(zeta, dtype=complex)
+    k = int(k)
+    if not 0 <= k < c.shape[0]:
+        raise ChartUndefined(f"chart index {k} out of range for P^{c.shape[0]-1}")
+    scale = abs(c[k]) / np.linalg.norm(c)
+    if scale <= CHART_FLOOR:
+        raise ChartUndefined(
+            f"|zeta_{k}|/|zeta| = {scale:.3e} <= chart_floor = {CHART_FLOOR:.1e}")
+    return np.delete(c / c[k], k)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ projlog.verification; the checks compare independent computation routes
 Run with `pytest tests/test_acceptance.py -v -s` or `projlog verify --all`.
 """
 
-import pytest
-
 from projlog import verification as V
 
 

@@ -309,11 +309,49 @@ def test_verify_unknown_check_key_exit_code(tmp_path, capsys):
     (["riesz", "--samples", "50", "--p-value", "nan"], "p = nan"),
     (["ball-profile", "--radii", "0"], "radii"),
     (["ball-profile", "--radii", "0.5,abc"], "--radii"),
+    (["riesz", "--samples", "50", "--levels", "0"], "levels = 0"),
 ], ids=["h-nan", "eps-nan", "eps-text", "p-nan", "p-below-1", "p-empty", "radius-negative",
-        "p-value-nan", "radii-zero", "radii-text"])
+        "p-value-nan", "radii-zero", "radii-text", "levels-zero"])
 def test_bad_numeric_option_exit_code(argv, named, tmp_path, measure_file, capsys):
     rc = main([argv[0], "--measure", str(measure_file), *argv[1:],
                "--output", str(tmp_path)])
     assert rc == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+PAIR = {"zeta": [[1, 0], [0, 0]], "eta": [[0, 0], [1, 0]]}
+
+
+@pytest.mark.parametrize("kind, payload, named", [
+    ("pairs", None, "missing.json"),
+    ("pairs", "{not json", "does not parse"),
+    ("pairs", {"n": 1}, '"pairs"'),
+    ("pairs", {"pairs": [PAIR]}, '"n"'),
+    ("pairs", {"n": "1", "pairs": [PAIR]}, "n = '1'"),
+    ("pairs", {"n": 1, "pairs": [{"zeta": PAIR["zeta"]}]}, "pairs[0].eta"),
+    ("pairs", {"n": 1, "pairs": [PAIR, {**PAIR, "eta": [[1, 0]]}]}, "pairs[1].eta"),
+    ("pairs", {"n": 1, "pairs": [{**PAIR, "zeta": [1, 2]}]}, "pairs[0].zeta"),
+    ("pairs", {"n": 2, "pairs": [PAIR]}, "pairs[0].zeta"),
+    ("pairs", {"n": 1, "pairs": [{**PAIR, "eta": [[0, 0], [0, 0]]}]}, "pairs[0].eta"),
+    ("affine", {"n": 1, "pairs": [{"z": [[1, True]], "w": [[0, 0]]}]}, "pairs[0].z"),
+    ("center", "[[1", "--center"),
+    ("center", "[1,2]", "--center"),
+    ("center", "[[1,0],[0,0],[0,0]]", "--center"),
+    ("center", "[" * 100_000, "--center"),
+], ids=["no-file", "not-json", "no-pairs-key", "no-n-key", "n-text", "no-eta",
+        "short-point", "flat-point", "n-mismatch", "zero-point", "affine-bool",
+        "center-not-json", "center-flat", "center-dimension", "center-too-deep"])
+def test_bad_pairs_or_center_exit_code(kind, payload, named, tmp_path, measure_file, capsys):
+    # each used to exit 1 with a traceback
+    if kind == "center":
+        argv = ["ball-profile", "--measure", str(measure_file), "--radii", "0.5",
+                "--center", payload]
+    else:
+        path = tmp_path / ("missing.json" if payload is None else "pairs.json")
+        if payload is not None:
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        argv = ["kernel", "--pairs", str(path)] + (["--affine"] if kind == "affine" else [])
+    assert main([*argv, "--output", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []

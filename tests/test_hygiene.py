@@ -8,11 +8,8 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "projlog"
+TESTS = Path(__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-#: test-only names kept on purpose: tests/test_pinning.py reaches its pinned
-#: measures through projlog.sample_fs_uniform and is kept unedited
-KEPT_FOR_PINNED_TESTS = {"sample_fs_uniform"}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -61,6 +58,10 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
+def test_no_unused_imports_in_tests():
+    assert [hit for path in sorted(TESTS.glob("*.py")) for hit in unused_imports(path)] == []
+
+
 def _references(node: ast.AST) -> set[str]:
     """Names read and attributes accessed anywhere under node; strings do not count."""
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
@@ -104,8 +105,7 @@ def test_scanner_flags_an_unreferenced_definition(tmp_path):
 
 
 def test_no_test_only_code_in_package():
-    found = unreferenced_definitions(SRC, sorted(PERFBENCH.glob("*.py")))
-    assert sorted(found) == sorted(f"geometry.py:{name}" for name in KEPT_FOR_PINNED_TESTS)
+    assert unreferenced_definitions(SRC, sorted(PERFBENCH.glob("*.py"))) == []
 
 
 def test_package_import_does_not_load_scipy_submodules():

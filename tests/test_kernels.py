@@ -5,9 +5,9 @@ import pytest
 
 import projlog as pl
 from projlog.errors import NonpositiveEpsilon
-from projlog.geometry import wedge_norm_sq_batch
+from projlog.geometry import chart_project, geodesic_distance_batch, wedge_norm_sq_batch
 from projlog.kernels import _affine_log_arg_batch, affine_log_kernel_batch, \
-    sin_distance_residual
+    chart_identity_residual_batch, projective_log_kernel_batch, sin_distance_residual_batch
 
 
 def random_point(n, rng):
@@ -18,31 +18,48 @@ def random_affine(n, rng, scale=1.0):
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
+def kernel(a, b):
+    """K of one pair of points through the batch kernel."""
+    return float(projective_log_kernel_batch(a.coords, b.coords)[0])
+
+
+def affine_kernel(z, w):
+    """N(z, w) of one pair through the batch kernel."""
+    return float(affine_log_kernel_batch(z, w)[0])
+
+
 # ---------- projective kernel ------------------------------------------------
 
 def test_kernel_orthogonal_pair_is_zero():
-    k = pl.projective_log_kernel(pl.normalize([1, 0]), pl.normalize([0, 1]))
-    assert k.value == 0.0 and not k.is_singular
+    k = kernel(pl.normalize([1, 0]), pl.normalize([0, 1]))
+    assert k == 0.0 and k != -math.inf
 
 
 def test_kernel_diagonal_singular():
     p = pl.normalize([1, 2j, 3])
-    k = pl.projective_log_kernel(p, p)
-    assert k.is_singular and k.value == -math.inf
+    assert kernel(p, p) == -math.inf
 
 
 def test_kernel_matches_log_sin_example():
     eta = pl.normalize([math.cos(0.3), math.sin(0.3)])
-    k = pl.projective_log_kernel(pl.normalize([1, 0]), eta)
-    assert abs(k.value - math.log(math.sin(0.3))) < 1e-14
+    k = kernel(pl.normalize([1, 0]), eta)
+    assert abs(k - math.log(math.sin(0.3))) < 1e-14
 
 
 def test_sin_distance_identity_random():
     rng = np.random.default_rng(1)
     for n in (1, 2, 3, 4):
-        for _ in range(200):
-            a, b = random_point(n, rng), random_point(n, rng)
-            assert sin_distance_residual(a, b) < 1e-12
+        pairs = [(random_point(n, rng).coords, random_point(n, rng).coords)
+                 for _ in range(200)]
+        a, b = (np.stack(side) for side in zip(*pairs))
+        k = projective_log_kernel_batch(a, b)
+        assert np.all(sin_distance_residual_batch(k, geodesic_distance_batch(a, b)) < 1e-12)
+
+
+def test_sin_distance_residual_zero_on_diagonal():
+    p = pl.normalize([1, 2j, 3]).coords
+    k = projective_log_kernel_batch(p, p)
+    assert sin_distance_residual_batch(k, geodesic_distance_batch(p, p)).tolist() == [0.0]
 
 
 def test_kernel_nonpositive_and_exactly_symmetric():
@@ -50,8 +67,8 @@ def test_kernel_nonpositive_and_exactly_symmetric():
     for _ in range(200):
         n = rng.integers(1, 4)
         a, b = random_point(n, rng), random_point(n, rng)
-        kab = pl.projective_log_kernel(a, b).value
-        kba = pl.projective_log_kernel(b, a).value
+        kab = kernel(a, b)
+        kba = kernel(b, a)
         assert kab == kba  # same fp expression ordering
         assert kab <= 0.0
 
@@ -88,17 +105,17 @@ def test_wedge_consistency_with_homogeneous():
 
 def test_affine_kernel_examples():
     z = np.array([1.0, 0.0], dtype=complex)
-    assert pl.affine_log_kernel(z, np.zeros(2)).value == 0.0  # log|z| at |z|=1
-    v = pl.affine_log_kernel(np.zeros(2), z)
-    assert abs(v.value + 0.5 * math.log(2)) < 1e-15
-    assert pl.affine_log_kernel(z, z).is_singular
+    assert affine_kernel(z, np.zeros(2)) == 0.0  # log|z| at |z|=1
+    v = affine_kernel(np.zeros(2), z)
+    assert abs(v + 0.5 * math.log(2)) < 1e-15
+    assert affine_kernel(z, z) == -math.inf
 
 
 def test_affine_kernel_log_abs_at_origin_measure():
     rng = np.random.default_rng(5)
     for _ in range(20):
         z = random_affine(3, rng)
-        v = pl.affine_log_kernel(z, np.zeros(3)).value
+        v = affine_kernel(z, np.zeros(3))
         assert abs(v - math.log(np.linalg.norm(z))) < 1e-13
 
 
@@ -146,18 +163,25 @@ def test_smoothed_kernel_rejects_bad_eps():
 
 # ---------- chart identity --------------------------------------------------------
 
+def chart_residual(a, b, chart=0):
+    """|K - (N - rho)| of one pair of points in the chart."""
+    k = projective_log_kernel_batch(a.coords, b.coords)
+    z, w = chart_project(a.coords, chart)[None], chart_project(b.coords, chart)[None]
+    return float(chart_identity_residual_batch(k, z, w)[0])
+
+
 def test_chart_identity_random_pairs():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
         for _ in range(300):
             a = pl.normalize(np.concatenate([[1.0], random_affine(n, rng)]))
             b = pl.normalize(np.concatenate([[1.0], random_affine(n, rng)]))
-            assert pl.chart_identity_residual(a, b) < 1e-12
+            assert chart_residual(a, b) < 1e-12
 
 
 def test_chart_identity_diagonal_zero():
     p = pl.normalize([1, 2, 3j])
-    assert pl.chart_identity_residual(p, p) == 0.0
+    assert chart_residual(p, p) == 0.0
 
 
 def test_chart_identity_near_floor_stable():
@@ -168,7 +192,7 @@ def test_chart_identity_near_floor_stable():
         tail /= np.linalg.norm(tail)
         a = pl.normalize(np.concatenate([[1e-6], tail]))
         b = pl.normalize(np.concatenate([[1.0], random_affine(n, rng)]))
-        assert pl.chart_identity_residual(a, b) < 1e-9
+        assert chart_residual(a, b) < 1e-9
 
 
 # ---------- two-sided bounds --------------------------------------------------------
@@ -230,7 +254,7 @@ def test_radial_derivative_of_log_sin():
 
         def f(t):
             p = pl.normalize([math.cos(t / math.sqrt(2)), math.sin(t / math.sqrt(2))])
-            return pl.projective_log_kernel(p, eta).value
+            return kernel(p, eta)
 
         fd = (f(r + h) - f(r - h)) / (2 * h)
         exact = 1.0 / (math.tan(r / math.sqrt(2)) * math.sqrt(2))
@@ -248,6 +272,6 @@ def test_submean_property_of_affine_kernel():
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v /= np.linalg.norm(v)
         r = rng.uniform(0.01, 0.1)
-        center = pl.affine_log_kernel(z, w).value
-        ring = np.mean([pl.affine_log_kernel(z + r * t * v, w).value for t in thetas])
+        center = affine_kernel(z, w)
+        ring = np.mean(affine_log_kernel_batch(z + r * thetas[:, None] * v, w))
         assert ring >= center - 1e-9

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import projlog as pl
+from oracles import to_chart
 from projlog.errors import (
     AlphaOutOfRange,
     ChartUndefined,
@@ -14,7 +15,7 @@ from projlog.errors import (
     WeightSumMismatch,
 )
 from projlog import analytic
-from projlog.geometry import CANONICAL_TOL, canonicalize_batch, sample_fs_array, to_chart
+from projlog.geometry import CANONICAL_TOL, canonicalize_batch, sample_fs_array
 from projlog.measures import _riesz_sum, _uniform_ball, support_threshold
 
 
@@ -174,15 +175,20 @@ def test_merge_of_many_copies_stays_small():
 
 # ---------- partition of unity ----------------------------------------------
 
+def chi_at(p):
+    """The partition of unity at one point, through the batch function."""
+    return pl.partition_of_unity(p.coords[None])[0]
+
+
 def test_partition_at_basis_point():
-    chi = pl.partition_of_unity(pl.normalize([0, 1, 0]))
+    chi = chi_at(pl.normalize([0, 1, 0]))
     np.testing.assert_allclose(chi, [0, 1, 0], atol=1e-15)
 
 
 def test_partition_balanced_point():
     for n in (1, 2, 3):
         v = np.ones(n + 1) / math.sqrt(n + 1)
-        chi = pl.partition_of_unity(pl.normalize(v))
+        chi = chi_at(pl.normalize(v))
         np.testing.assert_allclose(chi, np.full(n + 1, 1.0 / (n + 1)), atol=1e-14)
 
 
@@ -200,8 +206,8 @@ def test_partition_smooth_in_zeta():
     # finite-difference continuity along a path crossing the support knots
     for s in np.linspace(0.0, 1.0, 50):
         v = np.array([1.0, s, 0.3])
-        a = pl.partition_of_unity(pl.normalize(v))
-        b = pl.partition_of_unity(pl.normalize(v + [0, 1e-7, 0]))
+        a = chi_at(pl.normalize(v))
+        b = chi_at(pl.normalize(v + [0, 1e-7, 0]))
         assert np.max(np.abs(a - b)) < 1e-5
 
 

@@ -13,7 +13,7 @@ from projlog.errors import (
     SingularStencil,
     ValidationError,
 )
-from projlog.geometry import sample_fs_array
+from projlog.geometry import chart_mask, chart_project, sample_fs_array
 from projlog.monge_ampere import hessian_fd_batch
 from projlog.potentials import within_guard
 
@@ -199,7 +199,6 @@ def test_expansion_term_cap():
 def brute_force_wedge_term(H_V, H_psi, m, n):
     """Independent polarization: coefficient of s^m t^(n-m) in det(sH_V + tH_psi),
     extracted by polynomial interpolation on a grid of (s, t) values."""
-    import numpy.polynomial.polynomial as P
     ss = np.linspace(0.5, 1.5, n + 1)
     vals = [np.linalg.det(s * H_V + H_psi).real for s in ss]
     coeffs = np.polyfit(ss, vals, n)[::-1]  # coeff of s^m is the m-th entry
@@ -263,26 +262,24 @@ def test_singular_guard_is_inclusive_at_10h():
     assert within_guard(Z, sites, 0.5).tolist() == [True, False, True]
     mu = pl.dirac(pl.normalize([1, 0]))
     with pytest.raises(SingularStencil):
-        pl.ma_density(mu, 0, np.array([5.0 + 0j]), h=0.5)
-    assert pl.ma_density(mu, 0, np.array([5.0 + 1e-12 + 0j]), h=0.5) >= 0.0
+        pl.ma_density(mu, 0, np.array([[5.0 + 0j]]), h=0.5)
+    assert pl.ma_density(mu, 0, np.array([[5.0 + 1e-12 + 0j]]), h=0.5)[0] >= 0.0
 
 
 def test_ma_density_unsmoothed_log_abs_vanishes():
     # for n = 1 the unsmoothed lift of a Dirac is log|z|, maximal off the atom
     mu = pl.dirac(pl.normalize([1, 0]))
     rng = np.random.default_rng(16)
-    for _ in range(10):
-        z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
-        if abs(z[0]) < 0.3:
-            continue
-        val = pl.ma_density(mu, 0, z, h=1e-4, eps=0.0)
-        assert 0.0 <= val < 1e-6
+    Z = np.stack([rng.standard_normal(1) + 1j * rng.standard_normal(1) for _ in range(10)])
+    val = pl.ma_density(mu, 0, Z[np.abs(Z[:, 0]) >= 0.3], h=1e-4, eps=0.0)
+    assert val.size and np.all((0.0 <= val) & (val < 1e-6))
 
 
 def test_ma_density_near_atom_guard():
+    # the error names the first row within 10h of the atom
     mu = pl.dirac(pl.normalize([1, 0]))
-    with pytest.raises(SingularStencil):
-        pl.ma_density(mu, 0, np.array([5e-4 + 0j]), h=1e-4, eps=0.0)
+    with pytest.raises(SingularStencil, match=r"\(row 1\)"):
+        pl.ma_density(mu, 0, np.array([[2.0 + 0j], [5e-4 + 0j], [1e-4j]]), h=1e-4, eps=0.0)
 
 
 def test_ma_density_smoothed_dirac_matches_closed_form():
@@ -293,12 +290,24 @@ def test_ma_density_smoothed_dirac_matches_closed_form():
     eps = 0.3
     d2 = eps**2 / (1 + eps**2)
     rng = np.random.default_rng(17)
-    for _ in range(10):
-        z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
-        s = abs(z[0]) ** 2
-        expected = d2 * (1 + s) ** 2 / (s + d2) ** 2
-        val = pl.ma_density(mu, 0, z, h=1e-4, eps=eps)
-        assert abs(val - expected) < 1e-5 * max(1.0, expected)
+    Z = np.stack([rng.standard_normal(1) + 1j * rng.standard_normal(1) for _ in range(10)])
+    s = np.abs(Z[:, 0]) ** 2
+    expected = d2 * (1 + s) ** 2 / (s + d2) ** 2
+    val = pl.ma_density(mu, 0, Z, h=1e-4, eps=eps)
+    assert np.all(np.abs(val - expected) < 1e-5 * np.maximum(1.0, expected))
+
+
+@pytest.mark.parametrize("n, eps", [(1, 0.3), (2, 0.3), (2, 0.05), (2, 0.0)])
+def test_ma_density_batch_matches_one_row_calls(n, eps):
+    # one call over m rows gives the densities of m one-row calls
+    mu = random_measure(n, 20, seed=40 + n)
+    pts = sample_fs_array(41, 300, n)
+    for chart in (0, 1):
+        Z = chart_project(pts[chart_mask(pts, chart)], chart)
+        batch = pl.ma_density(mu, chart, Z, h=1e-4, eps=eps)
+        rows = np.array([pl.ma_density(mu, chart, z[None], h=1e-4, eps=eps)[0] for z in Z])
+        assert batch.shape == (Z.shape[0],)
+        assert np.all(np.abs(batch - rows) <= 1e-12 * np.maximum(1.0, np.abs(rows)))
 
 
 # ---------- total mass -----------------------------------------------------------------

@@ -21,7 +21,7 @@ RTOL = 1e-14
 
 
 def measure(n, atoms, seed):
-    pts = pl.sample_fs_uniform(seed, atoms, n)
+    pts = sample_fs_array(seed, atoms, n)
     w = np.random.default_rng(seed).uniform(0.2, 1.0, atoms)
     return pl.build_measure(pts, w / w.sum())
 

@@ -8,7 +8,8 @@ from oracles import fd_gradient, holo_to_real_gradient
 from projlog import analytic, potentials
 from projlog.errors import DimensionMismatch, NonpositiveEpsilon, SingularStencil, \
     ValidationError
-from projlog.geometry import chart_lift, fs_gradient_norm_sq, sample_fs_array
+from projlog.geometry import chart_lift, chart_project, fs_gradient_norm_sq, sample_fs_array
+from projlog.kernels import affine_log_kernel_batch, projective_log_kernel_batch
 from projlog.potentials import log_potential_batch
 
 
@@ -27,22 +28,27 @@ def random_measure(n, atoms, seed, in_chart=None):
     return pl.build_measure(pts, w / w.sum())
 
 
+def random_points(n, count, rng):
+    """count canonical points, drawn one at a time."""
+    return np.stack([pl.normalize(rng.standard_normal(n + 1)
+                                  + 1j * rng.standard_normal(n + 1)).coords
+                     for _ in range(count)])
+
+
 # ---------- projective potential ----------------------------------------------
 
 def test_potential_single_atom_is_kernel():
     eta = pl.normalize([1, 0.5j, 0.2])
     mu = pl.dirac(eta)
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        z = pl.normalize(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        assert pl.log_potential(mu, z) == pytest.approx(
-            pl.projective_log_kernel(z, eta).value, abs=1e-15)
+    Z = random_points(2, 20, np.random.default_rng(1))
+    np.testing.assert_allclose(log_potential_batch(mu, Z),
+                               projective_log_kernel_batch(Z, eta.coords), rtol=0, atol=1e-15)
 
 
 def test_potential_orthogonal_atoms_zero():
     mu = pl.build_measure([pl.normalize([1, 0, 0]).coords,
                            pl.normalize([0, 1, 0]).coords], [0.5, 0.5])
-    assert pl.log_potential(mu, pl.normalize([0, 0, 1])) == 0.0
+    assert log_potential_batch(mu, pl.normalize([0, 0, 1]).coords).tolist() == [0.0]
 
 
 def test_potential_nonpositive_and_singular_at_atoms():
@@ -50,13 +56,13 @@ def test_potential_nonpositive_and_singular_at_atoms():
     pts = sample_fs_array(3, 200, 2)
     vals = log_potential_batch(mu, pts)
     assert np.all(vals <= 0.0)
-    assert pl.log_potential(mu, mu.point(2)) == -math.inf
+    assert log_potential_batch(mu, mu.points[2]).tolist() == [-math.inf]
 
 
 def test_potential_dimension_mismatch():
     mu = random_measure(2, 3, seed=4)
     with pytest.raises(DimensionMismatch):
-        pl.log_potential(mu, pl.normalize([1, 0]))
+        log_potential_batch(mu, pl.normalize([1, 0]).coords)
 
 
 def test_potential_linear_in_measure():
@@ -65,24 +71,20 @@ def test_potential_linear_in_measure():
     t = 0.25
     mix = pl.build_measure(np.concatenate([a.points, b.points]),
                            np.concatenate([t * a.weights, (1 - t) * b.weights]))
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        z = pl.normalize(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        lhs = pl.log_potential(mix, z)
-        rhs = t * pl.log_potential(a, z) + (1 - t) * pl.log_potential(b, z)
-        assert abs(lhs - rhs) < 1e-12
+    Z = random_points(2, 20, np.random.default_rng(7))
+    lhs = log_potential_batch(mix, Z)
+    rhs = t * log_potential_batch(a, Z) + (1 - t) * log_potential_batch(b, Z)
+    assert np.all(np.abs(lhs - rhs) < 1e-12)
 
 
 def test_potential_decomposition_linearity():
     mu = random_measure(2, 100, seed=8)
     dec = pl.decompose(mu)
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        z = pl.normalize(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        direct = pl.log_potential(mu, z)
-        split = sum(dec.masses[j] * pl.log_potential(comp, z)
-                    for j, comp in dec.components.items())
-        assert abs(direct - split) < 1e-12
+    Z = random_points(2, 20, np.random.default_rng(9))
+    direct = log_potential_batch(mu, Z)
+    split = sum(dec.masses[j] * log_potential_batch(comp, Z)
+                for j, comp in dec.components.items())
+    assert np.all(np.abs(direct - split) < 1e-12)
 
 
 # ---------- affine potential -----------------------------------------------------
@@ -125,7 +127,7 @@ def test_affine_regularization_monotone_decreasing_to_V():
     assert all(a >= b >= v for a, b in zip(vals, vals[1:]))
     # per-atom increment bound: sum_i w_i (log(arg_i+e^2)-log arg_i)/2
     #                           <= e^2/2 sum_i w_i / arg_i
-    args = np.array([math.exp(2 * pl.affine_log_kernel(z, w).value) for w in nu.w])
+    args = np.exp(2 * affine_log_kernel_batch(np.broadcast_to(z, nu.w.shape), nu.w))
     assert vals[-1] - v <= 0.01**2 / 2 * float(np.sum(nu.weights / args)) + 1e-12
     with pytest.raises(NonpositiveEpsilon):
         affine_potential(nu, z, -0.1)
@@ -149,7 +151,7 @@ def test_psh_lift_equals_potential_plus_rho():
     for _ in range(30):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         zeta = pl.normalize(chart_lift(z, 0))
-        expected = pl.log_potential(mu, zeta) + pl.fs_potential(z)
+        expected = log_potential_batch(mu, zeta.coords)[0] + pl.fs_potential(z)
         assert abs(lift(z) - expected) < 1e-12
 
 
@@ -217,7 +219,7 @@ def test_gradient_bound_along_geodesic():
         t = d / math.sqrt(2)
         zeta = pl.normalize([math.cos(t), math.sin(t), 0.0])
         k = 0 if abs(math.cos(t)) >= abs(math.sin(t)) else 1
-        z = pl.to_chart(zeta, k)
+        z = chart_project(zeta.coords, k)
         lift = pl.psh_lift(mu, k)
 
         def u(pts, _lift=lift):
@@ -261,6 +263,14 @@ def test_sobolev_refinement_subcritical_converges():
     ests = pl.sobolev_refinement_scan(mu, p=1.0, atom_index=0, levels=4, seed=31,
                                       samples_per_stratum=512)
     assert abs(ests[-1] - ests[-2]) / ests[-2] < 0.05
+
+
+def test_sobolev_refinement_rejects_zero_levels():
+    # used to return an empty list
+    mu = pl.dirac(pl.normalize([1, 0]))
+    for levels in (0, -2):
+        with pytest.raises(ValidationError, match=f"levels = {levels}"):
+            pl.sobolev_refinement_scan(mu, p=1.0, atom_index=0, levels=levels, seed=1)
 
 
 def test_sobolev_refinement_two_atoms():
