@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
@@ -25,8 +24,8 @@ import numpy as np
 from . import __version__
 from .coarea import area_constant, mean_log_kernel, sobolev_bound
 from .errors import NumericError, ValidationError
-from .geometry import HomogeneousPoint, chart_mask, chart_project, complex_from_json, \
-    geodesic_distance_batch, sample_fs_array
+from .geometry import HomogeneousPoint, canonicalize_batch, chart_mask, chart_project, \
+    complex_from_json, geodesic_distance_batch, json_records, parse_json, sample_fs_array
 from .kernels import affine_log_kernel_batch, chart_identity_residual_batch, \
     projective_log_kernel_batch, sin_distance_residual_batch
 from .measures import AffineAtoms, AtomicMeasure, decompose, riesz_lp_scan, \
@@ -73,42 +72,16 @@ def _load_measure(path: str) -> AtomicMeasure:
     return AtomicMeasure.from_json(_read(path, "measure"))
 
 
-def _parse(text: str, what: str):
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
-        raise ValidationError(f"{what} does not parse as JSON: {exc}") from exc
-
-
-def _json_vector(data, width: int, where: str, point: bool = True) -> np.ndarray:
-    """The entry at `where` of a JSON input: `width` complex numbers, as a
-    canonical point unless point is False."""
-    try:
-        vec = HomogeneousPoint.from_json(data).coords if point else complex_from_json(data)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-    if vec.shape != (width,):
-        raise ValidationError(f"{where} has {vec.size} entries, expected {width}")
-    return vec
-
-
 def _load_pairs(path: str, affine: bool):
-    """n and the two (m, width) row stacks of a pairs file."""
-    data = _parse(_read(path, "pairs"), f"pairs file {path}")
-    if not isinstance(data, dict) or "n" not in data or not isinstance(data.get("pairs"), list):
-        raise ValidationError(f'pairs file {path} must be {{"n": int, "pairs": [...]}}')
-    n = data["n"]
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"{path}: n = {n!r} must be a positive integer")
-    keys, width = (("z", "w"), n) if affine else (("zeta", "eta"), n + 1)
-    sides = ([], [])
-    for i, item in enumerate(data["pairs"]):
-        for rows, key in zip(sides, keys):
-            where = f"{path}: pairs[{i}].{key}"
-            if not isinstance(item, dict) or key not in item:
-                raise ValidationError(f"{where} is missing")
-            rows.append(_json_vector(item[key], width, where, point=not affine))
-    return (n, *(np.array(rows, dtype=complex).reshape(-1, width) for rows in sides))
+    """n and the two (m, width) row stacks of a pairs file (canonical points
+    unless affine)."""
+    keys = ("z", "w") if affine else ("zeta", "eta")
+    what = f"pairs file {path}"
+    n, pairs = json_records(_read(path, "pairs"), what, "pairs", keys)
+    sides = [complex_from_json([pair[key] for pair in pairs], n if affine else n + 1,
+                               lambda i, key=key: f"{what}: pairs[{i}].{key}", point=not affine)
+             for key in keys]
+    return (n, *(sides if affine else map(canonicalize_batch, sides)))
 
 
 def _chart(args, n: int) -> int:
@@ -130,9 +103,10 @@ def _reals(text: str, option: str) -> list[float]:
 
 
 def _parse_eps_list(text: str) -> list[float]:
+    """Finite and strictly decreasing; the library checks the range."""
     vals = _reals(text, "--eps")
-    if not all(0 < e < math.inf for e in vals):
-        raise ValidationError(f"--eps must be positive reals, got {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise ValidationError(f"--eps must be finite reals, got {text!r}")
     if any(b >= a for a, b in zip(vals, vals[1:])):
         raise ValidationError("--eps list must be strictly decreasing")
     return vals
@@ -226,6 +200,8 @@ def cmd_riesz(args) -> int:
 
 
 def cmd_ma_density(args) -> int:
+    if len(args.eps_list) != 1:
+        raise ValidationError(f"ma-density takes one --eps value, got {args.eps_text!r}")
     mu = _load_measure(args.measure)
     chart = _chart(args, mu.n)
     pts = sample_fs_array(args.seed, args.samples, mu.n)
@@ -255,8 +231,11 @@ def cmd_ma_mass(args) -> int:
 
 def cmd_ball_profile(args) -> int:
     mu = _load_measure(args.measure)
-    center = HomogeneousPoint(_json_vector(_parse(args.center, "--center"), mu.n + 1,
-                                           "--center")) if args.center else mu.point(0)
+    center = mu.point(0)
+    if args.center:
+        rows = complex_from_json([parse_json(args.center, "--center")], mu.n + 1,
+                                 lambda i: "--center", point=True)
+        center = HomogeneousPoint(canonicalize_batch(rows)[0])
     radii = _reals(args.radii, "--radii")
     reports = ball_mass_profile(mu, center, radii, h=args.h,
                                 eps_list=args.eps_list, points_per_axis=args.grid)
@@ -342,7 +321,8 @@ OPTIONS = {
                  help="grid points per axis (ball-profile: a multiple of 4, or 0 "
                       "for its default)"),
     "eps": dict(dest="eps_text", default="0.3",
-                help="comma-separated strictly decreasing positive list"),
+                help="smoothing: a comma-separated strictly decreasing list (ma-density: "
+                     "one value); 0 is the unsmoothed field, which ma-mass refuses"),
     "chart": dict(type=int, default=0),
     "n": dict(type=int, default=1),
     "h": dict(type=float, default=1e-4,

@@ -18,6 +18,7 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -74,34 +75,71 @@ class HomogeneousPoint:
         return (isinstance(other, HomogeneousPoint) and self.coords.shape == other.coords.shape
                 and bool(np.max(np.abs(self.coords - other.coords)) <= CANONICAL_TOL))
 
-    @staticmethod
-    def from_json(data) -> "HomogeneousPoint":
-        return normalize(complex_from_json(data))
-
-
-def complex_from_json(data) -> np.ndarray:
-    """The complex vector of a JSON list of [re, im] pairs; ValidationError
-    unless every entry is a pair of finite reals (a bool is not a real)."""
-    def real(x) -> bool:
-        return type(x) in (int, float) and abs(x) <= sys.float_info.max
-
-    if not (isinstance(data, list)
-            and all(isinstance(c, list) and len(c) == 2 and all(map(real, c)) for c in data)):
-        raise ValidationError(f"expected a list of [re, im] pairs of finite reals, "
-                              f"got {data!r:.60}")
-    return np.array([complex(re, im) for re, im in data], dtype=complex)
-
 
 def normalize(raw) -> HomogeneousPoint:
-    """Canonical representative of [raw]; scale invariant, raises ZeroVector."""
+    """Canonical representative of [raw]; scale invariant, raises ZeroVector
+    (through canonicalize_batch) for a zero or non-finite vector."""
     arr = np.asarray(raw, dtype=complex)
     if arr.ndim != 1 or arr.size < 2:
         raise DimensionMismatch("homogeneous coordinates must be a vector of length >= 2")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise ZeroVector("non-finite homogeneous coordinates")
-    if np.linalg.norm(arr) == 0.0:
-        raise ZeroVector("zero vector does not define a projective point")
     return HomogeneousPoint(canonicalize_batch(arr))
+
+
+# ---------------------------------------------------------------------------
+# JSON inputs: measure files, pairs files and points
+# ---------------------------------------------------------------------------
+
+def parse_json(text: str, what: str):
+    """The data of JSON text; ValidationError naming `what` if it does not parse."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting
+        raise ValidationError(f"{what} does not parse as JSON: {exc}") from exc
+
+
+def json_records(text: str, what: str, key: str, fields: tuple[str, ...]):
+    """n and the records of JSON text {"n": positive int, key: [records]}: a
+    nonempty list of objects, each with every field."""
+    data = parse_json(text, what)
+    if not isinstance(data, dict) or "n" not in data:
+        raise ValidationError(f'{what} must be {{"n": int, "{key}": [...]}}')
+    n = data["n"]
+    if type(n) is not int or n < 1:  # a bool is not an int here
+        raise ValidationError(f"{what}: n = {n!r:.60} must be a positive integer")
+    records = data.get(key)
+    if not isinstance(records, list) or not records:
+        raise ValidationError(f'{what}: "{key}" must be a nonempty list, got {records!r:.60}')
+    for i, item in enumerate(records):
+        if not isinstance(item, dict):
+            raise ValidationError(f"{what}: {key}[{i}] must be an object, got {item!r:.60}")
+        for name in fields:
+            if name not in item:
+                raise ValidationError(f"{what}: {key}[{i}].{name} is missing")
+    return n, records
+
+
+def json_real(x) -> bool:
+    """True for a finite JSON real; a bool is not one."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def complex_from_json(rows: list, width: int, where, point: bool = False) -> np.ndarray:
+    """The (len(rows), width) complex array of JSON rows, each `width` [re, im]
+    pairs of finite reals and, if point, of nonzero finite norm; checked in
+    one pass, built as one array.  Errors name where(i), the row's JSON path."""
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == width and all(
+                isinstance(c, list) and len(c) == 2 and json_real(c[0]) and json_real(c[1])
+                for c in row)):
+            raise ValidationError(f"{where(i)} must be a list of {width} [re, im] pairs "
+                                  f"of finite reals, got {row!r:.60}")
+    out = np.array(rows, dtype=float).reshape(-1, 2).view(complex).reshape(len(rows), width)
+    if point:
+        norms = np.linalg.norm(out, axis=1)
+        bad = np.flatnonzero(~((norms > 0.0) & (norms < math.inf)))
+        if bad.size:
+            raise ZeroVector(f"{where(bad[0])} has norm {norms[bad[0]]}, so it is no point")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,9 @@ from .geometry import (
     canonicalize_batch,
     chart_mask,
     chart_project,
+    complex_from_json,
+    json_real,
+    json_records,
 )
 
 WEIGHT_TOL = 1e-12
@@ -71,27 +74,16 @@ class AtomicMeasure:
 
     @staticmethod
     def from_json(text: str) -> "AtomicMeasure":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"measure JSON does not parse: {exc}") from exc
-        if not isinstance(data, dict) or "n" not in data or "atoms" not in data:
-            raise ValidationError('measure JSON must be {"n": int, "atoms": [...]}')
-        n = data["n"]
-        rows, weights = [], []
-        for i, atom in enumerate(data["atoms"]):
-            where = f"atoms[{i}]"
-            if "zeta" not in atom or "weight" not in atom:
-                raise ValidationError(f"{where} needs 'zeta' and 'weight'")
-            zeta = atom["zeta"]
-            if len(zeta) != n + 1:
-                raise ValidationError(f"{where}.zeta has length {len(zeta)}, expected {n + 1}")
-            w = atom["weight"]
-            if not (isinstance(w, (int, float)) and w > 0):
-                raise NegativeWeight(f"{where}.weight = {w!r} must be a positive number")
-            rows.append([complex(re, im) for re, im in zeta])
-            weights.append(float(w))
-        return build_measure(np.array(rows, dtype=complex), np.array(weights), n=n)
+        what = "measure JSON"
+        n, atoms = json_records(text, what, "atoms", ("zeta", "weight"))
+        points = complex_from_json([atom["zeta"] for atom in atoms], n + 1,
+                                   lambda i: f"{what}: atoms[{i}].zeta", point=True)
+        weights = [atom["weight"] for atom in atoms]
+        for i, w in enumerate(weights):
+            if not (json_real(w) and w > 0):
+                raise NegativeWeight(f"{what}: atoms[{i}].weight = {w!r:.60} must be a "
+                                     f"finite positive real")
+        return build_measure(points, np.array(weights, dtype=float), n=n)
 
 
 def _merge_labels(pts: np.ndarray) -> np.ndarray:

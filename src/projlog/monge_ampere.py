@@ -213,9 +213,9 @@ def smooth_wedge_density(atoms: AffineAtoms, psi_field: PotentialField, m: int,
     n = atoms.n
     if not 0 <= m <= n:
         raise ValueError(f"m = {m} outside 0..{n}")
-    z = np.asarray(z, dtype=complex)
-    H_psi = psi_field.complex_hessian(z) if m < n else None
-    H_V = affine_field(atoms).complex_hessian(z) if m > 0 else None
+    Z = np.asarray(z, dtype=complex)[None, :]
+    H_psi = psi_field.complex_hessian(Z)[0] if m < n else None
+    H_V = affine_field(atoms).complex_hessian(Z)[0] if m > 0 else None
     mats = [H_V] * m + [H_psi] * (n - m)
     return math.comb(n, m) * mixed_discriminant(mats)
 

@@ -26,6 +26,7 @@ from . import analytic
 from .coarea import log_radial_levels, sobolev_bound, sphere_area
 from .errors import DimensionMismatch, NonpositiveEpsilon, ValidationError
 from .geometry import (
+    chart_mask,
     chart_project,
     fs_gradient_norm_sq,
     fs_potential,
@@ -37,12 +38,8 @@ from .parallel import resolve_workers, run_chunked
 
 
 def _chart_sites(points: np.ndarray, chart: int) -> np.ndarray:
-    """Chart coordinates (k, n) of the homogeneous rows that lie in the chart.
-
-    Rows whose chart coordinate is below 1e-8 in modulus are at infinity
-    for this chart and are left out.
-    """
-    return chart_project(points[np.abs(points[:, chart]) > 1e-8], chart)
+    """Chart coordinates (k, n) of the homogeneous rows that chart_mask keeps."""
+    return chart_project(points[chart_mask(points, chart)], chart)
 
 
 def _nearest_site_distance(Z: np.ndarray, sites: np.ndarray) -> np.ndarray:
@@ -90,38 +87,28 @@ class PotentialField:
     atoms_eta: np.ndarray | None = field(default=None, repr=False)
     weights: np.ndarray | None = field(default=None, repr=False)
 
-    def __call__(self, z) -> np.ndarray | float:
-        z = np.asarray(z, dtype=complex)
-        single = z.ndim == 1
-        Z = np.atleast_2d(z)
+    def __call__(self, Z) -> np.ndarray:
+        """Values (m,) at the chart rows Z (m, n)."""
         if self.kind == "fs":
-            out = fs_potential(Z)
-        else:
-            out = analytic.field_value_batch(Z, self.atoms_eta, self.weights,
-                                             self.chart, self.a, self.b)
-        return float(out[0]) if single else out
+            return fs_potential(Z)
+        return analytic.field_value_batch(Z, self.atoms_eta, self.weights,
+                                          self.chart, self.a, self.b)
 
-    def holomorphic_gradient(self, z) -> np.ndarray:
-        """Closed-form dphi/dz (batch (m, n))."""
-        Z = np.atleast_2d(np.asarray(z, dtype=complex))
+    def holomorphic_gradient(self, Z) -> np.ndarray:
+        """Closed-form dphi/dz (m, n) at the chart rows Z (m, n)."""
         if self.kind == "fs":
             T, Tz, _ = analytic.quad_form_batch(Z, None, self.chart, 0.0, 1.0)
-            out = analytic.log_half_gradient(T, Tz)
-        else:
-            out = analytic.field_gradient_batch(Z, self.atoms_eta, self.weights,
-                                                self.chart, self.a, self.b)
-        return out[0] if np.asarray(z).ndim == 1 else out
+            return analytic.log_half_gradient(T, Tz)
+        return analytic.field_gradient_batch(Z, self.atoms_eta, self.weights,
+                                             self.chart, self.a, self.b)
 
-    def complex_hessian(self, z) -> np.ndarray:
-        """Closed-form complex Hessian (batch (m, n, n))."""
-        Z = np.atleast_2d(np.asarray(z, dtype=complex))
+    def complex_hessian(self, Z) -> np.ndarray:
+        """Closed-form complex Hessian (m, n, n) at the chart rows Z (m, n)."""
         if self.kind == "fs":
-            out = analytic.log_half_hessian(
+            return analytic.log_half_hessian(
                 *analytic.quad_form_batch(Z, None, self.chart, 0.0, 1.0))
-        else:
-            out = analytic.field_hessian_batch(Z, self.atoms_eta, self.weights,
-                                               self.chart, self.a, self.b)
-        return out[0] if np.asarray(z).ndim == 1 else out
+        return analytic.field_hessian_batch(Z, self.atoms_eta, self.weights,
+                                            self.chart, self.a, self.b)
 
     def singular_sites(self) -> np.ndarray:
         """Chart coordinates where the unsmoothed field is -inf, shape (k, n)."""

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import projlog as pl
 from projlog.cli import main
@@ -310,8 +312,11 @@ def test_verify_unknown_check_key_exit_code(tmp_path, capsys):
     (["ball-profile", "--radii", "0"], "radii"),
     (["ball-profile", "--radii", "0.5,abc"], "--radii"),
     (["riesz", "--samples", "50", "--levels", "0"], "levels = 0"),
+    (["ma-mass", "--grid", "16", "--eps", "0"], "eps > 0"),
+    (["ma-density", "--samples", "5", "--eps", "0.3,0.1"], "--eps"),
 ], ids=["h-nan", "eps-nan", "eps-text", "p-nan", "p-below-1", "p-empty", "radius-negative",
-        "p-value-nan", "radii-zero", "radii-text", "levels-zero"])
+        "p-value-nan", "radii-zero", "radii-text", "levels-zero", "mass-eps-zero",
+        "density-eps-list"])
 def test_bad_numeric_option_exit_code(argv, named, tmp_path, measure_file, capsys):
     rc = main([argv[0], "--measure", str(measure_file), *argv[1:],
                "--output", str(tmp_path)])
@@ -321,6 +326,13 @@ def test_bad_numeric_option_exit_code(argv, named, tmp_path, measure_file, capsy
 
 
 PAIR = {"zeta": [[1, 0], [0, 0]], "eta": [[0, 0], [1, 0]]}
+ATOMS = [{"zeta": [[1, 0], [0.3, 0]], "weight": 0.6},
+         {"zeta": [[1, 0], [-0.5, 0.2]], "weight": 0.4}]
+
+
+def atoms_with(**first):
+    """ATOMS with the first atom's fields replaced."""
+    return [{**ATOMS[0], **first}, ATOMS[1]]
 
 
 @pytest.mark.parametrize("kind, payload, named", [
@@ -335,18 +347,38 @@ PAIR = {"zeta": [[1, 0], [0, 0]], "eta": [[0, 0], [1, 0]]}
     ("pairs", {"n": 2, "pairs": [PAIR]}, "pairs[0].zeta"),
     ("pairs", {"n": 1, "pairs": [{**PAIR, "eta": [[0, 0], [0, 0]]}]}, "pairs[0].eta"),
     ("affine", {"n": 1, "pairs": [{"z": [[1, True]], "w": [[0, 0]]}]}, "pairs[0].z"),
+    ("pairs", {"n": 1, "pairs": []}, '"pairs"'),
     ("center", "[[1", "--center"),
     ("center", "[1,2]", "--center"),
     ("center", "[[1,0],[0,0],[0,0]]", "--center"),
     ("center", "[" * 100_000, "--center"),
+    ("center", "[[0,0],[0,0]]", "--center"),
+    ("measure", {"n": 1, "atoms": atoms_with(zeta=[1, 2])}, "atoms[0].zeta"),
+    ("measure", {"n": 1, "atoms": atoms_with(zeta=[["0", 0], [0.3, 0]])}, "atoms[0].zeta"),
+    ("measure", {"n": 1, "atoms": [3]}, "atoms[0]"),
+    ("measure", {"n": 1.0, "atoms": ATOMS}, "n = 1.0"),
+    ("measure", "[" * 100_000, "measure JSON does not parse"),
+    ("measure", {"n": 1, "atoms": atoms_with(weight=True)}, "atoms[0].weight"),
+    ("measure", {"n": 1, "atoms": atoms_with(zeta=[[True, 0], [0.3, 0]])}, "atoms[0].zeta"),
+    ("measure", {"n": 0, "atoms": ATOMS}, "n = 0"),
+    ("measure", {"n": "1", "atoms": {}}, "n = '1'"),
+    ("measure", {"n": 1, "atoms": atoms_with(zeta=[[0, 0], [0, 0]])}, "atoms[0].zeta"),
 ], ids=["no-file", "not-json", "no-pairs-key", "no-n-key", "n-text", "no-eta",
-        "short-point", "flat-point", "n-mismatch", "zero-point", "affine-bool",
-        "center-not-json", "center-flat", "center-dimension", "center-too-deep"])
+        "short-point", "flat-point", "n-mismatch", "zero-point", "affine-bool", "no-pairs",
+        "center-not-json", "center-flat", "center-dimension", "center-too-deep",
+        "center-zero", "measure-flat-zeta", "measure-text-entry", "measure-atom-int",
+        "measure-n-float", "measure-too-deep", "measure-weight-bool", "measure-bool-entry",
+        "measure-n-zero", "measure-n-text", "measure-zero-zeta"])
 def test_bad_pairs_or_center_exit_code(kind, payload, named, tmp_path, measure_file, capsys):
-    # each used to exit 1 with a traceback
+    # each used to exit 1 with a traceback, exit 0, or exit 2 naming the
+    # wrong path
     if kind == "center":
         argv = ["ball-profile", "--measure", str(measure_file), "--radii", "0.5",
                 "--center", payload]
+    elif kind == "measure":
+        path = tmp_path / "measure.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        argv = ["measure", "--measure", str(path)]
     else:
         path = tmp_path / ("missing.json" if payload is None else "pairs.json")
         if payload is not None:
@@ -355,3 +387,73 @@ def test_bad_pairs_or_center_exit_code(kind, payload, named, tmp_path, measure_f
     assert main([*argv, "--output", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_eps_zero_makes_h_act(tmp_path, measure_file):
+    # --eps 0 is the unsmoothed field: ma-density evaluates it behind the
+    # 10h guard ...
+    m = ["--measure", str(measure_file)]
+    dens = ["ma-density", *m, "--eps", "0", "--samples", "50"]
+    assert main([*dens, "--h", "1e-4", "--output", str(tmp_path)]) == 0
+    assert main([*dens, "--h", "0.5", "--output", str(tmp_path / "wide")]) == 3
+    # ... and ball-profile excises the cells within 10h of an atom
+    bodies = []
+    for h in ("1e-4", "1e-3"):
+        out = tmp_path / h
+        assert main(["ball-profile", *m, "--radii", "1.0,0.5", "--eps", "0.1,0", "--h", h,
+                     "--output", str(out)]) == 0
+        rows = [r.split(",") for r in body_of(out / "ball_profile.csv").splitlines()[1:]]
+        bodies.append({(r[0], r[1]): float(r[4]) for r in rows})
+    assert all(bodies[0][key] == bodies[1][key] == 0.0 for key in bodies[0] if key[0] != "0")
+    assert all(0.0 < bodies[0][key] < bodies[1][key] for key in bodies[0] if key[0] == "0")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=12)
+# near-valid inputs, so that the examples also get past the envelope: each
+# part is mostly valid, else any JSON value
+REALS = st.integers(-3, 3) | st.floats(-3, 3)
+
+
+def mostly(valid):
+    return st.one_of(valid, valid, valid, JSON_VALUES)
+
+
+def points(width):
+    return st.lists(st.lists(REALS, min_size=2, max_size=2), min_size=width, max_size=width)
+
+
+def documents(key, fields, offset):
+    """{"n": n, key: [records]} with each field a point of n + offset entries."""
+    def document(n):
+        weight = {"weight": mostly(st.sampled_from([1, 0.5]))} if key == "atoms" else {}
+        record = st.fixed_dictionaries({f: mostly(points(n + offset)) for f in fields}
+                                       | weight)
+        return st.fixed_dictionaries({"n": mostly(st.just(n)),
+                                      key: mostly(st.lists(record, min_size=1, max_size=2))})
+    return st.integers(1, 2).flatmap(document)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(measure={"n": 1, "atoms": ATOMS}, pairs={"n": 1, "pairs": [PAIR]},
+         affine={"n": 1, "pairs": [{"z": [[1, 0]], "w": [[0, 2]]}]}, center=[[1, 0], [0, 1]])
+@given(measure=JSON_VALUES | documents("atoms", ("zeta",), 1),
+       pairs=JSON_VALUES | documents("pairs", ("zeta", "eta"), 1),
+       affine=documents("pairs", ("z", "w"), 0), center=points(2) | JSON_VALUES)
+def test_json_inputs_never_raise(measure, pairs, affine, center, tmp_path, measure_file):
+    # whatever JSON a measure file, a pairs file or --center holds, the CLI
+    # exits 0, 2 or 3 and raises nothing
+    path = tmp_path / "input.json"
+    out = ["--output", str(tmp_path / "out")]
+    for argv, text in ((["measure", "--measure", str(path)], json.dumps(measure)),
+                       (["kernel", "--pairs", str(path)], json.dumps(pairs)),
+                       (["kernel", "--affine", "--pairs", str(path)], json.dumps(affine)),
+                       (["ball-profile", "--measure", str(measure_file), "--grid", "4",
+                         "--radii", "0.5", f"--center={json.dumps(center)}"], None)):
+        if text is not None:
+            path.write_text(text)
+        assert main([*argv, *out]) in (0, 2, 3), argv

@@ -12,6 +12,7 @@ from projlog.geometry import (
     chart_lift,
     chart_mask,
     chart_project,
+    complex_from_json,
     fs_gradient_norm_sq,
     fs_volume_norm,
     geodesic_distance_batch,
@@ -288,7 +289,16 @@ def test_sampler_unitary_invariance_ks():
     assert stats.ks_2samp(da, db).pvalue > 0.01
 
 
+def test_complex_from_json_matches_the_per_entry_loop():
+    rng = np.random.default_rng(29)
+    rows = [[[float(x), int(y)] for x, y in rng.standard_normal((3, 2)) * 1e3]
+            for _ in range(50)]
+    loop = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    assert complex_from_json(rows, 3, str).tobytes() == loop.tobytes()
+
+
 def test_point_json_round_trip():
     p = pl.normalize([1 + 2j, -0.5, 0.25j])
-    q = pl.HomogeneousPoint.from_json([[float(c.real), float(c.imag)] for c in p.coords])
-    assert p == q
+    rows = complex_from_json([[[float(c.real), float(c.imag)] for c in p.coords]], 3,
+                             lambda i: f"points[{i}]")
+    assert p == pl.normalize(rows[0])

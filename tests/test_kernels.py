@@ -124,7 +124,7 @@ def test_affine_kernel_log_abs_at_origin_measure():
 def smoothed_kernel(z, w, eps):
     """N_eps(z, w) through the field engine's constant-eps smoothing."""
     atom = pl.AffineAtoms(chart=0, w=np.atleast_2d(w), weights=np.ones(1))
-    return float(pl.affine_field(atom, eps)(z))
+    return float(pl.affine_field(atom, eps)(z[None])[0])
 
 
 def test_smoothed_kernel_diagonal_is_log_eps():

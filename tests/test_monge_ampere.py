@@ -60,7 +60,7 @@ def test_hessian_matches_analytic_kernel():
         if np.min(np.linalg.norm(aff.w - z[None, :], axis=1)) < 0.3:
             continue
         H = pl.complex_hessian_fd(field, z, h=1e-3)
-        ref = field.complex_hessian(z)
+        ref = field.complex_hessian(z[None])[0]
         assert np.max(np.abs(H - ref)) < 1e-5
 
 
@@ -215,8 +215,8 @@ def test_smooth_wedge_endpoints():
     z = np.array([1.2 + 0.1j, -0.7 + 0.4j])
     d0 = pl.smooth_wedge_density(nu, psi, 0, z)
     dn = pl.smooth_wedge_density(nu, psi, n, z)
-    H_psi = psi.complex_hessian(z)
-    H_V = pl.affine_field(nu).complex_hessian(z)
+    H_psi = psi.complex_hessian(z[None])[0]
+    H_V = pl.affine_field(nu).complex_hessian(z[None])[0]
     assert abs(d0 - np.linalg.det(H_psi).real) < 1e-12
     assert abs(dn - np.linalg.det(H_V).real) < 1e-12
 
@@ -232,8 +232,8 @@ def test_smooth_wedge_matches_brute_force_polarization():
         z = 2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         if np.min(np.linalg.norm(nu.w - z[None, :], axis=1)) < 0.4:
             continue
-        H_V = pl.affine_field(nu).complex_hessian(z)
-        H_psi = psi.complex_hessian(z)
+        H_V = pl.affine_field(nu).complex_hessian(z[None])[0]
+        H_psi = psi.complex_hessian(z[None])[0]
         for m in (0, 1, 2):
             val = pl.smooth_wedge_density(nu, psi, m, z)
             ref = brute_force_wedge_term(H_V, H_psi, m, n)

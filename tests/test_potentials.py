@@ -91,7 +91,7 @@ def test_potential_decomposition_linearity():
 
 def affine_potential(nu, z, eps=0.0):
     """V(z) (eps = 0) or its constant-eps smoothing at one point, via affine_field."""
-    return float(pl.affine_field(nu, eps)(np.asarray(z, dtype=complex)))
+    return float(pl.affine_field(nu, eps)(np.asarray(z, dtype=complex)[None])[0])
 
 
 def test_affine_potential_of_origin_atom():
@@ -141,7 +141,7 @@ def test_psh_lift_dirac_origin_is_log_abs():
     rng = np.random.default_rng(13)
     for _ in range(20):
         z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
-        assert abs(lift(z) - math.log(abs(z[0]))) < 1e-13
+        assert abs(lift(z[None])[0] - math.log(abs(z[0]))) < 1e-13
 
 
 def test_psh_lift_equals_potential_plus_rho():
@@ -152,7 +152,7 @@ def test_psh_lift_equals_potential_plus_rho():
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         zeta = pl.normalize(chart_lift(z, 0))
         expected = log_potential_batch(mu, zeta.coords)[0] + pl.fs_potential(z)
-        assert abs(lift(z) - expected) < 1e-12
+        assert abs(lift(z[None])[0] - expected) < 1e-12
 
 
 def test_psh_lift_matches_affine_potential_for_chart_measures():
@@ -174,8 +174,8 @@ def test_psh_lift_submean_along_lines():
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v /= np.linalg.norm(v)
         r = rng.uniform(0.01, 0.1)
-        ring = np.mean([lift(z + r * t * v) for t in thetas])
-        assert ring >= lift(z) - 1e-9
+        ring = np.mean([lift((z + r * t * v)[None])[0] for t in thetas])
+        assert ring >= lift(z[None])[0] - 1e-9
 
 
 # ---------- finite-difference gradient ------------------------------------------------
@@ -199,7 +199,7 @@ def test_fd_gradient_matches_analytic():
     for _ in range(10):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         g = fd_gradient(lift, z, h=1e-4)
-        ref = holo_to_real_gradient(lift.holomorphic_gradient(z))
+        ref = holo_to_real_gradient(lift.holomorphic_gradient(z[None])[0])
         assert np.max(np.abs(g - ref)) < 1e-6
 
 
