@@ -423,8 +423,8 @@ def _validate_config(args) -> None:
         raise ValidationError(f"--h must be a positive real, got {args.h!r}")
     if getattr(args, "grid", 0) < 0:
         raise ValidationError("--grid must be positive")
-    if getattr(args, "seed", 0) < 0:
-        raise ValidationError("--seed must be a nonnegative integer")
+    if not 0 <= getattr(args, "seed", 0) < 2**64:
+        raise ValidationError(f"--seed must be an integer in 0..2^64-1, got {args.seed!r:.40}")
 
 
 def main(argv=None) -> int:

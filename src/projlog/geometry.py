@@ -208,20 +208,15 @@ def chart_project(rows: np.ndarray, k: int) -> np.ndarray:
 
 
 def chart_lift(z: np.ndarray, k: int) -> np.ndarray:
-    """Insert 1 at slot k: the homogeneous lift of affine coordinates.
-
-    Accepts (n,) or (m, n); the result is not normalized.
+    """Insert 1 at slot k: the homogeneous lift (m, n+1) of the affine rows
+    z (m, n); the result is not normalized.
     """
-    z = np.asarray(z, dtype=complex)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
     m, n = z.shape
     out = np.empty((m, n + 1), dtype=complex)
     out[:, :k] = z[:, :k]
     out[:, k] = 1.0
     out[:, k + 1:] = z[:, k:]
-    return out[0] if single else out
+    return out
 
 
 def max_modulus_chart(coords: np.ndarray) -> int:

@@ -342,19 +342,22 @@ def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, center, radius: fl
     riesz_refinement_scan for behavior at and above the threshold.
     """
     _check_alpha(alpha, atoms.n)
-    if not p > 0:
-        raise ValidationError(f"p = {p!r} must be > 0")
+    if not 0 < p < math.inf:
+        raise ValidationError(f"p = {p!r} must be a finite real > 0")
     if not 0 < radius < math.inf:
         raise ValidationError(f"radius = {radius!r} must be positive and finite")
     n = atoms.n
     dim = 2 * n
+    try:
+        vol = math.pi**n / math.factorial(n) * radius**dim
+    except OverflowError:
+        raise ValidationError(f"radius = {radius!r}: the ball's volume overflows") from None
     center = np.asarray(center, dtype=complex)
     pts = _uniform_ball(seed, samples, dim, start=start)
     z = center + radius * (pts[:, :n] + 1j * pts[:, n:])
     J = _riesz_sum(lambda blk: z[:, None, :] - atoms.w[None, blk, :],
                    atoms.weights, alpha, samples, n)
     vals = J**p
-    vol = math.pi**n / math.factorial(n) * radius**dim
     finite = np.isfinite(vals)
     vals = np.where(finite, vals, 0.0)
     est = vol * float(np.mean(vals))

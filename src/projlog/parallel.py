@@ -1,8 +1,8 @@
 """Deterministic chunked execution.
 
 Work is split into fixed-size index chunks whose boundaries depend only on
-the total size, never on the worker count; results are returned in chunk
-order and reduced with numpy's pairwise summation.  Identical inputs
+the total size, never on the worker count, and results are returned in
+chunk order for the caller to reduce in that order.  Identical inputs
 therefore produce bit-identical outputs for any --workers setting.
 """
 
@@ -11,8 +11,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -44,7 +42,3 @@ def run_chunked(fn, total: int, chunk: int, workers: int, payload) -> list:
     with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as ex:
         return list(ex.map(partial(fn, payload), ranges))
 
-
-def pairwise_sum(values) -> float:
-    """Deterministic reduction of partial results (numpy pairwise sum)."""
-    return float(np.sum(np.asarray(values, dtype=float)))

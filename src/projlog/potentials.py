@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analytic
 from .coarea import log_radial_levels, sobolev_bound, sphere_area
-from .errors import DimensionMismatch, NonpositiveEpsilon, ValidationError
+from .errors import DimensionMismatch, NonConvergent, NonpositiveEpsilon, ValidationError
 from .geometry import (
     chart_mask,
     chart_project,
@@ -197,7 +197,9 @@ def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float, seed
     Samples that within_guard puts near an atom (chart distance <= 10h) are
     replaced, in order, from a reserved deterministic stream starting at
     index reserve_start (callers pass their chunk offset so replacement
-    draws never depend on chunk processing order).
+    draws never depend on chunk processing order).  Raises NonConvergent once
+    the guard has rejected more draws than there are samples: at such an h
+    (10h near the size of a chart) the rejection would never end.
     """
     n = mu.n
     sites = [_chart_sites(mu.points, k) for k in range(n + 1)]
@@ -213,6 +215,9 @@ def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float, seed
             break
         # replace in sample order from the reserved deterministic stream
         count = int(np.sum(bad))
+        if excised + count > final.shape[0]:
+            raise NonConvergent(f"the 10h guard (h = {h:g}) rejected more draws than the "
+                                f"{final.shape[0]} samples it had to keep")
         final[bad] = sample_fs_array(seed, count, n, start=reserve_start + excised, stream=3)
         excised += count
 
@@ -239,8 +244,9 @@ def sobolev_scan(mu: AtomicMeasure, p: float, seed: int, samples: int,
     count is reported.  Estimates depend only on (seed, sample index), so extending
     the sample count keeps the earlier draws (common-random doubling).
     """
-    if not p >= 1:
-        raise ValidationError(f"p = {p!r} must be >= 1 (smaller p follows by concavity)")
+    if not 1 <= p < math.inf:
+        raise ValidationError(f"p = {p!r} must be a finite real >= 1 (smaller p follows "
+                              f"by concavity)")
     n = mu.n
     workers = resolve_workers(workers)
     payload = (mu.points, mu.weights, n, h, seed, start)

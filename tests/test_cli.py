@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -314,9 +315,15 @@ def test_verify_unknown_check_key_exit_code(tmp_path, capsys):
     (["riesz", "--samples", "50", "--levels", "0"], "levels = 0"),
     (["ma-mass", "--grid", "16", "--eps", "0"], "eps > 0"),
     (["ma-density", "--samples", "5", "--eps", "0.3,0.1"], "--eps"),
+    (["sobolev", "--samples", "50", "--seed", str(2**64)], "--seed"),
+    (["potential", "--samples", "5", "--seed", "-1"], "--seed"),
+    (["sobolev", "--samples", "50", "--p", "inf"], "p = inf"),
+    (["riesz", "--samples", "50", "--p-value", "inf"], "p = inf"),
+    (["riesz", "--samples", "50", "--radius", "1e200"], "radius = 1e+200"),
 ], ids=["h-nan", "eps-nan", "eps-text", "p-nan", "p-below-1", "p-empty", "radius-negative",
         "p-value-nan", "radii-zero", "radii-text", "levels-zero", "mass-eps-zero",
-        "density-eps-list"])
+        "density-eps-list", "seed-2-to-64", "seed-negative", "p-inf", "p-value-inf",
+        "radius-overflow"])
 def test_bad_numeric_option_exit_code(argv, named, tmp_path, measure_file, capsys):
     rc = main([argv[0], "--measure", str(measure_file), *argv[1:],
                "--output", str(tmp_path)])
@@ -389,6 +396,14 @@ def test_bad_pairs_or_center_exit_code(kind, payload, named, tmp_path, measure_f
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("radii", ["1.0,0.5", "0.5"])
+def test_ball_profile_self_check_tests_the_grid_not_h(radii, tmp_path, measure_file):
+    # the excised cells count toward the ball-volume self-check; this used
+    # to exit 3, off by 2.03% at r = 1 and 7.58% at r = 0.5
+    assert main(["ball-profile", "--measure", str(measure_file), "--eps", "0", "--h", "1e-2",
+                 "--radii", radii, "--output", str(tmp_path)]) == 0
+
+
 def test_eps_zero_makes_h_act(tmp_path, measure_file):
     # --eps 0 is the unsmoothed field: ma-density evaluates it behind the
     # 10h guard ...
@@ -457,3 +472,89 @@ def test_json_inputs_never_raise(measure, pairs, affine, center, tmp_path, measu
         if text is not None:
             path.write_text(text)
         assert main([*argv, *out]) in (0, 2, 3), argv
+
+
+# numeric option values, (valid, other): the other values are edge values,
+# any float and text that is not a number; sizes are drawn only small or
+# invalid, since a large valid size costs in proportion (and at these sizes
+# every chunked run is one chunk, so no process pool starts whatever
+# PROJLOG_WORKERS says)
+NUMBERS = (st.sampled_from(["0", "-0", "-1", "nan", "inf", "-inf", "1e308", "5e-324", "", "x"])
+           | st.floats().map(repr) | st.integers(-3, 3).map(str))
+NUMBER_LISTS = st.lists(NUMBERS, min_size=1, max_size=3).map(",".join)
+SIZES = st.sampled_from(["-1", "0", "x", "1.5"])
+
+
+def reals(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+OPTION_VALUES = {
+    "seed": (st.integers(0, 2**64 - 1).map(str),
+             (st.sampled_from([-1, 2**64]) | st.integers(-2**70, 2**70)).map(str)),
+    "samples": (st.integers(1, 3).map(str), SIZES),
+    "n": (st.integers(1, 3).map(str), SIZES),
+    "levels": (st.integers(1, 3).map(str), SIZES),
+    "grid": (st.sampled_from(["4", "8", "64"]), st.sampled_from(["-1", "0", "1", "2", "x"])),
+    "chart": (st.sampled_from(["0", "1"]), st.sampled_from(["-1", "2", "x"])),
+    "h": (reals(1e-6, 1e-2), NUMBERS),
+    "alpha": (reals(0.1, 1.9), NUMBERS),
+    "radius": (reals(0.1, 3.0), NUMBERS),
+    "p-value": (reals(0.5, 3.0), NUMBERS),
+    "p": (st.lists(reals(1.0, 3.0), min_size=1, max_size=2).map(",".join), NUMBER_LISTS),
+    "eps": (st.sampled_from(["0.3", "0.3,0.1", "0.1,0", "0"]), NUMBER_LISTS),
+    "radii": (st.sampled_from(["0.5", "1.0,0.5"]) | reals(0.01, 2.0), NUMBER_LISTS),
+}
+NUMERIC_OPTIONS = {
+    "potential": ("seed", "samples"),
+    "sobolev": ("seed", "samples", "h", "p"),
+    "riesz": ("seed", "samples", "chart", "alpha", "p-value", "radius", "levels"),
+    "ma-density": ("seed", "samples", "eps", "chart", "h"),
+    "ma-mass": ("grid", "eps"),
+    "ball-profile": ("grid", "eps", "h", "radii"),
+    "prop25-check": ("seed", "samples", "chart"),
+    "sample": ("seed", "samples", "n"),
+    "constants": ("n",),
+}
+
+
+def invocations(command):
+    """Valid values for every option of the command but at most one, so
+    that the odd value gets past the others."""
+    names = NUMERIC_OPTIONS[command]
+    valid = st.fixed_dictionaries({opt: OPTION_VALUES[opt][0] for opt in names})
+    odd = st.sampled_from(names).flatmap(lambda opt: OPTION_VALUES[opt][1].map(
+        lambda value: {opt: value}))
+    return st.tuples(valid, st.just({}) | odd).map(lambda both: (command, both[0] | both[1]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(call=("sobolev", {"seed": str(2**64), "samples": "3", "h": "1e-4", "p": "1"}),
+         workers=None)
+@example(call=("sobolev", {"seed": "0", "samples": "3", "h": "1e-4", "p": "inf"}), workers=None)
+@example(call=("riesz", {"seed": "0", "samples": "3", "chart": "0", "alpha": "1",
+                         "p-value": "inf", "radius": "1", "levels": "1"}), workers="2")
+@example(call=("riesz", {"seed": "0", "samples": "3", "chart": "0", "alpha": "1",
+                         "p-value": "1", "radius": "1e200", "levels": "1"}), workers=None)
+@given(call=st.sampled_from(sorted(NUMERIC_OPTIONS)).flatmap(invocations),
+       workers=st.sampled_from([None, "1", "2", "9" * 30, "", "0", "-3", "x", "1.5"]))
+def test_numeric_options_never_raise(call, workers, tmp_path, measure_file, monkeypatch):
+    # whatever the numeric options and PROJLOG_WORKERS hold, the CLI exits
+    # 0 with a CSV, or 2 or 3 without one, and raises nothing
+    command, opts = call
+    if workers is None:
+        monkeypatch.delenv("PROJLOG_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("PROJLOG_WORKERS", workers)
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    argv = [command, *(f"--{opt}={value}" for opt, value in opts.items()), "--output", str(out)]
+    if command not in ("sample", "constants"):
+        argv += ["--measure", str(measure_file)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the text of a typed option
+        rc = exc.code
+    assert rc in (0, 2, 3), argv
+    assert (rc == 0) == any(out.glob("*.csv")), argv

@@ -149,7 +149,7 @@ def test_to_chart_ratio():
 
 
 def test_from_chart_origin():
-    p = pl.normalize(chart_lift(np.zeros(2, dtype=complex), 1))
+    p = pl.normalize(chart_lift(np.zeros((1, 2), dtype=complex), 1)[0])
     assert p == pl.normalize([0, 1, 0])
 
 
@@ -159,7 +159,7 @@ def test_chart_round_trip_random():
         n = rng.integers(1, 5)
         p = random_point(n, rng)
         k = max_modulus_chart(p.coords)
-        back = pl.normalize(chart_lift(chart_project(p.coords, k), k))
+        back = pl.normalize(chart_lift(chart_project(p.coords, k)[None], k)[0])
         assert np.max(np.abs(back.coords - p.coords)) < 1e-14
 
 
@@ -182,7 +182,7 @@ def test_chart_transition_consistency():
             continue
         j, k = usable[:2]
         zj = chart_project(p.coords, j)
-        via = chart_project(pl.normalize(chart_lift(zj, j)).coords, k)
+        via = chart_project(pl.normalize(chart_lift(zj[None], j)[0]).coords, k)
         direct = chart_project(p.coords, k)
         assert np.max(np.abs(via - direct)) < 1e-12
 

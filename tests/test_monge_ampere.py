@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from projlog import analytic
+from projlog import analytic, monge_ampere
 from projlog.errors import (
     CombinatorialBlowup,
     DimensionMismatch,
@@ -346,6 +346,25 @@ def test_total_mass_worker_independence():
     assert a.total_mass == b.total_mass
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, grid", [(1, 300), (2, 12)])
+def test_total_mass_is_one_chunked_pass(n, grid, workers, monkeypatch):
+    # every chart is integrated on the same cells, in one run_chunked call
+    # over the grid^(2n) flat cells (two chunks at these grids)
+    totals = []
+
+    def counted(fn, total, **kwargs):
+        totals.append(total)
+        return real(fn, total, **kwargs)
+
+    real = monge_ampere.run_chunked
+    monkeypatch.setattr(monge_ampere, "run_chunked", counted)
+    rep = pl.ma_total_mass(random_measure(n, 2, seed=19), grid=grid, eps=0.3,
+                           workers=workers, vol_tol=0.05)
+    assert totals == [grid ** (2 * n)]
+    assert rep.grid["charts"] == n + 1
+
+
 # ---------- ball profiles ----------------------------------------------------------------
 
 def nondecreasing(profile):
@@ -413,6 +432,24 @@ def test_ball_profile_excision_blocked_over_atoms(monkeypatch):
     whole = profile()
     monkeypatch.setattr(analytic, "_BLOCK_ENTRIES", 1)
     assert whole[0] > 0.0 and profile() == whole
+
+
+def test_ball_profile_volume_check_counts_excised_cells():
+    # the self-check compares kept plus excised volume with the exact ball
+    # volume, so it tests the grid and not h: on the same cells, kept plus
+    # excised at eps = 0 is the volume that eps = 0.3 keeps
+    mu = pl.build_measure([pl.normalize([1, 0.3]).coords,
+                           pl.normalize([1, -0.5 + 0.2j]).coords], [0.6, 0.4])
+    unsmoothed, smoothed = (pl.ball_mass_profile(mu, mu.point(0), [1.0, 0.5], h=1e-2,
+                                                 eps_list=[eps], levels=3)[0]
+                            for eps in (0.0, 0.3))
+    assert unsmoothed.excised_singular_mass > 0.0
+    assert unsmoothed.vol_check + unsmoothed.excised_singular_mass == pytest.approx(
+        smoothed.vol_check, rel=1e-12)
+    # a grid too coarse for the ball still fails the check (by 2.07%)
+    with pytest.raises(GridTooCoarse, match="2.07%"):
+        pl.ball_mass_profile(mu, mu.point(0), [1.0, 0.5], h=1e-2, eps_list=[0.0],
+                             points_per_axis=4, levels=1)
 
 
 def test_total_mass_matches_finite_difference_reference():

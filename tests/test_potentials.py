@@ -6,8 +6,8 @@ import pytest
 import projlog as pl
 from oracles import fd_gradient, holo_to_real_gradient
 from projlog import analytic, potentials
-from projlog.errors import DimensionMismatch, NonpositiveEpsilon, SingularStencil, \
-    ValidationError
+from projlog.errors import DimensionMismatch, NonConvergent, NonpositiveEpsilon, \
+    SingularStencil, ValidationError
 from projlog.geometry import chart_lift, chart_project, fs_gradient_norm_sq, sample_fs_array
 from projlog.kernels import affine_log_kernel_batch, projective_log_kernel_batch
 from projlog.potentials import log_potential_batch
@@ -150,7 +150,7 @@ def test_psh_lift_equals_potential_plus_rho():
     rng = np.random.default_rng(15)
     for _ in range(30):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        zeta = pl.normalize(chart_lift(z, 0))
+        zeta = pl.normalize(chart_lift(z[None], 0)[0])
         expected = log_potential_batch(mu, zeta.coords)[0] + pl.fs_potential(z)
         assert abs(lift(z[None])[0] - expected) < 1e-12
 
@@ -285,6 +285,14 @@ def test_sobolev_scan_rejects_small_p():
     mu = pl.dirac(pl.normalize([1, 0]))
     with pytest.raises(ValidationError):
         pl.sobolev_scan(mu, p=0.5, seed=1, samples=100)
+
+
+def test_sobolev_scan_guard_that_rejects_every_draw_raises():
+    # at h = 1 the 10h guard covers both charts around the two atoms, and
+    # the resampling used to loop forever
+    mu = random_measure(1, 2, seed=35)
+    with pytest.raises(NonConvergent, match="rejected more draws"):
+        pl.sobolev_scan(mu, p=1.0, seed=1, samples=50, h=1.0)
 
 
 def test_sobolev_scan_worker_independence():
