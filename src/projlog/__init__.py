@@ -16,22 +16,13 @@ from .coarea import (
     sphere_area,
 )
 from .errors import (
-    AlphaOutOfRange,
-    ChartUndefined,
-    CombinatorialBlowup,
-    DimensionMismatch,
-    EmptyMeasure,
     GridTooCoarse,
     NegativeDensity,
-    NegativeWeight,
     NonConvergent,
-    NonpositiveEpsilon,
     NumericError,
     ProjlogError,
     SingularStencil,
     ValidationError,
-    WeightSumMismatch,
-    ZeroVector,
 )
 from .geometry import (
     HomogeneousPoint,

@@ -73,10 +73,10 @@ def quad_form_batch(Z: np.ndarray, eta: np.ndarray | None, chart: int,
     """Evaluate T, dT/dz and the constant Hessian of T at rows of Z.
 
     Z : (m, n) complex points in the chart
-    eta : (k, n+1) stack of homogeneous atom vectors, one (n+1,) vector, or
-          None for the Ptilde = 0 member
+    eta : (k, n+1) stack of homogeneous atom vectors (one (n+1,) vector is
+          a stack of one), or None for the Ptilde = 0 member
     returns (T (m, k), Tz (m, k, n), Thess (k, n, n)) for a stack, and
-            (T (m,), Tz (m, n), Thess (n, n)) for one vector or None
+            (T (m,), Tz (m, n), Thess (n, n)) for None
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     m, n = Z.shape
@@ -85,9 +85,7 @@ def quad_form_batch(Z: np.ndarray, eta: np.ndarray | None, chart: int,
     Thess = b * np.eye(n, dtype=complex)
     if eta is None:
         return T, (b * np.conj(Z)).astype(complex), Thess
-    E = np.asarray(eta, dtype=complex)
-    single = E.ndim == 1
-    E = np.atleast_2d(E)
+    E = np.atleast_2d(np.asarray(eta, dtype=complex))
     e2 = np.sum(E.real ** 2 + E.imag ** 2, axis=1)[:, None]      # |eta|^2, (k, 1)
     # atom-major (k, m) work arrays, written in place to spare temporaries;
     # the (m, k) results are views of them
@@ -120,8 +118,6 @@ def quad_form_batch(Z: np.ndarray, eta: np.ndarray | None, chart: int,
     pos = _lift_positions(n, chart)
     Thess = (Thess + e2[:, :, None] * np.eye(n)
              - np.conj(E[:, pos, None]) * E[:, None, pos])
-    if single:
-        return T[:, 0], Tz[:, 0], Thess[0]
     return T, Tz, Thess
 
 

@@ -295,7 +295,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = None if args.all else [t for t in args.checks.split(",") if t]
+    names = [t for t in args.checks.split(",") if t]
     results = run_checks(names=names, seed=args.seed, quick=args.quick)
     rows = []
     ok = True
@@ -405,10 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sample)
 
     p = command("verify", "seed", help="run the quantitative check suite")
-    p.add_argument("--all", action="store_true", help="run every check")
-    p.add_argument("--quick", action="store_true", help="skip the slow grids")
-    p.add_argument("--checks", default="", help="comma-separated check keys: "
-                   + ",".join(key for key, _ in ALL_CHECKS))
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--quick", action="store_true", help="skip the slow grids")
+    which.add_argument("--checks", default="", help="comma-separated check keys "
+                       "(default: every check): " + ",".join(key for key, _ in ALL_CHECKS))
     p.set_defaults(fn=cmd_verify)
 
     return ap

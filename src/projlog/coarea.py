@@ -37,7 +37,7 @@ DEPTH_FACTOR = 10.0
 def area_constant(n: int) -> float:
     """c_n = n / sqrt 2 under the unit-volume convention."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValidationError("n must be >= 1")
     return n / SQRT2
 
 
@@ -48,15 +48,16 @@ def sphere_area(n: int, r) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def radial_quadrature(f, n: int, rel_tol: float = 1e-10) -> float:
+def radial_quadrature(f, n: int) -> float:
     """int_0^(pi/sqrt 2) f(r) A(r) dr by adaptive Gauss-Kronrod.
 
     Uses the endpoint substitution u = sin(r / sqrt 2); f may have a known
     integrable log/power singularity at r = 0.  Raises NonConvergent when the
-    QUADPACK error estimate exceeds the relative target.
+    QUADPACK error estimate exceeds the relative target 1e-10.
     """
     from scipy import integrate
 
+    rel_tol = 1e-10
     pref = 2.0 * SQRT2 * area_constant(n)
 
     def integrand(u: float) -> float:
@@ -103,7 +104,7 @@ def sobolev_bound(n: int, p: float) -> float:
     QUADPACK's algebraic-weight rule when the exponent is negative.
     """
     if p < 0:
-        raise ValueError("p must be >= 0")
+        raise ValidationError("p must be >= 0")
     if p >= 2 * n:
         return math.inf
     from scipy import integrate
@@ -138,7 +139,8 @@ def log_radial_levels(stratum, levels: int, deepest: float, r0: float, seed: int
     `stream` at index (l * 4096 + si) * samples and turns the last column
     into a log-uniform radius s.  stratum(g, s) returns the integrand per
     row; its mean times log(hi / lo) * scale is the stratum's integral.
-    levels must be at least 1.
+    levels must be at least 1; a level whose estimate is not finite raises
+    NonConvergent.
     """
     if levels < 1:
         raise ValidationError(f"levels = {levels} must be at least 1")
@@ -160,6 +162,8 @@ def log_radial_levels(stratum, levels: int, deepest: float, r0: float, seed: int
             s = lo * (hi / lo) ** ndtr(g[:, width])
             total += math.log(hi / lo) * scale * float(np.mean(stratum(g, s)))
         running += total
+        if not math.isfinite(running):
+            raise NonConvergent(f"refinement level {level} estimate {running!r} is not finite")
         estimates.append(running)
         depth_prev = depth
     return estimates

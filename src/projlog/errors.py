@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
 ValidationError maps to CLI exit code 2 (bad inputs or configuration),
-NumericError to exit code 3 (a computation failed to converge or a
-discretisation was too coarse to trust).
+NumericError and its four guards to exit code 3 (a computation failed to
+converge or a discretisation was too coarse to trust).
 """
 
 
@@ -18,42 +18,6 @@ class NumericError(ProjlogError):
     """A numerical procedure failed its own quality contract."""
 
 
-class ZeroVector(ValidationError):
-    """Attempted to normalize the zero vector."""
-
-
-class DimensionMismatch(ValidationError):
-    """Operands live over different ambient dimensions."""
-
-
-class ChartUndefined(ValidationError):
-    """Point too close to the hyperplane at infinity of the requested chart."""
-
-
-class NonpositiveEpsilon(ValidationError):
-    """Regularization parameter must be strictly positive."""
-
-
-class AlphaOutOfRange(ValidationError):
-    """Riesz exponent must satisfy 0 < alpha < 2n."""
-
-
-class NegativeWeight(ValidationError):
-    """Measure weights must be strictly positive."""
-
-
-class WeightSumMismatch(ValidationError):
-    """Measure weights must sum to one."""
-
-
-class EmptyMeasure(ValidationError):
-    """A measure needs at least one atom."""
-
-
-class CombinatorialBlowup(ValidationError):
-    """Exact tuple expansion would exceed the configured term cap."""
-
-
 class SingularStencil(NumericError):
     """A finite-difference stencil touched a singular point of the field."""
 
@@ -67,4 +31,5 @@ class GridTooCoarse(NumericError):
 
 
 class NonConvergent(NumericError):
-    """Adaptive quadrature did not reach its error target."""
+    """Adaptive quadrature or a Monte Carlo estimate did not reach a finite,
+    trustworthy value."""

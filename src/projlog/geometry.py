@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, ZeroVector
+from .errors import ValidationError
 
 #: componentwise tolerance for canonical-form equality
 CANONICAL_TOL = 1e-12
@@ -53,7 +53,7 @@ def canonicalize_batch(raw: np.ndarray) -> np.ndarray:
         return canonicalize_batch(raw[None, :])[0]
     norms = np.linalg.norm(raw, axis=1)
     if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
-        raise ZeroVector("cannot canonicalize a zero or non-finite vector")
+        raise ValidationError("cannot canonicalize a zero or non-finite vector")
     v = raw / norms[:, None]
     mods = np.abs(v)
     piv = np.argmax(mods, axis=1)  # first index attaining the max modulus
@@ -77,11 +77,11 @@ class HomogeneousPoint:
 
 
 def normalize(raw) -> HomogeneousPoint:
-    """Canonical representative of [raw]; scale invariant, raises ZeroVector
+    """Canonical representative of [raw]; scale invariant, raises ValidationError
     (through canonicalize_batch) for a zero or non-finite vector."""
     arr = np.asarray(raw, dtype=complex)
     if arr.ndim != 1 or arr.size < 2:
-        raise DimensionMismatch("homogeneous coordinates must be a vector of length >= 2")
+        raise ValidationError("homogeneous coordinates must be a vector of length >= 2")
     return HomogeneousPoint(canonicalize_batch(arr))
 
 
@@ -138,7 +138,7 @@ def complex_from_json(rows: list, width: int, where, point: bool = False) -> np.
         norms = np.linalg.norm(out, axis=1)
         bad = np.flatnonzero(~((norms > 0.0) & (norms < math.inf)))
         if bad.size:
-            raise ZeroVector(f"{where(bad[0])} has norm {norms[bad[0]]}, so it is no point")
+            raise ValidationError(f"{where(bad[0])} has norm {norms[bad[0]]}, so it is no point")
     return out
 
 
@@ -161,7 +161,7 @@ def wedge_norm_sq_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if v.ndim == 1:
         v = np.broadcast_to(v, u.shape)
     if u.shape[-1] != v.shape[-1]:
-        raise DimensionMismatch(f"length {u.shape[-1]} vs {v.shape[-1]}")
+        raise ValidationError(f"length {u.shape[-1]} vs {v.shape[-1]}")
     i, j = np.triu_indices(u.shape[-1], k=1)
     # explicit real arithmetic: float multiply/add are bitwise commutative,
     # so swapping u and v negates each minor exactly and the squared sum is

@@ -14,7 +14,6 @@ whose diagnostics are read in the N -> infinity limit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -22,15 +21,7 @@ import numpy as np
 
 from .analytic import atom_blocks
 from .coarea import log_radial_levels
-from .errors import (
-    AlphaOutOfRange,
-    ChartUndefined,
-    DimensionMismatch,
-    EmptyMeasure,
-    NegativeWeight,
-    ValidationError,
-    WeightSumMismatch,
-)
+from .errors import NonConvergent, ValidationError
 from .geometry import (
     CANONICAL_TOL,
     CHART_FLOOR,
@@ -64,14 +55,6 @@ class AtomicMeasure:
     def point(self, i: int) -> HomogeneousPoint:
         return HomogeneousPoint(self.points[i])
 
-    def to_json(self) -> str:
-        atoms = [
-            {"zeta": [[float(c.real), float(c.imag)] for c in row],
-             "weight": float(w)}
-            for row, w in zip(self.points, self.weights)
-        ]
-        return json.dumps({"n": self.n, "atoms": atoms}, indent=2)
-
     @staticmethod
     def from_json(text: str) -> "AtomicMeasure":
         what = "measure JSON"
@@ -81,8 +64,8 @@ class AtomicMeasure:
         weights = [atom["weight"] for atom in atoms]
         for i, w in enumerate(weights):
             if not (json_real(w) and w > 0):
-                raise NegativeWeight(f"{what}: atoms[{i}].weight = {w!r:.60} must be a "
-                                     f"finite positive real")
+                raise ValidationError(f"{what}: atoms[{i}].weight = {w!r:.60} must be a "
+                                      f"finite positive real")
         return build_measure(points, np.array(weights, dtype=float), n=n)
 
 
@@ -149,19 +132,19 @@ def build_measure(points, weights, n: int | None = None) -> AtomicMeasure:
     points = np.asarray(points, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
-        raise EmptyMeasure("a measure needs at least one atom")
+        raise ValidationError("a measure needs at least one atom")
     if weights.shape != (points.shape[0],):
-        raise DimensionMismatch("one weight per atom required")
+        raise ValidationError("one weight per atom required")
     if n is None:
         n = points.shape[1] - 1
     if points.shape[1] != n + 1:
-        raise DimensionMismatch(f"points have {points.shape[1]} coordinates, expected {n + 1}")
+        raise ValidationError(f"points have {points.shape[1]} coordinates, expected {n + 1}")
     if np.any(weights <= 0.0):
         bad = int(np.argmax(weights <= 0.0))
-        raise NegativeWeight(f"atoms[{bad}].weight = {weights[bad]} must be > 0")
+        raise ValidationError(f"atoms[{bad}].weight = {weights[bad]} must be > 0")
     total = float(np.sum(weights))
     if abs(total - 1.0) > WEIGHT_TOL:
-        raise WeightSumMismatch(f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")
+        raise ValidationError(f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")
     pts = canonicalize_batch(points)
     labels = _merge_labels(pts)
     roots = labels == np.arange(labels.size)
@@ -267,17 +250,17 @@ class AffineAtoms:
 
     @staticmethod
     def from_measure(mu: AtomicMeasure, chart: int) -> "AffineAtoms":
-        """Chart coordinates of every atom; ChartUndefined names the first
+        """Chart coordinates of every atom; ValidationError names the first
         atom whose chart coordinate is at or below CHART_FLOOR."""
         pts = mu.points
         k = int(chart)
         if not 0 <= k < pts.shape[1]:
-            raise ChartUndefined(f"atom 0 is not inside chart {chart}: chart index {k} "
-                                 f"out of range for P^{pts.shape[1] - 1}")
+            raise ValidationError(f"atom 0 is not inside chart {chart}: chart index {k} "
+                                  f"out of range for P^{pts.shape[1] - 1}")
         off = np.flatnonzero(~chart_mask(pts, k))
         if off.size:
             i = int(off[0])
-            raise ChartUndefined(
+            raise ValidationError(
                 f"atom {i} is not inside chart {chart}: |zeta_{k}|/|zeta| = "
                 f"{abs(pts[i, k]) / np.linalg.norm(pts[i]):.3e} <= chart_floor = "
                 f"{CHART_FLOOR:.1e}")
@@ -290,15 +273,14 @@ class AffineAtoms:
 
 def _check_alpha(alpha: float, n: int) -> None:
     if not 0.0 < alpha < 2.0 * n:
-        raise AlphaOutOfRange(f"alpha = {alpha} outside (0, {2 * n})")
+        raise ValidationError(f"alpha = {alpha} outside (0, {2 * n})")
 
 
-def _uniform_ball(seed: int, count: int, dim: int, start: int = 0,
-                  stream: int = 1) -> np.ndarray:
+def _uniform_ball(seed: int, count: int, dim: int) -> np.ndarray:
     """Uniform draws from the unit ball of R^dim, reproducible by index."""
     from scipy.special import ndtr
 
-    g = _sample_stream(seed, count, dim + 1, start=start, stream=stream)
+    g = _sample_stream(seed, count, dim + 1, stream=1)
     direction = g[:, :dim]
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     # push the last normal through the CDF for a uniform radius variate
@@ -331,11 +313,10 @@ class ScanResult:
     std_error: float
     samples: int
     seed: int
-    detail: dict = field(default_factory=dict)
 
 
 def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, center, radius: float,
-                  seed: int, samples: int, start: int = 0) -> ScanResult:
+                  seed: int, samples: int) -> ScanResult:
     """MC estimate of int_ball J^p dLeb over the Euclidean ball (center, radius).
 
     Finite and stable under sample doubling when p < 2n/alpha; see
@@ -352,19 +333,20 @@ def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, center, radius: fl
         vol = math.pi**n / math.factorial(n) * radius**dim
     except OverflowError:
         raise ValidationError(f"radius = {radius!r}: the ball's volume overflows") from None
+    if vol == 0.0:
+        raise ValidationError(f"radius = {radius!r}: the ball's volume underflows to 0")
     center = np.asarray(center, dtype=complex)
-    pts = _uniform_ball(seed, samples, dim, start=start)
+    pts = _uniform_ball(seed, samples, dim)
     z = center + radius * (pts[:, :n] + 1j * pts[:, n:])
     J = _riesz_sum(lambda blk: z[:, None, :] - atoms.w[None, blk, :],
                    atoms.weights, alpha, samples, n)
     vals = J**p
-    finite = np.isfinite(vals)
-    vals = np.where(finite, vals, 0.0)
     est = vol * float(np.mean(vals))
     se = vol * float(np.std(vals) / math.sqrt(samples))
-    return ScanResult(estimate=est, std_error=se, samples=samples, seed=seed,
-                      detail={"alpha": alpha, "p": p, "radius": radius,
-                              "dropped_singular": int(np.sum(~finite))})
+    if not (math.isfinite(est) and math.isfinite(se)):
+        raise NonConvergent(f"the Monte Carlo estimate {est!r} (SE {se!r}) of int J^p over "
+                            f"the ball is not finite")
+    return ScanResult(estimate=est, std_error=se, samples=samples, seed=seed)
 
 
 def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,

@@ -20,15 +20,8 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from . import analytic
-from .errors import (
-    CombinatorialBlowup,
-    DimensionMismatch,
-    GridTooCoarse,
-    NegativeDensity,
-    NonpositiveEpsilon,
-    SingularStencil,
-    ValidationError,
-)
+from .errors import GridTooCoarse, NegativeDensity, NonConvergent, SingularStencil, \
+    ValidationError
 from .geometry import (
     HomogeneousPoint,
     chart_lift,
@@ -138,7 +131,7 @@ def mixed_discriminant(mats) -> float:
     n = len(mats)
     for A in mats:
         if A.shape != (n, n):
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"need {n} matrices of shape ({n},{n}); got {A.shape}")
     total = 0.0
     for size in range(1, n + 1):
@@ -169,7 +162,7 @@ def ma_product_expansion_check(atoms: AffineAtoms, z) -> ExpansionCheck:
     Compares det(sum_i w_i H_i) against the multilinear expansion
     sum over n-tuples of atoms of w_(i1)..w_(in) D(H_(i1), .., H_(in)),
     where H_i is the complex Hessian of the kernel with atom i at z.
-    Raises CombinatorialBlowup when N^n exceeds TERM_CAP.
+    Raises ValidationError when N^n exceeds TERM_CAP.
 
     The reported scale is max(|lhs| + sum |terms|, ||sum w_i H_i||_F^n): the
     second term is the natural rounding scale of a determinant, which keeps
@@ -179,7 +172,7 @@ def ma_product_expansion_check(atoms: AffineAtoms, z) -> ExpansionCheck:
     n = atoms.n
     N = atoms.num_atoms
     if N**n > TERM_CAP:
-        raise CombinatorialBlowup(f"N^n = {N}^{n} exceeds the {TERM_CAP} term cap")
+        raise ValidationError(f"N^n = {N}^{n} exceeds the {TERM_CAP} term cap")
     # every atom's kernel Hessian at z from one stacked quad-form call
     T, Tz, Thess = analytic.quad_form_batch(np.asarray(z, dtype=complex),
                                             affine_field(atoms).atoms_eta, atoms.chart,
@@ -212,7 +205,7 @@ def smooth_wedge_density(atoms: AffineAtoms, psi_field: PotentialField, m: int,
     """
     n = atoms.n
     if not 0 <= m <= n:
-        raise ValueError(f"m = {m} outside 0..{n}")
+        raise ValidationError(f"m = {m} outside 0..{n}")
     Z = np.asarray(z, dtype=complex)[None, :]
     H_psi = psi_field.complex_hessian(Z)[0] if m < n else None
     H_V = affine_field(atoms).complex_hessian(Z)[0] if m > 0 else None
@@ -232,8 +225,9 @@ def ma_density(mu: AtomicMeasure, chart: int, Z: np.ndarray, h: float = 1e-4,
     Both Hessians are closed form.  h is only the singular guard: with
     eps = 0, every row must lie at chart distance > 10h from every atom, else
     SingularStencil.  Values in [-tol, 0) are rounding and are clipped to 0;
-    below -tol raises NegativeDensity.  Both errors name the first row that
-    trips them.
+    below -tol raises NegativeDensity, and a density that is not finite (the
+    Hessians overflow at a huge eps) raises NonConvergent.  Each error names
+    the first row that trips it.
     """
     Z = np.asarray(Z, dtype=complex)
     lift = psh_lift(mu, chart, eps)
@@ -246,6 +240,9 @@ def ma_density(mu: AtomicMeasure, chart: int, Z: np.ndarray, h: float = 1e-4,
     norm_phi, norm_rho = np.linalg.norm(H, axis=(2, 3))
     density = det_phi / det_rho
     scale = np.maximum(1.0, (norm_phi / norm_rho) ** mu.n)
+    bad = np.flatnonzero(~np.isfinite(density))
+    if bad.size:
+        raise NonConvergent(f"density {density[bad[0]]} is not finite (row {bad[0]})")
     bad = np.flatnonzero(density < -1e-6 * scale)
     if bad.size:
         i = bad[0]
@@ -321,10 +318,12 @@ def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
     every chart with midpoint cells (`grid` points per axis), weighting by
     the partition of unity.  For any measure and any eps > 0 the answer is
     1 up to grid error.  Raises GridTooCoarse when the same grid misses the
-    exact FS volume by more than vol_tol.  h is deprecated and ignored.
+    exact FS volume by more than vol_tol, and NonConvergent when the mass is
+    not finite (the Hessians overflow at a huge eps).  h is deprecated and
+    ignored.
     """
     if eps <= 0.0:
-        raise NonpositiveEpsilon("total-mass integration requires eps > 0")
+        raise ValidationError("total-mass integration requires eps > 0")
     if grid < 1:
         raise ValidationError(f"grid must be at least 1 point per axis, got {grid}")
     n = mu.n
@@ -335,6 +334,8 @@ def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
     # summed in chart-major order, so the totals keep their bits
     mass, vol, clipped = zip(*(part[chart] for chart in range(n + 1) for part in parts))
     total = float(np.sum(mass))
+    if not math.isfinite(total):
+        raise NonConvergent(f"total mass {total} at eps = {eps!r} is not finite")
     vol_check = float(np.sum(vol))
     report = MassReport(total_mass=total,
                         grid={"points_per_axis": grid, "charts": n + 1,
@@ -394,25 +395,29 @@ def _nested_cells(c: np.ndarray, a0: float, levels: int, m: int):
 
 def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
                       h: float = 5e-4, eps_list=(0.3,), points_per_axis: int = 0,
-                      levels: int = 0, vol_tol: float = 0.02) -> list[MassReport]:
+                      levels: int = 0) -> list[MassReport]:
     """Mass of the smoothed Monge-Ampere measure in FS balls around center.
 
     For each eps in eps_list (decreasing), integrates det(H_phi) over the
     geodesic balls B_r(center) for each radius (given decreasing; reported
     ascending) on dyadically refined local grids, and reports the mass, the
     ratio to the exact ball volume sin^(2n)(r / sqrt 2), and a pure-volume
-    self-check per radius.  Hessians are closed form; h only sets the
-    singular guard.  With eps = 0 in the list, cells within 10h of an atom
-    are excised; their FS volume is reported as excised_singular_mass
-    (a bounded diagnostic of the removed region, not a mass estimate).
+    self-check per radius, which must hold within 2%.  Hessians are closed
+    form; h only sets the singular guard.  With eps = 0 in the list, cells
+    within 10h of an atom are excised; their FS volume is reported as
+    excised_singular_mass (a bounded diagnostic of the removed region, not a
+    mass estimate).  A mass that is not finite (the Hessians overflow at a
+    huge eps) raises NonConvergent.
     """
     n = mu.n
     radii = sorted(float(r) for r in radii)
     if not radii or not all(0 < r < math.inf for r in radii):
         raise ValidationError(f"radii = {radii} must be a nonempty list of positive reals")
+    if fs_ball_volume(n, radii[0]) == 0.0:
+        raise ValidationError(f"radius = {radii[0]!r}: the ball's volume underflows to 0")
     eps_list = list(eps_list)
     if any(e < 0 for e in eps_list):
-        raise NonpositiveEpsilon("eps values must be >= 0")
+        raise ValidationError("eps values must be >= 0")
     chart = max_modulus_chart(center.coords)
     c = chart_project(center.coords, chart)
     r_max = radii[-1]
@@ -426,7 +431,8 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
             nlev = levels
         else:
             feature = max(eps, 1e-3) * (1.0 + float(np.linalg.norm(c)) ** 2)
-            nlev = max(1, min(9, int(math.ceil(math.log2(a0 / (2.0 * feature)))) + 1))
+            ratio = a0 / (2.0 * feature)      # may underflow to 0 at a huge eps
+            nlev = 1 if ratio <= 1.0 else min(9, math.ceil(math.log2(ratio)) + 1)
         lift = psh_lift(mu, chart, eps)
         sites = lift.singular_sites() if eps == 0.0 else np.empty((0, n), complex)
         masses = np.zeros(len(radii))
@@ -450,10 +456,12 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
             masses += ball_mass
             vols += ball_vol
             clipped += ball_clipped
+        if not np.all(np.isfinite(masses)):
+            raise NonConvergent(f"ball masses {masses.tolist()} at eps = {eps!r} are not finite")
         exact_vols = [fs_ball_volume(n, r) for r in radii]
         # the excised cells are part of the grid's ball, so the check counts them
         rel = abs(vols[-1] + excised_volume - exact_vols[-1]) / max(exact_vols[-1], 1e-300)
-        if rel > vol_tol:
+        if rel > 0.02:
             raise GridTooCoarse(
                 f"ball-volume self-check off by {rel:.2%} at r = {radii[-1]:.3g} "
                 f"(grid {m}/axis, {nlev} levels)")

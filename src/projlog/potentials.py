@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analytic
 from .coarea import log_radial_levels, sobolev_bound, sphere_area
-from .errors import DimensionMismatch, NonConvergent, NonpositiveEpsilon, ValidationError
+from .errors import NonConvergent, ValidationError
 from .geometry import (
     chart_mask,
     chart_project,
@@ -71,15 +71,15 @@ def within_guard(Z: np.ndarray, sites: np.ndarray, h: float) -> np.ndarray:
 class PotentialField:
     """Evaluatable scalar field on a chart of P^n (or on C^n).
 
-    kind is one of 'lift' (chart representative of U_mu + rho, optionally
-    globally smoothed), 'affine' (kernel sum of chart atoms, optionally
-    constant-eps smoothed) or 'fs' (the Kahler potential rho itself).  The
-    first two are sum_i w_i (1/2) log(Ptilde_i + a + b (1 + |z|^2)) (see
-    analytic); 'fs' is the Ptilde = 0 member with (a, b) = (0, 1).
-    Evaluation is deterministic and vectorized over rows.
+    With atoms (psh_lift: the chart representative of U_mu + rho, optionally
+    globally smoothed; affine_field: the kernel sum of chart atoms,
+    optionally constant-eps smoothed) the field is
+    sum_i w_i (1/2) log(Ptilde_i + a + b (1 + |z|^2)) (see analytic).
+    Without atoms (fs_field) it is the Kahler potential rho, the Ptilde = 0
+    member with (a, b) = (0, 1).  Evaluation is deterministic and vectorized
+    over rows.
     """
 
-    kind: str
     chart: int
     n: int
     a: float = 0.0
@@ -89,14 +89,14 @@ class PotentialField:
 
     def __call__(self, Z) -> np.ndarray:
         """Values (m,) at the chart rows Z (m, n)."""
-        if self.kind == "fs":
+        if self.atoms_eta is None:
             return fs_potential(Z)
         return analytic.field_value_batch(Z, self.atoms_eta, self.weights,
                                           self.chart, self.a, self.b)
 
     def holomorphic_gradient(self, Z) -> np.ndarray:
         """Closed-form dphi/dz (m, n) at the chart rows Z (m, n)."""
-        if self.kind == "fs":
+        if self.atoms_eta is None:
             T, Tz, _ = analytic.quad_form_batch(Z, None, self.chart, 0.0, 1.0)
             return analytic.log_half_gradient(T, Tz)
         return analytic.field_gradient_batch(Z, self.atoms_eta, self.weights,
@@ -104,7 +104,7 @@ class PotentialField:
 
     def complex_hessian(self, Z) -> np.ndarray:
         """Closed-form complex Hessian (m, n, n) at the chart rows Z (m, n)."""
-        if self.kind == "fs":
+        if self.atoms_eta is None:
             return analytic.log_half_hessian(
                 *analytic.quad_form_batch(Z, None, self.chart, 0.0, 1.0))
         return analytic.field_hessian_batch(Z, self.atoms_eta, self.weights,
@@ -112,13 +112,20 @@ class PotentialField:
 
     def singular_sites(self) -> np.ndarray:
         """Chart coordinates where the unsmoothed field is -inf, shape (k, n)."""
-        if self.a > 0.0 or self.b > 0.0 or self.kind == "fs":
+        if self.a > 0.0 or self.b > 0.0 or self.atoms_eta is None:
             return np.empty((0, self.n), dtype=complex)
         return _chart_sites(self.atoms_eta, self.chart)
 
 
 def fs_field(n: int, chart: int = 0) -> PotentialField:
-    return PotentialField(kind="fs", chart=chart, n=n)
+    return PotentialField(chart=chart, n=n)
+
+
+def _check_eps(eps: float) -> None:
+    if eps < 0.0:
+        raise ValidationError(f"eps = {eps} must be >= 0")
+    if not math.isfinite(eps * eps):
+        raise ValidationError(f"eps = {eps!r}: its square overflows")
 
 
 def psh_lift(mu: AtomicMeasure, chart: int, eps: float = 0.0) -> PotentialField:
@@ -127,19 +134,17 @@ def psh_lift(mu: AtomicMeasure, chart: int, eps: float = 0.0) -> PotentialField:
     For eps > 0 the lifted field is smooth and plurisubharmonic on the whole
     chart; for eps = 0 it is -inf exactly at the atoms inside the chart.
     """
-    if eps < 0.0:
-        raise NonpositiveEpsilon(f"eps = {eps} must be >= 0")
-    return PotentialField(kind="lift", chart=chart, n=mu.n, b=eps * eps,
+    _check_eps(eps)
+    return PotentialField(chart=chart, n=mu.n, b=eps * eps,
                           atoms_eta=mu.points.copy(), weights=mu.weights.copy())
 
 
 def affine_field(atoms: AffineAtoms, eps: float = 0.0) -> PotentialField:
     """Kernel sum of chart atoms (constant-eps smoothing when eps > 0)."""
-    if eps < 0.0:
-        raise NonpositiveEpsilon(f"eps = {eps} must be >= 0")
+    _check_eps(eps)
     lifted = np.insert(atoms.w, atoms.chart, 1.0, axis=1)
     norms = np.linalg.norm(lifted, axis=1, keepdims=True)
-    return PotentialField(kind="affine", chart=atoms.chart, n=atoms.n, a=eps * eps,
+    return PotentialField(chart=atoms.chart, n=atoms.n, a=eps * eps,
                           atoms_eta=lifted / norms, weights=atoms.weights.copy())
 
 
@@ -151,7 +156,7 @@ def log_potential_batch(mu: AtomicMeasure, points: np.ndarray) -> np.ndarray:
     """U_mu on rows of (m, n+1); -inf rows at atoms."""
     points = np.atleast_2d(np.asarray(points, dtype=complex))
     if points.shape[-1] != mu.n + 1:
-        raise DimensionMismatch(f"points in P^{points.shape[-1] - 1}, measure on P^{mu.n}")
+        raise ValidationError(f"points in P^{points.shape[-1] - 1}, measure on P^{mu.n}")
     out = np.zeros(points.shape[0])
     for w, eta in zip(mu.weights, mu.points):
         out += w * projective_log_kernel_batch(points, eta)
@@ -176,12 +181,10 @@ class SobolevScanResult:
 
 def _sobolev_chunk(payload, rng):
     """Module-level chunk worker (picklable for process pools)."""
-    points, weights, n, h, seed, start = payload
+    mu, h, seed, start = payload
     lo, hi = rng
-    mu = AtomicMeasure(points=points, weights=weights, n=n)
-    pts = sample_fs_array(seed, hi - lo, n, start=start + lo)
-    values, excised = _gradient_norm_values(mu, pts, h, seed, reserve_start=start + lo)
-    return values, excised
+    pts = sample_fs_array(seed, hi - lo, mu.n, start=start + lo)
+    return _gradient_norm_values(mu, pts, h, seed, reserve_start=start + lo)
 
 
 def _potential_gradient(mu: AtomicMeasure, chart: int, Z: np.ndarray) -> np.ndarray:
@@ -249,13 +252,15 @@ def sobolev_scan(mu: AtomicMeasure, p: float, seed: int, samples: int,
                               f"by concavity)")
     n = mu.n
     workers = resolve_workers(workers)
-    payload = (mu.points, mu.weights, n, h, seed, start)
     parts = run_chunked(_sobolev_chunk, samples, chunk=65536, workers=workers,
-                        payload=payload)
+                        payload=(mu, h, seed, start))
     values = np.concatenate([v for v, _ in parts]) ** p
     excised = sum(e for _, e in parts)
     est = float(np.mean(values))
     se = float(np.std(values) / math.sqrt(samples))
+    if not (math.isfinite(est) and math.isfinite(se)):
+        raise NonConvergent(f"the Monte Carlo estimate {est!r} (SE {se!r}) of the p = {p!r} "
+                            f"gradient norm is not finite")
     return SobolevScanResult(estimate=est, std_error=se,
                              analytic_bound=sobolev_bound(n, p),
                              samples=samples, excised=excised, p=p, n=n, seed=seed)

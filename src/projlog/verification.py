@@ -59,8 +59,9 @@ def _random_measure(n, atoms, seed):
 
 
 @_timed
-def check_sin_distance_identity(seed: int = 1, pairs: int = 10_000):
+def check_sin_distance_identity(seed: int = 1):
     """Kernel equals log sin of the scaled distance, n = 1..4, 1e-12."""
+    pairs = 10_000
     worst = 0.0
     for n in (1, 2, 3, 4):
         a = sample_fs_array(seed + n, pairs, n)
@@ -73,8 +74,9 @@ def check_sin_distance_identity(seed: int = 1, pairs: int = 10_000):
 
 
 @_timed
-def check_chart_identity(seed: int = 2, pairs: int = 10_000):
+def check_chart_identity(seed: int = 2):
     """K = N - rho in the chart, n = 1..3, 1e-12."""
+    pairs = 10_000
     worst = 0.0
     rng = np.random.default_rng(seed)
     for n in (1, 2, 3):
@@ -89,8 +91,9 @@ def check_chart_identity(seed: int = 2, pairs: int = 10_000):
 
 
 @_timed
-def check_kernel_bounds(seed: int = 3, pairs: int = 100_000):
+def check_kernel_bounds(seed: int = 3):
     """Two-sided chart-kernel bounds with 1e-12 slack at n = 2."""
+    pairs = 100_000
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((pairs, 2)) + 1j * rng.standard_normal((pairs, 2))
     w = rng.standard_normal((pairs, 2)) + 1j * rng.standard_normal((pairs, 2))
@@ -107,8 +110,9 @@ def check_kernel_bounds(seed: int = 3, pairs: int = 100_000):
 
 
 @_timed
-def check_kernel_mean(seed: int = 4, samples: int = 1_000_000):
+def check_kernel_mean(seed: int = 4):
     """Quadrature mean = -1/(2n) for n = 1..6; MC agrees within 3 SE, n = 1, 2."""
+    samples = 1_000_000
     quad_ok = True
     worst = 0.0
     for n in range(1, 7):
@@ -131,11 +135,11 @@ def check_kernel_mean(seed: int = 4, samples: int = 1_000_000):
 
 
 @_timed
-def check_sobolev_threshold(seed: int = 5, samples: tuple[int, int] = (400_000, 2_000_000)):
+def check_sobolev_threshold(seed: int = 5):
     """Doubling-stable at p = 2n-1; refinement grows >= 10x at p = 2n."""
     ok = True
     parts = []
-    for n, S in zip((1, 2), samples):
+    for n, S in ((1, 400_000), (2, 2_000_000)):
         eta = geometry.normalize(np.eye(n + 1)[0])
         mu = measures.dirac(eta)
         p_stable = 2 * n - 1
@@ -157,12 +161,12 @@ def check_sobolev_threshold(seed: int = 5, samples: tuple[int, int] = (400_000, 
 
 
 @_timed
-def check_riesz_ranges(seed: int = 6, samples: int = 500_000):
+def check_riesz_ranges(seed: int = 6):
     """Unit-disc integral of |z|^-1 = 2 pi within 1 percent; critical refinement."""
     nu = AffineAtoms(chart=0, w=np.zeros((1, 1), dtype=complex),
                      weights=np.array([1.0]))
     res = riesz_lp_scan(nu, alpha=1.0, p=1.0, center=[0.0], radius=1.0,
-                        seed=seed, samples=samples)
+                        seed=seed, samples=500_000)
     rel = abs(res.estimate - 2 * _math.pi) / (2 * _math.pi)
     ests = riesz_refinement_scan(nu, alpha=1.0, p=2.0, atom_index=0, r0=0.5,
                                  levels=4, seed=seed)
@@ -179,8 +183,9 @@ def check_riesz_ranges(seed: int = 6, samples: int = 500_000):
 
 
 @_timed
-def check_mixed_discriminant_expansion(seed: int = 7, configs: int = 100):
+def check_mixed_discriminant_expansion(seed: int = 7):
     """Pointwise product-formula expansion, n = 2, 3, atoms <= 4, rel 1e-9."""
+    configs = 100
     rng = np.random.default_rng(seed)
     worst = 0.0
     done = 0
@@ -202,18 +207,18 @@ def check_mixed_discriminant_expansion(seed: int = 7, configs: int = 100):
 
 
 @_timed
-def check_mass_conservation(seed: int = 8, grid_n1: int = 256, grid_n2: int = 48):
+def check_mass_conservation(seed: int = 8):
     """Total smoothed MA mass = 1: n=1 within 1%, n=2 within 2% (eps = 0.3)."""
     mu1 = _random_measure(1, 4, seed)
-    rep1 = ma_total_mass(mu1, grid=grid_n1, eps=0.3)
+    rep1 = ma_total_mass(mu1, grid=256, eps=0.3)
     dev1 = abs(rep1.total_mass - 1.0)
     mu2 = _random_measure(2, 2, seed + 1)
-    rep2 = ma_total_mass(mu2, grid=grid_n2, eps=0.3, vol_tol=0.02)
+    rep2 = ma_total_mass(mu2, grid=48, eps=0.3, vol_tol=0.02)
     dev2 = abs(rep2.total_mass - 1.0)
     ok = dev1 < 0.01 and dev2 < 0.02
     return ("MA mass conservation", ok,
-            f"n=1 ({grid_n1}^2/chart): {rep1.total_mass:.4f} (tol 1%); "
-            f"n=2 ({grid_n2}^4/chart): {rep2.total_mass:.4f} (tol 2%)")
+            f"n=1 (256^2/chart): {rep1.total_mass:.4f} (tol 1%); "
+            f"n=2 (48^4/chart): {rep2.total_mass:.4f} (tol 2%)")
 
 
 @_timed
@@ -247,10 +252,10 @@ def check_dirac_concentration(seed: int = 9):
 
 
 @_timed
-def check_absolute_continuity_dichotomy(seed: int = 23, eps: float = 0.005):
+def check_absolute_continuity_dichotomy(seed: int = 23):
     """Per-atom singular mass ~ N^-n within factor 2 (N = 4, 16, 64, n = 2);
     a true Dirac keeps ball mass >= 0.9."""
-    n = 2
+    n, eps = 2, 0.005
     ok = True
     parts = []
     for N in (4, 16, 64):
@@ -271,14 +276,14 @@ def check_absolute_continuity_dichotomy(seed: int = 23, eps: float = 0.005):
 
 
 @_timed
-def check_smooth_wedge_density(seed: int = 11, points: int = 50):
+def check_smooth_wedge_density(seed: int = 11):
     """binom(n,m) D(H_V^m, H_psi^(n-m)) vs brute-force polarization, 1e-5.
 
     The density uses closed-form Hessians; the polarization reference is
     built from finite-difference Hessians (h = 1e-3), an independent route.
     """
     rng = np.random.default_rng(seed)
-    n = 2
+    n, points = 2, 50
     psi = fs_field(n)
     worst = 0.0
     done = 0
@@ -304,9 +309,9 @@ def check_smooth_wedge_density(seed: int = 11, points: int = 50):
 
 
 @_timed
-def check_decomposition_reassembly(seed: int = 12, atoms: int = 100):
+def check_decomposition_reassembly(seed: int = 12):
     """mu = sum m_j mu_j and U_mu = sum m_j U_(mu_j) within 1e-12, n = 2."""
-    mu = _random_measure(2, atoms, seed)
+    mu = _random_measure(2, 100, seed)
     dec = decompose(mu)
     back = dec.reassemble()
     worst_w = 0.0
@@ -354,12 +359,7 @@ def run_checks(names=None, seed: int = 0, quick: bool = False) -> list[CheckResu
                               f"valid keys: {', '.join(keys)}")
     results = []
     for key, fn in ALL_CHECKS:
-        if names and key not in names:
+        if (names and key not in names) or (not names and quick and key not in QUICK_CHECKS):
             continue
-        if not names and quick and key not in QUICK_CHECKS:
-            continue
-        kwargs = {}
-        if seed:
-            kwargs["seed"] = seed
-        results.append(fn(**kwargs))
+        results.append(fn(seed=seed) if seed else fn())
     return results

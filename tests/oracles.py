@@ -4,15 +4,17 @@ None of these is on a production path: each recomputes a quantity the
 library gets another way (a finite-difference gradient against the closed
 forms, the FS metric against the closed-form Hessian, chart coordinates one
 point at a time against the batch projection, quadratures and closed forms
-of the co-area constants).
+of the co-area constants), or writes an input the way a user would (the
+measure file of a measure).
 """
 
+import json
 import math
 
 import numpy as np
 
 from projlog.coarea import SQRT2, area_constant
-from projlog.errors import ChartUndefined, SingularStencil
+from projlog.errors import SingularStencil, ValidationError
 from projlog.geometry import CHART_FLOOR, HomogeneousPoint
 
 
@@ -71,14 +73,14 @@ def holo_to_real_gradient(fz: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def to_chart(zeta, k: int) -> np.ndarray:
-    """Affine coordinates of one point in chart k; ChartUndefined at or below CHART_FLOOR."""
+    """Affine coordinates of one point in chart k; ValidationError at or below CHART_FLOOR."""
     c = zeta.coords if isinstance(zeta, HomogeneousPoint) else np.asarray(zeta, dtype=complex)
     k = int(k)
     if not 0 <= k < c.shape[0]:
-        raise ChartUndefined(f"chart index {k} out of range for P^{c.shape[0]-1}")
+        raise ValidationError(f"chart index {k} out of range for P^{c.shape[0]-1}")
     scale = abs(c[k]) / np.linalg.norm(c)
     if scale <= CHART_FLOOR:
-        raise ChartUndefined(
+        raise ValidationError(
             f"|zeta_{k}|/|zeta| = {scale:.3e} <= chart_floor = {CHART_FLOOR:.1e}")
     return np.delete(c / c[k], k)
 
@@ -141,3 +143,10 @@ def wallis_sin_power_integral(m: int) -> float:
     for k in range(2 if m % 2 == 0 else 3, m + 1, 2):
         val *= (k - 1) / k
     return val
+
+
+def measure_json(mu) -> str:
+    """The measure file of mu: {"n": n, "atoms": [{"zeta": [[re, im], ...], "weight": w}]}."""
+    atoms = [{"zeta": [[float(c.real), float(c.imag)] for c in row], "weight": float(w)}
+             for row, w in zip(mu.points, mu.weights)]
+    return json.dumps({"n": mu.n, "atoms": atoms}, indent=2)

@@ -3,7 +3,8 @@ PASS/FAIL line with the measured values.  Tolerances are fixed here and in
 projlog.verification; the checks compare independent computation routes
 (see the verification module docstring).
 
-Run with `pytest tests/test_acceptance.py -v -s` or `projlog verify --all`.
+Run with `pytest tests/test_acceptance.py -v -s` or `projlog verify` (every
+check; `--quick` skips the slow grids, `--checks` names the checks to run).
 """
 
 from projlog import verification as V

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -8,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import projlog as pl
+from oracles import measure_json
 from projlog.cli import main
 
 
@@ -17,7 +20,7 @@ def measure_file(tmp_path):
         [pl.normalize([1, 0.3]).coords, pl.normalize([1, -0.5 + 0.2j]).coords],
         [0.6, 0.4])
     path = tmp_path / "mu.json"
-    path.write_text(mu.to_json())
+    path.write_text(measure_json(mu))
     return path
 
 
@@ -117,7 +120,7 @@ def test_sobolev_subcommand(tmp_path, measure_file):
 def test_riesz_subcommand(tmp_path):
     mu = pl.dirac(pl.normalize([1, 0]))
     mfile = tmp_path / "delta.json"
-    mfile.write_text(mu.to_json())
+    mfile.write_text(measure_json(mu))
     rc = main(["riesz", "--measure", str(mfile), "--alpha", "1.0",
                "--p-value", "1.0", "--radius", "1.0", "--seed", "5",
                "--samples", "200000", "--output", str(tmp_path)])
@@ -129,7 +132,7 @@ def test_riesz_subcommand(tmp_path):
 def test_ball_profile_subcommand(tmp_path):
     mu = pl.dirac(pl.normalize([1, 0]))
     mfile = tmp_path / "delta.json"
-    mfile.write_text(mu.to_json())
+    mfile.write_text(measure_json(mu))
     rc = main(["ball-profile", "--measure", str(mfile), "--radii", "1.0,0.5",
                "--eps", "0.1", "--h", "0.0001", "--output", str(tmp_path)])
     assert rc == 0
@@ -152,6 +155,17 @@ def test_verify_quick(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("[PASS]") >= 5 and "[FAIL]" not in out
+
+
+def test_verify_quick_and_checks_exclude_each_other(tmp_path, capsys):
+    # --quick used to be dropped silently next to --checks (the grid check
+    # ran), and --all did nothing but ignore --checks
+    for argv in (["--quick", "--checks", "mass-conservation"], ["--all"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv, "--output", str(tmp_path)])
+        assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_potential_subcommand(tmp_path, measure_file):
@@ -301,33 +315,50 @@ def test_verify_unknown_check_key_exit_code(tmp_path, capsys):
     assert list(tmp_path.glob("*.csv")) == []
 
 
-@pytest.mark.parametrize("argv, named", [
-    (["ma-density", "--samples", "5", "--h", "nan"], "--h"),
-    (["ma-mass", "--grid", "16", "--eps", "nan"], "--eps"),
-    (["ma-mass", "--grid", "16", "--eps", "0.3,x"], "--eps"),
-    (["sobolev", "--samples", "50", "--p", "nan"], "p = nan"),
-    (["sobolev", "--samples", "50", "--p", "0.5"], "p = 0.5"),
-    (["sobolev", "--samples", "50", "--p", ""], "--p"),
-    (["riesz", "--samples", "50", "--radius", "-1"], "radius = -1.0"),
-    (["riesz", "--samples", "50", "--p-value", "nan"], "p = nan"),
-    (["ball-profile", "--radii", "0"], "radii"),
-    (["ball-profile", "--radii", "0.5,abc"], "--radii"),
-    (["riesz", "--samples", "50", "--levels", "0"], "levels = 0"),
-    (["ma-mass", "--grid", "16", "--eps", "0"], "eps > 0"),
-    (["ma-density", "--samples", "5", "--eps", "0.3,0.1"], "--eps"),
-    (["sobolev", "--samples", "50", "--seed", str(2**64)], "--seed"),
-    (["potential", "--samples", "5", "--seed", "-1"], "--seed"),
-    (["sobolev", "--samples", "50", "--p", "inf"], "p = inf"),
-    (["riesz", "--samples", "50", "--p-value", "inf"], "p = inf"),
-    (["riesz", "--samples", "50", "--radius", "1e200"], "radius = 1e+200"),
+@pytest.mark.parametrize("argv, code, named", [
+    (["ma-density", "--samples", "5", "--h", "nan"], 2, "--h"),
+    (["ma-mass", "--grid", "16", "--eps", "nan"], 2, "--eps"),
+    (["ma-mass", "--grid", "16", "--eps", "0.3,x"], 2, "--eps"),
+    (["sobolev", "--samples", "50", "--p", "nan"], 2, "p = nan"),
+    (["sobolev", "--samples", "50", "--p", "0.5"], 2, "p = 0.5"),
+    (["sobolev", "--samples", "50", "--p", ""], 2, "--p"),
+    (["riesz", "--samples", "50", "--radius", "-1"], 2, "radius = -1.0"),
+    (["riesz", "--samples", "50", "--p-value", "nan"], 2, "p = nan"),
+    (["ball-profile", "--radii", "0"], 2, "radii"),
+    (["ball-profile", "--radii", "0.5,abc"], 2, "--radii"),
+    (["riesz", "--samples", "50", "--levels", "0"], 2, "levels = 0"),
+    (["ma-mass", "--grid", "16", "--eps", "0"], 2, "eps > 0"),
+    (["ma-density", "--samples", "5", "--eps", "0.3,0.1"], 2, "--eps"),
+    (["sobolev", "--samples", "50", "--seed", str(2**64)], 2, "--seed"),
+    (["potential", "--samples", "5", "--seed", "-1"], 2, "--seed"),
+    (["sobolev", "--samples", "50", "--p", "inf"], 2, "p = inf"),
+    (["riesz", "--samples", "50", "--p-value", "inf"], 2, "p = inf"),
+    (["riesz", "--samples", "50", "--radius", "1e200"], 2, "radius = 1e+200"),
+    (["ma-mass", "--grid", "64", "--eps", "1e200"], 2, "eps = 1e+200"),
+    (["ma-density", "--samples", "5", "--eps", "1e200"], 2, "eps = 1e+200"),
+    (["ball-profile", "--radii", "0.5", "--eps", "1e200"], 2, "eps = 1e+200"),
+    (["ball-profile", "--radii", "1e-200", "--eps", "1e150"], 2, "radius = 1e-200"),
+    (["ball-profile", "--radii", "1e-300"], 2, "radius = 1e-300"),
+    (["riesz", "--samples", "50", "--radius", "1e-300"], 2, "radius = 1e-300"),
+    (["sobolev", "--p", "1000", "--samples", "200"], 3, "not finite"),
+    (["riesz", "--alpha", "1.9999999", "--p-value", "1e300"], 3, "not finite"),
+    (["ma-mass", "--grid", "16", "--eps", "1e154"], 3, "not finite"),
+    (["ma-density", "--samples", "5", "--eps", "1e154"], 3, "not finite"),
+    (["ball-profile", "--radii", "0.5", "--eps", "1e154"], 3, "not finite"),
 ], ids=["h-nan", "eps-nan", "eps-text", "p-nan", "p-below-1", "p-empty", "radius-negative",
         "p-value-nan", "radii-zero", "radii-text", "levels-zero", "mass-eps-zero",
         "density-eps-list", "seed-2-to-64", "seed-negative", "p-inf", "p-value-inf",
-        "radius-overflow"])
-def test_bad_numeric_option_exit_code(argv, named, tmp_path, measure_file, capsys):
+        "radius-overflow", "mass-eps-square-overflow", "density-eps-square-overflow",
+        "profile-eps-square-overflow", "profile-radius-underflow-huge-eps",
+        "profile-radius-underflow", "riesz-radius-underflow", "sobolev-estimate-overflow",
+        "riesz-estimate-overflow", "mass-hessian-overflow", "density-hessian-overflow",
+        "profile-hessian-overflow"])
+def test_bad_numeric_option_exit_code(argv, code, named, tmp_path, measure_file, capsys):
+    # the exit-3 rows, and the eps and radius rows, used to exit 0 with inf,
+    # nan or 0 in the body, or 1 with a traceback
     rc = main([argv[0], "--measure", str(measure_file), *argv[1:],
                "--output", str(tmp_path)])
-    assert rc == 2
+    assert rc == code
     assert named in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
 
@@ -518,6 +549,17 @@ NUMERIC_OPTIONS = {
 }
 
 
+# result columns that must be finite in a body of exit 0 (analytic_bound
+# is inf for p >= 2n, so it is not listed)
+FINITE_COLUMNS = {
+    "ma-mass": ("total_mass", "volume_check"),
+    "ma-density": ("density",),
+    "ball-profile": ("mass", "mass_over_ball_volume", "excised_singular_mass"),
+    "sobolev": ("estimate", "std_error", "estimate_doubled"),
+    "riesz": ("estimate",),
+}
+
+
 def invocations(command):
     """Valid values for every option of the command but at most one, so
     that the odd value gets past the others."""
@@ -537,11 +579,19 @@ def invocations(command):
                          "p-value": "inf", "radius": "1", "levels": "1"}), workers="2")
 @example(call=("riesz", {"seed": "0", "samples": "3", "chart": "0", "alpha": "1",
                          "p-value": "1", "radius": "1e200", "levels": "1"}), workers=None)
+@example(call=("sobolev", {"seed": "0", "samples": "200", "h": "1e-4", "p": "1000"}),
+         workers=None)
+@example(call=("riesz", {"seed": "0", "samples": "1000", "chart": "0", "alpha": "1.9999999",
+                         "p-value": "1e300", "radius": "1", "levels": "3"}), workers=None)
+@example(call=("ma-mass", {"grid": "64", "eps": "1e200"}), workers=None)
+@example(call=("ball-profile", {"grid": "4", "eps": "0.3", "h": "1e-4", "radii": "1e-300"}),
+         workers=None)
 @given(call=st.sampled_from(sorted(NUMERIC_OPTIONS)).flatmap(invocations),
        workers=st.sampled_from([None, "1", "2", "9" * 30, "", "0", "-3", "x", "1.5"]))
 def test_numeric_options_never_raise(call, workers, tmp_path, measure_file, monkeypatch):
     # whatever the numeric options and PROJLOG_WORKERS hold, the CLI exits
-    # 0 with a CSV, or 2 or 3 without one, and raises nothing
+    # 0 with a CSV whose result columns are finite, or 2 or 3 without one,
+    # and raises nothing
     command, opts = call
     if workers is None:
         monkeypatch.delenv("PROJLOG_WORKERS", raising=False)
@@ -558,3 +608,7 @@ def test_numeric_options_never_raise(call, workers, tmp_path, measure_file, monk
         rc = exc.code
     assert rc in (0, 2, 3), argv
     assert (rc == 0) == any(out.glob("*.csv")), argv
+    if rc == 0 and command in FINITE_COLUMNS:
+        rows = csv.DictReader(body_of(next(out.glob("*.csv"))).splitlines())
+        assert all(math.isfinite(float(row[col])) for row in rows
+                   for col in FINITE_COLUMNS[command]), argv

@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports, no library code that only tests call,
-and a light import of the package."""
+no class member that only tests use, no defaulted parameter that no call
+sets, and a light import of the package."""
 
 import ast
 import os
@@ -106,6 +107,115 @@ def test_scanner_flags_an_unreferenced_definition(tmp_path):
 
 def test_no_test_only_code_in_package():
     assert unreferenced_definitions(SRC, sorted(PERFBENCH.glob("*.py"))) == []
+
+
+def _trees(paths: list[Path]):
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+
+
+def unused_members(package: Path, users: list[Path]) -> list[str]:
+    """Methods and properties of the package's top-level classes that no
+    package module and no user file accesses as an attribute.  Dunder
+    methods are called implicitly, so they do not count."""
+    members, accessed = [], set()
+    for path, tree in _trees(sorted(package.glob("*.py")) + users):
+        accessed |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        if path.parent != package:
+            continue
+        members += [(path.name, cls.name, item.name) for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) for item in cls.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
+    return [f"{module}:{cls}.{name}" for module, cls, name in members if name not in accessed]
+
+
+def test_scanner_flags_a_test_only_member(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "class Thing:\n"
+        "    def __eq__(self, other):\n        return True\n\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    def used(self):\n        return self.size\n\n"
+        "    def orphan(self):\n        return 'used'\n")
+    user = tmp_path / "user.py"
+    user.write_text("from pkg.a import Thing\n\nprint(Thing().used())\n")
+    assert unused_members(pkg, [user]) == ["a.py:Thing.orphan"]
+
+
+def test_no_test_only_members_in_package():
+    assert unused_members(SRC, sorted(PERFBENCH.glob("*.py"))) == []
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[int | None, str]]:
+    """(position a bound call passes it at, or None if keyword-only, name) of
+    each parameter of fn that has a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    skip = 1 if method and "staticmethod" not in {getattr(d, "id", None)
+                                                  for d in fn.decorator_list} else 0
+    first = len(positional) - len(fn.args.defaults)
+    out = [(i - skip, arg.arg) for i, arg in enumerate(positional) if i >= first]
+    return out + [(None, arg.arg) for arg, default in zip(fn.args.kwonlyargs,
+                                                          fn.args.kw_defaults) if default]
+
+
+def unset_defaults(package: Path, callers: list[Path]) -> list[str]:
+    """Defaulted parameters of the package's functions and methods that no
+    call in the callers passes, by keyword or by position.
+
+    Calls are matched to definitions by name.  A function that appears as a
+    value (a table entry, a chunk worker handed to the executor) rather than
+    as the callee of a call counts as passing every parameter, and so does a
+    call with *args (positional) or **kwargs (all).
+    """
+    defaults = []
+    for path, tree in _trees(sorted(package.glob("*.py"))):
+        methods = {id(item) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for item in cls.body}
+        defaults += [(path.name, fn.name, pos, name) for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef)
+                     for pos, name in _defaulted(fn, id(fn) in methods)]
+    passed, values = set(), set()
+    for _, tree in _trees(callers):
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        callees = {id(call.func) for call in calls}
+        values |= {getattr(node, "id", None) or node.attr for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees}
+        for call in calls:
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            passed |= {(callee, kw.arg or "**") for kw in call.keywords}
+            passed |= {(callee, "*" if isinstance(arg, ast.Starred) else pos)
+                       for pos, arg in enumerate(call.args)}
+
+    def is_set(fn, pos, name):
+        keys = {(fn, "**"), (fn, name)} | ({(fn, "*"), (fn, pos)} if pos is not None else set())
+        return fn in values or bool(keys & passed)
+
+    return [f"{module}:{fn}({name})" for module, fn, pos, name in defaults
+            if not is_set(fn, pos, name)]
+
+
+def test_scanner_flags_an_unset_default(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "def f(x, tol=1.0, cap=2, *, mode='a', seed=0):\n    return x\n\n"
+        "def worker(payload, rng=None):\n    return payload\n\n"
+        "def spread(x, y=0):\n    return x\n\n"
+        "class K:\n"
+        "    def m(self, x, scale=1.0, shift=0.0):\n        return x\n\n"
+        "    @staticmethod\n    def s(x, scale=1.0):\n        return x\n")
+    user = tmp_path / "user.py"
+    user.write_text("from pkg.a import K, f, spread, worker\n\n"
+                    "f(1, 2, seed=3)\nTABLE = [worker]\nspread(*[1, 2])\n"
+                    "K().m(1, 2)\nK.s(1)\n")
+    assert unset_defaults(pkg, [user]) == ["a.py:f(cap)", "a.py:f(mode)", "a.py:m(shift)",
+                                           "a.py:s(scale)"]
+
+
+def test_every_default_is_set_by_some_call():
+    callers = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")) \
+        + sorted(TESTS.glob("*.py"))
+    assert unset_defaults(SRC, callers) == []
 
 
 def test_package_import_does_not_load_scipy_submodules():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from projlog.errors import NonpositiveEpsilon
+from projlog.errors import ValidationError
 from projlog.geometry import chart_project, geodesic_distance_batch, wedge_norm_sq_batch
 from projlog.kernels import _affine_log_arg_batch, affine_log_kernel_batch, \
     chart_identity_residual_batch, projective_log_kernel_batch, sin_distance_residual_batch
@@ -157,7 +157,7 @@ def test_smoothed_kernel_monotone_and_bounded_increment():
 def test_smoothed_kernel_rejects_bad_eps():
     # eps = 0 is the unsmoothed kernel; a negative eps is an error
     z = np.zeros(2)
-    with pytest.raises(NonpositiveEpsilon):
+    with pytest.raises(ValidationError, match="must be >= 0"):
         smoothed_kernel(z, z, -0.1)
 
 

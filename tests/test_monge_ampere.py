@@ -5,14 +5,7 @@ import pytest
 
 import projlog as pl
 from projlog import analytic, monge_ampere
-from projlog.errors import (
-    CombinatorialBlowup,
-    DimensionMismatch,
-    GridTooCoarse,
-    NonpositiveEpsilon,
-    SingularStencil,
-    ValidationError,
-)
+from projlog.errors import GridTooCoarse, SingularStencil, ValidationError
 from projlog.geometry import chart_mask, chart_project, sample_fs_array
 from projlog.monge_ampere import hessian_fd_batch
 from projlog.potentials import within_guard
@@ -155,7 +148,7 @@ def test_mixed_discriminant_polarization_identity():
 
 
 def test_mixed_discriminant_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="need 2 matrices"):
         pl.mixed_discriminant([np.eye(2), np.eye(3)])
 
 
@@ -190,7 +183,7 @@ def test_expansion_term_cap():
     nu = pl.AffineAtoms(chart=0,
                         w=rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)),
                         weights=w)
-    with pytest.raises(CombinatorialBlowup):
+    with pytest.raises(ValidationError, match="term cap"):
         pl.ma_product_expansion_check(nu, 5.0 * np.ones(n, dtype=complex))
 
 
@@ -314,7 +307,7 @@ def test_ma_density_batch_matches_one_row_calls(n, eps):
 
 def test_total_mass_requires_positive_eps():
     mu = pl.dirac(pl.normalize([1, 0]))
-    with pytest.raises(NonpositiveEpsilon):
+    with pytest.raises(ValidationError, match="eps > 0"):
         pl.ma_total_mass(mu, grid=32, eps=0.0)
 
 
