@@ -27,6 +27,8 @@ from .errors import (
 from .geometry import (
     HomogeneousPoint,
     fs_ball_volume,
+    fs_gradient,
+    fs_hessian,
     fs_potential,
     geodesic_distance_batch,
     normalize,
@@ -58,7 +60,6 @@ from .monge_ampere import (
 from .potentials import (
     PotentialField,
     affine_field,
-    fs_field,
     log_potential_batch,
     psh_lift,
     sobolev_doubling,

@@ -17,10 +17,11 @@ Ptilde(z) = (|z - w|^2 + |z ^ w|^2) / (1 + |w|^2), so
 * (a, b) = (0, 0)      gives the chart kernel N(., w),
 * (a, b) = (eps^2, 0)  gives the constant-eps smoothing N_eps,
 * (a, b) = (0, eps^2)  gives the chart lift of the globally smoothed
-                       projective kernel,
+                       projective kernel.
 
-and rho = (1/2) log(1 + |z|^2) is the Ptilde = 0 member with (a, b) = (0, 1),
-which quad_form_batch evaluates when eta is None.
+rho = (1/2) log(1 + |z|^2) is the Ptilde = 0 member with (a, b) = (0, 1).
+Its closed forms live in geometry (fs_potential, fs_gradient, fs_hessian),
+so this module handles atoms only.
 
 quad_form_batch evaluates a whole (k, n+1) stack of atoms per call: it lifts
 the points once and uses the projection form
@@ -38,10 +39,11 @@ one quad_form_batch call per block.  They add the per-atom terms along the
 atom axis of atom-major (k, m) arrays, which numpy reduces in atom order, so
 one-atom blocks give the same bits as one block.
 
-This module is the library's one derivative engine: every production
-gradient, Hessian and Monge-Ampere density is computed from these closed
-forms.  The finite-difference Hessian in monge_ampere is kept only as the
-independent oracle that `verify` compares against.
+This module is the library's one derivative engine for atoms: every
+production gradient, Hessian and Monge-Ampere density of a field with atoms
+is computed from these closed forms.  The finite-difference Hessian in
+monge_ampere is kept only as the independent oracle that `verify` compares
+against.
 """
 
 from __future__ import annotations
@@ -68,23 +70,18 @@ def _lift_positions(n: int, chart: int) -> np.ndarray:
     return np.delete(np.arange(n + 1), chart)
 
 
-def quad_form_batch(Z: np.ndarray, eta: np.ndarray | None, chart: int,
-                    a: float, b: float):
+def quad_form_batch(Z: np.ndarray, eta: np.ndarray, chart: int, a: float, b: float):
     """Evaluate T, dT/dz and the constant Hessian of T at rows of Z.
 
     Z : (m, n) complex points in the chart
     eta : (k, n+1) stack of homogeneous atom vectors (one (n+1,) vector is
-          a stack of one), or None for the Ptilde = 0 member
-    returns (T (m, k), Tz (m, k, n), Thess (k, n, n)) for a stack, and
-            (T (m,), Tz (m, n), Thess (n, n)) for None
+          a stack of one)
+    returns (T (m, k), Tz (m, k, n), Thess (k, n, n))
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     m, n = Z.shape
     t = np.sum(np.abs(Z) ** 2, axis=1)
     T = np.full(m, a + b, dtype=float) + b * t
-    Thess = b * np.eye(n, dtype=complex)
-    if eta is None:
-        return T, (b * np.conj(Z)).astype(complex), Thess
     E = np.atleast_2d(np.asarray(eta, dtype=complex))
     e2 = np.sum(E.real ** 2 + E.imag ** 2, axis=1)[:, None]      # |eta|^2, (k, 1)
     # atom-major (k, m) work arrays, written in place to spare temporaries;
@@ -116,14 +113,9 @@ def quad_form_batch(Z: np.ndarray, eta: np.ndarray | None, chart: int,
     T = perp_sq.T
     Tz = Tz.transpose(2, 1, 0)
     pos = _lift_positions(n, chart)
-    Thess = (Thess + e2[:, :, None] * np.eye(n)
+    Thess = (b * np.eye(n, dtype=complex) + e2[:, :, None] * np.eye(n)
              - np.conj(E[:, pos, None]) * E[:, None, pos])
     return T, Tz, Thess
-
-
-def log_half_gradient(T: np.ndarray, Tz: np.ndarray) -> np.ndarray:
-    """d/dz of (1/2) log T, shape (m, n)."""
-    return Tz / (2.0 * T[:, None])
 
 
 def log_half_hessian(T: np.ndarray, Tz: np.ndarray, Thess: np.ndarray) -> np.ndarray:

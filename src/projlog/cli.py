@@ -326,8 +326,9 @@ OPTIONS = {
     "chart": dict(type=int, default=0),
     "n": dict(type=int, default=1),
     "h": dict(type=float, default=1e-4,
-              help="singular-guard length at eps = 0: points within 10h of an "
-                   "atom are excised or refused"),
+              help="singular-guard length: points within 10h of an atom are excised "
+                   "or refused; ma-density and ball-profile use it only where an "
+                   "--eps value is 0"),
 }
 
 

@@ -233,6 +233,25 @@ def fs_potential(z) -> np.ndarray:
     return 0.5 * np.log1p(np.sum(np.abs(np.asarray(z, dtype=complex)) ** 2, axis=-1))
 
 
+def fs_gradient(z) -> np.ndarray:
+    """Holomorphic gradient d rho / dz = conj(z) / (2 (1 + |z|^2)) over the last axis."""
+    z = np.asarray(z, dtype=complex)
+    t = 1.0 + np.sum(np.abs(z) ** 2, axis=-1)
+    return np.conj(z) / (2.0 * t[..., None])
+
+
+def fs_hessian(z) -> np.ndarray:
+    """Complex Hessian H_rho = I / (2t) - conj(z) z^T / (2t^2), t = 1 + |z|^2.
+
+    The FS metric, batched over leading axes: (..., n) points give
+    (..., n, n) matrices.
+    """
+    z = np.asarray(z, dtype=complex)
+    t = (1.0 + np.sum(np.abs(z) ** 2, axis=-1))[..., None, None]
+    outer = np.conj(z)[..., :, None] * z[..., None, :]
+    return np.eye(z.shape[-1], dtype=complex) / (2.0 * t) - outer / (2.0 * t ** 2)
+
+
 def fs_gradient_norm_sq(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
     """Squared FS-Riemannian gradient norm from holomorphic derivatives.
 

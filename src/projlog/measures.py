@@ -307,12 +307,10 @@ def _riesz_sum(differences, weights: np.ndarray, alpha: float, rows: int,
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Monte Carlo estimate with its standard error and provenance."""
+    """Monte Carlo estimate with its standard error."""
 
     estimate: float
     std_error: float
-    samples: int
-    seed: int
 
 
 def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, center, radius: float,
@@ -340,13 +338,15 @@ def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, center, radius: fl
     z = center + radius * (pts[:, :n] + 1j * pts[:, n:])
     J = _riesz_sum(lambda blk: z[:, None, :] - atoms.w[None, blk, :],
                    atoms.weights, alpha, samples, n)
-    vals = J**p
-    est = vol * float(np.mean(vals))
-    se = vol * float(np.std(vals) / math.sqrt(samples))
+    # a large p overflows the powers; the finiteness guard below raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = J**p
+        est = vol * float(np.mean(vals))
+        se = vol * float(np.std(vals) / math.sqrt(samples))
     if not (math.isfinite(est) and math.isfinite(se)):
         raise NonConvergent(f"the Monte Carlo estimate {est!r} (SE {se!r}) of int J^p over "
                             f"the ball is not finite")
-    return ScanResult(estimate=est, std_error=se, samples=samples, seed=seed)
+    return ScanResult(estimate=est, std_error=se)
 
 
 def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,

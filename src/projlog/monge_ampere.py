@@ -27,6 +27,7 @@ from .geometry import (
     chart_lift,
     chart_project,
     fs_ball_volume,
+    fs_hessian,
     fs_volume_density,
     fs_volume_norm,
     geodesic_distance_batch,
@@ -34,7 +35,7 @@ from .geometry import (
 )
 from .measures import AffineAtoms, AtomicMeasure, partition_of_unity
 from .parallel import resolve_workers, run_chunked
-from .potentials import PotentialField, affine_field, fs_field, psh_lift, within_guard
+from .potentials import PotentialField, affine_field, psh_lift, within_guard
 
 SQRT2 = math.sqrt(2.0)
 
@@ -195,21 +196,20 @@ def ma_product_expansion_check(atoms: AffineAtoms, z) -> ExpansionCheck:
     return ExpansionCheck(residual=abs(lhs - rhs), scale=scale, lhs=lhs, rhs=rhs)
 
 
-def smooth_wedge_density(atoms: AffineAtoms, psi_field: PotentialField, m: int,
-                         z) -> float:
-    """Density of the m-fold potential / (n-m)-fold smooth-field wedge.
+def smooth_wedge_density(atoms: AffineAtoms, m: int, z) -> float:
+    """Density of the m-fold potential / (n-m)-fold FS-form wedge.
 
-    Returns binom(n, m) * D(H_V x m, H_psi x (n-m)) relative to Lebesgue:
-    the m-th binomial term in the expansion of det(H_V + H_psi).  Reduces to
-    det H_psi at m = 0 and to det H_V at m = n.
+    Returns binom(n, m) * D(H_V x m, H_rho x (n-m)) relative to Lebesgue:
+    the m-th binomial term in the expansion of det(H_V + H_rho).  Reduces to
+    det H_rho at m = 0 and to det H_V at m = n.
     """
     n = atoms.n
     if not 0 <= m <= n:
         raise ValidationError(f"m = {m} outside 0..{n}")
     Z = np.asarray(z, dtype=complex)[None, :]
-    H_psi = psi_field.complex_hessian(Z)[0] if m < n else None
+    H_rho = fs_hessian(Z)[0] if m < n else None
     H_V = affine_field(atoms).complex_hessian(Z)[0] if m > 0 else None
-    mats = [H_V] * m + [H_psi] * (n - m)
+    mats = [H_V] * m + [H_rho] * (n - m)
     return math.comb(n, m) * mixed_discriminant(mats)
 
 
@@ -235,11 +235,13 @@ def ma_density(mu: AtomicMeasure, chart: int, Z: np.ndarray, h: float = 1e-4,
     if near.size:
         raise SingularStencil(f"unsmoothed density requested within 10h of an atom "
                               f"(row {near[0]})")
-    H = np.stack([lift.complex_hessian(Z), fs_field(mu.n, chart).complex_hessian(Z)])
-    det_phi, det_rho = np.linalg.det(H).real
-    norm_phi, norm_rho = np.linalg.norm(H, axis=(2, 3))
-    density = det_phi / det_rho
-    scale = np.maximum(1.0, (norm_phi / norm_rho) ** mu.n)
+    # a huge eps overflows the Hessians; the finiteness guard below raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = np.stack([lift.complex_hessian(Z), fs_hessian(Z)])
+        det_phi, det_rho = np.linalg.det(H).real
+        norm_phi, norm_rho = np.linalg.norm(H, axis=(2, 3))
+        density = det_phi / det_rho
+        scale = np.maximum(1.0, (norm_phi / norm_rho) ** mu.n)
     bad = np.flatnonzero(~np.isfinite(density))
     if bad.size:
         raise NonConvergent(f"density {density[bad[0]]} is not finite (row {bad[0]})")
@@ -273,9 +275,11 @@ def _cell_sums(lift: PotentialField, Z: np.ndarray, weights: np.ndarray,
     """
     n = Z.shape[1]
     dets = np.empty(Z.shape[0])
-    for lo in range(0, Z.shape[0], 16384):
-        part = slice(lo, lo + 16384)
-        dets[part] = np.linalg.det(lift.complex_hessian(Z[part])).real
+    # a huge eps overflows the Hessians; the callers' finiteness guards raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, Z.shape[0], 16384):
+            part = slice(lo, lo + 16384)
+            dets[part] = np.linalg.det(lift.complex_hessian(Z[part])).real
     neg = dets < 0.0
     dets[neg] = 0.0
     fsdens = fs_volume_density(Z)
@@ -434,7 +438,7 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
             ratio = a0 / (2.0 * feature)      # may underflow to 0 at a huge eps
             nlev = 1 if ratio <= 1.0 else min(9, math.ceil(math.log2(ratio)) + 1)
         lift = psh_lift(mu, chart, eps)
-        sites = lift.singular_sites() if eps == 0.0 else np.empty((0, n), complex)
+        sites = lift.singular_sites()
         masses = np.zeros(len(radii))
         vols = np.zeros(len(radii))
         clipped = 0

@@ -12,7 +12,8 @@ and the globally smoothed version replaces Ptilde by
 Ptilde + eps^2 (1 + |z|^2), which is again plurisubharmonic (a smooth max
 of psh logs) and keeps total Monge-Ampere mass 1 on P^n for every eps > 0.
 The affine potential of atoms in a chart is the kernel sum with the
-constant-eps smoothing instead.
+constant-eps smoothing instead.  Every PotentialField has atoms; rho's own
+closed forms are geometry.fs_potential, fs_gradient and fs_hessian.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .errors import NonConvergent, ValidationError
 from .geometry import (
     chart_mask,
     chart_project,
+    fs_gradient,
     fs_gradient_norm_sq,
-    fs_potential,
     sample_fs_array,
 )
 from .kernels import projective_log_kernel_batch
@@ -71,54 +72,41 @@ def within_guard(Z: np.ndarray, sites: np.ndarray, h: float) -> np.ndarray:
 class PotentialField:
     """Evaluatable scalar field on a chart of P^n (or on C^n).
 
-    With atoms (psh_lift: the chart representative of U_mu + rho, optionally
-    globally smoothed; affine_field: the kernel sum of chart atoms,
-    optionally constant-eps smoothed) the field is
-    sum_i w_i (1/2) log(Ptilde_i + a + b (1 + |z|^2)) (see analytic).
-    Without atoms (fs_field) it is the Kahler potential rho, the Ptilde = 0
-    member with (a, b) = (0, 1).  Evaluation is deterministic and vectorized
-    over rows.
+    The field is sum_i w_i (1/2) log(Ptilde_i + a + b (1 + |z|^2)) over its
+    atoms (see analytic): psh_lift gives the chart representative of
+    U_mu + rho, optionally globally smoothed (b = eps^2), and affine_field
+    the kernel sum of chart atoms, optionally constant-eps smoothed
+    (a = eps^2).  rho itself has no atoms; its closed forms are
+    geometry.fs_potential, fs_gradient and fs_hessian.  Evaluation is
+    deterministic and vectorized over rows.
     """
 
     chart: int
-    n: int
+    atoms_eta: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     a: float = 0.0
     b: float = 0.0
-    atoms_eta: np.ndarray | None = field(default=None, repr=False)
-    weights: np.ndarray | None = field(default=None, repr=False)
 
     def __call__(self, Z) -> np.ndarray:
         """Values (m,) at the chart rows Z (m, n)."""
-        if self.atoms_eta is None:
-            return fs_potential(Z)
         return analytic.field_value_batch(Z, self.atoms_eta, self.weights,
                                           self.chart, self.a, self.b)
 
     def holomorphic_gradient(self, Z) -> np.ndarray:
         """Closed-form dphi/dz (m, n) at the chart rows Z (m, n)."""
-        if self.atoms_eta is None:
-            T, Tz, _ = analytic.quad_form_batch(Z, None, self.chart, 0.0, 1.0)
-            return analytic.log_half_gradient(T, Tz)
         return analytic.field_gradient_batch(Z, self.atoms_eta, self.weights,
                                              self.chart, self.a, self.b)
 
     def complex_hessian(self, Z) -> np.ndarray:
         """Closed-form complex Hessian (m, n, n) at the chart rows Z (m, n)."""
-        if self.atoms_eta is None:
-            return analytic.log_half_hessian(
-                *analytic.quad_form_batch(Z, None, self.chart, 0.0, 1.0))
         return analytic.field_hessian_batch(Z, self.atoms_eta, self.weights,
                                             self.chart, self.a, self.b)
 
     def singular_sites(self) -> np.ndarray:
         """Chart coordinates where the unsmoothed field is -inf, shape (k, n)."""
-        if self.a > 0.0 or self.b > 0.0 or self.atoms_eta is None:
-            return np.empty((0, self.n), dtype=complex)
+        if self.a > 0.0 or self.b > 0.0:
+            return np.empty((0, self.atoms_eta.shape[1] - 1), dtype=complex)
         return _chart_sites(self.atoms_eta, self.chart)
-
-
-def fs_field(n: int, chart: int = 0) -> PotentialField:
-    return PotentialField(chart=chart, n=n)
 
 
 def _check_eps(eps: float) -> None:
@@ -135,8 +123,8 @@ def psh_lift(mu: AtomicMeasure, chart: int, eps: float = 0.0) -> PotentialField:
     chart; for eps = 0 it is -inf exactly at the atoms inside the chart.
     """
     _check_eps(eps)
-    return PotentialField(chart=chart, n=mu.n, b=eps * eps,
-                          atoms_eta=mu.points.copy(), weights=mu.weights.copy())
+    return PotentialField(chart=chart, atoms_eta=mu.points.copy(),
+                          weights=mu.weights.copy(), b=eps * eps)
 
 
 def affine_field(atoms: AffineAtoms, eps: float = 0.0) -> PotentialField:
@@ -144,8 +132,8 @@ def affine_field(atoms: AffineAtoms, eps: float = 0.0) -> PotentialField:
     _check_eps(eps)
     lifted = np.insert(atoms.w, atoms.chart, 1.0, axis=1)
     norms = np.linalg.norm(lifted, axis=1, keepdims=True)
-    return PotentialField(chart=atoms.chart, n=atoms.n, a=eps * eps,
-                          atoms_eta=lifted / norms, weights=atoms.weights.copy())
+    return PotentialField(chart=atoms.chart, atoms_eta=lifted / norms,
+                          weights=atoms.weights.copy(), a=eps * eps)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +160,7 @@ class SobolevScanResult:
     estimate: float
     std_error: float
     analytic_bound: float
-    samples: int
     excised: int
-    p: float
-    n: int
-    seed: int
 
 
 def _sobolev_chunk(payload, rng):
@@ -189,8 +173,7 @@ def _sobolev_chunk(payload, rng):
 
 def _potential_gradient(mu: AtomicMeasure, chart: int, Z: np.ndarray) -> np.ndarray:
     """Closed-form dU_mu/dz at chart rows Z: the lift's gradient minus rho's."""
-    return (psh_lift(mu, chart).holomorphic_gradient(Z)
-            - fs_field(mu.n, chart).holomorphic_gradient(Z))
+    return psh_lift(mu, chart).holomorphic_gradient(Z) - fs_gradient(Z)
 
 
 def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float, seed: int,
@@ -250,20 +233,20 @@ def sobolev_scan(mu: AtomicMeasure, p: float, seed: int, samples: int,
     if not 1 <= p < math.inf:
         raise ValidationError(f"p = {p!r} must be a finite real >= 1 (smaller p follows "
                               f"by concavity)")
-    n = mu.n
     workers = resolve_workers(workers)
     parts = run_chunked(_sobolev_chunk, samples, chunk=65536, workers=workers,
                         payload=(mu, h, seed, start))
-    values = np.concatenate([v for v, _ in parts]) ** p
     excised = sum(e for _, e in parts)
-    est = float(np.mean(values))
-    se = float(np.std(values) / math.sqrt(samples))
+    # a large p overflows the powers; the finiteness guard below raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.concatenate([v for v, _ in parts]) ** p
+        est = float(np.mean(values))
+        se = float(np.std(values) / math.sqrt(samples))
     if not (math.isfinite(est) and math.isfinite(se)):
         raise NonConvergent(f"the Monte Carlo estimate {est!r} (SE {se!r}) of the p = {p!r} "
                             f"gradient norm is not finite")
-    return SobolevScanResult(estimate=est, std_error=se,
-                             analytic_bound=sobolev_bound(n, p),
-                             samples=samples, excised=excised, p=p, n=n, seed=seed)
+    return SobolevScanResult(estimate=est, std_error=se, analytic_bound=sobolev_bound(mu.n, p),
+                             excised=excised)
 
 
 def sobolev_doubling(mu: AtomicMeasure, p: float, seed: int, samples: int,
@@ -277,9 +260,7 @@ def sobolev_doubling(mu: AtomicMeasure, p: float, seed: int, samples: int,
     se2 = 0.5 * math.hypot(first.std_error, second_half.std_error)
     doubled = SobolevScanResult(estimate=est2, std_error=se2,
                                 analytic_bound=first.analytic_bound,
-                                samples=2 * samples,
-                                excised=first.excised + second_half.excised,
-                                p=p, n=mu.n, seed=seed)
+                                excised=first.excised + second_half.excised)
     return first, doubled
 
 

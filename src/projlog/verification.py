@@ -26,8 +26,8 @@ from .measures import AffineAtoms, build_measure, decompose, riesz_lp_scan, \
     riesz_refinement_scan, uniform_on
 from .monge_ampere import ball_mass_profile, complex_hessian_fd, \
     ma_product_expansion_check, ma_total_mass, smooth_wedge_density
-from .potentials import affine_field, fs_field, log_potential_batch, \
-    sobolev_doubling, sobolev_refinement_scan
+from .potentials import affine_field, log_potential_batch, sobolev_doubling, \
+    sobolev_refinement_scan
 
 
 @dataclass
@@ -277,14 +277,14 @@ def check_absolute_continuity_dichotomy(seed: int = 23):
 
 @_timed
 def check_smooth_wedge_density(seed: int = 11):
-    """binom(n,m) D(H_V^m, H_psi^(n-m)) vs brute-force polarization, 1e-5.
+    """binom(n,m) D(H_V^m, H_rho^(n-m)) vs brute-force polarization, 1e-5.
 
     The density uses closed-form Hessians; the polarization reference is
-    built from finite-difference Hessians (h = 1e-3), an independent route.
+    built from finite-difference Hessians (h = 1e-3) of the field values,
+    an independent route.
     """
     rng = np.random.default_rng(seed)
     n, points = 2, 50
-    psi = fs_field(n)
     worst = 0.0
     done = 0
     while done < points:
@@ -295,12 +295,12 @@ def check_smooth_wedge_density(seed: int = 11):
         if float(np.min(np.linalg.norm(nu.w - z[None, :], axis=1))) < 0.4:
             continue
         H_V = complex_hessian_fd(affine_field(nu), z, h=1e-3)
-        H_psi = complex_hessian_fd(psi, z, h=1e-3)
+        H_rho = complex_hessian_fd(geometry.fs_potential, z, h=1e-3)
         ss = np.linspace(0.5, 1.5, n + 1)
-        dets = [float(np.linalg.det(s * H_V + H_psi).real) for s in ss]
+        dets = [float(np.linalg.det(s * H_V + H_rho).real) for s in ss]
         coeffs = np.polyfit(ss, dets, n)[::-1]
         for m in (0, 1, 2):
-            val = smooth_wedge_density(nu, psi, m, z)
+            val = smooth_wedge_density(nu, m, z)
             worst = max(worst, abs(val - coeffs[m]) / max(1.0, abs(coeffs[m])))
         done += 1
     return ("smooth-wedge density", worst < 1e-5,

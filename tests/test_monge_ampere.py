@@ -6,7 +6,7 @@ import pytest
 import projlog as pl
 from projlog import analytic, monge_ampere
 from projlog.errors import GridTooCoarse, SingularStencil, ValidationError
-from projlog.geometry import chart_mask, chart_project, sample_fs_array
+from projlog.geometry import chart_mask, chart_project, fs_volume_density, sample_fs_array
 from projlog.monge_ampere import hessian_fd_batch
 from projlog.potentials import within_guard
 
@@ -26,7 +26,7 @@ def random_hermitian(n, rng):
 # ---------- FD Hessians -------------------------------------------------------
 
 def test_hessian_fs_at_origin():
-    H = pl.complex_hessian_fd(pl.fs_field(2), np.zeros(2), h=1e-4)
+    H = pl.complex_hessian_fd(pl.fs_potential, np.zeros(2), h=1e-4)
     np.testing.assert_allclose(H, 0.5 * np.eye(2), atol=1e-7)
     assert abs(np.linalg.det(H).real - 0.25) < 1e-6
 
@@ -204,20 +204,18 @@ def test_smooth_wedge_endpoints():
     nu = pl.AffineAtoms(chart=0,
                         w=rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)),
                         weights=np.array([0.5, 0.25, 0.25]))
-    psi = pl.fs_field(n)
     z = np.array([1.2 + 0.1j, -0.7 + 0.4j])
-    d0 = pl.smooth_wedge_density(nu, psi, 0, z)
-    dn = pl.smooth_wedge_density(nu, psi, n, z)
-    H_psi = psi.complex_hessian(z[None])[0]
+    d0 = pl.smooth_wedge_density(nu, 0, z)
+    dn = pl.smooth_wedge_density(nu, n, z)
+    H_rho = pl.fs_hessian(z)
     H_V = pl.affine_field(nu).complex_hessian(z[None])[0]
-    assert abs(d0 - np.linalg.det(H_psi).real) < 1e-12
+    assert abs(d0 - np.linalg.det(H_rho).real) < 1e-12
     assert abs(dn - np.linalg.det(H_V).real) < 1e-12
 
 
 def test_smooth_wedge_matches_brute_force_polarization():
     rng = np.random.default_rng(14)
     n = 2
-    psi = pl.fs_field(n)
     for _ in range(20):
         nu = pl.AffineAtoms(chart=0,
                             w=rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)),
@@ -226,25 +224,25 @@ def test_smooth_wedge_matches_brute_force_polarization():
         if np.min(np.linalg.norm(nu.w - z[None, :], axis=1)) < 0.4:
             continue
         H_V = pl.affine_field(nu).complex_hessian(z[None])[0]
-        H_psi = psi.complex_hessian(z[None])[0]
+        H_rho = pl.fs_hessian(z)
         for m in (0, 1, 2):
-            val = pl.smooth_wedge_density(nu, psi, m, z)
-            ref = brute_force_wedge_term(H_V, H_psi, m, n)
+            val = pl.smooth_wedge_density(nu, m, z)
+            ref = brute_force_wedge_term(H_V, H_rho, m, n)
             assert abs(val - ref) < 1e-5 * max(1.0, abs(ref))
 
 
 # ---------- MA density ----------------------------------------------------------------
 
 def test_ma_density_fs_symmetric_is_one():
-    # with no potential (phi = rho) the density is identically 1
-    mu = pl.dirac(pl.normalize([1, 0]))
-    lift = pl.fs_field(1)
+    # the density divides by det fs_hessian and the grids weight cells by
+    # fs_volume_density: the two forms of det H_rho agree, so with phi = rho
+    # the density is identically 1
     rng = np.random.default_rng(15)
-    for _ in range(5):
-        z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
-        H_phi = pl.complex_hessian_fd(lift, z, h=1e-4)
-        H_rho = pl.complex_hessian_fd(pl.fs_field(1), z, h=1e-4)
-        assert abs(np.linalg.det(H_phi).real / np.linalg.det(H_rho).real - 1.0) < 1e-10
+    for n in (1, 2, 3):
+        Z = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        det = np.linalg.det(pl.fs_hessian(Z))
+        vol = fs_volume_density(Z)
+        assert np.max(np.abs(det - vol) / vol) < 1e-13
 
 
 def test_singular_guard_is_inclusive_at_10h():
@@ -276,18 +274,19 @@ def test_ma_density_near_atom_guard():
 
 
 def test_ma_density_smoothed_dirac_matches_closed_form():
-    # n=1 smoothed lift is (1/2) log((1+e^2)|z|^2 + e^2); its density
-    # relative to FS volume is d^2 (1+t)^2 / (s + d^2)^2 with s = |z|^2,
-    # t = s, d^2 = e^2/(1+e^2)
-    mu = pl.dirac(pl.normalize([1, 0]))
-    eps = 0.3
-    d2 = eps**2 / (1 + eps**2)
+    # the smoothed lift of the Dirac mass at [1:0:..:0] is
+    # (1/2) log((1+e^2) t + e^2) with t = |z|^2; its density relative to FS
+    # volume is (1+e^2)^n e^2 (1+t)^(n+1) / ((1+e^2) t + e^2)^(n+1)
     rng = np.random.default_rng(17)
-    Z = np.stack([rng.standard_normal(1) + 1j * rng.standard_normal(1) for _ in range(10)])
-    s = np.abs(Z[:, 0]) ** 2
-    expected = d2 * (1 + s) ** 2 / (s + d2) ** 2
-    val = pl.ma_density(mu, 0, Z, h=1e-4, eps=eps)
-    assert np.all(np.abs(val - expected) < 1e-5 * np.maximum(1.0, expected))
+    for n in (1, 2, 3):
+        mu = pl.dirac(pl.normalize([1] + [0] * n))
+        Z = rng.standard_normal((10, n)) + 1j * rng.standard_normal((10, n))
+        t = np.sum(np.abs(Z) ** 2, axis=1)
+        for eps in (0.05, 0.3, 3.0):
+            e2 = eps**2
+            expected = (1 + e2) ** n * e2 * (1 + t) ** (n + 1) / ((1 + e2) * t + e2) ** (n + 1)
+            val = pl.ma_density(mu, 0, Z, h=1e-4, eps=eps)
+            assert np.max(np.abs(val - expected) / expected) < 1e-10, (n, eps)
 
 
 @pytest.mark.parametrize("n, eps", [(1, 0.3), (2, 0.3), (2, 0.05), (2, 0.0)])

@@ -180,7 +180,7 @@ def test_psh_lift_submean_along_lines():
 # ---------- finite-difference gradient ------------------------------------------------
 
 def test_fd_gradient_critical_point():
-    g = fd_gradient(pl.fs_field(2), np.zeros(2), h=1e-4)
+    g = fd_gradient(pl.fs_potential, np.zeros(2), h=1e-4)
     assert np.max(np.abs(g)) < 1e-10
 
 
