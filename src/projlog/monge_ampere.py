@@ -398,20 +398,22 @@ def _nested_cells(c: np.ndarray, a0: float, levels: int, m: int):
 
 
 def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
-                      h: float = 5e-4, eps_list=(0.3,), points_per_axis: int = 0,
-                      levels: int = 0) -> list[MassReport]:
+                      h: float = 5e-4, eps_list=(0.3,), points_per_axis: int = 0
+                      ) -> list[MassReport]:
     """Mass of the smoothed Monge-Ampere measure in FS balls around center.
 
     For each eps in eps_list (decreasing), integrates det(H_phi) over the
     geodesic balls B_r(center) for each radius (given decreasing; reported
     ascending) on dyadically refined local grids, and reports the mass, the
     ratio to the exact ball volume sin^(2n)(r / sqrt 2), and a pure-volume
-    self-check per radius, which must hold within 2%.  Hessians are closed
-    form; h only sets the singular guard.  With eps = 0 in the list, cells
-    within 10h of an atom are excised; their FS volume is reported as
-    excised_singular_mass (a bounded diagnostic of the removed region, not a
-    mass estimate).  A mass that is not finite (the Hessians overflow at a
-    huge eps) raises NonConvergent.
+    self-check per radius, which must hold within 2%.  Levels per eps:
+    min(9, ceil(log2(a0 / 2f)) + 1), or 1 when a0 <= 2f, where a0 is the
+    outer half-width and f = max(eps, 1e-3) (1 + |c|^2) at the center's
+    chart point c.  Hessians are closed form; h only sets the singular
+    guard.  With eps = 0 in the list, cells within 10h of an atom are
+    excised; their FS volume is reported as excised_singular_mass (a bounded
+    diagnostic of the removed region, not a mass estimate).  A mass that is
+    not finite (the Hessians overflow at a huge eps) raises NonConvergent.
     """
     n = mu.n
     radii = sorted(float(r) for r in radii)
@@ -431,12 +433,9 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
         raise ValidationError(f"points_per_axis must be a multiple of 4, got {m}")
     reports = []
     for eps in eps_list:
-        if levels:
-            nlev = levels
-        else:
-            feature = max(eps, 1e-3) * (1.0 + float(np.linalg.norm(c)) ** 2)
-            ratio = a0 / (2.0 * feature)      # may underflow to 0 at a huge eps
-            nlev = 1 if ratio <= 1.0 else min(9, math.ceil(math.log2(ratio)) + 1)
+        feature = max(eps, 1e-3) * (1.0 + float(np.linalg.norm(c)) ** 2)
+        ratio = a0 / (2.0 * feature)      # may underflow to 0 at a huge eps
+        nlev = 1 if ratio <= 1.0 else min(9, math.ceil(math.log2(ratio)) + 1)
         lift = psh_lift(mu, chart, eps)
         sites = lift.singular_sites()
         masses = np.zeros(len(radii))

@@ -1,11 +1,12 @@
 """Quantitative verification suite.
 
 Each check runs one acceptance-grade experiment at a fixed tolerance and
-returns a CheckResult; the CLI `verify` subcommand and the acceptance test
-module both drive these.  Checks compare independent computation routes
-(Monte Carlo vs closed-form quadrature, finite differences vs analytic
-derivatives, direct determinants vs multilinear expansions), so a pass is
-evidence about the mathematics, not about a single code path.
+returns (name, passed, detail); run_checks times each call into a
+CheckResult for the CLI `verify` subcommand and the acceptance tests.
+Checks compare independent computation routes (Monte Carlo vs closed-form
+quadrature, finite differences vs analytic derivatives, direct determinants
+vs multilinear expansions), so a pass is evidence about the mathematics,
+not about a single code path.  Sub-seeds wrap mod 2^64.
 """
 
 from __future__ import annotations
@@ -42,13 +43,8 @@ class CheckResult:
         return f"[{status}] {self.name} ({self.seconds:.1f}s): {self.detail}"
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> CheckResult:
-        t0 = time.perf_counter()
-        name, passed, detail = fn(*args, **kwargs)
-        return CheckResult(name=name, passed=passed, detail=detail,
-                           seconds=time.perf_counter() - t0)
-    return wrapper
+def _subseed(seed: int, k: int) -> int:
+    return (seed + k) % 2**64
 
 
 def _random_measure(n, atoms, seed):
@@ -58,14 +54,13 @@ def _random_measure(n, atoms, seed):
     return build_measure(pts, w / w.sum())
 
 
-@_timed
 def check_sin_distance_identity(seed: int = 1):
     """Kernel equals log sin of the scaled distance, n = 1..4, 1e-12."""
     pairs = 10_000
     worst = 0.0
     for n in (1, 2, 3, 4):
-        a = sample_fs_array(seed + n, pairs, n)
-        b = sample_fs_array(seed + n + 100, pairs, n)
+        a = sample_fs_array(_subseed(seed, n), pairs, n)
+        b = sample_fs_array(_subseed(seed, n + 100), pairs, n)
         k = projective_log_kernel_batch(a, b)
         d = geodesic_distance_batch(a, b)
         worst = max(worst, float(np.max(sin_distance_residual_batch(k, d))))
@@ -73,7 +68,6 @@ def check_sin_distance_identity(seed: int = 1):
             f"max |K - log sin(d/sqrt2)| = {worst:.2e} over 4x{pairs} pairs (tol 1e-12)")
 
 
-@_timed
 def check_chart_identity(seed: int = 2):
     """K = N - rho in the chart, n = 1..3, 1e-12."""
     pairs = 10_000
@@ -90,7 +84,6 @@ def check_chart_identity(seed: int = 2):
             f"max |K - (N - rho)| = {worst:.2e} over 3x{pairs} chart pairs (tol 1e-12)")
 
 
-@_timed
 def check_kernel_bounds(seed: int = 3):
     """Two-sided chart-kernel bounds with 1e-12 slack at n = 2."""
     pairs = 100_000
@@ -109,8 +102,7 @@ def check_kernel_bounds(seed: int = 3):
             f"{pairs} pairs, min margins lower {margin_lo:.3e} / upper {margin_hi:.3e}")
 
 
-@_timed
-def check_kernel_mean(seed: int = 4):
+def check_normalization_constant(seed: int = 4):
     """Quadrature mean = -1/(2n) for n = 1..6; MC agrees within 3 SE, n = 1, 2."""
     samples = 1_000_000
     quad_ok = True
@@ -123,7 +115,7 @@ def check_kernel_mean(seed: int = 4):
     mc_detail = []
     for n in (1, 2):
         eta = geometry.normalize(np.eye(n + 1)[0])
-        pts = sample_fs_array(seed + n, samples, n)
+        pts = sample_fs_array(_subseed(seed, n), samples, n)
         vals = projective_log_kernel_batch(pts, eta.coords)
         mean = float(np.mean(vals))
         se = float(np.std(vals) / _math.sqrt(samples))
@@ -134,7 +126,6 @@ def check_kernel_mean(seed: int = 4):
             f"quad dev {worst:.1e} (tol 1e-10); " + "; ".join(mc_detail))
 
 
-@_timed
 def check_sobolev_threshold(seed: int = 5):
     """Doubling-stable at p = 2n-1; refinement grows >= 10x at p = 2n."""
     ok = True
@@ -142,12 +133,12 @@ def check_sobolev_threshold(seed: int = 5):
     for n, S in ((1, 400_000), (2, 2_000_000)):
         eta = geometry.normalize(np.eye(n + 1)[0])
         mu = measures.dirac(eta)
-        p_stable = 2 * n - 1
-        first, doubled = sobolev_doubling(mu, p=float(p_stable), seed=seed + n, samples=S)
+        p_stable, sub = 2 * n - 1, _subseed(seed, n)
+        first, doubled = sobolev_doubling(mu, p=float(p_stable), seed=sub, samples=S)
         drift = abs(doubled.estimate - first.estimate) / first.estimate
         below = first.estimate <= first.analytic_bound
         ests = sobolev_refinement_scan(mu, p=float(2 * n), atom_index=0,
-                                       levels=4, seed=seed + n,
+                                       levels=4, seed=sub,
                                        samples_per_stratum=1024)
         ratios = [b / a for a, b in zip(ests, ests[1:])]
         grows = all(r >= 10.0 * (1.0 - 1e-9) for r in ratios)
@@ -160,7 +151,6 @@ def check_sobolev_threshold(seed: int = 5):
     return ("Sobolev threshold", ok, "; ".join(parts))
 
 
-@_timed
 def check_riesz_ranges(seed: int = 6):
     """Unit-disc integral of |z|^-1 = 2 pi within 1 percent; critical refinement."""
     nu = AffineAtoms(chart=0, w=np.zeros((1, 1), dtype=complex),
@@ -182,7 +172,6 @@ def check_riesz_ranges(seed: int = 6):
             + f"; subcritical tail ratio {sub[-1]/sub[-2]:.4f}")
 
 
-@_timed
 def check_mixed_discriminant_expansion(seed: int = 7):
     """Pointwise product-formula expansion, n = 2, 3, atoms <= 4, rel 1e-9."""
     configs = 100
@@ -206,13 +195,12 @@ def check_mixed_discriminant_expansion(seed: int = 7):
             f"max relative residual {worst:.2e} over {configs} configs (tol 1e-9)")
 
 
-@_timed
 def check_mass_conservation(seed: int = 8):
     """Total smoothed MA mass = 1: n=1 within 1%, n=2 within 2% (eps = 0.3)."""
     mu1 = _random_measure(1, 4, seed)
     rep1 = ma_total_mass(mu1, grid=256, eps=0.3)
     dev1 = abs(rep1.total_mass - 1.0)
-    mu2 = _random_measure(2, 2, seed + 1)
+    mu2 = _random_measure(2, 2, _subseed(seed, 1))
     rep2 = ma_total_mass(mu2, grid=48, eps=0.3, vol_tol=0.02)
     dev2 = abs(rep2.total_mass - 1.0)
     ok = dev1 < 0.01 and dev2 < 0.02
@@ -221,7 +209,6 @@ def check_mass_conservation(seed: int = 8):
             f"n=2 (48^4/chart): {rep2.total_mass:.4f} (tol 2%)")
 
 
-@_timed
 def check_dirac_concentration(seed: int = 9):
     """Smoothed Dirac mass in B(10 eps) >= 0.9; fixed-ball mass grows as eps drops.
 
@@ -251,7 +238,6 @@ def check_dirac_concentration(seed: int = 9):
             + "/".join(f"{m:.3f}" for m in fixed_masses) + " increasing")
 
 
-@_timed
 def check_absolute_continuity_dichotomy(seed: int = 23):
     """Per-atom singular mass ~ N^-n within factor 2 (N = 4, 16, 64, n = 2);
     a true Dirac keeps ball mass >= 0.9."""
@@ -275,7 +261,6 @@ def check_absolute_continuity_dichotomy(seed: int = 23):
             "; ".join(parts) + " (factor-2 window)")
 
 
-@_timed
 def check_smooth_wedge_density(seed: int = 11):
     """binom(n,m) D(H_V^m, H_rho^(n-m)) vs brute-force polarization, 1e-5.
 
@@ -308,7 +293,6 @@ def check_smooth_wedge_density(seed: int = 11):
             f"over {points} points, m in 0..2 (tol 1e-5)")
 
 
-@_timed
 def check_decomposition_reassembly(seed: int = 12):
     """mu = sum m_j mu_j and U_mu = sum m_j U_(mu_j) within 1e-12, n = 2."""
     mu = _random_measure(2, 100, seed)
@@ -319,7 +303,7 @@ def check_decomposition_reassembly(seed: int = 12):
         diffs = np.max(np.abs(back.points - mu.points[i][None, :]), axis=1)
         j = int(np.argmin(diffs))
         worst_w = max(worst_w, float(diffs[j]), abs(back.weights[j] - mu.weights[i]))
-    g = np.random.default_rng(seed + 1).standard_normal((20, 2, 3))
+    g = np.random.default_rng(_subseed(seed, 1)).standard_normal((20, 2, 3))
     Z = geometry.canonicalize_batch(g[:, 0] + 1j * g[:, 1])
     direct = log_potential_batch(mu, Z)
     split = sum(dec.masses[j] * log_potential_batch(comp, Z)
@@ -335,7 +319,7 @@ ALL_CHECKS = [
     ("sin-distance", check_sin_distance_identity),
     ("chart-identity", check_chart_identity),
     ("kernel-bounds", check_kernel_bounds),
-    ("kernel-mean", check_kernel_mean),
+    ("kernel-mean", check_normalization_constant),
     ("sobolev", check_sobolev_threshold),
     ("riesz", check_riesz_ranges),
     ("mixed-discriminant", check_mixed_discriminant_expansion),
@@ -361,5 +345,7 @@ def run_checks(names=None, seed: int = 0, quick: bool = False) -> list[CheckResu
     for key, fn in ALL_CHECKS:
         if (names and key not in names) or (not names and quick and key not in QUICK_CHECKS):
             continue
-        results.append(fn(seed=seed) if seed else fn())
+        t0 = time.perf_counter()
+        name, passed, detail = fn(seed=seed) if seed else fn()
+        results.append(CheckResult(name, passed, detail, time.perf_counter() - t0))
     return results

@@ -306,6 +306,16 @@ def test_headers_record_the_options_that_shape_the_body(tmp_path, measure_file):
     assert header_of(tmp_path / "measure.csv")["atoms"] == "2"
 
 
+def test_verify_largest_seed_runs(tmp_path, capsys):
+    # the checks' sub-seeds (seed + k) used to leave the sampler's 64-bit
+    # key range and raise OverflowError
+    rc = main(["verify", "--checks", "sin-distance,kernel-mean", "--seed", str(2**64 - 1),
+               "--output", str(tmp_path)])
+    assert rc in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(line.startswith(("[PASS]", "[FAIL]")) for line in lines)
+
+
 def test_verify_unknown_check_key_exit_code(tmp_path, capsys):
     # used to run no check and exit 0 with an empty CSV
     rc = main(["verify", "--checks", "sobolv", "--output", str(tmp_path)])
@@ -546,7 +556,13 @@ NUMERIC_OPTIONS = {
     "prop25-check": ("seed", "samples", "chart"),
     "sample": ("seed", "samples", "n"),
     "constants": ("n",),
+    "kernel": ("chart",),
+    "measure": (),
+    "verify": ("seed",),
 }
+# a command's exit codes where they are not 0, 2 and 3: verify exits 1 when
+# a check fails
+EXIT_CODES = {"verify": (0, 1, 2, 3)}
 
 
 # result columns that must be finite in a body of exit 0 (analytic_bound
@@ -566,7 +582,7 @@ def invocations(command):
     names = NUMERIC_OPTIONS[command]
     valid = st.fixed_dictionaries({opt: OPTION_VALUES[opt][0] for opt in names})
     odd = st.sampled_from(names).flatmap(lambda opt: OPTION_VALUES[opt][1].map(
-        lambda value: {opt: value}))
+        lambda value: {opt: value})) if names else st.nothing()
     return st.tuples(valid, st.just({}) | odd).map(lambda both: (command, both[0] | both[1]))
 
 
@@ -586,12 +602,13 @@ def invocations(command):
 @example(call=("ma-mass", {"grid": "64", "eps": "1e200"}), workers=None)
 @example(call=("ball-profile", {"grid": "4", "eps": "0.3", "h": "1e-4", "radii": "1e-300"}),
          workers=None)
+@example(call=("verify", {"seed": str(2**64 - 1)}), workers=None)
 @given(call=st.sampled_from(sorted(NUMERIC_OPTIONS)).flatmap(invocations),
        workers=st.sampled_from([None, "1", "2", "9" * 30, "", "0", "-3", "x", "1.5"]))
 def test_numeric_options_never_raise(call, workers, tmp_path, measure_file, monkeypatch):
     # whatever the numeric options and PROJLOG_WORKERS hold, the CLI exits
-    # 0 with a CSV whose result columns are finite, or 2 or 3 without one,
-    # and raises nothing
+    # 0 with a CSV whose result columns are finite (verify: 0 or 1, each with
+    # its table), or 2 or 3 without one, and raises nothing
     command, opts = call
     if workers is None:
         monkeypatch.delenv("PROJLOG_WORKERS", raising=False)
@@ -599,15 +616,18 @@ def test_numeric_options_never_raise(call, workers, tmp_path, measure_file, monk
         monkeypatch.setenv("PROJLOG_WORKERS", workers)
     out = tmp_path / "out"
     shutil.rmtree(out, ignore_errors=True)
-    argv = [command, *(f"--{opt}={value}" for opt, value in opts.items()), "--output", str(out)]
-    if command not in ("sample", "constants"):
-        argv += ["--measure", str(measure_file)]
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"n": 1, "pairs": [PAIR]}))
+    inputs = {"sample": [], "constants": [], "kernel": ["--pairs", str(pairs)],
+              "verify": ["--checks", "sin-distance"]}
+    argv = [command, *(f"--{opt}={value}" for opt, value in opts.items()), "--output", str(out),
+            *inputs.get(command, ["--measure", str(measure_file)])]
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse rejects the text of a typed option
         rc = exc.code
-    assert rc in (0, 2, 3), argv
-    assert (rc == 0) == any(out.glob("*.csv")), argv
+    assert rc in EXIT_CODES.get(command, (0, 2, 3)), argv
+    assert (rc in (0, 1)) == any(out.glob("*.csv")), argv
     if rc == 0 and command in FINITE_COLUMNS:
         rows = csv.DictReader(body_of(next(out.glob("*.csv"))).splitlines())
         assert all(math.isfinite(float(row[col])) for row in rows

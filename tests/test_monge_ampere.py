@@ -418,7 +418,7 @@ def test_ball_profile_excision_blocked_over_atoms(monkeypatch):
 
     def profile():
         rep = pl.ball_mass_profile(mu, center, [0.8], h=2e-3, eps_list=[0.0],
-                                   points_per_axis=32, levels=3)[0]
+                                   points_per_axis=32)[0]
         return rep.excised_singular_mass, rep.total_mass, rep.vol_check
 
     whole = profile()
@@ -429,19 +429,24 @@ def test_ball_profile_excision_blocked_over_atoms(monkeypatch):
 def test_ball_profile_volume_check_counts_excised_cells():
     # the self-check compares kept plus excised volume with the exact ball
     # volume, so it tests the grid and not h: on the same cells, kept plus
-    # excised at eps = 0 is the volume that eps = 0.3 keeps
+    # excised at eps = 0 is the volume that eps = 1e-3 keeps (the level rule
+    # reads max(eps, 1e-3), so both get the same levels)
     mu = pl.build_measure([pl.normalize([1, 0.3]).coords,
                            pl.normalize([1, -0.5 + 0.2j]).coords], [0.6, 0.4])
     unsmoothed, smoothed = (pl.ball_mass_profile(mu, mu.point(0), [1.0, 0.5], h=1e-2,
-                                                 eps_list=[eps], levels=3)[0]
-                            for eps in (0.0, 0.3))
+                                                 eps_list=[eps])[0]
+                            for eps in (0.0, 1e-3))
+    assert unsmoothed.grid["levels"] == smoothed.grid["levels"]
     assert unsmoothed.excised_singular_mass > 0.0
     assert unsmoothed.vol_check + unsmoothed.excised_singular_mass == pytest.approx(
         smoothed.vol_check, rel=1e-12)
-    # a grid too coarse for the ball still fails the check (by 2.07%)
+    # a grid too coarse for the ball still fails the check (by 2.07%); a
+    # huge eps gives a single level, whose cells do not depend on eps
+    one_level = pl.ball_mass_profile(mu, mu.point(0), [1.0, 0.5], eps_list=[10.0])[0]
+    assert one_level.grid["levels"] == 1
     with pytest.raises(GridTooCoarse, match="2.07%"):
-        pl.ball_mass_profile(mu, mu.point(0), [1.0, 0.5], h=1e-2, eps_list=[0.0],
-                             points_per_axis=4, levels=1)
+        pl.ball_mass_profile(mu, mu.point(0), [1.0, 0.5], h=1e-2, eps_list=[10.0],
+                             points_per_axis=4)
 
 
 def test_total_mass_matches_finite_difference_reference():

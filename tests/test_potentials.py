@@ -276,7 +276,7 @@ def test_sobolev_refinement_two_atoms():
     mu = pl.build_measure([pl.normalize([1, 0]).coords,
                            pl.normalize([1, 1]).coords], [0.5, 0.5])
     ests = pl.sobolev_refinement_scan(mu, p=2.0, atom_index=0, levels=3, seed=33,
-                                      samples_per_stratum=512, r0=0.2)
+                                      samples_per_stratum=512)
     assert ests[1] >= 8.0 * ests[0] and ests[2] >= 9.0 * ests[1]
 
 
@@ -317,6 +317,25 @@ def test_excision_blocked_over_atoms_matches_one_block(monkeypatch):
     blocked = pl.sobolev_scan(mu, p=1.0, seed=61, samples=3_000, h=2e-2, workers=1)
     assert whole.excised > 0
     assert (blocked.estimate, blocked.excised) == (whole.estimate, whole.excised)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gradient_norms_project_each_chart_once(n, monkeypatch):
+    # the atoms go to their chart sites first, then the samples chart by
+    # chart; with nothing excised the guard pass's projections serve the
+    # gradients too (they used to be projected a second time)
+    mu = random_measure(n, 2, seed=63)
+    samples = sample_fs_array(65, 500, n)
+    charts = []
+
+    def counted(points, chart):
+        charts.append(chart)
+        return chart_project(points, chart)
+
+    monkeypatch.setattr(potentials, "chart_project", counted)
+    norms, excised = potentials._gradient_norm_values(mu, samples, 1e-4, 67)
+    assert excised == 0 and np.all(np.isfinite(norms))
+    assert charts == [*range(n + 1)] * 2
 
 
 def test_fd_gradient_evaluates_each_stencil_point_once():
