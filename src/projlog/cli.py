@@ -91,25 +91,15 @@ def _chart(args, n: int) -> int:
     return args.chart
 
 
-def _reals(text: str, option: str) -> list[float]:
-    """The comma-separated reals of an option, at least one; ValidationError names it."""
-    try:
-        vals = [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        vals = []
-    if not vals:
-        raise ValidationError(f"{option} must be comma-separated reals, got {text!r}")
-    return vals
-
-
-def _parse_eps_list(text: str) -> list[float]:
-    """Finite and strictly decreasing; the library checks the range."""
-    vals = _reals(text, "--eps")
-    if not all(map(math.isfinite, vals)):
-        raise ValidationError(f"--eps must be finite reals, got {text!r}")
-    if any(b >= a for a, b in zip(vals, vals[1:])):
-        raise ValidationError("--eps list must be strictly decreasing")
-    return vals
+def _write(args, columns: list[str], rows, **facts) -> None:
+    """<command>.csv under --output, its header the dests the subcommand
+    declares (a list comma-joined) and then the facts the run derived."""
+    params = {}
+    for dest in args.recorded:
+        value = getattr(args, dest)
+        params[dest] = ",".join(map(str, value)) if isinstance(value, list) else value
+    write_csv(Path(args.output) / f"{args.command.replace('-', '_')}.csv", args.command,
+              params | facts, columns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +124,7 @@ def cmd_kernel(args) -> int:
         rows = zip(value, (value == -np.inf).astype(int), d,
                    sin_distance_residual_batch(value, d), res_chart)
         cols = ["value", "is_singular", "distance", "sin_residual", "chart_residual"]
-    write_csv(Path(args.output) / "kernel.csv", "kernel",
-              {"pairs": args.pairs, "n": n, "affine": args.affine, "chart": chart},
-              cols, rows)
+    _write(args, cols, rows, n=n)
     return EXIT_OK
 
 
@@ -145,9 +133,7 @@ def cmd_potential(args) -> int:
     pts = sample_fs_array(args.seed, args.samples, mu.n)
     vals = log_potential_batch(mu, pts)
     cols = [f"c{i}_{p}" for i in range(mu.n + 1) for p in ("re", "im")] + ["potential"]
-    write_csv(Path(args.output) / "potential.csv", "potential",
-              {"measure": args.measure, "seed": args.seed, "samples": args.samples},
-              cols, np.column_stack([pts.view(float), vals]).tolist())
+    _write(args, cols, np.column_stack([pts.view(float), vals]).tolist())
     return EXIT_OK
 
 
@@ -156,27 +142,21 @@ def cmd_measure(args) -> int:
     dec = decompose(mu)
     rows = [(j, dec.masses[j], dec.components[j].num_atoms if j in dec.components else 0)
             for j in range(mu.n + 1)]
-    write_csv(Path(args.output) / "measure.csv", "measure",
-              {"measure": args.measure, "atoms": mu.num_atoms, "n": mu.n},
-              ["chart", "mass", "support_atoms"], rows)
+    _write(args, ["chart", "mass", "support_atoms"], rows, atoms=mu.num_atoms, n=mu.n)
     return EXIT_OK
 
 
 def cmd_sobolev(args) -> int:
     mu = _load_measure(args.measure)
-    ps = _reals(args.p, "--p")
     rows = []
-    for p in ps:
+    for p in args.p:
         first, doubled = sobolev_doubling(mu, p, args.seed, args.samples,
                                           h=args.h, workers=args.workers)
         drift = abs(doubled.estimate - first.estimate) / max(first.estimate, 1e-300)
         rows.append((p, first.estimate, first.std_error, doubled.estimate, drift,
                      first.analytic_bound, doubled.excised))
-    write_csv(Path(args.output) / "sobolev.csv", "sobolev",
-              {"measure": args.measure, "seed": args.seed, "samples": args.samples,
-               "h": args.h},
-              ["p", "estimate", "std_error", "estimate_doubled", "doubling_drift",
-               "analytic_bound", "excised"], rows)
+    _write(args, ["p", "estimate", "std_error", "estimate_doubled", "doubling_drift",
+                  "analytic_bound", "excised"], rows)
     return EXIT_OK
 
 
@@ -191,41 +171,29 @@ def cmd_riesz(args) -> int:
                                    seed=args.seed)
     rows = [(-1, res.estimate, res.std_error)]
     rows += [(i, v, "") for i, v in enumerate(levels)]
-    write_csv(Path(args.output) / "riesz.csv", "riesz",
-              {"measure": args.measure, "alpha": args.alpha, "p": args.p_value,
-               "radius": args.radius, "seed": args.seed, "samples": args.samples,
-               "chart": chart, "levels": args.levels},
-              ["refinement_level", "estimate", "std_error"], rows)
+    _write(args, ["refinement_level", "estimate", "std_error"], rows)
     return EXIT_OK
 
 
 def cmd_ma_density(args) -> int:
-    if len(args.eps_list) != 1:
-        raise ValidationError(f"ma-density takes one --eps value, got {args.eps_text!r}")
     mu = _load_measure(args.measure)
     chart = _chart(args, mu.n)
     pts = sample_fs_array(args.seed, args.samples, mu.n)
     # points on the chart's hyperplane at infinity are left out
     Z = chart_project(pts[chart_mask(pts, chart)], chart)
-    dens = ma_density(mu, chart, Z, h=args.h, eps=args.eps_list[0])
+    dens = ma_density(mu, chart, Z, h=args.h, eps=args.eps[0])
     cols = [f"z{i}_{p}" for i in range(mu.n) for p in ("re", "im")] + ["density"]
-    write_csv(Path(args.output) / "ma_density.csv", "ma-density",
-              {"measure": args.measure, "chart": chart, "h": args.h,
-               "eps": args.eps_list[0], "seed": args.seed, "samples": args.samples},
-              cols, np.column_stack([Z.view(float), dens]).tolist())
+    _write(args, cols, np.column_stack([Z.view(float), dens]).tolist())
     return EXIT_OK
 
 
 def cmd_ma_mass(args) -> int:
     mu = _load_measure(args.measure)
     rows = []
-    for eps in args.eps_list:
+    for eps in args.eps:
         rep = ma_total_mass(mu, grid=args.grid, eps=eps, workers=args.workers)
         rows.append((eps, rep.total_mass, rep.vol_check, rep.clipped_cells))
-    write_csv(Path(args.output) / "ma_mass.csv", "ma-mass",
-              {"measure": args.measure, "grid": args.grid,
-               "eps": ",".join(map(str, args.eps_list))},
-              ["eps", "total_mass", "volume_check", "clipped_cells"], rows)
+    _write(args, ["eps", "total_mass", "volume_check", "clipped_cells"], rows)
     return EXIT_OK
 
 
@@ -236,20 +204,14 @@ def cmd_ball_profile(args) -> int:
         rows = complex_from_json([parse_json(args.center, "--center")], mu.n + 1,
                                  lambda i: "--center", point=True)
         center = HomogeneousPoint(canonicalize_batch(rows)[0])
-    radii = _reals(args.radii, "--radii")
-    reports = ball_mass_profile(mu, center, radii, h=args.h,
-                                eps_list=args.eps_list, points_per_axis=args.grid)
+    reports = ball_mass_profile(mu, center, args.radii, h=args.h,
+                                eps_list=args.eps, points_per_axis=args.grid)
     rows = []
     for rep in reports:
         for (r, m), (_, ratio) in zip(rep.ball_profile, rep.vol_ratios):
             rows.append((rep.grid["eps"], r, m, ratio, rep.excised_singular_mass))
-    write_csv(Path(args.output) / "ball_profile.csv", "ball-profile",
-              {"measure": args.measure, "radii": args.radii, "h": args.h,
-               "eps": ",".join(map(str, args.eps_list)),
-               "grid": reports[0].grid["points_per_axis"],
-               "center": args.center or "first atom"},
-              ["eps", "radius", "mass", "mass_over_ball_volume",
-               "excised_singular_mass"], rows)
+    _write(args, ["eps", "radius", "mass", "mass_over_ball_volume", "excised_singular_mass"],
+           rows, grid=reports[0].grid["points_per_axis"], center=args.center or "first atom")
     return EXIT_OK
 
 
@@ -267,10 +229,7 @@ def cmd_prop25_check(args) -> int:
         rows.append((*z.view(float), chk.lhs, chk.rhs, chk.relative))
     cols = [f"z{i}_{p}" for i in range(mu.n) for p in ("re", "im")] \
         + ["det_direct", "det_expansion", "relative_residual"]
-    write_csv(Path(args.output) / "prop25_check.csv", "prop25-check",
-              {"measure": args.measure, "chart": chart, "seed": args.seed,
-               "samples": args.samples},
-              cols, rows)
+    _write(args, cols, rows)
     return EXIT_OK
 
 
@@ -279,33 +238,27 @@ def cmd_constants(args) -> int:
     for n in range(1, args.n + 1):
         bounds = [sobolev_bound(n, p) for p in (1.0, 2 * n - 1.0, 2.0 * n)]
         rows.append((n, area_constant(n), -mean_log_kernel(n), *bounds))
-    write_csv(Path(args.output) / "constants.csv", "constants", {"n_max": args.n},
-              ["n", "c_n", "alpha_n", "sobolev_bound_p1",
-               "sobolev_bound_p_2n_minus_1", "sobolev_bound_p_2n"], rows)
+    _write(args, ["n", "c_n", "alpha_n", "sobolev_bound_p1", "sobolev_bound_p_2n_minus_1",
+                  "sobolev_bound_p_2n"], rows)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     pts = sample_fs_array(args.seed, args.samples, args.n)
     cols = [f"c{i}_{p}" for i in range(args.n + 1) for p in ("re", "im")]
-    write_csv(Path(args.output) / "sample.csv", "sample",
-              {"seed": args.seed, "samples": args.samples, "n": args.n},
-              cols, pts.view(float).tolist())
+    _write(args, cols, pts.view(float).tolist())
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    names = [t for t in args.checks.split(",") if t]
-    results = run_checks(names=names, seed=args.seed, quick=args.quick)
+    results = run_checks(names=args.checks, seed=args.seed, quick=args.quick)
     rows = []
     ok = True
     for res in results:
         print(res.line())
         ok &= res.passed
         rows.append((res.name, "PASS" if res.passed else "FAIL", res.seconds, res.detail))
-    write_csv(Path(args.output) / "verify.csv", "verify",
-              {"seed": args.seed, "quick": args.quick},
-              ["check", "status", "seconds", "detail"], rows)
+    _write(args, ["check", "status", "seconds", "detail"], rows)
     return EXIT_OK if ok else 1
 
 
@@ -313,19 +266,52 @@ def cmd_verify(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-#: run-configuration options; each subcommand gets only those it reads
+def _option(flag: str, parse, expect: str, ok=None):
+    """The argparse type of option flag: parse(text), which ok (if given)
+    must accept; any other text is a ValidationError naming flag."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok is None or ok(value):
+                return value
+        except ValueError:
+            pass
+        raise ValidationError(f"{flag} must be {expect}, got {text!r:.40}")
+    return convert
+
+
+def _reals(text: str) -> list[float]:
+    """The comma-separated reals of a list option (empty items skipped)."""
+    return [float(tok) for tok in text.split(",") if tok]
+
+
+def _decreasing(vals: list[float]) -> bool:
+    """At least one value, all finite and strictly decreasing."""
+    return bool(vals) and all(map(math.isfinite, vals)) \
+        and all(b < a for a, b in zip(vals, vals[1:]))
+
+
+#: the options that several subcommands share; each subcommand gets only
+#: those it reads.  A row's type converts the text and checks what the CLI
+#: itself checks (the library checks the rest), raising ValidationError
+#: with the option.
 OPTIONS = {
-    "seed": dict(type=int, default=0),
-    "samples": dict(type=int, default=1000),
-    "grid": dict(type=int, default=0,
+    "measure": dict(required=True, help="measure JSON file (see README)"),
+    "seed": dict(type=_option("--seed", int, "an integer in 0..2^64-1",
+                              lambda v: 0 <= v < 2**64), default=0),
+    "samples": dict(type=_option("--samples", int, "a positive integer", lambda v: v > 0),
+                    default=1000),
+    "grid": dict(type=_option("--grid", int, "an integer >= 0", lambda v: v >= 0), default=0,
                  help="grid points per axis (ball-profile: a multiple of 4, or 0 "
                       "for its default)"),
-    "eps": dict(dest="eps_text", default="0.3",
-                help="smoothing: a comma-separated strictly decreasing list (ma-density: "
-                     "one value); 0 is the unsmoothed field, which ma-mass refuses"),
-    "chart": dict(type=int, default=0),
-    "n": dict(type=int, default=1),
-    "h": dict(type=float, default=1e-4,
+    "eps": dict(type=_option("--eps", _reals, "a strictly decreasing list of finite reals",
+                             _decreasing), default="0.3",
+                help="smoothing: a comma-separated strictly decreasing list; 0 is the "
+                     "unsmoothed field, which ma-mass refuses"),
+    "chart": dict(type=_option("--chart", int, "an integer"), default=0),
+    "n": dict(type=_option("--n", int, "a positive integer", lambda v: v > 0), default=1),
+    "h": dict(type=_option("--h", float, "a finite positive real", lambda v: 0 < v < math.inf),
+              default=1e-4,
               help="singular-guard length: points within 10h of an atom are excised "
                    "or refused; ma-density and ball-profile use it only where an "
                    "--eps value is 0"),
@@ -340,102 +326,68 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"projlog {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, *options, measure=False, **kwargs):
-        """A subcommand with --output, --workers and only the listed OPTIONS."""
+    def command(name, fn, summary, *shared, extra=None, exclusive=False):
+        """A subcommand with --output, --workers, the listed OPTIONS rows and
+        its extra rows (one mutually exclusive group if exclusive); its CSV
+        header records the dests of all but --output and --workers."""
         # no prefix matching: an option a subcommand lacks (say --h) must be
         # an error, not an abbreviation of another option (--help)
-        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
+        p = sub.add_parser(name, allow_abbrev=False, help=summary)
         p.add_argument("--output", default="projlog-out")
-        p.add_argument("--workers", type=int, default=None)
-        if measure:
-            p.add_argument("--measure", required=True,
-                           help="measure JSON file (see README)")
-        for opt in options:
-            p.add_argument(f"--{opt}", **OPTIONS[opt])
-        return p
+        p.add_argument("--workers", type=_option("--workers", int, "an integer"), default=None)
+        group = p.add_mutually_exclusive_group() if exclusive else p
+        rows = [(p, opt, OPTIONS[opt]) for opt in shared] \
+            + [(group, opt, row) for opt, row in (extra or {}).items()]
+        p.set_defaults(fn=fn, recorded=[g.add_argument(f"--{opt}", **row).dest
+                                        for g, opt, row in rows])
 
-    p = command("kernel", "chart", help="evaluate kernels on point pairs from JSON")
-    p.add_argument("--pairs", required=True, help="pairs JSON file")
-    p.add_argument("--affine", action="store_true",
-                   help="pairs hold chart coordinates z, w instead of points")
-    p.set_defaults(fn=cmd_kernel)
-
-    p = command("potential", "seed", "samples", measure=True,
-                help="evaluate the potential on FS samples")
-    p.set_defaults(fn=cmd_potential)
-
-    p = command("measure", measure=True, help="validate and decompose a measure")
-    p.set_defaults(fn=cmd_measure)
-
-    p = command("sobolev", "seed", "samples", "h", measure=True,
-                help="gradient p-norm scan with doubling")
-    p.add_argument("--p", default="1.0", help="comma-separated p values")
-    p.set_defaults(fn=cmd_sobolev)
-
-    p = command("riesz", "seed", "samples", "chart", measure=True,
-                help="Riesz potential L^p scan and refinement")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--p-value", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--levels", type=int, default=3)
-    p.set_defaults(fn=cmd_riesz)
-
-    p = command("ma-density", "seed", "samples", "eps", "chart", "h", measure=True,
-                help="pointwise Monge-Ampere densities")
-    p.set_defaults(fn=cmd_ma_density)
-
-    p = command("ma-mass", "grid", "eps", measure=True,
-                help="total Monge-Ampere mass over P^n")
-    p.set_defaults(fn=cmd_ma_mass)
-
-    p = command("ball-profile", "grid", "eps", "h", measure=True,
-                help="ball-mass profile around a center")
-    p.add_argument("--center", default="",
-                   help="center point as JSON [[re,im],...]; default first atom")
-    p.add_argument("--radii", default="0.5,0.25", help="decreasing radii")
-    p.set_defaults(fn=cmd_ball_profile)
-
-    p = command("prop25-check", "seed", "samples", "chart", measure=True,
-                help="product-formula (mixed discriminant) residuals")
-    p.set_defaults(fn=cmd_prop25_check)
-
-    p = command("constants", "n", help="CSV table of c_n, alpha_n, bounds")
-    p.set_defaults(fn=cmd_constants)
-
-    p = command("sample", "seed", "samples", "n", help="FS-uniform samples as CSV")
-    p.set_defaults(fn=cmd_sample)
-
-    p = command("verify", "seed", help="run the quantitative check suite")
-    which = p.add_mutually_exclusive_group()
-    which.add_argument("--quick", action="store_true", help="skip the slow grids")
-    which.add_argument("--checks", default="", help="comma-separated check keys "
-                       "(default: every check): " + ",".join(key for key, _ in ALL_CHECKS))
-    p.set_defaults(fn=cmd_verify)
-
+    command("kernel", cmd_kernel, "evaluate kernels on point pairs from JSON", "chart", extra={
+        "pairs": dict(required=True, help="pairs JSON file"),
+        "affine": dict(action="store_true",
+                       help="pairs hold chart coordinates z, w instead of points")})
+    command("potential", cmd_potential, "evaluate the potential on FS samples",
+            "measure", "seed", "samples")
+    command("measure", cmd_measure, "validate and decompose a measure", "measure")
+    command("sobolev", cmd_sobolev, "gradient p-norm scan with doubling",
+            "measure", "seed", "samples", "h", extra={
+                "p": dict(type=_option("--p", _reals, "comma-separated reals", bool),
+                          default="1.0", help="comma-separated p values")})
+    command("riesz", cmd_riesz, "Riesz potential L^p scan and refinement",
+            "measure", "seed", "samples", "chart", extra={
+                "alpha": dict(type=_option("--alpha", float, "a real"), default=1.0),
+                "p-value": dict(type=_option("--p-value", float, "a real"), default=1.0),
+                "radius": dict(type=_option("--radius", float, "a real"), default=1.0),
+                "levels": dict(type=_option("--levels", int, "an integer"), default=3)})
+    command("ma-density", cmd_ma_density, "pointwise Monge-Ampere densities",
+            "measure", "seed", "samples", "chart", "h", extra={
+                "eps": dict(type=_option("--eps", _reals, "one finite real",
+                                         lambda v: len(v) == 1 and _decreasing(v)),
+                            default="0.3", help="smoothing; 0 is the unsmoothed field")})
+    command("ma-mass", cmd_ma_mass, "total Monge-Ampere mass over P^n",
+            "measure", "grid", "eps")
+    command("ball-profile", cmd_ball_profile, "ball-mass profile around a center",
+            "measure", "grid", "eps", "h", extra={
+                "center": dict(default="", help="center point as JSON [[re,im],...]; "
+                                                "default first atom"),
+                "radii": dict(type=_option("--radii", _reals, "comma-separated reals", bool),
+                              default="0.5,0.25", help="decreasing radii")})
+    command("prop25-check", cmd_prop25_check, "product-formula (mixed discriminant) residuals",
+            "measure", "seed", "samples", "chart")
+    command("constants", cmd_constants, "CSV table of c_n, alpha_n, bounds", "n")
+    command("sample", cmd_sample, "FS-uniform samples as CSV", "seed", "samples", "n")
+    command("verify", cmd_verify, "run the quantitative check suite", "seed", exclusive=True,
+            extra={
+                "quick": dict(action="store_true", help="skip the slow grids"),
+                "checks": dict(type=lambda text: [key for key in text.split(",") if key],
+                               default="", help="comma-separated check keys (default: every "
+                               "check): " + ",".join(key for key, _ in ALL_CHECKS))})
     return ap
 
 
-def _validate_config(args) -> None:
-    """Numeric run-config fields must be positive (grid 0 means 'default')."""
-    for name in ("samples", "n"):
-        if getattr(args, name, 1) <= 0:
-            raise ValidationError(f"--{name} must be positive")
-    if not 0 < getattr(args, "h", 1.0) < math.inf:
-        raise ValidationError(f"--h must be a positive real, got {args.h!r}")
-    if getattr(args, "grid", 0) < 0:
-        raise ValidationError("--grid must be positive")
-    if not 0 <= getattr(args, "seed", 0) < 2**64:
-        raise ValidationError(f"--seed must be an integer in 0..2^64-1, got {args.seed!r:.40}")
-
-
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        args.workers = resolve_workers(getattr(args, "workers", None))
-        _validate_config(args)
-        if hasattr(args, "eps_text"):
-            args.eps_list = _parse_eps_list(args.eps_text)
+        args = build_parser().parse_args(argv)
+        args.workers = resolve_workers(args.workers)
         return args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

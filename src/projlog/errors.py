@@ -19,7 +19,8 @@ class NumericError(ProjlogError):
 
 
 class SingularStencil(NumericError):
-    """A finite-difference stencil touched a singular point of the field."""
+    """An unsmoothed (eps = 0) MA density was asked for within 10h of an atom:
+    ma_density's singular guard."""
 
 
 class NegativeDensity(NumericError):

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
@@ -291,8 +292,20 @@ def fs_ball_volume(n: int, r) -> np.ndarray | float:
 # sampling
 # ---------------------------------------------------------------------------
 
+class Stream(IntEnum):
+    """The Philox stream of each sampler, the high 32 bits of its key's
+    second word (stream * 2^32 + block); distinct, so that no two samplers
+    share draws under one seed."""
+
+    FS = 0                  # FS-uniform samples
+    RIESZ_BALL = 1          # uniform ball draws of the Riesz scan
+    RIESZ_REFINEMENT = 2    # the Riesz near-atom refinement
+    SOBOLEV_RESERVE = 3     # replacements for the Sobolev scan's excised draws
+    SOBOLEV_REFINEMENT = 4  # the Sobolev near-atom refinement
+
+
 def _sample_stream(seed: int, count: int, width: int, start: int = 0,
-                   stream: int = 0) -> np.ndarray:
+                   stream: int = Stream.FS) -> np.ndarray:
     """Reproducible standard-normal draws of shape (count, width).
 
     Row i (absolute index start + i) is a pure function of
@@ -314,7 +327,7 @@ def _sample_stream(seed: int, count: int, width: int, start: int = 0,
 
 
 def sample_fs_array(seed: int, count: int, n: int, start: int = 0,
-                    stream: int = 0) -> np.ndarray:
+                    stream: int = Stream.FS) -> np.ndarray:
     """(count, n+1) canonical points, FS-uniform (normalized complex Gaussians).
 
     Normalizing a standard complex Gaussian in C^(n+1) gives the unique

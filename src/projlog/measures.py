@@ -26,6 +26,7 @@ from .geometry import (
     CANONICAL_TOL,
     CHART_FLOOR,
     HomogeneousPoint,
+    Stream,
     _sample_stream,
     canonicalize_batch,
     chart_mask,
@@ -280,7 +281,7 @@ def _uniform_ball(seed: int, count: int, dim: int) -> np.ndarray:
     """Uniform draws from the unit ball of R^dim, reproducible by index."""
     from scipy.special import ndtr
 
-    g = _sample_stream(seed, count, dim + 1, stream=1)
+    g = _sample_stream(seed, count, dim + 1, stream=Stream.RIESZ_BALL)
     direction = g[:, :dim]
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     # push the last normal through the CDF for a uniform radius variate
@@ -386,5 +387,6 @@ def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
         return (self_term + rest) ** p * s ** (2 * n)
 
     return log_radial_levels(stratum, levels, 60.0 if levels > 1 else 1.0, r0, seed,
-                             width=2 * n, samples=samples_per_stratum, stream=2,
+                             width=2 * n, samples=samples_per_stratum,
+                             stream=Stream.RIESZ_REFINEMENT,
                              scale=2.0 * math.pi**n / math.factorial(n - 1))

@@ -27,6 +27,7 @@ from . import analytic
 from .coarea import log_radial_levels, sobolev_bound, sphere_area
 from .errors import NonConvergent, ValidationError
 from .geometry import (
+    Stream,
     chart_mask,
     chart_project,
     fs_gradient,
@@ -183,7 +184,8 @@ def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float, seed
     Samples that within_guard puts near an atom (chart distance <= 10h) are
     replaced, in order, from a reserved deterministic stream starting at
     index reserve_start (callers pass their chunk offset so replacement
-    draws never depend on chunk processing order).  Raises NonConvergent once
+    draws never depend on chunk processing order); after the first pass only
+    those replacements are guarded again.  Raises NonConvergent once
     the guard has rejected more draws than there are samples: at such an h
     (10h near the size of a chart) the rejection would never end.
     """
@@ -193,13 +195,18 @@ def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float, seed
     # allocated before the guard passes, which keeps peak RSS ~6 MiB lower (heap layout)
     norms = np.empty(final.shape[0])
     excised = 0
+    fresh = None  # the draws just replaced, the only ones left to guard; None: every sample
     while True:
         charts = np.argmax(np.abs(final), axis=1)
         rows = [np.flatnonzero(charts == k) for k in range(n + 1)]
         parts = [(idx, chart_project(final[idx], k)) for k, idx in enumerate(rows)]
         bad = np.zeros(final.shape[0], dtype=bool)
         for (idx, Z), chart_sites in zip(parts, sites):
-            bad[idx] = within_guard(Z, chart_sites, h)
+            if fresh is None:
+                bad[idx] = within_guard(Z, chart_sites, h)
+            else:
+                new = fresh[idx]
+                bad[idx[new]] = within_guard(Z[new], chart_sites, h)
         if not np.any(bad):
             break
         # replace in sample order from the reserved deterministic stream
@@ -207,8 +214,10 @@ def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float, seed
         if excised + count > final.shape[0]:
             raise NonConvergent(f"the 10h guard (h = {h:g}) rejected more draws than the "
                                 f"{final.shape[0]} samples it had to keep")
-        final[bad] = sample_fs_array(seed, count, n, start=reserve_start + excised, stream=3)
+        final[bad] = sample_fs_array(seed, count, n, start=reserve_start + excised,
+                                     stream=Stream.SOBOLEV_RESERVE)
         excised += count
+        fresh = bad
 
     for k, (idx, Z) in enumerate(parts):  # the last pass's projections
         norms[idx] = np.sqrt(fs_gradient_norm_sq(Z, _potential_gradient(mu, k, Z)))
@@ -313,4 +322,5 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
         return grad2 ** (p / 2.0) * sphere_area(n, s) * s
 
     return log_radial_levels(stratum, levels, min(60.0, 280.0 / max(p, 1.0)), 0.5, seed,
-                             width=2 * (n + 1), samples=samples_per_stratum, stream=4)
+                             width=2 * (n + 1), samples=samples_per_stratum,
+                             stream=Stream.SOBOLEV_REFINEMENT)

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import projlog as pl
 from oracles import measure_json
-from projlog.cli import main
+from projlog.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -222,8 +224,6 @@ READS = {
 def test_each_option_only_where_it_is_read(tmp_path, measure_file, capsys):
     # an option a subcommand does not read is an error, not silently ignored
     # (nor taken as an abbreviation: --h is not --help)
-    from projlog.cli import build_parser
-
     ap = build_parser()
     for command, reads in READS.items():
         required = {"kernel": ["--pairs", "pairs.json"], "constants": [], "sample": [],
@@ -304,6 +304,65 @@ def test_headers_record_the_options_that_shape_the_body(tmp_path, measure_file):
     assert header_of(tmp_path / "kernel.csv")["chart"] == "1"
     assert main(["measure", *m, "--output", str(tmp_path)]) == 0
     assert header_of(tmp_path / "measure.csv")["atoms"] == "2"
+
+
+def declared_options() -> dict[str, dict[str, str]]:
+    """{subcommand: {option: dest}} as build_parser() declares them, --help aside."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: {opt: action.dest for action in p._actions for opt in action.option_strings
+                   if opt not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+
+
+def test_every_header_records_each_declared_option(tmp_path, measure_file):
+    # sobolev's header used to leave out --p, verify's --checks
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"n": 1, "pairs": [PAIR]}))
+    m = ["--measure", str(measure_file)]
+    runs = {"kernel": ["--pairs", str(pairs)], "potential": [*m, "--samples", "5"],
+            "measure": m, "sobolev": [*m, "--samples", "50"],
+            "riesz": [*m, "--samples", "50", "--levels", "1"],
+            "ma-density": [*m, "--samples", "5"], "ma-mass": [*m, "--grid", "64"],
+            "ball-profile": [*m, "--grid", "16", "--radii", "0.5"],
+            "prop25-check": [*m, "--samples", "3"], "constants": [], "sample": ["--samples", "3"],
+            "verify": ["--checks", "sin-distance"]}
+    declared = declared_options()
+    assert sorted(declared) == sorted(runs)
+    for command, options in declared.items():
+        out = tmp_path / command
+        assert main([command, *runs[command], "--output", str(out)]) == 0, command
+        head = header_of(out / f"{command.replace('-', '_')}.csv")
+        assert head["command"] == command
+        assert set(options.values()) - {"output", "workers"} <= set(head), command
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("sample", "--seed", "x"), ("sample", "--samples", "x"), ("ma-mass", "--grid", "x"),
+    ("riesz", "--chart", "x"), ("constants", "--n", "x"), ("sobolev", "--h", "x"),
+    ("riesz", "--alpha", "x"), ("riesz", "--p-value", "x"), ("riesz", "--radius", "x"),
+    ("riesz", "--levels", "1.5"), ("measure", "--workers", "x"),
+])
+def test_option_text_that_is_not_a_number_exit_code(command, option, value, tmp_path,
+                                                    measure_file, capsys):
+    # argparse used to reject these with SystemExit, outside the exit-code path
+    inputs = [] if command in ("sample", "constants") else ["--measure", str(measure_file)]
+    assert main([command, *inputs, f"{option}={value}", "--output", str(tmp_path)]) == 2
+    assert f"error: {option} must be" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_readme_option_table_matches_the_parser():
+    # each option of README's table is accepted by exactly the subcommands it lists
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| option | read by |"):].split("\n\n")[0].splitlines()[2:]
+    declared = declared_options()
+    assert len(table) == 7
+    for line in table:
+        option, cell = re.fullmatch(r"\| `(--[\w-]+)` \| (.*) \|", line).groups()
+        listed = set(re.findall(r"`([\w-]+)`", cell)) & set(declared)
+        assert listed == {name for name, options in declared.items() if option in options}, \
+            option
 
 
 def test_verify_largest_seed_runs(tmp_path, capsys):
@@ -622,10 +681,7 @@ def test_numeric_options_never_raise(call, workers, tmp_path, measure_file, monk
               "verify": ["--checks", "sin-distance"]}
     argv = [command, *(f"--{opt}={value}" for opt, value in opts.items()), "--output", str(out),
             *inputs.get(command, ["--measure", str(measure_file)])]
-    try:
-        rc = main(argv)
-    except SystemExit as exc:  # argparse rejects the text of a typed option
-        rc = exc.code
+    rc = main(argv)
     assert rc in EXIT_CODES.get(command, (0, 2, 3)), argv
     assert (rc in (0, 1)) == any(out.glob("*.csv")), argv
     if rc == 0 and command in FINITE_COLUMNS:

@@ -8,6 +8,7 @@ import projlog as pl
 from oracles import fs_metric, fs_metric_inverse, to_chart
 from projlog.errors import ValidationError
 from projlog.geometry import (
+    Stream,
     canonicalize_batch,
     chart_lift,
     chart_mask,
@@ -260,6 +261,17 @@ def test_sampler_deterministic_and_prefix_stable():
     np.testing.assert_array_equal(a, longer[:100])
     offset = sample_fs_array(42, 30, 2, start=70)
     np.testing.assert_array_equal(offset, longer[70:100])
+
+
+def test_sampler_streams_are_distinct():
+    # each sampler draws from its own Philox stream; an alias would make two
+    # of them share draws under one seed
+    values = [stream.value for stream in Stream.__members__.values()]
+    assert len(set(values)) == len(values) == 5
+    np.testing.assert_array_equal(sample_fs_array(42, 10, 2),
+                                  sample_fs_array(42, 10, 2, stream=Stream.FS))
+    assert not np.allclose(sample_fs_array(42, 10, 2),
+                           sample_fs_array(42, 10, 2, stream=Stream.SOBOLEV_RESERVE))
 
 
 def test_sampler_mean_distance_matches_coarea():
