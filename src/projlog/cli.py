@@ -176,6 +176,8 @@ def cmd_riesz(args) -> int:
 
 
 def cmd_ma_density(args) -> int:
+    if len(args.eps) != 1:
+        raise ValidationError(f"ma-density takes one --eps value, got {len(args.eps)}")
     mu = _load_measure(args.measure)
     chart = _chart(args, mu.n)
     pts = sample_fs_array(args.seed, args.samples, mu.n)
@@ -266,17 +268,22 @@ def cmd_verify(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _option(flag: str, parse, expect: str, ok=None):
-    """The argparse type of option flag: parse(text), which ok (if given)
-    must accept; any other text is a ValidationError naming flag."""
+def _usage_error(message: str):
+    """Every parser's error hook: a value an option's type rejects, or an
+    unknown or missing option, raises ValidationError, so main returns 2."""
+    raise ValidationError(message)
+
+
+def _checked(parse, expect: str, ok):
+    """An argparse type: parse(text), which ok must accept (argparse puts
+    the option in front of the message)."""
     def convert(text: str):
         try:
-            value = parse(text)
-            if ok is None or ok(value):
+            if ok(value := parse(text)):
                 return value
         except ValueError:
             pass
-        raise ValidationError(f"{flag} must be {expect}, got {text!r:.40}")
+        raise argparse.ArgumentTypeError(f"must be {expect}, got {text!r:.40}")
     return convert
 
 
@@ -293,24 +300,22 @@ def _decreasing(vals: list[float]) -> bool:
 
 #: the options that several subcommands share; each subcommand gets only
 #: those it reads.  A row's type converts the text and checks what the CLI
-#: itself checks (the library checks the rest), raising ValidationError
-#: with the option.
+#: itself checks (the library checks the rest).
 OPTIONS = {
     "measure": dict(required=True, help="measure JSON file (see README)"),
-    "seed": dict(type=_option("--seed", int, "an integer in 0..2^64-1",
-                              lambda v: 0 <= v < 2**64), default=0),
-    "samples": dict(type=_option("--samples", int, "a positive integer", lambda v: v > 0),
-                    default=1000),
-    "grid": dict(type=_option("--grid", int, "an integer >= 0", lambda v: v >= 0), default=0,
+    "seed": dict(type=_checked(int, "an integer in 0..2^64-1", lambda v: 0 <= v < 2**64),
+                 default=0),
+    "samples": dict(type=_checked(int, "a positive integer", lambda v: v > 0), default=1000),
+    "grid": dict(type=_checked(int, "an integer >= 0", lambda v: v >= 0), default=0,
                  help="grid points per axis (ball-profile: a multiple of 4, or 0 "
                       "for its default)"),
-    "eps": dict(type=_option("--eps", _reals, "a strictly decreasing list of finite reals",
-                             _decreasing), default="0.3",
-                help="smoothing: a comma-separated strictly decreasing list; 0 is the "
-                     "unsmoothed field, which ma-mass refuses"),
-    "chart": dict(type=_option("--chart", int, "an integer"), default=0),
-    "n": dict(type=_option("--n", int, "a positive integer", lambda v: v > 0), default=1),
-    "h": dict(type=_option("--h", float, "a finite positive real", lambda v: 0 < v < math.inf),
+    "eps": dict(type=_checked(_reals, "a strictly decreasing list of finite reals",
+                              _decreasing), default="0.3",
+                help="smoothing: a comma-separated strictly decreasing list (ma-density: "
+                     "one value); 0 is the unsmoothed field, which ma-mass refuses"),
+    "chart": dict(type=int, default=0),
+    "n": dict(type=_checked(int, "a positive integer", lambda v: v > 0), default=1),
+    "h": dict(type=_checked(float, "a finite positive real", lambda v: 0 < v < math.inf),
               default=1e-4,
               help="singular-guard length: points within 10h of an atom are excised "
                    "or refused; ma-density and ball-profile use it only where an "
@@ -323,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="projlog",
         description="Logarithmic kernels, potentials and Monge-Ampere "
                     "densities on complex projective space.")
+    ap.error = _usage_error
     ap.add_argument("--version", action="version", version=f"projlog {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -333,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
         # no prefix matching: an option a subcommand lacks (say --h) must be
         # an error, not an abbreviation of another option (--help)
         p = sub.add_parser(name, allow_abbrev=False, help=summary)
+        p.error = _usage_error
         p.add_argument("--output", default="projlog-out")
-        p.add_argument("--workers", type=_option("--workers", int, "an integer"), default=None)
+        p.add_argument("--workers", type=int, default=None)
         group = p.add_mutually_exclusive_group() if exclusive else p
         rows = [(p, opt, OPTIONS[opt]) for opt in shared] \
             + [(group, opt, row) for opt, row in (extra or {}).items()]
@@ -350,26 +357,23 @@ def build_parser() -> argparse.ArgumentParser:
     command("measure", cmd_measure, "validate and decompose a measure", "measure")
     command("sobolev", cmd_sobolev, "gradient p-norm scan with doubling",
             "measure", "seed", "samples", "h", extra={
-                "p": dict(type=_option("--p", _reals, "comma-separated reals", bool),
+                "p": dict(type=_checked(_reals, "comma-separated reals", bool),
                           default="1.0", help="comma-separated p values")})
     command("riesz", cmd_riesz, "Riesz potential L^p scan and refinement",
             "measure", "seed", "samples", "chart", extra={
-                "alpha": dict(type=_option("--alpha", float, "a real"), default=1.0),
-                "p-value": dict(type=_option("--p-value", float, "a real"), default=1.0),
-                "radius": dict(type=_option("--radius", float, "a real"), default=1.0),
-                "levels": dict(type=_option("--levels", int, "an integer"), default=3)})
+                "alpha": dict(type=float, default=1.0),
+                "p-value": dict(type=float, default=1.0),
+                "radius": dict(type=float, default=1.0),
+                "levels": dict(type=int, default=3)})
     command("ma-density", cmd_ma_density, "pointwise Monge-Ampere densities",
-            "measure", "seed", "samples", "chart", "h", extra={
-                "eps": dict(type=_option("--eps", _reals, "one finite real",
-                                         lambda v: len(v) == 1 and _decreasing(v)),
-                            default="0.3", help="smoothing; 0 is the unsmoothed field")})
+            "measure", "seed", "samples", "chart", "h", "eps")
     command("ma-mass", cmd_ma_mass, "total Monge-Ampere mass over P^n",
             "measure", "grid", "eps")
     command("ball-profile", cmd_ball_profile, "ball-mass profile around a center",
             "measure", "grid", "eps", "h", extra={
                 "center": dict(default="", help="center point as JSON [[re,im],...]; "
                                                 "default first atom"),
-                "radii": dict(type=_option("--radii", _reals, "comma-separated reals", bool),
+                "radii": dict(type=_checked(_reals, "comma-separated reals", bool),
                               default="0.5,0.25", help="decreasing radii")})
     command("prop25-check", cmd_prop25_check, "product-formula (mixed discriminant) residuals",
             "measure", "seed", "samples", "chart")

@@ -195,18 +195,15 @@ def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float, seed
     # allocated before the guard passes, which keeps peak RSS ~6 MiB lower (heap layout)
     norms = np.empty(final.shape[0])
     excised = 0
-    fresh = None  # the draws just replaced, the only ones left to guard; None: every sample
+    fresh = np.ones(final.shape[0], dtype=bool)  # the draws left to guard
     while True:
         charts = np.argmax(np.abs(final), axis=1)
         rows = [np.flatnonzero(charts == k) for k in range(n + 1)]
         parts = [(idx, chart_project(final[idx], k)) for k, idx in enumerate(rows)]
         bad = np.zeros(final.shape[0], dtype=bool)
         for (idx, Z), chart_sites in zip(parts, sites):
-            if fresh is None:
-                bad[idx] = within_guard(Z, chart_sites, h)
-            else:
-                new = fresh[idx]
-                bad[idx[new]] = within_guard(Z[new], chart_sites, h)
+            new = fresh[idx]
+            bad[idx[new]] = within_guard(Z[new], chart_sites, h)
         if not np.any(bad):
             break
         # replace in sample order from the reserved deterministic stream
