@@ -36,8 +36,9 @@ so near an atom, at chart distance d, its relative rounding error is about
 functions take the atoms in blocks (atom_blocks) that keep every (m, k, n+1)
 intermediate near _BLOCK_ENTRIES complex numbers, whatever k is, and make
 one quad_form_batch call per block.  They add the per-atom terms along the
-atom axis of atom-major (k, m) arrays, which numpy reduces in atom order, so
-one-atom blocks give the same bits as one block.
+atom axis of atom-major (k, m) arrays.  For m >= 2 rows numpy reduces that
+axis in atom order, so one-atom blocks give the same bits as one block; at
+m = 1 it sums the (k, 1) atom column pairwise, so the last bits can differ.
 
 This module is the library's one derivative engine for atoms: every
 production gradient, Hessian and Monge-Ampere density of a field with atoms

@@ -125,6 +125,22 @@ def sobolev_bound(n: int, p: float) -> float:
     return pref * val
 
 
+def mc_estimate(values: np.ndarray, p: float, scale: float) -> tuple[float, float]:
+    """The Monte Carlo estimate scale * mean(values^p) and its standard error.
+
+    Every MC estimate and SE of the library comes from here.  Raises
+    NonConvergent when either is not finite (a large p overflows the powers).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = values ** p
+        est = scale * float(np.mean(powers))
+        se = scale * float(np.std(powers) / math.sqrt(values.shape[0]))
+    if not (math.isfinite(est) and math.isfinite(se)):
+        raise NonConvergent(f"the Monte Carlo estimate {est!r} (SE {se!r}) of a mean of "
+                            f"p = {p!r} powers is not finite")
+    return est, se
+
+
 def log_radial_levels(stratum, levels: int, deepest: float, r0: float, seed: int,
                       width: int, samples: int, stream: int,
                       scale: float = 1.0) -> list[float]:

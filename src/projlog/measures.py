@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import atom_blocks
-from .coarea import log_radial_levels
-from .errors import NonConvergent, ValidationError
+from .coarea import log_radial_levels, mc_estimate
+from .errors import ValidationError
 from .geometry import (
     CANONICAL_TOL,
     CHART_FLOOR,
@@ -67,7 +67,7 @@ class AtomicMeasure:
             if not (json_real(w) and w > 0):
                 raise ValidationError(f"{what}: atoms[{i}].weight = {w!r:.60} must be a "
                                       f"finite positive real")
-        return build_measure(points, np.array(weights, dtype=float), n=n)
+        return build_measure(points, np.array(weights, dtype=float))
 
 
 def _merge_labels(pts: np.ndarray) -> np.ndarray:
@@ -85,8 +85,6 @@ def _merge_labels(pts: np.ndarray) -> np.ndarray:
     """
     count = pts.shape[0]
     labels = np.arange(count)
-    if count < 2:
-        return labels
     real = pts.view(float)
     # fixed, incommensurate weights so that structured inputs do not collide
     c = 1.0 + np.modf(np.arange(1, real.shape[1] + 1) * _GOLDEN)[0]
@@ -100,8 +98,6 @@ def _merge_labels(pts: np.ndarray) -> np.ndarray:
     shared = np.zeros(count, dtype=bool)
     shared[:-1] |= close
     shared[1:] |= close
-    if not np.any(shared):
-        return labels
     slot = np.empty(count, dtype=np.intp)
     slot[order] = np.arange(count)
     lo = np.searchsorted(xs, xs - reach, side="left")
@@ -120,8 +116,9 @@ def _merge_labels(pts: np.ndarray) -> np.ndarray:
     return labels
 
 
-def build_measure(points, weights, n: int | None = None) -> AtomicMeasure:
-    """Validate, canonicalize and merge duplicate atoms.
+def build_measure(points, weights) -> AtomicMeasure:
+    """Validate, canonicalize and merge duplicate atoms of a measure on P^n,
+    n + 1 the width of points.
 
     Rows are taken in input order.  A row whose canonical coordinates differ
     from those of an already kept row by at most CANONICAL_TOL in every
@@ -136,10 +133,6 @@ def build_measure(points, weights, n: int | None = None) -> AtomicMeasure:
         raise ValidationError("a measure needs at least one atom")
     if weights.shape != (points.shape[0],):
         raise ValidationError("one weight per atom required")
-    if n is None:
-        n = points.shape[1] - 1
-    if points.shape[1] != n + 1:
-        raise ValidationError(f"points have {points.shape[1]} coordinates, expected {n + 1}")
     if np.any(weights <= 0.0):
         bad = int(np.argmax(weights <= 0.0))
         raise ValidationError(f"atoms[{bad}].weight = {weights[bad]} must be > 0")
@@ -151,7 +144,7 @@ def build_measure(points, weights, n: int | None = None) -> AtomicMeasure:
     roots = labels == np.arange(labels.size)
     # bincount adds in index order, i.e. in input order
     merged = np.bincount((np.cumsum(roots) - 1)[labels], weights=weights)
-    return AtomicMeasure(points=pts[roots], weights=merged, n=n)
+    return AtomicMeasure(points=pts[roots], weights=merged, n=points.shape[1] - 1)
 
 
 def dirac(point: HomogeneousPoint) -> AtomicMeasure:
@@ -205,7 +198,7 @@ class ChartDecomposition:
         for j, comp in self.components.items():
             pts.append(comp.points)
             ws.append(self.masses[j] * comp.weights)
-        return build_measure(np.concatenate(pts), np.concatenate(ws), n=self.n)
+        return build_measure(np.concatenate(pts), np.concatenate(ws))
 
 
 def decompose(mu: AtomicMeasure) -> ChartDecomposition:
@@ -225,7 +218,7 @@ def decompose(mu: AtomicMeasure) -> ChartDecomposition:
         w = mu.weights[keep] * chi[keep, j] / masses[j]
         # renormalize away accumulated rounding so each mu_j validates
         w = w / np.sum(w)
-        components[j] = build_measure(mu.points[keep], w, n=mu.n)
+        components[j] = build_measure(mu.points[keep], w)
     return ChartDecomposition(n=mu.n, masses=masses, components=components)
 
 
@@ -339,14 +332,7 @@ def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, center, radius: fl
     z = center + radius * (pts[:, :n] + 1j * pts[:, n:])
     J = _riesz_sum(lambda blk: z[:, None, :] - atoms.w[None, blk, :],
                    atoms.weights, alpha, samples, n)
-    # a large p overflows the powers; the finiteness guard below raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = J**p
-        est = vol * float(np.mean(vals))
-        se = vol * float(np.std(vals) / math.sqrt(samples))
-    if not (math.isfinite(est) and math.isfinite(se)):
-        raise NonConvergent(f"the Monte Carlo estimate {est!r} (SE {se!r}) of int J^p over "
-                            f"the ball is not finite")
+    est, se = mc_estimate(J, p, vol)
     return ScanResult(estimate=est, std_error=se)
 
 

@@ -34,7 +34,7 @@ from .geometry import (
     max_modulus_chart,
 )
 from .measures import AffineAtoms, AtomicMeasure, partition_of_unity
-from .parallel import resolve_workers, run_chunked
+from .parallel import run_chunked
 from .potentials import PotentialField, affine_field, psh_lift, within_guard
 
 SQRT2 = math.sqrt(2.0)
@@ -290,6 +290,17 @@ def _cell_sums(lift: PotentialField, Z: np.ndarray, weights: np.ndarray,
     return masses, vols, int(np.sum(neg))
 
 
+def _self_check(mass, eps: float, vol: float, exact_vol: float, tol: float) -> None:
+    """The grids' one self-check: NonConvergent when the mass (a float or a
+    list) is not finite (the Hessians overflow at a huge eps), GridTooCoarse
+    when the grid's FS volume vol misses exact_vol by more than the relative tol."""
+    if not np.all(np.isfinite(mass)):
+        raise NonConvergent(f"MA mass {mass} at eps = {eps!r} is not finite")
+    miss = abs(vol - exact_vol) / max(exact_vol, 1e-300)
+    if miss > tol:
+        raise GridTooCoarse(f"grid self-check: FS volume off by {miss:.2%} (tolerance {tol:.2%})")
+
+
 def _mass_chunk(payload, rng):
     """Integrate one range of flat cells on every chart (module level).
 
@@ -321,35 +332,29 @@ def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
     Integrates det(H_phi) over the chi_k-supported ball |z|^2 <= 2n+1 of
     every chart with midpoint cells (`grid` points per axis), weighting by
     the partition of unity.  For any measure and any eps > 0 the answer is
-    1 up to grid error.  Raises GridTooCoarse when the same grid misses the
-    exact FS volume by more than vol_tol, and NonConvergent when the mass is
-    not finite (the Hessians overflow at a huge eps).  h is deprecated and
-    ignored.
+    1 up to grid error; _self_check holds the grid's FS volume to 1 within
+    vol_tol.  An eps whose square underflows to 0 would integrate the
+    unsmoothed field, so it is refused.  h is deprecated and ignored.
     """
-    if eps <= 0.0:
-        raise ValidationError("total-mass integration requires eps > 0")
+    if not (eps > 0.0 and eps * eps > 0.0):
+        raise ValidationError(f"total-mass integration requires eps > 0 with eps^2 > 0, "
+                              f"got eps = {eps!r}")
     if grid < 1:
         raise ValidationError(f"grid must be at least 1 point per axis, got {grid}")
     n = mu.n
     L = math.sqrt(2.0 * n + 1.0)
     lifts = [psh_lift(mu, chart, eps) for chart in range(n + 1)]
     parts = run_chunked(_mass_chunk, grid ** (2 * n), chunk=65536 if n == 1 else 16384,
-                        workers=resolve_workers(workers), payload=(lifts, grid, L))
+                        workers=workers, payload=(lifts, grid, L))
     # summed in chart-major order, so the totals keep their bits
     mass, vol, clipped = zip(*(part[chart] for chart in range(n + 1) for part in parts))
     total = float(np.sum(mass))
-    if not math.isfinite(total):
-        raise NonConvergent(f"total mass {total} at eps = {eps!r} is not finite")
     vol_check = float(np.sum(vol))
-    report = MassReport(total_mass=total,
-                        grid={"points_per_axis": grid, "charts": n + 1,
-                              "box_halfwidth": L, "eps": eps},
-                        clipped_cells=sum(clipped), vol_check=vol_check)
-    if abs(vol_check - 1.0) > vol_tol:
-        raise GridTooCoarse(
-            f"chart-overlap volume check {vol_check:.4f} deviates from 1 "
-            f"by more than {vol_tol:.2%}")
-    return report
+    _self_check(total, eps, vol_check, 1.0, vol_tol)
+    return MassReport(total_mass=total,
+                      grid={"points_per_axis": grid, "charts": n + 1,
+                            "box_halfwidth": L, "eps": eps},
+                      clipped_cells=sum(clipped), vol_check=vol_check)
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +409,16 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
 
     For each eps in eps_list (decreasing), integrates det(H_phi) over the
     geodesic balls B_r(center) for each radius (given decreasing; reported
-    ascending) on dyadically refined local grids, and reports the mass, the
-    ratio to the exact ball volume sin^(2n)(r / sqrt 2), and a pure-volume
-    self-check per radius, which must hold within 2%.  Levels per eps:
+    ascending) on dyadically refined local grids, and reports the mass and
+    its ratio to the exact ball volume sin^(2n)(r / sqrt 2).  _self_check
+    holds the grid's FS volume of the largest ball, kept plus excised cells,
+    to the exact volume within 2%.  Levels per eps:
     min(9, ceil(log2(a0 / 2f)) + 1), or 1 when a0 <= 2f, where a0 is the
     outer half-width and f = max(eps, 1e-3) (1 + |c|^2) at the center's
     chart point c.  Hessians are closed form; h only sets the singular
     guard.  With eps = 0 in the list, cells within 10h of an atom are
     excised; their FS volume is reported as excised_singular_mass (a bounded
-    diagnostic of the removed region, not a mass estimate).  A mass that is
-    not finite (the Hessians overflow at a huge eps) raises NonConvergent.
+    diagnostic of the removed region, not a mass estimate).
     """
     n = mu.n
     radii = sorted(float(r) for r in radii)
@@ -446,28 +451,19 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
             lifts = chart_lift(Z, chart)
             d = geodesic_distance_batch(lifts, center.coords)
             in_any = d <= r_max
-            if not np.any(in_any):
-                continue
             Z, d = Z[in_any], d[in_any]
-            if sites.shape[0]:
-                cut = within_guard(Z, sites, h)
-                excised_volume += float(np.sum(
-                    fs_volume_density(Z[cut]))) * cellvol / fs_volume_norm(n)
-                Z, d = Z[~cut], d[~cut]
+            cut = within_guard(Z, sites, h)
+            excised_volume += float(np.sum(
+                fs_volume_density(Z[cut]))) * cellvol / fs_volume_norm(n)
+            Z, d = Z[~cut], d[~cut]
             in_ball = (d[None, :] <= np.array(radii)[:, None]).astype(float)
             ball_mass, ball_vol, ball_clipped = _cell_sums(lift, Z, in_ball, cellvol)
             masses += ball_mass
             vols += ball_vol
             clipped += ball_clipped
-        if not np.all(np.isfinite(masses)):
-            raise NonConvergent(f"ball masses {masses.tolist()} at eps = {eps!r} are not finite")
         exact_vols = [fs_ball_volume(n, r) for r in radii]
         # the excised cells are part of the grid's ball, so the check counts them
-        rel = abs(vols[-1] + excised_volume - exact_vols[-1]) / max(exact_vols[-1], 1e-300)
-        if rel > 0.02:
-            raise GridTooCoarse(
-                f"ball-volume self-check off by {rel:.2%} at r = {radii[-1]:.3g} "
-                f"(grid {m}/axis, {nlev} levels)")
+        _self_check(masses.tolist(), eps, vols[-1] + excised_volume, exact_vols[-1], 0.02)
         reports.append(MassReport(
             total_mass=float(masses[-1]),
             ball_profile=[(r, float(mm)) for r, mm in zip(radii, masses)],

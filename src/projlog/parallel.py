@@ -31,11 +31,13 @@ def resolve_workers(workers: int | None = None) -> int:
     return 1
 
 
-def run_chunked(fn, total: int, chunk: int, workers: int, payload) -> list:
+def run_chunked(fn, total: int, chunk: int, workers: int | None, payload) -> list:
     """Apply fn(payload, (lo, hi)) to each chunk range, in chunk order.
 
-    fn must be a module-level callable so it can cross a process boundary.
+    workers goes through resolve_workers (None reads PROJLOG_WORKERS).  fn
+    must be a module-level callable so it can cross a process boundary.
     """
+    workers = resolve_workers(workers)
     ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     if workers <= 1 or len(ranges) <= 1:
         return [fn(payload, r) for r in ranges]

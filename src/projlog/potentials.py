@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .coarea import log_radial_levels, sobolev_bound, sphere_area
+from .coarea import log_radial_levels, mc_estimate, sobolev_bound, sphere_area
 from .errors import NonConvergent, ValidationError
 from .geometry import (
     Stream,
@@ -36,7 +36,7 @@ from .geometry import (
 )
 from .kernels import projective_log_kernel_batch
 from .measures import AffineAtoms, AtomicMeasure
-from .parallel import resolve_workers, run_chunked
+from .parallel import run_chunked
 
 
 def _chart_sites(points: np.ndarray, chart: int) -> np.ndarray:
@@ -236,18 +236,10 @@ def sobolev_scan(mu: AtomicMeasure, p: float, seed: int, samples: int,
     if not 1 <= p < math.inf:
         raise ValidationError(f"p = {p!r} must be a finite real >= 1 (smaller p follows "
                               f"by concavity)")
-    workers = resolve_workers(workers)
     parts = run_chunked(_sobolev_chunk, samples, chunk=65536, workers=workers,
                         payload=(mu, h, seed, start))
     excised = sum(e for _, e in parts)
-    # a large p overflows the powers; the finiteness guard below raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.concatenate([v for v, _ in parts]) ** p
-        est = float(np.mean(values))
-        se = float(np.std(values) / math.sqrt(samples))
-    if not (math.isfinite(est) and math.isfinite(se)):
-        raise NonConvergent(f"the Monte Carlo estimate {est!r} (SE {se!r}) of the p = {p!r} "
-                            f"gradient norm is not finite")
+    est, se = mc_estimate(np.concatenate([v for v, _ in parts]), p, 1.0)
     return SobolevScanResult(estimate=est, std_error=se, analytic_bound=sobolev_bound(mu.n, p),
                              excised=excised)
 

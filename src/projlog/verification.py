@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, measures
-from .coarea import mean_log_kernel, sobolev_bound
+from .coarea import mc_estimate, mean_log_kernel, sobolev_bound
 from .errors import ValidationError
 from .geometry import geodesic_distance_batch, sample_fs_array
 from .kernels import affine_log_kernel_batch, chart_identity_residual_batch, \
@@ -116,9 +116,7 @@ def check_normalization_constant(seed: int = 4):
     for n in (1, 2):
         eta = geometry.normalize(np.eye(n + 1)[0])
         pts = sample_fs_array(_subseed(seed, n), samples, n)
-        vals = projective_log_kernel_batch(pts, eta.coords)
-        mean = float(np.mean(vals))
-        se = float(np.std(vals) / _math.sqrt(samples))
+        mean, se = mc_estimate(projective_log_kernel_batch(pts, eta.coords), 1.0, 1.0)
         dev = abs(mean + 1.0 / (2 * n))
         mc_ok &= dev < 3 * se
         mc_detail.append(f"n={n}: MC {mean:.5f} vs -{1/(2*n)} (dev {dev:.1e}, 3SE {3*se:.1e})")

@@ -4,8 +4,8 @@ None of these is on a production path: each recomputes a quantity the
 library gets another way (a finite-difference gradient against the closed
 forms, the FS metric against the closed-form Hessian, chart coordinates one
 point at a time against the batch projection, quadratures and closed forms
-of the co-area constants), or writes an input the way a user would (the
-measure file of a measure).
+of the co-area constants), or makes an input the way a user would (the
+measure file of a measure, a seeded random measure).
 """
 
 import json
@@ -15,7 +15,8 @@ import numpy as np
 
 from projlog.coarea import SQRT2, area_constant
 from projlog.errors import SingularStencil, ValidationError
-from projlog.geometry import CHART_FLOOR, HomogeneousPoint
+from projlog.geometry import CHART_FLOOR, HomogeneousPoint, sample_fs_array
+from projlog.measures import build_measure
 
 
 # ---------------------------------------------------------------------------
@@ -150,3 +151,10 @@ def measure_json(mu) -> str:
     atoms = [{"zeta": [[float(c.real), float(c.imag)] for c in row], "weight": float(w)}
              for row, w in zip(mu.points, mu.weights)]
     return json.dumps({"n": mu.n, "atoms": atoms}, indent=2)
+
+
+def random_measure(n: int, atoms: int, seed: int):
+    """FS-uniform atoms on P^n with seeded random weights in [0.2, 1), normalized."""
+    pts = sample_fs_array(seed, atoms, n)
+    w = np.random.default_rng(seed).uniform(0.2, 1.0, atoms)
+    return build_measure(pts, w / w.sum())

@@ -5,9 +5,9 @@ the plain field values."""
 import numpy as np
 
 import projlog as pl
-from oracles import fs_metric, holo_to_real_gradient
+from oracles import fs_metric, holo_to_real_gradient, random_measure
 from projlog import analytic
-from projlog.geometry import chart_lift, sample_fs_array
+from projlog.geometry import chart_lift
 from projlog.kernels import affine_log_kernel_batch
 
 
@@ -46,13 +46,6 @@ def richardson_hessian_entry(f, z, j, k, h=2e-3):
         return 0.25 * ((lpp - lpm) + 1j * (lpi - lmi))
 
     return (4.0 * entry(h / 2) - entry(h)) / 3.0
-
-
-def random_measure(n, atoms, seed):
-    pts = sample_fs_array(seed, atoms, n)
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.2, 1.0, atoms)
-    return pl.build_measure(pts, w / w.sum())
 
 
 def fields_to_check():

@@ -187,12 +187,24 @@ def test_ma_density_subcommand(tmp_path, measure_file):
 
 
 def test_workers_env_fallback(monkeypatch):
-    from projlog.parallel import resolve_workers
+    from projlog.parallel import resolve_workers, run_chunked
     monkeypatch.setenv("PROJLOG_WORKERS", "3")
     assert resolve_workers(None) == 3
     assert resolve_workers(2) == 2
     monkeypatch.delenv("PROJLOG_WORKERS")
     assert resolve_workers(None) == 1
+    # run_chunked resolves workers=None through the env var, and an explicit
+    # count wins over it; a lambda cannot cross a process boundary, so a
+    # result shows that one worker ran
+    def ranges(workers):
+        return run_chunked(lambda payload, rng: rng, 4, 2, workers=workers, payload=None)
+
+    monkeypatch.setenv("PROJLOG_WORKERS", "x")
+    with pytest.raises(pl.ValidationError, match="PROJLOG_WORKERS"):
+        ranges(None)
+    assert ranges(1) == [(0, 2), (2, 4)]
+    monkeypatch.setenv("PROJLOG_WORKERS", "1")
+    assert ranges(None) == [(0, 2), (2, 4)]
 
 
 def test_config_validation_exit_code(tmp_path, capsys):
@@ -392,6 +404,10 @@ def test_verify_unknown_check_key_exit_code(tmp_path, capsys):
     (["ma-mass", "--grid", "16", "--eps", "1e154"], 3, "not finite"),
     (["ma-density", "--samples", "5", "--eps", "1e154"], 3, "not finite"),
     (["ball-profile", "--radii", "0.5", "--eps", "1e154"], 3, "not finite"),
+    (["ma-mass", "--grid", "64", "--eps", "1e-200"], 2, "eps"),
+    (["ma-mass", "--grid", "4"], 3, "grid self-check: FS volume off by 11.10%"),
+    (["ball-profile", "--grid", "4", "--radii", "1,0.5", "--eps", "10", "--h", "1e-2"], 3,
+     "grid self-check: FS volume off by 2.07%"),
 ], ids=["h-nan", "eps-nan", "eps-text", "p-nan", "p-below-1", "p-empty", "radius-negative",
         "p-value-nan", "radii-zero", "radii-text", "levels-zero", "mass-eps-zero",
         "density-eps-list", "seed-2-to-64", "seed-negative", "p-inf", "p-value-inf",
@@ -399,10 +415,12 @@ def test_verify_unknown_check_key_exit_code(tmp_path, capsys):
         "profile-eps-square-overflow", "profile-radius-underflow-huge-eps",
         "profile-radius-underflow", "riesz-radius-underflow", "sobolev-estimate-overflow",
         "riesz-estimate-overflow", "mass-hessian-overflow", "density-hessian-overflow",
-        "profile-hessian-overflow"])
+        "profile-hessian-overflow", "mass-eps-square-underflow", "mass-grid-too-coarse",
+        "profile-grid-too-coarse"])
 def test_bad_numeric_option_exit_code(argv, code, named, tmp_path, measure_file, capsys):
     # the exit-3 rows, and the eps and radius rows, used to exit 0 with inf,
-    # nan or 0 in the body, or 1 with a traceback
+    # nan or 0 in the body, or 1 with a traceback; an eps whose square
+    # underflows used to integrate the unsmoothed field and exit 0
     rc = main([argv[0], "--measure", str(measure_file), *argv[1:],
                "--output", str(tmp_path)])
     assert rc == code

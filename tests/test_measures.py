@@ -6,18 +6,11 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from oracles import measure_json, to_chart
+from oracles import measure_json, random_measure, to_chart
 from projlog.errors import ValidationError
 from projlog import analytic
 from projlog.geometry import CANONICAL_TOL, canonicalize_batch, sample_fs_array
 from projlog.measures import _riesz_sum, _uniform_ball, support_threshold
-
-
-def random_measure(n, atoms, seed):
-    pts = sample_fs_array(seed, atoms, n)
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.2, 1.0, atoms)
-    return pl.build_measure(pts, w / w.sum())
 
 
 # ---------- validation -------------------------------------------------------
@@ -25,6 +18,7 @@ def random_measure(n, atoms, seed):
 def test_single_atom_ok():
     mu = pl.dirac(pl.normalize([1, 0]))
     assert mu.num_atoms == 1 and mu.weights[0] == 1.0
+    assert assert_merge_matches_reference(mu.points, [1.0]).num_atoms == 1
 
 
 def test_duplicate_atoms_merge():
@@ -117,8 +111,9 @@ def test_merge_matches_greedy_reference_on_random_duplicates(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("step, atoms", [(0.99, 1), (1.01, 2)])
+@pytest.mark.parametrize("step, atoms", [(0.99, 1), (1.01, 2), (1e3, 2)])
 def test_merge_tolerance_edge(n, step, atoms):
+    # at 1e3 tol the two rows are distinct and share no projection window
     rows = offset_rows(n, [0.0, step], seed=n)
     canon = canonicalize_batch(rows)
     assert abs(np.max(np.abs(canon[0] - canon[1])) / CANONICAL_TOL - step) < 1e-3

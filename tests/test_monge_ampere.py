@@ -4,18 +4,12 @@ import numpy as np
 import pytest
 
 import projlog as pl
+from oracles import random_measure
 from projlog import analytic, monge_ampere
 from projlog.errors import GridTooCoarse, SingularStencil, ValidationError
 from projlog.geometry import chart_mask, chart_project, fs_volume_density, sample_fs_array
 from projlog.monge_ampere import hessian_fd_batch
 from projlog.potentials import within_guard
-
-
-def random_measure(n, atoms, seed):
-    pts = sample_fs_array(seed, atoms, n)
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.2, 1.0, atoms)
-    return pl.build_measure(pts, w / w.sum())
 
 
 def random_hermitian(n, rng):
