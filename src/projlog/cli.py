@@ -253,7 +253,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_checks(names=args.checks, seed=args.seed, quick=args.quick)
+    results = run_checks(names=args.checks, seed=args.seed, quick=args.quick,
+                         workers=args.workers)
     rows = []
     ok = True
     for res in results:

@@ -7,7 +7,9 @@ pi normalization constant.  Total masses integrate det(H_phi) over chart
 boxes weighted by the partition of unity and divide by the chart integral
 of det(H_rho) (= 2^-n pi^n / n! for the unit-volume convention); for any
 smooth global field rho + u the answer is 1 by cohomology, which is the
-grid's strongest self-check.
+grid's strongest self-check.  Every determinant of a density or a mass is
+closed form for n <= 3: hermitian_det for det(H_phi), fs_volume_density
+for det(H_rho).
 """
 
 from __future__ import annotations
@@ -115,6 +117,43 @@ def complex_hessian_fd(fieldfn, z, h: float = 1e-3) -> np.ndarray:
     if not finite[0]:
         raise SingularStencil(f"field is singular on the Hessian stencil at {z}")
     return H[0]
+
+
+# ---------------------------------------------------------------------------
+# determinants
+# ---------------------------------------------------------------------------
+
+def hermitian_det(H: np.ndarray) -> np.ndarray:
+    """Real determinant of a (..., n, n) Hermitian batch.
+
+    Reads only the real diagonal and the upper triangle.  For n <= 3 it
+    expands the determinant in real arithmetic (cofactors along the first
+    row, with Re(h01 h12 conj(h02)) as the one cross term); larger n goes
+    through LAPACK.  The closed forms differ from LAPACK by a few ulps of
+    ||H||_F^n, and at n = 1 they return h00 exactly.
+    """
+    H = np.asarray(H)
+    n = H.shape[-1]
+    if n > 3:
+        return np.linalg.det(H).real
+    h00 = H[..., 0, 0].real
+    if n == 1:
+        return h00.copy()
+    h11 = H[..., 1, 1].real
+    h01 = H[..., 0, 1]
+    a01 = h01.real ** 2 + h01.imag ** 2
+    if n == 2:
+        return h00 * h11 - a01
+    h22 = H[..., 2, 2].real
+    h02, h12 = H[..., 0, 2], H[..., 1, 2]
+    # Re(h01 h12 conj(h02)) with the product h01 h12 = p + iq
+    p = h01.real * h12.real - h01.imag * h12.imag
+    q = h01.real * h12.imag + h01.imag * h12.real
+    cross = p * h02.real + q * h02.imag
+    return (h00 * h11 * h22 + 2.0 * cross
+            - h00 * (h12.real ** 2 + h12.imag ** 2)
+            - h11 * (h02.real ** 2 + h02.imag ** 2)
+            - h22 * a01)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +276,10 @@ def ma_density(mu: AtomicMeasure, chart: int, Z: np.ndarray, h: float = 1e-4,
                               f"(row {near[0]})")
     # a huge eps overflows the Hessians; the finiteness guard below raises
     with np.errstate(over="ignore", invalid="ignore"):
-        H = np.stack([lift.complex_hessian(Z), fs_hessian(Z)])
-        det_phi, det_rho = np.linalg.det(H).real
-        norm_phi, norm_rho = np.linalg.norm(H, axis=(2, 3))
-        density = det_phi / det_rho
+        H_phi = lift.complex_hessian(Z)
+        norm_phi = np.linalg.norm(H_phi, axis=(1, 2))
+        norm_rho = np.linalg.norm(fs_hessian(Z), axis=(1, 2))
+        density = hermitian_det(H_phi) / fs_volume_density(Z)
         scale = np.maximum(1.0, (norm_phi / norm_rho) ** mu.n)
     bad = np.flatnonzero(~np.isfinite(density))
     if bad.size:
@@ -269,9 +308,9 @@ def _cell_sums(lift: PotentialField, Z: np.ndarray, weights: np.ndarray,
                cellvol: float):
     """MA mass and FS volume of the cells Z under each row of weights.
 
-    Takes det H_phi 16384 cells at a time; negative determinants are
-    rounding, set to 0 and counted.  A row's sums run over its cells of
-    positive weight.  Returns (masses, volumes, clipped cells).
+    Takes det H_phi (hermitian_det) 16384 cells at a time; negative
+    determinants are rounding, set to 0 and counted.  A row's sums run over
+    its cells of positive weight.  Returns (masses, volumes, clipped cells).
     """
     n = Z.shape[1]
     dets = np.empty(Z.shape[0])
@@ -279,7 +318,7 @@ def _cell_sums(lift: PotentialField, Z: np.ndarray, weights: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, Z.shape[0], 16384):
             part = slice(lo, lo + 16384)
-            dets[part] = np.linalg.det(lift.complex_hessian(Z[part])).real
+            dets[part] = hermitian_det(lift.complex_hessian(Z[part]))
     neg = dets < 0.0
     dets[neg] = 0.0
     fsdens = fs_volume_density(Z)

@@ -124,7 +124,7 @@ def check_normalization_constant(seed: int = 4):
             f"quad dev {worst:.1e} (tol 1e-10); " + "; ".join(mc_detail))
 
 
-def check_sobolev_threshold(seed: int = 5):
+def check_sobolev_threshold(seed: int = 5, workers: int | None = None):
     """Doubling-stable at p = 2n-1; refinement grows >= 10x at p = 2n."""
     ok = True
     parts = []
@@ -132,7 +132,8 @@ def check_sobolev_threshold(seed: int = 5):
         eta = geometry.normalize(np.eye(n + 1)[0])
         mu = measures.dirac(eta)
         p_stable, sub = 2 * n - 1, _subseed(seed, n)
-        first, doubled = sobolev_doubling(mu, p=float(p_stable), seed=sub, samples=S)
+        first, doubled = sobolev_doubling(mu, p=float(p_stable), seed=sub, samples=S,
+                                         workers=workers)
         drift = abs(doubled.estimate - first.estimate) / first.estimate
         below = first.estimate <= first.analytic_bound
         ests = sobolev_refinement_scan(mu, p=float(2 * n), atom_index=0,
@@ -193,13 +194,13 @@ def check_mixed_discriminant_expansion(seed: int = 7):
             f"max relative residual {worst:.2e} over {configs} configs (tol 1e-9)")
 
 
-def check_mass_conservation(seed: int = 8):
+def check_mass_conservation(seed: int = 8, workers: int | None = None):
     """Total smoothed MA mass = 1: n=1 within 1%, n=2 within 2% (eps = 0.3)."""
     mu1 = _random_measure(1, 4, seed)
-    rep1 = ma_total_mass(mu1, grid=256, eps=0.3)
+    rep1 = ma_total_mass(mu1, grid=256, eps=0.3, workers=workers)
     dev1 = abs(rep1.total_mass - 1.0)
     mu2 = _random_measure(2, 2, _subseed(seed, 1))
-    rep2 = ma_total_mass(mu2, grid=48, eps=0.3, vol_tol=0.02)
+    rep2 = ma_total_mass(mu2, grid=48, eps=0.3, vol_tol=0.02, workers=workers)
     dev2 = abs(rep2.total_mass - 1.0)
     ok = dev1 < 0.01 and dev2 < 0.02
     return ("MA mass conservation", ok,
@@ -331,9 +332,14 @@ ALL_CHECKS = [
 QUICK_CHECKS = {"sin-distance", "chart-identity", "kernel-bounds", "kernel-mean",
                 "mixed-discriminant", "smooth-wedge", "reassembly"}
 
+#: the checks whose scans run on run_chunked, so take a worker count
+CHUNKED_CHECKS = {"sobolev", "mass-conservation"}
 
-def run_checks(names=None, seed: int = 0, quick: bool = False) -> list[CheckResult]:
-    """Run the named checks (all by default; quick skips the slow grids)."""
+
+def run_checks(names=None, seed: int = 0, quick: bool = False,
+               workers: int | None = None) -> list[CheckResult]:
+    """Run the named checks (all by default; quick skips the slow grids);
+    workers goes to the CHUNKED_CHECKS (None reads PROJLOG_WORKERS)."""
     keys = [key for key, _ in ALL_CHECKS]
     unknown = [name for name in names or () if name not in keys]
     if unknown:
@@ -343,7 +349,10 @@ def run_checks(names=None, seed: int = 0, quick: bool = False) -> list[CheckResu
     for key, fn in ALL_CHECKS:
         if (names and key not in names) or (not names and quick and key not in QUICK_CHECKS):
             continue
+        kwargs = {"seed": seed} if seed else {}
+        if key in CHUNKED_CHECKS:
+            kwargs["workers"] = workers
         t0 = time.perf_counter()
-        name, passed, detail = fn(seed=seed) if seed else fn()
+        name, passed, detail = fn(**kwargs)
         results.append(CheckResult(name, passed, detail, time.perf_counter() - t0))
     return results

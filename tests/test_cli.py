@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import projlog as pl
 from oracles import measure_json
+from projlog import monge_ampere, potentials
 from projlog.cli import OPTIONS, build_parser, main
 
 
@@ -157,6 +158,23 @@ def test_verify_quick(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("[PASS]") >= 5 and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("check", ["mass-conservation", "sobolev"])
+def test_verify_workers_reaches_the_chunked_scans(check, tmp_path, monkeypatch):
+    # --workers used to stop at cmd_verify, so these scans ran on one process;
+    # the first chunked call records its worker count and stops the check
+    class Recorded(Exception):
+        pass
+
+    def record(fn, total, chunk, workers, payload):
+        raise Recorded(workers)
+
+    monkeypatch.setattr(monge_ampere, "run_chunked", record)
+    monkeypatch.setattr(potentials, "run_chunked", record)
+    with pytest.raises(Recorded) as got:
+        main(["verify", "--checks", check, "--workers", "3", "--output", str(tmp_path)])
+    assert got.value.args == (3,)
 
 
 def test_verify_quick_and_checks_exclude_each_other(tmp_path, capsys):

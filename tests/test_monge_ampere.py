@@ -78,6 +78,67 @@ def test_hessian_batch_masks_singular_rows():
     assert not finite[0] and finite[1]
 
 
+# ---------- closed-form determinants ---------------------------------------------
+
+def hermitian_cases(n, rng, m=20_000):
+    """Named (m, n, n) Hermitian batches: random indefinite, PSD and
+    rank-deficient PSD matrices, smoothed field Hessians and, at n >= 2,
+    single-kernel Hessians (rank n-1).  At n = 1 the single kernel is
+    harmonic: its Hessians are rounding residue near 1e-17, where LAPACK's
+    exp(logdet) is itself off by up to 17 ulp, so it is left out."""
+    a = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    Z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    cases = {"indefinite": 0.5 * (a + np.conj(np.swapaxes(a, 1, 2))),
+             "psd": a @ np.conj(np.swapaxes(a, 1, 2))}
+    if n > 1:
+        b = a[:, :, :n - 1]
+        cases["rank-deficient"] = b @ np.conj(np.swapaxes(b, 1, 2))
+        dirac = pl.dirac(pl.normalize([1] + [0] * n))
+        cases["kernel"] = pl.psh_lift(dirac, 0, 0.0).complex_hessian(Z + 0.1)
+    cases["field"] = pl.psh_lift(random_measure(n, 3, seed=n), 0, 0.3).complex_hessian(Z)
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hermitian_det_within_rounding_of_lapack(n):
+    # |closed form - LAPACK| <= 8 ulp of ||H||_F^n, and the signs agree
+    # wherever |det| clears that bound
+    for name, H in hermitian_cases(n, np.random.default_rng(60 + n)).items():
+        got = monge_ampere.hermitian_det(H)
+        ref = np.linalg.det(H).real
+        bound = 8 * 2.0**-52 * np.linalg.norm(H, axis=(1, 2)) ** n
+        assert np.all(np.abs(got - ref) <= bound), (n, name)
+        sure = np.abs(ref) > bound
+        assert np.array_equal(np.sign(got[sure]), np.sign(ref[sure])), (n, name)
+        if n == 1:
+            assert np.array_equal(got, H[:, 0, 0].real), name
+        if n == 4:
+            assert np.array_equal(got, ref), name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hermitian_det_reads_only_the_upper_triangle(n):
+    # the lower triangle and the imaginary part of the diagonal are never read
+    H = hermitian_cases(n, np.random.default_rng(70 + n), m=100)["indefinite"]
+    junk = H + np.tril(np.full((n, n), 5.0 - 3.0j), -1) + 2.0j * np.eye(n)
+    assert np.array_equal(monge_ampere.hermitian_det(junk), monge_ampere.hermitian_det(H))
+
+
+def test_ma_paths_take_no_lapack_determinant(monkeypatch):
+    def lapack_det(_):
+        raise AssertionError("np.linalg.det called on a Monge-Ampere path")
+
+    monkeypatch.setattr(np.linalg, "det", lapack_det)
+    for n, grid in ((1, 16), (2, 4)):
+        pl.ma_total_mass(random_measure(n, 2, seed=80 + n), grid=grid, eps=0.3, vol_tol=1.0)
+    mu = random_measure(1, 2, seed=83)
+    pl.ball_mass_profile(mu, mu.point(0), [0.5], eps_list=[0.3], points_per_axis=8)
+    rng = np.random.default_rng(84)
+    for n in (1, 2, 3):
+        Z = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        pl.ma_density(random_measure(n, 2, seed=85 + n), 0, Z, eps=0.3)
+
+
 # ---------- mixed discriminant ---------------------------------------------------
 
 def test_mixed_discriminant_identity_matrices():
@@ -228,9 +289,9 @@ def test_smooth_wedge_matches_brute_force_polarization():
 # ---------- MA density ----------------------------------------------------------------
 
 def test_ma_density_fs_symmetric_is_one():
-    # the density divides by det fs_hessian and the grids weight cells by
-    # fs_volume_density: the two forms of det H_rho agree, so with phi = rho
-    # the density is identically 1
+    # the density divides by fs_volume_density, the closed form of
+    # det fs_hessian that the grids also weight cells by: the two forms of
+    # det H_rho agree, so with phi = rho the density is identically 1
     rng = np.random.default_rng(15)
     for n in (1, 2, 3):
         Z = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
