@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import chart_lift
+from .geometry import abs_sq_sum, chart_lift
 
 
 #: complex entries of one (rows, atoms, width) intermediate block (32 MiB);
@@ -81,7 +81,7 @@ def quad_form_batch(Z: np.ndarray, eta: np.ndarray, chart: int, a: float, b: flo
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     m, n = Z.shape
-    t = np.sum(np.abs(Z) ** 2, axis=1)
+    t = abs_sq_sum(Z)
     T = np.full(m, a + b, dtype=float) + b * t
     E = np.atleast_2d(np.asarray(eta, dtype=complex))
     e2 = np.sum(E.real ** 2 + E.imag ** 2, axis=1)[:, None]      # |eta|^2, (k, 1)

@@ -151,12 +151,18 @@ def log_radial_levels(stratum, levels: int, deepest: float, r0: float, seed: int
     so the last level reaches `deepest` decades.  Each level adds only its newly
     exposed annulus, so the comparison between levels is structural, not
     statistical.  The annulus is split into strata of at most one decade;
-    stratum si of level l draws `samples` rows of width + 1 normals from
-    `stream` at index (l * 4096 + si) * samples and turns the last column
-    into a log-uniform radius s.  stratum(g, s) returns the integrand per
-    row; its mean times log(hi / lo) * scale is the stratum's integral.
-    levels must be at least 1; a level whose estimate is not finite raises
-    NonConvergent.
+    stratum si of level l takes the `samples` rows of width + 1 normals of
+    `stream` from index (l * 4096 + si) * samples on, and turns the last
+    column into a log-uniform radius s.  stratum(g, s) returns the integrand
+    per row; its mean times log(hi / lo) * scale is the stratum's integral.
+
+    The strata of one level read one contiguous range of the stream, so a
+    level draws it with one _sample_stream call and hands each stratum its
+    slice; every Philox block is drawn once per level.  A level has at most
+    ceil(deepest) strata, so its draw holds at most
+    ceil(deepest) * samples * (width + 1) floats: 60 strata of 2048 samples
+    at width + 1 = 7 (n = 2) come to about 6.9 MB.  levels must be at least
+    1; a level whose estimate is not finite raises NonConvergent.
     """
     if levels < 1:
         raise ValidationError(f"levels = {levels} must be at least 1")
@@ -170,11 +176,12 @@ def log_radial_levels(stratum, levels: int, deepest: float, r0: float, seed: int
         depth = base * DEPTH_FACTOR**level
         strata = max(1, int(math.ceil(depth - depth_prev)))
         edges = np.linspace(depth_prev, depth, strata + 1)
+        draw = _sample_stream(seed, strata * samples, width + 1,
+                              start=level * 4096 * samples, stream=stream)
         total = 0.0
         for si, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
             lo, hi = r0 * 10.0 ** (-b), r0 * 10.0 ** (-a)
-            g = _sample_stream(seed, samples, width + 1,
-                               start=(level * 4096 + si) * samples, stream=stream)
+            g = draw[si * samples:(si + 1) * samples]
             s = lo * (hi / lo) ** ndtr(g[:, width])
             total += math.log(hi / lo) * scale * float(np.mean(stratum(g, s)))
         running += total

@@ -44,6 +44,41 @@ _CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
+# sums over the coordinate axis
+# ---------------------------------------------------------------------------
+
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, adding its columns left to right.
+
+    numpy reduces a short last axis one row at a time, which is several
+    times slower than adding whole columns.  For real input with fewer than
+    8 columns numpy also adds left to right, so this gives the bits of
+    np.sum(a, axis=-1).  From 8 real columns on numpy keeps 8 partial sums,
+    and from 4 complex columns on it adds the columns in pairs, so there the
+    last bits can differ.
+    """
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
+
+
+def abs_sq_sum(z: np.ndarray) -> np.ndarray:
+    """sum_j |z_j|^2 over the last axis, squaring as np.abs(z) ** 2."""
+    return row_sum(np.abs(z) ** 2)
+
+
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis.
+
+    Squares as (conj(x) x).real, the form np.linalg.norm(x, axis=-1)
+    reduces, so the bits are its bits wherever row_sum's are np.sum's;
+    np.abs(x) ** 2 would round differently.
+    """
+    return np.sqrt(row_sum((x.conj() * x).real))
+
+
+# ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
 
@@ -52,7 +87,7 @@ def canonicalize_batch(raw: np.ndarray) -> np.ndarray:
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim == 1:
         return canonicalize_batch(raw[None, :])[0]
-    norms = np.linalg.norm(raw, axis=1)
+    norms = row_norm(raw)
     if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
         raise ValidationError("cannot canonicalize a zero or non-finite vector")
     v = raw / norms[:, None]
@@ -231,13 +266,13 @@ def max_modulus_chart(coords: np.ndarray) -> int:
 
 def fs_potential(z) -> np.ndarray:
     """Local Kahler potential rho(z) = (1/2) log(1 + |z|^2) over the last axis."""
-    return 0.5 * np.log1p(np.sum(np.abs(np.asarray(z, dtype=complex)) ** 2, axis=-1))
+    return 0.5 * np.log1p(abs_sq_sum(np.asarray(z, dtype=complex)))
 
 
 def fs_gradient(z) -> np.ndarray:
     """Holomorphic gradient d rho / dz = conj(z) / (2 (1 + |z|^2)) over the last axis."""
     z = np.asarray(z, dtype=complex)
-    t = 1.0 + np.sum(np.abs(z) ** 2, axis=-1)
+    t = 1.0 + abs_sq_sum(z)
     return np.conj(z) / (2.0 * t[..., None])
 
 
@@ -245,12 +280,28 @@ def fs_hessian(z) -> np.ndarray:
     """Complex Hessian H_rho = I / (2t) - conj(z) z^T / (2t^2), t = 1 + |z|^2.
 
     The FS metric, batched over leading axes: (..., n) points give
-    (..., n, n) matrices.
+    (..., n, n) matrices.  The diagonal is formed as
+    (1 + sum_{j != i} |z_j|^2) / (2t^2), a sum of positive terms, since
+    1/(2t) - |z_i|^2/(2t^2) cancels far out in the chart and loses about t ulps.
     """
     z = np.asarray(z, dtype=complex)
-    t = (1.0 + np.sum(np.abs(z) ** 2, axis=-1))[..., None, None]
-    outer = np.conj(z)[..., :, None] * z[..., None, :]
-    return np.eye(z.shape[-1], dtype=complex) / (2.0 * t) - outer / (2.0 * t ** 2)
+    a = np.abs(z) ** 2
+    t = 1.0 + row_sum(a)
+    d = 2.0 * t ** 2
+    out = np.conj(z)[..., :, None] * z[..., None, :]
+    out /= -d[..., None, None]
+    n = z.shape[-1]
+    for i in range(n):
+        out[..., i, i] = (1.0 + sum(a[..., j] for j in range(n) if j != i)) / d
+    return out
+
+
+def fs_hessian_norm(z) -> np.ndarray:
+    """Frobenius norm of H_rho, sqrt((n - 1) / (4t^2) + 1 / (4t^4)), t = 1 + |z|^2,
+    from its eigenvalues 1/(2t) (n - 1 times) and 1/(2t^2)."""
+    z = np.asarray(z, dtype=complex)
+    t = 1.0 + abs_sq_sum(z)
+    return np.sqrt((z.shape[-1] - 1) / (4.0 * t ** 2) + 1.0 / (4.0 * t ** 4))
 
 
 def fs_gradient_norm_sq(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
@@ -262,16 +313,16 @@ def fs_gradient_norm_sq(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     fz = np.asarray(fz, dtype=complex)
-    t = 1.0 + np.sum(np.abs(z) ** 2, axis=-1)
-    dot = np.sum(z * fz, axis=-1)
-    return 2.0 * t * (np.sum(np.abs(fz) ** 2, axis=-1) + np.abs(dot) ** 2)
+    t = 1.0 + abs_sq_sum(z)
+    dot = row_sum(z * fz)
+    return 2.0 * t * (abs_sq_sum(fz) + np.abs(dot) ** 2)
 
 
 def fs_volume_density(z) -> np.ndarray:
     """det H_rho = 2^-n (1 + |z|^2)^-(n+1), the unnormalized FS volume density."""
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
-    return 2.0 ** (-n) * (1.0 + np.sum(np.abs(z) ** 2, axis=-1)) ** (-(n + 1))
+    return 2.0 ** (-n) * (1.0 + abs_sq_sum(z)) ** (-(n + 1))
 
 
 def fs_volume_norm(n: int) -> float:
@@ -310,7 +361,10 @@ def _sample_stream(seed: int, count: int, width: int, start: int = 0,
 
     Row i (absolute index start + i) is a pure function of
     (seed, stream, index): draws come in fixed blocks of _CHUNK rows keyed by
-    Philox(key=[seed, stream * 2^32 + block]).
+    Philox(key=[seed, stream * 2^32 + block]).  Each block the range touches
+    is drawn whole, once per call, so a caller that needs several nearby
+    ranges draws their span in one call and slices it
+    (coarea.log_radial_levels draws each refinement level this way).
     """
     out = np.empty((count, width))
     first = start // _CHUNK

@@ -34,6 +34,7 @@ from .geometry import (
     complex_from_json,
     json_real,
     json_records,
+    row_sum,
 )
 
 WEIGHT_TOL = 1e-12
@@ -176,12 +177,12 @@ def partition_of_unity(zeta: np.ndarray) -> np.ndarray:
     chi_j vanishes whenever t_j = |zeta_j|^2/|zeta|^2 <= 1/(2(n+1)).
     """
     t = np.abs(zeta) ** 2
-    t = t / np.sum(t, axis=1, keepdims=True)
+    t = t / row_sum(t)[:, None]
     n = zeta.shape[1] - 1
     a = support_threshold(n)
     b = 1.0 / (n + 1)
     beta = smoothstep((t - a) / (b - a))
-    return beta / np.sum(beta, axis=1, keepdims=True)
+    return beta / row_sum(beta)[:, None]
 
 
 @dataclass(frozen=True)

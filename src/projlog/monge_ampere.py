@@ -26,10 +26,12 @@ from .errors import GridTooCoarse, NegativeDensity, NonConvergent, SingularStenc
     ValidationError
 from .geometry import (
     HomogeneousPoint,
+    abs_sq_sum,
     chart_lift,
     chart_project,
     fs_ball_volume,
     fs_hessian,
+    fs_hessian_norm,
     fs_volume_density,
     fs_volume_norm,
     geodesic_distance_batch,
@@ -278,7 +280,7 @@ def ma_density(mu: AtomicMeasure, chart: int, Z: np.ndarray, h: float = 1e-4,
     with np.errstate(over="ignore", invalid="ignore"):
         H_phi = lift.complex_hessian(Z)
         norm_phi = np.linalg.norm(H_phi, axis=(1, 2))
-        norm_rho = np.linalg.norm(fs_hessian(Z), axis=(1, 2))
+        norm_rho = fs_hessian_norm(Z)
         density = hermitian_det(H_phi) / fs_volume_density(Z)
         scale = np.maximum(1.0, (norm_phi / norm_rho) ** mu.n)
     bad = np.flatnonzero(~np.isfinite(density))
@@ -353,7 +355,7 @@ def _mass_chunk(payload, rng):
     step = 2.0 * L / g
     axes = [(-L + (c + 0.5) * step) for c in coords]
     Z = np.stack(axes[0::2], axis=1) + 1j * np.stack(axes[1::2], axis=1)
-    Z = Z[np.sum(np.abs(Z) ** 2, axis=1) <= (2 * n + 1)]
+    Z = Z[abs_sq_sum(Z) <= (2 * n + 1)]
     sums = []
     for chart, lift in enumerate(lifts):
         chi = partition_of_unity(chart_lift(Z, chart))[:, chart]

@@ -32,6 +32,7 @@ from .geometry import (
     chart_project,
     fs_gradient,
     fs_gradient_norm_sq,
+    row_norm,
     sample_fs_array,
 )
 from .kernels import projective_log_kernel_batch
@@ -54,8 +55,8 @@ def _nearest_site_distance(Z: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """
     nearest = np.full(Z.shape[0], np.inf)
     for blk in analytic.atom_blocks(sites.shape[0], *Z.shape):
-        np.minimum(nearest, np.min(np.linalg.norm(Z[:, None, :] - sites[None, blk, :], axis=2),
-                                   axis=1), out=nearest)
+        np.minimum(nearest, np.min(row_norm(Z[:, None, :] - sites[None, blk, :]), axis=1),
+                   out=nearest)
     return nearest
 
 

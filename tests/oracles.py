@@ -4,8 +4,9 @@ None of these is on a production path: each recomputes a quantity the
 library gets another way (a finite-difference gradient against the closed
 forms, the FS metric against the closed-form Hessian, chart coordinates one
 point at a time against the batch projection, quadratures and closed forms
-of the co-area constants), or makes an input the way a user would (the
-measure file of a measure, a seeded random measure).
+of the co-area constants, the refinement skeleton with one draw per
+stratum against its one draw per level), or makes an input the way a user
+would (the measure file of a measure, a seeded random measure).
 """
 
 import json
@@ -13,9 +14,9 @@ import math
 
 import numpy as np
 
-from projlog.coarea import SQRT2, area_constant
+from projlog.coarea import DEPTH_FACTOR, SQRT2, area_constant
 from projlog.errors import SingularStencil, ValidationError
-from projlog.geometry import CHART_FLOOR, HomogeneousPoint, sample_fs_array
+from projlog.geometry import CHART_FLOOR, HomogeneousPoint, _sample_stream, sample_fs_array
 from projlog.measures import build_measure
 
 
@@ -145,6 +146,47 @@ def wallis_sin_power_integral(m: int) -> float:
         val *= (k - 1) / k
     return val
 
+
+# ---------------------------------------------------------------------------
+# the log-radial refinement skeleton
+# ---------------------------------------------------------------------------
+
+def log_radial_levels_per_stratum(stratum, levels: int, deepest: float, r0: float,
+                                  seed: int, width: int, samples: int, stream: int,
+                                  scale: float = 1.0) -> list[float]:
+    """coarea.log_radial_levels with one _sample_stream call per stratum.
+
+    Stratum si of level l draws its own `samples` rows from index
+    (l * 4096 + si) * samples, so each call draws whole Philox blocks and
+    keeps only its rows; the library draws each level's strata in one call.
+    Same arithmetic otherwise, so the two agree bit for bit.
+    """
+    from scipy.special import ndtr
+
+    base = deepest / DEPTH_FACTOR ** (levels - 1)
+    estimates = []
+    depth_prev = 0.0
+    running = 0.0
+    for level in range(levels):
+        depth = base * DEPTH_FACTOR**level
+        strata = max(1, int(math.ceil(depth - depth_prev)))
+        edges = np.linspace(depth_prev, depth, strata + 1)
+        total = 0.0
+        for si, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            lo, hi = r0 * 10.0 ** (-b), r0 * 10.0 ** (-a)
+            g = _sample_stream(seed, samples, width + 1,
+                               start=(level * 4096 + si) * samples, stream=stream)
+            s = lo * (hi / lo) ** ndtr(g[:, width])
+            total += math.log(hi / lo) * scale * float(np.mean(stratum(g, s)))
+        running += total
+        estimates.append(running)
+        depth_prev = depth
+    return estimates
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
 
 def measure_json(mu) -> str:
     """The measure file of mu: {"n": n, "atoms": [{"zeta": [[re, im], ...], "weight": w}]}."""

@@ -1,15 +1,20 @@
 import math
 
 import numpy as np
+import pytest
 from scipy import integrate
 
 import projlog as pl
 from oracles import (
     area_constant_quadrature,
+    log_radial_levels_per_stratum,
     mean_log_kernel_closed_form,
+    random_measure,
     sobolev_bound_closed_form,
     wallis_sin_power_integral,
 )
+from projlog import measures, potentials
+from projlog.geometry import _CHUNK, Stream, _sample_stream
 
 SQRT2 = math.sqrt(2.0)
 
@@ -83,3 +88,35 @@ def test_radial_quadrature_mean_distance():
     val = pl.radial_quadrature(lambda r: r, 1)
     assert abs(val - math.pi / (2 * SQRT2)) < 1e-10
 
+
+# ---------- the refinement skeleton's draws ----------------------------------
+
+def test_sample_stream_ranges_are_slices_of_one_draw():
+    width = 7
+    long = _sample_stream(3, 5 * _CHUNK + 77, width, stream=Stream.SOBOLEV_REFINEMENT)
+    for start, count in [(0, 1), (_CHUNK - 1, 2), (1000, _CHUNK), (_CHUNK, _CHUNK),
+                         (3000, 9000), (2 * _CHUNK + 5, 3 * _CHUNK + 72), (0, 5 * _CHUNK + 77)]:
+        part = _sample_stream(3, count, width, start=start, stream=Stream.SOBOLEV_REFINEMENT)
+        assert np.array_equal(part, long[start:start + count]), (start, count)
+
+
+@pytest.mark.parametrize("samples", [1000, 1024, 3000, 5000])
+@pytest.mark.parametrize("n", [1, 2])
+def test_refinement_scans_equal_the_per_stratum_draws(n, samples, monkeypatch):
+    # one draw per level hands each stratum the rows that its own draw
+    # gave; at these sizes strata straddle the 4096-row block edges.  The
+    # skeleton does not look at the integrand, so a Dirac keeps this quick
+    mu = random_measure(n, 1, 31 + n)
+    atoms = pl.AffineAtoms.from_measure(mu, 0)
+
+    def scans():
+        return [(potentials.sobolev_refinement_scan(mu, 2.0 * n - 0.5, 0, levels, 9,
+                                                    samples_per_stratum=samples),
+                 measures.riesz_refinement_scan(atoms, 1.0, 1.5, 0, 0.5, levels, 9,
+                                                samples_per_stratum=samples))
+                for levels in (1, 2, 3, 4)]
+
+    got = scans()
+    monkeypatch.setattr(potentials, "log_radial_levels", log_radial_levels_per_stratum)
+    monkeypatch.setattr(measures, "log_radial_levels", log_radial_levels_per_stratum)
+    assert got == scans()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,15 +10,20 @@ from oracles import fs_metric, fs_metric_inverse, to_chart
 from projlog.errors import ValidationError
 from projlog.geometry import (
     Stream,
+    abs_sq_sum,
     canonicalize_batch,
     chart_lift,
     chart_mask,
     chart_project,
     complex_from_json,
     fs_gradient_norm_sq,
+    fs_hessian,
+    fs_hessian_norm,
     fs_volume_norm,
     geodesic_distance_batch,
     max_modulus_chart,
+    row_norm,
+    row_sum,
     sample_fs_array,
     wedge_norm_sq_batch,
 )
@@ -205,7 +211,59 @@ def test_chart_lift_batch_layout():
     np.testing.assert_allclose(lifted[0], [1 + 2j, 1.0, 3.0])
 
 
+# ---------- sums over the coordinate axis ------------------------------------
+
+@pytest.mark.parametrize("lead", [(300,), (40, 6)])
+@pytest.mark.parametrize("width", range(1, 8))
+def test_row_helpers_have_the_bits_of_numpy(width, lead):
+    rng = np.random.default_rng(width)
+    shape = lead + (width,)
+    x = rng.standard_normal(shape) * np.exp(8.0 * rng.standard_normal(shape))
+    z = x + 1j * rng.standard_normal(shape) * np.exp(8.0 * rng.standard_normal(shape))
+    assert np.array_equal(row_sum(x), np.sum(x, axis=-1))
+    for a in (x, z):
+        assert np.array_equal(row_norm(a), np.linalg.norm(a, axis=-1))
+        assert np.array_equal(abs_sq_sum(a), np.sum(np.abs(a) ** 2, axis=-1))
+    # a complex row sum adds left to right like a real one; numpy does so
+    # only below 4 complex columns and adds them in pairs from 4 on
+    left = z[..., 0].copy()
+    for j in range(1, width):
+        left = left + z[..., j]
+    assert np.array_equal(row_sum(z), left)
+    if width < 4:
+        assert np.array_equal(row_sum(z), np.sum(z, axis=-1))
+
+
 # ---------- FS potential, metric, volume ------------------------------------
+
+def test_fs_hessian_diagonal_is_exact_far_out():
+    # the diagonal (1 + sum_{j != i} |z_j|^2) / (2t^2) adds positive terms;
+    # 1/(2t) - |z_i|^2/(2t^2) lost about t ulps to cancellation
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        for scale in (0.3, 10.0, 100.0, 700.0 / math.sqrt(n)):
+            for _ in range(40):
+                z = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                sq = [Fraction(c.real) ** 2 + Fraction(c.imag) ** 2 for c in z]
+                t = 1 + sum(sq)
+                if t > 10**6:
+                    continue
+                H = fs_hessian(z)
+                for i in range(n):
+                    exact = (t - sq[i]) / (2 * t * t)
+                    assert abs(Fraction(H[i, i].real) - exact) <= 8 * Fraction(2) ** -52 * exact
+                    assert H[i, i].imag == 0.0
+
+
+def test_fs_hessian_norm_is_the_frobenius_norm():
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 3, 4):
+        for scale in (0.1, 1.0, 30.0):
+            Z = scale * (rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n)))
+            np.testing.assert_allclose(fs_hessian_norm(Z),
+                                       np.linalg.norm(fs_hessian(Z), axis=(1, 2)),
+                                       rtol=1e-14, atol=0)
+
 
 def test_fs_potential_values():
     assert pl.fs_potential(np.zeros(2)) == 0.0

@@ -1,5 +1,5 @@
-"""Pinned outputs of the refinement scans, the Monge-Ampere grids and the
-wedge-ratio kernels.
+"""Pinned outputs of the refinement scans, the Sobolev doubling scan, the
+Monge-Ampere grids and the wedge-ratio kernels.
 
 The values were recorded before these paths were merged onto shared
 helpers (one log-radial refinement skeleton, one cell-sum stage, one wedge
@@ -15,7 +15,7 @@ import projlog as pl
 from projlog.geometry import geodesic_distance_batch, sample_fs_array
 from projlog.kernels import projective_log_kernel_batch
 from projlog.measures import AffineAtoms, riesz_refinement_scan
-from projlog.potentials import sobolev_refinement_scan
+from projlog.potentials import sobolev_doubling, sobolev_refinement_scan
 
 RTOL = 1e-14
 
@@ -49,6 +49,20 @@ def test_sobolev_refinement_scan_pinned(n, atoms, expected):
     got = sobolev_refinement_scan(measure(n, atoms, 11), 2.0 * n - 0.5, 0, levels=3,
                                   seed=7, samples_per_stratum=256)
     np.testing.assert_allclose(got, expected, rtol=RTOL, atol=0)
+
+
+@pytest.mark.parametrize("n, expected, excised", [
+    (1, [0.7925869421387864, 0.007332394206634601, 0.7962120831413464, 0.005273926352293905],
+     [7, 10]),
+    (2, [0.2130316767359715, 0.007724014116909019, 0.2155890289146858, 0.0054523377593681515],
+     [0, 0]),
+])
+def test_sobolev_doubling_pinned(n, expected, excised):
+    first, doubled = sobolev_doubling(measure(n, 3, 11), 2.0 * n - 1.0, 7, 20000, h=1e-3,
+                                      workers=1)
+    got = [first.estimate, first.std_error, doubled.estimate, doubled.std_error]
+    np.testing.assert_allclose(got, expected, rtol=RTOL, atol=0)
+    assert [first.excised, doubled.excised] == excised
 
 
 @pytest.mark.parametrize("workers", [1, 2])
