@@ -120,13 +120,13 @@ def quad_form_batch(Z: np.ndarray, eta: np.ndarray, chart: int, a: float, b: flo
 
 
 def log_half_hessian(T: np.ndarray, Tz: np.ndarray, Thess: np.ndarray) -> np.ndarray:
-    """Complex Hessian of (1/2) log T, shape (m, n, n).
+    """Complex Hessian (..., n, n) of (1/2) log T from T (...) and Tz (..., n).
 
-    Thess is one (n, n) matrix for every row, or one (n, n) matrix per row
-    (the rows then being the atoms of a stacked quad form at one point).
+    Thess broadcasts against the leading axes: one (n, n) matrix, or the
+    (k, n, n) stack of a quad_form_batch call against its (m, k) T.
     """
-    outer = Tz[:, :, None] * np.conj(Tz)[:, None, :]
-    return Thess / (2.0 * T[:, None, None]) - outer / (2.0 * T[:, None, None] ** 2)
+    outer = Tz[..., :, None] * np.conj(Tz)[..., None, :]
+    return Thess / (2.0 * T[..., None, None]) - outer / (2.0 * T[..., None, None] ** 2)
 
 
 def _field_blocks(Z, atoms_eta, weights):

@@ -7,17 +7,16 @@ pi normalization constant.  Total masses integrate det(H_phi) over chart
 boxes weighted by the partition of unity and divide by the chart integral
 of det(H_rho) (= 2^-n pi^n / n! for the unit-volume convention); for any
 smooth global field rho + u the answer is 1 by cohomology, which is the
-grid's strongest self-check.  Every determinant of a density or a mass is
-closed form for n <= 3: hermitian_det for det(H_phi), fs_volume_density
-for det(H_rho).
+grid's strongest self-check.  Every determinant of a density, a mass or a
+mixed discriminant is closed form for n <= 3: hermitian_det for det(H_phi)
+and the mixed discriminants' subset sums, fs_volume_density for det(H_rho).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 
 import numpy as np
 
@@ -162,49 +161,52 @@ def hermitian_det(H: np.ndarray) -> np.ndarray:
 # mixed discriminants
 # ---------------------------------------------------------------------------
 
-def mixed_discriminant(mats) -> float:
+def mixed_discriminant(mats) -> np.ndarray:
     """Normalized mixed discriminant: symmetric multilinear, D(A,..,A) = det A.
 
-    Computed by subset inclusion-exclusion,
+    mats is a (..., n, n, n) Hermitian stack, the n matrices on axis -3 (a
+    list of n (n, n) matrices is one stack); returns (...).  Computed by
+    subset inclusion-exclusion with hermitian_det over the leading axes,
     D = (1/n!) sum_{S nonempty} (-1)^(n-|S|) det(sum_{i in S} A_i).
     For PSD Hermitian inputs the value is nonnegative.
     """
-    mats = [np.asarray(A, dtype=complex) for A in mats]
-    n = len(mats)
-    for A in mats:
-        if A.shape != (n, n):
-            raise ValidationError(
-                f"need {n} matrices of shape ({n},{n}); got {A.shape}")
+    n = np.shape(mats[0])[-1]
+    try:
+        A = np.asarray(mats, dtype=complex)
+        got = A.shape
+    except ValueError:                           # ragged: the matrices differ in shape
+        got = [np.shape(B) for B in mats]
+    if got[-3:] != (n, n, n):
+        raise ValidationError(f"need {n} matrices of shape ({n},{n}) on axis -3; got {got}")
     total = 0.0
     for size in range(1, n + 1):
-        sign = (-1) ** (n - size)
         for S in combinations(range(n), size):
-            acc = mats[S[0]].copy()
-            for i in S[1:]:
-                acc += mats[i]
-            total += sign * float(np.linalg.det(acc).real)
+            total += (-1) ** (n - size) * hermitian_det(sum(A[..., i, :, :] for i in S))
     return total / math.factorial(n)
 
 
 @dataclass(frozen=True)
 class ExpansionCheck:
-    residual: float
-    scale: float
-    lhs: float
-    rhs: float
+    residual: np.ndarray
+    scale: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
 
     @property
-    def relative(self) -> float:
+    def relative(self) -> np.ndarray:
         return self.residual / self.scale
 
 
-def ma_product_expansion_check(atoms: AffineAtoms, z) -> ExpansionCheck:
-    """Pointwise product-formula check for the affine potential.
+def ma_product_expansion_check(atoms: AffineAtoms, Z) -> ExpansionCheck:
+    """Product-formula check for the affine potential at the chart rows Z (m, n).
 
     Compares det(sum_i w_i H_i) against the multilinear expansion
     sum over n-tuples of atoms of w_(i1)..w_(in) D(H_(i1), .., H_(in)),
-    where H_i is the complex Hessian of the kernel with atom i at z.
-    Raises ValidationError when N^n exceeds TERM_CAP.
+    where H_i is the complex Hessian of the kernel with atom i at the row.
+    Raises ValidationError when N^n exceeds TERM_CAP.  The multisets go to
+    mixed_discriminant in analytic.atom_blocks blocks, and each row adds
+    its terms one by one in multiset order (cumsum), so its values depend
+    neither on the blocks nor on the other rows; every field is (m,).
 
     The reported scale is max(|lhs| + sum |terms|, ||sum w_i H_i||_F^n): the
     second term is the natural rounding scale of a determinant, which keeps
@@ -215,43 +217,40 @@ def ma_product_expansion_check(atoms: AffineAtoms, z) -> ExpansionCheck:
     N = atoms.num_atoms
     if N**n > TERM_CAP:
         raise ValidationError(f"N^n = {N}^{n} exceeds the {TERM_CAP} term cap")
-    # every atom's kernel Hessian at z from one stacked quad-form call
-    T, Tz, Thess = analytic.quad_form_batch(np.asarray(z, dtype=complex),
-                                            affine_field(atoms).atoms_eta, atoms.chart,
+    # every atom's kernel Hessian at every row from one stacked quad-form call
+    T, Tz, Thess = analytic.quad_form_batch(Z, affine_field(atoms).atoms_eta, atoms.chart,
                                             0.0, 0.0)
-    hessians = analytic.log_half_hessian(T[0], Tz[0], Thess)      # (N, n, n)
+    hessians = analytic.log_half_hessian(T, Tz, Thess)            # (m, N, n, n)
     w = atoms.weights
-    lhs_mat = np.tensordot(w, hessians, axes=(0, 0))
-    lhs = float(np.linalg.det(lhs_mat).real)
-    rhs = 0.0
-    abssum = abs(lhs)
-    for multiset in combinations_with_replacement(range(N), n):
-        coeff = math.factorial(n)
-        for c in Counter(multiset).values():
-            coeff //= math.factorial(c)
-        wprod = float(np.prod([w[i] for i in multiset]))
-        term = coeff * wprod * mixed_discriminant([hessians[i] for i in multiset])
-        rhs += term
-        abssum += abs(term)
-    scale = max(abssum, float(np.linalg.norm(lhs_mat)) ** n, 1e-300)
-    return ExpansionCheck(residual=abs(lhs - rhs), scale=scale, lhs=lhs, rhs=rhs)
+    lhs_mat = np.sum(w[:, None, None] * hessians, axis=1)
+    lhs = hermitian_det(lhs_mat)
+    rhs, abssum = np.zeros_like(lhs), np.abs(lhs)
+    multisets = combinations_with_replacement(range(N), n)
+    for blk in analytic.atom_blocks(math.comb(N + n - 1, n), T.shape[0], n ** 3):
+        idx = np.array(list(islice(multisets, blk.stop - blk.start))).reshape(-1, n)
+        # multinomial coefficient n! / prod(c!) over the runs of the sorted multiset
+        coeff, run = np.full(len(idx), float(math.factorial(n))), np.ones(len(idx))
+        for k in range(1, n):
+            run = np.where(idx[:, k] == idx[:, k - 1], run + 1.0, 1.0)
+            coeff /= run
+        terms = coeff * np.prod(w[idx], axis=1) * mixed_discriminant(hessians[:, idx])
+        rhs = np.cumsum(np.column_stack([rhs, terms]), axis=1)[:, -1]
+        abssum = np.cumsum(np.column_stack([abssum, np.abs(terms)]), axis=1)[:, -1]
+    scale = np.maximum(np.maximum(abssum, np.linalg.norm(lhs_mat, axis=(1, 2)) ** n), 1e-300)
+    return ExpansionCheck(residual=np.abs(lhs - rhs), scale=scale, lhs=lhs, rhs=rhs)
 
 
-def smooth_wedge_density(atoms: AffineAtoms, m: int, z) -> float:
-    """Density of the m-fold potential / (n-m)-fold FS-form wedge.
-
-    Returns binom(n, m) * D(H_V x m, H_rho x (n-m)) relative to Lebesgue:
-    the m-th binomial term in the expansion of det(H_V + H_rho).  Reduces to
-    det H_rho at m = 0 and to det H_V at m = n.
+def smooth_wedge_density(atoms: AffineAtoms, m: int, Z) -> np.ndarray:
+    """Density (r,) of the m-fold potential / (n-m)-fold FS-form wedge at the
+    chart rows Z (r, n): binom(n, m) * D(H_V x m, H_rho x (n-m)) relative to
+    Lebesgue, the m-th binomial term in the expansion of det(H_V + H_rho).
+    Reduces to det H_rho at m = 0 and to det H_V at m = n.
     """
     n = atoms.n
     if not 0 <= m <= n:
         raise ValidationError(f"m = {m} outside 0..{n}")
-    Z = np.asarray(z, dtype=complex)[None, :]
-    H_rho = fs_hessian(Z)[0] if m < n else None
-    H_V = affine_field(atoms).complex_hessian(Z)[0] if m > 0 else None
-    mats = [H_V] * m + [H_rho] * (n - m)
-    return math.comb(n, m) * mixed_discriminant(mats)
+    mats = [affine_field(atoms).complex_hessian(Z)] * m + [fs_hessian(Z)] * (n - m)
+    return math.comb(n, m) * mixed_discriminant(np.stack(mats, axis=-3))
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 None of these is on a production path: each recomputes a quantity the
 library gets another way (a finite-difference gradient against the closed
-forms, the FS metric against the closed-form Hessian, chart coordinates one
-point at a time against the batch projection, quadratures and closed forms
-of the co-area constants, the refinement skeleton with one draw per
-stratum against its one draw per level), or makes an input the way a user
+forms, the FS metric against the closed-form Hessian, LAPACK mixed
+discriminants one tuple at a time against the batched engine, chart
+coordinates one point at a time against the batch projection, quadratures
+and closed forms of the co-area constants, the refinement skeleton with one
+draw per stratum against its one draw per level), or makes an input the way a user
 would (the measure file of a measure, a seeded random measure).
 """
 
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -105,6 +107,26 @@ def fs_metric_inverse(z: np.ndarray) -> np.ndarray:
     n = z.shape[-1]
     t = 1.0 + np.sum(np.abs(z) ** 2)
     return 2.0 * t * (np.eye(n) + np.outer(np.conj(z), z))
+
+
+# ---------------------------------------------------------------------------
+# mixed discriminants
+# ---------------------------------------------------------------------------
+
+def mixed_discriminant_lapack(mats) -> float:
+    """Mixed discriminant of one tuple of n (n, n) matrices by subset
+    inclusion-exclusion, each subset sum's determinant from LAPACK."""
+    mats = [np.asarray(A, dtype=complex) for A in mats]
+    n = len(mats)
+    total = 0.0
+    for size in range(1, n + 1):
+        sign = (-1) ** (n - size)
+        for S in combinations(range(n), size):
+            acc = mats[S[0]].copy()
+            for i in S[1:]:
+                acc += mats[i]
+            total += sign * float(np.linalg.det(acc).real)
+    return total / math.factorial(n)
 
 
 # ---------------------------------------------------------------------------

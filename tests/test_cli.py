@@ -153,6 +153,21 @@ def test_prop25_subcommand(tmp_path, measure_file):
     assert all(float(r.split(",")[-1]) < 1e-9 for r in rows)
 
 
+def test_prop25_counts_the_draws_it_skips(tmp_path, measure_file):
+    # the body keeps the draws at chart distance >= 0.5 from both atoms, in
+    # the order of one draw per sample, and the header counts the others
+    assert main(["prop25-check", "--measure", str(measure_file), "--seed", "4",
+                 "--samples", "200", "--output", str(tmp_path)]) == 0
+    sites = np.array([0.3, -0.5 + 0.2j])
+    rng = np.random.default_rng(4)
+    draws = [3.0 * (rng.standard_normal(1) + 1j * rng.standard_normal(1))[0] for _ in range(200)]
+    kept = [z for z in draws if np.min(np.abs(sites - z)) >= 0.5]
+    path = tmp_path / "prop25_check.csv"
+    rows = [r.split(",") for r in body_of(path).splitlines()[1:]]
+    assert [complex(float(r[0]), float(r[1])) for r in rows] == kept
+    assert int(header_of(path)["rejected"]) == 200 - len(kept) > 0
+
+
 def test_verify_quick(tmp_path, capsys):
     rc = main(["verify", "--quick", "--output", str(tmp_path)])
     out = capsys.readouterr().out

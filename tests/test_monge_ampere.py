@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from oracles import random_measure
+from oracles import mixed_discriminant_lapack, random_measure
 from projlog import analytic, monge_ampere
 from projlog.errors import GridTooCoarse, SingularStencil, ValidationError
 from projlog.geometry import chart_mask, chart_project, fs_volume_density, sample_fs_array
@@ -137,9 +137,58 @@ def test_ma_paths_take_no_lapack_determinant(monkeypatch):
     for n in (1, 2, 3):
         Z = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
         pl.ma_density(random_measure(n, 2, seed=85 + n), 0, Z, eps=0.3)
+        pl.mixed_discriminant(mixed_cases(n, rng, m=5)["indefinite"])
+        pl.ma_product_expansion_check(random_affine_atoms(n, 3, rng), 3.0 * Z)
+        for m in range(n + 1):
+            pl.smooth_wedge_density(random_affine_atoms(n, 2, rng), m, 3.0 * Z)
 
 
 # ---------- mixed discriminant ---------------------------------------------------
+
+def random_affine_atoms(n, N, rng):
+    w = rng.uniform(0.2, 1.0, N)
+    return pl.AffineAtoms(chart=0, w=rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)),
+                          weights=w / w.sum())
+
+
+def mixed_cases(n, rng, m=1000):
+    """Named (m, n, n, n) stacks of n Hermitian matrices: the hermitian_cases
+    families, and at n >= 2 the expansion check's own kernel Hessians at
+    random multisets of 5 atoms (at n = 1 these are harmonic rounding
+    residue, left out as in hermitian_cases)."""
+    cases = {name: H.reshape(m, n, n, n)
+             for name, H in hermitian_cases(n, rng, m * n).items() if name != "kernel"}
+    if n > 1:
+        Z = 3.0 * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        eta = pl.affine_field(random_affine_atoms(n, 5, rng)).atoms_eta
+        H = analytic.log_half_hessian(*analytic.quad_form_batch(Z, eta, 0, 0.0, 0.0))
+        multisets = np.sort(rng.integers(0, 5, (m, n)), axis=1)
+        cases["kernel"] = H[np.arange(m)[:, None], multisets]
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mixed_discriminant_within_rounding_of_lapack(n):
+    # |batched - LAPACK oracle| <= 8 ulp of (sum_i ||A_i||_F)^n, and the signs
+    # agree wherever |D| clears that bound
+    for name, A in mixed_cases(n, np.random.default_rng(100 + n)).items():
+        got = pl.mixed_discriminant(A)
+        ref = np.array([mixed_discriminant_lapack(list(mats)) for mats in A])
+        bound = 8 * 2.0**-52 * np.sum(np.linalg.norm(A, axis=(2, 3)), axis=1) ** n
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= bound), (n, name)
+        sure = np.abs(ref) > bound
+        assert np.array_equal(np.sign(got[sure]), np.sign(ref[sure])), (n, name)
+        if n == 1:
+            assert np.array_equal(got, A[:, 0, 0, 0].real), name
+        if n == 4:
+            assert np.array_equal(got, ref), name
+
+
+def test_mixed_discriminant_rejects_a_stack_of_the_wrong_count():
+    with pytest.raises(ValidationError, match="need 3 matrices"):
+        pl.mixed_discriminant(np.zeros((5, 2, 3, 3)))
+
 
 def test_mixed_discriminant_identity_matrices():
     assert abs(pl.mixed_discriminant([np.eye(2), np.eye(2)]) - 1.0) < 1e-14
@@ -211,8 +260,8 @@ def test_mixed_discriminant_dimension_mismatch():
 
 def test_expansion_single_atom_exact_zero():
     nu = pl.AffineAtoms(chart=0, w=np.array([[0.3 + 0.1j, -0.2]]), weights=np.array([1.0]))
-    chk = pl.ma_product_expansion_check(nu, np.array([1.0, 1.0], dtype=complex))
-    assert chk.residual < 1e-14 * chk.scale
+    chk = pl.ma_product_expansion_check(nu, np.array([[1.0, 1.0]], dtype=complex))
+    assert chk.residual[0] < 1e-14 * chk.scale[0]
 
 
 def test_expansion_random_configs():
@@ -227,8 +276,7 @@ def test_expansion_random_configs():
             z = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             if np.min(np.linalg.norm(nu.w - z[None, :], axis=1)) < 0.5:
                 continue
-            chk = pl.ma_product_expansion_check(nu, z)
-            assert chk.relative < 1e-9
+            assert pl.ma_product_expansion_check(nu, z[None]).relative[0] < 1e-9
 
 
 def test_expansion_term_cap():
@@ -239,7 +287,24 @@ def test_expansion_term_cap():
                         w=rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)),
                         weights=w)
     with pytest.raises(ValidationError, match="term cap"):
-        pl.ma_product_expansion_check(nu, 5.0 * np.ones(n, dtype=complex))
+        pl.ma_product_expansion_check(nu, 5.0 * np.ones((1, n), dtype=complex))
+
+
+def test_expansion_rows_do_not_depend_on_each_other():
+    # row i of a batched check equals the one-row check bit for bit; the
+    # multisets take more than one atom block even for one row, and the
+    # block boundaries move with the row count
+    rng = np.random.default_rng(12)
+    n, N = 2, 730
+    nu = random_affine_atoms(n, N, rng)
+    Z = 5.0 * (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
+    assert len(analytic.atom_blocks(math.comb(N + n - 1, n), 1, n ** 3)) > 1
+    batch = pl.ma_product_expansion_check(nu, Z)
+    assert np.all(batch.relative < 1e-9)
+    for i in range(3):
+        one = pl.ma_product_expansion_check(nu, Z[i:i + 1])
+        for name in ("lhs", "rhs", "scale", "residual"):
+            assert np.array_equal(getattr(one, name), getattr(batch, name)[i:i + 1]), (i, name)
 
 
 # ---------- smooth wedge density ---------------------------------------------------
@@ -259,11 +324,11 @@ def test_smooth_wedge_endpoints():
     nu = pl.AffineAtoms(chart=0,
                         w=rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)),
                         weights=np.array([0.5, 0.25, 0.25]))
-    z = np.array([1.2 + 0.1j, -0.7 + 0.4j])
-    d0 = pl.smooth_wedge_density(nu, 0, z)
-    dn = pl.smooth_wedge_density(nu, n, z)
-    H_rho = pl.fs_hessian(z)
-    H_V = pl.affine_field(nu).complex_hessian(z[None])[0]
+    Z = np.array([[1.2 + 0.1j, -0.7 + 0.4j]])
+    d0 = pl.smooth_wedge_density(nu, 0, Z)[0]
+    dn = pl.smooth_wedge_density(nu, n, Z)[0]
+    H_rho = pl.fs_hessian(Z[0])
+    H_V = pl.affine_field(nu).complex_hessian(Z)[0]
     assert abs(d0 - np.linalg.det(H_rho).real) < 1e-12
     assert abs(dn - np.linalg.det(H_V).real) < 1e-12
 
@@ -281,7 +346,7 @@ def test_smooth_wedge_matches_brute_force_polarization():
         H_V = pl.affine_field(nu).complex_hessian(z[None])[0]
         H_rho = pl.fs_hessian(z)
         for m in (0, 1, 2):
-            val = pl.smooth_wedge_density(nu, m, z)
+            val = pl.smooth_wedge_density(nu, m, z[None])[0]
             ref = brute_force_wedge_term(H_V, H_rho, m, n)
             assert abs(val - ref) < 1e-5 * max(1.0, abs(ref))
 

@@ -27,9 +27,13 @@ TIMING = re.compile(r" \(\d+\.\ds\)")
 
 
 def seed_range(text: str) -> range:
-    """'a-b' (inclusive) or a single seed 'a'."""
+    """'a-b' (inclusive) or a single seed 'a'.  A range with b < a would
+    sweep nothing and exit 0, so it is an argparse error (exit 2)."""
     lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
+    seeds = range(int(lo), int(hi or lo) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"seed range {text!r} is empty")
+    return seeds
 
 
 def sweep_seed(seed: int, checks: str) -> tuple[list[str], bool]:
