@@ -213,7 +213,9 @@ def cmd_ball_profile(args) -> int:
         for (r, m), (_, ratio) in zip(rep.ball_profile, rep.vol_ratios):
             rows.append((rep.grid["eps"], r, m, ratio, rep.excised_singular_mass))
     _write(args, ["eps", "radius", "mass", "mass_over_ball_volume", "excised_singular_mass"],
-           rows, grid=reports[0].grid["points_per_axis"], center=args.center or "first atom")
+           rows, grid=reports[0].grid["points_per_axis"], center=args.center or "first atom",
+           levels=",".join(str(rep.grid["levels"]) for rep in reports),
+           clipped_cells=",".join(str(rep.clipped_cells) for rep in reports))
     return EXIT_OK
 
 

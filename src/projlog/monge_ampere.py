@@ -38,7 +38,7 @@ from .geometry import (
 )
 from .measures import AffineAtoms, AtomicMeasure, partition_of_unity
 from .parallel import run_chunked
-from .potentials import PotentialField, affine_field, psh_lift, within_guard
+from .potentials import PotentialField, _check_eps, affine_field, psh_lift, within_guard
 
 SQRT2 = math.sqrt(2.0)
 
@@ -309,10 +309,13 @@ def _cell_sums(lift: PotentialField, Z: np.ndarray, weights: np.ndarray,
                cellvol: float):
     """MA mass and FS volume of the cells Z under each row of weights.
 
-    Takes det H_phi (hermitian_det) 16384 cells at a time; negative
-    determinants are rounding, set to 0 and counted.  A row's sums run over
-    its cells of positive weight.  Returns (masses, volumes, clipped cells).
+    Drops the cells whose weight is 0 in every row, then takes det H_phi
+    (hermitian_det) 16384 cells at a time; negative determinants are
+    rounding, set to 0 and counted.  A row's sums run over its cells of
+    positive weight.  Returns (masses, volumes, clipped cells).
     """
+    live = np.any(weights > 0.0, axis=0)
+    Z, weights = Z[live], weights[:, live]
     n = Z.shape[1]
     dets = np.empty(Z.shape[0])
     # a huge eps overflows the Hessians; the callers' finiteness guards raise
@@ -341,27 +344,40 @@ def _self_check(mass, eps: float, vol: float, exact_vol: float, tol: float) -> N
         raise GridTooCoarse(f"grid self-check: FS volume off by {miss:.2%} (tolerance {tol:.2%})")
 
 
-def _mass_chunk(payload, rng):
-    """Integrate one range of flat cells on every chart (module level).
+def _box_cells(center: np.ndarray, a: float, m: int, rng, hole: bool):
+    """Midpoint cells of the box center + [-a, a]^(2n), m per axis.
 
-    The midpoint cells and the ball filter are built once; each chart k then
-    weights them by chi_k and keeps the cells where chi_k > 0.  Returns one
-    (mass, vol, clipped) per chart.
+    Returns the cells with flat (C order) indices rng = (lo, hi), real
+    parts on the first n axes, and the cell volume.  With hole set, the
+    cells inside the box of half-width a / 2 are left out; m a multiple of
+    4 aligns that box with cell boundaries.
     """
+    n = center.shape[0]
+    step = 2.0 * a / m
+    idx = np.stack(np.unravel_index(np.arange(*rng), (m,) * (2 * n)), axis=1)
+    pts = -a + (idx + 0.5) * step
+    if hole:
+        pts = pts[np.max(np.abs(pts), axis=1) > a / 2.0]
+    return center[None, :] + pts[:, :n] + 1j * pts[:, n:], step ** (2 * n)
+
+
+def _cell_chunks(fn, n: int, m: int, workers: int | None, payload) -> list:
+    """run_chunked over a box's m^(2n) cells, 65536 a chunk at n = 1, else 16384."""
+    return run_chunked(fn, m ** (2 * n), chunk=65536 if n == 1 else 16384, workers=workers,
+                       payload=payload)
+
+
+def _mass_chunk(payload, rng):
+    """Integrate one range of flat cells on every chart (module level): the
+    cells and the ball filter are built once, and each chart k weights them
+    by chi_k.  Returns one (mass, vol, clipped) per chart."""
     lifts, g, L = payload
     n = len(lifts) - 1
-    coords = np.unravel_index(np.arange(*rng), (g,) * (2 * n))
-    step = 2.0 * L / g
-    axes = [(-L + (c + 0.5) * step) for c in coords]
-    Z = np.stack(axes[0::2], axis=1) + 1j * np.stack(axes[1::2], axis=1)
+    Z, cellvol = _box_cells(np.zeros(n), L, g, rng, False)
     Z = Z[abs_sq_sum(Z) <= (2 * n + 1)]
-    sums = []
-    for chart, lift in enumerate(lifts):
-        chi = partition_of_unity(chart_lift(Z, chart))[:, chart]
-        keep = chi > 0.0
-        (mass,), (vol,), clipped = _cell_sums(lift, Z[keep], chi[None, keep], step ** (2 * n))
-        sums.append((mass, vol, clipped))
-    return sums
+    sums = [_cell_sums(lift, Z, partition_of_unity(chart_lift(Z, chart))[None, :, chart],
+                       cellvol) for chart, lift in enumerate(lifts)]
+    return [(mass, vol, clipped) for (mass,), (vol,), clipped in sums]
 
 
 def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
@@ -384,8 +400,7 @@ def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
     n = mu.n
     L = math.sqrt(2.0 * n + 1.0)
     lifts = [psh_lift(mu, chart, eps) for chart in range(n + 1)]
-    parts = run_chunked(_mass_chunk, grid ** (2 * n), chunk=65536 if n == 1 else 16384,
-                        workers=workers, payload=(lifts, grid, L))
+    parts = _cell_chunks(_mass_chunk, n, grid, workers, (lifts, grid, L))
     # summed in chart-major order, so the totals keep their bits
     mass, vol, clipped = zip(*(part[chart] for chart in range(n + 1) for part in parts))
     total = float(np.sum(mass))
@@ -420,26 +435,20 @@ def _chart_halfwidth(c_abs: float, r: float) -> float:
     return 1.05 * delta
 
 
-def _nested_cells(c: np.ndarray, a0: float, levels: int, m: int):
-    """Midpoint cells of dyadically nested boxes around chart point c.
-
-    Level l covers the box of half-width a0 / 2^l minus the next box; the
-    innermost level keeps its full box.  m must be a multiple of 4 so inner
-    boxes align exactly with cell boundaries.  Yields (centers, cellvol).
-    """
-    n = c.shape[0]
-    ticks = np.arange(m) + 0.5
-    for level in range(levels):
-        a = a0 / 2.0**level
-        step = 2.0 * a / m
-        axis = -a + ticks * step
-        mesh = np.meshgrid(*([axis] * (2 * n)), indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        if level < levels - 1:
-            keep = np.max(np.abs(pts), axis=1) > a / 2.0
-            pts = pts[keep]
-        Z = c[None, :] + pts[:, :n] + 1j * pts[:, n:]
-        yield Z, step ** (2 * n)
+def _ball_chunk(payload, rng):
+    """Integrate one range of a level's cells over every ball (module level):
+    keeps the cells within the largest radius, excises those within 10h of
+    an atom and weights the rest by ball membership.  Returns (masses,
+    vols, clipped, excised FS volume)."""
+    lift, center, radii, h, c, a, m, hole = payload
+    Z, cellvol = _box_cells(c, a, m, rng, hole)
+    d = geodesic_distance_batch(chart_lift(Z, lift.chart), center)
+    near = d <= radii[-1]
+    Z, d = Z[near], d[near]
+    cut = within_guard(Z, lift.singular_sites(), h)
+    excised = float(np.sum(fs_volume_density(Z[cut]))) * cellvol / fs_volume_norm(c.shape[0])
+    in_ball = (d[None, ~cut] <= np.array(radii)[:, None]).astype(float)
+    return (*_cell_sums(lift, Z[~cut], in_ball, cellvol), excised)
 
 
 def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
@@ -467,12 +476,11 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
     if fs_ball_volume(n, radii[0]) == 0.0:
         raise ValidationError(f"radius = {radii[0]!r}: the ball's volume underflows to 0")
     eps_list = list(eps_list)
-    if any(e < 0 for e in eps_list):
-        raise ValidationError("eps values must be >= 0")
+    for eps in eps_list:
+        _check_eps(eps)
     chart = max_modulus_chart(center.coords)
     c = chart_project(center.coords, chart)
-    r_max = radii[-1]
-    a0 = _chart_halfwidth(float(np.linalg.norm(c)), r_max)
+    a0 = _chart_halfwidth(float(np.linalg.norm(c)), radii[-1])
     m = points_per_axis or (64 if n == 1 else 16)
     if m % 4:
         raise ValidationError(f"points_per_axis must be a multiple of 4, got {m}")
@@ -482,25 +490,13 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
         ratio = a0 / (2.0 * feature)      # may underflow to 0 at a huge eps
         nlev = 1 if ratio <= 1.0 else min(9, math.ceil(math.log2(ratio)) + 1)
         lift = psh_lift(mu, chart, eps)
-        sites = lift.singular_sites()
-        masses = np.zeros(len(radii))
-        vols = np.zeros(len(radii))
-        clipped = 0
-        excised_volume = 0.0
-        for Z, cellvol in _nested_cells(c, a0, nlev, m):
-            lifts = chart_lift(Z, chart)
-            d = geodesic_distance_batch(lifts, center.coords)
-            in_any = d <= r_max
-            Z, d = Z[in_any], d[in_any]
-            cut = within_guard(Z, sites, h)
-            excised_volume += float(np.sum(
-                fs_volume_density(Z[cut]))) * cellvol / fs_volume_norm(n)
-            Z, d = Z[~cut], d[~cut]
-            in_ball = (d[None, :] <= np.array(radii)[:, None]).astype(float)
-            ball_mass, ball_vol, ball_clipped = _cell_sums(lift, Z, in_ball, cellvol)
-            masses += ball_mass
-            vols += ball_vol
-            clipped += ball_clipped
+        masses, vols = np.zeros(len(radii)), np.zeros(len(radii))
+        clipped, excised_volume = 0, 0.0
+        for level in range(nlev):
+            payload = (lift, center.coords, radii, h, c, a0 / 2.0**level, m, level < nlev - 1)
+            for mass, vol, clip, excised in _cell_chunks(_ball_chunk, n, m, 1, payload):
+                masses, vols = masses + mass, vols + vol
+                clipped, excised_volume = clipped + clip, excised_volume + excised
         exact_vols = [fs_ball_volume(n, r) for r in radii]
         # the excised cells are part of the grid's ball, so the check counts them
         _self_check(masses.tolist(), eps, vols[-1] + excised_volume, exact_vols[-1], 0.02)

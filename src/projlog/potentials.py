@@ -33,6 +33,7 @@ from .geometry import (
     fs_gradient,
     fs_gradient_norm_sq,
     row_norm,
+    row_sum,
     sample_fs_array,
 )
 from .kernels import projective_log_kernel_batch
@@ -288,8 +289,8 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
 
     def stratum(g: np.ndarray, s: np.ndarray) -> np.ndarray:
         tau = g[:, : n + 1] + 1j * g[:, n + 1: 2 * (n + 1)]
-        tau -= (tau @ np.conj(eta))[:, None] * eta[None, :]
-        tau /= np.linalg.norm(tau, axis=1, keepdims=True)
+        tau -= row_sum(tau * np.conj(eta))[:, None] * eta[None, :]
+        tau /= row_norm(tau)[:, None]
         self_mag = w_self / (sqrt2 * np.tan(s / sqrt2))
         if rest is not None:
             # geodesic points (fp collapse to eta for tiny s is harmless)

@@ -6,8 +6,9 @@ forms, the FS metric against the closed-form Hessian, LAPACK mixed
 discriminants one tuple at a time against the batched engine, chart
 coordinates one point at a time against the batch projection, quadratures
 and closed forms of the co-area constants, the refinement skeleton with one
-draw per stratum against its one draw per level), or makes an input the way a user
-would (the measure file of a measure, a seeded random measure).
+draw per stratum against its one draw per level, the ball grid's cells a whole
+level at a time against its chunks), or makes an input the way a user would (the
+measure file of a measure, a seeded random measure).
 """
 
 import json
@@ -204,6 +205,33 @@ def log_radial_levels_per_stratum(stratum, levels: int, deepest: float, r0: floa
         estimates.append(running)
         depth_prev = depth
     return estimates
+
+
+# ---------------------------------------------------------------------------
+# the ball grid's cells
+# ---------------------------------------------------------------------------
+
+def nested_cells(c: np.ndarray, a0: float, levels: int, m: int):
+    """Midpoint cells of dyadically nested boxes around chart point c, one
+    whole level at a time (the library builds them in chunks).
+
+    Level l covers the box of half-width a0 / 2^l minus the next box; the
+    innermost level keeps its full box.  m must be a multiple of 4 so inner
+    boxes align exactly with cell boundaries.  Yields (centers, cellvol).
+    """
+    n = c.shape[0]
+    ticks = np.arange(m) + 0.5
+    for level in range(levels):
+        a = a0 / 2.0**level
+        step = 2.0 * a / m
+        axis = -a + ticks * step
+        mesh = np.meshgrid(*([axis] * (2 * n)), indexing="ij")
+        pts = np.stack([g.ravel() for g in mesh], axis=1)
+        if level < levels - 1:
+            keep = np.max(np.abs(pts), axis=1) > a / 2.0
+            pts = pts[keep]
+        Z = c[None, :] + pts[:, :n] + 1j * pts[:, n:]
+        yield Z, step ** (2 * n)
 
 
 # ---------------------------------------------------------------------------

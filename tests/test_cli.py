@@ -323,10 +323,17 @@ def header_of(path: Path) -> dict:
 
 def test_headers_record_the_options_that_shape_the_body(tmp_path, measure_file):
     m = ["--measure", str(measure_file)]
-    assert main(["ball-profile", *m, "--grid", "16", "--radii", "0.5",
-                 "--output", str(tmp_path)]) == 0
+    assert main(["ball-profile", *m, "--grid", "16", "--radii", "0.5", "--eps", "0.3,0",
+                 "--h", "1e-2", "--output", str(tmp_path)]) == 0
     head = header_of(tmp_path / "ball_profile.csv")
     assert head["grid"] == "16" and head["center"] == "first atom"
+    # one levels and one clipped_cells entry per eps, as the library reports them
+    mu = pl.AtomicMeasure.from_json(measure_file.read_text())
+    reps = pl.ball_mass_profile(mu, mu.point(0), [0.5], h=1e-2, eps_list=[0.3, 0.0],
+                                points_per_axis=16)
+    assert head["levels"] == ",".join(str(rep.grid["levels"]) for rep in reps) == "1,9"
+    assert head["clipped_cells"] == ",".join(str(rep.clipped_cells) for rep in reps)
+    assert head["clipped_cells"] != "0,0"
     assert main(["riesz", *m, "--levels", "2", "--samples", "200",
                  "--output", str(tmp_path)]) == 0
     assert header_of(tmp_path / "riesz.csv")["levels"] == "2"

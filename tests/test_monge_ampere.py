@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from oracles import mixed_discriminant_lapack, random_measure
+from oracles import mixed_discriminant_lapack, nested_cells, random_measure
 from projlog import analytic, monge_ampere
 from projlog.errors import GridTooCoarse, SingularStencil, ValidationError
-from projlog.geometry import chart_mask, chart_project, fs_volume_density, sample_fs_array
+from projlog.geometry import chart_mask, chart_project, fs_volume_density, \
+    geodesic_distance_batch, sample_fs_array
 from projlog.monge_ampere import hessian_fd_batch
 from projlog.potentials import within_guard
 
@@ -544,6 +545,49 @@ def test_ball_profile_excision_blocked_over_atoms(monkeypatch):
     whole = profile()
     monkeypatch.setattr(analytic, "_BLOCK_ENTRIES", 1)
     assert whole[0] > 0.0 and profile() == whole
+
+
+@pytest.mark.parametrize("n, m", [(1, 4), (1, 32), (1, 64), (2, 4), (2, 8), (2, 16)])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_box_cells_chunks_join_to_the_nested_levels(n, m, levels):
+    # the generator's chunks, joined per level, are the whole-level cells bit
+    # for bit (n = 2, m = 16 has 4 chunks a level)
+    c = chart_project(sample_fs_array(90 + n, 1, n), 0)[0]
+    want = list(nested_cells(c, 0.7, levels, m))
+    for level, (Z, cellvol) in enumerate(want):
+        chunks = monge_ampere._cell_chunks(
+            lambda _, rng: monge_ampere._box_cells(c, 0.7 / 2.0**level, m, rng,
+                                                   level < levels - 1), n, m, 1, None)
+        assert all(vol == cellvol for _, vol in chunks)
+        got = np.concatenate([cells for cells, _ in chunks])
+        assert got.shape == Z.shape and got.tobytes() == Z.tobytes()
+
+
+def test_ball_profile_distances_stay_within_one_chunk(monkeypatch):
+    # a level of m^(2n) = 32^4 cells is walked 16384 cells at a time
+    rows = []
+
+    def counted(U, v):
+        rows.append(len(U))
+        return geodesic_distance_batch(U, v)
+
+    monkeypatch.setattr(monge_ampere, "geodesic_distance_batch", counted)
+    mu = random_measure(2, 2, seed=86)
+    rep = pl.ball_mass_profile(mu, mu.point(0), [0.5], eps_list=[10.0], points_per_axis=32)[0]
+    assert rep.grid["levels"] == 1
+    assert sum(rows) == 32 ** 4 and max(rows) == 16384
+
+
+@pytest.mark.parametrize("eps_list, match", [([0.3, 1e200], "overflows"),
+                                             ([0.3, -0.1], ">= 0")])
+def test_ball_profile_checks_every_eps_before_any_cell(eps_list, match, monkeypatch):
+    def no_cells(*_):
+        raise AssertionError("a cell was integrated")
+
+    monkeypatch.setattr(monge_ampere, "_cell_sums", no_cells)
+    mu = random_measure(1, 2, seed=83)
+    with pytest.raises(ValidationError, match=match):
+        pl.ball_mass_profile(mu, mu.point(0), [0.5], eps_list=eps_list)
 
 
 def test_ball_profile_volume_check_counts_excised_cells():

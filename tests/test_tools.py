@@ -1,5 +1,5 @@
-"""tools/verify_sweep.py without a subprocess: its seed ranges and the
-timing it strips from verify's lines."""
+"""tools/verify_sweep.py without a subprocess: its seed ranges, its check
+keys and the timing it strips from verify's lines."""
 
 import argparse
 import importlib.util
@@ -38,6 +38,34 @@ def test_bad_seed_range_exits_2_before_any_run(sweep, seeds, monkeypatch, capsys
         sweep.main(["--seeds", seeds])
     assert exit_.value.code == 2
     assert "--seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks", ["nope", "sobolev,nope", "sin-distance,,Riesz"])
+def test_unknown_check_key_exits_2_before_any_run(sweep, checks, monkeypatch, capsys):
+    # verify exits 2 on an unknown key, which the sweep used to report as a
+    # failed check (exit 1) after starting a subprocess per seed
+    def no_run(*_):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(sweep, "sweep_seed", no_run)
+    with pytest.raises(SystemExit) as exit_:
+        sweep.main(["--checks", checks, "--seeds", "0"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--checks" in err and "unknown check key" in err
+
+
+def test_known_check_keys_reach_each_seed(sweep, monkeypatch):
+    runs = []
+
+    def recorded(seed, checks):
+        runs.append((seed, checks))
+        return [], True
+
+    monkeypatch.setattr(sweep, "sweep_seed", recorded)
+    assert sweep.main(["--checks", "sobolev,dichotomy", "--seeds", "0-1"]) == 0
+    assert sweep.main(["--seeds", "2"]) == 0
+    assert runs == [(0, "sobolev,dichotomy"), (1, "sobolev,dichotomy"), (2, "")]
 
 
 def test_timing_regex_strips_only_the_check_timing(sweep):

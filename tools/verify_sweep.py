@@ -21,6 +21,9 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from projlog.verification import ALL_CHECKS  # noqa: E402  (this checkout's keys)
 
 #: the timing that CheckResult.line puts after the check name
 TIMING = re.compile(r" \(\d+\.\ds\)")
@@ -34,6 +37,18 @@ def seed_range(text: str) -> range:
     if not seeds:
         raise argparse.ArgumentTypeError(f"seed range {text!r} is empty")
     return seeds
+
+
+def check_keys(text: str) -> str:
+    """Comma-separated verify check keys ('' is every check).  An unknown key
+    makes verify exit 2 at every seed, which this tool would report as exit 1,
+    a failed check, so it is an argparse error (exit 2) before any run."""
+    keys = [key for key, _ in ALL_CHECKS]
+    unknown = [key for key in text.split(",") if key and key not in keys]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown check key {', '.join(map(repr, unknown))}; "
+                                         f"valid keys: {', '.join(keys)}")
+    return text
 
 
 def sweep_seed(seed: int, checks: str) -> tuple[list[str], bool]:
@@ -55,7 +70,7 @@ def sweep_seed(seed: int, checks: str) -> tuple[list[str], bool]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--checks", default="",
+    ap.add_argument("--checks", type=check_keys, default="",
                     help="comma-separated check keys (default: every check)")
     ap.add_argument("--seeds", type=seed_range, default=seed_range("0-15"),
                     help="inclusive seed range a-b (default 0-15)")
