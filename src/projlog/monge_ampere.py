@@ -330,7 +330,7 @@ def _cell_sums(lift: PotentialField, Z: np.ndarray, weights: np.ndarray,
               for w in weights]
     vols = [float(np.sum((w * fsdens)[w > 0])) * cellvol / fs_volume_norm(n)
             for w in weights]
-    return masses, vols, int(np.sum(neg))
+    return np.array(masses), np.array(vols), int(np.sum(neg))
 
 
 def _self_check(mass, eps: float, vol: float, exact_vol: float, tol: float) -> None:
@@ -490,13 +490,9 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
         ratio = a0 / (2.0 * feature)      # may underflow to 0 at a huge eps
         nlev = 1 if ratio <= 1.0 else min(9, math.ceil(math.log2(ratio)) + 1)
         lift = psh_lift(mu, chart, eps)
-        masses, vols = np.zeros(len(radii)), np.zeros(len(radii))
-        clipped, excised_volume = 0, 0.0
-        for level in range(nlev):
-            payload = (lift, center.coords, radii, h, c, a0 / 2.0**level, m, level < nlev - 1)
-            for mass, vol, clip, excised in _cell_chunks(_ball_chunk, n, m, 1, payload):
-                masses, vols = masses + mass, vols + vol
-                clipped, excised_volume = clipped + clip, excised_volume + excised
+        parts = [part for level in range(nlev) for part in _cell_chunks(_ball_chunk, n, m, 1, (
+            lift, center.coords, radii, h, c, a0 / 2.0**level, m, level < nlev - 1))]
+        masses, vols, clipped, excised_volume = (sum(field) for field in zip(*parts))
         exact_vols = [fs_ball_volume(n, r) for r in radii]
         # the excised cells are part of the grid's ball, so the check counts them
         _self_check(masses.tolist(), eps, vols[-1] + excised_volume, exact_vols[-1], 0.02)

@@ -335,15 +335,19 @@ QUICK_CHECKS = {"sin-distance", "chart-identity", "kernel-bounds", "kernel-mean"
 CHUNKED_CHECKS = {"sobolev", "mass-conservation"}
 
 
+def require_checks(names) -> None:
+    """Raise ValidationError naming every entry of names that is no check key."""
+    keys = [key for key, _ in ALL_CHECKS]
+    if unknown := [name for name in names or () if name not in keys]:
+        raise ValidationError(f"unknown check key {', '.join(map(repr, unknown))}; "
+                              f"valid keys: {', '.join(keys)}")
+
+
 def run_checks(names=None, seed: int = 0, quick: bool = False,
                workers: int | None = None) -> list[CheckResult]:
     """Run the named checks (all by default; quick skips the slow grids);
     workers goes to the CHUNKED_CHECKS (None reads PROJLOG_WORKERS)."""
-    keys = [key for key, _ in ALL_CHECKS]
-    unknown = [name for name in names or () if name not in keys]
-    if unknown:
-        raise ValidationError(f"unknown check key {', '.join(map(repr, unknown))}; "
-                              f"valid keys: {', '.join(keys)}")
+    require_checks(names)
     results = []
     for key, fn in ALL_CHECKS:
         if (names and key not in names) or (not names and quick and key not in QUICK_CHECKS):

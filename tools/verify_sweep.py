@@ -23,7 +23,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from projlog.verification import ALL_CHECKS  # noqa: E402  (this checkout's keys)
+from projlog.errors import ValidationError  # noqa: E402
+from projlog.verification import require_checks  # noqa: E402  (this checkout's keys)
 
 #: the timing that CheckResult.line puts after the check name
 TIMING = re.compile(r" \(\d+\.\ds\)")
@@ -39,15 +40,15 @@ def seed_range(text: str) -> range:
     return seeds
 
 
-def check_keys(text: str) -> str:
-    """Comma-separated verify check keys ('' is every check).  An unknown key
-    makes verify exit 2 at every seed, which this tool would report as exit 1,
-    a failed check, so it is an argparse error (exit 2) before any run."""
-    keys = [key for key, _ in ALL_CHECKS]
-    unknown = [key for key in text.split(",") if key and key not in keys]
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown check key {', '.join(map(repr, unknown))}; "
-                                         f"valid keys: {', '.join(keys)}")
+def known_checks(text: str) -> str:
+    """A --checks value whose keys verify knows ('' is every check).  An
+    unknown key makes verify exit 2 at every seed, which this tool would
+    report as exit 1, a failed check, so it is an argparse error (exit 2)
+    before any run."""
+    try:
+        require_checks([key for key in text.split(",") if key])  # as verify splits it
+    except ValidationError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     return text
 
 
@@ -70,7 +71,7 @@ def sweep_seed(seed: int, checks: str) -> tuple[list[str], bool]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--checks", type=check_keys, default="",
+    ap.add_argument("--checks", type=known_checks, default="",
                     help="comma-separated check keys (default: every check)")
     ap.add_argument("--seeds", type=seed_range, default=seed_range("0-15"),
                     help="inclusive seed range a-b (default 0-15)")
