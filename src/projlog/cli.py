@@ -108,12 +108,14 @@ def _write(args, columns: list[str], rows, **facts) -> None:
 
 def cmd_kernel(args) -> int:
     n, U, V = _load_pairs(args.pairs, args.affine)
-    chart = _chart(args, n)
     if args.affine:
+        # the affine mode reads no chart, so its header records none
+        args.recorded = [dest for dest in args.recorded if dest != "chart"]
         value = affine_log_kernel_batch(U, V)
         rows = zip(value, (value == -np.inf).astype(int))
         cols = ["value", "is_singular"]
     else:
+        chart = _chart(args, n)
         value = projective_log_kernel_batch(U, V)
         d = geodesic_distance_batch(U, V)
         # NaN where either point lies off the chart
@@ -164,8 +166,8 @@ def cmd_riesz(args) -> int:
     mu = _load_measure(args.measure)
     chart = _chart(args, mu.n)
     atoms = AffineAtoms.from_measure(mu, chart)
-    res = riesz_lp_scan(atoms, args.alpha, args.p_value, center=np.zeros(mu.n),
-                        radius=args.radius, seed=args.seed, samples=args.samples)
+    res = riesz_lp_scan(atoms, args.alpha, args.p_value, radius=args.radius,
+                        seed=args.seed, samples=args.samples)
     levels = riesz_refinement_scan(atoms, args.alpha, args.p_value, atom_index=0,
                                    r0=args.radius / 2, levels=args.levels,
                                    seed=args.seed)
@@ -255,14 +257,13 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     results = run_checks(names=args.checks, seed=args.seed, quick=args.quick,
                          workers=args.workers)
-    rows = []
-    ok = True
     for res in results:
         print(res.line())
-        ok &= res.passed
-        rows.append((res.name, "PASS" if res.passed else "FAIL", res.seconds, res.detail))
-    _write(args, ["check", "status", "seconds", "detail"], rows)
-    return EXIT_OK if ok else 1
+    # the times vary from run to run, so they go into the header, not the body
+    _write(args, ["check", "status", "detail"],
+           [(res.name, "PASS" if res.passed else "FAIL", res.detail) for res in results],
+           seconds=",".join(f"{res.seconds:.3f}" for res in results))
+    return EXIT_OK if all(res.passed for res in results) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -333,26 +334,28 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"projlog {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, summary, *shared, extra=None, exclusive=False):
+    def command(name, fn, summary, *shared, extra=None, exclusive=()):
         """A subcommand with --output, --workers, the listed OPTIONS rows and
-        its extra rows (one mutually exclusive group if exclusive); its CSV
-        header records the dests of all but --output and --workers."""
+        its extra rows, those named in exclusive in one mutually exclusive
+        group; its CSV header records the dests of all but --output and
+        --workers."""
         # no prefix matching: an option a subcommand lacks (say --h) must be
         # an error, not an abbreviation of another option (--help)
         p = sub.add_parser(name, allow_abbrev=False, help=summary)
         p.error = _usage_error
         p.add_argument("--output", default="projlog-out")
         p.add_argument("--workers", type=int, default=None)
-        group = p.add_mutually_exclusive_group() if exclusive else p
-        rows = [(p, opt, OPTIONS[opt]) for opt in shared] \
-            + [(group, opt, row) for opt, row in (extra or {}).items()]
-        p.set_defaults(fn=fn, recorded=[g.add_argument(f"--{opt}", **row).dest
-                                        for g, opt, row in rows])
+        group = p.add_mutually_exclusive_group()
+        rows = [(opt, OPTIONS[opt]) for opt in shared] + list((extra or {}).items())
+        p.set_defaults(fn=fn, recorded=[
+            (group if opt in exclusive else p).add_argument(f"--{opt}", **row).dest
+            for opt, row in rows])
 
-    command("kernel", cmd_kernel, "evaluate kernels on point pairs from JSON", "chart", extra={
-        "pairs": dict(required=True, help="pairs JSON file"),
-        "affine": dict(action="store_true",
-                       help="pairs hold chart coordinates z, w instead of points")})
+    command("kernel", cmd_kernel, "evaluate kernels on point pairs from JSON", "chart",
+            exclusive=("chart", "affine"), extra={
+                "pairs": dict(required=True, help="pairs JSON file"),
+                "affine": dict(action="store_true",
+                               help="pairs hold chart coordinates z, w instead of points")})
     command("potential", cmd_potential, "evaluate the potential on FS samples",
             "measure", "seed", "samples")
     command("measure", cmd_measure, "validate and decompose a measure", "measure")
@@ -380,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
             "measure", "seed", "samples", "chart")
     command("constants", cmd_constants, "CSV table of c_n, alpha_n, bounds", "n")
     command("sample", cmd_sample, "FS-uniform samples as CSV", "seed", "samples", "n")
-    command("verify", cmd_verify, "run the quantitative check suite", "seed", exclusive=True,
-            extra={
+    command("verify", cmd_verify, "run the quantitative check suite", "seed",
+            exclusive=("quick", "checks"), extra={
                 "quick": dict(action="store_true", help="skip the slow grids"),
                 "checks": dict(type=lambda text: [key for key in text.split(",") if key],
                                default="", help="comma-separated check keys (default: every "

@@ -48,6 +48,23 @@ def sphere_area(n: int, r) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def _quad(what: str, f, lo: float, hi: float, bound, **options) -> float:
+    """QUADPACK's integral of f over [lo, hi]; options go to scipy.integrate.quad.
+
+    QUADPACK's own warnings are silenced: its error estimate decides instead,
+    and above bound(value) it raises NonConvergent naming `what`.
+    """
+    from scipy import integrate
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, err = integrate.quad(f, lo, hi, **options)
+    if err > bound(val):
+        raise NonConvergent(f"{what} error estimate {err:.2e} exceeds {bound(val):.2e} "
+                            f"(value {val:.3e})")
+    return val
+
+
 def radial_quadrature(f, n: int) -> float:
     """int_0^(pi/sqrt 2) f(r) A(r) dr by adaptive Gauss-Kronrod.
 
@@ -55,26 +72,15 @@ def radial_quadrature(f, n: int) -> float:
     integrable log/power singularity at r = 0.  Raises NonConvergent when the
     QUADPACK error estimate exceeds the relative target 1e-10.
     """
-    from scipy import integrate
-
     rel_tol = 1e-10
     pref = 2.0 * SQRT2 * area_constant(n)
 
     def integrand(u: float) -> float:
         return f(SQRT2 * math.asin(u)) * u ** (2 * n - 1)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14,
-                                  epsrel=rel_tol / 10.0, limit=400)
-    val *= pref
-    err *= pref
-    if err > rel_tol * max(abs(val), 1e-8):
-        raise NonConvergent(
-            f"radial quadrature error estimate {err:.2e} exceeds target "
-            f"{rel_tol:.1e} * {abs(val):.3e}"
-        )
-    return val
+    return pref * _quad("radial quadrature", integrand, 0.0, 1.0,
+                        lambda val: rel_tol * max(abs(val), 1e-8 / pref),
+                        epsabs=1e-14, epsrel=rel_tol / 10.0, limit=400)
 
 
 def mean_log_kernel(n: int) -> float:
@@ -84,17 +90,10 @@ def mean_log_kernel(n: int) -> float:
     routine returns the adaptive-quadrature value so the identity can be
     checked.
     """
-    from scipy import integrate
-
     pref = 2.0 * SQRT2 * area_constant(n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        # QUADPACK QAWS with weight u^(2n-1) log u and unit remainder
-        val, err = integrate.quad(lambda u: 1.0, 0.0, 1.0,
-                                  weight="alg-loga", wvar=(2 * n - 1, 0))
-    if err > 1e-11:
-        raise NonConvergent(f"log-kernel mean error estimate {err:.2e}")
-    return pref * val
+    # QUADPACK QAWS with weight u^(2n-1) log u and unit remainder
+    return pref * _quad("log-kernel mean", lambda u: 1.0, 0.0, 1.0, lambda val: 1e-11,
+                        weight="alg-loga", wvar=(2 * n - 1, 0))
 
 
 def sobolev_bound(n: int, p: float) -> float:
@@ -107,22 +106,14 @@ def sobolev_bound(n: int, p: float) -> float:
         raise ValidationError("p must be >= 0")
     if p >= 2 * n:
         return math.inf
-    from scipy import integrate
-
     q = 2 * n - 1 - p
-    pref = 2.0 * SQRT2 * area_constant(n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if q >= 0:
-            val, err = integrate.quad(lambda t: math.sin(t) ** q, 0.0, math.pi / 2,
-                                      epsabs=1e-14, epsrel=1e-12, limit=200)
-        else:
-            # sin^q t = t^q (sin t / t)^q with the power split into the weight
-            val, err = integrate.quad(lambda t: float(np.sinc(t / math.pi)) ** q,
-                                      0.0, math.pi / 2, weight="alg", wvar=(q, 0))
-    if err > 1e-9 * max(abs(val), 1.0):
-        raise NonConvergent(f"sobolev bound error estimate {err:.2e}")
-    return pref * val
+    if q >= 0:
+        f, options = (lambda t: math.sin(t) ** q), dict(epsabs=1e-14, epsrel=1e-12, limit=200)
+    else:
+        # sin^q t = t^q (sin t / t)^q with the power split into the weight
+        f, options = (lambda t: float(np.sinc(t / math.pi)) ** q), dict(weight="alg", wvar=(q, 0))
+    return 2.0 * SQRT2 * area_constant(n) * _quad(
+        "sobolev bound", f, 0.0, math.pi / 2, lambda val: 1e-9 * max(abs(val), 1.0), **options)
 
 
 def mc_estimate(values: np.ndarray, p: float, scale: float) -> tuple[float, float]:
@@ -141,33 +132,37 @@ def mc_estimate(values: np.ndarray, p: float, scale: float) -> tuple[float, floa
     return est, se
 
 
-def log_radial_levels(stratum, levels: int, deepest: float, r0: float, seed: int,
-                      width: int, samples: int, stream: int,
-                      scale: float = 1.0) -> list[float]:
+def log_radial_levels(stratum, levels: int, power: float, r0: float, seed: int,
+                      width: int, samples: int, stream: int) -> list[float]:
     """Cumulative Monte Carlo integrals in d(log s) over shrinking annuli.
 
-    Level l covers r0 * 10^(-D_l) <= s <= r0 with the log-depth
-    D_l = base * DEPTH_FACTOR^l, base = deepest / DEPTH_FACTOR^(levels - 1),
-    so the last level reaches `deepest` decades.  Each level adds only its newly
-    exposed annulus, so the comparison between levels is structural, not
-    statistical.  The annulus is split into strata of at most one decade;
-    stratum si of level l takes the `samples` rows of width + 1 normals of
-    `stream` from index (l * 4096 + si) * samples on, and turns the last
-    column into a log-uniform radius s.  stratum(g, s) returns the integrand
-    per row; its mean times log(hi / lo) * scale is the stratum's integral.
+    stratum(g, s) returns, per row, the radial density at radius s: the
+    integrand, which blows up like s^(-power) at s = 0, times the area of the
+    sphere of radius s; the skeleton applies the factor s of d(log s).  Level
+    l covers r0 * 10^(-D_l) <= s <= r0 with D_l = deepest * DEPTH_FACTOR^(l -
+    levels + 1); deepest = min(60, 280 / max(power, 1)) decades at every level
+    count keeps s^(-power) below about 1e280, inside float64 range.  Each
+    level adds only its newly exposed annulus, so the comparison between
+    levels is structural, not statistical.  The annulus is split into strata of
+    at most one decade; stratum si of level l takes the `samples` rows of
+    width + 1 normals of `stream` from index (l * 4096 + si) * samples on, and
+    turns the last column into a log-uniform radius s.  The mean of
+    stratum(g, s) * s times log(hi / lo) is the stratum's integral.
 
     The strata of one level read one contiguous range of the stream, so a
     level draws it with one _sample_stream call and hands each stratum its
     slice; every Philox block is drawn once per level.  A level has at most
-    ceil(deepest) strata, so its draw holds at most
-    ceil(deepest) * samples * (width + 1) floats: 60 strata of 2048 samples
-    at width + 1 = 7 (n = 2) come to about 6.9 MB.  levels must be at least
-    1; a level whose estimate is not finite raises NonConvergent.
+    60 strata, so its draw holds at most 60 * samples * (width + 1) floats:
+    60 strata of 2048 samples at width + 1 = 7 (n = 2) come to about 6.9 MB.
+    levels must be at least 1.  numpy's overflow and invalid-value warnings
+    are off inside a level; a level whose estimate is not finite raises
+    NonConvergent.
     """
     if levels < 1:
         raise ValidationError(f"levels = {levels} must be at least 1")
     from scipy.special import ndtr
 
+    deepest = min(60.0, 280.0 / max(power, 1.0))
     base = deepest / DEPTH_FACTOR ** (levels - 1)
     estimates = []
     depth_prev = 0.0
@@ -179,11 +174,12 @@ def log_radial_levels(stratum, levels: int, deepest: float, r0: float, seed: int
         draw = _sample_stream(seed, strata * samples, width + 1,
                               start=level * 4096 * samples, stream=stream)
         total = 0.0
-        for si, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            lo, hi = r0 * 10.0 ** (-b), r0 * 10.0 ** (-a)
-            g = draw[si * samples:(si + 1) * samples]
-            s = lo * (hi / lo) ** ndtr(g[:, width])
-            total += math.log(hi / lo) * scale * float(np.mean(stratum(g, s)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for si, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+                lo, hi = r0 * 10.0 ** (-b), r0 * 10.0 ** (-a)
+                g = draw[si * samples:(si + 1) * samples]
+                s = lo * (hi / lo) ** ndtr(g[:, width])
+                total += math.log(hi / lo) * float(np.mean(stratum(g, s) * s))
         running += total
         if not math.isfinite(running):
             raise NonConvergent(f"refinement level {level} estimate {running!r} is not finite")

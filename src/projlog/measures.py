@@ -283,18 +283,18 @@ def _uniform_ball(seed: int, count: int, dim: int) -> np.ndarray:
     return direction * u[:, None] ** (1.0 / dim)
 
 
-def _riesz_sum(differences, weights: np.ndarray, alpha: float, rows: int,
-               n: int) -> np.ndarray:
-    """sum_i w_i |d_i|^(-alpha) per row, taking the atoms in analytic.atom_blocks.
+def _riesz_sum(points: np.ndarray, sites: np.ndarray, weights: np.ndarray,
+               alpha: float) -> np.ndarray:
+    """sum_i w_i |z - site_i|^(-alpha) for each row z of points (m, n).
 
-    differences(blk) gives the (rows, atoms in blk, n) displacements to the
-    atoms of one block, so memory stays near analytic._BLOCK_ENTRIES complex
-    numbers however many atoms there are.  With one block this is exactly
-    the unblocked sum (the terms are >= 0, so adding it to 0.0 is exact).
+    The sites are taken in analytic.atom_blocks, so the difference array
+    stays near analytic._BLOCK_ENTRIES complex numbers however many sites
+    there are.  With one block this is exactly the unblocked sum (the terms
+    are >= 0, so adding it to 0.0 is exact).
     """
-    total = np.zeros(rows)
-    for blk in atom_blocks(weights.shape[0], rows, n):
-        d = np.linalg.norm(differences(blk), axis=2)
+    total = np.zeros(points.shape[0])
+    for blk in atom_blocks(sites.shape[0], *points.shape):
+        d = np.linalg.norm(points[:, None, :] - sites[None, blk, :], axis=2)
         with np.errstate(divide="ignore"):
             total += np.sum(weights[None, blk] * d ** (-alpha), axis=1)
     return total
@@ -308,9 +308,9 @@ class ScanResult:
     std_error: float
 
 
-def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, center, radius: float,
+def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, radius: float,
                   seed: int, samples: int) -> ScanResult:
-    """MC estimate of int_ball J^p dLeb over the Euclidean ball (center, radius).
+    """MC estimate of int_ball J^p dLeb over the chart ball |z| <= radius.
 
     Finite and stable under sample doubling when p < 2n/alpha; see
     riesz_refinement_scan for behavior at and above the threshold.
@@ -328,12 +328,9 @@ def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, center, radius: fl
         raise ValidationError(f"radius = {radius!r}: the ball's volume overflows") from None
     if vol == 0.0:
         raise ValidationError(f"radius = {radius!r}: the ball's volume underflows to 0")
-    center = np.asarray(center, dtype=complex)
     pts = _uniform_ball(seed, samples, dim)
-    z = center + radius * (pts[:, :n] + 1j * pts[:, n:])
-    J = _riesz_sum(lambda blk: z[:, None, :] - atoms.w[None, blk, :],
-                   atoms.weights, alpha, samples, n)
-    est, se = mc_estimate(J, p, vol)
+    z = radius * (pts[:, :n] + 1j * pts[:, n:])
+    est, se = mc_estimate(_riesz_sum(z, atoms.w, atoms.weights, alpha), p, vol)
     return ScanResult(estimate=est, std_error=se)
 
 
@@ -346,17 +343,16 @@ def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
     resolved log-depth D_l of coarea.log_radial_levels, using log-radial
     strata of at most one decade each.  The integrand of the critical case
     p = 2n/alpha contributes a constant per decade (log divergence), so the
-    estimates grow by ~10x per level; for p < 2n/alpha they converge.
-
-    The deepest level reaches 60 decades (one decade when levels = 1), which
-    keeps the deepest radius above 1e-60 so that |z - w|^(-alpha p) stays
-    inside float64 range.
+    estimates grow by ~10x per level; for p < 2n/alpha they converge.  J^p
+    blows up like |z - w|^(-alpha p), the power that sets the deepest decade.
     """
     _check_alpha(alpha, atoms.n)
     n = atoms.n
     w1 = atoms.w[atom_index]
     others = np.delete(atoms.w, atom_index, axis=0) - w1[None, :]
     other_weights = np.delete(atoms.weights, atom_index)
+    # the area of the unit sphere of R^(2n)
+    sphere = 2.0 * math.pi**n / math.factorial(n - 1)
 
     def stratum(g: np.ndarray, s: np.ndarray) -> np.ndarray:
         dirs = g[:, : 2 * n]
@@ -364,16 +360,10 @@ def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
         cdir = dirs[:, :n] + 1j * dirs[:, n:]
         # J in displacement form: the self term is exact in s, the other
         # atoms are evaluated at w1 + s * dir (fp collapse to w1 is fine)
-        self_term = atoms.weights[atom_index] * s ** (-alpha)
+        J = atoms.weights[atom_index] * s ** (-alpha)
         if others.shape[0]:
-            rest = _riesz_sum(
-                lambda blk: others[None, blk, :] - s[:, None, None] * cdir[:, None, :],
-                other_weights, alpha, samples_per_stratum, n)
-        else:
-            rest = 0.0
-        return (self_term + rest) ** p * s ** (2 * n)
+            J = J + _riesz_sum(s[:, None] * cdir, others, other_weights, alpha)
+        return J ** p * (sphere * s ** (2 * n - 1))
 
-    return log_radial_levels(stratum, levels, 60.0 if levels > 1 else 1.0, r0, seed,
-                             width=2 * n, samples=samples_per_stratum,
-                             stream=Stream.RIESZ_REFINEMENT,
-                             scale=2.0 * math.pi**n / math.factorial(n - 1))
+    return log_radial_levels(stratum, levels, alpha * p, r0, seed, width=2 * n,
+                             samples=samples_per_stratum, stream=Stream.RIESZ_REFINEMENT)

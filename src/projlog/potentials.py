@@ -174,11 +174,6 @@ def _sobolev_chunk(payload, rng):
     return _gradient_norm_values(mu, pts, h, seed, reserve_start=start + lo)
 
 
-def _potential_gradient(mu: AtomicMeasure, chart: int, Z: np.ndarray) -> np.ndarray:
-    """Closed-form dU_mu/dz at chart rows Z: the lift's gradient minus rho's."""
-    return psh_lift(mu, chart).holomorphic_gradient(Z) - fs_gradient(Z)
-
-
 def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float, seed: int,
                           reserve_start: int = 0) -> tuple[np.ndarray, int]:
     """FS gradient norms |grad U_mu| at sample points, with excision.
@@ -219,7 +214,9 @@ def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float, seed
         fresh = bad
 
     for k, (idx, Z) in enumerate(parts):  # the last pass's projections
-        norms[idx] = np.sqrt(fs_gradient_norm_sq(Z, _potential_gradient(mu, k, Z)))
+        # closed-form dU_mu/dz: the lift's gradient minus rho's
+        fz = psh_lift(mu, k).holomorphic_gradient(Z) - fs_gradient(Z)
+        norms[idx] = np.sqrt(fs_gradient_norm_sq(Z, fz))
     return norms, excised
 
 
@@ -270,8 +267,8 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
     log-depth D_l of coarea.log_radial_levels, sampled log-radially along
     random geodesics from the atom.  At p = 2n the radial integrand behaves
     like C/r, contributing a constant per resolved decade, so estimates grow
-    by ~10x per level; for p < 2n they converge.  The deepest level reaches
-    min(60, 280 / p) decades, which keeps cot^p ~ r^(-p) representable.
+    by ~10x per level; for p < 2n they converge.  The integrand blows up like
+    r^(-p), the power that sets the deepest decade.
 
     The self-atom term of the gradient is exact in the radius (the kernel
     gradient is radial with magnitude cot(r/sqrt 2)/sqrt 2); the remaining
@@ -283,8 +280,7 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
     w_self = mu.weights[atom_index]
     rest_pts = np.delete(mu.points, atom_index, axis=0)
     rest_w = np.delete(mu.weights, atom_index)
-    rest = AtomicMeasure(points=rest_pts, weights=rest_w / np.sum(rest_w), n=n) \
-        if rest_pts.shape[0] else None
+    k = int(np.argmax(np.abs(eta)))
     sqrt2 = math.sqrt(2.0)
 
     def stratum(g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -292,26 +288,26 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
         tau -= row_sum(tau * np.conj(eta))[:, None] * eta[None, :]
         tau /= row_norm(tau)[:, None]
         self_mag = w_self / (sqrt2 * np.tan(s / sqrt2))
-        if rest is not None:
+        if rest_pts.shape[0]:
             # geodesic points (fp collapse to eta for tiny s is harmless)
             pts = np.cos(s / sqrt2)[:, None] * eta[None, :] \
                 + np.sin(s / sqrt2)[:, None] * tau
-            k = int(np.argmax(np.abs(eta)))
             Z = chart_project(pts, k)
             # chart velocity of the geodesic (radial direction at pts)
             vel = (-np.sin(s / sqrt2)[:, None] * eta[None, :]
                    + np.cos(s / sqrt2)[:, None] * tau) / sqrt2
             dchart = np.delete(vel / pts[:, k, None], k, axis=1) \
                 - Z * (vel[:, k] / pts[:, k])[:, None]
-            fz = _potential_gradient(rest, k, Z) * np.sum(rest_w)
+            # dU/dz of the other atoms: their lift's gradient minus their mass times rho's
+            fz = analytic.field_gradient_batch(Z, rest_pts, rest_w, k) \
+                - rest_w.sum() * fs_gradient(Z)
             # radial component: Riemannian inner product with the unit radial
             # field, computed as the directional derivative along the geodesic
             radial = 2.0 * np.real(np.sum(fz * dchart, axis=1))
             grad2 = self_mag**2 + 2.0 * self_mag * radial + fs_gradient_norm_sq(Z, fz)
         else:
             grad2 = self_mag**2
-        return grad2 ** (p / 2.0) * sphere_area(n, s) * s
+        return grad2 ** (p / 2.0) * sphere_area(n, s)
 
-    return log_radial_levels(stratum, levels, min(60.0, 280.0 / max(p, 1.0)), 0.5, seed,
-                             width=2 * (n + 1), samples=samples_per_stratum,
-                             stream=Stream.SOBOLEV_REFINEMENT)
+    return log_radial_levels(stratum, levels, p, 0.5, seed, width=2 * (n + 1),
+                             samples=samples_per_stratum, stream=Stream.SOBOLEV_REFINEMENT)

@@ -154,8 +154,7 @@ def check_riesz_ranges(seed: int = 6):
     """Unit-disc integral of |z|^-1 = 2 pi within 1 percent; critical refinement."""
     nu = AffineAtoms(chart=0, w=np.zeros((1, 1), dtype=complex),
                      weights=np.array([1.0]))
-    res = riesz_lp_scan(nu, alpha=1.0, p=1.0, center=[0.0], radius=1.0,
-                        seed=seed, samples=500_000)
+    res = riesz_lp_scan(nu, alpha=1.0, p=1.0, radius=1.0, seed=seed, samples=500_000)
     rel = abs(res.estimate - 2 * _math.pi) / (2 * _math.pi)
     ests = riesz_refinement_scan(nu, alpha=1.0, p=2.0, atom_index=0, r0=0.5,
                                  levels=4, seed=seed)

@@ -174,9 +174,9 @@ def wallis_sin_power_integral(m: int) -> float:
 # the log-radial refinement skeleton
 # ---------------------------------------------------------------------------
 
-def log_radial_levels_per_stratum(stratum, levels: int, deepest: float, r0: float,
-                                  seed: int, width: int, samples: int, stream: int,
-                                  scale: float = 1.0) -> list[float]:
+def log_radial_levels_per_stratum(stratum, levels: int, power: float, r0: float,
+                                  seed: int, width: int, samples: int,
+                                  stream: int) -> list[float]:
     """coarea.log_radial_levels with one _sample_stream call per stratum.
 
     Stratum si of level l draws its own `samples` rows from index
@@ -186,7 +186,7 @@ def log_radial_levels_per_stratum(stratum, levels: int, deepest: float, r0: floa
     """
     from scipy.special import ndtr
 
-    base = deepest / DEPTH_FACTOR ** (levels - 1)
+    base = min(60.0, 280.0 / max(power, 1.0)) / DEPTH_FACTOR ** (levels - 1)
     estimates = []
     depth_prev = 0.0
     running = 0.0
@@ -200,7 +200,7 @@ def log_radial_levels_per_stratum(stratum, levels: int, deepest: float, r0: floa
             g = _sample_stream(seed, samples, width + 1,
                                start=(level * 4096 + si) * samples, stream=stream)
             s = lo * (hi / lo) ** ndtr(g[:, width])
-            total += math.log(hi / lo) * scale * float(np.mean(stratum(g, s)))
+            total += math.log(hi / lo) * float(np.mean(stratum(g, s) * s))
         running += total
         estimates.append(running)
         depth_prev = depth

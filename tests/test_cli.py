@@ -201,6 +201,18 @@ def test_verify_quick_and_checks_exclude_each_other(tmp_path, capsys):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+def test_verify_bodies_equal_across_reruns(tmp_path, capsys):
+    # the body used to carry each check's seconds, which differ per run;
+    # they are one header fact now, in check order
+    for run in ("a", "b"):
+        assert main(["verify", "--checks", "sin-distance,reassembly",
+                     "--output", str(tmp_path / run)]) == 0
+    a, b = (tmp_path / run / "verify.csv" for run in ("a", "b"))
+    assert body_of(a) == body_of(b)
+    assert body_of(a).splitlines()[0] == "check,status,detail"
+    assert len(header_of(a)["seconds"].split(",")) == 2
+
+
 def test_potential_subcommand(tmp_path, measure_file):
     rc = main(["potential", "--measure", str(measure_file), "--seed", "2",
                "--samples", "100", "--output", str(tmp_path)])
@@ -307,6 +319,30 @@ def test_chart_out_of_range_exit_code(tmp_path, measure_file, capsys):
     assert main(["kernel", "--pairs", str(pairs), "--chart", "-1",
                  "--output", str(tmp_path)]) == 2
     assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_kernel_affine_reads_no_chart(tmp_path, capsys):
+    # --affine used to accept --chart 1, record it and ignore it, and to
+    # reject --chart 5 against an n it never used
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"n": 1, "pairs": [{"z": [[1, 0]], "w": [[0, 2]]}]}))
+    for chart in ("1", "5"):
+        assert main(["kernel", "--affine", "--pairs", str(pairs), "--chart", chart,
+                     "--output", str(tmp_path)]) == 2
+        assert "argument --chart: not allowed with argument --affine" \
+            in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+    assert main(["kernel", "--affine", "--pairs", str(pairs), "--output", str(tmp_path)]) == 0
+    assert "chart" not in header_of(tmp_path / "kernel.csv")
+
+
+def test_riesz_deep_power_exits_0_without_warning(tmp_path, measure_file, capsys):
+    # alpha p = 5.7 used to overflow 60 decades deep: a numpy warning and exit 3
+    assert main(["riesz", "--measure", str(measure_file), "--alpha", "1.9", "--p-value", "3",
+                 "--levels", "3", "--samples", "200", "--output", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(body_of(tmp_path / "riesz.csv").splitlines()))
+    assert len(rows) == 4 and all(math.isfinite(float(row["estimate"])) for row in rows)
 
 
 def test_workers_env_not_an_integer_exit_code(tmp_path, measure_file, monkeypatch, capsys):
@@ -694,6 +730,8 @@ def invocations(command):
          workers=None)
 @example(call=("riesz", {"seed": "0", "samples": "1000", "chart": "0", "alpha": "1.9999999",
                          "p-value": "1e300", "radius": "1", "levels": "3"}), workers=None)
+@example(call=("riesz", {"seed": "0", "samples": "3", "chart": "0", "alpha": "1.9",
+                         "p-value": "3", "radius": "1", "levels": "3"}), workers=None)
 @example(call=("ma-mass", {"grid": "64", "eps": "1e200"}), workers=None)
 @example(call=("ball-profile", {"grid": "4", "eps": "0.3", "h": "1e-4", "radii": "1e-300"}),
          workers=None)

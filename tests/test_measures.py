@@ -292,8 +292,7 @@ def atoms_at(ws, weights, chart=0):
 def riesz_potential(nu, alpha, z):
     """J(z) = sum w_i |z - w_i|^(-alpha) at one point through the scans' batch sum."""
     z = np.asarray(z, dtype=complex)
-    return float(_riesz_sum(lambda blk: z[None, None, :] - nu.w[None, blk, :],
-                            nu.weights, alpha, 1, nu.n)[0])
+    return float(_riesz_sum(z[None, :], nu.w, nu.weights, alpha)[0])
 
 
 def test_riesz_single_atom_value():
@@ -316,7 +315,7 @@ def test_riesz_two_atom_hand_value():
 def test_riesz_alpha_range():
     nu = atoms_at([[0.0]], [1.0])
     with pytest.raises(ValidationError, match="alpha = 2.0"):
-        pl.riesz_lp_scan(nu, 2.0, 1.0, center=[0.0], radius=1.0, seed=0, samples=10)
+        pl.riesz_lp_scan(nu, 2.0, 1.0, radius=1.0, seed=0, samples=10)
     with pytest.raises(ValidationError, match="alpha = -0.5"):
         pl.riesz_refinement_scan(nu, -0.5, 1.0, atom_index=0, r0=0.5, levels=2, seed=0)
 
@@ -333,17 +332,17 @@ def test_riesz_scaling_exact_for_pow2():
 def test_riesz_disc_integral_matches_polar_oracle():
     # int over unit disc of |z|^-1 = 2 pi (polar coordinates)
     nu = atoms_at([[0.0]], [1.0])
-    res = pl.riesz_lp_scan(nu, alpha=1.0, p=1.0, center=[0.0], radius=1.0,
+    res = pl.riesz_lp_scan(nu, alpha=1.0, p=1.0, radius=1.0,
                            seed=3, samples=400_000)
     assert abs(res.estimate - 2 * math.pi) / (2 * math.pi) < 0.01
 
 
 def test_riesz_subcritical_stable_under_doubling():
     nu = atoms_at([[0.0]], [1.0])
-    a = pl.riesz_lp_scan(nu, alpha=1.0, p=1.5, center=[0.0], radius=1.0,
+    a = pl.riesz_lp_scan(nu, alpha=1.0, p=1.5, radius=1.0,
                          seed=5, samples=200_000)
     # a second seed gives independent draws for the second half
-    b = pl.riesz_lp_scan(nu, alpha=1.0, p=1.5, center=[0.0], radius=1.0,
+    b = pl.riesz_lp_scan(nu, alpha=1.0, p=1.5, radius=1.0,
                          seed=6, samples=200_000)
     est2 = 0.5 * (a.estimate + b.estimate)
     assert abs(est2 - a.estimate) / a.estimate < 0.05
@@ -372,6 +371,16 @@ def test_riesz_refinement_multi_atom():
     assert ests[1] >= 9.5 * ests[0] and ests[2] >= 9.5 * ests[1]
 
 
+def test_riesz_refinement_deep_power_stays_finite():
+    # alpha p = 5.7: the deepest decade is 280 / 5.7, so s^(-alpha p) stays
+    # inside float64; 60 decades used to overflow with a RuntimeWarning
+    nu = atoms_at([[0.0]], [1.0])
+    ests = pl.riesz_refinement_scan(nu, alpha=1.9, p=3.0, atom_index=0,
+                                    r0=0.5, levels=3, seed=7)
+    assert all(map(math.isfinite, ests))
+    assert ests[0] < ests[1] < ests[2]
+
+
 def unblocked_riesz_lp(atoms, alpha, p, radius, seed, samples):
     """riesz_lp_scan's estimate from one (samples, atoms, n) difference array."""
     n = atoms.n
@@ -389,7 +398,7 @@ def test_riesz_scans_blocked_over_atoms_match_one_block(monkeypatch):
                   w / w.sum())
 
     def scans():
-        lp = pl.riesz_lp_scan(nu, alpha=1.0, p=1.5, center=[0.0, 0.0], radius=2.0,
+        lp = pl.riesz_lp_scan(nu, alpha=1.0, p=1.5, radius=2.0,
                               seed=11, samples=5000)
         levels = pl.riesz_refinement_scan(nu, alpha=1.0, p=1.5, atom_index=3,
                                           r0=0.5, levels=3, seed=13)

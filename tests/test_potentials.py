@@ -272,6 +272,15 @@ def test_sobolev_refinement_rejects_zero_levels():
             pl.sobolev_refinement_scan(mu, p=1.0, atom_index=0, levels=levels, seed=1)
 
 
+def test_sobolev_refinement_overflow_raises_nonconvergent():
+    # at p = 300 the deepest decade is 280/300 of a decade, yet |grad|^p
+    # overflows there; numpy's RuntimeWarning used to escape instead
+    mu = pl.dirac(pl.normalize([1, 0]))
+    with pytest.raises(NonConvergent, match="not finite"):
+        pl.sobolev_refinement_scan(mu, p=300.0, atom_index=0, levels=2, seed=1,
+                                   samples_per_stratum=256)
+
+
 def test_sobolev_refinement_two_atoms():
     mu = pl.build_measure([pl.normalize([1, 0]).coords,
                            pl.normalize([1, 1]).coords], [0.5, 0.5])
