@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import abs_sq_sum, chart_lift
+from .geometry import abs_sq_sum, chart_lift, row_sum
 
 
 #: complex entries of one (rows, atoms, width) intermediate block (32 MiB);
@@ -84,7 +84,7 @@ def quad_form_batch(Z: np.ndarray, eta: np.ndarray, chart: int, a: float, b: flo
     t = abs_sq_sum(Z)
     T = np.full(m, a + b, dtype=float) + b * t
     E = np.atleast_2d(np.asarray(eta, dtype=complex))
-    e2 = np.sum(E.real ** 2 + E.imag ** 2, axis=1)[:, None]      # |eta|^2, (k, 1)
+    e2 = row_sum(E.real ** 2 + E.imag ** 2)[:, None]             # |eta|^2, (k, 1)
     # atom-major (k, m) work arrays, written in place to spare temporaries;
     # the (m, k) results are views of them
     lifts = chart_lift(Z, chart).T                                # (n+1, m), once for all atoms

@@ -154,16 +154,19 @@ def log_radial_levels(stratum, levels: int, power: float, r0: float, seed: int,
     slice; every Philox block is drawn once per level.  A level has at most
     60 strata, so its draw holds at most 60 * samples * (width + 1) floats:
     60 strata of 2048 samples at width + 1 = 7 (n = 2) come to about 6.9 MB.
-    levels must be at least 1.  numpy's overflow and invalid-value warnings
-    are off inside a level; a level whose estimate is not finite raises
-    NonConvergent.
+    levels must be at least 1, with DEPTH_FACTOR^(levels - 1) finite.
+    numpy's overflow and invalid-value warnings are off inside a level; a
+    level whose estimate is not finite raises NonConvergent.
     """
     if levels < 1:
         raise ValidationError(f"levels = {levels} must be at least 1")
     from scipy.special import ndtr
 
     deepest = min(60.0, 280.0 / max(power, 1.0))
-    base = deepest / DEPTH_FACTOR ** (levels - 1)
+    try:
+        base = deepest / DEPTH_FACTOR ** (levels - 1)
+    except OverflowError:
+        raise ValidationError(f"levels = {levels} overflows DEPTH_FACTOR^(levels - 1)") from None
     estimates = []
     depth_prev = 0.0
     running = 0.0

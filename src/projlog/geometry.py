@@ -55,9 +55,9 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     8 columns numpy also adds left to right, so this gives the bits of
     np.sum(a, axis=-1).  From 8 real columns on numpy keeps 8 partial sums,
     and from 4 complex columns on it adds the columns in pairs, so there the
-    last bits can differ.
+    last bits can differ.  Zero-width rows sum to 0, as in numpy.
     """
-    out = a[..., 0].copy()
+    out = a[..., 0].copy() if a.shape[-1] else np.zeros(a.shape[:-1], a.dtype)
     for j in range(1, a.shape[-1]):
         out += a[..., j]
     return out
@@ -91,8 +91,7 @@ def canonicalize_batch(raw: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
         raise ValidationError("cannot canonicalize a zero or non-finite vector")
     v = raw / norms[:, None]
-    mods = np.abs(v)
-    piv = np.argmax(mods, axis=1)  # first index attaining the max modulus
+    piv = max_modulus_chart(v)
     rows = np.arange(v.shape[0])
     pivots = v[rows, piv]
     v = v * np.conj(pivots / np.abs(pivots))[:, None]
@@ -171,7 +170,7 @@ def complex_from_json(rows: list, width: int, where, point: bool = False) -> np.
                                   f"of finite reals, got {row!r:.60}")
     out = np.array(rows, dtype=float).reshape(-1, 2).view(complex).reshape(len(rows), width)
     if point:
-        norms = np.linalg.norm(out, axis=1)
+        norms = row_norm(out)
         bad = np.flatnonzero(~((norms > 0.0) & (norms < math.inf)))
         if bad.size:
             raise ValidationError(f"{where(bad[0])} has norm {norms[bad[0]]}, so it is no point")
@@ -208,16 +207,13 @@ def wedge_norm_sq_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         - (ur[:, j] * vr[:, i] - ui[:, j] * vi[:, i])
     im = (ur[:, i] * vi[:, j] + ui[:, i] * vr[:, j]) \
         - (ur[:, j] * vi[:, i] + ui[:, j] * vr[:, i])
-    return np.sum(re * re + im * im, axis=1)
+    return row_sum(re * re + im * im)
 
 
 def wedge_ratio_sq_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """|u ^ v|^2 / (|u|^2 |v|^2) = sin^2(d / sqrt 2), clipped into [0, 1]."""
-    u = np.atleast_2d(np.asarray(u, dtype=complex))
-    w2 = wedge_norm_sq_batch(u, v)
-    nu = np.sum(np.abs(u) ** 2, axis=1)
-    nv = np.sum(np.abs(np.asarray(v, dtype=complex)) ** 2, axis=-1)
-    return np.clip(w2 / (nu * nv), 0.0, 1.0)
+    u, v = np.atleast_2d(np.asarray(u, dtype=complex)), np.asarray(v, dtype=complex)
+    return np.clip(wedge_norm_sq_batch(u, v) / (abs_sq_sum(u) * abs_sq_sum(v)), 0.0, 1.0)
 
 
 def geodesic_distance_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -231,7 +227,7 @@ def geodesic_distance_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def chart_mask(rows: np.ndarray, k: int) -> np.ndarray:
     """True for the rows (m, n+1) that chart k holds: |zeta_k|/|zeta| > CHART_FLOOR."""
-    return np.abs(rows[:, k]) / np.linalg.norm(rows, axis=1) > CHART_FLOOR
+    return np.abs(rows[:, k]) / row_norm(rows) > CHART_FLOOR
 
 
 def chart_project(rows: np.ndarray, k: int) -> np.ndarray:
@@ -255,9 +251,10 @@ def chart_lift(z: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def max_modulus_chart(coords: np.ndarray) -> int:
-    """Index of the component of largest modulus (first on ties)."""
-    return int(np.argmax(np.abs(coords)))
+def max_modulus_chart(coords: np.ndarray) -> np.ndarray:
+    """Index of the component of largest modulus (first on ties) of each
+    (..., n+1) row: one index for one vector, (...) indices for rows."""
+    return np.argmax(np.abs(coords), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .geometry import fs_potential, wedge_norm_sq_batch, wedge_ratio_sq_batch
+from .geometry import abs_sq_sum, fs_potential, wedge_norm_sq_batch, wedge_ratio_sq_batch
 
 
 def projective_log_kernel_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -31,11 +31,8 @@ def projective_log_kernel_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _affine_log_arg_batch(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(|z - w|^2 + |z ^ w|^2) / (1 + |w|^2), batched over rows of z."""
-    z = np.atleast_2d(np.asarray(z, dtype=complex))
-    w = np.asarray(w, dtype=complex)
-    diff = np.sum(np.abs(z - w) ** 2, axis=-1)
-    wedge = wedge_norm_sq_batch(z, w)
-    return (diff + wedge) / (1.0 + np.sum(np.abs(w) ** 2, axis=-1))
+    z, w = np.atleast_2d(np.asarray(z, dtype=complex)), np.asarray(w, dtype=complex)
+    return (abs_sq_sum(z - w) + wedge_norm_sq_batch(z, w)) / (1.0 + abs_sq_sum(w))
 
 
 def affine_log_kernel_batch(z: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from .geometry import (
     complex_from_json,
     json_real,
     json_records,
+    row_norm,
     row_sum,
 )
 
@@ -277,7 +278,7 @@ def _uniform_ball(seed: int, count: int, dim: int) -> np.ndarray:
 
     g = _sample_stream(seed, count, dim + 1, stream=Stream.RIESZ_BALL)
     direction = g[:, :dim]
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    direction /= row_norm(direction)[:, None]
     # push the last normal through the CDF for a uniform radius variate
     u = ndtr(g[:, dim])
     return direction * u[:, None] ** (1.0 / dim)
@@ -294,7 +295,7 @@ def _riesz_sum(points: np.ndarray, sites: np.ndarray, weights: np.ndarray,
     """
     total = np.zeros(points.shape[0])
     for blk in atom_blocks(sites.shape[0], *points.shape):
-        d = np.linalg.norm(points[:, None, :] - sites[None, blk, :], axis=2)
+        d = row_norm(points[:, None, :] - sites[None, blk, :])
         with np.errstate(divide="ignore"):
             total += np.sum(weights[None, blk] * d ** (-alpha), axis=1)
     return total
@@ -356,7 +357,7 @@ def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
 
     def stratum(g: np.ndarray, s: np.ndarray) -> np.ndarray:
         dirs = g[:, : 2 * n]
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs /= row_norm(dirs)[:, None]
         cdir = dirs[:, :n] + 1j * dirs[:, n:]
         # J in displacement form: the self term is exact in s, the other
         # atoms are evaluated at w1 + s * dir (fp collapse to w1 is fine)

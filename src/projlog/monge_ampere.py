@@ -478,7 +478,7 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
     eps_list = list(eps_list)
     for eps in eps_list:
         _check_eps(eps)
-    chart = max_modulus_chart(center.coords)
+    chart = int(max_modulus_chart(center.coords))
     c = chart_project(center.coords, chart)
     a0 = _chart_halfwidth(float(np.linalg.norm(c)), radii[-1])
     m = points_per_axis or (64 if n == 1 else 16)

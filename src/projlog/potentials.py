@@ -32,6 +32,7 @@ from .geometry import (
     chart_project,
     fs_gradient,
     fs_gradient_norm_sq,
+    max_modulus_chart,
     row_norm,
     row_sum,
     sample_fs_array,
@@ -46,7 +47,7 @@ def _chart_sites(points: np.ndarray, chart: int) -> np.ndarray:
     return chart_project(points[chart_mask(points, chart)], chart)
 
 
-def _nearest_site_distance(Z: np.ndarray, sites: np.ndarray) -> np.ndarray:
+def nearest_site_distance(Z: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Euclidean distance from each chart row of Z to its nearest site.
 
     The sites are taken in analytic.atom_blocks, so the difference array
@@ -68,7 +69,7 @@ def within_guard(Z: np.ndarray, sites: np.ndarray, h: float) -> np.ndarray:
     refuses such points, ball_mass_profile excises such cells and the
     Sobolev scan resamples such draws.
     """
-    return _nearest_site_distance(Z, sites) <= 10.0 * h
+    return nearest_site_distance(Z, sites) <= 10.0 * h
 
 
 @dataclass(frozen=True)
@@ -134,8 +135,7 @@ def affine_field(atoms: AffineAtoms, eps: float = 0.0) -> PotentialField:
     """Kernel sum of chart atoms (constant-eps smoothing when eps > 0)."""
     _check_eps(eps)
     lifted = np.insert(atoms.w, atoms.chart, 1.0, axis=1)
-    norms = np.linalg.norm(lifted, axis=1, keepdims=True)
-    return PotentialField(chart=atoms.chart, atoms_eta=lifted / norms,
+    return PotentialField(chart=atoms.chart, atoms_eta=lifted / row_norm(lifted)[:, None],
                           weights=atoms.weights.copy(), a=eps * eps)
 
 
@@ -194,7 +194,7 @@ def _gradient_norm_values(mu: AtomicMeasure, samples: np.ndarray, h: float, seed
     excised = 0
     fresh = np.ones(final.shape[0], dtype=bool)  # the draws left to guard
     while True:
-        charts = np.argmax(np.abs(final), axis=1)
+        charts = max_modulus_chart(final)
         rows = [np.flatnonzero(charts == k) for k in range(n + 1)]
         parts = [(idx, chart_project(final[idx], k)) for k, idx in enumerate(rows)]
         bad = np.zeros(final.shape[0], dtype=bool)
@@ -235,6 +235,8 @@ def sobolev_scan(mu: AtomicMeasure, p: float, seed: int, samples: int,
     if not 1 <= p < math.inf:
         raise ValidationError(f"p = {p!r} must be a finite real >= 1 (smaller p follows "
                               f"by concavity)")
+    if samples < 1:
+        raise ValidationError(f"samples = {samples} must be at least 1")
     parts = run_chunked(_sobolev_chunk, samples, chunk=65536, workers=workers,
                         payload=(mu, h, seed, start))
     excised = sum(e for _, e in parts)
@@ -280,7 +282,7 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
     w_self = mu.weights[atom_index]
     rest_pts = np.delete(mu.points, atom_index, axis=0)
     rest_w = np.delete(mu.weights, atom_index)
-    k = int(np.argmax(np.abs(eta)))
+    k = max_modulus_chart(eta)
     sqrt2 = math.sqrt(2.0)
 
     def stratum(g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -303,7 +305,7 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
                 - rest_w.sum() * fs_gradient(Z)
             # radial component: Riemannian inner product with the unit radial
             # field, computed as the directional derivative along the geodesic
-            radial = 2.0 * np.real(np.sum(fz * dchart, axis=1))
+            radial = 2.0 * row_sum(fz * dchart).real
             grad2 = self_mag**2 + 2.0 * self_mag * radial + fs_gradient_norm_sq(Z, fz)
         else:
             grad2 = self_mag**2

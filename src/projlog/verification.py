@@ -27,8 +27,8 @@ from .measures import AffineAtoms, build_measure, decompose, riesz_lp_scan, \
     riesz_refinement_scan, uniform_on
 from .monge_ampere import ball_mass_profile, complex_hessian_fd, \
     ma_product_expansion_check, ma_total_mass, smooth_wedge_density
-from .potentials import affine_field, log_potential_batch, sobolev_doubling, \
-    sobolev_refinement_scan
+from .potentials import affine_field, log_potential_batch, nearest_site_distance, \
+    sobolev_doubling, sobolev_refinement_scan
 
 
 @dataclass
@@ -92,8 +92,7 @@ def check_kernel_bounds(seed: int = 3):
     w = rng.standard_normal((pairs, 2)) + 1j * rng.standard_normal((pairs, 2))
     mid = affine_log_kernel_batch(z, w)
     with np.errstate(divide="ignore"):
-        lower = 0.5 * np.log(np.sum(np.abs(z - w) ** 2, axis=1)
-                             / (1.0 + np.sum(np.abs(w) ** 2, axis=1)))
+        lower = 0.5 * np.log(geometry.abs_sq_sum(z - w) / (1.0 + geometry.abs_sq_sum(w)))
     upper = geometry.fs_potential(z)
     ok = np.all(lower <= mid + 1e-12) and np.all(mid <= upper + 1e-12)
     margin_lo = float(np.min(mid - lower))
@@ -184,7 +183,7 @@ def check_mixed_discriminant_expansion(seed: int = 7):
                          w=rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)),
                          weights=w / w.sum())
         z = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        if float(np.min(np.linalg.norm(nu.w - z[None, :], axis=1))) < 0.5:
+        if nearest_site_distance(z[None], nu.w)[0] < 0.5:
             continue
         worst = max(worst, float(ma_product_expansion_check(nu, z[None]).relative[0]))
         done += 1
@@ -274,7 +273,7 @@ def check_smooth_wedge_density(seed: int = 11):
                          w=rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)),
                          weights=np.array([0.6, 0.4]))
         z = 2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        if float(np.min(np.linalg.norm(nu.w - z[None, :], axis=1))) < 0.4:
+        if nearest_site_distance(z[None], nu.w)[0] < 0.4:
             continue
         H_V = complex_hessian_fd(affine_field(nu), z, h=1e-3)
         H_rho = complex_hessian_fd(geometry.fs_potential, z, h=1e-3)

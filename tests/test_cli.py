@@ -462,6 +462,7 @@ def test_verify_unknown_check_key_exit_code(tmp_path, capsys):
     (["ball-profile", "--radii", "0"], 2, "radii"),
     (["ball-profile", "--radii", "0.5,abc"], 2, "--radii"),
     (["riesz", "--samples", "50", "--levels", "0"], 2, "levels = 0"),
+    (["riesz", "--samples", "50", "--levels", "400"], 2, "levels = 400"),
     (["ma-mass", "--grid", "16", "--eps", "0"], 2, "eps > 0"),
     (["ma-density", "--samples", "5", "--eps", "0.3,0.1"], 2, "--eps"),
     (["sobolev", "--samples", "50", "--seed", str(2**64)], 2, "--seed"),
@@ -485,7 +486,8 @@ def test_verify_unknown_check_key_exit_code(tmp_path, capsys):
     (["ball-profile", "--grid", "4", "--radii", "1,0.5", "--eps", "10", "--h", "1e-2"], 3,
      "grid self-check: FS volume off by 2.07%"),
 ], ids=["h-nan", "eps-nan", "eps-text", "p-nan", "p-below-1", "p-empty", "radius-negative",
-        "p-value-nan", "radii-zero", "radii-text", "levels-zero", "mass-eps-zero",
+        "p-value-nan", "radii-zero", "radii-text", "levels-zero", "levels-overflow",
+        "mass-eps-zero",
         "density-eps-list", "seed-2-to-64", "seed-negative", "p-inf", "p-value-inf",
         "radius-overflow", "mass-eps-square-overflow", "density-eps-square-overflow",
         "profile-eps-square-overflow", "profile-radius-underflow-huge-eps",
@@ -496,7 +498,8 @@ def test_verify_unknown_check_key_exit_code(tmp_path, capsys):
 def test_bad_numeric_option_exit_code(argv, code, named, tmp_path, measure_file, capsys):
     # the exit-3 rows, and the eps and radius rows, used to exit 0 with inf,
     # nan or 0 in the body, or 1 with a traceback; an eps whose square
-    # underflows used to integrate the unsmoothed field and exit 0
+    # underflows used to integrate the unsmoothed field and exit 0, and 400
+    # levels overflowed the depth schedule (exit 1 with a traceback)
     rc = main([argv[0], "--measure", str(measure_file), *argv[1:],
                "--output", str(tmp_path)])
     assert rc == code

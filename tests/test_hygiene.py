@@ -1,6 +1,6 @@
 """Source hygiene: no unused imports, no library code that only tests call,
 no class member that only tests use, no defaulted parameter that no call
-sets, and a light import of the package."""
+sets, no row reduction outside geometry, and a light import of the package."""
 
 import ast
 import os
@@ -216,6 +216,51 @@ def test_every_default_is_set_by_some_call():
     callers = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")) \
         + sorted(TESTS.glob("*.py"))
     assert unset_defaults(SRC, callers) == []
+
+
+def _is_int(node: ast.AST) -> bool:
+    try:
+        return type(ast.literal_eval(node)) is int
+    except ValueError:
+        return False
+
+
+def _squares(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+               and ast.unparse(n.right) == "2" for n in ast.walk(node))
+
+
+def row_reductions(path: Path) -> list[str]:
+    """np.linalg.norm calls with an integer axis, and np.sum calls whose
+    first argument squares (** 2): sums over the coordinates of a row, which
+    belong to geometry's row_sum, abs_sq_sum and row_norm."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        axes = node.args[2:3] + [kw.value for kw in node.keywords if kw.arg == "axis"]
+        if name == "np.linalg.norm" and any(map(_is_int, axes)) \
+                or name == "np.sum" and node.args and _squares(node.args[0]):
+            hits.append(f"{path.name}:{node.lineno} {name}")
+    return hits
+
+
+def test_scanner_flags_a_row_reduction(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n\n"
+                     "a = np.linalg.norm(x, axis=1)\n"
+                     "b = np.linalg.norm(x, None, -1)\n"
+                     "c = np.sum(x.real ** 2 + x.imag ** 2, axis=1)\n"
+                     "d = np.linalg.norm(h, axis=(1, 2)) + np.linalg.norm(x)\n"
+                     "e = np.sum(w * x ** (-alpha), axis=1) + np.sum(x ** 3) + np.sum(x)\n")
+    assert row_reductions(probe) == ["probe.py:3 np.linalg.norm", "probe.py:4 np.linalg.norm",
+                                     "probe.py:5 np.sum"]
+
+
+def test_no_row_reductions_outside_geometry():
+    assert [hit for path in sorted(SRC.glob("*.py")) if path.name != "geometry.py"
+            for hit in row_reductions(path)] == []
 
 
 def test_package_import_does_not_load_scipy_submodules():

@@ -295,6 +295,14 @@ def test_sobolev_scan_rejects_small_p():
         pl.sobolev_scan(mu, p=0.5, seed=1, samples=100)
 
 
+def test_sobolev_scans_reject_no_samples():
+    # both used to raise numpy's bare ValueError from concatenating no chunks
+    mu = pl.dirac(pl.normalize([1, 0]))
+    for scan in (pl.sobolev_scan, pl.sobolev_doubling):
+        with pytest.raises(ValidationError, match="samples = 0"):
+            scan(mu, p=1.0, seed=1, samples=0)
+
+
 def test_sobolev_scan_guard_that_rejects_every_draw_raises():
     # at h = 1 the 10h guard covers both charts around the two atoms, and
     # the resampling used to loop forever
@@ -317,12 +325,12 @@ def test_excision_blocked_over_atoms_matches_one_block(monkeypatch):
     Z = rng.standard_normal((400, 2)) + 1j * rng.standard_normal((400, 2))
     sites = rng.standard_normal((90, 2)) + 1j * rng.standard_normal((90, 2))
     direct = np.min(np.linalg.norm(Z[:, None, :] - sites[None, :, :], axis=2), axis=1)
-    assert potentials._nearest_site_distance(Z, sites).tobytes() == direct.tobytes()
+    assert potentials.nearest_site_distance(Z, sites).tobytes() == direct.tobytes()
 
     mu = random_measure(2, 40, seed=59)
     whole = pl.sobolev_scan(mu, p=1.0, seed=61, samples=3_000, h=2e-2, workers=1)
     monkeypatch.setattr(analytic, "_BLOCK_ENTRIES", 1)
-    assert potentials._nearest_site_distance(Z, sites).tobytes() == direct.tobytes()
+    assert potentials.nearest_site_distance(Z, sites).tobytes() == direct.tobytes()
     blocked = pl.sobolev_scan(mu, p=1.0, seed=61, samples=3_000, h=2e-2, workers=1)
     assert whole.excised > 0
     assert (blocked.estimate, blocked.excised) == (whole.estimate, whole.excised)
