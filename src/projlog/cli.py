@@ -152,13 +152,12 @@ def cmd_sobolev(args) -> int:
     mu = _load_measure(args.measure)
     rows = []
     for p in args.p:
-        first, doubled = sobolev_doubling(mu, p, args.seed, args.samples,
-                                          h=args.h, workers=args.workers)
+        first, doubled = sobolev_doubling(mu, p, args.seed, args.samples, workers=args.workers)
         drift = abs(doubled.estimate - first.estimate) / max(first.estimate, 1e-300)
         rows.append((p, first.estimate, first.std_error, doubled.estimate, drift,
-                     first.analytic_bound, doubled.excised))
+                     first.analytic_bound))
     _write(args, ["p", "estimate", "std_error", "estimate_doubled", "doubling_drift",
-                  "analytic_bound", "excised"], rows)
+                  "analytic_bound"], rows)
     return EXIT_OK
 
 
@@ -319,9 +318,8 @@ OPTIONS = {
     "n": dict(type=_checked(int, "a positive integer", lambda v: v > 0), default=1),
     "h": dict(type=_checked(float, "a finite positive real", lambda v: 0 < v < math.inf),
               default=1e-4,
-              help="singular-guard length: points within 10h of an atom are excised "
-                   "or refused; ma-density and ball-profile use it only where an "
-                   "--eps value is 0"),
+              help="singular-guard length where an --eps value is 0: ma-density "
+                   "refuses and ball-profile excises points within 10h of an atom"),
 }
 
 
@@ -360,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
             "measure", "seed", "samples")
     command("measure", cmd_measure, "validate and decompose a measure", "measure")
     command("sobolev", cmd_sobolev, "gradient p-norm scan with doubling",
-            "measure", "seed", "samples", "h", extra={
+            "measure", "seed", "samples", extra={
                 "p": dict(type=_checked(_reals, "comma-separated reals", bool),
                           default="1.0", help="comma-separated p values")})
     command("riesz", cmd_riesz, "Riesz potential L^p scan and refinement",

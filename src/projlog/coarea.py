@@ -154,12 +154,17 @@ def log_radial_levels(stratum, levels: int, power: float, r0: float, seed: int,
     slice; every Philox block is drawn once per level.  A level has at most
     60 strata, so its draw holds at most 60 * samples * (width + 1) floats:
     60 strata of 2048 samples at width + 1 = 7 (n = 2) come to about 6.9 MB.
-    levels must be at least 1, with DEPTH_FACTOR^(levels - 1) finite.
+    levels and samples (the scans' samples_per_stratum) must be at least 1,
+    with DEPTH_FACTOR^(levels - 1) finite, and r0 positive and finite.
     numpy's overflow and invalid-value warnings are off inside a level; a
     level whose estimate is not finite raises NonConvergent.
     """
     if levels < 1:
         raise ValidationError(f"levels = {levels} must be at least 1")
+    if samples < 1:
+        raise ValidationError(f"samples_per_stratum = {samples} must be at least 1")
+    if not 0 < r0 < math.inf:
+        raise ValidationError(f"r0 = {r0!r} must be positive and finite")
     from scipy.special import ndtr
 
     deepest = min(60.0, 280.0 / max(power, 1.0))

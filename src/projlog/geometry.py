@@ -343,12 +343,11 @@ def fs_ball_volume(n: int, r) -> np.ndarray | float:
 class Stream(IntEnum):
     """The Philox stream of each sampler, the high 32 bits of its key's
     second word (stream * 2^32 + block); distinct, so that no two samplers
-    share draws under one seed."""
+    share draws under one seed, and fixed, since renumbering moves every draw."""
 
     FS = 0                  # FS-uniform samples
     RIESZ_BALL = 1          # uniform ball draws of the Riesz scan
     RIESZ_REFINEMENT = 2    # the Riesz near-atom refinement
-    SOBOLEV_RESERVE = 3     # replacements for the Sobolev scan's excised draws
     SOBOLEV_REFINEMENT = 4  # the Sobolev near-atom refinement
 
 
@@ -377,8 +376,7 @@ def _sample_stream(seed: int, count: int, width: int, start: int = 0,
     return out
 
 
-def sample_fs_array(seed: int, count: int, n: int, start: int = 0,
-                    stream: int = Stream.FS) -> np.ndarray:
+def sample_fs_array(seed: int, count: int, n: int, start: int = 0) -> np.ndarray:
     """(count, n+1) canonical points, FS-uniform (normalized complex Gaussians).
 
     Normalizing a standard complex Gaussian in C^(n+1) gives the unique
@@ -387,7 +385,7 @@ def sample_fs_array(seed: int, count: int, n: int, start: int = 0,
     """
     if count <= 0:
         return np.empty((0, n + 1), dtype=complex)
-    g = _sample_stream(seed, count, 2 * (n + 1), start=start, stream=stream)
+    g = _sample_stream(seed, count, 2 * (n + 1), start=start)
     vecs = g[:, : n + 1] + 1j * g[:, n + 1:]
     return canonicalize_batch(vecs)
 

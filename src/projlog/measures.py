@@ -321,6 +321,8 @@ def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, radius: float,
         raise ValidationError(f"p = {p!r} must be a finite real > 0")
     if not 0 < radius < math.inf:
         raise ValidationError(f"radius = {radius!r} must be positive and finite")
+    if samples < 1:
+        raise ValidationError(f"samples = {samples} must be at least 1")
     n = atoms.n
     dim = 2 * n
     try:
@@ -348,6 +350,8 @@ def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
     blows up like |z - w|^(-alpha p), the power that sets the deepest decade.
     """
     _check_alpha(alpha, atoms.n)
+    if not 0 <= atom_index < atoms.num_atoms:
+        raise ValidationError(f"atom_index = {atom_index} outside 0..{atoms.num_atoms - 1}")
     n = atoms.n
     w1 = atoms.w[atom_index]
     others = np.delete(atoms.w, atom_index, axis=0) - w1[None, :]

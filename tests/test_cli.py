@@ -291,8 +291,10 @@ def test_each_option_only_where_it_is_read(tmp_path, measure_file, capsys):
     assert main(["measure", "--measure", str(measure_file), "--samples", "5", "--grid", "7",
                  "--chart", "3", *out]) == 2
     assert "--samples" in capsys.readouterr().err
+    # sobolev keeps every draw, so it has no --h (it used to)
     assert main(["sobolev", "--measure", str(measure_file), "--samples", "200",
-                 "--h", "0.001", *out]) == 0
+                 "--h", "0.001", *out]) == 2
+    assert "unrecognized arguments: --h" in capsys.readouterr().err
     assert main(["ma-density", "--measure", str(measure_file), "--samples", "5",
                  "--h", "0.001", *out]) == 0
     assert main(["ball-profile", "--measure", str(measure_file), "--radii", "1.0",
@@ -418,7 +420,7 @@ def test_every_header_records_each_declared_option(tmp_path, measure_file):
 
 @pytest.mark.parametrize("command, option, value", [
     ("sample", "--seed", "x"), ("sample", "--samples", "x"), ("ma-mass", "--grid", "x"),
-    ("riesz", "--chart", "x"), ("constants", "--n", "x"), ("sobolev", "--h", "x"),
+    ("riesz", "--chart", "x"), ("constants", "--n", "x"), ("ma-density", "--h", "x"),
     ("riesz", "--alpha", "x"), ("riesz", "--p-value", "x"), ("riesz", "--radius", "x"),
     ("riesz", "--levels", "1.5"), ("measure", "--workers", "x"),
 ])
@@ -682,7 +684,7 @@ OPTION_VALUES = {
 }
 NUMERIC_OPTIONS = {
     "potential": ("seed", "samples"),
-    "sobolev": ("seed", "samples", "h", "p"),
+    "sobolev": ("seed", "samples", "p"),
     "riesz": ("seed", "samples", "chart", "alpha", "p-value", "radius", "levels"),
     "ma-density": ("seed", "samples", "eps", "chart", "h"),
     "ma-mass": ("grid", "eps"),
@@ -722,14 +724,14 @@ def invocations(command):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@example(call=("sobolev", {"seed": str(2**64), "samples": "3", "h": "1e-4", "p": "1"}),
+@example(call=("sobolev", {"seed": str(2**64), "samples": "3", "p": "1"}),
          workers=None)
-@example(call=("sobolev", {"seed": "0", "samples": "3", "h": "1e-4", "p": "inf"}), workers=None)
+@example(call=("sobolev", {"seed": "0", "samples": "3", "p": "inf"}), workers=None)
 @example(call=("riesz", {"seed": "0", "samples": "3", "chart": "0", "alpha": "1",
                          "p-value": "inf", "radius": "1", "levels": "1"}), workers="2")
 @example(call=("riesz", {"seed": "0", "samples": "3", "chart": "0", "alpha": "1",
                          "p-value": "1", "radius": "1e200", "levels": "1"}), workers=None)
-@example(call=("sobolev", {"seed": "0", "samples": "200", "h": "1e-4", "p": "1000"}),
+@example(call=("sobolev", {"seed": "0", "samples": "200", "p": "1000"}),
          workers=None)
 @example(call=("riesz", {"seed": "0", "samples": "1000", "chart": "0", "alpha": "1.9999999",
                          "p-value": "1e300", "radius": "1", "levels": "3"}), workers=None)

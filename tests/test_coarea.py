@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     wallis_sin_power_integral,
 )
 from projlog import measures, potentials
+from projlog.errors import ValidationError
 from projlog.geometry import _CHUNK, Stream, _sample_stream
 
 SQRT2 = math.sqrt(2.0)
@@ -120,3 +122,35 @@ def test_refinement_scans_equal_the_per_stratum_draws(n, samples, monkeypatch):
     monkeypatch.setattr(potentials, "log_radial_levels", log_radial_levels_per_stratum)
     monkeypatch.setattr(measures, "log_radial_levels", log_radial_levels_per_stratum)
     assert got == scans()
+
+
+DIRAC = pl.dirac(pl.normalize([1, 0]))
+DIRAC_ATOMS = pl.AffineAtoms.from_measure(DIRAC, 0)
+
+
+@pytest.mark.parametrize("scan, name", [
+    # the first used to warn, then raise NonConvergent; the second raised
+    # numpy's bare ValueError
+    (lambda: measures.riesz_lp_scan(DIRAC_ATOMS, 1.0, 1.0, 1.0, 0, samples=0), "samples = 0"),
+    (lambda: measures.riesz_lp_scan(DIRAC_ATOMS, 1.0, 1.0, 1.0, 0, samples=-3), "samples = -3"),
+    # both used to raise NonConvergent from a level of no draws
+    (lambda: potentials.sobolev_refinement_scan(DIRAC, 1.0, 0, 2, 0, samples_per_stratum=0),
+     "samples_per_stratum = 0"),
+    (lambda: measures.riesz_refinement_scan(DIRAC_ATOMS, 1.0, 1.5, 0, 0.5, 2, 0,
+                                            samples_per_stratum=0), "samples_per_stratum = 0"),
+    # used to return [-4.98, -4.98], a negative integral of a positive integrand
+    (lambda: measures.riesz_refinement_scan(DIRAC_ATOMS, 1.0, 1.5, 0, -1.0, 2, 0), "r0 = -1"),
+    # these used to raise IndexError, or to pick the last atom
+    (lambda: potentials.sobolev_refinement_scan(DIRAC, 1.0, 1, 2, 0), "atom_index = 1"),
+    (lambda: potentials.sobolev_refinement_scan(DIRAC, 1.0, -1, 2, 0), "atom_index = -1"),
+    (lambda: measures.riesz_refinement_scan(DIRAC_ATOMS, 1.0, 1.5, 1, 0.5, 2, 0),
+     "atom_index = 1"),
+], ids=["lp-no-samples", "lp-negative-samples", "sobolev-refinement-no-samples",
+        "riesz-refinement-no-samples", "riesz-refinement-negative-r0",
+        "sobolev-refinement-atom-index", "sobolev-refinement-negative-atom-index",
+        "riesz-refinement-atom-index"])
+def test_scans_name_the_argument_they_reject(scan, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=name):
+            scan()

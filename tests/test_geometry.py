@@ -10,6 +10,7 @@ from oracles import fs_metric, fs_metric_inverse, to_chart
 from projlog.errors import ValidationError
 from projlog.geometry import (
     Stream,
+    _sample_stream,
     abs_sq_sum,
     canonicalize_batch,
     chart_lift,
@@ -326,11 +327,11 @@ def test_sampler_streams_are_distinct():
     # each sampler draws from its own Philox stream; an alias would make two
     # of them share draws under one seed
     values = [stream.value for stream in Stream.__members__.values()]
-    assert len(set(values)) == len(values) == 5
-    np.testing.assert_array_equal(sample_fs_array(42, 10, 2),
-                                  sample_fs_array(42, 10, 2, stream=Stream.FS))
-    assert not np.allclose(sample_fs_array(42, 10, 2),
-                           sample_fs_array(42, 10, 2, stream=Stream.SOBOLEV_RESERVE))
+    assert len(set(values)) == len(values) == 4
+    np.testing.assert_array_equal(_sample_stream(42, 10, 6),
+                                  _sample_stream(42, 10, 6, stream=Stream.FS))
+    assert not np.allclose(_sample_stream(42, 10, 6),
+                           _sample_stream(42, 10, 6, stream=Stream.SOBOLEV_REFINEMENT))
 
 
 def test_sampler_mean_distance_matches_coarea():

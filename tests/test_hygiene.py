@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports, no library code that only tests call,
 no class member that only tests use, no defaulted parameter that no call
-sets, no row reduction outside geometry, and a light import of the package."""
+sets, no row reduction outside geometry, no sampler stream that no draw
+uses, and a light import of the package."""
 
 import ast
 import os
@@ -261,6 +262,32 @@ def test_scanner_flags_a_row_reduction(tmp_path):
 def test_no_row_reductions_outside_geometry():
     assert [hit for path in sorted(SRC.glob("*.py")) if path.name != "geometry.py"
             for hit in row_reductions(path)] == []
+
+
+def unused_streams(package: Path) -> list[str]:
+    """Members of geometry's Stream enum that no module of the package names
+    as Stream.<member>: a sampler stream that no draw reads."""
+    trees = _trees(sorted(package.glob("*.py")))
+    members = [target.id for path, tree in trees if path.name == "geometry.py"
+               for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Stream"
+               for item in cls.body if isinstance(item, ast.Assign) for target in item.targets]
+    named = {node.attr for _, tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "Stream"}
+    return [member for member in members if member not in named]
+
+
+def test_scanner_flags_an_unused_stream(tmp_path):
+    (tmp_path / "geometry.py").write_text(
+        "from enum import IntEnum\n\n\nclass Stream(IntEnum):\n"
+        "    \"\"\"Streams.\"\"\"\n\n    A = 0\n    B = 1\n\n\n"
+        "def draw(stream=Stream.A):\n    return stream\n")
+    assert unused_streams(tmp_path) == ["B"]
+    (tmp_path / "user.py").write_text("from geometry import Stream, draw\n\ndraw(Stream.B)\n")
+    assert unused_streams(tmp_path) == []
+
+
+def test_every_sampler_stream_is_drawn():
+    assert unused_streams(SRC) == []
 
 
 def test_package_import_does_not_load_scipy_submodules():

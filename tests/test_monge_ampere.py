@@ -367,8 +367,8 @@ def test_ma_density_fs_symmetric_is_one():
 
 
 def test_singular_guard_is_inclusive_at_10h():
-    # one rule for "within 10h of an atom": ma_density refuses, the ball
-    # profile excises and the Sobolev scan resamples what within_guard flags
+    # one rule for "within 10h of an atom": ma_density refuses and the ball
+    # profile excises what within_guard flags
     sites = np.zeros((1, 1), dtype=complex)
     Z = np.array([[5.0], [5.0 + 1e-12], [-5.0j]])
     assert within_guard(Z, sites, 0.5).tolist() == [True, False, True]
