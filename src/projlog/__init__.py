@@ -50,7 +50,6 @@ from .measures import (
 from .monge_ampere import (
     MassReport,
     ball_mass_profile,
-    complex_hessian_fd,
     ma_density,
     ma_product_expansion_check,
     ma_total_mass,

@@ -12,12 +12,11 @@ Hermitian quadratic polynomial of z with constant complex Hessian
 
 and holomorphic gradient (conj(M) @ eta) restricted to the lifted slots.
 For eta the canonical representative of an atom with chart coordinates w,
-Ptilde(z) = (|z - w|^2 + |z ^ w|^2) / (1 + |w|^2), so
-
-* (a, b) = (0, 0)      gives the chart kernel N(., w),
-* (a, b) = (eps^2, 0)  gives the constant-eps smoothing N_eps,
-* (a, b) = (0, eps^2)  gives the chart lift of the globally smoothed
-                       projective kernel.
+Ptilde(z) = (|z - w|^2 + |z ^ w|^2) / (1 + |w|^2), so b = 0 gives the
+chart kernel N(., w) and b = eps^2 the chart lift of the globally smoothed
+projective kernel.  The field functions take b only and pass a = 0 to
+quad_form_batch, whose constant a stays because the benchmark's own test
+calls the kernel with five positional arguments.
 
 rho = (1/2) log(1 + |z|^2) is the Ptilde = 0 member with (a, b) = (0, 1).
 Its closed forms live in geometry (fs_potential, fs_gradient, fs_hessian),
@@ -42,9 +41,9 @@ m = 1 it sums the (k, 1) atom column pairwise, so the last bits can differ.
 
 This module is the library's one derivative engine for atoms: every
 production gradient, Hessian and Monge-Ampere density of a field with atoms
-is computed from these closed forms.  The finite-difference Hessian in
-monge_ampere is kept only as the independent oracle that `verify` compares
-against.
+is computed from these closed forms.  monge_ampere.hessian_fd_batch, the
+one finite-difference Hessian, is kept only as the independent oracle that
+`verify` compares against.
 """
 
 from __future__ import annotations
@@ -77,6 +76,8 @@ def quad_form_batch(Z: np.ndarray, eta: np.ndarray, chart: int, a: float, b: flo
     Z : (m, n) complex points in the chart
     eta : (k, n+1) stack of homogeneous atom vectors (one (n+1,) vector is
           a stack of one)
+    a : 0 from every field function; only perfbench/test_perfbench.py's
+        five-positional call sets it
     returns (T (m, k), Tz (m, k, n), Thess (k, n, n))
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
@@ -138,12 +139,12 @@ def _field_blocks(Z, atoms_eta, weights):
     return Z, E, w, atom_blocks(E.shape[0], Z.shape[0], Z.shape[1] + 1)
 
 
-def field_value_batch(Z, atoms_eta, weights, chart, a=0.0, b=0.0):
+def field_value_batch(Z, atoms_eta, weights, chart, b=0.0):
     """Sum of w_i (1/2) log T_i at rows of Z."""
     Z, E, w, blocks = _field_blocks(Z, atoms_eta, weights)
     out = np.zeros(Z.shape[0])
     for blk in blocks:
-        T, _, _ = quad_form_batch(Z, E[blk], chart, a, b)
+        T, _, _ = quad_form_batch(Z, E[blk], chart, 0.0, b)
         with np.errstate(divide="ignore"):
             terms = np.log(T.T)                                   # (k, m)
         terms *= 0.5 * w[blk]
@@ -151,12 +152,12 @@ def field_value_batch(Z, atoms_eta, weights, chart, a=0.0, b=0.0):
     return out
 
 
-def field_gradient_batch(Z, atoms_eta, weights, chart, a=0.0, b=0.0):
+def field_gradient_batch(Z, atoms_eta, weights, chart, b=0.0):
     """Holomorphic gradient (m, n) of the weighted field."""
     Z, E, w, blocks = _field_blocks(Z, atoms_eta, weights)
     out = np.zeros(Z.shape, dtype=complex)
     for blk in blocks:
-        T, Tz, _ = quad_form_batch(Z, E[blk], chart, a, b)
+        T, Tz, _ = quad_form_batch(Z, E[blk], chart, 0.0, b)
         r = w[blk] / (2.0 * T.T)                                  # (k, m)
         terms = np.empty(r.shape, dtype=complex)
         for c, Tz_c in enumerate(Tz.transpose(2, 1, 0)):
@@ -164,7 +165,7 @@ def field_gradient_batch(Z, atoms_eta, weights, chart, a=0.0, b=0.0):
     return out
 
 
-def field_hessian_batch(Z, atoms_eta, weights, chart, a=0.0, b=0.0):
+def field_hessian_batch(Z, atoms_eta, weights, chart, b=0.0):
     """Complex Hessian (m, n, n) of the weighted field.
 
     Each upper-triangle entry sums w (Thess / (2T) - Tz Tz^H / (2T^2)) over
@@ -176,7 +177,7 @@ def field_hessian_batch(Z, atoms_eta, weights, chart, a=0.0, b=0.0):
     upper = list(zip(*np.triu_indices(n)))
     out = np.zeros((m, n, n), dtype=complex)
     for blk in blocks:
-        T, Tz, Thess = quad_form_batch(Z, E[blk], chart, a, b)
+        T, Tz, Thess = quad_form_batch(Z, E[blk], chart, 0.0, b)
         T, Tz = T.T, Tz.transpose(2, 1, 0)                        # (k, m), (n, k, m)
         r = w[blk] / (2.0 * T)
         q = r / T

@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.error = _usage_error
         p.add_argument("--output", default="projlog-out")
         p.add_argument("--workers", type=int, default=None)
-        group = p.add_mutually_exclusive_group()
+        group = p.add_mutually_exclusive_group() if exclusive else None
         rows = [(opt, OPTIONS[opt]) for opt in shared] + list((extra or {}).items())
         p.set_defaults(fn=fn, recorded=[
             (group if opt in exclusive else p).add_argument(f"--{opt}", **row).dest

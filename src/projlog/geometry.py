@@ -106,10 +106,6 @@ class HomogeneousPoint:
 
     coords: np.ndarray
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, HomogeneousPoint) and self.coords.shape == other.coords.shape
-                and bool(np.max(np.abs(self.coords - other.coords)) <= CANONICAL_TOL))
-
 
 def normalize(raw) -> HomogeneousPoint:
     """Canonical representative of [raw]; scale invariant, raises ValidationError

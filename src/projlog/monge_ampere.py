@@ -78,7 +78,7 @@ def hessian_fd_batch(fieldfn, Z: np.ndarray, h: float):
     """FD complex Hessians at rows of Z: returns (H (m,n,n), finite (m,)).
 
     fieldfn must accept an (M, n) batch and return (M,) real values.
-    O(h^2) accurate on smooth fields.
+    O(h^2) accurate on smooth fields; each H is Hermitian by construction.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     m, n = Z.shape
@@ -105,19 +105,6 @@ def hessian_fd_batch(fieldfn, Z: np.ndarray, h: float):
         H[:, j, k] = 0.25 * ((Pxx + Pyy) + 1j * (Pxy - Pyx))
         H[:, k, j] = np.conj(H[:, j, k])
     return H, finite
-
-
-def complex_hessian_fd(fieldfn, z, h: float = 1e-3) -> np.ndarray:
-    """FD complex Hessian (n, n) at a single point; SingularStencil on -inf values.
-
-    Hermitian by stencil symmetry: the (k, j) entry is the conjugate of the
-    (j, k) entry assembled from the same real mixed partials.
-    """
-    z = np.asarray(z, dtype=complex)
-    H, finite = hessian_fd_batch(fieldfn, z[None, :], h)
-    if not finite[0]:
-        raise SingularStencil(f"field is singular on the Hessian stencil at {z}")
-    return H[0]
 
 
 # ---------------------------------------------------------------------------

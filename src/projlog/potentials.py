@@ -11,8 +11,9 @@ its chart representative lifts to the plurisubharmonic function
 and the globally smoothed version replaces Ptilde by
 Ptilde + eps^2 (1 + |z|^2), which is again plurisubharmonic (a smooth max
 of psh logs) and keeps total Monge-Ampere mass 1 on P^n for every eps > 0.
-The affine potential of atoms in a chart is the kernel sum with the
-constant-eps smoothing instead.  Every PotentialField has atoms; rho's own
+That is the one smoothing: the affine potential of atoms in a chart is the
+unsmoothed kernel sum, and analytic.quad_form_batch keeps its constant a
+only for the benchmark's test.  Every PotentialField has atoms; rho's own
 closed forms are geometry.fs_potential, fs_gradient and fs_hessian.
 """
 
@@ -71,39 +72,34 @@ def within_guard(Z: np.ndarray, sites: np.ndarray, h: float) -> np.ndarray:
 class PotentialField:
     """Evaluatable scalar field on a chart of P^n (or on C^n).
 
-    The field is sum_i w_i (1/2) log(Ptilde_i + a + b (1 + |z|^2)) over its
+    The field is sum_i w_i (1/2) log(Ptilde_i + b (1 + |z|^2)) over its
     atoms (see analytic): psh_lift gives the chart representative of
     U_mu + rho, optionally globally smoothed (b = eps^2), and affine_field
-    the kernel sum of chart atoms, optionally constant-eps smoothed
-    (a = eps^2).  rho itself has no atoms; its closed forms are
-    geometry.fs_potential, fs_gradient and fs_hessian.  Evaluation is
-    deterministic and vectorized over rows.
+    the unsmoothed kernel sum of chart atoms.  rho itself has no atoms; its
+    closed forms are geometry.fs_potential, fs_gradient and fs_hessian.
+    Evaluation is deterministic and vectorized over rows.
     """
 
     chart: int
     atoms_eta: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    a: float = 0.0
     b: float = 0.0
 
     def __call__(self, Z) -> np.ndarray:
         """Values (m,) at the chart rows Z (m, n)."""
-        return analytic.field_value_batch(Z, self.atoms_eta, self.weights,
-                                          self.chart, self.a, self.b)
+        return analytic.field_value_batch(Z, self.atoms_eta, self.weights, self.chart, self.b)
 
     def holomorphic_gradient(self, Z) -> np.ndarray:
         """Closed-form dphi/dz (m, n) at the chart rows Z (m, n)."""
-        return analytic.field_gradient_batch(Z, self.atoms_eta, self.weights,
-                                             self.chart, self.a, self.b)
+        return analytic.field_gradient_batch(Z, self.atoms_eta, self.weights, self.chart, self.b)
 
     def complex_hessian(self, Z) -> np.ndarray:
         """Closed-form complex Hessian (m, n, n) at the chart rows Z (m, n)."""
-        return analytic.field_hessian_batch(Z, self.atoms_eta, self.weights,
-                                            self.chart, self.a, self.b)
+        return analytic.field_hessian_batch(Z, self.atoms_eta, self.weights, self.chart, self.b)
 
     def singular_sites(self) -> np.ndarray:
         """Chart coordinates where the unsmoothed field is -inf, shape (k, n)."""
-        if self.a > 0.0 or self.b > 0.0:
+        if self.b > 0.0:
             return np.empty((0, self.atoms_eta.shape[1] - 1), dtype=complex)
         return chart_project(self.atoms_eta[chart_mask(self.atoms_eta, self.chart)], self.chart)
 
@@ -126,12 +122,11 @@ def psh_lift(mu: AtomicMeasure, chart: int, eps: float = 0.0) -> PotentialField:
                           weights=mu.weights.copy(), b=eps * eps)
 
 
-def affine_field(atoms: AffineAtoms, eps: float = 0.0) -> PotentialField:
-    """Kernel sum of chart atoms (constant-eps smoothing when eps > 0)."""
-    _check_eps(eps)
+def affine_field(atoms: AffineAtoms) -> PotentialField:
+    """Kernel sum of chart atoms."""
     lifted = np.insert(atoms.w, atoms.chart, 1.0, axis=1)
     return PotentialField(chart=atoms.chart, atoms_eta=lifted / row_norm(lifted)[:, None],
-                          weights=atoms.weights.copy(), a=eps * eps)
+                          weights=atoms.weights.copy())
 
 
 # ---------------------------------------------------------------------------

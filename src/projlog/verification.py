@@ -19,13 +19,13 @@ import numpy as np
 
 from . import geometry, measures
 from .coarea import mc_estimate, mean_log_kernel, sobolev_bound
-from .errors import ValidationError
+from .errors import SingularStencil, ValidationError
 from .geometry import geodesic_distance_batch, sample_fs_array
 from .kernels import affine_log_kernel_batch, chart_identity_residual_batch, \
     projective_log_kernel_batch, sin_distance_residual_batch
 from .measures import AffineAtoms, build_measure, decompose, riesz_lp_scan, \
     riesz_refinement_scan, uniform_on
-from .monge_ampere import ball_mass_profile, complex_hessian_fd, \
+from .monge_ampere import ball_mass_profile, hessian_fd_batch, \
     ma_product_expansion_check, ma_total_mass, smooth_wedge_density
 from .potentials import affine_field, log_potential_batch, nearest_site_distance, \
     sobolev_doubling, sobolev_refinement_scan
@@ -221,8 +221,7 @@ def check_dirac_concentration(seed: int = 9):
     fixed_masses = []
     for eps in eps_list:
         radii = sorted({10 * eps, r_fixed})
-        rep = ball_mass_profile(mu, center, radii, h=1e-4, eps_list=[eps],
-                                points_per_axis=64)[0]
+        rep = ball_mass_profile(mu, center, radii, eps_list=[eps], points_per_axis=64)[0]
         masses = dict(rep.ball_profile)
         own_masses.append(min(masses[10 * eps], 1.0))
         fixed_masses.append(masses[r_fixed])
@@ -243,14 +242,14 @@ def check_absolute_continuity_dichotomy(seed: int = 23):
     for N in (4, 16, 64):
         muN = uniform_on(sample_fs_array(seed, N, n))
         center = muN.point(0)
-        rep = ball_mass_profile(muN, center, [10 * eps], h=2e-4,
-                                eps_list=[eps], points_per_axis=16)[0]
+        rep = ball_mass_profile(muN, center, [10 * eps], eps_list=[eps],
+                                points_per_axis=16)[0]
         ratio = rep.total_mass * N**n
         ok &= 0.5 <= ratio <= 2.0
         parts.append(f"N={N}: m*N^2 = {ratio:.2f}")
     eta = geometry.normalize([1.0, 0.3, -0.2j])
-    rep = ball_mass_profile(measures.dirac(eta), eta, [10 * eps], h=2e-4,
-                            eps_list=[eps], points_per_axis=16)[0]
+    rep = ball_mass_profile(measures.dirac(eta), eta, [10 * eps], eps_list=[eps],
+                            points_per_axis=16)[0]
     ok &= rep.total_mass >= 0.9
     parts.append(f"delta: m(B(10eps)) = {rep.total_mass:.3f} >= 0.9")
     return ("absolute-continuity dichotomy", ok,
@@ -275,10 +274,12 @@ def check_smooth_wedge_density(seed: int = 11):
         z = 2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         if nearest_site_distance(z[None], nu.w)[0] < 0.4:
             continue
-        H_V = complex_hessian_fd(affine_field(nu), z, h=1e-3)
-        H_rho = complex_hessian_fd(geometry.fs_potential, z, h=1e-3)
+        H_V, fin_V = hessian_fd_batch(affine_field(nu), z[None], 1e-3)
+        H_rho, fin_rho = hessian_fd_batch(geometry.fs_potential, z[None], 1e-3)
+        if not (fin_V[0] and fin_rho[0]):
+            raise SingularStencil(f"field is singular on the Hessian stencil at {z}")
         ss = np.linspace(0.5, 1.5, n + 1)
-        dets = [float(np.linalg.det(s * H_V + H_rho).real) for s in ss]
+        dets = [float(np.linalg.det(s * H_V[0] + H_rho[0]).real) for s in ss]
         coeffs = np.polyfit(ss, dets, n)[::-1]
         for m in (0, 1, 2):
             val = smooth_wedge_density(nu, m, z[None])[0]

@@ -57,8 +57,7 @@ def fields_to_check():
     return [
         pl.psh_lift(mu, 0, eps=0.25),
         pl.psh_lift(mu, 1, eps=0.1),
-        pl.affine_field(aff, eps=0.0),
-        pl.affine_field(aff, eps=0.3),
+        pl.affine_field(aff),
     ]
 
 
@@ -127,11 +126,11 @@ def test_quad_form_matches_kernel_values():
 # the atom-stacked kernel against the per-atom minor-tensor form
 # ---------------------------------------------------------------------------
 
-def minor_quad_form(Z, eta, chart, a, b):
+def minor_quad_form(Z, eta, chart, b):
     """One atom at a time through the full (m, n+1, n+1) minor tensor."""
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     m, n = Z.shape
-    T = np.full(m, a + b) + b * np.sum(np.abs(Z) ** 2, axis=1)
+    T = np.full(m, b) + b * np.sum(np.abs(Z) ** 2, axis=1)
     Tz = b * np.conj(Z)
     lifts = chart_lift(Z, chart)
     pos = np.delete(np.arange(n + 1), chart)
@@ -143,13 +142,13 @@ def minor_quad_form(Z, eta, chart, a, b):
     return T, Tz, Thess
 
 
-def minor_terms(Z, atoms_eta, weights, chart, a, b):
+def minor_terms(Z, atoms_eta, weights, chart, b):
     """Value, gradient and Hessian summed atom by atom from minor_quad_form,
     and for each the (m, k) magnitudes of the per-atom terms before any
     cancellation (the value's floored at the atom's weight)."""
     terms = []
     for eta, w in zip(atoms_eta, weights):
-        T, Tz, Thess = minor_quad_form(Z, eta, chart, a, b)
+        T, Tz, Thess = minor_quad_form(Z, eta, chart, b)
         value = w * (0.5 * np.log(T))
         grad = w * Tz / (2.0 * T[:, None])
         outer = np.max(np.abs(Tz), axis=1) ** 2 / (2.0 * T ** 2)
@@ -167,10 +166,10 @@ def row_error(x, ref, scale):
 
 
 def stacked_cases():
-    """(n, k, atoms, weights, points, a, b) for n = 1..3, k in {1, 3, 64} and
-    the three smoothings; the points are random, or 1e-3 to 1e-2 from an atom
-    (projectively: eta + d u with u a unit vector orthogonal to eta)."""
-    eps2 = 0.1 ** 2
+    """(n, k, atoms, weights, points, b) for n = 1..3, k in {1, 3, 64},
+    unsmoothed (b = 0) and globally smoothed (b = 0.01); the points are
+    random, or 1e-3 to 1e-2 from an atom (projectively: eta + d u with u a
+    unit vector orthogonal to eta)."""
     for n in (1, 2, 3):
         for k in (1, 3, 64):
             rng = np.random.default_rng(100 * n + k)
@@ -182,16 +181,16 @@ def stacked_cases():
             zeta = eta + 10.0 ** rng.uniform(-3, -2, (24, 1)) * u
             near = zeta[:, 1:] / zeta[:, :1]
             far = rng.standard_normal((24, n)) + 1j * rng.standard_normal((24, n))
-            for a, b in ((0.0, 0.0), (eps2, 0.0), (0.0, eps2)):
-                yield n, k, mu.points, mu.weights, np.vstack([far, near]), a, b
+            for b in (0.0, 0.1 ** 2):
+                yield n, k, mu.points, mu.weights, np.vstack([far, near]), b
 
 
 def test_stacked_quad_form_matches_minor_oracle():
-    for n, k, atoms, weights, Z, a, b in stacked_cases():
-        T, Tz, Thess = analytic.quad_form_batch(Z, atoms, 0, a, b)
+    for n, k, atoms, weights, Z, b in stacked_cases():
+        T, Tz, Thess = analytic.quad_form_batch(Z, atoms, 0, 0.0, b)
         assert T.shape == (Z.shape[0], k) and Tz.shape == (Z.shape[0], k, n)
         assert Thess.shape == (k, n, n)
-        refs = [minor_quad_form(Z, eta, 0, a, b) for eta in atoms]
+        refs = [minor_quad_form(Z, eta, 0, b) for eta in atoms]
         T_ref = np.stack([r[0] for r in refs], axis=1)
         Tz_ref = np.stack([r[1] for r in refs], axis=1)
         assert np.max(row_error(T, T_ref, np.max(T_ref, axis=1))) <= 1e-11
@@ -201,11 +200,11 @@ def test_stacked_quad_form_matches_minor_oracle():
 
 
 def test_fields_match_minor_oracle():
-    for n, k, atoms, weights, Z, a, b in stacked_cases():
-        refs, sizes = minor_terms(Z, atoms, weights, 0, a, b)
+    for n, k, atoms, weights, Z, b in stacked_cases():
+        refs, sizes = minor_terms(Z, atoms, weights, 0, b)
         for fn, ref, size in zip((analytic.field_value_batch, analytic.field_gradient_batch,
                                   analytic.field_hessian_batch), refs, sizes):
-            got = fn(Z, atoms, weights, 0, a, b)
+            got = fn(Z, atoms, weights, 0, b)
             assert got.shape == ref.shape
             # a row's largest entry: its largest per-atom term
             assert np.max(row_error(got, ref, np.max(size, axis=1))) <= 1e-11
@@ -218,8 +217,8 @@ def test_one_vector_and_one_row_stack_agree():
         eta = random_measure(n, 1, seed=n).points[0]
         Z = rng.standard_normal((30, n)) + 1j * rng.standard_normal((30, n))
         for chart in range(n + 1):
-            one = analytic.quad_form_batch(Z, eta, chart, 0.01, 0.02)
-            stack = analytic.quad_form_batch(Z, eta[None, :], chart, 0.01, 0.02)
+            one = analytic.quad_form_batch(Z, eta, chart, 0.0, 0.02)
+            stack = analytic.quad_form_batch(Z, eta[None, :], chart, 0.0, 0.02)
             for x, y in zip(one, stack):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
@@ -229,12 +228,12 @@ def test_one_atom_blocks_match_one_block(monkeypatch):
     # depend on its block, so one atom per block gives the same bits
     fields = (analytic.field_value_batch, analytic.field_gradient_batch,
               analytic.field_hessian_batch)
-    for n, k, atoms, weights, Z, a, b in stacked_cases():
-        whole = [fn(Z, atoms, weights, 0, a, b) for fn in fields]
+    for n, k, atoms, weights, Z, b in stacked_cases():
+        whole = [fn(Z, atoms, weights, 0, b) for fn in fields]
         with monkeypatch.context() as mp:
             mp.setattr(analytic, "_BLOCK_ENTRIES", 1)
             assert len(analytic.atom_blocks(k, Z.shape[0], n + 1)) == k
-            blocked = [fn(Z, atoms, weights, 0, a, b) for fn in fields]
+            blocked = [fn(Z, atoms, weights, 0, b) for fn in fields]
         for x, y in zip(blocked, whole):
             assert x.tobytes() == y.tobytes()
 
@@ -253,11 +252,11 @@ def test_one_quad_form_call_per_atom_block(monkeypatch):
     for fn in (analytic.field_value_batch, analytic.field_gradient_batch,
                analytic.field_hessian_batch):
         calls.clear()
-        fn(Z, mu.points, mu.weights, 0, 0.0, 0.01)
+        fn(Z, mu.points, mu.weights, 0, 0.01)
         assert calls == [64]
         with monkeypatch.context() as mp:
             # a budget of 16 atoms per block at 200 points: four calls
             mp.setattr(analytic, "_BLOCK_ENTRIES", 200 * 3 * 16)
             calls.clear()
-            fn(Z, mu.points, mu.weights, 0, 0.0, 0.01)
+            fn(Z, mu.points, mu.weights, 0, 0.01)
             assert calls == [16, 16, 16, 16]

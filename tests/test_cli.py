@@ -418,6 +418,16 @@ def test_every_header_records_each_declared_option(tmp_path, measure_file):
         assert set(options.values()) - {"output", "workers"} <= set(head), command
 
 
+@pytest.mark.parametrize("command", sorted(declared_options()))
+def test_every_subcommand_prints_its_help(command, capsys):
+    # argparse raised "empty group" formatting the usage of the ten
+    # subcommands without mutually exclusive options
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: projlog {command} ")
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("sample", "--seed", "x"), ("sample", "--samples", "x"), ("ma-mass", "--grid", "x"),
     ("riesz", "--chart", "x"), ("constants", "--n", "x"), ("ma-density", "--h", "x"),

@@ -121,44 +121,45 @@ def test_affine_kernel_log_abs_at_origin_measure():
 
 # ---------- smoothed kernel -----------------------------------------------------
 
-def smoothed_kernel(z, w, eps):
-    """N_eps(z, w) through the field engine's constant-eps smoothing."""
-    atom = pl.AffineAtoms(chart=0, w=np.atleast_2d(w), weights=np.ones(1))
-    return float(pl.affine_field(atom, eps)(z[None])[0])
-
-
 def test_smoothed_kernel_diagonal_is_log_eps():
-    z = np.array([0.3 + 1j, -2.0], dtype=complex)
-    for eps in (0.5, 0.1, 1e-3):
-        assert abs(smoothed_kernel(z, z, eps) - math.log(eps)) < 1e-13
+    # at its atom the globally smoothed one-atom lift is log eps + rho: the
+    # smoothed kernel, the lift minus rho, is log eps on the diagonal
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 3):
+        eta = random_point(n, rng)
+        z = chart_project(eta.coords, 0)[None]
+        for eps in (0.5, 0.1, 1e-3):
+            lift = pl.psh_lift(pl.dirac(eta), 0, eps)(z)[0]
+            assert abs(lift - (math.log(eps) + pl.fs_potential(z)[0])) < 1e-13
 
 
 def test_smoothed_kernel_monotone_and_bounded_increment():
+    # the smoothed kernel, the globally smoothed one-atom lift minus rho, is
+    # (1/2) log(exp(2K) + eps^2): it rises with eps from the unsmoothed kernel,
+    # by at most eps^2 (1 + |z|^2) / (2 arg) since log(x + d) - log(x) <= d / x
     rng = np.random.default_rng(6)
-    pairs = []
-    for _ in range(10_000):
-        n = rng.integers(1, 4)
-        z, w = random_affine(n, rng), random_affine(n, rng)
-        pairs.append((z, w, *sorted(rng.uniform(1e-3, 1.0, size=2))))
     for n in (1, 2, 3):
-        group = [pair for pair in pairs if pair[0].size == n]
-        Z, W = np.stack([g[0] for g in group]), np.stack([g[1] for g in group])
-        bases = affine_log_kernel_batch(Z, W)
-        args = _affine_log_arg_batch(Z, W)
-        for (z, w, e1, e2), base, arg in zip(group, bases, args):
-            lo = smoothed_kernel(z, w, e1)
-            hi = smoothed_kernel(z, w, e2)
-            assert hi >= lo  # monotone in eps
-            assert hi >= base
-            # log(x + e^2) - log(x) <= e^2 / x
-            assert hi - base <= e2 * e2 / (2 * arg) + 1e-12
+        for _ in range(10):
+            eta = random_point(n, rng)
+            w = chart_project(eta.coords, 0)
+            u = random_affine(n, rng)
+            near = w + 10.0 ** rng.uniform(-6, -1, (200, 1)) * u / np.linalg.norm(u)
+            Z = np.vstack([np.stack([random_affine(n, rng) for _ in range(300)]), near])
+            t = 1.0 + np.sum(np.abs(Z) ** 2, axis=1)
+            arg = _affine_log_arg_batch(Z, w)
+            base = pl.psh_lift(pl.dirac(eta), 0)(Z)
+            lo = base
+            for eps in (1e-6, 1e-3, 1e-2, 0.1, 0.3, 1.0):
+                hi = pl.psh_lift(pl.dirac(eta), 0, eps)(Z)
+                assert np.all(hi >= lo)  # monotone in eps
+                assert np.all(hi - base <= eps * eps * t / (2 * arg) + 1e-12)
+                lo = hi
 
 
 def test_smoothed_kernel_rejects_bad_eps():
     # eps = 0 is the unsmoothed kernel; a negative eps is an error
-    z = np.zeros(2)
     with pytest.raises(ValidationError, match="must be >= 0"):
-        smoothed_kernel(z, z, -0.1)
+        pl.psh_lift(pl.dirac(pl.normalize([1, 0])), 0, -0.1)
 
 
 # ---------- chart identity --------------------------------------------------------

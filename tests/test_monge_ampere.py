@@ -5,9 +5,9 @@ import pytest
 
 import projlog as pl
 from oracles import mixed_discriminant_lapack, nested_cells, random_measure
-from projlog import analytic, monge_ampere
-from projlog.errors import GridTooCoarse, SingularStencil, ValidationError
-from projlog.geometry import chart_mask, chart_project, fs_volume_density, \
+from projlog import analytic, geometry, monge_ampere, verification
+from projlog.errors import GridTooCoarse, NegativeDensity, SingularStencil, ValidationError
+from projlog.geometry import chart_mask, chart_project, fs_hessian_norm, fs_volume_density, \
     geodesic_distance_batch, sample_fs_array
 from projlog.monge_ampere import hessian_fd_batch
 from projlog.potentials import within_guard
@@ -20,8 +20,15 @@ def random_hermitian(n, rng):
 
 # ---------- FD Hessians -------------------------------------------------------
 
+def fd_hessian(fieldfn, z, h):
+    """The FD complex Hessian (n, n) at one point, which must be finite."""
+    H, finite = hessian_fd_batch(fieldfn, np.asarray(z, dtype=complex)[None], h)
+    assert finite[0]
+    return H[0]
+
+
 def test_hessian_fs_at_origin():
-    H = pl.complex_hessian_fd(pl.fs_potential, np.zeros(2), h=1e-4)
+    H = fd_hessian(pl.fs_potential, np.zeros(2), h=1e-4)
     np.testing.assert_allclose(H, 0.5 * np.eye(2), atol=1e-7)
     assert abs(np.linalg.det(H).real - 0.25) < 1e-6
 
@@ -33,7 +40,7 @@ def test_hessian_quadratic_field_exact():
     rng = np.random.default_rng(1)
     for _ in range(5):
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        H = pl.complex_hessian_fd(quad, z, h=1e-3)
+        H = fd_hessian(quad, z, h=1e-3)
         np.testing.assert_allclose(H, 0.5 * np.eye(3), atol=1e-9)
 
 
@@ -47,7 +54,7 @@ def test_hessian_matches_analytic_kernel():
         z = 2.0 + rng.standard_normal(2) + 1j * rng.standard_normal(2)
         if np.min(np.linalg.norm(aff.w - z[None, :], axis=1)) < 0.3:
             continue
-        H = pl.complex_hessian_fd(field, z, h=1e-3)
+        H = fd_hessian(field, z, h=1e-3)
         ref = field.complex_hessian(z[None])[0]
         assert np.max(np.abs(H - ref)) < 1e-5
 
@@ -58,17 +65,18 @@ def test_hessian_hermitian_and_psd_for_smoothed_lift():
     rng = np.random.default_rng(5)
     for _ in range(20):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        H = pl.complex_hessian_fd(lift, z, h=5e-4)
+        H = fd_hessian(lift, z, h=5e-4)
         assert np.max(np.abs(H - H.conj().T)) <= 1e-9 * np.linalg.norm(H)
         lam = np.linalg.eigvalsh(H)
         assert lam[0] / max(np.max(np.abs(lam)), 1e-300) >= -1e-6
 
 
-def test_hessian_singular_stencil():
-    mu = pl.dirac(pl.normalize([1, 0]))
-    lift = pl.psh_lift(mu, 0)
-    with pytest.raises(SingularStencil):
-        pl.complex_hessian_fd(lift, np.array([1e-3 + 0j]), h=1e-3)
+def test_hessian_singular_stencil(monkeypatch):
+    # verify's smooth-wedge check refuses a reference Hessian whose stencil
+    # met a value that is not finite
+    monkeypatch.setattr(geometry, "fs_potential", lambda Z: np.full(len(Z), -np.inf))
+    with pytest.raises(SingularStencil, match="singular on the Hessian stencil"):
+        verification.check_smooth_wedge_density()
 
 
 def test_hessian_batch_masks_singular_rows():
@@ -392,6 +400,28 @@ def test_ma_density_near_atom_guard():
     mu = pl.dirac(pl.normalize([1, 0]))
     with pytest.raises(SingularStencil, match=r"\(row 1\)"):
         pl.ma_density(mu, 0, np.array([[2.0 + 0j], [5e-4 + 0j], [1e-4j]]), h=1e-4, eps=0.0)
+
+
+def test_ma_density_negative_rows(monkeypatch):
+    # a smoothed lift's det H_phi is not negative beyond rounding, so the
+    # determinants are replaced: each row's density is the given value; a
+    # row below -1e-6 * scale raises, naming that row, and a row just below
+    # 0 is rounding, clipped to 0
+    mu = random_measure(2, 3, seed=86)
+    Z = np.array([[0.3 + 0.1j, -0.2j], [1.0, 0.5], [-0.4j, 0.2]])
+    H = pl.psh_lift(mu, 0, 0.3).complex_hessian(Z)
+    scale = np.maximum(1.0, (np.linalg.norm(H, axis=(1, 2)) / fs_hessian_norm(Z)) ** 2)
+
+    def densities(*values):
+        monkeypatch.setattr(monge_ampere, "hermitian_det",
+                            lambda _: np.array(values) * fs_volume_density(Z))
+        return pl.ma_density(mu, 0, Z, eps=0.3)
+
+    assert scale[1] > 2.0      # so that -0.5e-6 * scale is below -1e-6
+    with pytest.raises(NegativeDensity, match=r"\(row 1\)"):
+        densities(1.0, -2e-6 * scale[1], -1e-12)
+    got = densities(1.0, -0.5e-6 * scale[1], -1e-12)
+    assert got[0] == pytest.approx(1.0) and got[1:].tolist() == [0.0, 0.0]
 
 
 def test_ma_density_smoothed_dirac_matches_closed_form():

@@ -8,7 +8,7 @@ from oracles import fd_gradient, holo_to_real_gradient
 from projlog import analytic, potentials
 from projlog.errors import NonConvergent, SingularStencil, ValidationError
 from projlog.geometry import chart_lift, chart_project, fs_gradient_norm_sq, sample_fs_array
-from projlog.kernels import affine_log_kernel_batch, projective_log_kernel_batch
+from projlog.kernels import projective_log_kernel_batch
 from projlog.potentials import log_potential_batch
 
 
@@ -88,9 +88,9 @@ def test_potential_decomposition_linearity():
 
 # ---------- affine potential -----------------------------------------------------
 
-def affine_potential(nu, z, eps=0.0):
-    """V(z) (eps = 0) or its constant-eps smoothing at one point, via affine_field."""
-    return float(pl.affine_field(nu, eps)(np.asarray(z, dtype=complex)[None])[0])
+def affine_potential(nu, z):
+    """V(z) at one point, via affine_field."""
+    return float(pl.affine_field(nu)(np.asarray(z, dtype=complex)[None])[0])
 
 
 def test_affine_potential_of_origin_atom():
@@ -112,24 +112,6 @@ def test_affine_potential_upper_bound_many():
     vals = field(z)
     bound = pl.fs_potential(z)
     assert np.all(vals <= bound + 1e-12)
-
-
-def test_affine_regularization_monotone_decreasing_to_V():
-    rng = np.random.default_rng(12)
-    nu = pl.AffineAtoms(chart=0,
-                        w=rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)),
-                        weights=np.array([0.5, 0.3, 0.2]))
-    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    v = affine_potential(nu, z)
-    eps = [1.0, 0.3, 0.1, 0.01]
-    vals = [affine_potential(nu, z, e) for e in eps]
-    assert all(a >= b >= v for a, b in zip(vals, vals[1:]))
-    # per-atom increment bound: sum_i w_i (log(arg_i+e^2)-log arg_i)/2
-    #                           <= e^2/2 sum_i w_i / arg_i
-    args = np.exp(2 * affine_log_kernel_batch(np.broadcast_to(z, nu.w.shape), nu.w))
-    assert vals[-1] - v <= 0.01**2 / 2 * float(np.sum(nu.weights / args)) + 1e-12
-    with pytest.raises(ValidationError, match="must be >= 0"):
-        affine_potential(nu, z, -0.1)
 
 
 # ---------- psh lift ---------------------------------------------------------------
@@ -161,6 +143,34 @@ def test_psh_lift_matches_affine_potential_for_chart_measures():
     rng = np.random.default_rng(17)
     z = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
     np.testing.assert_allclose(lift(z), pl.affine_field(nu)(z), atol=1e-12)
+
+
+def test_affine_regularization_monotone_decreasing_to_V():
+    # phi_eps = sum_i w_i (1/2) log(Ptilde_i + eps^2 (1 + |z|^2)) falls to phi
+    # as eps falls, and phi_eps - phi <= sum_i w_i eps^2 (1 + |z|^2) / (2 Ptilde_i)
+    # since log(x + d) - log(x) <= d / x; Ptilde_i comes from the minor-form
+    # kernel, Ptilde_i = exp(2 K(zeta, eta_i)) (1 + |z|^2)
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3):
+        for atoms in (1, 3):
+            mu = random_measure(n, atoms, seed=10 * n + atoms)
+            u = rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            near = chart_project(mu.points, 0)[rng.integers(0, atoms, 200)] \
+                + 10.0 ** rng.uniform(-6, -1, (200, 1)) * u
+            Z = np.vstack([rng.standard_normal((300, n)) + 1j * rng.standard_normal((300, n)),
+                           near])
+            t = 1.0 + np.sum(np.abs(Z) ** 2, axis=1)
+            ptilde = t * np.exp(2.0 * np.stack([projective_log_kernel_batch(
+                chart_lift(Z, 0), eta) for eta in mu.points]))
+            lift = pl.psh_lift(mu, 0)(Z)
+            above = np.full(Z.shape[0], np.inf)
+            for eps in (1.0, 0.3, 0.1, 1e-2, 1e-3, 1e-6):
+                smoothed = pl.psh_lift(mu, 0, eps)(Z)
+                assert np.all((lift <= smoothed) & (smoothed <= above))
+                bound = eps ** 2 * t * np.sum(mu.weights[:, None] / (2.0 * ptilde), axis=0)
+                assert np.all(smoothed - lift <= bound + 1e-12)
+                above = smoothed
 
 
 def test_psh_lift_submean_along_lines():
