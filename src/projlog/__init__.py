@@ -36,10 +36,10 @@ from .geometry import (
 )
 from .kernels import affine_log_kernel_batch, projective_log_kernel_batch
 from .measures import (
-    AffineAtoms,
     AtomicMeasure,
     ChartDecomposition,
     build_measure,
+    chart_coordinates,
     decompose,
     dirac,
     partition_of_unity,
@@ -58,7 +58,6 @@ from .monge_ampere import (
 )
 from .potentials import (
     PotentialField,
-    affine_field,
     log_potential_batch,
     psh_lift,
     sobolev_doubling,

@@ -25,10 +25,11 @@ from . import __version__
 from .coarea import area_constant, mean_log_kernel, sobolev_bound
 from .errors import NumericError, ValidationError
 from .geometry import HomogeneousPoint, canonicalize_batch, chart_mask, chart_project, \
-    complex_from_json, geodesic_distance_batch, json_records, parse_json, sample_fs_array
+    check_chart, complex_from_json, geodesic_distance_batch, json_records, parse_json, \
+    sample_fs_array
 from .kernels import affine_log_kernel_batch, chart_identity_residual_batch, \
     projective_log_kernel_batch, sin_distance_residual_batch
-from .measures import AffineAtoms, AtomicMeasure, decompose, riesz_lp_scan, \
+from .measures import AtomicMeasure, chart_coordinates, decompose, riesz_lp_scan, \
     riesz_refinement_scan
 from .monge_ampere import ball_mass_profile, ma_density, ma_total_mass, \
     ma_product_expansion_check
@@ -84,13 +85,6 @@ def _load_pairs(path: str, affine: bool):
     return (n, *(sides if affine else map(canonicalize_batch, sides)))
 
 
-def _chart(args, n: int) -> int:
-    """The --chart index, checked against P^n once per run."""
-    if not 0 <= args.chart <= n:
-        raise ValidationError(f"--chart {args.chart} is out of range 0..{n} for P^{n}")
-    return args.chart
-
-
 def _write(args, columns: list[str], rows, **facts) -> None:
     """<command>.csv under --output, its header the dests the subcommand
     declares (a list comma-joined) and then the facts the run derived."""
@@ -115,7 +109,7 @@ def cmd_kernel(args) -> int:
         rows = zip(value, (value == -np.inf).astype(int))
         cols = ["value", "is_singular"]
     else:
-        chart = _chart(args, n)
+        chart = check_chart(args.chart, n, "--chart")
         value = projective_log_kernel_batch(U, V)
         d = geodesic_distance_batch(U, V)
         # NaN where either point lies off the chart
@@ -163,11 +157,10 @@ def cmd_sobolev(args) -> int:
 
 def cmd_riesz(args) -> int:
     mu = _load_measure(args.measure)
-    chart = _chart(args, mu.n)
-    atoms = AffineAtoms.from_measure(mu, chart)
-    res = riesz_lp_scan(atoms, args.alpha, args.p_value, radius=args.radius,
+    chart = check_chart(args.chart, mu.n, "--chart")
+    res = riesz_lp_scan(mu, chart, args.alpha, args.p_value, radius=args.radius,
                         seed=args.seed, samples=args.samples)
-    levels = riesz_refinement_scan(atoms, args.alpha, args.p_value, atom_index=0,
+    levels = riesz_refinement_scan(mu, chart, args.alpha, args.p_value, atom_index=0,
                                    r0=args.radius / 2, levels=args.levels,
                                    seed=args.seed)
     rows = [(-1, res.estimate, res.std_error)]
@@ -180,7 +173,7 @@ def cmd_ma_density(args) -> int:
     if len(args.eps) != 1:
         raise ValidationError(f"ma-density takes one --eps value, got {len(args.eps)}")
     mu = _load_measure(args.measure)
-    chart = _chart(args, mu.n)
+    chart = check_chart(args.chart, mu.n, "--chart")
     pts = sample_fs_array(args.seed, args.samples, mu.n)
     # points on the chart's hyperplane at infinity are left out
     Z = chart_project(pts[chart_mask(pts, chart)], chart)
@@ -222,13 +215,13 @@ def cmd_ball_profile(args) -> int:
 
 def cmd_prop25_check(args) -> int:
     mu = _load_measure(args.measure)
-    chart = _chart(args, mu.n)
-    atoms = AffineAtoms.from_measure(mu, chart)
+    chart = check_chart(args.chart, mu.n, "--chart")
+    sites = chart_coordinates(mu, chart)
     g = np.random.default_rng(args.seed).standard_normal((args.samples, 2, mu.n))
     Z = 3.0 * (g[:, 0] + 1j * g[:, 1])
     # draws within 0.5 of an atom are skipped and counted in the header
-    Z = Z[nearest_site_distance(Z, atoms.w) >= 0.5]
-    chk = ma_product_expansion_check(atoms, Z)
+    Z = Z[nearest_site_distance(Z, sites) >= 0.5]
+    chk = ma_product_expansion_check(mu, chart, Z)
     cols = [f"z{i}_{p}" for i in range(mu.n) for p in ("re", "im")] \
         + ["det_direct", "det_expansion", "relative_residual"]
     _write(args, cols, np.column_stack([Z.view(float), chk.lhs, chk.rhs, chk.relative]).tolist(),

@@ -221,6 +221,13 @@ def geodesic_distance_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # chart atlas
 # ---------------------------------------------------------------------------
 
+def check_chart(k: int, n: int, name: str = "chart") -> int:
+    """k as a chart index of P^n; ValidationError naming it unless an integer in 0..n."""
+    if not (isinstance(k, (int, np.integer)) and 0 <= k <= n):
+        raise ValidationError(f"{name} {k} is out of range 0..{n} for P^{n}")
+    return k
+
+
 def chart_mask(rows: np.ndarray, k: int) -> np.ndarray:
     """True for the rows (m, n+1) that chart k holds: |zeta_k|/|zeta| > CHART_FLOOR."""
     return np.abs(rows[:, k]) / row_norm(rows) > CHART_FLOOR

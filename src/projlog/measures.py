@@ -31,6 +31,7 @@ from .geometry import (
     canonicalize_batch,
     chart_mask,
     chart_project,
+    check_chart,
     complex_from_json,
     json_real,
     json_records,
@@ -225,42 +226,21 @@ def decompose(mu: AtomicMeasure) -> ChartDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# affine view of a measure
+# chart coordinates of a measure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineAtoms:
-    """Atoms of a measure expressed in one chart's affine coordinates."""
-
-    chart: int
-    w: np.ndarray = field(repr=False)        # (N, n) complex
-    weights: np.ndarray = field(repr=False)  # (N,)
-
-    @property
-    def n(self) -> int:
-        return self.w.shape[1]
-
-    @property
-    def num_atoms(self) -> int:
-        return self.w.shape[0]
-
-    @staticmethod
-    def from_measure(mu: AtomicMeasure, chart: int) -> "AffineAtoms":
-        """Chart coordinates of every atom; ValidationError names the first
-        atom whose chart coordinate is at or below CHART_FLOOR."""
-        pts = mu.points
-        k = int(chart)
-        if not 0 <= k < pts.shape[1]:
-            raise ValidationError(f"atom 0 is not inside chart {chart}: chart index {k} "
-                                  f"out of range for P^{pts.shape[1] - 1}")
-        off = np.flatnonzero(~chart_mask(pts, k))
-        if off.size:
-            i = int(off[0])
-            raise ValidationError(
-                f"atom {i} is not inside chart {chart}: |zeta_{k}|/|zeta| = "
-                f"{abs(pts[i, k]) / np.linalg.norm(pts[i]):.3e} <= chart_floor = "
-                f"{CHART_FLOOR:.1e}")
-        return AffineAtoms(chart=chart, w=chart_project(pts, k), weights=mu.weights.copy())
+def chart_coordinates(mu: AtomicMeasure, chart: int) -> np.ndarray:
+    """Chart coordinates (N, n) of every atom; ValidationError names the
+    first atom whose chart coordinate is at or below CHART_FLOOR."""
+    pts = mu.points
+    off = np.flatnonzero(~chart_mask(pts, check_chart(chart, mu.n)))
+    if off.size:
+        i = int(off[0])
+        raise ValidationError(
+            f"atom {i} is not inside chart {chart}: |zeta_{chart}|/|zeta| = "
+            f"{abs(pts[i, chart]) / np.linalg.norm(pts[i]):.3e} <= chart_floor = "
+            f"{CHART_FLOOR:.1e}")
+    return chart_project(pts, chart)
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +289,22 @@ class ScanResult:
     std_error: float
 
 
-def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, radius: float,
+def riesz_lp_scan(mu: AtomicMeasure, chart: int, alpha: float, p: float, radius: float,
                   seed: int, samples: int) -> ScanResult:
-    """MC estimate of int_ball J^p dLeb over the chart ball |z| <= radius.
+    """MC estimate of int_ball J^p dLeb over the ball |z| <= radius of the chart.
 
     Finite and stable under sample doubling when p < 2n/alpha; see
     riesz_refinement_scan for behavior at and above the threshold.
     """
-    _check_alpha(alpha, atoms.n)
+    sites = chart_coordinates(mu, chart)
+    _check_alpha(alpha, mu.n)
     if not 0 < p < math.inf:
         raise ValidationError(f"p = {p!r} must be a finite real > 0")
     if not 0 < radius < math.inf:
         raise ValidationError(f"radius = {radius!r} must be positive and finite")
     if samples < 1:
         raise ValidationError(f"samples = {samples} must be at least 1")
-    n = atoms.n
+    n = mu.n
     dim = 2 * n
     try:
         vol = math.pi**n / math.factorial(n) * radius**dim
@@ -333,11 +314,11 @@ def riesz_lp_scan(atoms: AffineAtoms, alpha: float, p: float, radius: float,
         raise ValidationError(f"radius = {radius!r}: the ball's volume underflows to 0")
     pts = _uniform_ball(seed, samples, dim)
     z = radius * (pts[:, :n] + 1j * pts[:, n:])
-    est, se = mc_estimate(_riesz_sum(z, atoms.w, atoms.weights, alpha), p, vol)
+    est, se = mc_estimate(_riesz_sum(z, sites, mu.weights, alpha), p, vol)
     return ScanResult(estimate=est, std_error=se)
 
 
-def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
+def riesz_refinement_scan(mu: AtomicMeasure, chart: int, alpha: float, p: float,
                           atom_index: int, r0: float, levels: int, seed: int,
                           samples_per_stratum: int = 2048) -> list[float]:
     """Singularity-refined estimates of int J^p over shrinking annuli.
@@ -349,13 +330,14 @@ def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
     estimates grow by ~10x per level; for p < 2n/alpha they converge.  J^p
     blows up like |z - w|^(-alpha p), the power that sets the deepest decade.
     """
-    _check_alpha(alpha, atoms.n)
-    if not 0 <= atom_index < atoms.num_atoms:
-        raise ValidationError(f"atom_index = {atom_index} outside 0..{atoms.num_atoms - 1}")
-    n = atoms.n
-    w1 = atoms.w[atom_index]
-    others = np.delete(atoms.w, atom_index, axis=0) - w1[None, :]
-    other_weights = np.delete(atoms.weights, atom_index)
+    sites = chart_coordinates(mu, chart)
+    _check_alpha(alpha, mu.n)
+    if not 0 <= atom_index < mu.num_atoms:
+        raise ValidationError(f"atom_index = {atom_index} outside 0..{mu.num_atoms - 1}")
+    n = mu.n
+    w1 = sites[atom_index]
+    others = np.delete(sites, atom_index, axis=0) - w1[None, :]
+    other_weights = np.delete(mu.weights, atom_index)
     # the area of the unit sphere of R^(2n)
     sphere = 2.0 * math.pi**n / math.factorial(n - 1)
 
@@ -365,7 +347,7 @@ def riesz_refinement_scan(atoms: AffineAtoms, alpha: float, p: float,
         cdir = dirs[:, :n] + 1j * dirs[:, n:]
         # J in displacement form: the self term is exact in s, the other
         # atoms are evaluated at w1 + s * dir (fp collapse to w1 is fine)
-        J = atoms.weights[atom_index] * s ** (-alpha)
+        J = mu.weights[atom_index] * s ** (-alpha)
         if others.shape[0]:
             J = J + _riesz_sum(s[:, None] * cdir, others, other_weights, alpha)
         return J ** p * (sphere * s ** (2 * n - 1))

@@ -28,6 +28,7 @@ from .geometry import (
     abs_sq_sum,
     chart_lift,
     chart_project,
+    check_chart,
     fs_ball_volume,
     fs_hessian,
     fs_hessian_norm,
@@ -36,9 +37,9 @@ from .geometry import (
     geodesic_distance_batch,
     max_modulus_chart,
 )
-from .measures import AffineAtoms, AtomicMeasure, partition_of_unity
+from .measures import AtomicMeasure, partition_of_unity
 from .parallel import run_chunked
-from .potentials import PotentialField, _check_eps, affine_field, psh_lift, within_guard
+from .potentials import PotentialField, _check_eps, psh_lift, within_guard
 
 SQRT2 = math.sqrt(2.0)
 
@@ -157,12 +158,11 @@ def mixed_discriminant(mats) -> np.ndarray:
     D = (1/n!) sum_{S nonempty} (-1)^(n-|S|) det(sum_{i in S} A_i).
     For PSD Hermitian inputs the value is nonnegative.
     """
-    n = np.shape(mats[0])[-1]
     try:
         A = np.asarray(mats, dtype=complex)
-        got = A.shape
+        n, got = A.shape[-1], A.shape
     except ValueError:                           # ragged: the matrices differ in shape
-        got = [np.shape(B) for B in mats]
+        n, got = np.shape(mats[0])[-1], [np.shape(B) for B in mats]
     if got[-3:] != (n, n, n):
         raise ValidationError(f"need {n} matrices of shape ({n},{n}) on axis -3; got {got}")
     total = 0.0
@@ -184,8 +184,8 @@ class ExpansionCheck:
         return self.residual / self.scale
 
 
-def ma_product_expansion_check(atoms: AffineAtoms, Z) -> ExpansionCheck:
-    """Product-formula check for the affine potential at the chart rows Z (m, n).
+def ma_product_expansion_check(mu: AtomicMeasure, chart: int, Z) -> ExpansionCheck:
+    """Product-formula check for the chart lift of U_mu at the chart rows Z (m, n).
 
     Compares det(sum_i w_i H_i) against the multilinear expansion
     sum over n-tuples of atoms of w_(i1)..w_(in) D(H_(i1), .., H_(in)),
@@ -200,15 +200,14 @@ def ma_product_expansion_check(atoms: AffineAtoms, Z) -> ExpansionCheck:
     the relative residual meaningful when the determinant itself vanishes
     (the single-kernel Hessian is degenerate away from its atom for n >= 2).
     """
-    n = atoms.n
-    N = atoms.num_atoms
+    n = mu.n
+    N = mu.num_atoms
     if N**n > TERM_CAP:
         raise ValidationError(f"N^n = {N}^{n} exceeds the {TERM_CAP} term cap")
     # every atom's kernel Hessian at every row from one stacked quad-form call
-    T, Tz, Thess = analytic.quad_form_batch(Z, affine_field(atoms).atoms_eta, atoms.chart,
-                                            0.0, 0.0)
+    T, Tz, Thess = analytic.quad_form_batch(Z, mu.points, check_chart(chart, n), 0.0, 0.0)
     hessians = analytic.log_half_hessian(T, Tz, Thess)            # (m, N, n, n)
-    w = atoms.weights
+    w = mu.weights
     lhs_mat = np.sum(w[:, None, None] * hessians, axis=1)
     lhs = hermitian_det(lhs_mat)
     rhs, abssum = np.zeros_like(lhs), np.abs(lhs)
@@ -227,16 +226,18 @@ def ma_product_expansion_check(atoms: AffineAtoms, Z) -> ExpansionCheck:
     return ExpansionCheck(residual=np.abs(lhs - rhs), scale=scale, lhs=lhs, rhs=rhs)
 
 
-def smooth_wedge_density(atoms: AffineAtoms, m: int, Z) -> np.ndarray:
+def smooth_wedge_density(mu: AtomicMeasure, chart: int, m: int, Z) -> np.ndarray:
     """Density (r,) of the m-fold potential / (n-m)-fold FS-form wedge at the
-    chart rows Z (r, n): binom(n, m) * D(H_V x m, H_rho x (n-m)) relative to
-    Lebesgue, the m-th binomial term in the expansion of det(H_V + H_rho).
-    Reduces to det H_rho at m = 0 and to det H_V at m = n.
+    chart rows Z (r, n), V the chart lift of U_mu: binom(n, m) *
+    D(H_V x m, H_rho x (n-m)) relative to Lebesgue, the m-th binomial term
+    in the expansion of det(H_V + H_rho).  Reduces to det H_rho at m = 0
+    and to det H_V at m = n.
     """
-    n = atoms.n
+    n = mu.n
+    lift = psh_lift(mu, chart)
     if not 0 <= m <= n:
         raise ValidationError(f"m = {m} outside 0..{n}")
-    mats = [affine_field(atoms).complex_hessian(Z)] * m + [fs_hessian(Z)] * (n - m)
+    mats = [lift.complex_hessian(Z)] * m + [fs_hessian(Z)] * (n - m)
     return math.comb(n, m) * mixed_discriminant(np.stack(mats, axis=-3))
 
 

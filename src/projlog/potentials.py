@@ -11,10 +11,11 @@ its chart representative lifts to the plurisubharmonic function
 and the globally smoothed version replaces Ptilde by
 Ptilde + eps^2 (1 + |z|^2), which is again plurisubharmonic (a smooth max
 of psh logs) and keeps total Monge-Ampere mass 1 on P^n for every eps > 0.
-That is the one smoothing: the affine potential of atoms in a chart is the
-unsmoothed kernel sum, and analytic.quad_form_batch keeps its constant a
-only for the benchmark's test.  Every PotentialField has atoms; rho's own
-closed forms are geometry.fs_potential, fs_gradient and fs_hessian.
+That is the one smoothing, and psh_lift(mu, chart, eps) the one chart field
+of a measure: every chart computation takes the measure and a chart index
+(analytic.quad_form_batch keeps its constant a only for the benchmark's
+test).  rho's own closed forms are geometry.fs_potential, fs_gradient and
+fs_hessian.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .geometry import (
     Stream,
     chart_mask,
     chart_project,
+    check_chart,
     fs_gradient,
     fs_gradient_norm_sq,
     max_modulus_chart,
@@ -39,7 +41,7 @@ from .geometry import (
     sample_fs_array,
 )
 from .kernels import projective_log_kernel_batch
-from .measures import AffineAtoms, AtomicMeasure
+from .measures import AtomicMeasure
 from .parallel import run_chunked
 
 
@@ -73,11 +75,11 @@ class PotentialField:
     """Evaluatable scalar field on a chart of P^n (or on C^n).
 
     The field is sum_i w_i (1/2) log(Ptilde_i + b (1 + |z|^2)) over its
-    atoms (see analytic): psh_lift gives the chart representative of
-    U_mu + rho, optionally globally smoothed (b = eps^2), and affine_field
-    the unsmoothed kernel sum of chart atoms.  rho itself has no atoms; its
-    closed forms are geometry.fs_potential, fs_gradient and fs_hessian.
-    Evaluation is deterministic and vectorized over rows.
+    atoms (see analytic), the chart representative of U_mu + rho, optionally
+    globally smoothed (b = eps^2).  psh_lift is its one constructor.  rho
+    itself has no atoms; its closed forms are geometry.fs_potential,
+    fs_gradient and fs_hessian.  Evaluation is deterministic and vectorized
+    over rows.
     """
 
     chart: int
@@ -118,15 +120,8 @@ def psh_lift(mu: AtomicMeasure, chart: int, eps: float = 0.0) -> PotentialField:
     chart; for eps = 0 it is -inf exactly at the atoms inside the chart.
     """
     _check_eps(eps)
-    return PotentialField(chart=chart, atoms_eta=mu.points.copy(),
+    return PotentialField(chart=check_chart(chart, mu.n), atoms_eta=mu.points.copy(),
                           weights=mu.weights.copy(), b=eps * eps)
-
-
-def affine_field(atoms: AffineAtoms) -> PotentialField:
-    """Kernel sum of chart atoms."""
-    lifted = np.insert(atoms.w, atoms.chart, 1.0, axis=1)
-    return PotentialField(chart=atoms.chart, atoms_eta=lifted / row_norm(lifted)[:, None],
-                          weights=atoms.weights.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,14 @@ import numpy as np
 from . import geometry, measures
 from .coarea import mc_estimate, mean_log_kernel, sobolev_bound
 from .errors import SingularStencil, ValidationError
-from .geometry import geodesic_distance_batch, sample_fs_array
+from .geometry import chart_lift, geodesic_distance_batch, sample_fs_array
 from .kernels import affine_log_kernel_batch, chart_identity_residual_batch, \
     projective_log_kernel_batch, sin_distance_residual_batch
-from .measures import AffineAtoms, build_measure, decompose, riesz_lp_scan, \
-    riesz_refinement_scan, uniform_on
+from .measures import build_measure, decompose, riesz_lp_scan, riesz_refinement_scan, \
+    uniform_on
 from .monge_ampere import ball_mass_profile, hessian_fd_batch, \
     ma_product_expansion_check, ma_total_mass, smooth_wedge_density
-from .potentials import affine_field, log_potential_batch, nearest_site_distance, \
+from .potentials import log_potential_batch, nearest_site_distance, psh_lift, \
     sobolev_doubling, sobolev_refinement_scan
 
 
@@ -151,15 +151,14 @@ def check_sobolev_threshold(seed: int = 5, workers: int | None = None):
 
 def check_riesz_ranges(seed: int = 6):
     """Unit-disc integral of |z|^-1 = 2 pi within 1 percent; critical refinement."""
-    nu = AffineAtoms(chart=0, w=np.zeros((1, 1), dtype=complex),
-                     weights=np.array([1.0]))
-    res = riesz_lp_scan(nu, alpha=1.0, p=1.0, radius=1.0, seed=seed, samples=500_000)
+    nu = measures.dirac(geometry.normalize([1, 0]))
+    res = riesz_lp_scan(nu, 0, alpha=1.0, p=1.0, radius=1.0, seed=seed, samples=500_000)
     rel = abs(res.estimate - 2 * _math.pi) / (2 * _math.pi)
-    ests = riesz_refinement_scan(nu, alpha=1.0, p=2.0, atom_index=0, r0=0.5,
+    ests = riesz_refinement_scan(nu, 0, alpha=1.0, p=2.0, atom_index=0, r0=0.5,
                                  levels=4, seed=seed)
     ratios = [b / a for a, b in zip(ests, ests[1:])]
     grows = all(r >= 10.0 * (1.0 - 1e-9) for r in ratios)
-    sub = riesz_refinement_scan(nu, alpha=1.0, p=1.5, atom_index=0, r0=0.5,
+    sub = riesz_refinement_scan(nu, 0, alpha=1.0, p=1.5, atom_index=0, r0=0.5,
                                 levels=4, seed=seed)
     converges = sub[-1] / sub[-2] < 1.05
     ok = rel < 0.01 and grows and converges
@@ -179,13 +178,12 @@ def check_mixed_discriminant_expansion(seed: int = 7):
         n = int(rng.integers(2, 4))
         N = int(rng.integers(1, 5))
         w = rng.uniform(0.2, 1.0, N)
-        nu = AffineAtoms(chart=0,
-                         w=rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)),
-                         weights=w / w.sum())
+        sites = rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))
+        nu = build_measure(chart_lift(sites, 0), w / w.sum())
         z = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        if nearest_site_distance(z[None], nu.w)[0] < 0.5:
+        if nearest_site_distance(z[None], sites)[0] < 0.5:
             continue
-        worst = max(worst, float(ma_product_expansion_check(nu, z[None]).relative[0]))
+        worst = max(worst, float(ma_product_expansion_check(nu, 0, z[None]).relative[0]))
         done += 1
     return ("mixed-discriminant expansion", worst < 1e-9,
             f"max relative residual {worst:.2e} over {configs} configs (tol 1e-9)")
@@ -268,13 +266,12 @@ def check_smooth_wedge_density(seed: int = 11):
     worst = 0.0
     done = 0
     while done < points:
-        nu = AffineAtoms(chart=0,
-                         w=rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)),
-                         weights=np.array([0.6, 0.4]))
+        sites = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        nu = build_measure(chart_lift(sites, 0), np.array([0.6, 0.4]))
         z = 2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        if nearest_site_distance(z[None], nu.w)[0] < 0.4:
+        if nearest_site_distance(z[None], sites)[0] < 0.4:
             continue
-        H_V, fin_V = hessian_fd_batch(affine_field(nu), z[None], 1e-3)
+        H_V, fin_V = hessian_fd_batch(psh_lift(nu, 0), z[None], 1e-3)
         H_rho, fin_rho = hessian_fd_batch(geometry.fs_potential, z[None], 1e-3)
         if not (fin_V[0] and fin_rho[0]):
             raise SingularStencil(f"field is singular on the Hessian stencil at {z}")
@@ -282,7 +279,7 @@ def check_smooth_wedge_density(seed: int = 11):
         dets = [float(np.linalg.det(s * H_V[0] + H_rho[0]).real) for s in ss]
         coeffs = np.polyfit(ss, dets, n)[::-1]
         for m in (0, 1, 2):
-            val = smooth_wedge_density(nu, m, z[None])[0]
+            val = smooth_wedge_density(nu, 0, m, z[None])[0]
             worst = max(worst, abs(val - coeffs[m]) / max(1.0, abs(coeffs[m])))
         done += 1
     return ("smooth-wedge density", worst < 1e-5,

@@ -8,7 +8,8 @@ coordinates one point at a time against the batch projection, quadratures
 and closed forms of the co-area constants, the refinement skeleton with one
 draw per stratum against its one draw per level, the ball grid's cells a whole
 level at a time against its chunks), or makes an input the way a user would (the
-measure file of a measure, a seeded random measure).
+measure file of a measure, a seeded random measure, the measure of given
+chart coordinates).
 """
 
 import json
@@ -19,7 +20,8 @@ import numpy as np
 
 from projlog.coarea import DEPTH_FACTOR, SQRT2, area_constant
 from projlog.errors import SingularStencil, ValidationError
-from projlog.geometry import CHART_FLOOR, HomogeneousPoint, _sample_stream, sample_fs_array
+from projlog.geometry import CHART_FLOOR, HomogeneousPoint, _sample_stream, chart_lift, \
+    sample_fs_array
 from projlog.measures import build_measure
 
 
@@ -243,6 +245,12 @@ def measure_json(mu) -> str:
     atoms = [{"zeta": [[float(c.real), float(c.imag)] for c in row], "weight": float(w)}
              for row, w in zip(mu.points, mu.weights)]
     return json.dumps({"n": mu.n, "atoms": atoms}, indent=2)
+
+
+def chart_measure(sites, weights):
+    """The measure with atoms at the chart-0 coordinates sites (N, n) and the given weights."""
+    return build_measure(chart_lift(np.asarray(sites, dtype=complex), 0),
+                         np.asarray(weights, dtype=float))
 
 
 def random_measure(n: int, atoms: int, seed: int):

@@ -50,14 +50,12 @@ def richardson_hessian_entry(f, z, j, k, h=2e-3):
 
 def fields_to_check():
     mu = random_measure(2, 3, seed=51)
-    aff = pl.AffineAtoms.from_measure(
-        pl.build_measure(
-            [pl.normalize([1, 0.4 + 0.1j, -0.2]).coords,
-             pl.normalize([1, -0.5, 0.3j]).coords], [0.6, 0.4]), 0)
+    two = pl.build_measure([pl.normalize([1, 0.4 + 0.1j, -0.2]).coords,
+                            pl.normalize([1, -0.5, 0.3j]).coords], [0.6, 0.4])
     return [
         pl.psh_lift(mu, 0, eps=0.25),
         pl.psh_lift(mu, 1, eps=0.1),
-        pl.affine_field(aff),
+        pl.psh_lift(two, 0),
     ]
 
 

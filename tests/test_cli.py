@@ -168,6 +168,16 @@ def test_prop25_counts_the_draws_it_skips(tmp_path, measure_file):
     assert int(header_of(path)["rejected"]) == 200 - len(kept) > 0
 
 
+def test_prop25_with_every_draw_rejected(tmp_path, measure_file):
+    # the one draw at seed 0 lies within 0.5 of an atom; this used to exit 1
+    # with an IndexError from the empty batch
+    assert main(["prop25-check", "--measure", str(measure_file), "--seed", "0",
+                 "--samples", "1", "--output", str(tmp_path)]) == 0
+    path = tmp_path / "prop25_check.csv"
+    assert body_of(path) == "z0_re,z0_im,det_direct,det_expansion,relative_residual"
+    assert header_of(path)["rejected"] == "1"
+
+
 def test_verify_quick(tmp_path, capsys):
     rc = main(["verify", "--quick", "--output", str(tmp_path)])
     out = capsys.readouterr().out

@@ -109,12 +109,11 @@ def test_refinement_scans_equal_the_per_stratum_draws(n, samples, monkeypatch):
     # gave; at these sizes strata straddle the 4096-row block edges.  The
     # skeleton does not look at the integrand, so a Dirac keeps this quick
     mu = random_measure(n, 1, 31 + n)
-    atoms = pl.AffineAtoms.from_measure(mu, 0)
 
     def scans():
         return [(potentials.sobolev_refinement_scan(mu, 2.0 * n - 0.5, 0, levels, 9,
                                                     samples_per_stratum=samples),
-                 measures.riesz_refinement_scan(atoms, 1.0, 1.5, 0, 0.5, levels, 9,
+                 measures.riesz_refinement_scan(mu, 0, 1.0, 1.5, 0, 0.5, levels, 9,
                                                 samples_per_stratum=samples))
                 for levels in (1, 2, 3, 4)]
 
@@ -125,25 +124,24 @@ def test_refinement_scans_equal_the_per_stratum_draws(n, samples, monkeypatch):
 
 
 DIRAC = pl.dirac(pl.normalize([1, 0]))
-DIRAC_ATOMS = pl.AffineAtoms.from_measure(DIRAC, 0)
 
 
 @pytest.mark.parametrize("scan, name", [
     # the first used to warn, then raise NonConvergent; the second raised
     # numpy's bare ValueError
-    (lambda: measures.riesz_lp_scan(DIRAC_ATOMS, 1.0, 1.0, 1.0, 0, samples=0), "samples = 0"),
-    (lambda: measures.riesz_lp_scan(DIRAC_ATOMS, 1.0, 1.0, 1.0, 0, samples=-3), "samples = -3"),
+    (lambda: measures.riesz_lp_scan(DIRAC, 0, 1.0, 1.0, 1.0, 0, samples=0), "samples = 0"),
+    (lambda: measures.riesz_lp_scan(DIRAC, 0, 1.0, 1.0, 1.0, 0, samples=-3), "samples = -3"),
     # both used to raise NonConvergent from a level of no draws
     (lambda: potentials.sobolev_refinement_scan(DIRAC, 1.0, 0, 2, 0, samples_per_stratum=0),
      "samples_per_stratum = 0"),
-    (lambda: measures.riesz_refinement_scan(DIRAC_ATOMS, 1.0, 1.5, 0, 0.5, 2, 0,
+    (lambda: measures.riesz_refinement_scan(DIRAC, 0, 1.0, 1.5, 0, 0.5, 2, 0,
                                             samples_per_stratum=0), "samples_per_stratum = 0"),
     # used to return [-4.98, -4.98], a negative integral of a positive integrand
-    (lambda: measures.riesz_refinement_scan(DIRAC_ATOMS, 1.0, 1.5, 0, -1.0, 2, 0), "r0 = -1"),
+    (lambda: measures.riesz_refinement_scan(DIRAC, 0, 1.0, 1.5, 0, -1.0, 2, 0), "r0 = -1"),
     # these used to raise IndexError, or to pick the last atom
     (lambda: potentials.sobolev_refinement_scan(DIRAC, 1.0, 1, 2, 0), "atom_index = 1"),
     (lambda: potentials.sobolev_refinement_scan(DIRAC, 1.0, -1, 2, 0), "atom_index = -1"),
-    (lambda: measures.riesz_refinement_scan(DIRAC_ATOMS, 1.0, 1.5, 1, 0.5, 2, 0),
+    (lambda: measures.riesz_refinement_scan(DIRAC, 0, 1.0, 1.5, 1, 0.5, 2, 0),
      "atom_index = 1"),
 ], ids=["lp-no-samples", "lp-negative-samples", "sobolev-refinement-no-samples",
         "riesz-refinement-no-samples", "riesz-refinement-negative-r0",

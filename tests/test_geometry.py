@@ -183,7 +183,33 @@ def test_chart_floor_raises():
     assert chart_mask(p.coords[None], 0).tolist() == [False]
     assert chart_mask(p.coords[None], 1).tolist() == [True]
     with pytest.raises(ValidationError, match="not inside chart 0"):
-        pl.AffineAtoms.from_measure(pl.dirac(p), 0)
+        pl.chart_coordinates(pl.dirac(p), 0)
+
+
+CHART_CALLS = {
+    "psh_lift": lambda mu, k: pl.psh_lift(mu, k),
+    "ma_density": lambda mu, k: pl.ma_density(mu, k, np.ones((1, 1), dtype=complex)),
+    "ma_product_expansion_check":
+        lambda mu, k: pl.ma_product_expansion_check(mu, k, np.ones((1, 1), dtype=complex)),
+    "smooth_wedge_density":
+        lambda mu, k: pl.smooth_wedge_density(mu, k, 1, np.ones((1, 1), dtype=complex)),
+    "chart_coordinates": pl.chart_coordinates,
+    "riesz_lp_scan": lambda mu, k: pl.riesz_lp_scan(mu, k, 1.0, 1.0, 1.0, 0, 10),
+    "riesz_refinement_scan":
+        lambda mu, k: pl.riesz_refinement_scan(mu, k, 1.0, 1.0, 0, 0.5, 1, 0, 16),
+}
+
+
+@pytest.mark.parametrize("chart", [-1, 2, 0.5])
+@pytest.mark.parametrize("name", sorted(CHART_CALLS))
+def test_chart_computations_reject_an_out_of_range_chart(name, chart):
+    # on P^1 chart 2 used to raise IndexError, chart -1 numpy's broadcast
+    # ValueError (or to read the last coordinate) and chart 0.5 TypeError or
+    # IndexError
+    mu = pl.build_measure([pl.normalize([1, 0.3]).coords, pl.normalize([0.2, 1]).coords],
+                          [0.6, 0.4])
+    with pytest.raises(ValidationError, match=f"^chart {chart} is out of range 0..1 for P\\^1$"):
+        CHART_CALLS[name](mu, chart)
 
 
 def test_chart_transition_consistency():

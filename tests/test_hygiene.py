@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports, no library code that only tests call,
 no class member that only tests use, no defaulted parameter that no call
 sets, no row reduction outside geometry, no sampler stream that no draw
-uses, and a light import of the package."""
+uses, no chart field built outside psh_lift, and a light import of the
+package."""
 
 import ast
 import os
@@ -262,6 +263,33 @@ def test_scanner_flags_a_row_reduction(tmp_path):
 def test_no_row_reductions_outside_geometry():
     assert [hit for path in sorted(SRC.glob("*.py")) if path.name != "geometry.py"
             for hit in row_reductions(path)] == []
+
+
+def field_constructions(path: Path) -> list[str]:
+    """PotentialField(...) calls outside psh_lift: psh_lift(mu, chart, eps)
+    is the one route from a measure to its chart field."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "psh_lift"
+              for node in ast.walk(fn)}
+    return [f"{path.name}:{line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in inside
+        and ast.unparse(node.func).split(".")[-1] == "PotentialField")]
+
+
+def test_scanner_flags_a_field_built_outside_psh_lift(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from pkg import potentials\n\n"
+                     "def psh_lift(mu, chart):\n    return PotentialField(chart, mu)\n\n"
+                     "def affine_field(atoms):\n"
+                     "    return potentials.PotentialField(atoms.chart, atoms)\n\n"
+                     "ORIGIN = PotentialField(0, None)\nKIND = PotentialField\n")
+    assert field_constructions(probe) == ["probe.py:7", "probe.py:9"]
+
+
+def test_no_field_built_outside_psh_lift():
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in field_constructions(path)] == []
 
 
 def unused_streams(package: Path) -> list[str]:

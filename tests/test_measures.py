@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from oracles import measure_json, random_measure, to_chart
+from oracles import chart_measure, measure_json, random_measure, to_chart
 from projlog.errors import ValidationError
 from projlog import analytic
 from projlog.geometry import CANONICAL_TOL, canonicalize_batch, sample_fs_array
@@ -240,7 +240,7 @@ def test_decompose_components_inside_charts():
         t = np.abs(comp.points[:, j]) ** 2
         assert np.all(t > thresh)
         # hence convertible to chart coordinates without error
-        pl.AffineAtoms.from_measure(comp, j)
+        pl.chart_coordinates(comp, j)
 
 
 def per_atom_chart_coords(mu, chart):
@@ -254,17 +254,16 @@ def per_atom_chart_coords(mu, chart):
     return np.stack(rows)
 
 
-def test_affine_atoms_match_per_atom_loop():
+def test_chart_coordinates_match_per_atom_loop():
     for n in (1, 2, 3):
         mu = random_measure(n, 300, seed=80 + n)
         for chart in range(n + 1):
-            atoms = pl.AffineAtoms.from_measure(mu, chart)
-            assert atoms.w.tobytes() == per_atom_chart_coords(mu, chart).tobytes()
-            assert atoms.weights.tobytes() == mu.weights.tobytes()
+            assert (pl.chart_coordinates(mu, chart).tobytes()
+                    == per_atom_chart_coords(mu, chart).tobytes())
     # atoms 2 and 4 have zeta_1 = 0, atom 3 is just above the chart floor
     pts = [[1, 0.5], [1, -2j], [1, 0], [1e-9, 1], [2j, 0], [1, 3]]
     mu = pl.build_measure([pl.normalize(p).coords for p in pts], np.full(6, 1 / 6))
-    for chart in (0, 1, 2, -1):
+    for chart in (0, 1):
         try:
             per_atom_chart_coords(mu, chart)
         except ValidationError as exc:
@@ -272,56 +271,57 @@ def test_affine_atoms_match_per_atom_loop():
         else:
             expected = None
         if expected is None:
-            assert (pl.AffineAtoms.from_measure(mu, chart).w.tobytes()
+            assert (pl.chart_coordinates(mu, chart).tobytes()
                     == per_atom_chart_coords(mu, chart).tobytes())
             continue
         with pytest.raises(ValidationError) as got:
-            pl.AffineAtoms.from_measure(mu, chart)
+            pl.chart_coordinates(mu, chart)
         assert str(got.value) == expected
     with pytest.raises(ValidationError, match="atom 2 is not inside chart 1"):
-        pl.AffineAtoms.from_measure(mu, 1)
+        pl.chart_coordinates(mu, 1)
+    # an out-of-range chart fails geometry's chart rule before any atom is read
+    for chart in (2, -1):
+        with pytest.raises(ValidationError, match=f"chart index {chart} out of range"):
+            per_atom_chart_coords(mu, chart)
+        with pytest.raises(ValidationError, match=f"^chart {chart} is out of range 0..1 "):
+            pl.chart_coordinates(mu, chart)
 
 
 # ---------- Riesz potential -----------------------------------------------------
 
-def atoms_at(ws, weights, chart=0):
-    return pl.AffineAtoms(chart=chart, w=np.asarray(ws, dtype=complex),
-                          weights=np.asarray(weights, dtype=float))
-
-
 def riesz_potential(nu, alpha, z):
     """J(z) = sum w_i |z - w_i|^(-alpha) at one point through the scans' batch sum."""
     z = np.asarray(z, dtype=complex)
-    return float(_riesz_sum(z[None, :], nu.w, nu.weights, alpha)[0])
+    return float(_riesz_sum(z[None, :], pl.chart_coordinates(nu, 0), nu.weights, alpha)[0])
 
 
 def test_riesz_single_atom_value():
-    nu = atoms_at([[0.0]], [1.0])
+    nu = chart_measure([[0.0]], [1.0])
     val = riesz_potential(nu, 1.0, np.array([2.0 + 0j]))
     assert abs(val - 0.5) < 1e-15
 
 
 def test_riesz_at_atom_infinite():
-    nu = atoms_at([[0.0, 0.0]], [1.0])
+    nu = chart_measure([[0.0, 0.0]], [1.0])
     assert riesz_potential(nu, 1.5, np.zeros(2)) == math.inf
 
 
 def test_riesz_two_atom_hand_value():
-    nu = atoms_at([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+    nu = chart_measure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
     val = riesz_potential(nu, 2.0, np.array([0.0, 1.0], dtype=complex))
     assert abs(val - 0.75) < 1e-15
 
 
 def test_riesz_alpha_range():
-    nu = atoms_at([[0.0]], [1.0])
+    nu = chart_measure([[0.0]], [1.0])
     with pytest.raises(ValidationError, match="alpha = 2.0"):
-        pl.riesz_lp_scan(nu, 2.0, 1.0, radius=1.0, seed=0, samples=10)
+        pl.riesz_lp_scan(nu, 0, 2.0, 1.0, radius=1.0, seed=0, samples=10)
     with pytest.raises(ValidationError, match="alpha = -0.5"):
-        pl.riesz_refinement_scan(nu, -0.5, 1.0, atom_index=0, r0=0.5, levels=2, seed=0)
+        pl.riesz_refinement_scan(nu, 0, -0.5, 1.0, atom_index=0, r0=0.5, levels=2, seed=0)
 
 
 def test_riesz_scaling_exact_for_pow2():
-    nu = atoms_at([[0.0, 0.0]], [1.0])
+    nu = chart_measure([[0.0, 0.0]], [1.0])
     z = np.array([0.3 + 0.4j, -0.1j])
     for alpha in (0.5, 1.0, 3.0):
         v1 = riesz_potential(nu, alpha, z)
@@ -331,42 +331,42 @@ def test_riesz_scaling_exact_for_pow2():
 
 def test_riesz_disc_integral_matches_polar_oracle():
     # int over unit disc of |z|^-1 = 2 pi (polar coordinates)
-    nu = atoms_at([[0.0]], [1.0])
-    res = pl.riesz_lp_scan(nu, alpha=1.0, p=1.0, radius=1.0,
+    nu = chart_measure([[0.0]], [1.0])
+    res = pl.riesz_lp_scan(nu, 0, alpha=1.0, p=1.0, radius=1.0,
                            seed=3, samples=400_000)
     assert abs(res.estimate - 2 * math.pi) / (2 * math.pi) < 0.01
 
 
 def test_riesz_subcritical_stable_under_doubling():
-    nu = atoms_at([[0.0]], [1.0])
-    a = pl.riesz_lp_scan(nu, alpha=1.0, p=1.5, radius=1.0,
+    nu = chart_measure([[0.0]], [1.0])
+    a = pl.riesz_lp_scan(nu, 0, alpha=1.0, p=1.5, radius=1.0,
                          seed=5, samples=200_000)
     # a second seed gives independent draws for the second half
-    b = pl.riesz_lp_scan(nu, alpha=1.0, p=1.5, radius=1.0,
+    b = pl.riesz_lp_scan(nu, 0, alpha=1.0, p=1.5, radius=1.0,
                          seed=6, samples=200_000)
     est2 = 0.5 * (a.estimate + b.estimate)
     assert abs(est2 - a.estimate) / a.estimate < 0.05
 
 
 def test_riesz_refinement_critical_grows_tenfold():
-    nu = atoms_at([[0.0]], [1.0])
-    ests = pl.riesz_refinement_scan(nu, alpha=1.0, p=2.0, atom_index=0,
+    nu = chart_measure([[0.0]], [1.0])
+    ests = pl.riesz_refinement_scan(nu, 0, alpha=1.0, p=2.0, atom_index=0,
                                     r0=0.5, levels=4, seed=7)
     for a, b in zip(ests, ests[1:]):
         assert b >= 9.9 * a
 
 
 def test_riesz_refinement_subcritical_converges():
-    nu = atoms_at([[0.0]], [1.0])
-    ests = pl.riesz_refinement_scan(nu, alpha=1.0, p=1.5, atom_index=0,
+    nu = chart_measure([[0.0]], [1.0])
+    ests = pl.riesz_refinement_scan(nu, 0, alpha=1.0, p=1.5, atom_index=0,
                                     r0=0.5, levels=4, seed=7)
     # deeper levels add vanishing contributions once the integral converges
     assert ests[-1] / ests[-2] < 1.05
 
 
 def test_riesz_refinement_multi_atom():
-    nu = atoms_at([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
-    ests = pl.riesz_refinement_scan(nu, alpha=2.0, p=2.0, atom_index=0,
+    nu = chart_measure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+    ests = pl.riesz_refinement_scan(nu, 0, alpha=2.0, p=2.0, atom_index=0,
                                     r0=0.1, levels=3, seed=9)
     assert ests[1] >= 9.5 * ests[0] and ests[2] >= 9.5 * ests[1]
 
@@ -374,33 +374,33 @@ def test_riesz_refinement_multi_atom():
 def test_riesz_refinement_deep_power_stays_finite():
     # alpha p = 5.7: the deepest decade is 280 / 5.7, so s^(-alpha p) stays
     # inside float64; 60 decades used to overflow with a RuntimeWarning
-    nu = atoms_at([[0.0]], [1.0])
-    ests = pl.riesz_refinement_scan(nu, alpha=1.9, p=3.0, atom_index=0,
+    nu = chart_measure([[0.0]], [1.0])
+    ests = pl.riesz_refinement_scan(nu, 0, alpha=1.9, p=3.0, atom_index=0,
                                     r0=0.5, levels=3, seed=7)
     assert all(map(math.isfinite, ests))
     assert ests[0] < ests[1] < ests[2]
 
 
-def unblocked_riesz_lp(atoms, alpha, p, radius, seed, samples):
+def unblocked_riesz_lp(mu, alpha, p, radius, seed, samples):
     """riesz_lp_scan's estimate from one (samples, atoms, n) difference array."""
-    n = atoms.n
+    n = mu.n
     pts = _uniform_ball(seed, samples, 2 * n)
     z = radius * (pts[:, :n] + 1j * pts[:, n:])
-    d = np.linalg.norm(z[:, None, :] - atoms.w[None, :, :], axis=2)
-    vals = np.sum(atoms.weights[None, :] * d ** (-alpha), axis=1) ** p
+    d = np.linalg.norm(z[:, None, :] - pl.chart_coordinates(mu, 0)[None, :, :], axis=2)
+    vals = np.sum(mu.weights[None, :] * d ** (-alpha), axis=1) ** p
     return math.pi**n / math.factorial(n) * radius ** (2 * n) * float(np.mean(vals))
 
 
 def test_riesz_scans_blocked_over_atoms_match_one_block(monkeypatch):
     rng = np.random.default_rng(93)
     w = rng.uniform(0.2, 1.0, 40)
-    nu = atoms_at(rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2)),
+    nu = chart_measure(rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2)),
                   w / w.sum())
 
     def scans():
-        lp = pl.riesz_lp_scan(nu, alpha=1.0, p=1.5, radius=2.0,
+        lp = pl.riesz_lp_scan(nu, 0, alpha=1.0, p=1.5, radius=2.0,
                               seed=11, samples=5000)
-        levels = pl.riesz_refinement_scan(nu, alpha=1.0, p=1.5, atom_index=3,
+        levels = pl.riesz_refinement_scan(nu, 0, alpha=1.0, p=1.5, atom_index=3,
                                           r0=0.5, levels=3, seed=13)
         return lp.estimate, levels
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from oracles import mixed_discriminant_lapack, nested_cells, random_measure
+from oracles import chart_measure, mixed_discriminant_lapack, nested_cells, random_measure
 from projlog import analytic, geometry, monge_ampere, verification
 from projlog.errors import GridTooCoarse, NegativeDensity, SingularStencil, ValidationError
 from projlog.geometry import chart_mask, chart_project, fs_hessian_norm, fs_volume_density, \
@@ -46,13 +46,14 @@ def test_hessian_quadratic_field_exact():
 
 def test_hessian_matches_analytic_kernel():
     mu = random_measure(2, 3, seed=2)
-    aff = pl.AffineAtoms.from_measure(pl.decompose(mu).components[
-        max(pl.decompose(mu).components)], max(pl.decompose(mu).components))
-    field = pl.affine_field(aff)
+    chart = max(pl.decompose(mu).components)
+    comp = pl.decompose(mu).components[chart]
+    field = pl.psh_lift(comp, chart)
+    sites = pl.chart_coordinates(comp, chart)
     rng = np.random.default_rng(3)
     for _ in range(10):
         z = 2.0 + rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        if np.min(np.linalg.norm(aff.w - z[None, :], axis=1)) < 0.3:
+        if np.min(np.linalg.norm(sites - z[None, :], axis=1)) < 0.3:
             continue
         H = fd_hessian(field, z, h=1e-3)
         ref = field.complex_hessian(z[None])[0]
@@ -147,17 +148,18 @@ def test_ma_paths_take_no_lapack_determinant(monkeypatch):
         Z = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
         pl.ma_density(random_measure(n, 2, seed=85 + n), 0, Z, eps=0.3)
         pl.mixed_discriminant(mixed_cases(n, rng, m=5)["indefinite"])
-        pl.ma_product_expansion_check(random_affine_atoms(n, 3, rng), 3.0 * Z)
+        pl.ma_product_expansion_check(random_affine_atoms(n, 3, rng), 0, 3.0 * Z)
         for m in range(n + 1):
-            pl.smooth_wedge_density(random_affine_atoms(n, 2, rng), m, 3.0 * Z)
+            pl.smooth_wedge_density(random_affine_atoms(n, 2, rng), 0, m, 3.0 * Z)
 
 
 # ---------- mixed discriminant ---------------------------------------------------
 
 def random_affine_atoms(n, N, rng):
+    """N atoms at standard normal chart-0 coordinates, seeded random weights."""
     w = rng.uniform(0.2, 1.0, N)
-    return pl.AffineAtoms(chart=0, w=rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)),
-                          weights=w / w.sum())
+    return chart_measure(rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)),
+                         w / w.sum())
 
 
 def mixed_cases(n, rng, m=1000):
@@ -169,7 +171,7 @@ def mixed_cases(n, rng, m=1000):
              for name, H in hermitian_cases(n, rng, m * n).items() if name != "kernel"}
     if n > 1:
         Z = 3.0 * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-        eta = pl.affine_field(random_affine_atoms(n, 5, rng)).atoms_eta
+        eta = random_affine_atoms(n, 5, rng).points
         H = analytic.log_half_hessian(*analytic.quad_form_batch(Z, eta, 0, 0.0, 0.0))
         multisets = np.sort(rng.integers(0, 5, (m, n)), axis=1)
         cases["kernel"] = H[np.arange(m)[:, None], multisets]
@@ -197,6 +199,19 @@ def test_mixed_discriminant_within_rounding_of_lapack(n):
 def test_mixed_discriminant_rejects_a_stack_of_the_wrong_count():
     with pytest.raises(ValidationError, match="need 3 matrices"):
         pl.mixed_discriminant(np.zeros((5, 2, 3, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_rows_give_empty_arrays(n):
+    # each used to read n from the first matrix and raise IndexError
+    assert pl.mixed_discriminant(np.zeros((0, n, n, n))).shape == (0,)
+    nu = random_affine_atoms(n, 2, np.random.default_rng(n))
+    Z = np.empty((0, n), dtype=complex)
+    for m in range(n + 1):
+        assert pl.smooth_wedge_density(nu, 0, m, Z).shape == (0,)
+    chk = pl.ma_product_expansion_check(nu, 0, Z)
+    for name in ("lhs", "rhs", "scale", "residual", "relative"):
+        assert getattr(chk, name).shape == (0,), name
 
 
 def test_mixed_discriminant_identity_matrices():
@@ -268,8 +283,8 @@ def test_mixed_discriminant_dimension_mismatch():
 # ---------- product-formula expansion check ------------------------------------------
 
 def test_expansion_single_atom_exact_zero():
-    nu = pl.AffineAtoms(chart=0, w=np.array([[0.3 + 0.1j, -0.2]]), weights=np.array([1.0]))
-    chk = pl.ma_product_expansion_check(nu, np.array([[1.0, 1.0]], dtype=complex))
+    nu = chart_measure([[0.3 + 0.1j, -0.2]], [1.0])
+    chk = pl.ma_product_expansion_check(nu, 0, np.array([[1.0, 1.0]], dtype=complex))
     assert chk.residual[0] < 1e-14 * chk.scale[0]
 
 
@@ -279,24 +294,21 @@ def test_expansion_random_configs():
         for _ in range(10):
             N = rng.integers(2, 5)
             w = rng.uniform(0.2, 1.0, N)
-            nu = pl.AffineAtoms(chart=0,
-                                w=rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)),
-                                weights=w / w.sum())
+            sites = rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))
+            nu = chart_measure(sites, w / w.sum())
             z = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            if np.min(np.linalg.norm(nu.w - z[None, :], axis=1)) < 0.5:
+            if np.min(np.linalg.norm(sites - z[None, :], axis=1)) < 0.5:
                 continue
-            assert pl.ma_product_expansion_check(nu, z[None]).relative[0] < 1e-9
+            assert pl.ma_product_expansion_check(nu, 0, z[None]).relative[0] < 1e-9
 
 
 def test_expansion_term_cap():
     rng = np.random.default_rng(11)
     N, n = 30, 5
-    w = np.full(N, 1.0 / N)
-    nu = pl.AffineAtoms(chart=0,
-                        w=rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)),
-                        weights=w)
+    nu = chart_measure(rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)),
+                       np.full(N, 1.0 / N))
     with pytest.raises(ValidationError, match="term cap"):
-        pl.ma_product_expansion_check(nu, 5.0 * np.ones((1, n), dtype=complex))
+        pl.ma_product_expansion_check(nu, 0, 5.0 * np.ones((1, n), dtype=complex))
 
 
 def test_expansion_rows_do_not_depend_on_each_other():
@@ -308,10 +320,10 @@ def test_expansion_rows_do_not_depend_on_each_other():
     nu = random_affine_atoms(n, N, rng)
     Z = 5.0 * (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
     assert len(analytic.atom_blocks(math.comb(N + n - 1, n), 1, n ** 3)) > 1
-    batch = pl.ma_product_expansion_check(nu, Z)
+    batch = pl.ma_product_expansion_check(nu, 0, Z)
     assert np.all(batch.relative < 1e-9)
     for i in range(3):
-        one = pl.ma_product_expansion_check(nu, Z[i:i + 1])
+        one = pl.ma_product_expansion_check(nu, 0, Z[i:i + 1])
         for name in ("lhs", "rhs", "scale", "residual"):
             assert np.array_equal(getattr(one, name), getattr(batch, name)[i:i + 1]), (i, name)
 
@@ -330,14 +342,13 @@ def brute_force_wedge_term(H_V, H_psi, m, n):
 def test_smooth_wedge_endpoints():
     rng = np.random.default_rng(13)
     n = 2
-    nu = pl.AffineAtoms(chart=0,
-                        w=rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)),
-                        weights=np.array([0.5, 0.25, 0.25]))
+    nu = chart_measure(rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)),
+                       [0.5, 0.25, 0.25])
     Z = np.array([[1.2 + 0.1j, -0.7 + 0.4j]])
-    d0 = pl.smooth_wedge_density(nu, 0, Z)[0]
-    dn = pl.smooth_wedge_density(nu, n, Z)[0]
+    d0 = pl.smooth_wedge_density(nu, 0, 0, Z)[0]
+    dn = pl.smooth_wedge_density(nu, 0, n, Z)[0]
     H_rho = pl.fs_hessian(Z[0])
-    H_V = pl.affine_field(nu).complex_hessian(Z)[0]
+    H_V = pl.psh_lift(nu, 0).complex_hessian(Z)[0]
     assert abs(d0 - np.linalg.det(H_rho).real) < 1e-12
     assert abs(dn - np.linalg.det(H_V).real) < 1e-12
 
@@ -346,16 +357,15 @@ def test_smooth_wedge_matches_brute_force_polarization():
     rng = np.random.default_rng(14)
     n = 2
     for _ in range(20):
-        nu = pl.AffineAtoms(chart=0,
-                            w=rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)),
-                            weights=np.array([0.6, 0.4]))
+        sites = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        nu = chart_measure(sites, [0.6, 0.4])
         z = 2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        if np.min(np.linalg.norm(nu.w - z[None, :], axis=1)) < 0.4:
+        if np.min(np.linalg.norm(sites - z[None, :], axis=1)) < 0.4:
             continue
-        H_V = pl.affine_field(nu).complex_hessian(z[None])[0]
+        H_V = pl.psh_lift(nu, 0).complex_hessian(z[None])[0]
         H_rho = pl.fs_hessian(z)
         for m in (0, 1, 2):
-            val = pl.smooth_wedge_density(nu, m, z[None])[0]
+            val = pl.smooth_wedge_density(nu, 0, m, z[None])[0]
             ref = brute_force_wedge_term(H_V, H_rho, m, n)
             assert abs(val - ref) < 1e-5 * max(1.0, abs(ref))
 

@@ -14,7 +14,7 @@ import pytest
 import projlog as pl
 from projlog.geometry import geodesic_distance_batch, sample_fs_array
 from projlog.kernels import projective_log_kernel_batch
-from projlog.measures import AffineAtoms, riesz_refinement_scan
+from projlog.measures import riesz_refinement_scan
 from projlog.potentials import sobolev_doubling, sobolev_refinement_scan
 
 RTOL = 1e-14
@@ -31,9 +31,8 @@ def measure(n, atoms, seed):
     (5, [0.16695631031371855, 0.17386382151798346, 0.1738638341568177]),
 ])
 def test_riesz_refinement_scan_pinned(atoms, expected):
-    a = AffineAtoms.from_measure(measure(2, atoms, 3), 0)
-    got = riesz_refinement_scan(a, 1.0, 3.0, atom_index=0, r0=0.5, levels=3, seed=5,
-                                samples_per_stratum=256)
+    got = riesz_refinement_scan(measure(2, atoms, 3), 0, 1.0, 3.0, atom_index=0, r0=0.5,
+                                levels=3, seed=5, samples_per_stratum=256)
     np.testing.assert_allclose(got, expected, rtol=RTOL, atol=0)
 
 

@@ -4,27 +4,12 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from oracles import fd_gradient, holo_to_real_gradient
+from oracles import chart_measure, fd_gradient, holo_to_real_gradient, random_measure
 from projlog import analytic, potentials
 from projlog.errors import NonConvergent, SingularStencil, ValidationError
 from projlog.geometry import chart_lift, chart_project, fs_gradient_norm_sq, sample_fs_array
 from projlog.kernels import projective_log_kernel_batch
 from projlog.potentials import log_potential_batch
-
-
-def random_measure(n, atoms, seed, in_chart=None):
-    pts = sample_fs_array(seed, atoms, n)
-    if in_chart is not None:
-        # pull atoms into the given chart by boosting that coordinate
-        rows = []
-        for c in pts:
-            c = c.copy()
-            c[in_chart] = 1.0 + abs(c[in_chart])
-            rows.append(pl.normalize(c).coords)
-        pts = np.stack(rows)
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.2, 1.0, atoms)
-    return pl.build_measure(pts, w / w.sum())
 
 
 def random_points(n, count, rng):
@@ -88,26 +73,18 @@ def test_potential_decomposition_linearity():
 
 # ---------- affine potential -----------------------------------------------------
 
-def affine_potential(nu, z):
-    """V(z) at one point, via affine_field."""
-    return float(pl.affine_field(nu)(np.asarray(z, dtype=complex)[None])[0])
-
-
 def test_affine_potential_of_origin_atom():
-    nu = pl.AffineAtoms(chart=0, w=np.zeros((1, 2), dtype=complex),
-                        weights=np.array([1.0]))
+    field = pl.psh_lift(chart_measure(np.zeros((1, 2)), [1.0]), 0)
     rng = np.random.default_rng(10)
     for _ in range(20):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert abs(affine_potential(nu, z) - math.log(np.linalg.norm(z))) < 1e-13
+        assert abs(field(z[None])[0] - math.log(np.linalg.norm(z))) < 1e-13
 
 
 def test_affine_potential_upper_bound_many():
     rng = np.random.default_rng(11)
-    nu = pl.AffineAtoms(chart=0,
-                        w=rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)),
-                        weights=np.full(6, 1.0 / 6))
-    field = pl.affine_field(nu)
+    field = pl.psh_lift(chart_measure(rng.standard_normal((6, 2))
+                                      + 1j * rng.standard_normal((6, 2)), np.full(6, 1.0 / 6)), 0)
     z = rng.standard_normal((100_000, 2)) + 1j * rng.standard_normal((100_000, 2))
     vals = field(z)
     bound = pl.fs_potential(z)
@@ -134,15 +111,6 @@ def test_psh_lift_equals_potential_plus_rho():
         zeta = pl.normalize(chart_lift(z[None], 0)[0])
         expected = log_potential_batch(mu, zeta.coords)[0] + pl.fs_potential(z)
         assert abs(lift(z[None])[0] - expected) < 1e-12
-
-
-def test_psh_lift_matches_affine_potential_for_chart_measures():
-    mu = random_measure(2, 6, seed=16, in_chart=0)
-    nu = pl.AffineAtoms.from_measure(mu, 0)
-    lift = pl.psh_lift(mu, 0)
-    rng = np.random.default_rng(17)
-    z = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
-    np.testing.assert_allclose(lift(z), pl.affine_field(nu)(z), atol=1e-12)
 
 
 def test_affine_regularization_monotone_decreasing_to_V():
