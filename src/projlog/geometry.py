@@ -239,7 +239,8 @@ def chart_project(rows: np.ndarray, k: int) -> np.ndarray:
     Accepts (n+1,) or (m, n+1) homogeneous rows and does not check the floor.
     """
     rows = np.asarray(rows, dtype=complex)
-    return np.delete(rows / rows[..., k, None], k, axis=-1)
+    keep = [j for j in range(rows.shape[-1]) if j != k]
+    return rows[..., keep] / rows[..., k, None]
 
 
 def chart_lift(z: np.ndarray, k: int) -> np.ndarray:
@@ -379,8 +380,17 @@ def _sample_stream(seed: int, count: int, width: int, start: int = 0,
     return out
 
 
+def gaussian_rows(seed: int, count: int, n: int, start: int = 0) -> np.ndarray:
+    """(count, n+1) standard complex Gaussians, the raw FS draw: row i is a pure
+    function of (seed, start + i), and its class is FS-uniform on P^n."""
+    g = _sample_stream(seed, count, 2 * (n + 1), start=start)
+    out = np.empty((count, n + 1), dtype=complex)
+    out.real, out.imag = g[:, : n + 1], g[:, n + 1:]
+    return out
+
+
 def sample_fs_array(seed: int, count: int, n: int, start: int = 0) -> np.ndarray:
-    """(count, n+1) canonical points, FS-uniform (normalized complex Gaussians).
+    """(count, n+1) canonical points, FS-uniform: canonicalize_batch of gaussian_rows.
 
     Normalizing a standard complex Gaussian in C^(n+1) gives the unique
     unitarily invariant probability measure on P^n.  Deterministic in
@@ -388,7 +398,5 @@ def sample_fs_array(seed: int, count: int, n: int, start: int = 0) -> np.ndarray
     """
     if count <= 0:
         return np.empty((0, n + 1), dtype=complex)
-    g = _sample_stream(seed, count, 2 * (n + 1), start=start)
-    vecs = g[:, : n + 1] + 1j * g[:, n + 1:]
-    return canonicalize_batch(vecs)
+    return canonicalize_batch(gaussian_rows(seed, count, n, start))
 

@@ -35,10 +35,10 @@ from .geometry import (
     check_chart,
     fs_gradient,
     fs_gradient_norm_sq,
+    gaussian_rows,
     max_modulus_chart,
     row_norm,
     row_sum,
-    sample_fs_array,
 )
 from .kernels import projective_log_kernel_batch
 from .measures import AtomicMeasure
@@ -157,13 +157,15 @@ def _sobolev_chunk(payload, rng):
     """Module-level chunk worker (picklable for process pools)."""
     mu, seed, start = payload
     lo, hi = rng
-    return _gradient_norms(mu, sample_fs_array(seed, hi - lo, mu.n, start=start + lo))
+    return _gradient_norms(mu, gaussian_rows(seed, hi - lo, mu.n, start=start + lo))
 
 
 def _gradient_norms(mu: AtomicMeasure, samples: np.ndarray) -> np.ndarray:
     """FS gradient norms |grad U_mu| at the rows (m, n+1) of samples.
 
-    Each row is projected once, to its max-modulus chart.  The closed-form
+    The rows are homogeneous coordinates of any scale and phase (the scan
+    passes raw Gaussian rows): only their chart coordinates are read, and
+    each row is projected once, to its max-modulus chart.  The closed-form
     gradient needs no guard near an atom: a Dirac's norm holds to 1e-9
     relative down to FS distance 1e-6.
     """
@@ -182,6 +184,8 @@ def sobolev_scan(mu: AtomicMeasure, p: float, seed: int, samples: int,
                  workers: int | None = None, start: int = 0) -> SobolevScanResult:
     """MC estimate of int |grad U_mu|^p dV over P^n (FS-uniform sampling).
 
+    The draws are geometry.gaussian_rows, left uncanonicalized: the scan
+    reads only their chart coordinates, which ignore scale and phase.
     The gradient norm is the FS-Riemannian norm from the closed-form chart
     gradient via the inverse FS metric.  Every draw is kept, however near an
     atom.  Reports the co-area majorant 2 sqrt(2) c_n int sin^(2n-1-p),
@@ -240,11 +244,12 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
     sqrt2 = math.sqrt(2.0)
 
     def stratum(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-        tau = g[:, : n + 1] + 1j * g[:, n + 1: 2 * (n + 1)]
-        tau -= row_sum(tau * np.conj(eta))[:, None] * eta[None, :]
-        tau /= row_norm(tau)[:, None]
         self_mag = w_self / (sqrt2 * np.tan(s / sqrt2))
         if rest_pts.shape[0]:
+            # unit geodesic direction: a Gaussian projected off eta
+            tau = g[:, : n + 1] + 1j * g[:, n + 1: 2 * (n + 1)]
+            tau -= row_sum(tau * np.conj(eta))[:, None] * eta[None, :]
+            tau /= row_norm(tau)[:, None]
             # geodesic points (fp collapse to eta for tiny s is harmless)
             pts = np.cos(s / sqrt2)[:, None] * eta[None, :] \
                 + np.sin(s / sqrt2)[:, None] * tau

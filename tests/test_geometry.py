@@ -10,6 +10,7 @@ from oracles import fs_metric, fs_metric_inverse, to_chart
 from projlog.errors import ValidationError
 from projlog.geometry import (
     CANONICAL_TOL,
+    _CHUNK,
     Stream,
     _sample_stream,
     abs_sq_sum,
@@ -22,6 +23,7 @@ from projlog.geometry import (
     fs_hessian,
     fs_hessian_norm,
     fs_volume_norm,
+    gaussian_rows,
     geodesic_distance_batch,
     max_modulus_chart,
     row_norm,
@@ -354,6 +356,34 @@ def test_sampler_deterministic_and_prefix_stable():
     np.testing.assert_array_equal(a, longer[:100])
     offset = sample_fs_array(42, 30, 2, start=70)
     np.testing.assert_array_equal(offset, longer[70:100])
+
+
+def test_gaussian_rows_are_a_pure_function_of_the_index():
+    # a start offset returns a slice of the longer draw with the same bytes,
+    # also across a Philox block boundary
+    longer = gaussian_rows(42, 2 * _CHUNK + 10, 2)
+    assert gaussian_rows(42, 2 * _CHUNK + 10, 2).tobytes() == longer.tobytes()
+    for start, count in ((0, 5), (_CHUNK - 3, 7), (100, _CHUNK + 5)):
+        part = gaussian_rows(42, count, 2, start=start)
+        assert part.tobytes() == longer[start:start + count].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sample_fs_array_keeps_its_bytes(n):
+    # canonicalize_batch of gaussian_rows: the bytes of the complex rows built
+    # as g[:, :n+1] + 1j * g[:, n+1:] from the same normals
+    g = _sample_stream(9, 500, 2 * (n + 1), start=300)
+    built = canonicalize_batch(g[:, : n + 1] + 1j * g[:, n + 1:])
+    assert sample_fs_array(9, 500, n, start=300).tobytes() == built.tobytes()
+
+
+def test_sample_fs_array_pinned():
+    # two rows across a Philox block boundary, recorded from the sampler
+    # before gaussian_rows was split out of it
+    expected = [[0.7810314725187724 + 0j, -0.428364149067096 + 0.4544161030698415j],
+                [0.6813781593582156 - 0.023514932677643458j, 0.7315537245416606 + 0j]]
+    np.testing.assert_allclose(sample_fs_array(42, 2, 1, start=_CHUNK - 1), expected,
+                               rtol=1e-15, atol=0)
 
 
 def test_sampler_streams_are_distinct():

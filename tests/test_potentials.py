@@ -7,7 +7,8 @@ import projlog as pl
 from oracles import chart_measure, fd_gradient, holo_to_real_gradient, random_measure
 from projlog import analytic, potentials
 from projlog.errors import NonConvergent, SingularStencil, ValidationError
-from projlog.geometry import chart_lift, chart_project, fs_gradient_norm_sq, sample_fs_array
+from projlog.geometry import _CHUNK, canonicalize_batch, chart_lift, chart_project, \
+    fs_gradient_norm_sq, gaussian_rows, sample_fs_array
 from projlog.kernels import projective_log_kernel_batch
 from projlog.potentials import log_potential_batch
 
@@ -282,10 +283,14 @@ def test_sobolev_scans_reject_no_samples():
 
 
 def test_sobolev_scan_worker_independence():
+    # 70,000 samples from index 1000 on span two 65,536-row chunks, so two
+    # workers start a pool, and the chunk boundary falls inside a Philox block
     mu = random_measure(1, 2, seed=35)
-    a = pl.sobolev_scan(mu, p=1.0, seed=37, samples=4_000, workers=1)
-    b = pl.sobolev_scan(mu, p=1.0, seed=37, samples=4_000, workers=2)
-    assert (a.estimate, a.std_error) == (b.estimate, b.std_error)
+    start = 1000
+    assert (start + 65_536) % _CHUNK
+    a = pl.sobolev_scan(mu, p=1.0, seed=37, samples=70_000, workers=1, start=start)
+    b = pl.sobolev_scan(mu, p=1.0, seed=37, samples=70_000, workers=2, start=start)
+    assert (a.estimate.hex(), a.std_error.hex()) == (b.estimate.hex(), b.std_error.hex())
 
 
 def test_excision_blocked_over_atoms_matches_one_block(monkeypatch):
@@ -317,6 +322,21 @@ def test_gradient_norms_project_each_chart_once(n, monkeypatch):
     norms = potentials._gradient_norms(mu, samples)
     assert np.all(np.isfinite(norms))
     assert charts == [*range(n + 1)]
+
+
+@pytest.mark.parametrize("atoms", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gradient_norms_ignore_the_scale_and_phase_of_a_row(n, atoms):
+    # the scan hands _gradient_norms raw Gaussian rows: their canonical form
+    # and any nonzero complex multiple give the same norms
+    mu = random_measure(n, atoms, seed=80 + n)
+    raw = gaussian_rows(181, 3000, n)
+    rng = np.random.default_rng(82)
+    scale = rng.uniform(0.01, 100.0, 3000) * np.exp(2j * np.pi * rng.uniform(size=3000))
+    ref = potentials._gradient_norms(mu, raw)
+    for rows in (canonicalize_batch(raw), raw * scale[:, None]):
+        np.testing.assert_allclose(potentials._gradient_norms(mu, rows), ref, rtol=1e-12,
+                                   atol=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
