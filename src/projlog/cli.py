@@ -177,7 +177,7 @@ def cmd_ma_density(args) -> int:
     pts = sample_fs_array(args.seed, args.samples, mu.n)
     # points on the chart's hyperplane at infinity are left out
     Z = chart_project(pts[chart_mask(pts, chart)], chart)
-    dens = ma_density(mu, chart, Z, h=args.h, eps=args.eps[0])
+    dens = ma_density(mu, chart, Z, eps=args.eps[0])
     cols = [f"z{i}_{p}" for i in range(mu.n) for p in ("re", "im")] + ["density"]
     _write(args, cols, np.column_stack([Z.view(float), dens]).tolist())
     return EXIT_OK
@@ -200,14 +200,14 @@ def cmd_ball_profile(args) -> int:
         rows = complex_from_json([parse_json(args.center, "--center")], mu.n + 1,
                                  lambda i: "--center", point=True)
         center = HomogeneousPoint(canonicalize_batch(rows)[0])
-    reports = ball_mass_profile(mu, center, args.radii, h=args.h,
-                                eps_list=args.eps, points_per_axis=args.grid)
+    reports = ball_mass_profile(mu, center, args.radii, eps_list=args.eps,
+                                points_per_axis=args.grid)
     rows = []
     for rep in reports:
         for (r, m), (_, ratio) in zip(rep.ball_profile, rep.vol_ratios):
-            rows.append((rep.grid["eps"], r, m, ratio, rep.excised_singular_mass))
-    _write(args, ["eps", "radius", "mass", "mass_over_ball_volume", "excised_singular_mass"],
-           rows, grid=reports[0].grid["points_per_axis"], center=args.center or "first atom",
+            rows.append((rep.grid["eps"], r, m, ratio))
+    _write(args, ["eps", "radius", "mass", "mass_over_ball_volume"], rows,
+           grid=reports[0].grid["points_per_axis"], center=args.center or "first atom",
            levels=",".join(str(rep.grid["levels"]) for rep in reports),
            clipped_cells=",".join(str(rep.clipped_cells) for rep in reports))
     return EXIT_OK
@@ -309,10 +309,6 @@ OPTIONS = {
                      "one value); 0 is the unsmoothed field, which ma-mass refuses"),
     "chart": dict(type=int, default=0),
     "n": dict(type=_checked(int, "a positive integer", lambda v: v > 0), default=1),
-    "h": dict(type=_checked(float, "a finite positive real", lambda v: 0 < v < math.inf),
-              default=1e-4,
-              help="singular-guard length where an --eps value is 0: ma-density "
-                   "refuses and ball-profile excises points within 10h of an atom"),
 }
 
 
@@ -330,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         its extra rows, those named in exclusive in one mutually exclusive
         group; its CSV header records the dests of all but --output and
         --workers."""
-        # no prefix matching: an option a subcommand lacks (say --h) must be
-        # an error, not an abbreviation of another option (--help)
+        # no prefix matching: an option a subcommand lacks (say --s) must be
+        # an error, not an abbreviation of another option (--samples)
         p = sub.add_parser(name, allow_abbrev=False, help=summary)
         p.error = _usage_error
         p.add_argument("--output", default="projlog-out")
@@ -361,11 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
                 "radius": dict(type=float, default=1.0),
                 "levels": dict(type=int, default=3)})
     command("ma-density", cmd_ma_density, "pointwise Monge-Ampere densities",
-            "measure", "seed", "samples", "chart", "h", "eps")
+            "measure", "seed", "samples", "chart", "eps")
     command("ma-mass", cmd_ma_mass, "total Monge-Ampere mass over P^n",
             "measure", "grid", "eps")
     command("ball-profile", cmd_ball_profile, "ball-mass profile around a center",
-            "measure", "grid", "eps", "h", extra={
+            "measure", "grid", "eps", extra={
                 "center": dict(default="", help="center point as JSON [[re,im],...]; "
                                                 "default first atom"),
                 "radii": dict(type=_checked(_reals, "comma-separated reals", bool),

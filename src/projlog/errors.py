@@ -19,8 +19,8 @@ class NumericError(ProjlogError):
 
 
 class SingularStencil(NumericError):
-    """An unsmoothed (eps = 0) MA density was asked for within 10h of an atom:
-    ma_density's singular guard."""
+    """An unsmoothed (eps = 0) MA density was asked for at an atom, where it
+    is not finite."""
 
 
 class NegativeDensity(NumericError):

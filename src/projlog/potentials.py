@@ -30,7 +30,6 @@ from .coarea import log_radial_levels, mc_estimate, sobolev_bound, sphere_area
 from .errors import ValidationError
 from .geometry import (
     Stream,
-    chart_mask,
     chart_project,
     check_chart,
     fs_gradient,
@@ -58,16 +57,6 @@ def nearest_site_distance(Z: np.ndarray, sites: np.ndarray) -> np.ndarray:
         np.minimum(nearest, np.min(row_norm(Z[:, None, :] - sites[None, blk, :]), axis=1),
                    out=nearest)
     return nearest
-
-
-def within_guard(Z: np.ndarray, sites: np.ndarray, h: float) -> np.ndarray:
-    """True for the chart rows of Z within distance 10h of a site.
-
-    The one singular guard of the unsmoothed (eps = 0) field, where the
-    determinant of the Hessian cancels near an atom: ma_density refuses such
-    points and ball_mass_profile excises such cells.
-    """
-    return nearest_site_distance(Z, sites) <= 10.0 * h
 
 
 @dataclass(frozen=True)
@@ -98,12 +87,6 @@ class PotentialField:
     def complex_hessian(self, Z) -> np.ndarray:
         """Closed-form complex Hessian (m, n, n) at the chart rows Z (m, n)."""
         return analytic.field_hessian_batch(Z, self.atoms_eta, self.weights, self.chart, self.b)
-
-    def singular_sites(self) -> np.ndarray:
-        """Chart coordinates where the unsmoothed field is -inf, shape (k, n)."""
-        if self.b > 0.0:
-            return np.empty((0, self.atoms_eta.shape[1] - 1), dtype=complex)
-        return chart_project(self.atoms_eta[chart_mask(self.atoms_eta, self.chart)], self.chart)
 
 
 def _check_eps(eps: float) -> None:

@@ -3,7 +3,8 @@
 None of these is on a production path: each recomputes a quantity the
 library gets another way (a finite-difference gradient against the closed
 forms, the FS metric against the closed-form Hessian, LAPACK mixed
-discriminants one tuple at a time against the batched engine, chart
+discriminants one tuple at a time against the batched engine, a 60-digit
+Monge-Ampere determinant against the double-precision one, chart
 coordinates one point at a time against the batch projection, quadratures
 and closed forms of the co-area constants, the refinement skeleton with one
 draw per stratum against its one draw per level, the ball grid's cells a whole
@@ -16,6 +17,7 @@ import json
 import math
 from itertools import combinations
 
+import mpmath
 import numpy as np
 
 from projlog.coarea import DEPTH_FACTOR, SQRT2, area_constant
@@ -130,6 +132,35 @@ def mixed_discriminant_lapack(mats) -> float:
                 acc += mats[i]
             total += sign * float(np.linalg.det(acc).real)
     return total / math.factorial(n)
+
+
+# ---------------------------------------------------------------------------
+# Monge-Ampere determinant in high precision
+# ---------------------------------------------------------------------------
+
+def ma_det_mpmath(mu, chart: int, z) -> float:
+    """det H_phi of the unsmoothed chart lift at one chart row z, in 60-digit
+    mpmath arithmetic, from the Lagrange form of each atom's kernel Hessian:
+    (1/2) (M_(p_d p_c) / P - (l^* M)_(p_c) (M l)_(p_d) / P^2), where
+    M = |eta|^2 I - eta eta^*, P = l^* M l, l the chart lift of z and p_c
+    the lift slot of coordinate c.  At 60 digits the cancellation of P and
+    of the determinant near an atom is harmless."""
+    n = mu.n
+    pos = [p for p in range(n + 1) if p != chart]
+    with mpmath.workdps(60):
+        l = mpmath.matrix([[1] if p == chart else [mpmath.mpc(z[pos.index(p)])]
+                           for p in range(n + 1)])
+        H = mpmath.zeros(n, n)
+        for w, eta in zip(mu.weights, mu.points):
+            e = mpmath.matrix([[mpmath.mpc(c)] for c in eta])
+            M = (e.H * e)[0] * mpmath.eye(n + 1) - e * e.H
+            P = (l.H * M * l)[0]
+            lM, Ml = l.H * M, M * l
+            for c in range(n):
+                for d in range(n):
+                    H[c, d] += mpmath.mpf(w) / 2 * (M[pos[d], pos[c]] / P
+                                                    - lM[pos[c]] * Ml[pos[d]] / P**2)
+        return float(mpmath.re(mpmath.det(H)))
 
 
 # ---------------------------------------------------------------------------

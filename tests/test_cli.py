@@ -137,7 +137,7 @@ def test_ball_profile_subcommand(tmp_path):
     mfile = tmp_path / "delta.json"
     mfile.write_text(measure_json(mu))
     rc = main(["ball-profile", "--measure", str(mfile), "--radii", "1.0,0.5",
-               "--eps", "0.1", "--h", "0.0001", "--output", str(tmp_path)])
+               "--eps", "0.1", "--output", str(tmp_path)])
     assert rc == 0
     rows = body_of(tmp_path / "ball_profile.csv").splitlines()[1:]
     masses = [float(r.split(",")[2]) for r in rows]
@@ -234,8 +234,7 @@ def test_potential_subcommand(tmp_path, measure_file):
 
 def test_ma_density_subcommand(tmp_path, measure_file):
     rc = main(["ma-density", "--measure", str(measure_file), "--seed", "6",
-               "--samples", "20", "--eps", "0.3", "--h", "0.0001",
-               "--output", str(tmp_path)])
+               "--samples", "20", "--eps", "0.3", "--output", str(tmp_path)])
     assert rc == 0
     rows = body_of(tmp_path / "ma_density.csv").splitlines()[1:]
     assert rows and all(float(r.split(",")[-1]) >= 0.0 for r in rows)
@@ -278,19 +277,23 @@ def readme_option_table() -> dict[str, set[str]]:
             for opt, cell in cells}
 
 
+def required_options(command: str) -> list[str]:
+    """The options a subcommand cannot run without (files need not exist to parse)."""
+    return {"kernel": ["--pairs", "pairs.json"], "constants": [], "sample": [],
+            "verify": []}.get(command, ["--measure", "mu.json"])
+
+
 def test_each_option_only_where_it_is_read(tmp_path, measure_file, capsys):
     # an option a subcommand does not read is an error, not silently ignored
-    # (nor taken as an abbreviation: --h is not --help); README's table of
+    # (nor taken as an abbreviation: --s is not --samples); README's table of
     # the run-configuration options says which subcommands read each one
     # (--output and --workers are execution settings on every subcommand)
     table = readme_option_table()
     assert set(table) == set(OPTIONS) - {"measure"}
     ap = build_parser()
     for command in declared_options():
-        required = {"kernel": ["--pairs", "pairs.json"], "constants": [], "sample": [],
-                    "verify": []}.get(command, ["--measure", "mu.json"])
         for opt, readers in table.items():
-            argv = [command, *required, f"--{opt}", "1", "--output", "out",
+            argv = [command, *required_options(command), f"--{opt}", "1", "--output", "out",
                     "--workers", "2"]
             if command in readers:
                 ap.parse_args(argv)
@@ -301,14 +304,8 @@ def test_each_option_only_where_it_is_read(tmp_path, measure_file, capsys):
     assert main(["measure", "--measure", str(measure_file), "--samples", "5", "--grid", "7",
                  "--chart", "3", *out]) == 2
     assert "--samples" in capsys.readouterr().err
-    # sobolev keeps every draw, so it has no --h (it used to)
-    assert main(["sobolev", "--measure", str(measure_file), "--samples", "200",
-                 "--h", "0.001", *out]) == 2
-    assert "unrecognized arguments: --h" in capsys.readouterr().err
-    assert main(["ma-density", "--measure", str(measure_file), "--samples", "5",
-                 "--h", "0.001", *out]) == 0
-    assert main(["ball-profile", "--measure", str(measure_file), "--radii", "1.0",
-                 "--eps", "0.3", "--h", "0.001", *out]) == 0
+    assert main(["sample", "--s", "5", *out]) == 2
+    assert "unrecognized arguments: --s" in capsys.readouterr().err
 
 
 def test_ball_profile_grid_not_multiple_of_4_exit_code(tmp_path, measure_file, capsys):
@@ -372,12 +369,12 @@ def header_of(path: Path) -> dict:
 def test_headers_record_the_options_that_shape_the_body(tmp_path, measure_file):
     m = ["--measure", str(measure_file)]
     assert main(["ball-profile", *m, "--grid", "16", "--radii", "0.5", "--eps", "0.3,0",
-                 "--h", "1e-2", "--output", str(tmp_path)]) == 0
+                 "--output", str(tmp_path)]) == 0
     head = header_of(tmp_path / "ball_profile.csv")
     assert head["grid"] == "16" and head["center"] == "first atom"
     # one levels and one clipped_cells entry per eps, as the library reports them
     mu = pl.AtomicMeasure.from_json(measure_file.read_text())
-    reps = pl.ball_mass_profile(mu, mu.point(0), [0.5], h=1e-2, eps_list=[0.3, 0.0],
+    reps = pl.ball_mass_profile(mu, mu.point(0), [0.5], eps_list=[0.3, 0.0],
                                 points_per_axis=16)
     assert head["levels"] == ",".join(str(rep.grid["levels"]) for rep in reps) == "1,9"
     assert head["clipped_cells"] == ",".join(str(rep.clipped_cells) for rep in reps)
@@ -429,6 +426,16 @@ def test_every_header_records_each_declared_option(tmp_path, measure_file):
 
 
 @pytest.mark.parametrize("command", sorted(declared_options()))
+def test_no_subcommand_takes_h(command, tmp_path, capsys):
+    # --h was the singular-guard length of ma-density and ball-profile (and
+    # of sobolev before); the eps = 0 density needs no guard, so no
+    # subcommand has it, and it is no abbreviation of --help
+    assert main([command, *required_options(command), "--h", "0.001",
+                 "--output", str(tmp_path)]) == 2
+    assert "unrecognized arguments: --h" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(declared_options()))
 def test_every_subcommand_prints_its_help(command, capsys):
     # argparse raised "empty group" formatting the usage of the ten
     # subcommands without mutually exclusive options
@@ -440,7 +447,7 @@ def test_every_subcommand_prints_its_help(command, capsys):
 
 @pytest.mark.parametrize("command, option, value", [
     ("sample", "--seed", "x"), ("sample", "--samples", "x"), ("ma-mass", "--grid", "x"),
-    ("riesz", "--chart", "x"), ("constants", "--n", "x"), ("ma-density", "--h", "x"),
+    ("riesz", "--chart", "x"), ("constants", "--n", "x"),
     ("riesz", "--alpha", "x"), ("riesz", "--p-value", "x"), ("riesz", "--radius", "x"),
     ("riesz", "--levels", "1.5"), ("measure", "--workers", "x"),
 ])
@@ -473,7 +480,6 @@ def test_verify_unknown_check_key_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, code, named", [
-    (["ma-density", "--samples", "5", "--h", "nan"], 2, "--h"),
     (["ma-mass", "--grid", "16", "--eps", "nan"], 2, "--eps"),
     (["ma-mass", "--grid", "16", "--eps", "0.3,x"], 2, "--eps"),
     (["sobolev", "--samples", "50", "--p", "nan"], 2, "p = nan"),
@@ -505,9 +511,9 @@ def test_verify_unknown_check_key_exit_code(tmp_path, capsys):
     (["ball-profile", "--radii", "0.5", "--eps", "1e154"], 3, "not finite"),
     (["ma-mass", "--grid", "64", "--eps", "1e-200"], 2, "eps"),
     (["ma-mass", "--grid", "4"], 3, "grid self-check: FS volume off by 11.10%"),
-    (["ball-profile", "--grid", "4", "--radii", "1,0.5", "--eps", "10", "--h", "1e-2"], 3,
+    (["ball-profile", "--grid", "4", "--radii", "1,0.5", "--eps", "10"], 3,
      "grid self-check: FS volume off by 2.07%"),
-], ids=["h-nan", "eps-nan", "eps-text", "p-nan", "p-below-1", "p-empty", "radius-negative",
+], ids=["eps-nan", "eps-text", "p-nan", "p-below-1", "p-empty", "radius-negative",
         "p-value-nan", "radii-zero", "radii-text", "levels-zero", "levels-overflow",
         "mass-eps-zero",
         "density-eps-list", "seed-2-to-64", "seed-negative", "p-inf", "p-value-inf",
@@ -595,29 +601,30 @@ def test_bad_pairs_or_center_exit_code(kind, payload, named, tmp_path, measure_f
 
 @pytest.mark.parametrize("radii", ["1.0,0.5", "0.5"])
 def test_ball_profile_self_check_tests_the_grid_not_h(radii, tmp_path, measure_file):
-    # the excised cells count toward the ball-volume self-check; this used
-    # to exit 3, off by 2.03% at r = 1 and 7.58% at r = 0.5
-    assert main(["ball-profile", "--measure", str(measure_file), "--eps", "0", "--h", "1e-2",
+    # at eps = 0 every cell of the ball counts toward the ball-volume
+    # self-check; this used to exit 3, off by 2.03% at r = 1 and 7.58% at
+    # r = 0.5, when the cells near an atom were left out of it
+    assert main(["ball-profile", "--measure", str(measure_file), "--eps", "0",
                  "--radii", radii, "--output", str(tmp_path)]) == 0
 
 
-def test_eps_zero_makes_h_act(tmp_path, measure_file):
-    # --eps 0 is the unsmoothed field: ma-density evaluates it behind the
-    # 10h guard ...
+def test_eps_zero_density_and_atomic_ball_masses(tmp_path, measure_file):
+    # --eps 0 is the unsmoothed field: ma-density evaluates it at every
+    # sample, and on P^1 each eps = 0 ball mass is the weight of the atoms
+    # in the ball
     m = ["--measure", str(measure_file)]
-    dens = ["ma-density", *m, "--eps", "0", "--samples", "50"]
-    assert main([*dens, "--h", "1e-4", "--output", str(tmp_path)]) == 0
-    assert main([*dens, "--h", "0.5", "--output", str(tmp_path / "wide")]) == 3
-    # ... and ball-profile excises the cells within 10h of an atom
-    bodies = []
-    for h in ("1e-4", "1e-3"):
-        out = tmp_path / h
-        assert main(["ball-profile", *m, "--radii", "1.0,0.5", "--eps", "0.1,0", "--h", h,
-                     "--output", str(out)]) == 0
-        rows = [r.split(",") for r in body_of(out / "ball_profile.csv").splitlines()[1:]]
-        bodies.append({(r[0], r[1]): float(r[4]) for r in rows})
-    assert all(bodies[0][key] == bodies[1][key] == 0.0 for key in bodies[0] if key[0] != "0")
-    assert all(0.0 < bodies[0][key] < bodies[1][key] for key in bodies[0] if key[0] == "0")
+    assert main(["ma-density", *m, "--eps", "0", "--samples", "50",
+                 "--output", str(tmp_path)]) == 0
+    assert main(["ball-profile", *m, "--radii", "1.0,0.5", "--eps", "0.1,0",
+                 "--output", str(tmp_path)]) == 0
+    lines = body_of(tmp_path / "ball_profile.csv").splitlines()
+    assert lines[0] == "eps,radius,mass,mass_over_ball_volume"
+    mass = {(r[0], r[1]): float(r[2]) for r in (line.split(",") for line in lines[1:])}
+    mu = pl.AtomicMeasure.from_json(measure_file.read_text())
+    d = pl.geodesic_distance_batch(mu.points, mu.point(0).coords)
+    for r in ("0.5", "1"):
+        atomic = float(np.sum(mu.weights[d <= float(r)]))
+        assert abs(mass[("0", r)] - atomic) < 1e-6
 
 
 JSON_VALUES = st.recursive(
@@ -694,7 +701,6 @@ OPTION_VALUES = {
     "levels": (st.integers(1, 3).map(str), SIZES),
     "grid": (st.sampled_from(["4", "8", "64"]), st.sampled_from(["-1", "0", "1", "2", "x"])),
     "chart": (st.sampled_from(["0", "1"]), st.sampled_from(["-1", "2", "x"])),
-    "h": (reals(1e-6, 1e-2), NUMBERS),
     "alpha": (reals(0.1, 1.9), NUMBERS),
     "radius": (reals(0.1, 3.0), NUMBERS),
     "p-value": (reals(0.5, 3.0), NUMBERS),
@@ -706,9 +712,9 @@ NUMERIC_OPTIONS = {
     "potential": ("seed", "samples"),
     "sobolev": ("seed", "samples", "p"),
     "riesz": ("seed", "samples", "chart", "alpha", "p-value", "radius", "levels"),
-    "ma-density": ("seed", "samples", "eps", "chart", "h"),
+    "ma-density": ("seed", "samples", "eps", "chart"),
     "ma-mass": ("grid", "eps"),
-    "ball-profile": ("grid", "eps", "h", "radii"),
+    "ball-profile": ("grid", "eps", "radii"),
     "prop25-check": ("seed", "samples", "chart"),
     "sample": ("seed", "samples", "n"),
     "constants": ("n",),
@@ -726,7 +732,7 @@ EXIT_CODES = {"verify": (0, 1, 2, 3)}
 FINITE_COLUMNS = {
     "ma-mass": ("total_mass", "volume_check"),
     "ma-density": ("density",),
-    "ball-profile": ("mass", "mass_over_ball_volume", "excised_singular_mass"),
+    "ball-profile": ("mass", "mass_over_ball_volume"),
     "sobolev": ("estimate", "std_error", "estimate_doubled"),
     "riesz": ("estimate",),
 }

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from oracles import chart_measure, mixed_discriminant_lapack, nested_cells, random_measure
+from oracles import chart_measure, ma_det_mpmath, mixed_discriminant_lapack, nested_cells, \
+    random_measure
 from projlog import analytic, geometry, monge_ampere, verification
 from projlog.errors import GridTooCoarse, NegativeDensity, SingularStencil, ValidationError
 from projlog.geometry import chart_mask, chart_project, fs_hessian_norm, fs_volume_density, \
     geodesic_distance_batch, sample_fs_array
 from projlog.monge_ampere import hessian_fd_batch
-from projlog.potentials import within_guard
 
 
 def random_hermitian(n, rng):
@@ -384,32 +384,46 @@ def test_ma_density_fs_symmetric_is_one():
         assert np.max(np.abs(det - vol) / vol) < 1e-13
 
 
-def test_singular_guard_is_inclusive_at_10h():
-    # one rule for "within 10h of an atom": ma_density refuses and the ball
-    # profile excises what within_guard flags
-    sites = np.zeros((1, 1), dtype=complex)
-    Z = np.array([[5.0], [5.0 + 1e-12], [-5.0j]])
-    assert within_guard(Z, sites, 0.5).tolist() == [True, False, True]
-    mu = pl.dirac(pl.normalize([1, 0]))
-    with pytest.raises(SingularStencil):
-        pl.ma_density(mu, 0, np.array([[5.0 + 0j]]), h=0.5)
-    assert pl.ma_density(mu, 0, np.array([[5.0 + 1e-12 + 0j]]), h=0.5)[0] >= 0.0
-
-
 def test_ma_density_unsmoothed_log_abs_vanishes():
     # for n = 1 the unsmoothed lift of a Dirac is log|z|, maximal off the atom
     mu = pl.dirac(pl.normalize([1, 0]))
     rng = np.random.default_rng(16)
     Z = np.stack([rng.standard_normal(1) + 1j * rng.standard_normal(1) for _ in range(10)])
-    val = pl.ma_density(mu, 0, Z[np.abs(Z[:, 0]) >= 0.3], h=1e-4, eps=0.0)
+    val = pl.ma_density(mu, 0, Z[np.abs(Z[:, 0]) >= 0.3], eps=0.0)
     assert val.size and np.all((0.0 <= val) & (val < 1e-6))
 
 
 def test_ma_density_near_atom_guard():
-    # the error names the first row within 10h of the atom
-    mu = pl.dirac(pl.normalize([1, 0]))
+    # at eps = 0 only a row at an atom itself, where T is exactly 0, has no
+    # finite density at n >= 2; the error names that row
+    mu = pl.dirac(pl.normalize([1, 0, 0]))
+    assert analytic.quad_form_batch(np.zeros((1, 2)), mu.points, 0, 0.0, 0.0)[0][0, 0] == 0.0
     with pytest.raises(SingularStencil, match=r"\(row 1\)"):
-        pl.ma_density(mu, 0, np.array([[2.0 + 0j], [5e-4 + 0j], [1e-4j]]), h=1e-4, eps=0.0)
+        pl.ma_density(mu, 0, np.array([[0.5, 0.1j], [0, 0], [1e-7, 0]], dtype=complex))
+    # a row at chart distance 1e-7 has a finite density, which is large with
+    # a second atom; at n = 1 a row at an atom gets the other atoms' density
+    near = np.array([[1e-7, 0j]])
+    assert pl.ma_density(mu, 0, near).tolist() == [0.0]
+    two = chart_measure([[0.0, 0.0], [0.5, -0.3j]], [0.6, 0.4])
+    assert 1e6 < pl.ma_density(two, 0, near)[0] < np.inf
+    pair = chart_measure([[0.0], [0.5]], [0.6, 0.4])
+    assert 0.0 <= pl.ma_density(pair, 0, np.zeros((1, 1)))[0] < 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ma_density_matches_mpmath_near_an_atom(n):
+    # det H_phi = ma_density * det H_rho against a 60-digit determinant, at
+    # chart distance d from atom 0 along a fixed direction: the expansion
+    # about the nearest atom keeps its digits where the direct determinant
+    # of sum_i w_i H_i is off by 1e5 relative at d = 1e-7
+    mu = pl.build_measure(sample_fs_array(5, 2, n), [0.6, 0.4])
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for d in (1e-1, 1e-3, 1e-5, 1e-7):
+        z = chart_project(mu.points[0], 0) + d * u / np.linalg.norm(u)
+        det = pl.ma_density(mu, 0, z[None])[0] * fs_volume_density(z[None])[0]
+        ref = ma_det_mpmath(mu, 0, z)
+        assert abs(det - ref) <= max(1e-12, 5e-15 / d) * abs(ref), (n, d)
 
 
 def test_ma_density_negative_rows(monkeypatch):
@@ -446,7 +460,7 @@ def test_ma_density_smoothed_dirac_matches_closed_form():
         for eps in (0.05, 0.3, 3.0):
             e2 = eps**2
             expected = (1 + e2) ** n * e2 * (1 + t) ** (n + 1) / ((1 + e2) * t + e2) ** (n + 1)
-            val = pl.ma_density(mu, 0, Z, h=1e-4, eps=eps)
+            val = pl.ma_density(mu, 0, Z, eps=eps)
             assert np.max(np.abs(val - expected) / expected) < 1e-10, (n, eps)
 
 
@@ -457,8 +471,8 @@ def test_ma_density_batch_matches_one_row_calls(n, eps):
     pts = sample_fs_array(41, 300, n)
     for chart in (0, 1):
         Z = chart_project(pts[chart_mask(pts, chart)], chart)
-        batch = pl.ma_density(mu, chart, Z, h=1e-4, eps=eps)
-        rows = np.array([pl.ma_density(mu, chart, z[None], h=1e-4, eps=eps)[0] for z in Z])
+        batch = pl.ma_density(mu, chart, Z, eps=eps)
+        rows = np.array([pl.ma_density(mu, chart, z[None], eps=eps)[0] for z in Z])
         assert batch.shape == (Z.shape[0],)
         assert np.all(np.abs(batch - rows) <= 1e-12 * np.maximum(1.0, np.abs(rows)))
 
@@ -497,6 +511,16 @@ def test_total_mass_worker_independence():
     a = pl.ma_total_mass(mu, grid=64, h=1e-4, eps=0.3, workers=1, vol_tol=0.05)
     b = pl.ma_total_mass(mu, grid=64, h=1e-4, eps=0.3, workers=2, vol_tol=0.05)
     assert a.total_mass == b.total_mass
+
+
+def test_grids_ignore_h():
+    # ma_total_mass and ball_mass_profile keep h only because the
+    # benchmark's workloads pass it: it changes no bit of their reports
+    mu2, mu1 = random_measure(2, 2, seed=19), random_measure(1, 3, seed=19)
+    assert len({repr(pl.ma_total_mass(mu2, grid=8, h=h, eps=0.3, vol_tol=1.0))
+                for h in (1e-4, 0.5)}) == 1
+    assert len({repr(pl.ball_mass_profile(mu1, mu1.point(0), [0.5], h=h, eps_list=[0.3, 0.0]))
+                for h in (1e-4, 0.5)}) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -561,30 +585,47 @@ def test_ball_profile_antipodal_center_mass_vanishes():
     assert masses[-1] < 0.01 and masses[0] <= masses[-1] + 1e-12
 
 
-def test_ball_profile_excision_diagnostic():
+def test_ball_profile_unsmoothed_masses_are_atomic_on_p1():
+    # on P^1 the unsmoothed lift is harmonic off the atoms, so the grid's
+    # absolutely continuous part is rounding and each eps = 0 mass is the
+    # sum of w_i over the atoms in the ball (0.21964531 for atom 0 alone)
     center = pl.normalize([1, 0])
-    mu = pl.dirac(center)
-    rep = pl.ball_mass_profile(mu, center, [0.5], h=1e-3, eps_list=[0.0],
+    rep = pl.ball_mass_profile(pl.dirac(center), center, [0.5], eps_list=[0.0],
                                points_per_axis=64)[0]
-    # excised region is a bounded small volume; off the atom the unsmoothed
-    # Dirac lift is log|z|, harmonic for n = 1, so the closed-form density
-    # vanishes up to rounding
-    assert 0.0 < rep.excised_singular_mass < 0.01
-    assert rep.total_mass < 1e-10
+    assert abs(rep.total_mass - 1.0) < 1e-6
+    mu = random_measure(1, 3, seed=71)
+    d = geodesic_distance_batch(mu.points, mu.point(0).coords)
+    radii = [1.2, 0.8, 0.4]
+    assert [int(np.sum(d <= r)) for r in radii] == [2, 1, 1]
+    rep = pl.ball_mass_profile(mu, mu.point(0), radii, eps_list=[0.0], points_per_axis=32)[0]
+    for r, mass in rep.ball_profile:
+        assert abs(mass - np.sum(mu.weights[d <= r])) < 1e-6, r
+    assert abs(rep.ball_profile[0][1] - 0.21964531) < 1e-6
 
 
-def test_ball_profile_excision_blocked_over_atoms(monkeypatch):
+def test_ball_profile_unsmoothed_is_the_small_eps_limit():
+    # at n = 2 the eps = 0 profile (atomic part w_i^n plus the grid's
+    # absolutely continuous part) is the limit of the smoothed profiles
+    mu = random_measure(2, 3, seed=71)
+    unsmoothed, smoothed = (pl.ball_mass_profile(mu, mu.point(0), [0.8, 0.4], eps_list=[eps],
+                                                 points_per_axis=16)[0] for eps in (0.0, 0.003))
+    for (_, a), (_, b) in zip(unsmoothed.ball_profile, smoothed.ball_profile):
+        assert abs(a - b) < 1e-3
+
+
+def test_ball_profile_unsmoothed_blocked_over_atoms(monkeypatch):
+    # the eps = 0 determinants take their rows in atom_blocks slices; one
+    # row a block gives the same bits
     mu = random_measure(1, 6, seed=71)
     center = mu.point(0)
 
     def profile():
-        rep = pl.ball_mass_profile(mu, center, [0.8], h=2e-3, eps_list=[0.0],
-                                   points_per_axis=32)[0]
-        return rep.excised_singular_mass, rep.total_mass, rep.vol_check
+        rep = pl.ball_mass_profile(mu, center, [0.8], eps_list=[0.0], points_per_axis=32)[0]
+        return rep.ball_profile, rep.vol_check, rep.clipped_cells
 
     whole = profile()
     monkeypatch.setattr(analytic, "_BLOCK_ENTRIES", 1)
-    assert whole[0] > 0.0 and profile() == whole
+    assert whole[0][0][1] > 0.0 and profile() == whole
 
 
 @pytest.mark.parametrize("n, m", [(1, 4), (1, 32), (1, 64), (2, 4), (2, 8), (2, 16)])
@@ -631,25 +672,23 @@ def test_ball_profile_checks_every_eps_before_any_cell(eps_list, match, monkeypa
 
 
 def test_ball_profile_volume_check_counts_excised_cells():
-    # the self-check compares kept plus excised volume with the exact ball
-    # volume, so it tests the grid and not h: on the same cells, kept plus
-    # excised at eps = 0 is the volume that eps = 1e-3 keeps (the level rule
-    # reads max(eps, 1e-3), so both get the same levels)
+    # the self-check compares the grid's volume with the exact ball volume,
+    # and at eps = 0 it counts the cells near the atoms that a distance guard
+    # used to excise: on the same cells it has the volume of eps = 1e-3 (the
+    # level rule reads max(eps, 1e-3), so both get the same levels)
     mu = pl.build_measure([pl.normalize([1, 0.3]).coords,
                            pl.normalize([1, -0.5 + 0.2j]).coords], [0.6, 0.4])
-    unsmoothed, smoothed = (pl.ball_mass_profile(mu, mu.point(0), [1.0, 0.5], h=1e-2,
+    unsmoothed, smoothed = (pl.ball_mass_profile(mu, mu.point(0), [1.0, 0.5],
                                                  eps_list=[eps])[0]
                             for eps in (0.0, 1e-3))
     assert unsmoothed.grid["levels"] == smoothed.grid["levels"]
-    assert unsmoothed.excised_singular_mass > 0.0
-    assert unsmoothed.vol_check + unsmoothed.excised_singular_mass == pytest.approx(
-        smoothed.vol_check, rel=1e-12)
+    assert unsmoothed.vol_check == smoothed.vol_check
     # a grid too coarse for the ball still fails the check (by 2.07%); a
     # huge eps gives a single level, whose cells do not depend on eps
     one_level = pl.ball_mass_profile(mu, mu.point(0), [1.0, 0.5], eps_list=[10.0])[0]
     assert one_level.grid["levels"] == 1
     with pytest.raises(GridTooCoarse, match="2.07%"):
-        pl.ball_mass_profile(mu, mu.point(0), [1.0, 0.5], h=1e-2, eps_list=[10.0],
+        pl.ball_mass_profile(mu, mu.point(0), [1.0, 0.5], eps_list=[10.0],
                              points_per_axis=4)
 
 

@@ -91,17 +91,17 @@ def test_ball_mass_profile_pinned(eps, expected):
     assert rep.clipped_cells == expected[-1]
 
 
-def test_ball_mass_profile_pinned_with_clipping_and_excision():
-    # eps = 0 on P^1: the lift is harmonic off the atoms, so every density
-    # is rounding and thousands of cells clip; cells near the atoms are excised
+def test_ball_mass_profile_pinned_unsmoothed():
+    # eps = 0 on P^1: the lift is harmonic off the atoms, so every cell's
+    # density is rounding and thousands of cells clip; each mass is the
+    # atomic part, atom 0's weight, plus the grid's part of order 1e-17
     mu = measure(1, 3, 71)
-    rep = pl.ball_mass_profile(mu, mu.point(0), [0.8, 0.4], h=1e-3, eps_list=[0.0],
+    rep = pl.ball_mass_profile(mu, mu.point(0), [0.8, 0.4], eps_list=[0.0],
                                points_per_axis=32)[0]
-    expected = [1.925840215298168e-15, 1.9910151566578975e-15, 0.2864164342714251,
-                4.230214431494274e-05, 2516]
-    got = [m for _, m in rep.ball_profile] + [rep.vol_check, rep.excised_singular_mass]
+    expected = [0.21964531414634716, 0.2196453141463472, 0.28645873641574005, 2445]
+    got = [m for _, m in rep.ball_profile] + [rep.vol_check]
     np.testing.assert_allclose(got, expected[:-1], rtol=RTOL, atol=0)
-    assert rep.clipped_cells == expected[-1] > 0 and rep.excised_singular_mass > 0
+    assert rep.clipped_cells == expected[-1]
 
 
 def test_wedge_ratio_kernels_pinned():
