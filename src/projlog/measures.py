@@ -176,11 +176,20 @@ def support_threshold(n: int) -> float:
 def partition_of_unity(zeta: np.ndarray) -> np.ndarray:
     """Weights chi_0..chi_n at the rows of zeta (m, n+1): nonnegative, sum to 1.
 
-    chi_j vanishes whenever t_j = |zeta_j|^2/|zeta|^2 <= 1/(2(n+1)).
+    chi_j vanishes whenever t_j = |zeta_j|^2/|zeta|^2 <= 1/(2(n+1)).  The
+    arithmetic is partition_from_sq_moduli's, on np.abs(zeta) ** 2.
     """
-    t = np.abs(zeta) ** 2
-    t = t / row_sum(t)[:, None]
-    n = zeta.shape[1] - 1
+    return partition_from_sq_moduli(np.abs(zeta) ** 2)
+
+
+def partition_from_sq_moduli(s: np.ndarray) -> np.ndarray:
+    """partition_of_unity of rows whose squared moduli are s (m, n+1).
+
+    The MA grid calls it on its cells' squared moduli with each chart's 1.0
+    inserted, which is np.abs(chart_lift(Z, k)) ** 2 without the lift.
+    """
+    t = s / row_sum(s)[:, None]
+    n = s.shape[1] - 1
     a = support_threshold(n)
     b = 1.0 / (n + 1)
     beta = smoothstep((t - a) / (b - a))

@@ -9,7 +9,8 @@ of det(H_rho) (= 2^-n pi^n / n! for the unit-volume convention); for any
 smooth global field rho + u the answer is 1 by cohomology, which is the
 grid's strongest self-check.  _ma_det owns det(H_phi): hermitian_det (closed
 form for n <= 3, as are the mixed discriminants' subset sums) at eps > 0, an
-expansion about the nearest atom at eps = 0; fs_volume_density is det(H_rho).
+expansion about the nearest atom at eps = 0 whose terms are complex_det's
+(closed form at n = 2, 3); fs_volume_density is det(H_rho).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import GridTooCoarse, NegativeDensity, NonConvergent, SingularStenc
     ValidationError
 from .geometry import (
     HomogeneousPoint,
-    abs_sq_sum,
     chart_lift,
     chart_project,
     check_chart,
@@ -36,8 +36,9 @@ from .geometry import (
     fs_volume_norm,
     geodesic_distance_batch,
     max_modulus_chart,
+    row_sum,
 )
-from .measures import AtomicMeasure, partition_of_unity
+from .measures import AtomicMeasure, partition_from_sq_moduli
 from .parallel import run_chunked
 from .potentials import PotentialField, _check_eps, psh_lift
 
@@ -143,6 +144,24 @@ def hermitian_det(H: np.ndarray) -> np.ndarray:
             - h00 * (h12.real ** 2 + h12.imag ** 2)
             - h11 * (h02.real ** 2 + h02.imag ** 2)
             - h22 * a01)
+
+
+def complex_det(M: np.ndarray) -> np.ndarray:
+    """Complex determinant of a (..., n, n) batch of general matrices.
+
+    n = 2 and 3 expand the determinant along the first row in complex
+    arithmetic; n = 1 and n >= 4 go through LAPACK, whose 1 x 1 value
+    sign * exp(log|m|) is not m to the bit.
+    """
+    n = M.shape[-1]
+    if n not in (2, 3):
+        return np.linalg.det(M)
+    if n == 2:
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    m = [[M[..., r, c] for c in range(3)] for r in range(3)]
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +276,8 @@ def _ma_det(lift: PotentialField, Z: np.ndarray):
     nearest atom i (the argmin of T), A its kernel Hessian and R the other
     atoms' weighted sum, and det H_phi = sum_S w_i^|S| det(A's columns S, R's
     others) over the column subsets S but the full one, whose w_i^n det A is
-    exactly 0 off the atom.  A row at an atom (T = 0) gives NaN at n >= 2.
+    exactly 0 off the atom; complex_det takes each of them.  A row at an
+    atom (T = 0) gives NaN at n >= 2.
     """
     if lift.b > 0.0:
         H = lift.complex_hessian(Z)
@@ -272,7 +292,7 @@ def _ma_det(lift: PotentialField, Z: np.ndarray):
         A, wi, terms = hess[rows, near], w[near], w[:, None, None] * hess
         terms[rows, near] = 0.0              # R sums the other atoms, never H - w_i A
         R = np.sum(terms, axis=1)
-        dets[blk] = sum(wi ** S.sum() * np.linalg.det(np.where(S, A, R)) for S in subsets).real
+        dets[blk] = sum(wi ** S.sum() * complex_det(np.where(S, A, R)) for S in subsets).real
         H[blk] = wi[:, None, None] * A + R
     return dets, H
 
@@ -320,16 +340,17 @@ class MassReport:
 
 
 def _cell_sums(lift: PotentialField, Z: np.ndarray, weights: np.ndarray,
-               cellvol: float):
+               density: np.ndarray, cellvol: float):
     """MA mass and FS volume of the cells Z under each row of weights.
 
-    Drops the cells whose weight is 0 in every row, then takes det H_phi
-    (_ma_det) 16384 cells at a time; negative determinants are
+    density is fs_volume_density(Z), which the chunk computes once for all
+    its charts.  Drops the cells whose weight is 0 in every row, then takes
+    det H_phi (_ma_det) 16384 cells at a time; negative determinants are
     rounding, set to 0 and counted.  A row's sums run over its cells of
     positive weight.  Returns (masses, volumes, clipped cells).
     """
     live = np.any(weights > 0.0, axis=0)
-    Z, weights = Z[live], weights[:, live]
+    Z, weights, density = Z[live], weights[:, live], density[live]
     n = Z.shape[1]
     dets = np.empty(Z.shape[0])
     # a huge eps overflows, a cell at an atom divides by 0: the callers' guards raise
@@ -340,7 +361,7 @@ def _cell_sums(lift: PotentialField, Z: np.ndarray, weights: np.ndarray,
     neg = dets < 0.0
     dets[neg] = 0.0
     masses, vols = (np.array([float(np.sum((w * x)[w > 0])) * cellvol / fs_volume_norm(n)
-                              for w in weights]) for x in (dets, fs_volume_density(Z)))
+                              for w in weights]) for x in (dets, density))
     return masses, vols, int(np.sum(neg))
 
 
@@ -359,17 +380,41 @@ def _box_cells(center: np.ndarray, a: float, m: int, rng, hole: bool):
     """Midpoint cells of the box center + [-a, a]^(2n), m per axis.
 
     Returns the cells with flat (C order) indices rng = (lo, hi), real
-    parts on the first n axes, and the cell volume.  With hole set, the
-    cells inside the box of half-width a / 2 are left out; m a multiple of
-    4 aligns that box with cell boundaries.
+    parts on the first n axes, and the cell volume.  Axis j's midpoint
+    -a + (i + 0.5) step holds for runs of m^(2n-1-j) flat indices, so each
+    axis's column is an np.repeat of its m midpoints over the runs that
+    rng meets, and Z's real and imaginary parts are written from the
+    columns.  With hole set, the cells inside the box of half-width a / 2
+    (every |column| <= a / 2) are left out; m a multiple of 4 aligns that
+    box with cell boundaries.
     """
     n = center.shape[0]
+    lo, hi = rng
     step = 2.0 * a / m
-    idx = np.stack(np.unravel_index(np.arange(*rng), (m,) * (2 * n)), axis=1)
-    pts = -a + (idx + 0.5) * step
+    ticks = -a + (np.arange(m) + 0.5) * step
+    cols = []
+    for j in range(2 * n):
+        run = m ** (2 * n - 1 - j)
+        first, last = lo // run, (hi - 1) // run
+        # the midpoints of runs first..last, the first and the last run cut to rng
+        col = np.tile(ticks, last // m - first // m + 1)[first % m:first % m + last + 1 - first]
+        if run > 1:          # np.repeat copies element by element: 0.3 ms on 16384 runs of 1
+            counts = np.full(col.size, run)
+            counts[0] -= lo - first * run
+            counts[-1] -= (last + 1) * run - hi
+            col = np.repeat(col, counts)
+        cols.append(col)
     if hole:
-        pts = pts[np.max(np.abs(pts), axis=1) > a / 2.0]
-    return center[None, :] + pts[:, :n] + 1j * pts[:, n:], step ** (2 * n)
+        out = np.abs(cols[0]) > a / 2.0
+        for col in cols[1:]:
+            out |= np.abs(col) > a / 2.0
+        cols = [col[out] for col in cols]
+    center = np.asarray(center, dtype=complex)
+    Z = np.empty((cols[0].size, n), dtype=complex)
+    for j in range(n):
+        np.add(center[j].real, cols[j], out=Z.real[:, j])
+        np.add(center[j].imag, cols[n + j], out=Z.imag[:, j])
+    return Z, step ** (2 * n)
 
 
 def _cell_chunks(fn, n: int, m: int, workers: int | None, payload) -> list:
@@ -378,16 +423,31 @@ def _cell_chunks(fn, n: int, m: int, workers: int | None, payload) -> list:
                        payload=payload)
 
 
+def _chart_weights(sq: np.ndarray) -> np.ndarray:
+    """chi_k (n+1, m) of the cells whose squared moduli are sq (m, n), chart
+    k's row the partition of unity of sq with the chart's 1.0 inserted at
+    slot k: the bits of partition_of_unity(chart_lift(Z, k))[:, k].  Charts 0
+    and 1 add the moduli in the same order (1 + s_0 == s_0 + 1), so chart 0
+    takes chart 1's row."""
+    rows = [partition_from_sq_moduli(np.insert(sq, k, 1.0, axis=1))[:, k]
+            for k in range(1, sq.shape[1] + 1)]
+    return np.stack(rows[:1] + rows)
+
+
 def _mass_chunk(payload, rng):
     """Integrate one range of flat cells on every chart (module level): the
-    cells and the ball filter are built once, and each chart k weights them
-    by chi_k.  Returns one (mass, vol, clipped) per chart."""
+    cells, their squared moduli, the ball filter, the chart weights and the
+    FS volume density are built once.  Returns one (mass, vol, clipped) per
+    chart."""
     lifts, g, L = payload
     n = len(lifts) - 1
     Z, cellvol = _box_cells(np.zeros(n), L, g, rng, False)
-    Z = Z[abs_sq_sum(Z) <= (2 * n + 1)]
-    sums = [_cell_sums(lift, Z, partition_of_unity(chart_lift(Z, chart))[None, :, chart],
-                       cellvol) for chart, lift in enumerate(lifts)]
+    sq = np.abs(Z) ** 2
+    ball = row_sum(sq) <= (2 * n + 1)
+    Z, sq = Z[ball], sq[ball]
+    chi, density = _chart_weights(sq), fs_volume_density(Z)
+    sums = [_cell_sums(lift, Z, chi[chart, None], density, cellvol)
+            for chart, lift in enumerate(lifts)]
     return [(mass, vol, clipped) for (mass,), (vol,), clipped in sums]
 
 
@@ -456,7 +516,8 @@ def _ball_chunk(payload, rng):
     d = geodesic_distance_batch(chart_lift(Z, lift.chart), center)
     near = d <= radii[-1]
     in_ball = (d[None, near] <= np.array(radii)[:, None]).astype(float)
-    return _cell_sums(lift, Z[near], in_ball, cellvol)
+    Z = Z[near]
+    return _cell_sums(lift, Z, in_ball, fs_volume_density(Z), cellvol)
 
 
 def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,

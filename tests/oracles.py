@@ -8,9 +8,9 @@ Monge-Ampere determinant against the double-precision one, chart
 coordinates one point at a time against the batch projection, quadratures
 and closed forms of the co-area constants, the refinement skeleton with one
 draw per stratum against its one draw per level, the ball grid's cells a whole
-level at a time against its chunks), or makes an input the way a user would (the
-measure file of a measure, a seeded random measure, the measure of given
-chart coordinates).
+level at a time, or any range of them by unraveling each flat index, against its
+chunks), or makes an input the way a user would (the measure file of a
+measure, a seeded random measure, the measure of given chart coordinates).
 """
 
 import json
@@ -265,6 +265,17 @@ def nested_cells(c: np.ndarray, a0: float, levels: int, m: int):
             pts = pts[keep]
         Z = c[None, :] + pts[:, :n] + 1j * pts[:, n:]
         yield Z, step ** (2 * n)
+
+
+def box_cells_by_index(c: np.ndarray, a: float, m: int, lo: int, hi: int) -> np.ndarray:
+    """The midpoint cells with flat (C order) indices lo..hi-1 of the box
+    c + [-a, a]^(2n), m per axis, each index unraveled into its 2n axis
+    indices (the library builds each axis's column from runs)."""
+    n = c.shape[0]
+    step = 2.0 * a / m
+    idx = np.stack(np.unravel_index(np.arange(lo, hi), (m,) * (2 * n)), axis=1)
+    pts = -a + (idx + 0.5) * step
+    return c[None, :] + pts[:, :n] + 1j * pts[:, n:]
 
 
 # ---------------------------------------------------------------------------

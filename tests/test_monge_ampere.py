@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from oracles import chart_measure, ma_det_mpmath, mixed_discriminant_lapack, nested_cells, \
-    random_measure
+from oracles import box_cells_by_index, chart_measure, ma_det_mpmath, \
+    mixed_discriminant_lapack, nested_cells, random_measure
 from projlog import analytic, geometry, monge_ampere, verification
 from projlog.errors import GridTooCoarse, NegativeDensity, SingularStencil, ValidationError
-from projlog.geometry import chart_mask, chart_project, fs_hessian_norm, fs_volume_density, \
-    geodesic_distance_batch, sample_fs_array
+from projlog.geometry import chart_lift, chart_mask, chart_project, fs_hessian_norm, \
+    fs_volume_density, geodesic_distance_batch, row_sum, sample_fs_array
+from projlog.measures import support_threshold
 from projlog.monge_ampere import hessian_fd_batch
 
 
@@ -642,6 +643,73 @@ def test_box_cells_chunks_join_to_the_nested_levels(n, m, levels):
         assert all(vol == cellvol for _, vol in chunks)
         got = np.concatenate([cells for cells, _ in chunks])
         assert got.shape == Z.shape and got.tobytes() == Z.tobytes()
+
+
+@pytest.mark.parametrize("n, m, levels, complex_center", [
+    (2, 18, 1, False),   # the mass-grid box: 16384-cell chunks straddle axis boundaries
+    (2, 18, 1, True),
+    (3, 8, 2, True),     # 16 chunks a level
+    (3, 8, 1, False),
+    (1, 12, 3, True),
+])
+def test_box_cells_chunks_join_to_the_whole_box(n, m, levels, complex_center):
+    # as above on boxes whose m is not a power of two, at n = 3, and about
+    # the real zero centre that the mass grid passes
+    c = (chart_project(sample_fs_array(95 + n, 1, n), 0)[0] if complex_center
+         else np.zeros(n))
+    for level, (Z, cellvol) in enumerate(nested_cells(c, 0.7, levels, m)):
+        chunks = monge_ampere._cell_chunks(
+            lambda _, rng: monge_ampere._box_cells(c, 0.7 / 2.0**level, m, rng,
+                                                   level < levels - 1), n, m, 1, None)
+        assert all(vol == cellvol for _, vol in chunks)
+        got = np.concatenate([cells for cells, _ in chunks])
+        assert got.shape == Z.shape and got.tobytes() == Z.tobytes()
+
+
+@pytest.mark.parametrize("n, m", [(1, 7), (2, 18), (3, 900)])
+def test_box_cells_of_any_range_are_the_unraveled_cells(n, m):
+    # ranges that start and end inside runs of every axis, one cell, and the
+    # last cells of a box too large to build (900^6 cells at n = 3)
+    c = chart_project(sample_fs_array(97, 1, n), 0)[0]
+    total = m ** (2 * n)
+    for lo, hi in ((0, 1), (1, 5000), (total // 3, total // 3 + 777), (total - 11, total)):
+        hi = min(hi, total)
+        got, _ = monge_ampere._box_cells(c, 1.3, m, (lo, hi), False)
+        assert got.tobytes() == box_cells_by_index(c, 1.3, m, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chart_weights_are_the_partition_of_each_lift(n):
+    # the weights from one set of squared moduli are, chart by chart, the
+    # partition of unity of the lifted cells to the bit; the cells include
+    # ones on the ball's edge |z|^2 = 2n+1 and on both band edges of every
+    # slot (|z|^2 = 2n+1 and n for the chart's own slot, |z_j|^2 = 1/(2n+1)
+    # and 1/n for the others), each nudged by up to 40 ulps, and cells whose
+    # t are exactly 1/(n+1) (z = 1) or 1/(2(n+1)) (z = (2, 1) at n = 2)
+    a, b = support_threshold(n), 1.0 / (n + 1)
+    rng = np.random.default_rng(n)
+    Z = [rng.uniform(-2.0, 2.0, (500, n)) + 1j * rng.uniform(-2.0, 2.0, (500, n)),
+         np.ones((1, n)), np.eye(n) + 1.0]
+    for edge in (2 * n + 1, n, 1.0 / (2 * n + 1), 1.0 / n):
+        x = math.sqrt(edge) + np.arange(-40, 41) * np.spacing(math.sqrt(edge))
+        for j in range(n):
+            cells = np.zeros((x.size, n), dtype=complex)
+            cells[:, j] = x
+            Z.append(cells)
+            Z.append(cells * np.exp(0.3j))
+    Z = np.concatenate(Z)
+    sq = np.abs(Z) ** 2
+    chi = monge_ampere._chart_weights(sq)
+    knots = []
+    for k in range(n + 1):
+        lifted = chart_lift(Z, k)
+        want = pl.partition_of_unity(lifted)[:, k]
+        assert chi[k].tobytes() == want.tobytes(), k
+        t = np.abs(lifted) ** 2
+        u = (t / row_sum(t)[:, None] - a) / (b - a)
+        knots.append([np.any(u == 0.0), np.any(u == 1.0)])
+    # both band edges, the smoothstep's knots u = 0 and u = 1, are hit exactly
+    assert np.all(np.any(knots, axis=0))
 
 
 def test_ball_profile_distances_stay_within_one_chunk(monkeypatch):

@@ -1,8 +1,11 @@
 """tools/verify_sweep.py without a subprocess: its seed ranges, its check
-keys and the timing it strips from verify's lines."""
+keys and the timing it strips from verify's lines.  tools/bench_pairs.py
+against two stand-in checkouts: its run order, its summary and its exit
+status."""
 
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,88 @@ def test_timing_regex_strips_only_the_check_timing(sweep):
     line = CheckResult("sobolev", True, "slow draw (4.5s)", 12.34).line()
     assert line == "[PASS] sobolev (12.3s): slow draw (4.5s)"
     assert sweep.TIMING.sub("", line, count=1) == "[PASS] sobolev: slow draw (4.5s)"
+
+
+# ---------- tools/bench_pairs.py ----------------------------------------------
+
+PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+#: a stand-in for perfbench/run.py: logs its side and seed, then prints a
+#: fixed result line; the change is incorrect at the seed BAD_SEED
+FAKE_RUN = '''import argparse, json, sys
+from pathlib import Path
+side = Path(__file__).resolve().parents[1].name
+ap = argparse.ArgumentParser()
+for opt in ("--workload", "--seed", "--seconds", "--trace"):
+    ap.add_argument(opt)
+args = ap.parse_args()
+with open(Path(__file__).resolve().parents[2] / "order.log", "a") as log:
+    log.write(f"{side} {args.workload} {args.seed} {args.seconds} {args.trace}\\n")
+wall = {"parent": 0.06, "change": 0.05}[side] + int(args.seed) * 1e-4
+correct = not (side == "change" and args.seed == "BAD_SEED")
+print("projlog benchmark: a summary line")
+print(json.dumps({"correct": correct, "attempted": 10, "failed": 0, "metrics": {
+    "wall_s": {"value": wall, "unit": "s"},
+    "setup_s": {"value": 0.1, "unit": "s"},
+    "peak_rss_mb": {"value": 80.0, "unit": "MiB"}}}))
+'''
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fake_checkouts(root: Path, bad_seed: int = -1):
+    for side in ("parent", "change"):
+        (root / side / "perfbench").mkdir(parents=True)
+        (root / side / "perfbench" / "run.py").write_text(
+            FAKE_RUN.replace("BAD_SEED", str(bad_seed)))
+    return ["--parent", str(root / "parent"), "--change", str(root / "change")]
+
+
+def test_bench_pairs_alternate_and_summarize(pairs, tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    args = fake_checkouts(tmp_path) + ["--workloads", "mass-grid,ball-atoms",
+                                       "--seeds", "2-5", "--out", str(out)]
+    assert pairs.main(args) == 0
+    # odd seeds run the change first, and every run is untraced and as long
+    # as BENCHMARK.json's run_seconds
+    seconds = json.loads((PAIRS.parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
+    order = (tmp_path / "order.log").read_text().replace(f" {seconds} 0\n", "\n").split("\n")
+    assert order[:8] == ["parent mass-grid 2", "change mass-grid 2",
+                         "change mass-grid 3", "parent mass-grid 3",
+                         "parent mass-grid 4", "change mass-grid 4",
+                         "change mass-grid 5", "parent mass-grid 5"]
+    assert len(order) == 17 and order[16] == ""
+    printed = capsys.readouterr().out
+    assert "mass-grid seed 3 (change first): wall_s 0.0603 -> 0.0503, setup_s 0.1 -> 0.1" \
+        in printed
+    summary = json.loads(out.read_text())["summary"]
+    assert summary == json.loads(printed[printed.index("\n{") + 1:])
+    wall = summary["mass-grid"]["wall_s"]
+    assert wall["parent_median"] == pytest.approx(0.06035)
+    assert wall["change_median"] == pytest.approx(0.05035)
+    assert wall["parent_iqr"] == pytest.approx(0.00015)
+    assert (wall["pairs_change_lower"], wall["pairs_change_higher"]) == (4, 0)
+    setup = summary["ball-atoms"]["setup_s"]
+    assert (setup["pairs_change_lower"], setup["pairs_change_higher"]) == (0, 0)
+    assert summary["ball-atoms"]["seeds"] == [2, 3, 4, 5]
+    assert summary["ball-atoms"]["all_correct"]
+    assert summary["ball-atoms"]["failed"] == {"parent": 0, "change": 0}
+
+
+def test_bench_pairs_exits_1_on_an_incorrect_run(pairs, tmp_path):
+    args = fake_checkouts(tmp_path, bad_seed=3) + ["--workloads", "mass-grid",
+                                                   "--seeds", "2-3"]
+    assert pairs.main(args) == 1
+
+
+def test_bench_pairs_exits_1_without_a_result(pairs, tmp_path, capsys):
+    args = fake_checkouts(tmp_path) + ["--workloads", "mass-grid", "--seeds", "1"]
+    (tmp_path / "change" / "perfbench" / "run.py").write_text("raise SystemExit(2)\n")
+    assert pairs.main(args) == 1
+    assert "exited 2 without a result" in capsys.readouterr().err
