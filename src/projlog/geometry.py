@@ -237,10 +237,12 @@ def chart_project(rows: np.ndarray, k: int) -> np.ndarray:
     """Chart-k coordinates zeta_j / zeta_k (j != k): the inverse of chart_lift.
 
     Accepts (n+1,) or (m, n+1) homogeneous rows and does not check the floor.
+    The result is C-ordered (np.take; indexing with the list of kept slots
+    returns Fortran-ordered rows from n = 2 on).
     """
     rows = np.asarray(rows, dtype=complex)
     keep = [j for j in range(rows.shape[-1]) if j != k]
-    return rows[..., keep] / rows[..., k, None]
+    return np.take(rows, keep, axis=-1) / rows[..., k, None]
 
 
 def chart_lift(z: np.ndarray, k: int) -> np.ndarray:

@@ -47,6 +47,9 @@ SQRT2 = math.sqrt(2.0)
 #: most n-tuples of atoms that ma_product_expansion_check expands
 TERM_CAP = 10**7
 
+#: work-array entries of one det H_phi tile of the grids; see _tile_rows
+_TILE_ENTRIES = 1 << 17
+
 
 # ---------------------------------------------------------------------------
 # finite-difference complex Hessians
@@ -339,25 +342,38 @@ class MassReport:
     vol_ratios: list = field(default_factory=list)     # [(radius, mass / ball volume)]
 
 
+def _tile_rows(atoms: int, n: int) -> int:
+    """Cells per det H_phi tile, at least 2: about _TILE_ENTRIES entries of
+    the engine's work arrays, which hold atoms * (n+1) entries a row for the
+    atoms (T, the lift's products, Tz) and about 16 for the row itself (its
+    lift, Hessian and determinant terms)."""
+    return max(2, _TILE_ENTRIES // (atoms * (n + 1) + 16))
+
+
 def _cell_sums(lift: PotentialField, Z: np.ndarray, weights: np.ndarray,
                density: np.ndarray, cellvol: float):
     """MA mass and FS volume of the cells Z under each row of weights.
 
     density is fs_volume_density(Z), which the chunk computes once for all
-    its charts.  Drops the cells whose weight is 0 in every row, then takes
-    det H_phi (_ma_det) 16384 cells at a time; negative determinants are
+    its charts.  det H_phi (_ma_det) is taken at the live cells only, those
+    of positive weight in some row, _tile_rows of them a tile, so the
+    engine's work arrays stay in cache; a lone last row joins the tile
+    before it, since the engine sums one row's atoms in another order, and
+    so the bits do not depend on the tile size.  Negative determinants are
     rounding, set to 0 and counted.  A row's sums run over its cells of
-    positive weight.  Returns (masses, volumes, clipped cells).
+    positive weight, in cell order.  Returns (masses, volumes, clipped cells).
     """
-    live = np.any(weights > 0.0, axis=0)
-    Z, weights, density = Z[live], weights[:, live], density[live]
     n = Z.shape[1]
-    dets = np.empty(Z.shape[0])
+    live = np.flatnonzero(np.any(weights > 0.0, axis=0))
+    starts = list(range(0, live.size, _tile_rows(lift.weights.size, n)))
+    if len(starts) > 1 and live.size - starts[-1] == 1:
+        starts.pop()
+    dets = np.zeros(Z.shape[0])
     # a huge eps overflows, a cell at an atom divides by 0: the callers' guards raise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo in range(0, Z.shape[0], 16384):
-            part = slice(lo, lo + 16384)
-            dets[part] = _ma_det(lift, Z[part])[0]
+        for lo, hi in zip(starts, starts[1:] + [live.size]):
+            cells = live[lo:hi]
+            dets[cells] = _ma_det(lift, Z[cells])[0]
     neg = dets < 0.0
     dets[neg] = 0.0
     masses, vols = (np.array([float(np.sum((w * x)[w > 0])) * cellvol / fs_volume_norm(n)
@@ -376,27 +392,17 @@ def _self_check(mass, eps: float, vol: float, exact_vol: float, tol: float) -> N
         raise GridTooCoarse(f"grid self-check: FS volume off by {miss:.2%} (tolerance {tol:.2%})")
 
 
-def _box_cells(center: np.ndarray, a: float, m: int, rng, hole: bool):
-    """Midpoint cells of the box center + [-a, a]^(2n), m per axis.
-
-    Returns the cells with flat (C order) indices rng = (lo, hi), real
-    parts on the first n axes, and the cell volume.  Axis j's midpoint
-    -a + (i + 0.5) step holds for runs of m^(2n-1-j) flat indices, so each
-    axis's column is an np.repeat of its m midpoints over the runs that
-    rng meets, and Z's real and imaginary parts are written from the
-    columns.  With hole set, the cells inside the box of half-width a / 2
-    (every |column| <= a / 2) are left out; m a multiple of 4 aligns that
-    box with cell boundaries.
-    """
-    n = center.shape[0]
-    lo, hi = rng
-    step = 2.0 * a / m
-    ticks = -a + (np.arange(m) + 0.5) * step
+def _axis_columns(ticks: np.ndarray, axes: int, lo: int, hi: int) -> list:
+    """Midpoint columns of the cells with flat (C order) indices lo..hi-1
+    of a grid of `axes` axes whose midpoints on every axis are ticks (m,).
+    Axis j's midpoint holds for runs of m^(axes-1-j) flat indices, so its
+    column is an np.repeat of ticks over the runs that the range meets."""
+    m = ticks.size
     cols = []
-    for j in range(2 * n):
-        run = m ** (2 * n - 1 - j)
+    for j in range(axes):
+        run = m ** (axes - 1 - j)
         first, last = lo // run, (hi - 1) // run
-        # the midpoints of runs first..last, the first and the last run cut to rng
+        # the midpoints of runs first..last, the first and the last run cut to the range
         col = np.tile(ticks, last // m - first // m + 1)[first % m:first % m + last + 1 - first]
         if run > 1:          # np.repeat copies element by element: 0.3 ms on 16384 runs of 1
             counts = np.full(col.size, run)
@@ -404,17 +410,74 @@ def _box_cells(center: np.ndarray, a: float, m: int, rng, hole: bool):
             counts[-1] -= (last + 1) * run - hi
             col = np.repeat(col, counts)
         cols.append(col)
-    if hole:
-        out = np.abs(cols[0]) > a / 2.0
-        for col in cols[1:]:
-            out |= np.abs(col) > a / 2.0
-        cols = [col[out] for col in cols]
+    return cols
+
+
+def _cells_from_columns(center: np.ndarray, cols: list) -> np.ndarray:
+    """Cells center + (cols[:n] + i cols[n:]): real parts on the first n columns."""
+    n = len(cols) // 2
     center = np.asarray(center, dtype=complex)
     Z = np.empty((cols[0].size, n), dtype=complex)
     for j in range(n):
         np.add(center[j].real, cols[j], out=Z.real[:, j])
         np.add(center[j].imag, cols[n + j], out=Z.imag[:, j])
-    return Z, step ** (2 * n)
+    return Z
+
+
+def _box_cells(center: np.ndarray, a: float, m: int, rng, hole: bool):
+    """Midpoint cells of the box center + [-a, a]^(2n), m per axis.
+
+    Returns the cells with flat (C order) indices rng = (lo, hi), real
+    parts on the first n axes, and the cell volume.  Each axis's column
+    comes from _axis_columns, and Z's real and imaginary parts are written
+    from the columns.  With hole set, the cells inside the box of half-width
+    a / 2 (every |column| <= a / 2) are left out; m a multiple of 4 aligns
+    that box with cell boundaries.  The ball profile's levels are these
+    cells; the total mass builds only its ball's cells (_ball_cells).
+    """
+    n = center.shape[0]
+    step = 2.0 * a / m
+    cols = _axis_columns(-a + (np.arange(m) + 0.5) * step, 2 * n, *rng)
+    if hole:
+        out = np.abs(cols[0]) > a / 2.0
+        for col in cols[1:]:
+            out |= np.abs(col) > a / 2.0
+        cols = [col[out] for col in cols]
+    return _cells_from_columns(center, cols), step ** (2 * n)
+
+
+def _ball_cells(n: int, a: float, m: int, rng, r2: float):
+    """The cells of _box_cells(zeros(n), a, m, rng, False) with
+    row_sum(np.abs(Z) ** 2) <= r2, in the same order and with the same
+    bits, built without the others.
+
+    A prefix (the first 2n-1 axes' midpoints) with squared sum s holds its
+    ball cells in one run of last-axis midpoints, |t| <= sqrt(r2 - s).  Each
+    prefix that rng meets gets that run, widened by one midpoint each way
+    and cut to rng, and the exact test then drops the few extra cells.
+    Returns (Z, its squared moduli np.abs(Z) ** 2, cell volume).
+    """
+    lo, hi = rng
+    step = 2.0 * a / m
+    ticks = -a + (np.arange(m) + 0.5) * step
+    first, last = lo // m, (hi - 1) // m
+    prefix = _axis_columns(ticks, 2 * n - 1, first, last + 1)
+    s = sum(col * col for col in prefix)
+    half = np.sqrt(np.maximum(r2 - s, 0.0))
+    start = np.maximum(np.ceil((a - half) / step - 0.5) - 1.0, 0.0).astype(np.int64)
+    stop = np.minimum(np.floor((a + half) / step - 0.5) + 2.0, m).astype(np.int64)
+    start[0] = max(start[0], lo - first * m)
+    stop[-1] = min(stop[-1], hi - last * m)
+    # a prefix beyond r2, rounding aside, holds no ball cell
+    counts = np.where(s <= r2 * (1.0 + 1e-12), np.maximum(stop - start, 0), 0)
+    cols = [np.repeat(col, counts) for col in prefix]
+    # last-axis indices start[p]..stop[p]-1, prefix after prefix
+    offsets = np.repeat(start - (np.cumsum(counts) - counts), counts)
+    cols.append(ticks[np.arange(offsets.size) + offsets])
+    Z = _cells_from_columns(np.zeros(n), cols)
+    sq = np.abs(Z) ** 2
+    ball = row_sum(sq) <= r2
+    return Z[ball], sq[ball], step ** (2 * n)
 
 
 def _cell_chunks(fn, n: int, m: int, workers: int | None, payload) -> list:
@@ -436,15 +499,12 @@ def _chart_weights(sq: np.ndarray) -> np.ndarray:
 
 def _mass_chunk(payload, rng):
     """Integrate one range of flat cells on every chart (module level): the
-    cells, their squared moduli, the ball filter, the chart weights and the
-    FS volume density are built once.  Returns one (mass, vol, clipped) per
-    chart."""
+    range's cells inside |z|^2 <= 2n+1 (_ball_cells), their squared
+    moduli, the chart weights and the FS volume density are built once.
+    Returns one (mass, vol, clipped) per chart."""
     lifts, g, L = payload
     n = len(lifts) - 1
-    Z, cellvol = _box_cells(np.zeros(n), L, g, rng, False)
-    sq = np.abs(Z) ** 2
-    ball = row_sum(sq) <= (2 * n + 1)
-    Z, sq = Z[ball], sq[ball]
+    Z, sq, cellvol = _ball_cells(n, L, g, rng, 2 * n + 1)
     chi, density = _chart_weights(sq), fs_volume_density(Z)
     sums = [_cell_sums(lift, Z, chi[chart, None], density, cellvol)
             for chart, lift in enumerate(lifts)]

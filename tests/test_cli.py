@@ -12,9 +12,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import projlog as pl
-from oracles import measure_json
+from oracles import measure_json, random_measure
 from projlog import monge_ampere, potentials
 from projlog.cli import OPTIONS, build_parser, main
+from projlog.geometry import chart_mask, chart_project
 
 
 @pytest.fixture()
@@ -401,6 +402,52 @@ def declared_options() -> dict[str, dict[str, str]]:
     return {name: {opt: action.dest for action in p._actions for opt in action.option_strings
                    if opt not in ("-h", "--help")}
             for name, p in sub.choices.items()}
+
+
+def higher_n_argv(command: str, n: int, tmp_path: Path) -> list[str]:
+    """A cheap run of command on P^n, its measure or pairs written under tmp_path."""
+    measure = tmp_path / "mu.json"
+    measure.write_text(measure_json(random_measure(n, 3, 71)))
+    pairs = tmp_path / "pairs.json"
+    z = random_measure(n, 2, 5).points
+    pairs.write_text(json.dumps({"n": n, "pairs": [
+        {"zeta": [[c.real, c.imag] for c in z[0]], "eta": [[c.real, c.imag] for c in z[1]]}]}))
+    m = ["--measure", str(measure)]
+    argv = {
+        "kernel": ["--pairs", str(pairs)],
+        "potential": [*m, "--samples", "50"],
+        "measure": m,
+        "sobolev": [*m, "--samples", "2000"],
+        "riesz": [*m, "--samples", "2000", "--levels", "1"],
+        "ma-density": [*m, "--samples", "50", "--chart", "1"],
+        "ma-mass": [*m, "--grid", "24"],
+        "ball-profile": [*m, "--grid", "8", "--radii", "0.8", "--eps", "0.3"],
+        "prop25-check": [*m, "--samples", "5"],
+        "constants": ["--n", str(n)],
+        "sample": ["--n", str(n), "--samples", "20"],
+    }[command]
+    return [command, *argv, "--output", str(tmp_path / "out")]
+
+
+# verify reads no file; at n = 3 a mass grid that passes the 1% volume check
+# has 16^6 cells a chart, which is not cheap
+@pytest.mark.parametrize("command, n", [
+    (command, n) for n in (2, 3) for command in sorted(set(declared_options()) - {"verify"})
+    if (command, n) != ("ma-mass", 3)])
+def test_every_subcommand_runs_above_p1(command, n, tmp_path):
+    # every other CLI test reads P^1 files, which is how ma-density's crash on
+    # the Fortran-ordered chart rows of n >= 2 went unseen
+    assert main(higher_n_argv(command, n, tmp_path)) == 0
+    body = body_of(tmp_path / "out" / f"{command.replace('-', '_')}.csv").splitlines()
+    assert len(body) > 1
+    if command == "ma-density":
+        # the written rows are ma_density at the same chart rows, bit for bit
+        mu = pl.AtomicMeasure.from_json((tmp_path / "mu.json").read_text())
+        rows = np.array([[float(x) for x in line.split(",")] for line in body[1:]])
+        Z = rows[:, :-1].copy().view(complex)
+        pts = pl.sample_fs_array(0, 50, n)
+        assert Z.tobytes() == chart_project(pts[chart_mask(pts, 1)], 1).tobytes()
+        assert rows[:, -1].tobytes() == pl.ma_density(mu, 1, Z, eps=0.3).tobytes()
 
 
 def test_every_header_records_each_declared_option(tmp_path, measure_file):

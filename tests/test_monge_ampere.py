@@ -678,6 +678,63 @@ def test_box_cells_of_any_range_are_the_unraveled_cells(n, m):
         assert got.tobytes() == box_cells_by_index(c, 1.3, m, lo, hi).tobytes()
 
 
+@pytest.mark.parametrize("n, m", [(1, 7), (1, 256), (2, 9), (2, 18), (3, 5), (3, 8)])
+def test_ball_cells_are_the_box_cells_inside_the_ball(n, m):
+    # the total mass builds only the cells inside |z|^2 <= 2n+1: they are
+    # _box_cells followed by the exact ball test, in order and bit for bit,
+    # with their squared moduli, over the mass grid's own chunks, ranges that
+    # start and end inside a prefix's run of last-axis cells, one cell, and
+    # a corner range with no ball cell
+    a, r2 = math.sqrt(2 * n + 1), 2 * n + 1
+    total = m ** (2 * n)
+    chunk = 65536 if n == 1 else 16384
+    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    ranges += [(1, total - 1), (total // 3 + 1, total // 2 + m // 2), (total // 2, total // 2 + 1),
+               (0, m - 1), (total - 3 * m - 2, total - 5)]
+    for lo, hi in ranges:
+        Z, sq, cellvol = monge_ampere._ball_cells(n, a, m, (lo, hi), r2)
+        box, box_vol = monge_ampere._box_cells(np.zeros(n), a, m, (lo, hi), False)
+        box_sq = np.abs(box) ** 2
+        ball = row_sum(box_sq) <= r2
+        assert cellvol == box_vol
+        assert Z.shape == box[ball].shape and Z.tobytes() == box[ball].tobytes(), (lo, hi)
+        assert sq.tobytes() == box_sq[ball].tobytes()
+    assert monge_ampere._ball_cells(n, a, m, (0, 1), r2)[0].shape == (0, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cell_sums_do_not_depend_on_the_tile_size(n, monkeypatch):
+    # det H_phi is taken in tiles of _tile_rows live cells; masses, volumes
+    # and clipped counts keep their bits for every tile size down to 2 rows,
+    # at eps = 0 and eps > 0.  With 12 atoms the engine sums a lone row's
+    # atoms in another order, so a lone last row joins the tile before it:
+    # the 961 live cells leave one over for each of the sizes below
+    mu = random_measure(n, 12, seed=70 + n)
+    rng = np.random.default_rng(n)
+    Z = 1.5 * (rng.standard_normal((1200, n)) + 1j * rng.standard_normal((1200, n)))
+    live = np.zeros(1200, dtype=bool)
+    live[rng.choice(1200, 961, replace=False)] = True
+    last = np.arange(1200) == np.flatnonzero(live)[-1]     # a row of its own: no rounding hides it
+    weights = np.stack([live * rng.uniform(0.1, 1.0, 1200),
+                        (live & (rng.uniform(size=1200) < 0.5)).astype(float), last * 1.0])
+    density = fs_volume_density(Z)
+
+    def sums():
+        out = []
+        for eps in (0.0, 0.05):
+            masses, vols, clipped = monge_ampere._cell_sums(pl.psh_lift(mu, 0, eps), Z, weights,
+                                                            density, 0.01)
+            out.append((masses.tobytes(), vols.tobytes(), clipped))
+        return out
+
+    whole = sums()
+    assert monge_ampere._tile_rows(12, n) > 961
+    assert n > 1 or whole[0][2] > 0                  # n = 1 clips cells at eps = 0
+    for rows in (2, 3, 5, 64, 960):
+        monkeypatch.setattr(monge_ampere, "_tile_rows", lambda atoms, n: rows)
+        assert sums() == whole, rows
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_chart_weights_are_the_partition_of_each_lift(n):
     # the weights from one set of squared moduli are, chart by chart, the
