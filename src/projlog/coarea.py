@@ -10,8 +10,8 @@ integral over P^n reduces, after the substitution u = sin(r / sqrt 2), to
 
     int f(r) A(r) dr = 2 sqrt(2) c_n int_0^1 f(sqrt 2 arcsin u) u^(2n-1) du,
 
-which turns the log singularity of the kernel mean into the elementary
-integral of u^(2n-1) log u.  adaptive Gauss-Kronrod (QUADPACK) does the rest.
+which turns the log singularity of the kernel mean into the integrable
+u^(2n-1) log u.  adaptive Gauss-Kronrod (QUADPACK) does the rest.
 """
 
 from __future__ import annotations
@@ -87,13 +87,9 @@ def mean_log_kernel(n: int) -> float:
     """Quadrature value of int log sin(r / sqrt 2) A(r) dr = -1/(2n).
 
     The closed form follows from int_0^1 u^(2n-1) log u du = -1/(2n)^2; this
-    routine returns the adaptive-quadrature value so the identity can be
-    checked.
+    routine returns radial_quadrature's value so the identity can be checked.
     """
-    pref = 2.0 * SQRT2 * area_constant(n)
-    # QUADPACK QAWS with weight u^(2n-1) log u and unit remainder
-    return pref * _quad("log-kernel mean", lambda u: 1.0, 0.0, 1.0, lambda val: 1e-11,
-                        weight="alg-loga", wvar=(2 * n - 1, 0))
+    return radial_quadrature(lambda r: math.log(math.sin(r / SQRT2)), n)
 
 
 def sobolev_bound(n: int, p: float) -> float:

@@ -549,22 +549,20 @@ def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
 # ---------------------------------------------------------------------------
 
 def _chart_halfwidth(c_abs: float, r: float) -> float:
-    """Half-width of a chart box guaranteed to contain the FS ball B_r.
+    """Half-width of the chart box about c for the FS ball B_r(c), |c| = c_abs.
 
-    Uses sin(d / sqrt 2) >= |z - c| / sqrt((1+|z|^2)(1+|c|^2)) and a fixed
-    point iteration on the implied bound, with a 5 percent margin.
+    With t = min(r, pi / sqrt 2) / sqrt 2 the ball is the chart region
+    |1 + <z, c>|^2 >= cos^2 t (1 + |z|^2)(1 + |c|^2), whose farthest point
+    from c lies at (1 + |c|^2) sin t / (cos t - |c| sin t), out along c; the
+    box is 5 percent wider.  When cos t <= |c| sin t the ball meets the
+    hyperplane at infinity, and the box, like any box past 20 (1 + |c|),
+    is cut to that cap and holds only part of the ball.
     """
-    s = math.sin(min(r, math.pi / SQRT2) / SQRT2)
-    delta = s * (1.0 + c_abs**2)
-    for _ in range(60):
-        new = s * math.sqrt((1.0 + (c_abs + delta) ** 2) * (1.0 + c_abs**2))
-        if new > 20.0 * (1.0 + c_abs):
-            return 20.0 * (1.0 + c_abs)  # ball nearly fills the chart
-        if abs(new - delta) < 1e-12 * max(1.0, delta):
-            delta = new
-            break
-        delta = new
-    return 1.05 * delta
+    t = min(r, math.pi / SQRT2) / SQRT2
+    cap = 20.0 * (1.0 + c_abs)
+    gap = math.cos(t) - c_abs * math.sin(t)
+    reach = (1.0 + c_abs**2) * math.sin(t) / gap if gap > 0.0 else math.inf
+    return cap if reach > cap else 1.05 * reach
 
 
 def _ball_chunk(payload, rng):
@@ -590,9 +588,11 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
     ascending) on dyadically refined local grids, and reports the mass and
     its ratio to the exact ball volume sin^(2n)(r / sqrt 2).  _self_check
     holds the grid's FS volume of the largest ball to the exact volume
-    within 2%.  Levels per eps: min(9, ceil(log2(a0 / 2f)) + 1), or 1 when
-    a0 <= 2f, where a0 is the outer half-width and f = max(eps, 1e-3)
-    (1 + |c|^2) at the center's chart point c.  At eps = 0 the grid gives
+    within 2%.  The outer box about the center's chart point c has
+    half-width a0 = _chart_halfwidth(|c|, r) at the largest radius: the
+    ball's exact reach plus 5%, or the cap 20 (1 + |c|).  Levels per eps:
+    min(9, ceil(log2(a0 / 2f)) + 1), or 1 when a0 <= 2f, where f =
+    max(eps, 1e-3) (1 + |c|^2).  At eps = 0 the grid gives
     the absolutely continuous part, and each mass adds the atomic part
     sum w_i^n over the atoms in the ball.  h is accepted and ignored: the
     benchmark's workloads still pass it.

@@ -9,8 +9,10 @@ coordinates one point at a time against the batch projection, quadratures
 and closed forms of the co-area constants, the refinement skeleton with one
 draw per stratum against its one draw per level, the ball grid's cells a whole
 level at a time, or any range of them by unraveling each flat index, against its
-chunks), or makes an input the way a user would (the measure file of a
-measure, a seeded random measure, the measure of given chart coordinates).
+chunks, the FS ball's reach along chart rays by bisection against the ball
+box's closed form, the smoothed Dirac's ball masses against the grid), or
+makes an input the way a user would (the measure file of a measure, a seeded
+random measure, the measure of given chart coordinates).
 """
 
 import json
@@ -23,7 +25,7 @@ import numpy as np
 from projlog.coarea import DEPTH_FACTOR, SQRT2, area_constant
 from projlog.errors import SingularStencil, ValidationError
 from projlog.geometry import CHART_FLOOR, HomogeneousPoint, _sample_stream, chart_lift, \
-    sample_fs_array
+    geodesic_distance_batch, sample_fs_array
 from projlog.measures import build_measure
 
 
@@ -183,6 +185,14 @@ def mean_log_kernel_closed_form(n: int) -> float:
     return -area_constant(n) / (SQRT2 * n * n)
 
 
+def smoothed_dirac_ball_mass(eps: float, r: float) -> float:
+    """Smoothed-Dirac MA mass of B_r about the atom on P^1: T / (1 + T) with
+    T = (1 + eps^2) tan^2(r / sqrt 2) / eps^2, written with sin^2 so that
+    radii at or past the diameter pi / sqrt 2 give 1."""
+    s2 = math.sin(min(r, math.pi / SQRT2) / SQRT2) ** 2
+    return (1.0 + eps * eps) * s2 / (s2 + eps * eps)
+
+
 def sobolev_bound_closed_form(n: int, p: float) -> float:
     """Beta-function form: sqrt 2 c_n B((2n-p)/2, 1/2), +inf for p >= 2n."""
     if p >= 2 * n:
@@ -265,6 +275,27 @@ def nested_cells(c: np.ndarray, a0: float, levels: int, m: int):
             pts = pts[keep]
         Z = c[None, :] + pts[:, :n] + 1j * pts[:, n:]
         yield Z, step ** (2 * n)
+
+
+def ball_reach(c: np.ndarray, r: float, directions: np.ndarray, steps: int = 100) -> np.ndarray:
+    """How far the FS ball B_r(c) reaches from chart point c (chart 0) along
+    each unit direction (rows of directions), by bisection on the FS
+    distance; inf where the ray still lies in the ball 1e6 (1 + |c|) out.
+    The ball is convex in the chart, so each ray meets it in one segment."""
+    center = chart_lift(c[None, :], 0)[0]
+
+    def inside(s):
+        z = c[None, :] + s[:, None] * directions
+        return geodesic_distance_batch(chart_lift(z, 0), center) <= r
+
+    lo = np.zeros(directions.shape[0])
+    hi = np.full(directions.shape[0], 1e6 * (1.0 + np.linalg.norm(c)))
+    unbounded = inside(hi)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        into = inside(mid)
+        lo, hi = np.where(into, mid, lo), np.where(into, hi, mid)
+    return np.where(unbounded, np.inf, lo)
 
 
 def box_cells_by_index(c: np.ndarray, a: float, m: int, lo: int, hi: int) -> np.ndarray:

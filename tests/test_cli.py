@@ -45,6 +45,15 @@ def test_constants_table(tmp_path):
     assert rows[0].split(",")[5] == "inf"  # p = 2n bound diverges
 
 
+def test_constants_table_to_n_30(tmp_path):
+    # from n = 9 on, QUADPACK's rule for the weight u^(2n-1) log u gets the
+    # mean right but estimates its error above 1e-11, which would exit 3
+    assert main(["constants", "--n", "30", "--output", str(tmp_path)]) == 0
+    rows = body_of(tmp_path / "constants.csv").splitlines()[1:]
+    alpha = [float(r.split(",")[2]) for r in rows]
+    np.testing.assert_allclose(alpha, [1 / (2 * n) for n in range(1, 31)], rtol=0, atol=1e-13)
+
+
 def test_sample_determinism(tmp_path):
     rc = main(["sample", "--n", "2", "--seed", "9", "--samples", "50",
                "--output", str(tmp_path / "a")])

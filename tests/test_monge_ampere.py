@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import projlog as pl
-from oracles import box_cells_by_index, chart_measure, ma_det_mpmath, \
-    mixed_discriminant_lapack, nested_cells, random_measure
+from oracles import ball_reach, box_cells_by_index, chart_measure, ma_det_mpmath, \
+    mixed_discriminant_lapack, nested_cells, random_measure, smoothed_dirac_ball_mass
 from projlog import analytic, geometry, monge_ampere, verification
 from projlog.errors import GridTooCoarse, NegativeDensity, SingularStencil, ValidationError
-from projlog.geometry import chart_lift, chart_mask, chart_project, fs_hessian_norm, \
-    fs_volume_density, geodesic_distance_batch, row_sum, sample_fs_array
+from projlog.geometry import chart_lift, chart_mask, chart_project, fs_ball_volume, \
+    fs_hessian_norm, fs_volume_density, geodesic_distance_batch, row_sum, sample_fs_array
 from projlog.measures import support_threshold
 from projlog.monge_ampere import hessian_fd_batch
 
@@ -552,17 +552,56 @@ def nondecreasing(profile):
 
 
 def test_ball_profile_dirac_oracle_n1():
-    # independent oracle: closed-form radial mass R^2/(R^2 + d^2),
-    # R = tan(r / sqrt 2), d^2 = eps^2 / (1 + eps^2)
     center = pl.normalize([1, 0])
     mu = pl.dirac(center)
     for eps in (0.1, 0.03):
         rep = pl.ball_mass_profile(mu, center, [10 * eps], h=1e-4,
                                    eps_list=[eps], points_per_axis=64)[0]
-        R = math.tan(10 * eps / math.sqrt(2))
-        exact = R * R / (R * R + eps**2 / (1 + eps**2))
-        assert abs(rep.total_mass - exact) < 0.01
+        assert abs(rep.total_mass - smoothed_dirac_ball_mass(eps, 10 * eps)) < 0.01
         assert nondecreasing(rep.ball_profile)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chart_halfwidth_box_holds_the_ball(n):
+    # every box below the cap reaches at least as far from c as the ball
+    # does along random chart directions and along +-c, and along +c the
+    # ball reaches exactly the box's half-width less its 5 percent margin;
+    # r = 2.0 at |c| = 0 reaches 6.33 out
+    rng = np.random.default_rng(40 + n)
+    radii = [*np.linspace(0.05, math.pi / math.sqrt(2), 24), 2.0]
+    for c_abs in (0.0, 0.3, 0.8, 1.3, 2.5):
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c = c_abs * u / np.linalg.norm(u)
+        dirs = rng.standard_normal((32, n)) + 1j * rng.standard_normal((32, n))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        if c_abs:
+            dirs = np.vstack([c / c_abs, -c / c_abs, dirs])
+        for r in radii:
+            a = monge_ampere._chart_halfwidth(c_abs, r)
+            if a == 20.0 * (1.0 + c_abs):
+                continue
+            reach = ball_reach(c, r, dirs)
+            assert np.max(reach) <= a, (c_abs, r)
+            assert abs(np.max(reach) * 1.05 / a - 1.0) < 1e-6, (c_abs, r)
+
+
+def test_ball_profile_volume_where_the_box_was_short():
+    # about [1, 0] these balls reach 4.3-11.6 out in the chart, where the
+    # grid's cells are coarse; a box short of the ball loses FS volume
+    center = pl.normalize([1, 0])
+    for r in (1.9, 2.0, 2.1):
+        rep = pl.ball_mass_profile(pl.dirac(center), center, [r], eps_list=[0.3],
+                                   points_per_axis=256)[0]
+        assert abs(rep.vol_check / fs_ball_volume(1, r) - 1.0) < 1e-4, r
+
+
+def test_verify_dirac_profile_matches_the_closed_form():
+    # verify's eps = 0.3 profile: B(0.3), and B(3.0), which is all of P^1
+    center = pl.normalize([1, 0])
+    rep = pl.ball_mass_profile(pl.dirac(center), center, [3.0, 0.3], eps_list=[0.3],
+                               points_per_axis=64)[0]
+    for r, mass in rep.ball_profile:
+        assert abs(mass - smoothed_dirac_ball_mass(0.3, r)) < 1e-3, r
 
 
 def test_ball_profile_profile_monotone_and_ratios():
