@@ -31,13 +31,32 @@ the points once and uses the projection form
 which equals the minor form in exact arithmetic.  l_perp is formed directly,
 so near an atom, at chart distance d, its relative rounding error is about
 1e-16 / d, the order of the minors themselves; the Lagrange form
-|l|^2 |eta|^2 - |<l, eta>|^2 would cancel to about 1e-16 / d^2.  The field
-functions take the atoms in blocks (atom_blocks) that keep every (m, k, n+1)
-intermediate near _BLOCK_ENTRIES complex numbers, whatever k is, and make
-one quad_form_batch call per block.  They add the per-atom terms along the
-atom axis of atom-major (k, m) arrays.  For m >= 2 rows numpy reduces that
-axis in atom order, so one-atom blocks give the same bits as one block; at
-m = 1 it sums the (k, 1) atom column pairwise, so the last bits can differ.
+|l|^2 |eta|^2 - |<l, eta>|^2 would cancel to about 1e-16 / d^2.
+
+Buffer layout.  quad_form_batch writes atom-major buffers: T as a (k, m)
+array and Tz as an (n, k, m) array, one (k, m) plane per affine slot, and
+returns them as the (m, k) and (m, k, n) transposed views.  Both, with its
+scratch, are planes of one (n+2, k, m) allocation.  It works with conj(S)
+and conj(l_perp), from the conjugated lift rows (n+1, m), which it reads as
+contiguous rows, so Tz's planes come out with no conjugation pass; complex
+conjugation is exact, so the values are those of S and l_perp, and only the
+sign of an exactly cancelled zero can differ.  The chart slot's l = 1 adds
+its column of conj(S) with no multiply.  The field functions transpose the
+views back to the buffers (no copy) and contract along the atom axis.
+
+Blocks.  The field functions take the atoms in blocks (atom_blocks) that
+keep every (m, k, n+1) intermediate near _BLOCK_ENTRIES complex numbers,
+whatever k is, and make one quad_form_batch call per block.  Each sum over
+atoms is reduced along the atom axis of a (k, m) array, by np.sum(axis=0)
+or np.einsum ("km,k->m", "km,km->m"); for m >= 2 rows numpy adds the atoms
+in order, one (m,) row at a time, and a block's sum is added to its running
+sum across blocks, so one-atom blocks give the same bits as one block.  That
+holds only for an accumulator that sums one kind of term.  So the Hessian
+keeps two: the constant part sum_i r_i Thess_i and the quadratic part
+sum_i q_i Tz_i Tz_i^H (r = w / (2T), q = r / T), each per upper entry in
+real and imaginary parts, and subtracts them once, after the last block.
+At m = 1 numpy sums the (k, 1) atom column pairwise, so the last bits can
+differ.
 
 This module is the library's one derivative engine for atoms: every
 production gradient, Hessian and Monge-Ampere density of a field with atoms
@@ -85,31 +104,52 @@ def quad_form_batch(Z: np.ndarray, eta: np.ndarray, chart: int, a: float, b: flo
     t = abs_sq_sum(Z)
     T = np.full(m, a + b, dtype=float) + b * t
     E = np.atleast_2d(np.asarray(eta, dtype=complex))
+    k = E.shape[0]
     e2 = row_sum(E.real ** 2 + E.imag ** 2)[:, None]             # |eta|^2, (k, 1)
-    # atom-major (k, m) work arrays, written in place to spare temporaries;
-    # the (m, k) results are views of them
-    lifts = chart_lift(Z, chart).T                                # (n+1, m), once for all atoms
-    # S = <l, eta> / |eta|^2 slot by slot, so that an atom's values do not
-    # depend on which other atoms share its block
-    Ec = np.conj(E / e2)
-    S = Ec[:, 0, None] * lifts[0]
-    buf = np.empty_like(S)
+    lc = np.empty((n + 1, m), dtype=complex)                      # conj lift rows, for all atoms
+    np.conj(chart_lift(Z, chart).T, out=lc)
+    # atom-major (k, m) work arrays, written in place; the (m, k) results are
+    # views of them.  They are planes of one allocation (Tz's n planes,
+    # conj(S), and a real plane split into |l_perp|^2 and a scratch), which
+    # glibc keeps for the next call; arrays allocated one by one went back to
+    # the system and had their pages faulted in again on every call
+    work = np.empty((n + 2, k, m), dtype=complex)
+    Tz, Sc = work[:n], work[n]
+    perp_sq, sq = work[n + 1].view(float).reshape(2, k, m)
+    # conj(S) = sum_j (eta_j / |eta|^2) conj(l_j) slot by slot, so that an
+    # atom's values do not depend on which other atoms share its block; the
+    # chart slot's l_j = 1 adds its column with no multiply
+    Eh = E / e2
+    if chart == 0:
+        np.copyto(Sc, Eh[:, :1])
+    else:
+        np.multiply(Eh[:, :1], lc[0], out=Sc)
+    Sc_f = Sc.view(float)
     for j in range(1, n + 1):
-        S += np.multiply(Ec[:, j, None], lifts[j], out=buf)
-    perp_sq = np.zeros(S.shape)
-    sq = np.empty(S.shape)
-    Tz = np.empty((n,) + S.shape, dtype=complex)
+        if j == chart:
+            Sc += Eh[:, j, None]
+        else:                                                     # Tz[0]: scratch until l_perp
+            Sc_f += np.multiply(Eh[:, j, None], lc[j], out=Tz[0]).view(float)
+    # conj(l_perp) slot by slot into Tz, the chart slot's into a free buffer
+    Ec = np.conj(E)
     for j in range(n + 1):
         c = j - (j > chart)
-        perp = buf if j == chart else Tz[c]
-        np.subtract(lifts[j], np.multiply(S, E[:, j, None], out=perp), out=perp)
-        perp_sq += np.multiply(perp.real, perp.real, out=sq)
+        if j != chart:
+            perp = Tz[c]
+        else:                                                     # slot j+1's Tz, or spent S
+            perp = Tz[chart] if chart < n else Sc
+        np.multiply(Sc, Ec[:, j, None], out=perp)
+        perp_f = perp.view(float)
+        np.subtract(lc[j].view(float), perp_f, out=perp_f)
+        if j == 0:
+            np.multiply(perp.real, perp.real, out=perp_sq)
+        else:
+            perp_sq += np.multiply(perp.real, perp.real, out=sq)
         perp_sq += np.multiply(perp.imag, perp.imag, out=sq)
-        if j != chart:                                            # Tz from slot j of l_perp
-            np.conj(perp, out=perp)
-            perp *= e2
+        if j != chart:                                            # Tz from slot j of conj(l_perp)
+            perp_f *= e2
             if b:
-                perp += b * np.conj(Z[:, c])
+                perp_f += (b * lc[j]).view(float)
     perp_sq *= e2
     perp_sq += T
     T = perp_sq.T
@@ -168,36 +208,48 @@ def field_gradient_batch(Z, atoms_eta, weights, chart, b=0.0):
 def field_hessian_batch(Z, atoms_eta, weights, chart, b=0.0):
     """Complex Hessian (m, n, n) of the weighted field.
 
-    Each upper-triangle entry sums w (Thess / (2T) - Tz Tz^H / (2T^2)) over
-    the atoms; the lower triangle is the conjugate of the upper and the
-    diagonal is real, so the result is exactly Hermitian.
+    Each upper-triangle entry is sum_i r_i Thess_i - sum_i q_i Tz_i Tz_i^H,
+    r = w / (2T) and q = r / T; the lower triangle is the conjugate of the
+    upper and the diagonal is real, so the result is exactly Hermitian.
+    Both sums contract quad_form_batch's atom-major buffers along the atom
+    axis, real and imaginary parts apart: the constant sum reads Thess's
+    (k,) column, and the quadratic one the atom's Re and Im of
+    Tz_c conj(Tz_d), formed from Tz's real planes.  The two sums have their
+    own accumulators across atom blocks, and the entry is their difference,
+    formed once after the last block.
     """
     Z, E, w, blocks = _field_blocks(Z, atoms_eta, weights)
     m, n = Z.shape
-    upper = list(zip(*np.triu_indices(n)))
-    out = np.zeros((m, n, n), dtype=complex)
+    upper = [(c, d) for c in range(n) for d in range(c, n)]
+    # per upper entry: Re and Im of the constant sum, then of the quadratic
+    # one; part takes each block's contraction before it is added
+    sums, part = np.zeros((len(upper), 4, m)), np.empty(m)
     for blk in blocks:
         T, Tz, Thess = quad_form_batch(Z, E[blk], chart, 0.0, b)
-        T, Tz = T.T, Tz.transpose(2, 1, 0)                        # (k, m), (n, k, m)
-        r = w[blk] / (2.0 * T)
-        q = r / T
-        outer, first = np.empty(T.shape, dtype=complex), np.empty(T.shape, dtype=complex)
-        sq, diag = np.empty(T.shape), np.empty(T.shape)
-        for c, d in upper:
-            if c == d:
-                np.multiply(Tz[c].real, Tz[c].real, out=sq)
-                sq += np.multiply(Tz[c].imag, Tz[c].imag, out=diag)
-                sq *= q
-                np.multiply(r, Thess[:, c, c, None].real, out=diag)
-                out[:, c, c] += np.sum(np.subtract(diag, sq, out=diag), axis=0)
-            else:
-                np.conj(Tz[d], out=outer)
-                outer *= Tz[c]
-                outer *= q
-                np.multiply(r, Thess[:, c, d, None], out=first)
-                out[:, c, d] += np.sum(np.subtract(first, outer, out=first), axis=0)
-    for c, d in upper:
+        T, Tz = T.T, Tz.transpose(2, 1, 0)                        # (k, m), (n, k, m) buffers
+        r = np.divide(0.5 * w[blk], T)                            # w / (2T)
+        q = np.divide(r, T, out=T)                                # r / T, in T's buffer
+        for acc, (c, d) in zip(sums, upper):
+            acc[0] += np.einsum("km,k->m", r, Thess[:, c, d].real, out=part)
+            if c != d:
+                acc[1] += np.einsum("km,k->m", r, Thess[:, c, d].imag, out=part)
+        # Re and Im of Tz_c conj(Tz_d), then times q: a Tz that overflows
+        # gives inf * 0 = nan, which the grids' guards raise on, never 0
+        x, y = Tz.real, Tz.imag
+        s, tmp = r, np.empty_like(r)                              # r is spent
+        for acc, (c, d) in zip(sums, upper):
+            np.multiply(x[c], x[d], out=s)
+            s += np.multiply(y[c], y[d], out=tmp)
+            acc[2] += np.einsum("km,km->m", q, s, out=part)
+            if c != d:
+                np.multiply(y[c], x[d], out=s)
+                s -= np.multiply(x[c], y[d], out=tmp)
+                acc[3] += np.einsum("km,km->m", q, s, out=part)
+    out = np.empty((m, n, n), dtype=complex)
+    for acc, (c, d) in zip(sums, upper):
+        np.subtract(acc[0], acc[2], out=out.real[:, c, d])
+        np.subtract(acc[1], acc[3], out=out.imag[:, c, d])
         if c != d:
-            out[:, d, c] = np.conj(out[:, c, d])
+            out.real[:, d, c] = out.real[:, c, d]
+            np.negative(out.imag[:, c, d], out=out.imag[:, d, c])
     return out
-

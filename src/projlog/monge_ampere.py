@@ -594,8 +594,9 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
     min(9, ceil(log2(a0 / 2f)) + 1), or 1 when a0 <= 2f, where f =
     max(eps, 1e-3) (1 + |c|^2).  At eps = 0 the grid gives
     the absolutely continuous part, and each mass adds the atomic part
-    sum w_i^n over the atoms in the ball.  h is accepted and ignored: the
-    benchmark's workloads still pass it.
+    sum w_i^n over the atoms in the ball; so does an eps whose square
+    underflows, which _ma_det treats as eps = 0 (the lift's b = 0).  h is
+    accepted and ignored: the benchmark's workloads still pass it.
     """
     n = mu.n
     radii = sorted(float(r) for r in radii)
@@ -621,7 +622,7 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
         parts = [part for level in range(nlev) for part in _cell_chunks(_ball_chunk, n, m, 1, (
             lift, center.coords, radii, c, a0 / 2.0**level, m, level < nlev - 1))]
         masses, vols, clipped = (sum(field) for field in zip(*parts))
-        if eps == 0.0:
+        if lift.b == 0.0:                  # eps = 0, or an eps whose square underflows
             d = geodesic_distance_batch(mu.points, center.coords)
             masses = masses + [np.sum(mu.weights[d <= r] ** n) for r in radii]
         exact_vols = [fs_ball_volume(n, r) for r in radii]

@@ -7,7 +7,7 @@ import numpy as np
 import projlog as pl
 from oracles import fs_metric, holo_to_real_gradient, random_measure
 from projlog import analytic
-from projlog.geometry import chart_lift
+from projlog.geometry import chart_lift, chart_project
 from projlog.kernels import affine_log_kernel_batch
 
 
@@ -164,11 +164,12 @@ def row_error(x, ref, scale):
 
 
 def stacked_cases():
-    """(n, k, atoms, weights, points, b) for n = 1..3, k in {1, 3, 64},
+    """(n, k, atoms, weights, points, b) for n = 1..4, k in {1, 3, 64},
     unsmoothed (b = 0) and globally smoothed (b = 0.01); the points are
-    random, or 1e-3 to 1e-2 from an atom (projectively: eta + d u with u a
-    unit vector orthogonal to eta)."""
-    for n in (1, 2, 3):
+    homogeneous (48, n+1) rows, random or 1e-3 to 1e-2 from an atom
+    (projectively: eta + d u with u a unit vector orthogonal to eta), to be
+    taken in a chart with chart_project."""
+    for n in (1, 2, 3, 4):
         for k in (1, 3, 64):
             rng = np.random.default_rng(100 * n + k)
             mu = random_measure(n, k, seed=7 * n + k)
@@ -176,19 +177,27 @@ def stacked_cases():
             u = rng.standard_normal((24, n + 1)) + 1j * rng.standard_normal((24, n + 1))
             u -= np.sum(u * np.conj(eta), axis=1, keepdims=True) * eta
             u /= np.linalg.norm(u, axis=1, keepdims=True)
-            zeta = eta + 10.0 ** rng.uniform(-3, -2, (24, 1)) * u
-            near = zeta[:, 1:] / zeta[:, :1]
+            near = eta + 10.0 ** rng.uniform(-3, -2, (24, 1)) * u
             far = rng.standard_normal((24, n)) + 1j * rng.standard_normal((24, n))
+            far = np.hstack([np.ones((24, 1)), far])
             for b in (0.0, 0.1 ** 2):
                 yield n, k, mu.points, mu.weights, np.vstack([far, near]), b
 
 
+def charted_cases():
+    """stacked_cases in every chart: (chart, n, k, atoms, weights, Z, b)
+    with Z the points' (48, n) chart rows."""
+    for n, k, atoms, weights, rows, b in stacked_cases():
+        for chart in range(n + 1):
+            yield chart, n, k, atoms, weights, chart_project(rows, chart), b
+
+
 def test_stacked_quad_form_matches_minor_oracle():
-    for n, k, atoms, weights, Z, b in stacked_cases():
-        T, Tz, Thess = analytic.quad_form_batch(Z, atoms, 0, 0.0, b)
+    for chart, n, k, atoms, weights, Z, b in charted_cases():
+        T, Tz, Thess = analytic.quad_form_batch(Z, atoms, chart, 0.0, b)
         assert T.shape == (Z.shape[0], k) and Tz.shape == (Z.shape[0], k, n)
         assert Thess.shape == (k, n, n)
-        refs = [minor_quad_form(Z, eta, 0, b) for eta in atoms]
+        refs = [minor_quad_form(Z, eta, chart, b) for eta in atoms]
         T_ref = np.stack([r[0] for r in refs], axis=1)
         Tz_ref = np.stack([r[1] for r in refs], axis=1)
         assert np.max(row_error(T, T_ref, np.max(T_ref, axis=1))) <= 1e-11
@@ -198,11 +207,11 @@ def test_stacked_quad_form_matches_minor_oracle():
 
 
 def test_fields_match_minor_oracle():
-    for n, k, atoms, weights, Z, b in stacked_cases():
-        refs, sizes = minor_terms(Z, atoms, weights, 0, b)
+    for chart, n, k, atoms, weights, Z, b in charted_cases():
+        refs, sizes = minor_terms(Z, atoms, weights, chart, b)
         for fn, ref, size in zip((analytic.field_value_batch, analytic.field_gradient_batch,
                                   analytic.field_hessian_batch), refs, sizes):
-            got = fn(Z, atoms, weights, 0, b)
+            got = fn(Z, atoms, weights, chart, b)
             assert got.shape == ref.shape
             # a row's largest entry: its largest per-atom term
             assert np.max(row_error(got, ref, np.max(size, axis=1))) <= 1e-11
@@ -226,12 +235,12 @@ def test_one_atom_blocks_match_one_block(monkeypatch):
     # depend on its block, so one atom per block gives the same bits
     fields = (analytic.field_value_batch, analytic.field_gradient_batch,
               analytic.field_hessian_batch)
-    for n, k, atoms, weights, Z, b in stacked_cases():
-        whole = [fn(Z, atoms, weights, 0, b) for fn in fields]
+    for chart, n, k, atoms, weights, Z, b in charted_cases():
+        whole = [fn(Z, atoms, weights, chart, b) for fn in fields]
         with monkeypatch.context() as mp:
             mp.setattr(analytic, "_BLOCK_ENTRIES", 1)
             assert len(analytic.atom_blocks(k, Z.shape[0], n + 1)) == k
-            blocked = [fn(Z, atoms, weights, 0, b) for fn in fields]
+            blocked = [fn(Z, atoms, weights, chart, b) for fn in fields]
         for x, y in zip(blocked, whole):
             assert x.tobytes() == y.tobytes()
 

@@ -7,7 +7,8 @@ import projlog as pl
 from oracles import ball_reach, box_cells_by_index, chart_measure, ma_det_mpmath, \
     mixed_discriminant_lapack, nested_cells, random_measure, smoothed_dirac_ball_mass
 from projlog import analytic, geometry, monge_ampere, verification
-from projlog.errors import GridTooCoarse, NegativeDensity, SingularStencil, ValidationError
+from projlog.errors import GridTooCoarse, NegativeDensity, NonConvergent, SingularStencil, \
+    ValidationError
 from projlog.geometry import chart_lift, chart_mask, chart_project, fs_ball_volume, \
     fs_hessian_norm, fs_volume_density, geodesic_distance_batch, row_sum, sample_fs_array
 from projlog.measures import support_threshold
@@ -666,6 +667,33 @@ def test_ball_profile_unsmoothed_blocked_over_atoms(monkeypatch):
     whole = profile()
     monkeypatch.setattr(analytic, "_BLOCK_ENTRIES", 1)
     assert whole[0][0][1] > 0.0 and profile() == whole
+
+
+def test_ball_profile_eps_whose_square_underflows_is_unsmoothed():
+    # eps = 1e-200 squares to b = 0, so the grid integrates the unsmoothed
+    # field; its masses add the atomic part as at eps = 0, to the same bits
+    # (they used to be the grid's rounding alone, of order 1e-17)
+    mu = random_measure(1, 3, seed=71)
+    zero, tiny = ([(rep.ball_profile, rep.vol_ratios, rep.vol_check, rep.clipped_cells)
+                   for rep in pl.ball_mass_profile(mu, mu.point(0), [0.8, 0.4], eps_list=[eps],
+                                                   points_per_axis=32)]
+                  for eps in (0.0, 1e-200))
+    assert tiny == zero and zero[0][0][0][1] > 0.2
+
+
+@pytest.mark.parametrize("eps", [1e100, 1e154])
+def test_huge_eps_raises_nonconvergent(eps):
+    # b = eps^2 is finite, but the Hessian's Tz Tz^H / T^2 term overflows to
+    # inf times an underflowed 1 / T^2: the guards see a value that is not
+    # finite, never a finite wrong mass
+    mu = random_measure(2, 3, seed=72)
+    with pytest.raises(NonConvergent, match="not finite"):
+        pl.ma_total_mass(mu, grid=4, eps=eps, vol_tol=1.0)
+    with pytest.raises(NonConvergent, match="not finite"):
+        pl.ball_mass_profile(mu, mu.point(0), [0.5], eps_list=[eps], points_per_axis=4)
+    Z = chart_project(sample_fs_array(73, 5, 2), 0)
+    with pytest.raises(NonConvergent, match="not finite"):
+        pl.ma_density(mu, 0, Z, eps=eps)
 
 
 @pytest.mark.parametrize("n, m", [(1, 4), (1, 32), (1, 64), (2, 4), (2, 8), (2, 16)])

@@ -1,7 +1,7 @@
 """tools/verify_sweep.py without a subprocess: its seed ranges, its check
 keys and the timing it strips from verify's lines.  tools/bench_pairs.py
 against two stand-in checkouts: its run order, its summary and its exit
-status."""
+status.  tools/engine_bench.py on tiny shapes: its lines and its option check."""
 
 import argparse
 import importlib.util
@@ -165,3 +165,36 @@ def test_bench_pairs_exits_1_without_a_result(pairs, tmp_path, capsys):
     (tmp_path / "change" / "perfbench" / "run.py").write_text("raise SystemExit(2)\n")
     assert pairs.main(args) == 1
     assert "exited 2 without a result" in capsys.readouterr().err
+
+
+# ---------- tools/engine_bench.py ---------------------------------------------
+
+ENGINE = Path(__file__).resolve().parents[1] / "tools" / "engine_bench.py"
+
+
+@pytest.fixture(scope="module")
+def engine():
+    spec = importlib.util.spec_from_file_location("engine_bench", ENGINE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_engine_bench_prints_every_call_at_every_shape(engine, monkeypatch, capsys):
+    # tiny shapes: one line per shape, a positive time for each engine call
+    monkeypatch.setattr(engine, "SHAPES", ((3, 8, 2, 0.1), (2, 5, 1, 0.3)))
+    assert engine.main(["--repeats", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["n=2 atoms=3 rows=8 eps=0.1",
+                                                      "n=1 atoms=2 rows=5 eps=0.3"]
+    for line in lines:
+        times = dict(item.split() for item in line.split(": ")[1][:-len(" ns/pair")].split(", "))
+        assert list(times) == ["quad_form_batch", *engine.FIELDS]
+        assert all(float(v) > 0.0 for v in times.values())
+
+
+def test_engine_bench_needs_a_round(engine, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        engine.main(["--repeats", "0"])
+    assert exit_.value.code == 2
+    assert "--repeats" in capsys.readouterr().err

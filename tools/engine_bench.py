@@ -1,0 +1,76 @@
+"""Time the field engine at the benchmark's tile shapes.
+
+    python3 tools/engine_bench.py --repeats 25
+
+For each shape (atoms x rows at dimension n) it calls
+analytic.quad_form_batch and field_value_batch, field_gradient_batch and
+field_hessian_batch in turn, `repeats` rounds, and prints each function's
+fastest call in nanoseconds per point-atom pair.  Taking the calls in turn
+spreads a busy moment of a shared host over all four functions, and the
+minimum drops it.  The shapes are the tiles of the benchmark's workloads:
+16 atoms x 2048 rows at n = 2 (ball-atoms, eps 0.005), 2 x 16384 at n = 2
+and 4 x 16384 at n = 1 (mass-grid, eps 0.3).  The inputs come from a fixed
+seed.  Not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from projlog import analytic  # noqa: E402  (this checkout's engine)
+
+#: (atoms, rows, n, eps) of the benchmark's tiles
+SHAPES = ((16, 2048, 2, 0.005), (2, 16384, 2, 0.3), (4, 16384, 1, 0.3))
+
+FIELDS = ("field_value_batch", "field_gradient_batch", "field_hessian_batch")
+
+
+def engine_calls(atoms: int, rows: int, n: int, eps: float) -> dict:
+    """The four engine calls at one shape, as argument-free functions."""
+    rng = np.random.default_rng(atoms * rows + n)
+    eta = rng.standard_normal((atoms, n + 1)) + 1j * rng.standard_normal((atoms, n + 1))
+    eta /= np.linalg.norm(eta, axis=1, keepdims=True)
+    Z = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    w = np.full(atoms, 1.0 / atoms)
+    b = eps * eps
+    calls = {"quad_form_batch": lambda: analytic.quad_form_batch(Z, eta, 0, 0.0, b)}
+    for name in FIELDS:
+        calls[name] = lambda fn=getattr(analytic, name): fn(Z, eta, w, 0, b)
+    return calls
+
+
+def time_engine(atoms: int, rows: int, n: int, eps: float, repeats: int) -> dict:
+    """Nanoseconds per point-atom pair of each engine call, the minimum over
+    `repeats` rounds that call each function once in turn."""
+    calls = engine_calls(atoms, rows, n, eps)
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(repeats):
+        for name, call in calls.items():
+            t0 = time.perf_counter()
+            call()
+            best[name] = min(best[name], time.perf_counter() - t0)
+    return {name: 1e9 * s / (atoms * rows) for name, s in best.items()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeats", type=int, default=25, help="rounds of calls per shape")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    for atoms, rows, n, eps in SHAPES:
+        ns = time_engine(atoms, rows, n, eps, args.repeats)
+        print(f"n={n} atoms={atoms} rows={rows} eps={eps}: "
+              + ", ".join(f"{name} {v:.2f}" for name, v in ns.items()) + " ns/pair")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
