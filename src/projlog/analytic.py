@@ -58,6 +58,14 @@ real and imaginary parts, and subtracts them once, after the last block.
 At m = 1 numpy sums the (k, 1) atom column pairwise, so the last bits can
 differ.
 
+No chart.  The Sobolev scan needs |grad U_mu| only, and that needs no
+chart: _homogeneous_gradient takes (n+1, m) slot planes of homogeneous
+points and returns dF/dzeta of the lift F of U_mu to C^(n+1) \\ 0, from
+the same projection form with l replaced by zeta.  It forms no chart lift,
+no chart projection and no rho gradient, and np.einsum contracts the
+atoms' (n+1, k, m) planes along the atom axis.  field_gradient_batch, the
+chart gradient, serves the near-atom refinement's other atoms.
+
 This module is the library's one derivative engine for atoms: every
 production gradient, Hessian and Monge-Ampere density of a field with atoms
 is computed from these closed forms.  monge_ampere.hessian_fd_batch, the
@@ -69,7 +77,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import abs_sq_sum, chart_lift, row_sum
+from .geometry import _abs_sq_planes, abs_sq_sum, chart_lift, row_sum
 
 
 #: complex entries of one (rows, atoms, width) intermediate block (32 MiB);
@@ -158,6 +166,44 @@ def quad_form_batch(Z: np.ndarray, eta: np.ndarray, chart: int, a: float, b: flo
     Thess = (b * np.eye(n, dtype=complex) + e2[:, :, None] * np.eye(n)
              - np.conj(E[:, pos, None]) * E[:, None, pos])
     return T, Tz, Thess
+
+
+def _homogeneous_gradient(zeta: np.ndarray, atoms_eta, weights) -> np.ndarray:
+    """dF/dzeta (n+1, m) of F = sum_i w_i log(|zeta ^ eta_i| / (|zeta| |eta_i|))
+    at the columns of the slot planes zeta (n+1, m): homogeneous coordinates
+    of any scale and phase, each plane contiguous.
+
+    F lifts the potential U_mu to C^(n+1) \\ 0.  In the projection form
+    zeta_perp = zeta - S eta, S = <zeta, eta> / |eta|^2,
+
+        dF/dzeta = sum_i w_i conj(zeta_perp_i) / (2 |zeta_perp_i|^2)
+                   - (sum_i w_i) conj(zeta) / (2 |zeta|^2),
+
+    and |grad U_mu|^2 = 2 |zeta|^2 |dF/dzeta|^2 in the FS metric, with no
+    chart.  zeta_perp is formed directly, as in quad_form_batch, so near an
+    atom its relative rounding error stays about 1e-16 / d.  The atoms come
+    in atom_blocks, each block as (n+1, k, m) planes of zeta_perp that one
+    np.einsum contracts along the atom axis.
+    """
+    n1, m = zeta.shape
+    E = np.asarray(atoms_eta, dtype=complex).reshape(-1, n1)
+    w = np.asarray(weights, dtype=float).reshape(-1, 1)
+    # conj(dF/dzeta): the term of (sum_i w_i) log |zeta|, then each block's
+    # w zeta_perp / (2 |zeta_perp|^2)
+    out = zeta * (-0.5 * float(np.sum(w)) / _abs_sq_planes(zeta))
+    out_f = out.view(float)
+    for blk in atom_blocks(E.shape[0], m, n1):
+        Eb = E[blk]
+        Eh = np.conj(Eb) / row_sum(Eb.real ** 2 + Eb.imag ** 2)[:, None]
+        S = Eh[:, :1] * zeta[0]                                   # (k, m), slot by slot
+        for j in range(1, n1):
+            S += Eh[:, j, None] * zeta[j]
+        perp = np.multiply(Eb.T[:, :, None], S)                   # (n+1, k, m)
+        np.subtract(zeta[:, None, :], perp, out=perp)
+        # r = w / (2 |zeta_perp|^2) on both parts of each complex entry
+        r = np.repeat(np.divide(0.5 * w[blk], _abs_sq_planes(perp)), 2, axis=1)
+        out_f += np.einsum("kx,jkx->jx", r, perp.view(float))
+    return np.conj(out, out=out)
 
 
 def log_half_hessian(T: np.ndarray, Tz: np.ndarray, Thess: np.ndarray) -> np.ndarray:

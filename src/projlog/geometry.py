@@ -68,6 +68,16 @@ def abs_sq_sum(z: np.ndarray) -> np.ndarray:
     return row_sum(np.abs(z) ** 2)
 
 
+def _abs_sq_planes(x: np.ndarray) -> np.ndarray:
+    """sum_j |x_j|^2 over the first axis of complex slot planes x (n+1, ...),
+    a batch with its coordinate axis first; the last axis must be
+    contiguous.  np.einsum sums the squares of the planes' float views, then
+    each entry's real and imaginary parts are added."""
+    f = x.view(float)
+    s = np.einsum("j...,j...->...", f, f)
+    return s[..., ::2] + s[..., 1::2]
+
+
 def row_norm(x: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis.
 

@@ -128,9 +128,10 @@ def build_measure(points, weights) -> AtomicMeasure:
     coordinate (complex modulus) merges into the first such kept row;
     otherwise it is kept as a new atom.  Kept atoms stay in input order with
     their first row's coordinates, and the weights of merged rows are added
-    to it in input order.
+    to it in input order.  Points in any memory order are taken as C-ordered
+    rows (a copy only when they are not).
     """
-    points = np.asarray(points, dtype=complex)
+    points = np.ascontiguousarray(points, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValidationError("a measure needs at least one atom")

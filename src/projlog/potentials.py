@@ -16,6 +16,14 @@ of a measure: every chart computation takes the measure and a chart index
 (analytic.quad_form_batch keeps its constant a only for the benchmark's
 test).  rho's own closed forms are geometry.fs_potential, fs_gradient and
 fs_hessian.
+
+The Sobolev scan takes no chart.  U_mu lifts to the function
+F(zeta) = sum_i w_i log(|zeta ^ eta_i| / (|zeta| |eta_i|)) on C^(n+1) \\ 0,
+analytic._homogeneous_gradient gives dF/dzeta at homogeneous points of any
+scale and phase, and |grad U_mu|^2 = 2 |zeta|^2 |dF/dzeta|^2 in the FS
+metric (|grad d| = 1).  The scan reads the points straight off its Philox
+draw.  The near-atom refinement still takes the other atoms' gradient in
+the atom's max-modulus chart (analytic.field_gradient_batch).
 """
 
 from __future__ import annotations
@@ -29,12 +37,14 @@ from . import analytic
 from .coarea import log_radial_levels, mc_estimate, sobolev_bound, sphere_area
 from .errors import ValidationError
 from .geometry import (
+    _CHUNK,
     Stream,
+    _abs_sq_planes,
+    _sample_stream,
     chart_project,
     check_chart,
     fs_gradient,
     fs_gradient_norm_sq,
-    gaussian_rows,
     max_modulus_chart,
     row_norm,
     row_sum,
@@ -79,10 +89,6 @@ class PotentialField:
     def __call__(self, Z) -> np.ndarray:
         """Values (m,) at the chart rows Z (m, n)."""
         return analytic.field_value_batch(Z, self.atoms_eta, self.weights, self.chart, self.b)
-
-    def holomorphic_gradient(self, Z) -> np.ndarray:
-        """Closed-form dphi/dz (m, n) at the chart rows Z (m, n)."""
-        return analytic.field_gradient_batch(Z, self.atoms_eta, self.weights, self.chart, self.b)
 
     def complex_hessian(self, Z) -> np.ndarray:
         """Closed-form complex Hessian (m, n, n) at the chart rows Z (m, n)."""
@@ -137,42 +143,48 @@ class SobolevScanResult:
 
 
 def _sobolev_chunk(payload, rng):
-    """Module-level chunk worker (picklable for process pools)."""
+    """Module-level chunk worker (picklable for process pools): |grad U_mu| at
+    the chunk's draws, one Philox block of rows at a time.  Each row of the
+    float draw holds a point's real parts, then its imaginary parts; they
+    fill the block's slot planes with no complex rows in between."""
     mu, seed, start = payload
     lo, hi = rng
-    return _gradient_norms(mu, gaussian_rows(seed, hi - lo, mu.n, start=start + lo))
+    n1 = mu.n + 1
+    draw = _sample_stream(seed, hi - lo, 2 * n1, start=start + lo)
+    norms = np.empty(hi - lo)
+    planes = np.empty((n1, _CHUNK), dtype=complex)
+    for a in range(0, hi - lo, _CHUNK):
+        tile = draw[a:a + _CHUNK]
+        zeta = planes[:, :tile.shape[0]]
+        zeta.real, zeta.imag = tile[:, :n1].T, tile[:, n1:].T
+        norms[a:a + tile.shape[0]] = _gradient_norms(mu, zeta)
+    return norms
 
 
-def _gradient_norms(mu: AtomicMeasure, samples: np.ndarray) -> np.ndarray:
-    """FS gradient norms |grad U_mu| at the rows (m, n+1) of samples.
+def _gradient_norms(mu: AtomicMeasure, zeta: np.ndarray) -> np.ndarray:
+    """FS gradient norms |grad U_mu| = sqrt(2 |zeta|^2 |dF/dzeta|^2) at the
+    columns of the slot planes zeta (n+1, m), each plane contiguous.
 
-    The rows are homogeneous coordinates of any scale and phase (the scan
-    passes raw Gaussian rows): only their chart coordinates are read, and
-    each row is projected once, to its max-modulus chart.  The closed-form
+    The columns are homogeneous coordinates of any scale and phase (the scan
+    passes raw Gaussian draws), and no chart is taken.  The closed-form
     gradient needs no guard near an atom: a Dirac's norm holds to 1e-9
     relative down to FS distance 1e-6.
     """
-    charts = max_modulus_chart(samples)
-    norms = np.empty(samples.shape[0])
-    for k in range(mu.n + 1):
-        idx = np.flatnonzero(charts == k)
-        Z = chart_project(samples[idx], k)
-        # closed-form dU_mu/dz: the lift's gradient minus rho's
-        fz = psh_lift(mu, k).holomorphic_gradient(Z) - fs_gradient(Z)
-        norms[idx] = np.sqrt(fs_gradient_norm_sq(Z, fz))
-    return norms
+    grad = analytic._homogeneous_gradient(zeta, mu.points, mu.weights)
+    return np.sqrt(2.0 * _abs_sq_planes(zeta) * _abs_sq_planes(grad))
 
 
 def sobolev_scan(mu: AtomicMeasure, p: float, seed: int, samples: int,
                  workers: int | None = None, start: int = 0) -> SobolevScanResult:
     """MC estimate of int |grad U_mu|^p dV over P^n (FS-uniform sampling).
 
-    The draws are geometry.gaussian_rows, left uncanonicalized: the scan
-    reads only their chart coordinates, which ignore scale and phase.
-    The gradient norm is the FS-Riemannian norm from the closed-form chart
-    gradient via the inverse FS metric.  Every draw is kept, however near an
-    atom.  Reports the co-area majorant 2 sqrt(2) c_n int sin^(2n-1-p),
-    which is finite iff p < 2n.  Estimates depend only on (seed, sample
+    Each draw is a standard complex Gaussian in C^(n+1) (the rows of
+    geometry.gaussian_rows, taken as slot planes straight off the float
+    draw), left uncanonicalized.  The gradient norm is
+    sqrt(2 |zeta|^2 |dF/dzeta|^2) from the closed-form homogeneous gradient,
+    which ignores scale and phase, so no chart is taken.  Every draw is
+    kept, however near an atom.  Reports the co-area majorant
+    2 sqrt(2) c_n int sin^(2n-1-p), which is finite iff p < 2n.  Estimates depend only on (seed, sample
     index), so extending the sample count keeps the earlier draws
     (common-random doubling).
     """

@@ -2,7 +2,8 @@
 
 None of these is on a production path: each recomputes a quantity the
 library gets another way (a finite-difference gradient against the closed
-forms, the FS metric against the closed-form Hessian, LAPACK mixed
+forms, the FS metric against the closed-form Hessian, the Sobolev scan's
+chart-free gradient norms in the max-modulus chart, LAPACK mixed
 discriminants one tuple at a time against the batched engine, a 60-digit
 Monge-Ampere determinant against the double-precision one, chart
 coordinates one point at a time against the batch projection, quadratures
@@ -22,11 +23,14 @@ from itertools import combinations
 import mpmath
 import numpy as np
 
+from projlog import analytic
 from projlog.coarea import DEPTH_FACTOR, SQRT2, area_constant
 from projlog.errors import SingularStencil, ValidationError
 from projlog.geometry import CHART_FLOOR, HomogeneousPoint, _sample_stream, chart_lift, \
-    geodesic_distance_batch, sample_fs_array
+    chart_project, fs_gradient, fs_gradient_norm_sq, geodesic_distance_batch, \
+    max_modulus_chart, sample_fs_array
 from projlog.measures import build_measure
+from projlog.potentials import psh_lift
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +118,32 @@ def fs_metric_inverse(z: np.ndarray) -> np.ndarray:
     n = z.shape[-1]
     t = 1.0 + np.sum(np.abs(z) ** 2)
     return 2.0 * t * (np.eye(n) + np.outer(np.conj(z), z))
+
+
+# ---------------------------------------------------------------------------
+# FS gradient norms in charts
+# ---------------------------------------------------------------------------
+
+def lift_gradient(lift, Z) -> np.ndarray:
+    """Closed-form dphi/dz (m, n) of a chart field at its chart rows Z (m, n)."""
+    return analytic.field_gradient_batch(Z, lift.atoms_eta, lift.weights, lift.chart, lift.b)
+
+
+def chart_gradient_norms(mu, samples: np.ndarray) -> np.ndarray:
+    """FS gradient norms |grad U_mu| at the rows (m, n+1) of samples, in charts.
+
+    Each row is projected to its max-modulus chart, where dU_mu/dz is the
+    closed-form gradient of the chart lift minus rho's, and the norm comes
+    from the inverse FS metric.  The rows may have any scale and phase.
+    """
+    charts = max_modulus_chart(samples)
+    norms = np.empty(samples.shape[0])
+    for k in range(mu.n + 1):
+        idx = np.flatnonzero(charts == k)
+        Z = chart_project(samples[idx], k)
+        fz = lift_gradient(psh_lift(mu, k), Z) - fs_gradient(Z)
+        norms[idx] = np.sqrt(fs_gradient_norm_sq(Z, fz))
+    return norms
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,24 @@ def test_duplicate_atoms_merge():
     assert abs(mu.weights[0] - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fortran_ordered_points_build_the_c_ordered_measure(n):
+    # (U @ pts.T).T is Fortran-ordered: rotated atoms, two of them duplicates
+    pts = sample_fs_array(31 + n, 6, n)
+    pts[4] = 1j * pts[1]
+    rng = np.random.default_rng(n)
+    U, _ = np.linalg.qr(rng.standard_normal((n + 1, n + 1))
+                        + 1j * rng.standard_normal((n + 1, n + 1)))
+    rotated = (U @ pts.T).T
+    assert not rotated.flags.c_contiguous
+    w = np.full(6, 1.0 / 6)
+    mu = pl.build_measure(rotated, w)
+    ref = pl.build_measure(np.ascontiguousarray(rotated), w)
+    assert mu.num_atoms == ref.num_atoms == 5
+    assert mu.points.tobytes() == ref.points.tobytes()
+    assert mu.weights.tobytes() == ref.weights.tobytes()
+
+
 def test_weight_sum_mismatch():
     p, q = pl.normalize([1, 0]), pl.normalize([0, 1])
     with pytest.raises(ValidationError, match="weights sum to"):

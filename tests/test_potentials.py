@@ -1,11 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import projlog as pl
-from oracles import chart_measure, fd_gradient, holo_to_real_gradient, random_measure
-from projlog import analytic, potentials
+from oracles import chart_gradient_norms, chart_measure, fd_gradient, holo_to_real_gradient, \
+    lift_gradient, random_measure
+from projlog import analytic, geometry, potentials
 from projlog.errors import NonConvergent, SingularStencil, ValidationError
 from projlog.geometry import _CHUNK, canonicalize_batch, chart_lift, chart_project, \
     fs_gradient_norm_sq, gaussian_rows, sample_fs_array
@@ -177,7 +179,7 @@ def test_fd_gradient_matches_analytic():
     for _ in range(10):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         g = fd_gradient(lift, z, h=1e-4)
-        ref = holo_to_real_gradient(lift.holomorphic_gradient(z[None])[0])
+        ref = holo_to_real_gradient(lift_gradient(lift, z[None])[0])
         assert np.max(np.abs(g - ref)) < 1e-6
 
 
@@ -305,45 +307,68 @@ def test_excision_blocked_over_atoms_matches_one_block(monkeypatch):
     assert potentials.nearest_site_distance(Z, sites).tobytes() == direct.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_gradient_norms_project_each_chart_once(n, monkeypatch):
-    # each sample is projected once, to its max-modulus chart (the atoms
-    # used to be projected to every chart for the guard, and the samples
-    # a second time for the gradients)
-    mu = random_measure(n, 2, seed=63)
-    samples = sample_fs_array(65, 500, n)
-    charts = []
+def planes(rows):
+    """The slot planes (n+1, m) of homogeneous rows (m, n+1)."""
+    return np.ascontiguousarray(np.asarray(rows).T)
 
-    def counted(points, chart):
-        charts.append(chart)
-        return chart_project(points, chart)
 
-    monkeypatch.setattr(potentials, "chart_project", counted)
-    norms = potentials._gradient_norms(mu, samples)
-    assert np.all(np.isfinite(norms))
-    assert charts == [*range(n + 1)]
+@pytest.mark.parametrize("atoms", [1, 3, 50])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scan_gradient_norms_match_the_chart_oracle(n, atoms):
+    # the scan's chunk worker, from the float draw in Philox-block tiles (one
+    # full tile and a short one), against each row's max-modulus chart
+    mu = random_measure(n, atoms, seed=90 + n)
+    count = _CHUNK + 500
+    norms = potentials._sobolev_chunk((mu, 93, 700), (0, count))
+    ref = chart_gradient_norms(mu, gaussian_rows(93, count, n, start=700))
+    np.testing.assert_allclose(norms, ref, rtol=1e-12, atol=0)
+
+
+def test_sobolev_scan_takes_no_chart(monkeypatch):
+    # count chart_project and max_modulus_chart calls in every projlog
+    # namespace that binds them while the doubling scan runs (the near-atom
+    # refinement still takes the atom's chart for the other atoms)
+    mu = random_measure(2, 3, seed=95)
+    calls = []
+    for name in ("chart_project", "max_modulus_chart"):
+        original = getattr(geometry, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in [m for key, m in list(sys.modules.items())
+                       if key == "projlog" or key.startswith("projlog.")]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    pl.sobolev_doubling(mu, p=1.0, seed=97, samples=5000, workers=1)
+    assert calls == []
+    pl.sobolev_refinement_scan(mu, p=2.0, atom_index=1, levels=1, seed=99,
+                               samples_per_stratum=64)
+    assert calls.count("max_modulus_chart") == 1          # the counters are live
 
 
 @pytest.mark.parametrize("atoms", [1, 3])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gradient_norms_ignore_the_scale_and_phase_of_a_row(n, atoms):
-    # the scan hands _gradient_norms raw Gaussian rows: their canonical form
-    # and any nonzero complex multiple give the same norms
+    # the scan hands _gradient_norms raw Gaussian draws: their canonical
+    # form and any nonzero complex multiple give the same norms
     mu = random_measure(n, atoms, seed=80 + n)
     raw = gaussian_rows(181, 3000, n)
     rng = np.random.default_rng(82)
     scale = rng.uniform(0.01, 100.0, 3000) * np.exp(2j * np.pi * rng.uniform(size=3000))
-    ref = potentials._gradient_norms(mu, raw)
+    ref = potentials._gradient_norms(mu, planes(raw))
     for rows in (canonicalize_batch(raw), raw * scale[:, None]):
-        np.testing.assert_allclose(potentials._gradient_norms(mu, rows), ref, rtol=1e-12,
-                                   atol=0)
+        np.testing.assert_allclose(potentials._gradient_norms(mu, planes(rows)), ref,
+                                   rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gradient_norms_near_an_atom_match_the_dirac_closed_form(n):
     # |grad U| of a Dirac is cot(d / sqrt 2) / sqrt 2 at FS distance d; the
-    # closed-form chart gradient keeps it to 1e-9 however near the atom, so
-    # the Sobolev scan keeps every draw
+    # closed-form gradient keeps it to 1e-9 however near the atom, so the
+    # Sobolev scan keeps every draw
     eta = sample_fs_array(71, 1, n)[0]
     mu = pl.dirac(pl.normalize(eta))
     d = 10.0 ** -np.arange(1, 7)
@@ -352,7 +377,8 @@ def test_gradient_norms_near_an_atom_match_the_dirac_closed_form(n):
     tangent /= np.linalg.norm(tangent, axis=1)[:, None]
     points = np.cos(d / math.sqrt(2))[:, None] * eta + np.sin(d / math.sqrt(2))[:, None] * tangent
     exact = 1.0 / (math.sqrt(2) * np.tan(d / math.sqrt(2)))
-    np.testing.assert_allclose(potentials._gradient_norms(mu, points), exact, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(potentials._gradient_norms(mu, planes(points)), exact,
+                               rtol=1e-9, atol=0)
 
 
 def test_fd_gradient_evaluates_each_stencil_point_once():

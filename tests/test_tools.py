@@ -1,13 +1,15 @@
 """tools/verify_sweep.py without a subprocess: its seed ranges, its check
 keys and the timing it strips from verify's lines.  tools/bench_pairs.py
 against two stand-in checkouts: its run order, its summary and its exit
-status.  tools/engine_bench.py on tiny shapes: its lines and its option check."""
+status.  tools/engine_bench.py on tiny shapes: its lines, its Sobolev shapes
+and its option check."""
 
 import argparse
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from projlog.errors import ValidationError
@@ -181,16 +183,32 @@ def engine():
 
 
 def test_engine_bench_prints_every_call_at_every_shape(engine, monkeypatch, capsys):
-    # tiny shapes: one line per shape, a positive time for each engine call
+    # tiny shapes: one line per shape, a positive time for each engine call,
+    # then the Sobolev gradient norms, chart-free and in charts
     monkeypatch.setattr(engine, "SHAPES", ((3, 8, 2, 0.1), (2, 5, 1, 0.3)))
+    monkeypatch.setattr(engine, "SOBOLEV_SHAPES", ((1, 6, 2), (16, 7, 2)))
     assert engine.main(["--repeats", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["n=2 atoms=3 rows=8 eps=0.1",
-                                                      "n=1 atoms=2 rows=5 eps=0.3"]
-    for line in lines:
+                                                      "n=1 atoms=2 rows=5 eps=0.3",
+                                                      "n=2 atoms=1 rows=6 sobolev",
+                                                      "n=2 atoms=16 rows=7 sobolev"]
+    calls = [["quad_form_batch", *engine.FIELDS]] * 2 \
+        + [["gradient_norms", "chart_gradient_norms"]] * 2
+    for line, names in zip(lines, calls):
         times = dict(item.split() for item in line.split(": ")[1][:-len(" ns/pair")].split(", "))
-        assert list(times) == ["quad_form_batch", *engine.FIELDS]
+        assert list(times) == names
         assert all(float(v) > 0.0 for v in times.values())
+
+
+def test_engine_bench_sobolev_shapes_are_the_scan_blocks(engine):
+    # one Philox block of rows at n = 2, with 1 and 16 atoms; both calls
+    # give the same norms
+    assert engine.SOBOLEV_SHAPES == ((1, engine._CHUNK, 2), (16, engine._CHUNK, 2))
+    for atoms in (1, 16):
+        calls = engine.sobolev_calls(atoms, 50, 2)
+        np.testing.assert_allclose(calls["gradient_norms"](), calls["chart_gradient_norms"](),
+                                   rtol=1e-12, atol=0)
 
 
 def test_engine_bench_needs_a_round(engine, capsys):
