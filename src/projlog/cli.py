@@ -189,7 +189,9 @@ def cmd_ma_mass(args) -> int:
     for eps in args.eps:
         rep = ma_total_mass(mu, grid=args.grid, eps=eps, workers=args.workers)
         rows.append((eps, rep.total_mass, rep.vol_check, rep.clipped_cells))
-    _write(args, ["eps", "total_mass", "volume_check", "clipped_cells"], rows)
+    # the grid's cells do not depend on eps
+    _write(args, ["eps", "total_mass", "volume_check", "clipped_cells"], rows,
+           cells=rep.grid["cells"], live_cells=rep.grid["live_cells"])
     return EXIT_OK
 
 

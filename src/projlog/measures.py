@@ -186,8 +186,8 @@ def partition_of_unity(zeta: np.ndarray) -> np.ndarray:
 def partition_from_sq_moduli(s: np.ndarray) -> np.ndarray:
     """partition_of_unity of rows whose squared moduli are s (m, n+1).
 
-    The MA grid calls it on its cells' squared moduli with each chart's 1.0
-    inserted, which is np.abs(chart_lift(Z, k)) ** 2 without the lift.
+    The MA grid calls it on its cells' squared moduli with chart 0's 1.0
+    inserted first, which is np.abs(chart_lift(Z, 0)) ** 2 without the lift.
     """
     t = s / row_sum(s)[:, None]
     n = s.shape[1] - 1

@@ -4,8 +4,9 @@ discriminants, with finite-difference complex Hessians as the oracle.
 Densities are reported relative to the unit-mass FS volume as the ratio
 det(H_phi) / det(H_rho) of complex Hessians, which eliminates every d^c and
 pi normalization constant.  Total masses integrate det(H_phi) over chart
-boxes weighted by the partition of unity and divide by the chart integral
-of det(H_rho) (= 2^-n pi^n / n! for the unit-volume convention); for any
+balls weighted by the partition of unity, one row of which serves every
+chart, and divide by the chart integral of det(H_rho) (= 2^-n pi^n / n!
+for the unit-volume convention); for any
 smooth global field rho + u the answer is 1 by cohomology, which is the
 grid's strongest self-check.  _ma_det owns det(H_phi): hermitian_det (closed
 form for n <= 3, as are the mixed discriminants' subset sums) at eps > 0, an
@@ -350,35 +351,24 @@ def _tile_rows(atoms: int, n: int) -> int:
     return max(2, _TILE_ENTRIES // (atoms * (n + 1) + 16))
 
 
-def _cell_sums(lift: PotentialField, Z: np.ndarray, weights: np.ndarray,
-               density: np.ndarray, cellvol: float):
-    """MA mass and FS volume of the cells Z under each row of weights.
-
-    density is fs_volume_density(Z), which the chunk computes once for all
-    its charts.  det H_phi (_ma_det) is taken at the live cells only, those
-    of positive weight in some row, _tile_rows of them a tile, so the
-    engine's work arrays stay in cache; a lone last row joins the tile
-    before it, since the engine sums one row's atoms in another order, and
-    so the bits do not depend on the tile size.  Negative determinants are
-    rounding, set to 0 and counted.  A row's sums run over its cells of
-    positive weight, in cell order.  Returns (masses, volumes, clipped cells).
-    """
-    n = Z.shape[1]
-    live = np.flatnonzero(np.any(weights > 0.0, axis=0))
-    starts = list(range(0, live.size, _tile_rows(lift.weights.size, n)))
-    if len(starts) > 1 and live.size - starts[-1] == 1:
+def _cell_dets(lift: PotentialField, Z: np.ndarray):
+    """det H_phi (_ma_det) at the cells Z in tiles of _tile_rows contiguous
+    cells, so the engine's work arrays stay in cache; a lone last row joins
+    the tile before it, since the engine sums one row's atoms in another
+    order, and so the bits do not depend on the tile size.  Negative
+    determinants are rounding, set to 0 and counted.  Returns (dets, clipped)."""
+    m, n = Z.shape
+    starts = list(range(0, m, _tile_rows(lift.weights.size, n)))
+    if len(starts) > 1 and m - starts[-1] == 1:
         starts.pop()
-    dets = np.zeros(Z.shape[0])
+    dets = np.empty(m)
     # a huge eps overflows, a cell at an atom divides by 0: the callers' guards raise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo, hi in zip(starts, starts[1:] + [live.size]):
-            cells = live[lo:hi]
-            dets[cells] = _ma_det(lift, Z[cells])[0]
+        for lo, hi in zip(starts, starts[1:] + [m]):
+            dets[lo:hi] = _ma_det(lift, Z[lo:hi])[0]
     neg = dets < 0.0
     dets[neg] = 0.0
-    masses, vols = (np.array([float(np.sum((w * x)[w > 0])) * cellvol / fs_volume_norm(n)
-                              for w in weights]) for x in (dets, density))
-    return masses, vols, int(np.sum(neg))
+    return dets, int(np.count_nonzero(neg))
 
 
 def _self_check(mass, eps: float, vol: float, exact_vol: float, tol: float) -> None:
@@ -486,29 +476,33 @@ def _cell_chunks(fn, n: int, m: int, workers: int | None, payload) -> list:
                        payload=payload)
 
 
-def _chart_weights(sq: np.ndarray) -> np.ndarray:
-    """chi_k (n+1, m) of the cells whose squared moduli are sq (m, n), chart
-    k's row the partition of unity of sq with the chart's 1.0 inserted at
-    slot k: the bits of partition_of_unity(chart_lift(Z, k))[:, k].  Charts 0
-    and 1 add the moduli in the same order (1 + s_0 == s_0 + 1), so chart 0
-    takes chart 1's row."""
-    rows = [partition_from_sq_moduli(np.insert(sq, k, 1.0, axis=1))[:, k]
-            for k in range(1, sq.shape[1] + 1)]
-    return np.stack(rows[:1] + rows)
+def _chart_weight(sq: np.ndarray) -> np.ndarray:
+    """chi_k (m,) at chart k's own cells of squared moduli sq (m, n), for
+    every k: each chart lifts them to {1, sq} and adds those in its own
+    order, a few ulps apart, so this is chart 0's row (the 1.0 first), the
+    bits of partition_of_unity(chart_lift(Z, 0))[:, 0]."""
+    return partition_from_sq_moduli(np.insert(sq, 0, 1.0, axis=1))[:, 0]
 
 
 def _mass_chunk(payload, rng):
     """Integrate one range of flat cells on every chart (module level): the
-    range's cells inside |z|^2 <= 2n+1 (_ball_cells), their squared
-    moduli, the chart weights and the FS volume density are built once.
-    Returns one (mass, vol, clipped) per chart."""
+    range's cells inside |z|^2 <= 2n+1 (_ball_cells) of positive
+    _chart_weight, their FS volume density and volume are taken once, and
+    each chart takes only its determinants.  Returns (cells, live cells,
+    volume, [(mass, clipped) per chart])."""
     lifts, g, L = payload
     n = len(lifts) - 1
     Z, sq, cellvol = _ball_cells(n, L, g, rng, 2 * n + 1)
-    chi, density = _chart_weights(sq), fs_volume_density(Z)
-    sums = [_cell_sums(lift, Z, chi[chart, None], density, cellvol)
-            for chart, lift in enumerate(lifts)]
-    return [(mass, vol, clipped) for (mass,), (vol,), clipped in sums]
+    chi = _chart_weight(sq)
+    live = chi > 0.0
+    Z, chi, sq = Z[live], chi[live], sq[live]
+    density = 2.0 ** (-n) * (1.0 + row_sum(sq)) ** (-(n + 1))    # fs_volume_density(Z)'s bits
+
+    def mass(x):
+        return float(np.sum(chi * x)) * cellvol / fs_volume_norm(n)
+
+    charts = (_cell_dets(lift, Z) for lift in lifts)       # one chart's determinants at a time
+    return live.size, chi.size, mass(density), [(mass(dets), clipped) for dets, clipped in charts]
 
 
 def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
@@ -518,29 +512,37 @@ def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
 
     Integrates det(H_phi) over the chi_k-supported ball |z|^2 <= 2n+1 of
     every chart with midpoint cells (`grid` points per axis), weighting by
-    the partition of unity.  For any measure and any eps > 0 the answer is
-    1 up to grid error; _self_check holds the grid's FS volume to 1 within
-    vol_tol.  An eps whose square underflows to 0 would integrate the
-    unsmoothed field, so it is refused.  h is accepted and ignored: the
-    benchmark's workloads still pass it.
+    the partition of unity (_chart_weight, one row for every chart).  For
+    any measure and any eps > 0 the answer is 1 up to grid error;
+    _self_check holds the grid's FS volume to 1 within vol_tol.  An eps
+    whose square underflows to 0 would integrate the unsmoothed field, so
+    it is refused; grid must be an integer >= 1 and vol_tol finite and
+    positive.  report.grid counts the ball's cells and the live ones, those
+    of positive weight, which every chart integrates.  h is accepted and
+    ignored: the benchmark's workloads still pass it.
     """
     if not (eps > 0.0 and eps * eps > 0.0):
         raise ValidationError(f"total-mass integration requires eps > 0 with eps^2 > 0, "
                               f"got eps = {eps!r}")
-    if grid < 1:
-        raise ValidationError(f"grid must be at least 1 point per axis, got {grid}")
+    if not (isinstance(grid, (int, np.integer)) and not isinstance(grid, bool) and grid >= 1):
+        raise ValidationError(f"grid must be an integer of at least 1 point per axis, "
+                              f"got {grid!r}")
+    if not 0.0 < vol_tol < math.inf:
+        raise ValidationError(f"vol_tol must be finite and positive, got {vol_tol!r}")
     n = mu.n
     L = math.sqrt(2.0 * n + 1.0)
     lifts = [psh_lift(mu, chart, eps) for chart in range(n + 1)]
     parts = _cell_chunks(_mass_chunk, n, grid, workers, (lifts, grid, L))
-    # summed in chart-major order, so the totals keep their bits
-    mass, vol, clipped = zip(*(part[chart] for chart in range(n + 1) for part in parts))
+    cells, live, vol, charts = zip(*parts)
+    # summed in chart-major order, so the totals keep their bits; every
+    # chart has the chunk's one volume
+    mass, clipped = zip(*(part[chart] for chart in range(n + 1) for part in charts))
     total = float(np.sum(mass))
-    vol_check = float(np.sum(vol))
+    vol_check = float(np.sum(vol * (n + 1)))
     _self_check(total, eps, vol_check, 1.0, vol_tol)
     return MassReport(total_mass=total,
-                      grid={"points_per_axis": grid, "charts": n + 1,
-                            "box_halfwidth": L, "eps": eps},
+                      grid={"points_per_axis": grid, "charts": n + 1, "box_halfwidth": L,
+                            "eps": eps, "cells": sum(cells), "live_cells": sum(live)},
                       clipped_cells=sum(clipped), vol_check=vol_check)
 
 
@@ -567,15 +569,17 @@ def _chart_halfwidth(c_abs: float, r: float) -> float:
 
 def _ball_chunk(payload, rng):
     """Integrate one range of a level's cells over every ball (module level):
-    keeps the cells within the largest radius and weights them by ball
-    membership.  Returns (masses, vols, clipped)."""
+    keeps the cells within the largest radius, and each ball sums its own
+    in cell order.  Returns (masses, vols, clipped)."""
     lift, center, radii, c, a, m, hole = payload
     Z, cellvol = _box_cells(c, a, m, rng, hole)
     d = geodesic_distance_batch(chart_lift(Z, lift.chart), center)
     near = d <= radii[-1]
-    in_ball = (d[None, near] <= np.array(radii)[:, None]).astype(float)
-    Z = Z[near]
-    return _cell_sums(lift, Z, in_ball, fs_volume_density(Z), cellvol)
+    Z, in_ball = Z[near], d[None, near] <= np.array(radii)[:, None]
+    dets, clipped = _cell_dets(lift, Z)
+    masses, vols = (np.array([float(np.sum(x[ball])) * cellvol / fs_volume_norm(Z.shape[1])
+                              for ball in in_ball]) for x in (dets, fs_volume_density(Z)))
+    return masses, vols, clipped
 
 
 def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,

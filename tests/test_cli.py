@@ -120,6 +120,13 @@ def test_ma_mass_and_determinism(tmp_path, measure_file):
     assert body_of(tmp_path / "a/ma_mass.csv") == body_of(tmp_path / "b/ma_mass.csv")
     total = float(body_of(tmp_path / "a/ma_mass.csv").splitlines()[1].split(",")[1])
     assert abs(total - 1.0) < 0.05
+    # the grid's cell counts are header facts, the library's for every worker count
+    mu = pl.AtomicMeasure.from_json(measure_file.read_text())
+    rep = pl.ma_total_mass(mu, grid=64, eps=0.3)
+    for side in "ab":
+        head = header_of(tmp_path / side / "ma_mass.csv")
+        assert (head["cells"], head["live_cells"]) == (str(rep.grid["cells"]),
+                                                       str(rep.grid["live_cells"]))
 
 
 def test_sobolev_subcommand(tmp_path, measure_file):

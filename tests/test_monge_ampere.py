@@ -493,6 +493,34 @@ def test_total_mass_requires_a_grid_point():
         pl.ma_total_mass(pl.dirac(pl.normalize([1, 0])), grid=0)
 
 
+@pytest.mark.parametrize("grid, vol_tol", [(2.5, 0.01), (True, 0.01), (np.float64(8.0), 0.01),
+                                           (8, math.nan), (8, -1.0), (8, 0.0), (8, math.inf)])
+def test_total_mass_validates_grid_and_volume_tolerance(grid, vol_tol):
+    # grid is an integer >= 1 (True is no grid), vol_tol finite and positive:
+    # a NaN tolerance switched the self-check off, a negative one failed it
+    with pytest.raises(ValidationError, match="grid must be an integer" if vol_tol == 0.01
+                       else "vol_tol must be finite and positive"):
+        pl.ma_total_mass(pl.dirac(pl.normalize([1, 0])), grid=grid, vol_tol=vol_tol)
+
+
+@pytest.mark.parametrize("n, grid", [(1, 256), (2, 18), (3, 6)])
+def test_total_mass_reports_its_ball_and_live_cells(n, grid):
+    # cells: the midpoints with |z|^2 <= 2n+1; live cells: those of them
+    # where chart 0's partition of unity is positive.  At grid 18 many
+    # midpoints lie on the sphere |z|^2 = 5, so both counts take the
+    # grid's own arithmetic, np.abs(z) ** 2 summed over the coordinates
+    L = math.sqrt(2 * n + 1)
+    step = 2 * L / grid
+    ticks = -L + (np.arange(grid) + 0.5) * step
+    axes = [x.ravel() for x in np.meshgrid(*[ticks] * (2 * n), indexing="ij")]
+    Z = np.column_stack(axes[:n]) + 1j * np.column_stack(axes[n:])
+    ball = Z[np.sum(np.abs(Z) ** 2, axis=1) <= 2 * n + 1]
+    live = np.count_nonzero(pl.partition_of_unity(chart_lift(ball, 0))[:, 0] > 0.0)
+    rep = pl.ma_total_mass(random_measure(n, 2, seed=24), grid=grid, eps=0.3, vol_tol=1.0)
+    assert (rep.grid["cells"], rep.grid["live_cells"]) == (len(ball), live)
+    assert (n, grid) != (1, 256) or rep.grid["cells"] == 51468
+
+
 def test_total_mass_n1_single_and_multi_atom():
     mu = pl.dirac(pl.normalize([1, 0]))
     rep = pl.ma_total_mass(mu, grid=128, h=1e-4, eps=0.3)
@@ -513,6 +541,11 @@ def test_total_mass_worker_independence():
     a = pl.ma_total_mass(mu, grid=64, h=1e-4, eps=0.3, workers=1, vol_tol=0.05)
     b = pl.ma_total_mass(mu, grid=64, h=1e-4, eps=0.3, workers=2, vol_tol=0.05)
     assert a.total_mass == b.total_mass
+    # at n = 3, over three chunks, the whole report; charts 2 and 3 are where
+    # the shared weight row is not the chart's own to the bit
+    mu = random_measure(3, 3, seed=25)
+    a, b = (repr(pl.ma_total_mass(mu, grid=6, eps=0.3, workers=w, vol_tol=1.0)) for w in (1, 2))
+    assert a == b
 
 
 def test_grids_ignore_h():
@@ -771,32 +804,29 @@ def test_ball_cells_are_the_box_cells_inside_the_ball(n, m):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cell_sums_do_not_depend_on_the_tile_size(n, monkeypatch):
-    # det H_phi is taken in tiles of _tile_rows live cells; masses, volumes
-    # and clipped counts keep their bits for every tile size down to 2 rows,
-    # at eps = 0 and eps > 0.  With 12 atoms the engine sums a lone row's
-    # atoms in another order, so a lone last row joins the tile before it:
-    # the 961 live cells leave one over for each of the sizes below
+    # det H_phi is taken in tiles of _tile_rows contiguous cells; the
+    # determinants, clipped counts and the sums of both grids keep their bits
+    # for every tile size down to 2 rows, at eps = 0 and eps > 0.  With 12
+    # atoms the engine sums a lone row's atoms in another order, so a lone
+    # last row joins the tile before it: the 961 cells leave one over for
+    # each of the sizes below
     mu = random_measure(n, 12, seed=70 + n)
     rng = np.random.default_rng(n)
-    Z = 1.5 * (rng.standard_normal((1200, n)) + 1j * rng.standard_normal((1200, n)))
-    live = np.zeros(1200, dtype=bool)
-    live[rng.choice(1200, 961, replace=False)] = True
-    last = np.arange(1200) == np.flatnonzero(live)[-1]     # a row of its own: no rounding hides it
-    weights = np.stack([live * rng.uniform(0.1, 1.0, 1200),
-                        (live & (rng.uniform(size=1200) < 0.5)).astype(float), last * 1.0])
-    density = fs_volume_density(Z)
+    Z = 1.5 * (rng.standard_normal((961, n)) + 1j * rng.standard_normal((961, n)))
+    chi = rng.uniform(0.1, 1.0, 961)
+    balls = np.stack([rng.uniform(size=961) < 0.5, np.arange(961) == 960])
 
     def sums():
         out = []
         for eps in (0.0, 0.05):
-            masses, vols, clipped = monge_ampere._cell_sums(pl.psh_lift(mu, 0, eps), Z, weights,
-                                                            density, 0.01)
-            out.append((masses.tobytes(), vols.tobytes(), clipped))
+            dets, clipped = monge_ampere._cell_dets(pl.psh_lift(mu, 0, eps), Z)
+            out.append((dets.tobytes(), clipped, float(np.sum(chi * dets)),
+                        [float(np.sum(dets[ball])) for ball in balls]))
         return out
 
     whole = sums()
     assert monge_ampere._tile_rows(12, n) > 961
-    assert n > 1 or whole[0][2] > 0                  # n = 1 clips cells at eps = 0
+    assert n > 1 or whole[0][1] > 0                  # n = 1 clips cells at eps = 0
     for rows in (2, 3, 5, 64, 960):
         monkeypatch.setattr(monge_ampere, "_tile_rows", lambda atoms, n: rows)
         assert sums() == whole, rows
@@ -804,12 +834,14 @@ def test_cell_sums_do_not_depend_on_the_tile_size(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_chart_weights_are_the_partition_of_each_lift(n):
-    # the weights from one set of squared moduli are, chart by chart, the
-    # partition of unity of the lifted cells to the bit; the cells include
-    # ones on the ball's edge |z|^2 = 2n+1 and on both band edges of every
-    # slot (|z|^2 = 2n+1 and n for the chart's own slot, |z_j|^2 = 1/(2n+1)
-    # and 1/n for the others), each nudged by up to 40 ulps, and cells whose
-    # t are exactly 1/(n+1) (z = 1) or 1/(2(n+1)) (z = (2, 1) at n = 2)
+    # every chart integrates its own cells under one weight row, chart 0's
+    # partition of unity to the bit; each chart's own partition of its lifted
+    # cells has the same support and lies within 4 ulps of 1 of it.  The
+    # cells include ones on the ball's edge |z|^2 = 2n+1 and on both band
+    # edges of every slot (|z|^2 = 2n+1 and n for the chart's own slot,
+    # |z_j|^2 = 1/(2n+1) and 1/n for the others), each nudged by up to 40
+    # ulps, and cells whose t are exactly 1/(n+1) (z = 1) or 1/(2(n+1))
+    # (z = (2, 1) at n = 2)
     a, b = support_threshold(n), 1.0 / (n + 1)
     rng = np.random.default_rng(n)
     Z = [rng.uniform(-2.0, 2.0, (500, n)) + 1j * rng.uniform(-2.0, 2.0, (500, n)),
@@ -822,13 +854,14 @@ def test_chart_weights_are_the_partition_of_each_lift(n):
             Z.append(cells)
             Z.append(cells * np.exp(0.3j))
     Z = np.concatenate(Z)
-    sq = np.abs(Z) ** 2
-    chi = monge_ampere._chart_weights(sq)
+    chi = monge_ampere._chart_weight(np.abs(Z) ** 2)
+    assert chi.tobytes() == pl.partition_of_unity(chart_lift(Z, 0))[:, 0].tobytes()
     knots = []
     for k in range(n + 1):
         lifted = chart_lift(Z, k)
         want = pl.partition_of_unity(lifted)[:, k]
-        assert chi[k].tobytes() == want.tobytes(), k
+        assert np.array_equal(want > 0.0, chi > 0.0), k
+        assert np.max(np.abs(want - chi)) <= 4 * 2.0 ** -52, k
         t = np.abs(lifted) ** 2
         u = (t / row_sum(t)[:, None] - a) / (b - a)
         knots.append([np.any(u == 0.0), np.any(u == 1.0)])
@@ -857,7 +890,7 @@ def test_ball_profile_checks_every_eps_before_any_cell(eps_list, match, monkeypa
     def no_cells(*_):
         raise AssertionError("a cell was integrated")
 
-    monkeypatch.setattr(monge_ampere, "_cell_sums", no_cells)
+    monkeypatch.setattr(monge_ampere, "_cell_dets", no_cells)
     mu = random_measure(1, 2, seed=83)
     with pytest.raises(ValidationError, match=match):
         pl.ball_mass_profile(mu, mu.point(0), [0.5], eps_list=eps_list)

@@ -1,8 +1,8 @@
 """tools/verify_sweep.py without a subprocess: its seed ranges, its check
 keys and the timing it strips from verify's lines.  tools/bench_pairs.py
 against two stand-in checkouts: its run order, its summary and its exit
-status.  tools/engine_bench.py on tiny shapes: its lines, its Sobolev shapes
-and its option check."""
+status.  tools/engine_bench.py on tiny shapes: its lines, its grid and
+Sobolev shapes and its option check."""
 
 import argparse
 import importlib.util
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from projlog.errors import ValidationError
+from projlog.monge_ampere import _tile_rows
 from projlog.verification import CheckResult, run_checks
 
 SWEEP = Path(__file__).resolve().parents[1] / "tools" / "verify_sweep.py"
@@ -209,6 +210,13 @@ def test_engine_bench_sobolev_shapes_are_the_scan_blocks(engine):
         calls = engine.sobolev_calls(atoms, 50, 2)
         np.testing.assert_allclose(calls["gradient_norms"](), calls["chart_gradient_norms"](),
                                    rtol=1e-12, atol=0)
+
+
+def test_engine_bench_shapes_are_the_grid_tiles(engine):
+    # the det H_phi tiles of ball-atoms (16 atoms at n = 2) and of mass-grid
+    # (2 atoms at n = 2, 4 at n = 1), as monge_ampere sizes them
+    assert engine.SHAPES == ((16, 2048, 2, 0.005), (2, 5957, 2, 0.3), (4, 5461, 1, 0.3))
+    assert all(rows == _tile_rows(atoms, n) for atoms, rows, n, _ in engine.SHAPES)
 
 
 def test_engine_bench_needs_a_round(engine, capsys):

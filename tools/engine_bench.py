@@ -7,9 +7,10 @@ analytic.quad_form_batch and field_value_batch, field_gradient_batch and
 field_hessian_batch in turn, `repeats` rounds, and prints each function's
 fastest call in nanoseconds per point-atom pair.  Taking the calls in turn
 spreads a busy moment of a shared host over all four functions, and the
-minimum drops it.  The shapes are the tiles of the benchmark's workloads:
-16 atoms x 2048 rows at n = 2 (ball-atoms, eps 0.005), 2 x 16384 at n = 2
-and 4 x 16384 at n = 1 (mass-grid, eps 0.3).
+minimum drops it.  The shapes are the det H_phi tiles of the benchmark's
+workloads, monge_ampere._tile_rows rows for the atoms: 16 atoms x 2048 rows
+at n = 2 (ball-atoms, eps 0.005), 2 x 5957 at n = 2 and 4 x 5461 at n = 1
+(mass-grid, eps 0.3).
 
 The Sobolev scan's gradient norms are timed the same way on one Philox
 block of raw draws, 1 and 16 atoms x 4096 rows at n = 2: the scan's
@@ -35,9 +36,11 @@ from oracles import chart_gradient_norms  # noqa: E402  (the chart path)
 from projlog import analytic, potentials  # noqa: E402  (this checkout's engine)
 from projlog.geometry import _CHUNK  # noqa: E402
 from projlog.measures import build_measure  # noqa: E402
+from projlog.monge_ampere import _tile_rows  # noqa: E402
 
-#: (atoms, rows, n, eps) of the benchmark's tiles
-SHAPES = ((16, 2048, 2, 0.005), (2, 16384, 2, 0.3), (4, 16384, 1, 0.3))
+#: (atoms, rows, n, eps) of the benchmark's tiles: ball-atoms, then mass-grid's two
+SHAPES = tuple((atoms, _tile_rows(atoms, n), n, eps)
+               for atoms, n, eps in ((16, 2, 0.005), (2, 2, 0.3), (4, 1, 0.3)))
 
 #: (atoms, rows, n) of the Sobolev scan's gradient-norm blocks, one Philox block of rows
 SOBOLEV_SHAPES = ((1, _CHUNK, 2), (16, _CHUNK, 2))
