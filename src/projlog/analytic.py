@@ -217,11 +217,11 @@ def log_half_hessian(T: np.ndarray, Tz: np.ndarray, Thess: np.ndarray) -> np.nda
 
 
 def _field_blocks(Z, atoms_eta, weights):
-    """Points as (m, n), atoms as (k, n+1), weights as a (k, 1) column and
-    the atom blocks."""
+    """Points as (m, n), atoms as (k, n+1), weights as a (k, 1) column, or
+    (k, m) for weights of each row, and the atom blocks."""
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     E = np.asarray(atoms_eta, dtype=complex).reshape(-1, Z.shape[1] + 1)
-    w = np.asarray(weights, dtype=float).reshape(-1, 1)
+    w = np.asarray(weights, dtype=float).reshape(E.shape[0], -1)
     return Z, E, w, atom_blocks(E.shape[0], Z.shape[0], Z.shape[1] + 1)
 
 
@@ -257,6 +257,7 @@ def field_hessian_batch(Z, atoms_eta, weights, chart, b=0.0):
     Each upper-triangle entry is sum_i r_i Thess_i - sum_i q_i Tz_i Tz_i^H,
     r = w / (2T) and q = r / T; the lower triangle is the conjugate of the
     upper and the diagonal is real, so the result is exactly Hermitian.
+    weights may be (k, m), one for each row; a zero weight adds 0, even at T = 0.
     Both sums contract quad_form_batch's atom-major buffers along the atom
     axis, real and imaginary parts apart: the constant sum reads Thess's
     (k,) column, and the quadratic one the atom's Re and Im of
@@ -273,6 +274,8 @@ def field_hessian_batch(Z, atoms_eta, weights, chart, b=0.0):
     for blk in blocks:
         T, Tz, Thess = quad_form_batch(Z, E[blk], chart, 0.0, b)
         T, Tz = T.T, Tz.transpose(2, 1, 0)                        # (k, m), (n, k, m) buffers
+        if np.ndim(weights) == 2:                                 # r = q = 0, not 0 / 0
+            np.copyto(T, np.inf, where=w[blk] == 0.0)
         r = np.divide(0.5 * w[blk], T)                            # w / (2T)
         q = np.divide(r, T, out=T)                                # r / T, in T's buffer
         for acc, (c, d) in zip(sums, upper):

@@ -233,7 +233,7 @@ def geodesic_distance_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def check_chart(k: int, n: int, name: str = "chart") -> int:
     """k as a chart index of P^n; ValidationError naming it unless an integer in 0..n."""
-    if not (isinstance(k, (int, np.integer)) and 0 <= k <= n):
+    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 0 <= k <= n):
         raise ValidationError(f"{name} {k} is out of range 0..{n} for P^{n}")
     return k
 

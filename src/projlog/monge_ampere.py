@@ -9,16 +9,16 @@ chart, and divide by the chart integral of det(H_rho) (= 2^-n pi^n / n!
 for the unit-volume convention); for any
 smooth global field rho + u the answer is 1 by cohomology, which is the
 grid's strongest self-check.  _ma_det owns det(H_phi): hermitian_det (closed
-form for n <= 3, as are the mixed discriminants' subset sums) at eps > 0, an
-expansion about the nearest atom at eps = 0 whose terms are complex_det's
-(closed form at n = 2, 3); fs_volume_density is det(H_rho).
+form for n <= 3, as are the mixed discriminants' subset sums) at eps > 0; at
+eps = 0 the Schur form R_uu det C along the null vector u of the nearest
+atom's Hessian (0 for a lone atom, R at n = 1); fs_volume_density is det(H_rho).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, islice, product
+from itertools import combinations, combinations_with_replacement, islice
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import GridTooCoarse, NegativeDensity, NonConvergent, SingularStenc
     ValidationError
 from .geometry import (
     HomogeneousPoint,
+    _abs_sq_planes,
     chart_lift,
     chart_project,
     check_chart,
@@ -150,24 +151,6 @@ def hermitian_det(H: np.ndarray) -> np.ndarray:
             - h22 * a01)
 
 
-def complex_det(M: np.ndarray) -> np.ndarray:
-    """Complex determinant of a (..., n, n) batch of general matrices.
-
-    n = 2 and 3 expand the determinant along the first row in complex
-    arithmetic; n = 1 and n >= 4 go through LAPACK, whose 1 x 1 value
-    sign * exp(log|m|) is not m to the bit.
-    """
-    n = M.shape[-1]
-    if n not in (2, 3):
-        return np.linalg.det(M)
-    if n == 2:
-        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    m = [[M[..., r, c] for c in range(3)] for r in range(3)]
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
 # ---------------------------------------------------------------------------
 # mixed discriminants
 # ---------------------------------------------------------------------------
@@ -277,28 +260,41 @@ def _ma_det(lift: PotentialField, Z: np.ndarray):
 
     eps > 0: hermitian_det of the closed-form Hessian.  At eps = 0 that
     determinant cancels near an atom, so H_phi = w_i A + R about each row's
-    nearest atom i (the argmin of T), A its kernel Hessian and R the other
-    atoms' weighted sum, and det H_phi = sum_S w_i^|S| det(A's columns S, R's
-    others) over the column subsets S but the full one, whose w_i^n det A is
-    exactly 0 off the atom; complex_det takes each of them.  A row at an
-    atom (T = 0) gives NaN at n >= 2.
+    nearest atom i: R sums the other atoms (field_hessian_batch with w_i = 0
+    for the row), and A, i's own Hessian in closed form, vanishes on the unit
+    u along conj(eta_pos - eta_chart z), the chart row of the minors l ^ eta.
+    The Schur form: det H_phi = R_uu det C, C the Hermitian M = H_phi - (R u)
+    (R u)^* / R_uu on u's orthogonal complement; M u = 0, so det C is the sum
+    of M's principal (n-1)-minors; a lone atom (R_uu = 0) gives 0, n = 1 gives R.
     """
     if lift.b > 0.0:
         H = lift.complex_hessian(Z)
         return hermitian_det(H), H
-    m, n = Z.shape
-    w = lift.weights
-    subsets = np.array(list(product((False, True), repeat=n))[:-1])
-    dets, H = np.empty(m), np.empty((m, n, n), dtype=complex)
-    for blk in analytic.atom_blocks(m, w.size, n * n):
-        T, hess = _atom_hessians(lift.atoms_eta, lift.chart, Z[blk])
-        rows, near = np.arange(T.shape[0]), np.argmin(T, axis=1)
-        A, wi, terms = hess[rows, near], w[near], w[:, None, None] * hess
-        terms[rows, near] = 0.0              # R sums the other atoms, never H - w_i A
-        R = np.sum(terms, axis=1)
-        dets[blk] = sum(wi ** S.sum() * complex_det(np.where(S, A, R)) for S in subsets).real
-        H[blk] = wi[:, None, None] * A + R
-    return dets, H
+    n, E, w, chart = Z.shape[1], lift.atoms_eta, lift.weights, lift.chart
+    pos = np.delete(np.arange(n + 1), chart)
+    l = np.ascontiguousarray(chart_lift(Z, chart).T)      # slot planes of the lift
+    S = np.einsum("kj,jm->km", np.conj(E), l)             # <l, eta> of each (unit) atom
+    near = np.argmax(S.real ** 2 + S.imag ** 2, axis=0)
+    others = np.where(np.arange(w.size)[:, None] == near, 0.0, w[:, None])
+    H = analytic.field_hessian_batch(Z, E, others, chart)  # R, then H_phi in its buffer
+    R = H.transpose(1, 2, 0)
+    if n == 1:
+        return R[0, 0].real.copy(), H
+    eta = E[near].T
+    perp = l - S[near, np.arange(near.size)] * eta        # projected twice, so that A u = 0
+    perp -= np.einsum("jm,jm->m", np.conj(eta), perp) * eta
+    p2 = _abs_sq_planes(perp)
+    u = np.conj(eta[pos] - eta[chart] * Z.T)
+    u /= np.sqrt(_abs_sq_planes(u))
+    g = np.einsum("cdm,dm->cm", R, u)                     # R u
+    Ruu = np.einsum("cm,cm->m", np.conj(u), g).real
+    # w_i A, log_half_hessian's form at T = |l_perp|^2: f (I - conj(b) b^T - conj(c) c^T)
+    f, b, c = w[near] / (2.0 * p2), eta[pos], perp[pos] / np.sqrt(p2)   # chart slots
+    R -= f * (np.conj(b)[:, None] * b + np.conj(c)[:, None] * c)
+    R[np.arange(n), np.arange(n)] += f
+    M = R - g[:, None] * (np.conj(g) / np.where(Ruu == 0.0, 1.0, Ruu))
+    return Ruu * sum(hermitian_det(M[np.ix_(k, k)].transpose(2, 0, 1))
+                     for k in combinations(range(n), n - 1)), H
 
 
 def ma_density(mu: AtomicMeasure, chart: int, Z: np.ndarray, eps: float = 0.0) -> np.ndarray:

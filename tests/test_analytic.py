@@ -5,7 +5,8 @@ the plain field values."""
 import numpy as np
 
 import projlog as pl
-from oracles import fs_metric, holo_to_real_gradient, lift_gradient, random_measure
+from oracles import chart_measure, fs_metric, holo_to_real_gradient, lift_gradient, \
+    random_measure
 from projlog import analytic
 from projlog.geometry import chart_lift, chart_project
 from projlog.kernels import affine_log_kernel_batch
@@ -243,6 +244,22 @@ def test_one_atom_blocks_match_one_block(monkeypatch):
             blocked = [fn(Z, atoms, weights, chart, b) for fn in fields]
         for x, y in zip(blocked, whole):
             assert x.tobytes() == y.tobytes()
+
+
+def test_zero_row_weights_drop_their_atom_exactly():
+    # (k, m) weights: a row's zero weight adds exactly 0, also at the row
+    # z = 0 that sits on atom 0 (T = 0), so each row's Hessian is the one of
+    # the other atoms, to the bit
+    mu = chart_measure([[0.0, 0.0], [0.5, -0.3j], [1j, 0.2]], [0.5, 0.3, 0.2])
+    Z = np.array([[0.0, 0.0], [0.1, 0.2j], [0.4, -0.3j], [-1.0, 0.4]])
+    assert analytic.quad_form_batch(Z[:1], mu.points[0], 0, 0.0, 0.0)[0][0, 0] == 0.0
+    W = np.repeat(mu.weights[:, None], 4, axis=1)
+    W[0, :2] = W[1, 2:] = 0.0
+    H = analytic.field_hessian_batch(Z, mu.points, W, 0)
+    for rows, drop in ((slice(0, 2), 0), (slice(2, 4), 1)):
+        keep = np.arange(3) != drop
+        other = analytic.field_hessian_batch(Z[rows], mu.points[keep], mu.weights[keep], 0)
+        assert np.all(np.isfinite(H[rows])) and np.array_equal(H[rows], other)
 
 
 def test_one_quad_form_call_per_atom_block(monkeypatch):

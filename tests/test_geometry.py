@@ -18,6 +18,7 @@ from projlog.geometry import (
     chart_lift,
     chart_mask,
     chart_project,
+    check_chart,
     complex_from_json,
     fs_gradient_norm_sq,
     fs_hessian,
@@ -189,6 +190,7 @@ def test_chart_floor_raises():
 
 
 CHART_CALLS = {
+    "check_chart": lambda mu, k: check_chart(k, mu.n),
     "psh_lift": lambda mu, k: pl.psh_lift(mu, k),
     "ma_density": lambda mu, k: pl.ma_density(mu, k, np.ones((1, 1), dtype=complex)),
     "ma_product_expansion_check":
@@ -202,12 +204,13 @@ CHART_CALLS = {
 }
 
 
-@pytest.mark.parametrize("chart", [-1, 2, 0.5])
+@pytest.mark.parametrize("chart", [-1, 2, 0.5, True, False])
 @pytest.mark.parametrize("name", sorted(CHART_CALLS))
 def test_chart_computations_reject_an_out_of_range_chart(name, chart):
     # on P^1 chart 2 used to raise IndexError, chart -1 numpy's broadcast
     # ValueError (or to read the last coordinate) and chart 0.5 TypeError or
-    # IndexError
+    # IndexError; a bool is an int to Python, and check_chart returned it, so
+    # psh_lift built a field whose chart indexed as a mask
     mu = pl.build_measure([pl.normalize([1, 0.3]).coords, pl.normalize([0.2, 1]).coords],
                           [0.6, 0.4])
     with pytest.raises(ValidationError, match=f"^chart {chart} is out of range 0..1 for P\\^1$"):

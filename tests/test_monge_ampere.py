@@ -415,7 +415,7 @@ def test_ma_density_near_atom_guard():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_ma_density_matches_mpmath_near_an_atom(n):
     # det H_phi = ma_density * det H_rho against a 60-digit determinant, at
-    # chart distance d from atom 0 along a fixed direction: the expansion
+    # chart distance d from atom 0 along a fixed direction: the Schur form
     # about the nearest atom keeps its digits where the direct determinant
     # of sum_i w_i H_i is off by 1e5 relative at d = 1e-7
     mu = pl.build_measure(sample_fs_array(5, 2, n), [0.6, 0.4])
@@ -425,7 +425,47 @@ def test_ma_density_matches_mpmath_near_an_atom(n):
         z = chart_project(mu.points[0], 0) + d * u / np.linalg.norm(u)
         det = pl.ma_density(mu, 0, z[None])[0] * fs_volume_density(z[None])[0]
         ref = ma_det_mpmath(mu, 0, z)
-        assert abs(det - ref) <= max(1e-12, 5e-15 / d) * abs(ref), (n, d)
+        assert abs(det - ref) <= max(1e-12, 3e-15 / d) * abs(ref), (n, d)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("last_chart", [False, True])
+def test_ma_density_matches_mpmath_near_an_atom_at_infinity(n, last_chart):
+    # rows far out in the chart, nearest to an atom on its hyperplane at
+    # infinity (eta_chart = 0), where A's null vector is conj(eta_pos); the
+    # relative error grows like |z|^2 ulps
+    chart = n if last_chart else 0
+    pts = sample_fs_array(7, 3, n)
+    pts[0, chart] = 0.0
+    mu = pl.build_measure(pts, [0.5, 0.3, 0.2])
+    away = np.delete(mu.points[0], chart)
+    rng = np.random.default_rng(10 + n)
+    for size in (1e2, 1e4):
+        for _ in range(3):
+            z = size * away / np.linalg.norm(away) + rng.standard_normal(n) \
+                + 1j * rng.standard_normal(n)
+            lifted = chart_lift(z[None], chart)
+            assert np.argmin(geodesic_distance_batch(mu.points, lifted[0])) == 0
+            det = pl.ma_density(mu, chart, z[None])[0] * fs_volume_density(z[None])[0]
+            ref = ma_det_mpmath(mu, chart, z)
+            assert abs(det - ref) <= 4e-15 * size ** 2 * abs(ref), (n, chart, size)
+
+
+def test_unsmoothed_determinants_take_no_atom_hessians(monkeypatch):
+    # the eps = 0 density and ball profile run on field_hessian_batch alone;
+    # only the product-expansion check builds every atom's Hessian
+    def atom_hessians(*_):
+        raise AssertionError("_atom_hessians called")
+
+    monkeypatch.setattr(monge_ampere, "_atom_hessians", atom_hessians)
+    for n in (1, 2, 3):
+        mu = random_measure(n, 3, seed=60 + n)
+        Z = sample_fs_array(61, 50, n)
+        assert np.all(np.isfinite(pl.ma_density(mu, 0, chart_project(Z[chart_mask(Z, 0)], 0))))
+    mu = random_measure(2, 3, seed=71)
+    pl.ball_mass_profile(mu, mu.point(0), [0.8, 0.4], eps_list=[0.0], points_per_axis=16)
+    with pytest.raises(AssertionError, match="_atom_hessians called"):
+        pl.ma_product_expansion_check(mu, 0, np.ones((1, 2), dtype=complex))
 
 
 def test_ma_density_negative_rows(monkeypatch):

@@ -1,8 +1,8 @@
 """tools/verify_sweep.py without a subprocess: its seed ranges, its check
 keys and the timing it strips from verify's lines.  tools/bench_pairs.py
 against two stand-in checkouts: its run order, its summary and its exit
-status.  tools/engine_bench.py on tiny shapes: its lines, its grid and
-Sobolev shapes and its option check."""
+status.  tools/engine_bench.py on tiny shapes: its lines, its grid,
+Sobolev and det H_phi shapes and its option check."""
 
 import argparse
 import importlib.util
@@ -185,19 +185,24 @@ def engine():
 
 def test_engine_bench_prints_every_call_at_every_shape(engine, monkeypatch, capsys):
     # tiny shapes: one line per shape, a positive time for each engine call,
-    # then the Sobolev gradient norms, chart-free and in charts
+    # then the Sobolev gradient norms, chart-free and in charts, and det H_phi
+    # per row at eps = 0 and eps > 0
     monkeypatch.setattr(engine, "SHAPES", ((3, 8, 2, 0.1), (2, 5, 1, 0.3)))
     monkeypatch.setattr(engine, "SOBOLEV_SHAPES", ((1, 6, 2), (16, 7, 2)))
+    monkeypatch.setattr(engine, "MA_DET_SHAPE", (3, 9, 3))
     assert engine.main(["--repeats", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["n=2 atoms=3 rows=8 eps=0.1",
                                                       "n=1 atoms=2 rows=5 eps=0.3",
                                                       "n=2 atoms=1 rows=6 sobolev",
-                                                      "n=2 atoms=16 rows=7 sobolev"]
+                                                      "n=2 atoms=16 rows=7 sobolev",
+                                                      "n=3 atoms=3 rows=9 ma_det"]
     calls = [["quad_form_batch", *engine.FIELDS]] * 2 \
-        + [["gradient_norms", "chart_gradient_norms"]] * 2
-    for line, names in zip(lines, calls):
-        times = dict(item.split() for item in line.split(": ")[1][:-len(" ns/pair")].split(", "))
+        + [["gradient_norms", "chart_gradient_norms"]] * 2 + [["eps=0.0", "eps=0.003"]]
+    units = [" ns/pair"] * 4 + [" ns/row"]
+    for line, names, unit in zip(lines, calls, units):
+        assert line.endswith(unit)
+        times = dict(item.split() for item in line.split(": ")[1][:-len(unit)].split(", "))
         assert list(times) == names
         assert all(float(v) > 0.0 for v in times.values())
 
@@ -217,6 +222,15 @@ def test_engine_bench_shapes_are_the_grid_tiles(engine):
     # (2 atoms at n = 2, 4 at n = 1), as monge_ampere sizes them
     assert engine.SHAPES == ((16, 2048, 2, 0.005), (2, 5957, 2, 0.3), (4, 5461, 1, 0.3))
     assert all(rows == _tile_rows(atoms, n) for atoms, rows, n, _ in engine.SHAPES)
+
+
+def test_engine_bench_ma_det_tile_is_the_unsmoothed_profile_tile(engine):
+    # 3 atoms at n = 3, as monge_ampere sizes the tile; both calls give a
+    # finite determinant per row
+    assert engine.MA_DET_SHAPE == (3, _tile_rows(3, 3), 3)
+    for name, call in engine.ma_det_calls(3, 9, 3).items():
+        dets, H = call()
+        assert dets.shape == (9,) and H.shape == (9, 3, 3) and np.all(np.isfinite(dets)), name
 
 
 def test_engine_bench_needs_a_round(engine, capsys):

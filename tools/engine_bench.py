@@ -16,8 +16,13 @@ The Sobolev scan's gradient norms are timed the same way on one Philox
 block of raw draws, 1 and 16 atoms x 4096 rows at n = 2: the scan's
 chart-free path (potentials._gradient_norms on the block's slot planes)
 against the chart path that tests/oracles.py keeps (each row's max-modulus
-chart, the chart gradient and the inverse FS metric).  The inputs come from
-a fixed seed.  Not part of the test suite.
+chart, the chart gradient and the inverse FS metric).
+
+det H_phi (monge_ampere._ma_det) is timed in nanoseconds per row on one
+n = 3 tile, 3 atoms x _tile_rows(3, 3) rows, at eps = 0 (the Schur form
+about each row's nearest atom) beside eps = 0.003 (hermitian_det of the
+field Hessian), as an unsmoothed and a smoothed ball profile take it.  The
+inputs come from a fixed seed.  Not part of the test suite.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from oracles import chart_gradient_norms  # noqa: E402  (the chart path)
 from projlog import analytic, potentials  # noqa: E402  (this checkout's engine)
 from projlog.geometry import _CHUNK  # noqa: E402
 from projlog.measures import build_measure  # noqa: E402
-from projlog.monge_ampere import _tile_rows  # noqa: E402
+from projlog.monge_ampere import _ma_det, _tile_rows  # noqa: E402
+from projlog.potentials import psh_lift  # noqa: E402
 
 #: (atoms, rows, n, eps) of the benchmark's tiles: ball-atoms, then mass-grid's two
 SHAPES = tuple((atoms, _tile_rows(atoms, n), n, eps)
@@ -44,6 +50,10 @@ SHAPES = tuple((atoms, _tile_rows(atoms, n), n, eps)
 
 #: (atoms, rows, n) of the Sobolev scan's gradient-norm blocks, one Philox block of rows
 SOBOLEV_SHAPES = ((1, _CHUNK, 2), (16, _CHUNK, 2))
+
+#: (atoms, rows, n) of the det H_phi tile timed at each of MA_DET_EPS
+MA_DET_SHAPE = (3, _tile_rows(3, 3), 3)
+MA_DET_EPS = (0.0, 0.003)
 
 FIELDS = ("field_value_batch", "field_gradient_batch", "field_hessian_batch")
 
@@ -74,9 +84,20 @@ def sobolev_calls(atoms: int, rows: int, n: int) -> dict:
             "chart_gradient_norms": lambda: chart_gradient_norms(mu, draws)}
 
 
+def ma_det_calls(atoms: int, rows: int, n: int) -> dict:
+    """_ma_det at one tile for each eps in MA_DET_EPS, as argument-free functions."""
+    rng = np.random.default_rng(atoms * rows + n)
+    eta = rng.standard_normal((atoms, n + 1)) + 1j * rng.standard_normal((atoms, n + 1))
+    mu = build_measure(eta, np.full(atoms, 1.0 / atoms))
+    Z = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    return {f"eps={eps}": lambda lift=psh_lift(mu, 0, eps): _ma_det(lift, Z)
+            for eps in MA_DET_EPS}
+
+
 def time_calls(calls: dict, pairs: int, repeats: int) -> dict:
-    """Nanoseconds per point-atom pair of each call, the minimum over
-    `repeats` rounds that make each call once in turn."""
+    """Nanoseconds per one of `pairs` units (point-atom pairs, or rows) of
+    each call, the minimum over `repeats` rounds that make each call once in
+    turn."""
     best = dict.fromkeys(calls, float("inf"))
     for _ in range(repeats):
         for name, call in calls.items():
@@ -100,6 +121,10 @@ def main(argv=None) -> int:
         ns = time_calls(sobolev_calls(atoms, rows, n), atoms * rows, args.repeats)
         print(f"n={n} atoms={atoms} rows={rows} sobolev: "
               + ", ".join(f"{name} {v:.2f}" for name, v in ns.items()) + " ns/pair")
+    atoms, rows, n = MA_DET_SHAPE
+    ns = time_calls(ma_det_calls(atoms, rows, n), rows, args.repeats)
+    print(f"n={n} atoms={atoms} rows={rows} ma_det: "
+          + ", ".join(f"{name} {v:.2f}" for name, v in ns.items()) + " ns/row")
     return 0
 
 
