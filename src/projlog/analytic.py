@@ -33,38 +33,28 @@ so near an atom, at chart distance d, its relative rounding error is about
 1e-16 / d, the order of the minors themselves; the Lagrange form
 |l|^2 |eta|^2 - |<l, eta>|^2 would cancel to about 1e-16 / d^2.
 
-Buffer layout.  quad_form_batch writes atom-major buffers: T as a (k, m)
-array and Tz as an (n, k, m) array, one (k, m) plane per affine slot, and
-returns them as the (m, k) and (m, k, n) transposed views.  Both, with its
-scratch, are planes of one (n+2, k, m) allocation.  It works with conj(S)
-and conj(l_perp), from the conjugated lift rows (n+1, m), which it reads as
-contiguous rows, so Tz's planes come out with no conjugation pass; complex
-conjugation is exact, so the values are those of S and l_perp, and only the
-sign of an exactly cancelled zero can differ.  The chart slot's l = 1 adds
-its column of conj(S) with no multiply.  The field functions transpose the
-views back to the buffers (no copy) and contract along the atom axis.
+Buffer layout.  quad_form_batch writes T (k, m) and Tz (n, k, m) atom-major,
+as planes of one allocation, and returns the (m, k) and (m, k, n) transposed
+views, which the field functions transpose back (no copy) and contract along
+the atom axis.  It works with conj(S) and conj(l_perp) from contiguous
+conjugated lift rows, so no pass conjugates; conjugation is exact, so only
+the sign of an exactly cancelled zero can differ.
 
-Blocks.  The field functions take the atoms in blocks (atom_blocks) that
-keep every (m, k, n+1) intermediate near _BLOCK_ENTRIES complex numbers,
-whatever k is, and make one quad_form_batch call per block.  Each sum over
-atoms is reduced along the atom axis of a (k, m) array, by np.sum(axis=0)
-or np.einsum ("km,k->m", "km,km->m"); for m >= 2 rows numpy adds the atoms
-in order, one (m,) row at a time, and a block's sum is added to its running
-sum across blocks, so one-atom blocks give the same bits as one block.  That
-holds only for an accumulator that sums one kind of term.  So the Hessian
-keeps two: the constant part sum_i r_i Thess_i and the quadratic part
-sum_i q_i Tz_i Tz_i^H (r = w / (2T), q = r / T), each per upper entry in
-real and imaginary parts, and subtracts them once, after the last block.
-At m = 1 numpy sums the (k, 1) atom column pairwise, so the last bits can
-differ.
+Blocks.  The field functions take the atoms in atom_blocks, which keep
+every (m, k, n+1) intermediate near _BLOCK_ENTRIES complex numbers, with one
+quad_form_batch call per block.  Each sum over atoms reduces the atom axis of
+a (k, m) array (np.sum(axis=0) or np.einsum); for m >= 2 rows numpy adds the
+atoms in order, one (m,) row at a time, and each block's sum joins a running
+sum, so one-atom blocks give the bits of one block.  That holds only for an
+accumulator of one kind of term, so the Hessian keeps two (see
+field_hessian_batch).  At m = 1 numpy sums the (k, 1) atom column pairwise,
+and a lone (1, 1) buffer rounds its complex products apart from a longer
+loop, so the last bits can differ.
 
-No chart.  The Sobolev scan needs |grad U_mu| only, and that needs no
-chart: _homogeneous_gradient takes (n+1, m) slot planes of homogeneous
-points and returns dF/dzeta of the lift F of U_mu to C^(n+1) \\ 0, from
-the same projection form with l replaced by zeta.  It forms no chart lift,
-no chart projection and no rho gradient, and np.einsum contracts the
-atoms' (n+1, k, m) planes along the atom axis.  field_gradient_batch, the
-chart gradient, serves the near-atom refinement's other atoms.
+No chart.  _homogeneous_gradient gives the Sobolev scan dF/dzeta at
+homogeneous points, with no chart lift, projection or rho gradient;
+field_gradient_batch, the chart gradient, serves the near-atom refinement's
+other atoms.
 
 This module is the library's one derivative engine for atoms: every
 production gradient, Hessian and Monge-Ampere density of a field with atoms
@@ -204,16 +194,6 @@ def _homogeneous_gradient(zeta: np.ndarray, atoms_eta, weights) -> np.ndarray:
         r = np.repeat(np.divide(0.5 * w[blk], _abs_sq_planes(perp)), 2, axis=1)
         out_f += np.einsum("kx,jkx->jx", r, perp.view(float))
     return np.conj(out, out=out)
-
-
-def log_half_hessian(T: np.ndarray, Tz: np.ndarray, Thess: np.ndarray) -> np.ndarray:
-    """Complex Hessian (..., n, n) of (1/2) log T from T (...) and Tz (..., n).
-
-    Thess broadcasts against the leading axes: one (n, n) matrix, or the
-    (k, n, n) stack of a quad_form_batch call against its (m, k) T.
-    """
-    outer = Tz[..., :, None] * np.conj(Tz)[..., None, :]
-    return Thess / (2.0 * T[..., None, None]) - outer / (2.0 * T[..., None, None] ** 2)
 
 
 def _field_blocks(Z, atoms_eta, weights):

@@ -231,9 +231,14 @@ def geodesic_distance_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # chart atlas
 # ---------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    """x is a Python or numpy integer; a bool is not one here."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_chart(k: int, n: int, name: str = "chart") -> int:
     """k as a chart index of P^n; ValidationError naming it unless an integer in 0..n."""
-    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 0 <= k <= n):
+    if not (_is_int(k) and 0 <= k <= n):
         raise ValidationError(f"{name} {k} is out of range 0..{n} for P^{n}")
     return k
 
@@ -371,13 +376,15 @@ def _sample_stream(seed: int, count: int, width: int, start: int = 0,
                    stream: int = Stream.FS) -> np.ndarray:
     """Reproducible standard-normal draws of shape (count, width).
 
-    Row i (absolute index start + i) is a pure function of
-    (seed, stream, index): draws come in fixed blocks of _CHUNK rows keyed by
-    Philox(key=[seed, stream * 2^32 + block]).  Each block the range touches
-    is drawn whole, once per call, so a caller that needs several nearby
-    ranges draws their span in one call and slices it
+    Row i (absolute index start + i) is a pure function of (seed, stream,
+    index): draws come in fixed blocks of _CHUNK rows keyed by Philox(key=
+    [seed, stream * 2^32 + block]), so seed is an integer in 0..2^64-1.  Each
+    block the range touches is drawn whole, once per call, so a caller that
+    needs several nearby ranges draws their span in one call and slices it
     (coarea.log_radial_levels draws each refinement level this way).
     """
+    if not (_is_int(seed) and 0 <= seed < 2**64):
+        raise ValidationError(f"seed = {seed!r} must be an integer in 0..2^64-1")
     out = np.empty((count, width))
     first = start // _CHUNK
     last = (start + count - 1) // _CHUNK if count else first

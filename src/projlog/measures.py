@@ -27,6 +27,7 @@ from .geometry import (
     CHART_FLOOR,
     HomogeneousPoint,
     Stream,
+    _is_int,
     _sample_stream,
     canonicalize_batch,
     chart_mask,
@@ -257,6 +258,12 @@ def chart_coordinates(mu: AtomicMeasure, chart: int) -> np.ndarray:
 # Riesz potential diagnostics
 # ---------------------------------------------------------------------------
 
+def _check_atom_index(mu: AtomicMeasure, i) -> None:
+    """The refinement scans' atom check: i must be an integer in 0..N-1."""
+    if not (_is_int(i) and 0 <= i < mu.num_atoms):
+        raise ValidationError(f"atom_index = {i!r} outside 0..{mu.num_atoms - 1}")
+
+
 def _check_alpha(alpha: float, n: int) -> None:
     if not 0.0 < alpha < 2.0 * n:
         raise ValidationError(f"alpha = {alpha} outside (0, {2 * n})")
@@ -342,8 +349,7 @@ def riesz_refinement_scan(mu: AtomicMeasure, chart: int, alpha: float, p: float,
     """
     sites = chart_coordinates(mu, chart)
     _check_alpha(alpha, mu.n)
-    if not 0 <= atom_index < mu.num_atoms:
-        raise ValidationError(f"atom_index = {atom_index} outside 0..{mu.num_atoms - 1}")
+    _check_atom_index(mu, atom_index)
     n = mu.n
     w1 = sites[atom_index]
     others = np.delete(sites, atom_index, axis=0) - w1[None, :]

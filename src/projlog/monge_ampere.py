@@ -6,12 +6,12 @@ det(H_phi) / det(H_rho) of complex Hessians, which eliminates every d^c and
 pi normalization constant.  Total masses integrate det(H_phi) over chart
 balls weighted by the partition of unity, one row of which serves every
 chart, and divide by the chart integral of det(H_rho) (= 2^-n pi^n / n!
-for the unit-volume convention); for any
-smooth global field rho + u the answer is 1 by cohomology, which is the
-grid's strongest self-check.  _ma_det owns det(H_phi): hermitian_det (closed
-form for n <= 3, as are the mixed discriminants' subset sums) at eps > 0; at
-eps = 0 the Schur form R_uu det C along the null vector u of the nearest
-atom's Hessian (0 for a lone atom, R at n = 1); fs_volume_density is det(H_rho).
+for the unit-volume convention); for any smooth global field rho + u the
+answer is 1 by cohomology, which is the grid's strongest self-check.
+_cell_dets owns det(H_phi) and its guards, taking it from _ma_det:
+hermitian_det (closed form for n <= 3, like the mixed discriminants) at
+eps > 0, and at eps = 0 the Schur form R_uu det C along the null vector u
+of the nearest atom's Hessian; fs_volume_density is det(H_rho).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import GridTooCoarse, NegativeDensity, NonConvergent, SingularStenc
 from .geometry import (
     HomogeneousPoint,
     _abs_sq_planes,
+    _is_int,
     chart_lift,
     chart_project,
     check_chart,
@@ -178,10 +179,12 @@ def mixed_discriminant(mats) -> np.ndarray:
     return total / math.factorial(n)
 
 
-def _atom_hessians(atoms: np.ndarray, chart: int, Z: np.ndarray):
-    """T (m, N) and every atom's kernel Hessian (m, N, n, n) at the chart rows Z."""
-    T, Tz, Thess = analytic.quad_form_batch(Z, atoms, chart, 0.0, 0.0)
-    return T, analytic.log_half_hessian(T, Tz, Thess)
+def _chart_rows(Z, n: int) -> np.ndarray:
+    """Z as complex chart rows (m, n) of P^n; ValidationError unless it has that shape."""
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 2 or Z.shape[1] != n:
+        raise ValidationError(f"chart rows of P^{n} must have shape (m, {n}), got {Z.shape}")
+    return Z
 
 
 @dataclass(frozen=True)
@@ -201,9 +204,9 @@ def ma_product_expansion_check(mu: AtomicMeasure, chart: int, Z) -> ExpansionChe
 
     Compares det(sum_i w_i H_i) against the multilinear expansion
     sum over n-tuples of atoms of w_(i1)..w_(in) D(H_(i1), .., H_(in)),
-    where H_i is the complex Hessian of the kernel with atom i at the row.
-    Raises ValidationError when N^n exceeds TERM_CAP.  The multisets go to
-    mixed_discriminant in analytic.atom_blocks blocks, and each row adds
+    where H_i, atom i's kernel Hessian at the row, is one field_hessian_batch
+    call.  Raises ValidationError when N^n exceeds TERM_CAP.  The multisets go
+    to mixed_discriminant in analytic.atom_blocks blocks, and each row adds
     its terms one by one in multiset order (cumsum), so its values depend
     neither on the blocks nor on the other rows; every field is (m,).
 
@@ -216,13 +219,18 @@ def ma_product_expansion_check(mu: AtomicMeasure, chart: int, Z) -> ExpansionChe
     N = mu.num_atoms
     if N**n > TERM_CAP:
         raise ValidationError(f"N^n = {N}^{n} exceeds the {TERM_CAP} term cap")
-    T, hessians = _atom_hessians(mu.points, check_chart(chart, n), Z)
+    chart, Z = check_chart(chart, n), _chart_rows(Z, n)
+    m = Z.shape[0]
+    # a lone row goes in twice: numpy rounds a length-1 loop's products apart
+    rows = np.repeat(Z, 2, axis=0) if m == 1 else Z
+    hessians = np.stack([analytic.field_hessian_batch(rows, eta, 1.0, chart)[:m]
+                         for eta in mu.points], axis=1)
     w = mu.weights
     lhs_mat = np.sum(w[:, None, None] * hessians, axis=1)
     lhs = hermitian_det(lhs_mat)
     rhs, abssum = np.zeros_like(lhs), np.abs(lhs)
     multisets = combinations_with_replacement(range(N), n)
-    for blk in analytic.atom_blocks(math.comb(N + n - 1, n), T.shape[0], n ** 3):
+    for blk in analytic.atom_blocks(math.comb(N + n - 1, n), m, n ** 3):
         idx = np.array(list(islice(multisets, blk.stop - blk.start))).reshape(-1, n)
         # multinomial coefficient n! / prod(c!) over the runs of the sorted multiset
         coeff, run = np.full(len(idx), float(math.factorial(n))), np.ones(len(idx))
@@ -247,6 +255,7 @@ def smooth_wedge_density(mu: AtomicMeasure, chart: int, m: int, Z) -> np.ndarray
     lift = psh_lift(mu, chart)
     if not 0 <= m <= n:
         raise ValidationError(f"m = {m} outside 0..{n}")
+    Z = _chart_rows(Z, n)
     mats = [lift.complex_hessian(Z)] * m + [fs_hessian(Z)] * (n - m)
     return math.comb(n, m) * mixed_discriminant(np.stack(mats, axis=-3))
 
@@ -288,7 +297,7 @@ def _ma_det(lift: PotentialField, Z: np.ndarray):
     u /= np.sqrt(_abs_sq_planes(u))
     g = np.einsum("cdm,dm->cm", R, u)                     # R u
     Ruu = np.einsum("cm,cm->m", np.conj(u), g).real
-    # w_i A, log_half_hessian's form at T = |l_perp|^2: f (I - conj(b) b^T - conj(c) c^T)
+    # w_i A, the kernel's Hessian at T = |l_perp|^2: f (I - conj(b) b^T - conj(c) c^T)
     f, b, c = w[near] / (2.0 * p2), eta[pos], perp[pos] / np.sqrt(p2)   # chart slots
     R -= f * (np.conj(b)[:, None] * b + np.conj(c)[:, None] * c)
     R[np.arange(n), np.arange(n)] += f
@@ -301,30 +310,11 @@ def ma_density(mu: AtomicMeasure, chart: int, Z: np.ndarray, eps: float = 0.0) -
     """det(H_phi) / det(H_rho) at the chart rows Z (m, n), phi the (smoothed)
     chart lift of U_mu; returns (m,) densities.
 
-    Both Hessians are closed form, det(H_phi) from _ma_det.  Values in
-    [-tol, 0) are rounding and are clipped to 0; below -tol raises
-    NegativeDensity.  A density that is not finite raises SingularStencil at
-    eps = 0, where only a row at an atom gives one, and NonConvergent at
-    eps > 0 (the Hessians overflow at a huge eps).  Each error names the
-    first row that trips it.
+    Both Hessians are closed form, det(H_phi) from _cell_dets, in the grids'
+    tiles and under their guards.
     """
-    Z = np.asarray(Z, dtype=complex)
-    lift = psh_lift(mu, chart, eps)
-    # a huge eps overflows the Hessians, a row at an atom divides by T = 0;
-    # the finiteness guard below raises
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        det, H_phi = _ma_det(lift, Z)
-        density = det / fs_volume_density(Z)
-        scale = np.maximum(1.0, (np.linalg.norm(H_phi, axis=(1, 2)) / fs_hessian_norm(Z)) ** mu.n)
-    bad = np.flatnonzero(~np.isfinite(density))
-    if bad.size:
-        error = NonConvergent if lift.b > 0.0 else SingularStencil
-        raise error(f"density {density[bad[0]]} is not finite (row {bad[0]})")
-    bad = np.flatnonzero(density < -1e-6 * scale)
-    if bad.size:
-        i = bad[0]
-        raise NegativeDensity(f"density {density[i]:.3e} below -1e-6 * {scale[i]:.3e} (row {i})")
-    return np.where(density < 0.0, 0.0, density)
+    Z = _chart_rows(Z, mu.n)
+    return _cell_dets(psh_lift(mu, chart, eps), Z)[0] / fs_volume_density(Z)
 
 
 @dataclass
@@ -348,23 +338,42 @@ def _tile_rows(atoms: int, n: int) -> int:
 
 
 def _cell_dets(lift: PotentialField, Z: np.ndarray):
-    """det H_phi (_ma_det) at the cells Z in tiles of _tile_rows contiguous
-    cells, so the engine's work arrays stay in cache; a lone last row joins
-    the tile before it, since the engine sums one row's atoms in another
-    order, and so the bits do not depend on the tile size.  Negative
-    determinants are rounding, set to 0 and counted.  Returns (dets, clipped)."""
+    """det H_phi (_ma_det, its one caller) at the chart rows Z in tiles of
+    _tile_rows contiguous rows, so the engine's work arrays stay in cache; a
+    lone last row joins the tile before it, since the engine sums one row's
+    atoms in another order, so no bit depends on the tile size or row count.
+    The one det H_phi policy: a row that is not finite raises SingularStencil
+    at eps = 0 (a row at an atom) and NonConvergent at eps > 0 (an overflow);
+    a density det / det H_rho below -1e-6 max(1, (|H_phi|_F / |H_rho|_F)^n)
+    raises NegativeDensity; other negative rows are rounding, set to 0 and
+    counted.  Errors name the first row of the first tile that trips one.
+    Returns (dets, clipped)."""
     m, n = Z.shape
     starts = list(range(0, m, _tile_rows(lift.weights.size, n)))
     if len(starts) > 1 and m - starts[-1] == 1:
         starts.pop()
-    dets = np.empty(m)
-    # a huge eps overflows, a cell at an atom divides by 0: the callers' guards raise
+    dets, clipped = np.empty(m), 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo, hi in zip(starts, starts[1:] + [m]):
-            dets[lo:hi] = _ma_det(lift, Z[lo:hi])[0]
-    neg = dets < 0.0
-    dets[neg] = 0.0
-    return dets, int(np.count_nonzero(neg))
+            det, H_phi = _ma_det(lift, Z[lo:hi])
+            bad = np.flatnonzero(~np.isfinite(det))
+            if bad.size:
+                error = NonConvergent if lift.b > 0.0 else SingularStencil
+                raise error(f"det H_phi {det[bad[0]]} is not finite (row {lo + bad[0]})")
+            neg = np.flatnonzero(det < 0.0)
+            if neg.size:
+                z = Z[lo + neg]
+                density = det[neg] / fs_volume_density(z)
+                scale = np.maximum(1.0, (np.linalg.norm(H_phi[neg], axis=(1, 2))
+                                         / fs_hessian_norm(z)) ** n)
+                low = np.flatnonzero(density < -1e-6 * scale)
+                if low.size:
+                    i = low[0]
+                    raise NegativeDensity(f"density {density[i]:.3e} below -1e-6 * "
+                                          f"{scale[i]:.3e} (row {lo + neg[i]})")
+                det[neg], clipped = 0.0, clipped + neg.size
+            dets[lo:hi] = det
+    return dets, clipped
 
 
 def _self_check(mass, eps: float, vol: float, exact_vol: float, tol: float) -> None:
@@ -520,9 +529,8 @@ def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
     if not (eps > 0.0 and eps * eps > 0.0):
         raise ValidationError(f"total-mass integration requires eps > 0 with eps^2 > 0, "
                               f"got eps = {eps!r}")
-    if not (isinstance(grid, (int, np.integer)) and not isinstance(grid, bool) and grid >= 1):
-        raise ValidationError(f"grid must be an integer of at least 1 point per axis, "
-                              f"got {grid!r}")
+    if not (_is_int(grid) and grid >= 1):
+        raise ValidationError(f"grid must be an integer of at least 1 point per axis, got {grid!r}")
     if not 0.0 < vol_tol < math.inf:
         raise ValidationError(f"vol_tol must be finite and positive, got {vol_tol!r}")
     n = mu.n
@@ -589,16 +597,21 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
     its ratio to the exact ball volume sin^(2n)(r / sqrt 2).  _self_check
     holds the grid's FS volume of the largest ball to the exact volume
     within 2%.  The outer box about the center's chart point c has
-    half-width a0 = _chart_halfwidth(|c|, r) at the largest radius: the
-    ball's exact reach plus 5%, or the cap 20 (1 + |c|).  Levels per eps:
-    min(9, ceil(log2(a0 / 2f)) + 1), or 1 when a0 <= 2f, where f =
-    max(eps, 1e-3) (1 + |c|^2).  At eps = 0 the grid gives
+    half-width a0 = _chart_halfwidth(|c|, r) at the largest radius.  Levels
+    per eps: min(9, ceil(log2(a0 / 2f)) + 1), or 1 when a0 <= 2f, where
+    f = max(eps, 1e-3) (1 + |c|^2).  At eps = 0 the grid gives
     the absolutely continuous part, and each mass adds the atomic part
     sum w_i^n over the atoms in the ball; so does an eps whose square
     underflows, which _ma_det treats as eps = 0 (the lift's b = 0).  h is
     accepted and ignored: the benchmark's workloads still pass it.
     """
     n = mu.n
+    if center.coords.size != n + 1:
+        raise ValidationError(f"center is a point of P^{center.coords.size - 1}, not of P^{n}")
+    m = points_per_axis
+    if not (_is_int(m) and m >= 0 and m % 4 == 0):
+        raise ValidationError(f"points_per_axis must be 0 or a positive multiple of 4, got {m!r}")
+    m = m or (64 if n == 1 else 16)
     radii = sorted(float(r) for r in radii)
     if not radii or not all(0 < r < math.inf for r in radii):
         raise ValidationError(f"radii = {radii} must be a nonempty list of positive reals")
@@ -610,9 +623,6 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
     chart = int(max_modulus_chart(center.coords))
     c = chart_project(center.coords, chart)
     a0 = _chart_halfwidth(float(np.linalg.norm(c)), radii[-1])
-    m = points_per_axis or (64 if n == 1 else 16)
-    if m % 4:
-        raise ValidationError(f"points_per_axis must be a multiple of 4, got {m}")
     reports = []
     for eps in eps_list:
         feature = max(eps, 1e-3) * (1.0 + float(np.linalg.norm(c)) ** 2)

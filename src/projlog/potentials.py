@@ -12,18 +12,9 @@ and the globally smoothed version replaces Ptilde by
 Ptilde + eps^2 (1 + |z|^2), which is again plurisubharmonic (a smooth max
 of psh logs) and keeps total Monge-Ampere mass 1 on P^n for every eps > 0.
 That is the one smoothing, and psh_lift(mu, chart, eps) the one chart field
-of a measure: every chart computation takes the measure and a chart index
-(analytic.quad_form_batch keeps its constant a only for the benchmark's
-test).  rho's own closed forms are geometry.fs_potential, fs_gradient and
-fs_hessian.
-
-The Sobolev scan takes no chart.  U_mu lifts to the function
-F(zeta) = sum_i w_i log(|zeta ^ eta_i| / (|zeta| |eta_i|)) on C^(n+1) \\ 0,
-analytic._homogeneous_gradient gives dF/dzeta at homogeneous points of any
-scale and phase, and |grad U_mu|^2 = 2 |zeta|^2 |dF/dzeta|^2 in the FS
-metric (|grad d| = 1).  The scan reads the points straight off its Philox
-draw.  The near-atom refinement still takes the other atoms' gradient in
-the atom's max-modulus chart (analytic.field_gradient_batch).
+of a measure: every chart computation takes the measure and a chart index.
+rho's own closed forms are geometry.fs_potential, fs_gradient and
+fs_hessian.  The Sobolev scan takes no chart (see sobolev_scan).
 """
 
 from __future__ import annotations
@@ -50,7 +41,7 @@ from .geometry import (
     row_sum,
 )
 from .kernels import projective_log_kernel_batch
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, _check_atom_index
 from .parallel import run_chunked
 
 
@@ -174,6 +165,13 @@ def _gradient_norms(mu: AtomicMeasure, zeta: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * _abs_sq_planes(zeta) * _abs_sq_planes(grad))
 
 
+def _check_p(p: float) -> None:
+    """The Sobolev exponent: a finite real >= 1."""
+    if not 1 <= p < math.inf:
+        raise ValidationError(f"p = {p!r} must be a finite real >= 1 (smaller p follows "
+                              f"by concavity)")
+
+
 def sobolev_scan(mu: AtomicMeasure, p: float, seed: int, samples: int,
                  workers: int | None = None, start: int = 0) -> SobolevScanResult:
     """MC estimate of int |grad U_mu|^p dV over P^n (FS-uniform sampling).
@@ -188,9 +186,7 @@ def sobolev_scan(mu: AtomicMeasure, p: float, seed: int, samples: int,
     index), so extending the sample count keeps the earlier draws
     (common-random doubling).
     """
-    if not 1 <= p < math.inf:
-        raise ValidationError(f"p = {p!r} must be a finite real >= 1 (smaller p follows "
-                              f"by concavity)")
+    _check_p(p)
     if samples < 1:
         raise ValidationError(f"samples = {samples} must be at least 1")
     parts = run_chunked(_sobolev_chunk, samples, chunk=65536, workers=workers,
@@ -228,8 +224,8 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
     atoms enter through their gradient at the sampled point, which is
     insensitive to fp collapse of tiny radii.
     """
-    if not 0 <= atom_index < mu.num_atoms:
-        raise ValidationError(f"atom_index = {atom_index} outside 0..{mu.num_atoms - 1}")
+    _check_p(p)
+    _check_atom_index(mu, atom_index)
     n = mu.n
     eta = mu.points[atom_index]
     w_self = mu.weights[atom_index]

@@ -151,7 +151,10 @@ def minor_terms(Z, atoms_eta, weights, chart, b):
         value = w * (0.5 * np.log(T))
         grad = w * Tz / (2.0 * T[:, None])
         outer = np.max(np.abs(Tz), axis=1) ** 2 / (2.0 * T ** 2)
-        terms.append((value, grad, w * analytic.log_half_hessian(T, Tz, Thess),
+        # the Hessian of (1/2) log T: Thess / (2T) - Tz Tz^H / (2T^2)
+        hess = Thess / (2.0 * T[:, None, None]) \
+            - Tz[:, :, None] * np.conj(Tz)[:, None, :] / (2.0 * T[:, None, None] ** 2)
+        terms.append((value, grad, w * hess,
                       np.maximum(np.abs(value), w), np.max(np.abs(grad), axis=1),
                       w * np.maximum(np.max(np.abs(Thess)) / (2.0 * T), outer)))
     value, grad, hess, *sizes = (np.stack(t, axis=1) for t in zip(*terms))

@@ -124,6 +124,7 @@ def test_refinement_scans_equal_the_per_stratum_draws(n, samples, monkeypatch):
 
 
 DIRAC = pl.dirac(pl.normalize([1, 0]))
+TRIPLE = random_measure(1, 3, 32)
 
 
 @pytest.mark.parametrize("scan, name", [
@@ -143,10 +144,24 @@ DIRAC = pl.dirac(pl.normalize([1, 0]))
     (lambda: potentials.sobolev_refinement_scan(DIRAC, 1.0, -1, 2, 0), "atom_index = -1"),
     (lambda: measures.riesz_refinement_scan(DIRAC, 0, 1.0, 1.5, 1, 0.5, 2, 0),
      "atom_index = 1"),
+    # these raised numpy's bare ValueError from np.delete
+    (lambda: potentials.sobolev_refinement_scan(TRIPLE, 1.0, True, 2, 0), "atom_index = True"),
+    (lambda: measures.riesz_refinement_scan(TRIPLE, 0, 1.0, 1.5, True, 0.5, 2, 0),
+     "atom_index = True"),
+    # p = nan drew every stratum, then raised NonConvergent
+    (lambda: potentials.sobolev_refinement_scan(DIRAC, math.nan, 0, 2, 0), "p = nan"),
+    (lambda: potentials.sobolev_refinement_scan(DIRAC, 0.5, 0, 2, 0), "p = 0.5"),
+    # these raised a bare OverflowError from the Philox key
+    (lambda: potentials.sobolev_scan(DIRAC, 1.0, -1, 10), "seed = -1"),
+    (lambda: measures.riesz_lp_scan(DIRAC, 0, 1.0, 1.0, 1.0, -1, samples=10), "seed = -1"),
+    (lambda: potentials.sobolev_scan(DIRAC, 1.0, 2**64, 10), f"seed = {2**64}"),
 ], ids=["lp-no-samples", "lp-negative-samples", "sobolev-refinement-no-samples",
         "riesz-refinement-no-samples", "riesz-refinement-negative-r0",
         "sobolev-refinement-atom-index", "sobolev-refinement-negative-atom-index",
-        "riesz-refinement-atom-index"])
+        "riesz-refinement-atom-index", "sobolev-refinement-bool-atom-index",
+        "riesz-refinement-bool-atom-index", "sobolev-refinement-p-nan",
+        "sobolev-refinement-p-below-1", "sobolev-negative-seed", "lp-negative-seed",
+        "sobolev-seed-2-to-64"])
 def test_scans_name_the_argument_they_reject(scan, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,8 +1,9 @@
 """Source hygiene: no unused imports, no library code that only tests call,
 no class member that only tests use, no defaulted parameter that no call
 sets, no row reduction outside geometry, no sampler stream that no draw
-uses, no chart field built outside psh_lift, and a light import of the
-package."""
+uses, no chart field built outside psh_lift, no det H_phi taken outside
+_cell_dets, no kernel quad form evaluated outside analytic, and a light
+import of the package."""
 
 import ast
 import os
@@ -265,17 +266,23 @@ def test_no_row_reductions_outside_geometry():
             for hit in row_reductions(path)] == []
 
 
-def field_constructions(path: Path) -> list[str]:
-    """PotentialField(...) calls outside psh_lift: psh_lift(mu, chart, eps)
-    is the one route from a measure to its chart field."""
+def calls_outside(path: Path, callee: str, owner: str | None = None) -> list[str]:
+    """Lines of the module at path that call `callee`, by name or as an
+    attribute, outside the function `owner` (anywhere, for no owner)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     inside = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef) and fn.name == "psh_lift"
+              if isinstance(fn, ast.FunctionDef) and fn.name == owner
               for node in ast.walk(fn)}
     return [f"{path.name}:{line}" for line in sorted(
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Call) and id(node) not in inside
-        and ast.unparse(node.func).split(".")[-1] == "PotentialField")]
+        and ast.unparse(node.func).split(".")[-1] == callee)]
+
+
+def field_constructions(path: Path) -> list[str]:
+    """PotentialField(...) calls outside psh_lift: psh_lift(mu, chart, eps)
+    is the one route from a measure to its chart field."""
+    return calls_outside(path, "PotentialField", "psh_lift")
 
 
 def test_scanner_flags_a_field_built_outside_psh_lift(tmp_path):
@@ -290,6 +297,36 @@ def test_scanner_flags_a_field_built_outside_psh_lift(tmp_path):
 
 def test_no_field_built_outside_psh_lift():
     assert [hit for path in sorted(SRC.glob("*.py")) for hit in field_constructions(path)] == []
+
+
+def test_scanner_flags_a_det_outside_cell_dets(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from pkg import monge_ampere\n\n"
+                     "def _cell_dets(lift, Z):\n    return _ma_det(lift, Z)[0]\n\n"
+                     "def density(lift, Z):\n    return _ma_det(lift, Z)[0]\n\n"
+                     "DET = monge_ampere._ma_det(None, None)\nKIND = _ma_det\n")
+    assert calls_outside(probe, "_ma_det", "_cell_dets") == ["probe.py:7", "probe.py:9"]
+
+
+def test_det_h_phi_is_taken_only_in_cell_dets():
+    # _cell_dets owns the tiles and the guards of every det H_phi
+    assert [hit for path in sorted(SRC.glob("*.py"))
+            for hit in calls_outside(path, "_ma_det", "_cell_dets")] == []
+
+
+def test_scanner_flags_a_quad_form_outside_analytic(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from pkg import analytic\n\n"
+                     "def hessians(Z, atoms):\n"
+                     "    return analytic.quad_form_batch(Z, atoms, 0, 0.0, 0.0)\n\n"
+                     "FORM = analytic.quad_form_batch\n")
+    assert calls_outside(probe, "quad_form_batch") == ["probe.py:4"]
+
+
+def test_quad_forms_are_evaluated_only_in_analytic():
+    # every kernel derivative outside analytic goes through its field functions
+    assert [hit for path in sorted(SRC.glob("*.py")) if path.name != "analytic.py"
+            for hit in calls_outside(path, "quad_form_batch")] == []
 
 
 def unused_streams(package: Path) -> list[str]:

@@ -174,7 +174,7 @@ def mixed_cases(n, rng, m=1000):
     if n > 1:
         Z = 3.0 * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
         eta = random_affine_atoms(n, 5, rng).points
-        H = analytic.log_half_hessian(*analytic.quad_form_batch(Z, eta, 0, 0.0, 0.0))
+        H = np.stack([analytic.field_hessian_batch(Z, e, 1.0, 0) for e in eta], axis=1)
         multisets = np.sort(rng.integers(0, 5, (m, n)), axis=1)
         cases["kernel"] = H[np.arange(m)[:, None], multisets]
     return cases
@@ -451,23 +451,6 @@ def test_ma_density_matches_mpmath_near_an_atom_at_infinity(n, last_chart):
             assert abs(det - ref) <= 4e-15 * size ** 2 * abs(ref), (n, chart, size)
 
 
-def test_unsmoothed_determinants_take_no_atom_hessians(monkeypatch):
-    # the eps = 0 density and ball profile run on field_hessian_batch alone;
-    # only the product-expansion check builds every atom's Hessian
-    def atom_hessians(*_):
-        raise AssertionError("_atom_hessians called")
-
-    monkeypatch.setattr(monge_ampere, "_atom_hessians", atom_hessians)
-    for n in (1, 2, 3):
-        mu = random_measure(n, 3, seed=60 + n)
-        Z = sample_fs_array(61, 50, n)
-        assert np.all(np.isfinite(pl.ma_density(mu, 0, chart_project(Z[chart_mask(Z, 0)], 0))))
-    mu = random_measure(2, 3, seed=71)
-    pl.ball_mass_profile(mu, mu.point(0), [0.8, 0.4], eps_list=[0.0], points_per_axis=16)
-    with pytest.raises(AssertionError, match="_atom_hessians called"):
-        pl.ma_product_expansion_check(mu, 0, np.ones((1, 2), dtype=complex))
-
-
 def test_ma_density_negative_rows(monkeypatch):
     # a smoothed lift's det H_phi is not negative beyond rounding, so the
     # determinants are replaced: each row's density is the given value; a
@@ -490,6 +473,44 @@ def test_ma_density_negative_rows(monkeypatch):
     assert got[0] == pytest.approx(1.0) and got[1:].tolist() == [0.0, 0.0]
 
 
+def inject_det(monkeypatch, row, value):
+    """Set det H_phi of one row of the first tile of a smoothed lift to value."""
+    first = []
+
+    def det(H):
+        out = hermitian_det(H)
+        if not first:
+            first.append(True)
+            out[row] = value
+        return out
+
+    hermitian_det = monge_ampere.hermitian_det
+    monkeypatch.setattr(monge_ampere, "hermitian_det", det)
+
+
+GRIDS = {
+    "total-mass": lambda mu: pl.ma_total_mass(mu, grid=8, eps=0.3, vol_tol=1.0),
+    "ball-profile": lambda mu: pl.ball_mass_profile(mu, mu.point(0), [0.5], eps_list=[0.3],
+                                                    points_per_axis=8)[0],
+}
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+def test_grids_hold_determinants_to_the_density_guard(grid, monkeypatch):
+    # both grids take det H_phi under ma_density's guard: a rounding-size
+    # negative row is clipped to 0 and counted, and a row below
+    # -1e-6 * scale raises NegativeDensity naming it (the grids used to clip
+    # every negative row)
+    mu = random_measure(2, 3, seed=87)
+    clipped = grid(mu).clipped_cells
+    with monkeypatch.context() as mp:
+        inject_det(mp, 5, -1e-300)
+        assert grid(mu).clipped_cells == clipped + 1
+    inject_det(monkeypatch, 5, -1.0)
+    with pytest.raises(NegativeDensity, match=r"below -1e-6 \* .* \(row 5\)"):
+        grid(mu)
+
+
 def test_ma_density_smoothed_dirac_matches_closed_form():
     # the smoothed lift of the Dirac mass at [1:0:..:0] is
     # (1/2) log((1+e^2) t + e^2) with t = |z|^2; its density relative to FS
@@ -504,6 +525,29 @@ def test_ma_density_smoothed_dirac_matches_closed_form():
             expected = (1 + e2) ** n * e2 * (1 + t) ** (n + 1) / ((1 + e2) * t + e2) ** (n + 1)
             val = pl.ma_density(mu, 0, Z, eps=eps)
             assert np.max(np.abs(val - expected) / expected) < 1e-10, (n, eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_ma_density_does_not_depend_on_the_request_size(eps):
+    # the densities go through the grids' tiles, whose bits do not depend on
+    # the number of rows: the first 1000 rows of a 20000-row call are the
+    # 1000-row call, bit for bit
+    mu = random_measure(2, 64, seed=88)
+    rng = np.random.default_rng(89)
+    Z = 2.0 * (rng.standard_normal((20000, 2)) + 1j * rng.standard_normal((20000, 2)))
+    many = pl.ma_density(mu, 0, Z, eps=eps)
+    assert many[:1000].tobytes() == pl.ma_density(mu, 0, Z[:1000], eps=eps).tobytes()
+
+
+@pytest.mark.parametrize("Z", [np.zeros(2), np.zeros((4, 3)), np.zeros((4, 1))],
+                         ids=["one-dimensional", "too-wide", "too-narrow"])
+def test_chart_rows_must_be_m_by_n(Z):
+    # these used to raise a bare IndexError or ValueError
+    mu = random_measure(2, 3, seed=90)
+    for call in (lambda: pl.ma_density(mu, 0, Z), lambda: pl.ma_product_expansion_check(mu, 0, Z),
+                 lambda: pl.smooth_wedge_density(mu, 0, 1, Z)):
+        with pytest.raises(ValidationError, match=r"shape \(m, 2\)"):
+            call()
 
 
 @pytest.mark.parametrize("n, eps", [(1, 0.3), (2, 0.3), (2, 0.05), (2, 0.0)])
@@ -934,6 +978,23 @@ def test_ball_profile_checks_every_eps_before_any_cell(eps_list, match, monkeypa
     mu = random_measure(1, 2, seed=83)
     with pytest.raises(ValidationError, match=match):
         pl.ball_mass_profile(mu, mu.point(0), [0.5], eps_list=eps_list)
+
+
+@pytest.mark.parametrize("points, match", [(8.0, "got 8.0"), (-4, "got -4"), (True, "got True")],
+                         ids=["float", "negative", "bool"])
+def test_ball_profile_points_per_axis_is_0_or_a_positive_multiple_of_4(points, match):
+    # these raised a bare TypeError, a ZeroDivisionError and a message that
+    # called True no multiple of 4
+    mu = random_measure(1, 2, seed=84)
+    with pytest.raises(ValidationError, match=f"0 or a positive multiple of 4, {match}"):
+        pl.ball_mass_profile(mu, mu.point(0), [0.5], points_per_axis=points)
+
+
+def test_ball_profile_center_lives_where_the_measure_does():
+    # a P^1 centre for a P^2 measure raised numpy's bare "cannot reshape"
+    mu = random_measure(2, 2, seed=85)
+    with pytest.raises(ValidationError, match=r"center is a point of P\^1, not of P\^2"):
+        pl.ball_mass_profile(mu, pl.normalize([1, 0.5]), [0.5])
 
 
 def test_ball_profile_volume_check_counts_excised_cells():
