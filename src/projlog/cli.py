@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "center": dict(default="", help="center point as JSON [[re,im],...]; "
                                                 "default first atom"),
                 "radii": dict(type=_checked(_reals, "comma-separated reals", bool),
-                              default="0.5,0.25", help="decreasing radii")})
+                              default="0.5,0.25", help="radii in any order, reported ascending")})
     command("prop25-check", cmd_prop25_check, "product-formula (mixed discriminant) residuals",
             "measure", "seed", "samples", "chart")
     command("constants", cmd_constants, "CSV table of c_n, alpha_n, bounds", "n")

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .errors import NonConvergent, ValidationError
-from .geometry import _sample_stream
+from .geometry import _sample_stream, check_int, check_real
 
 # scipy is imported inside the functions that use it: scipy.integrate pulls in
 # scipy.optimize and numpy.f2py, which would otherwise load with every import
@@ -36,9 +36,7 @@ DEPTH_FACTOR = 10.0
 
 def area_constant(n: int) -> float:
     """c_n = n / sqrt 2 under the unit-volume convention."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    return n / SQRT2
+    return check_int(n, "n", 1) / SQRT2
 
 
 def sphere_area(n: int, r) -> np.ndarray | float:
@@ -98,9 +96,8 @@ def sobolev_bound(n: int, p: float) -> float:
     Adaptive quadrature; the endpoint power t^(2n-1-p) is handled by
     QUADPACK's algebraic-weight rule when the exponent is negative.
     """
-    if p < 0:
-        raise ValidationError("p must be >= 0")
-    if p >= 2 * n:
+    c_n = area_constant(n)
+    if check_real(p, "p", 0) >= 2 * n:
         return math.inf
     q = 2 * n - 1 - p
     if q >= 0:
@@ -108,7 +105,7 @@ def sobolev_bound(n: int, p: float) -> float:
     else:
         # sin^q t = t^q (sin t / t)^q with the power split into the weight
         f, options = (lambda t: float(np.sinc(t / math.pi)) ** q), dict(weight="alg", wvar=(q, 0))
-    return 2.0 * SQRT2 * area_constant(n) * _quad(
+    return 2.0 * SQRT2 * c_n * _quad(
         "sobolev bound", f, 0.0, math.pi / 2, lambda val: 1e-9 * max(abs(val), 1.0), **options)
 
 
@@ -155,12 +152,9 @@ def log_radial_levels(stratum, levels: int, power: float, r0: float, seed: int,
     numpy's overflow and invalid-value warnings are off inside a level; a
     level whose estimate is not finite raises NonConvergent.
     """
-    if levels < 1:
-        raise ValidationError(f"levels = {levels} must be at least 1")
-    if samples < 1:
-        raise ValidationError(f"samples_per_stratum = {samples} must be at least 1")
-    if not 0 < r0 < math.inf:
-        raise ValidationError(f"r0 = {r0!r} must be positive and finite")
+    check_int(levels, "levels", 1)
+    check_int(samples, "samples_per_stratum", 1)
+    check_real(r0, "r0", 0, math.inf, open_lo=True)
     from scipy.special import ndtr
 
     deepest = min(60.0, 280.0 / max(power, 1.0))

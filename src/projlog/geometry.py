@@ -236,11 +236,33 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def check_int(x, name: str, lo: int, hi: int | None = None, message: str | None = None) -> int:
+    """x, the library's one integer argument rule: a Python or numpy integer
+    (a bool is none) in lo..hi, or >= lo for no hi.  Otherwise ValidationError,
+    with message if given, else naming name and x."""
+    if not (_is_int(x) and lo <= x and (hi is None or x <= hi)):
+        raise ValidationError(message or f"{name} = {x!r} must be an integer "
+                              + (f">= {lo}" if hi is None else f"in {lo}..{hi}"))
+    return x
+
+
+def check_real(x, name: str, lo: float, hi: float | None = None, open_lo: bool = False):
+    """x, the library's one real argument rule: a Python or numpy integer or
+    float (a bool is none) with x >= lo (x > lo if open_lo) and x < hi (no
+    upper bound for no hi; hi = inf asks for a finite x).  NaN is in no
+    range.  Otherwise ValidationError naming name and x."""
+    if not (isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+            and (lo < x if open_lo else lo <= x) and (hi is None or x < hi)):
+        finite = " finite" if hi == math.inf else ""
+        upper = "" if hi in (None, math.inf) else f" and < {hi}"
+        raise ValidationError(f"{name} = {x!r} must be a{finite} real "
+                              f"{'>' if open_lo else '>='} {lo}{upper}")
+    return x
+
+
 def check_chart(k: int, n: int, name: str = "chart") -> int:
     """k as a chart index of P^n; ValidationError naming it unless an integer in 0..n."""
-    if not (_is_int(k) and 0 <= k <= n):
-        raise ValidationError(f"{name} {k} is out of range 0..{n} for P^{n}")
-    return k
+    return check_int(k, name, 0, n, f"{name} {k} is out of range 0..{n} for P^{n}")
 
 
 def chart_mask(rows: np.ndarray, k: int) -> np.ndarray:
@@ -354,7 +376,7 @@ def fs_ball_volume(n: int, r) -> np.ndarray | float:
     Radii beyond the diameter pi/sqrt(2) cover all of P^n (volume 1).
     """
     r = np.minimum(np.asarray(r, dtype=float), MAX_DISTANCE)
-    return np.sin(r / math.sqrt(2.0)) ** (2 * n)
+    return np.sin(r / math.sqrt(2.0)) ** (2 * check_int(n, "n", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +405,7 @@ def _sample_stream(seed: int, count: int, width: int, start: int = 0,
     needs several nearby ranges draws their span in one call and slices it
     (coarea.log_radial_levels draws each refinement level this way).
     """
-    if not (_is_int(seed) and 0 <= seed < 2**64):
-        raise ValidationError(f"seed = {seed!r} must be an integer in 0..2^64-1")
+    check_int(seed, "seed", 0, 2**64 - 1)
     out = np.empty((count, width))
     first = start // _CHUNK
     last = (start + count - 1) // _CHUNK if count else first
@@ -415,7 +436,9 @@ def sample_fs_array(seed: int, count: int, n: int, start: int = 0) -> np.ndarray
     unitarily invariant probability measure on P^n.  Deterministic in
     (seed, absolute sample index); extending count keeps earlier rows.
     """
-    if count <= 0:
+    check_int(n, "n", 1)
+    check_int(start, "start", 0)
+    if check_int(count, "count", 0) == 0:
         return np.empty((0, n + 1), dtype=complex)
     return canonicalize_batch(gaussian_rows(seed, count, n, start))
 

@@ -27,12 +27,13 @@ from .geometry import (
     CHART_FLOOR,
     HomogeneousPoint,
     Stream,
-    _is_int,
     _sample_stream,
     canonicalize_batch,
     chart_mask,
     chart_project,
     check_chart,
+    check_int,
+    check_real,
     complex_from_json,
     json_real,
     json_records,
@@ -138,8 +139,8 @@ def build_measure(points, weights) -> AtomicMeasure:
         raise ValidationError("a measure needs at least one atom")
     if weights.shape != (points.shape[0],):
         raise ValidationError("one weight per atom required")
-    if np.any(weights <= 0.0):
-        bad = int(np.argmax(weights <= 0.0))
+    if not np.all(weights > 0.0):      # NaN is no positive weight
+        bad = int(np.argmin(weights > 0.0))
         raise ValidationError(f"atoms[{bad}].weight = {weights[bad]} must be > 0")
     total = float(np.sum(weights))
     if abs(total - 1.0) > WEIGHT_TOL:
@@ -158,7 +159,7 @@ def dirac(point: HomogeneousPoint) -> AtomicMeasure:
 
 def uniform_on(points) -> AtomicMeasure:
     """Equal-weight measure on the rows of points (after duplicate merge)."""
-    return build_measure(points, np.full(len(points), 1.0 / len(points)))
+    return build_measure(points, np.full(len(points), 1.0) / len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +259,6 @@ def chart_coordinates(mu: AtomicMeasure, chart: int) -> np.ndarray:
 # Riesz potential diagnostics
 # ---------------------------------------------------------------------------
 
-def _check_atom_index(mu: AtomicMeasure, i) -> None:
-    """The refinement scans' atom check: i must be an integer in 0..N-1."""
-    if not (_is_int(i) and 0 <= i < mu.num_atoms):
-        raise ValidationError(f"atom_index = {i!r} outside 0..{mu.num_atoms - 1}")
-
-
-def _check_alpha(alpha: float, n: int) -> None:
-    if not 0.0 < alpha < 2.0 * n:
-        raise ValidationError(f"alpha = {alpha} outside (0, {2 * n})")
-
-
 def _uniform_ball(seed: int, count: int, dim: int) -> np.ndarray:
     """Uniform draws from the unit ball of R^dim, reproducible by index."""
     from scipy.special import ndtr
@@ -314,14 +304,11 @@ def riesz_lp_scan(mu: AtomicMeasure, chart: int, alpha: float, p: float, radius:
     riesz_refinement_scan for behavior at and above the threshold.
     """
     sites = chart_coordinates(mu, chart)
-    _check_alpha(alpha, mu.n)
-    if not 0 < p < math.inf:
-        raise ValidationError(f"p = {p!r} must be a finite real > 0")
-    if not 0 < radius < math.inf:
-        raise ValidationError(f"radius = {radius!r} must be positive and finite")
-    if samples < 1:
-        raise ValidationError(f"samples = {samples} must be at least 1")
     n = mu.n
+    check_real(alpha, "alpha", 0, 2 * n, open_lo=True)
+    check_real(p, "p", 0, math.inf, open_lo=True)
+    check_real(radius, "radius", 0, math.inf, open_lo=True)
+    check_int(samples, "samples", 1)
     dim = 2 * n
     try:
         vol = math.pi**n / math.factorial(n) * radius**dim
@@ -348,9 +335,10 @@ def riesz_refinement_scan(mu: AtomicMeasure, chart: int, alpha: float, p: float,
     blows up like |z - w|^(-alpha p), the power that sets the deepest decade.
     """
     sites = chart_coordinates(mu, chart)
-    _check_alpha(alpha, mu.n)
-    _check_atom_index(mu, atom_index)
     n = mu.n
+    check_real(alpha, "alpha", 0, 2 * n, open_lo=True)
+    check_real(p, "p", 0, math.inf, open_lo=True)
+    check_int(atom_index, "atom_index", 0, mu.num_atoms - 1)
     w1 = sites[atom_index]
     others = np.delete(sites, atom_index, axis=0) - w1[None, :]
     other_weights = np.delete(mu.weights, atom_index)

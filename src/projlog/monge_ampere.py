@@ -28,10 +28,11 @@ from .errors import GridTooCoarse, NegativeDensity, NonConvergent, SingularStenc
 from .geometry import (
     HomogeneousPoint,
     _abs_sq_planes,
-    _is_int,
     chart_lift,
     chart_project,
     check_chart,
+    check_int,
+    check_real,
     fs_ball_volume,
     fs_hessian,
     fs_hessian_norm,
@@ -43,7 +44,7 @@ from .geometry import (
 )
 from .measures import AtomicMeasure, partition_from_sq_moduli
 from .parallel import run_chunked
-from .potentials import PotentialField, _check_eps, psh_lift
+from .potentials import PotentialField, psh_lift
 
 SQRT2 = math.sqrt(2.0)
 
@@ -253,8 +254,7 @@ def smooth_wedge_density(mu: AtomicMeasure, chart: int, m: int, Z) -> np.ndarray
     """
     n = mu.n
     lift = psh_lift(mu, chart)
-    if not 0 <= m <= n:
-        raise ValidationError(f"m = {m} outside 0..{n}")
+    check_int(m, "m", 0, n)
     Z = _chart_rows(Z, n)
     mats = [lift.complex_hessian(Z)] * m + [fs_hessian(Z)] * (n - m)
     return math.comb(n, m) * mixed_discriminant(np.stack(mats, axis=-3))
@@ -526,16 +526,14 @@ def ma_total_mass(mu: AtomicMeasure, grid: int, h: float = 5e-4,
     of positive weight, which every chart integrates.  h is accepted and
     ignored: the benchmark's workloads still pass it.
     """
-    if not (eps > 0.0 and eps * eps > 0.0):
-        raise ValidationError(f"total-mass integration requires eps > 0 with eps^2 > 0, "
-                              f"got eps = {eps!r}")
-    if not (_is_int(grid) and grid >= 1):
-        raise ValidationError(f"grid must be an integer of at least 1 point per axis, got {grid!r}")
-    if not 0.0 < vol_tol < math.inf:
-        raise ValidationError(f"vol_tol must be finite and positive, got {vol_tol!r}")
+    check_int(grid, "grid", 1)
+    check_real(vol_tol, "vol_tol", 0, math.inf, open_lo=True)
     n = mu.n
     L = math.sqrt(2.0 * n + 1.0)
     lifts = [psh_lift(mu, chart, eps) for chart in range(n + 1)]
+    if lifts[0].b == 0.0:
+        raise ValidationError(f"total-mass integration requires eps > 0 with eps^2 > 0, "
+                              f"got eps = {eps!r}")
     parts = _cell_chunks(_mass_chunk, n, grid, workers, (lifts, grid, L))
     cells, live, vol, charts = zip(*parts)
     # summed in chart-major order, so the totals keep their bits; every
@@ -592,7 +590,7 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
     """Mass of the (smoothed) Monge-Ampere measure in FS balls around center.
 
     For each eps in eps_list (decreasing), integrates det(H_phi) over the
-    geodesic balls B_r(center) for each radius (given decreasing; reported
+    geodesic balls B_r(center) for each radius (given in any order; reported
     ascending) on dyadically refined local grids, and reports the mass and
     its ratio to the exact ball volume sin^(2n)(r / sqrt 2).  _self_check
     holds the grid's FS volume of the largest ball to the exact volume
@@ -608,27 +606,26 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
     n = mu.n
     if center.coords.size != n + 1:
         raise ValidationError(f"center is a point of P^{center.coords.size - 1}, not of P^{n}")
-    m = points_per_axis
-    if not (_is_int(m) and m >= 0 and m % 4 == 0):
-        raise ValidationError(f"points_per_axis must be 0 or a positive multiple of 4, got {m!r}")
-    m = m or (64 if n == 1 else 16)
-    radii = sorted(float(r) for r in radii)
-    if not radii or not all(0 < r < math.inf for r in radii):
-        raise ValidationError(f"radii = {radii} must be a nonempty list of positive reals")
+    if check_int(points_per_axis, "points_per_axis", 0) % 4:
+        raise ValidationError(f"points_per_axis = {points_per_axis} must be 0 or a positive "
+                              f"multiple of 4")
+    m = points_per_axis or (64 if n == 1 else 16)
+    radii = sorted(float(check_real(r, f"radii[{i}]", 0, math.inf, open_lo=True))
+                   for i, r in enumerate(radii))
+    if not radii:
+        raise ValidationError("radii must be a nonempty list")
     if fs_ball_volume(n, radii[0]) == 0.0:
         raise ValidationError(f"radius = {radii[0]!r}: the ball's volume underflows to 0")
     eps_list = list(eps_list)
-    for eps in eps_list:
-        _check_eps(eps)
     chart = int(max_modulus_chart(center.coords))
     c = chart_project(center.coords, chart)
     a0 = _chart_halfwidth(float(np.linalg.norm(c)), radii[-1])
+    lifts = [psh_lift(mu, chart, eps) for eps in eps_list]    # every eps before any cell
     reports = []
-    for eps in eps_list:
+    for eps, lift in zip(eps_list, lifts):
         feature = max(eps, 1e-3) * (1.0 + float(np.linalg.norm(c)) ** 2)
         ratio = a0 / (2.0 * feature)      # may underflow to 0 at a huge eps
         nlev = 1 if ratio <= 1.0 else min(9, math.ceil(math.log2(ratio)) + 1)
-        lift = psh_lift(mu, chart, eps)
         parts = [part for level in range(nlev) for part in _cell_chunks(_ball_chunk, n, m, 1, (
             lift, center.coords, radii, c, a0 / 2.0**level, m, level < nlev - 1))]
         masses, vols, clipped = (sum(field) for field in zip(*parts))

@@ -34,6 +34,8 @@ from .geometry import (
     _sample_stream,
     chart_project,
     check_chart,
+    check_int,
+    check_real,
     fs_gradient,
     fs_gradient_norm_sq,
     max_modulus_chart,
@@ -41,7 +43,7 @@ from .geometry import (
     row_sum,
 )
 from .kernels import projective_log_kernel_batch
-from .measures import AtomicMeasure, _check_atom_index
+from .measures import AtomicMeasure
 from .parallel import run_chunked
 
 
@@ -86,20 +88,16 @@ class PotentialField:
         return analytic.field_hessian_batch(Z, self.atoms_eta, self.weights, self.chart, self.b)
 
 
-def _check_eps(eps: float) -> None:
-    if eps < 0.0:
-        raise ValidationError(f"eps = {eps} must be >= 0")
-    if not math.isfinite(eps * eps):
-        raise ValidationError(f"eps = {eps!r}: its square overflows")
-
-
 def psh_lift(mu: AtomicMeasure, chart: int, eps: float = 0.0) -> PotentialField:
     """Chart lift phi = U_mu o chart + rho, with optional global smoothing.
 
     For eps > 0 the lifted field is smooth and plurisubharmonic on the whole
     chart; for eps = 0 it is -inf exactly at the atoms inside the chart.
+    eps is a real >= 0 whose square is finite.
     """
-    _check_eps(eps)
+    check_real(eps, "eps", 0)
+    if not math.isfinite(eps * eps):
+        raise ValidationError(f"eps = {eps!r}: its square overflows")
     return PotentialField(chart=check_chart(chart, mu.n), atoms_eta=mu.points.copy(),
                           weights=mu.weights.copy(), b=eps * eps)
 
@@ -165,13 +163,6 @@ def _gradient_norms(mu: AtomicMeasure, zeta: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * _abs_sq_planes(zeta) * _abs_sq_planes(grad))
 
 
-def _check_p(p: float) -> None:
-    """The Sobolev exponent: a finite real >= 1."""
-    if not 1 <= p < math.inf:
-        raise ValidationError(f"p = {p!r} must be a finite real >= 1 (smaller p follows "
-                              f"by concavity)")
-
-
 def sobolev_scan(mu: AtomicMeasure, p: float, seed: int, samples: int,
                  workers: int | None = None, start: int = 0) -> SobolevScanResult:
     """MC estimate of int |grad U_mu|^p dV over P^n (FS-uniform sampling).
@@ -184,11 +175,12 @@ def sobolev_scan(mu: AtomicMeasure, p: float, seed: int, samples: int,
     kept, however near an atom.  Reports the co-area majorant
     2 sqrt(2) c_n int sin^(2n-1-p), which is finite iff p < 2n.  Estimates depend only on (seed, sample
     index), so extending the sample count keeps the earlier draws
-    (common-random doubling).
+    (common-random doubling).  p is a finite real >= 1: smaller p follows by
+    concavity.
     """
-    _check_p(p)
-    if samples < 1:
-        raise ValidationError(f"samples = {samples} must be at least 1")
+    check_real(p, "p", 1, math.inf)
+    check_int(samples, "samples", 1)
+    check_int(start, "start", 0)
     parts = run_chunked(_sobolev_chunk, samples, chunk=65536, workers=workers,
                         payload=(mu, seed, start))
     est, se = mc_estimate(np.concatenate(parts), p, 1.0)
@@ -224,8 +216,8 @@ def sobolev_refinement_scan(mu: AtomicMeasure, p: float, atom_index: int,
     atoms enter through their gradient at the sampled point, which is
     insensitive to fp collapse of tiny radii.
     """
-    _check_p(p)
-    _check_atom_index(mu, atom_index)
+    check_real(p, "p", 1, math.inf)
+    check_int(atom_index, "atom_index", 0, mu.num_atoms - 1)
     n = mu.n
     eta = mu.points[atom_index]
     w_self = mu.weights[atom_index]

@@ -155,15 +155,70 @@ TRIPLE = random_measure(1, 3, 32)
     (lambda: potentials.sobolev_scan(DIRAC, 1.0, -1, 10), "seed = -1"),
     (lambda: measures.riesz_lp_scan(DIRAC, 0, 1.0, 1.0, 1.0, -1, samples=10), "seed = -1"),
     (lambda: potentials.sobolev_scan(DIRAC, 1.0, 2**64, 10), f"seed = {2**64}"),
+    # these raised a bare TypeError
+    (lambda: potentials.sobolev_scan(DIRAC, 1.0, 0, 2.5), "samples = 2.5"),
+    (lambda: measures.riesz_lp_scan(DIRAC, 0, 1.0, 1.0, 1.0, 0, samples=2.5), "samples = 2.5"),
+    (lambda: potentials.sobolev_refinement_scan(DIRAC, 1.0, 0, 2.5, 0), "levels = 2.5"),
+    (lambda: measures.riesz_refinement_scan(DIRAC, 0, 1.0, 1.5, 0, 0.5, 2.5, 0),
+     "levels = 2.5"),
+    (lambda: potentials.sobolev_refinement_scan(DIRAC, 1.0, 0, 2, 0, samples_per_stratum=2.5),
+     "samples_per_stratum = 2.5"),
+    (lambda: measures.riesz_refinement_scan(DIRAC, 0, 1.0, 1.5, 0, 0.5, 2, 0,
+                                            samples_per_stratum=2.5), "samples_per_stratum = 2.5"),
+    # a bare OverflowError from the Philox key
+    (lambda: potentials.sobolev_scan(DIRAC, 1.0, 0, 10, start=-5), "start = -5"),
+    # these were taken: one sample with SE 0, and alpha 1
+    (lambda: potentials.sobolev_scan(DIRAC, 1.0, 0, True), "samples = True"),
+    (lambda: measures.riesz_lp_scan(DIRAC, 0, True, 1.0, 1.0, 0, samples=10), "alpha = True"),
+    # drew every stratum, then raised NonConvergent
+    (lambda: measures.riesz_refinement_scan(DIRAC, 0, 1.0, math.nan, 0, 0.5, 2, 0), "p = nan"),
 ], ids=["lp-no-samples", "lp-negative-samples", "sobolev-refinement-no-samples",
         "riesz-refinement-no-samples", "riesz-refinement-negative-r0",
         "sobolev-refinement-atom-index", "sobolev-refinement-negative-atom-index",
         "riesz-refinement-atom-index", "sobolev-refinement-bool-atom-index",
         "riesz-refinement-bool-atom-index", "sobolev-refinement-p-nan",
         "sobolev-refinement-p-below-1", "sobolev-negative-seed", "lp-negative-seed",
-        "sobolev-seed-2-to-64"])
+        "sobolev-seed-2-to-64", "sobolev-fractional-samples", "lp-fractional-samples",
+        "sobolev-refinement-fractional-levels", "riesz-refinement-fractional-levels",
+        "sobolev-refinement-fractional-samples", "riesz-refinement-fractional-samples",
+        "sobolev-negative-start", "sobolev-bool-samples", "lp-bool-alpha",
+        "riesz-refinement-p-nan"])
 def test_scans_name_the_argument_they_reject(scan, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=name):
             scan()
+
+
+P2 = random_measure(2, 2, 33)
+
+
+@pytest.mark.parametrize("call, name", [
+    # these raised a bare TypeError
+    (lambda: pl.sample_fs_array(0, 2.5, 1), "count = 2.5"),
+    (lambda: pl.sample_fs_array(0, 3, 1.5), "n = 1.5"),
+    (lambda: pl.sample_fs_array(0, 3, 1, start=0.5), "start = 0.5"),
+    (lambda: pl.smooth_wedge_density(P2, 0, 1.5, np.zeros((1, 2))), "m = 1.5"),
+    (lambda: pl.psh_lift(DIRAC, 0, "0.3"), "eps = '0.3'"),
+    # a bare ValueError from float(".")
+    (lambda: pl.ball_mass_profile(TRIPLE, TRIPLE.point(0), "0.5"), r"radii\[0\] = '0'"),
+    # these were taken: an empty sample, nan, inf, 3.0, -1/3, two numbers and fields at eps 1
+    (lambda: pl.sample_fs_array(0, -2, 1), "count = -2"),
+    (lambda: pl.sobolev_bound(1, math.nan), "p = nan"),
+    (lambda: pl.sobolev_bound(0, 1.0), "n = 0"),
+    (lambda: pl.sobolev_bound(1.5, 1.0), "n = 1.5"),
+    (lambda: pl.mean_log_kernel(1.5), "n = 1.5"),
+    (lambda: pl.sphere_area(1.5, 0.3), "n = 1.5"),
+    (lambda: pl.fs_ball_volume(1.5, 0.3), "n = 1.5"),
+    (lambda: pl.psh_lift(DIRAC, 0, True), "eps = True"),
+    (lambda: pl.ma_total_mass(DIRAC, 64, eps=True), "eps = True"),
+], ids=["sample-fractional-count", "sample-fractional-n", "sample-fractional-start",
+        "wedge-fractional-m", "lift-text-eps", "profile-text-radii", "sample-negative-count",
+        "bound-p-nan", "bound-n-0", "bound-fractional-n", "mean-log-kernel-fractional-n",
+        "sphere-area-fractional-n", "ball-volume-fractional-n", "lift-bool-eps",
+        "mass-bool-eps"])
+def test_library_functions_name_the_argument_they_reject(call, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=name):
+            call()

@@ -359,6 +359,7 @@ def test_sampler_deterministic_and_prefix_stable():
     np.testing.assert_array_equal(a, longer[:100])
     offset = sample_fs_array(42, 30, 2, start=70)
     np.testing.assert_array_equal(offset, longer[70:100])
+    assert sample_fs_array(42, 0, 2).shape == (0, 3)   # no points is an empty sample
 
 
 def test_gaussian_rows_are_a_pure_function_of_the_index():

@@ -2,8 +2,9 @@
 no class member that only tests use, no defaulted parameter that no call
 sets, no row reduction outside geometry, no sampler stream that no draw
 uses, no chart field built outside psh_lift, no det H_phi taken outside
-_cell_dets, no kernel quad form evaluated outside analytic, and a light
-import of the package."""
+_cell_dets, no kernel quad form evaluated outside analytic, no scalar
+argument check outside geometry's validators, and a light import of the
+package."""
 
 import ast
 import os
@@ -353,6 +354,40 @@ def test_scanner_flags_an_unused_stream(tmp_path):
 
 def test_every_sampler_stream_is_drawn():
     assert unused_streams(SRC) == []
+
+
+def validator_bypasses(package: Path) -> list[str]:
+    """Functions named _check_* anywhere in the package, and the name _is_int
+    (read, imported or defined) outside geometry: every scalar argument goes
+    through geometry's check_int and check_real."""
+    hits = []
+    for path, tree in _trees(sorted(package.glob("*.py"))):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_"):
+                hits.append((path.name, node.lineno, node.name))
+            elif path.name != "geometry.py" and "_is_int" in {
+                    getattr(node, key, None) for key in ("id", "attr", "name")}:
+                hits.append((path.name, node.lineno, "_is_int"))
+    return [f"{module}:{line} {name}" for module, line, name in sorted(hits)]
+
+
+def test_scanner_flags_a_private_argument_check(tmp_path):
+    (tmp_path / "geometry.py").write_text(
+        "def _is_int(x):\n    return type(x) is int\n\n"
+        "def check_int(x):\n    return _is_int(x)\n\n"
+        "def _check_chart(k):\n    return check_int(k)\n")
+    (tmp_path / "a.py").write_text(
+        "from .geometry import _is_int, check_int\n\n"
+        "def _check_eps(eps):\n    return _is_int(eps)\n\n"
+        "def scan(samples):\n    return check_int(samples)\n")
+    (tmp_path / "b.py").write_text("from . import geometry\n\nOK = geometry._is_int(1)\n")
+    assert validator_bypasses(tmp_path) == ["a.py:1 _is_int", "a.py:3 _check_eps",
+                                            "a.py:4 _is_int", "b.py:3 _is_int",
+                                            "geometry.py:7 _check_chart"]
+
+
+def test_scalar_arguments_are_checked_only_by_geometry_validators():
+    assert validator_bypasses(SRC) == []
 
 
 def test_package_import_does_not_load_scipy_submodules():

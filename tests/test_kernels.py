@@ -158,7 +158,7 @@ def test_smoothed_kernel_monotone_and_bounded_increment():
 
 def test_smoothed_kernel_rejects_bad_eps():
     # eps = 0 is the unsmoothed kernel; a negative eps is an error
-    with pytest.raises(ValidationError, match="must be >= 0"):
+    with pytest.raises(ValidationError, match="eps = -0.1 must be a real >= 0"):
         pl.psh_lift(pl.dirac(pl.normalize([1, 0])), 0, -0.1)
 
 

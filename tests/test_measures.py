@@ -56,11 +56,17 @@ def test_negative_weight():
     p, q = pl.normalize([1, 0]), pl.normalize([0, 1])
     with pytest.raises(ValidationError, match="must be > 0"):
         pl.build_measure([p.coords, q.coords], [1.5, -0.5])
+    # NaN compared False both with 0 and with the weight sum, so it was kept
+    with pytest.raises(ValidationError, match=r"atoms\[0\].weight = nan must be > 0"):
+        pl.build_measure([p.coords, q.coords], [math.nan, 1.0])
 
 
 def test_empty_measure():
     with pytest.raises(ValidationError, match="at least one atom"):
         pl.build_measure(np.empty((0, 2), dtype=complex), np.empty(0))
+    # uniform_on of no points used to raise a bare ZeroDivisionError
+    with pytest.raises(ValidationError, match="at least one atom"):
+        pl.uniform_on(np.empty((0, 2), dtype=complex))
 
 
 def test_measure_json_round_trip_and_errors():
