@@ -611,7 +611,7 @@ def ball_mass_profile(mu: AtomicMeasure, center: HomogeneousPoint, radii,
                               f"multiple of 4")
     m = points_per_axis or (64 if n == 1 else 16)
     radii = sorted(float(check_real(r, f"radii[{i}]", 0, math.inf, open_lo=True))
-                   for i, r in enumerate(radii))
+                   for i, r in enumerate(radii if np.iterable(radii) else ()))
     if not radii:
         raise ValidationError("radii must be a nonempty list")
     if fs_ball_volume(n, radii[0]) == 0.0:

@@ -210,6 +210,17 @@ def area_constant_quadrature(n: int) -> float:
     return 1.0 / raw
 
 
+def radial_quadrature_quadpack(f, n: int) -> float:
+    """int_0^(pi/sqrt 2) f(r) A(r) dr by QUADPACK in r itself, without the
+    substitution u = sin(r / sqrt 2) of the library's rule."""
+    from scipy import integrate
+
+    val, _ = integrate.quad(
+        lambda r: f(r) * n / SQRT2 * math.sin(r / SQRT2) ** (2 * n - 2) * math.sin(SQRT2 * r),
+        0.0, math.pi / SQRT2, epsabs=0.0, epsrel=2e-14, limit=400)
+    return val
+
+
 def mean_log_kernel_closed_form(n: int) -> float:
     """-c_n / (sqrt 2 n^2) = -1/(2n) under the unit-volume convention."""
     return -area_constant(n) / (SQRT2 * n * n)
@@ -231,6 +242,12 @@ def sobolev_bound_closed_form(n: int, p: float) -> float:
 
     q = 2 * n - 1 - p
     return SQRT2 * area_constant(n) * beta((q + 1) / 2.0, 0.5)
+
+
+def sobolev_bound_mpmath(n: int, p: float) -> float:
+    """sqrt 2 c_n B((2n-p)/2, 1/2) = n B((2n-p)/2, 1/2) in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        return float(n * mpmath.beta((2 * n - mpmath.mpf(p)) / 2, mpmath.mpf(1) / 2))
 
 
 def wallis_sin_power_integral(m: int) -> float:

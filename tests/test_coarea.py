@@ -10,12 +10,14 @@ from oracles import (
     area_constant_quadrature,
     log_radial_levels_per_stratum,
     mean_log_kernel_closed_form,
+    radial_quadrature_quadpack,
     random_measure,
     sobolev_bound_closed_form,
+    sobolev_bound_mpmath,
     wallis_sin_power_integral,
 )
 from projlog import measures, potentials
-from projlog.errors import ValidationError
+from projlog.errors import NonConvergent, ValidationError
 from projlog.geometry import _CHUNK, Stream, _sample_stream
 
 SQRT2 = math.sqrt(2.0)
@@ -37,7 +39,7 @@ def test_area_density_endpoints_and_unit_mass():
 def test_mean_log_kernel_matches_closed_form():
     for n in range(1, 7):
         quad_val = pl.mean_log_kernel(n)
-        assert abs(quad_val - (-1.0 / (2 * n))) < 1e-10
+        assert abs(quad_val - (-1.0 / (2 * n))) < 1e-15
         assert abs(mean_log_kernel_closed_form(n) - (-1.0 / (2 * n))) < 1e-15
 
 
@@ -70,7 +72,17 @@ def test_sobolev_bound_beta_closed_form():
             if p >= 2 * n:
                 continue
             assert abs(pl.sobolev_bound(n, p) - sobolev_bound_closed_form(n, p)) \
-                < 1e-9 * max(1.0, sobolev_bound_closed_form(n, p))
+                < 1e-14 * max(1.0, sobolev_bound_closed_form(n, p))
+
+
+def test_sobolev_bound_matches_mpmath_beta():
+    for n in range(1, 31):
+        for p in (0.0, 1.0, 0.7 * n, 2 * n - 1, 2 * n - 0.5, 2 * n - 1e-6):
+            exact = sobolev_bound_mpmath(n, p)
+            assert abs(pl.sobolev_bound(n, p) - exact) < 1e-14 * exact, (n, p)
+    # Gamma(a) overflows from a = 171.6 on: the lgamma form takes over
+    assert abs(pl.sobolev_bound(200, 3.0) - sobolev_bound_mpmath(200, 3.0)) \
+        < 1e-12 * sobolev_bound_mpmath(200, 3.0)
 
 
 def test_sobolev_bound_monotone_in_p():
@@ -89,6 +101,38 @@ def test_radial_quadrature_log_singularity():
 def test_radial_quadrature_mean_distance():
     val = pl.radial_quadrature(lambda r: r, 1)
     assert abs(val - math.pi / (2 * SQRT2)) < 1e-10
+
+
+RADIAL_INTEGRANDS = {
+    "one": lambda r: 1.0,
+    "r": lambda r: r,
+    "log-sin": lambda r: math.log(math.sin(r / SQRT2)),
+    # |grad log sin(d / sqrt 2)| = cot(d / sqrt 2) / sqrt 2, and its power 1.5
+    "cot": lambda r: 1.0 / (SQRT2 * math.tan(r / SQRT2)),
+    "cot^1.5": lambda r: (1.0 / (SQRT2 * math.tan(r / SQRT2))) ** 1.5,
+    "r^-1.5": lambda r: r ** -1.5,
+}
+
+
+@pytest.mark.parametrize("name", list(RADIAL_INTEGRANDS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_radial_quadrature_matches_quadpack(n, name):
+    f = RADIAL_INTEGRANDS[name]
+    exact = radial_quadrature_quadpack(f, n)
+    assert abs(pl.radial_quadrature(f, n) - exact) < 1e-13 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_radial_quadrature_of_r_to_the_minus_p_converges_iff_p_below_2n(n):
+    # A(r) ~ r^(2n-1) at 0.  A divergent r^-p used to come back as a finite
+    # number (r^-2.5 at n = 1 gave -1.9431) or as a bare OverflowError (r^-4
+    # at n = 2); p = 2n + 6 overflows at the nodes nearest r = 0
+    for p in (1.5, 2 * n - 0.5):
+        exact = radial_quadrature_quadpack(lambda r: r ** -p, n)
+        assert abs(pl.radial_quadrature(lambda r: r ** -p, n) - exact) < 1e-13 * exact
+    for p in (2 * n, 2 * n + 0.5, 2 * n + 6):
+        with pytest.raises(NonConvergent):
+            pl.radial_quadrature(lambda r: r ** -p, n)
 
 
 # ---------- the refinement skeleton's draws ----------------------------------
@@ -202,6 +246,8 @@ P2 = random_measure(2, 2, 33)
     (lambda: pl.psh_lift(DIRAC, 0, "0.3"), "eps = '0.3'"),
     # a bare ValueError from float(".")
     (lambda: pl.ball_mass_profile(TRIPLE, TRIPLE.point(0), "0.5"), r"radii\[0\] = '0'"),
+    # a bare TypeError from enumerate
+    (lambda: pl.ball_mass_profile(TRIPLE, TRIPLE.point(0), 0.5), "radii must be a nonempty"),
     # these were taken: an empty sample, nan, inf, 3.0, -1/3, two numbers and fields at eps 1
     (lambda: pl.sample_fs_array(0, -2, 1), "count = -2"),
     (lambda: pl.sobolev_bound(1, math.nan), "p = nan"),
@@ -213,7 +259,8 @@ P2 = random_measure(2, 2, 33)
     (lambda: pl.psh_lift(DIRAC, 0, True), "eps = True"),
     (lambda: pl.ma_total_mass(DIRAC, 64, eps=True), "eps = True"),
 ], ids=["sample-fractional-count", "sample-fractional-n", "sample-fractional-start",
-        "wedge-fractional-m", "lift-text-eps", "profile-text-radii", "sample-negative-count",
+        "wedge-fractional-m", "lift-text-eps", "profile-text-radii", "profile-number-radii",
+        "sample-negative-count",
         "bound-p-nan", "bound-n-0", "bound-fractional-n", "mean-log-kernel-fractional-n",
         "sphere-area-fractional-n", "ball-volume-fractional-n", "lift-bool-eps",
         "mass-bool-eps"])

@@ -3,8 +3,8 @@ no class member that only tests use, no defaulted parameter that no call
 sets, no row reduction outside geometry, no sampler stream that no draw
 uses, no chart field built outside psh_lift, no det H_phi taken outside
 _cell_dets, no kernel quad form evaluated outside analytic, no scalar
-argument check outside geometry's validators, and a light import of the
-package."""
+argument check outside geometry's validators, no import of scipy's
+integrators or solvers, and a light import of the package."""
 
 import ast
 import os
@@ -390,10 +390,47 @@ def test_scalar_arguments_are_checked_only_by_geometry_validators():
     assert validator_bypasses(SRC) == []
 
 
-def test_package_import_does_not_load_scipy_submodules():
+def test_package_import_does_not_load_scipy_submodules(tmp_path):
+    # the radial constants, the Sobolev bound and the constants table neither
+    # integrate nor solve with scipy: scipy.integrate pulls in scipy.optimize,
+    # and the two cost a fresh interpreter a few tenths of a second to load
     heavy = ["scipy.integrate", "scipy.optimize", "scipy.special", "scipy.spatial"]
     code = ("import sys\nimport projlog, projlog.cli\n"
-            f"print([m for m in {heavy!r} if m in sys.modules])")
+            f"print([m for m in {heavy!r} if m in sys.modules])\n"
+            "projlog.mean_log_kernel(2), projlog.sobolev_bound(2, 3.0)\n"
+            f"args = ['constants', '--n', '3', '--output', {str(tmp_path)!r}]\n"
+            "assert projlog.cli.main(args) == 0\n"
+            f"print([m for m in {heavy[:2]!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]
+
+
+def scipy_solver_imports(path: Path) -> list[str]:
+    """Imports of scipy.integrate or scipy.optimize, or of a name from
+    either, in any import form."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name.startswith(("scipy.integrate", "scipy.optimize")) for name in names):
+            hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_scanner_flags_a_scipy_solver_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import scipy.integrate\nfrom scipy import optimize, special\n"
+                     "from scipy.integrate import quad\nimport numpy, scipy.optimize as opt\n"
+                     "from scipy.special import ndtr\nimport scipy\nfrom . import integrate\n"
+                     "from .optimize import fit\n")
+    assert scipy_solver_imports(probe) == ["probe.py:1", "probe.py:2", "probe.py:3",
+                                           "probe.py:4"]
+
+
+def test_package_imports_neither_scipy_integrate_nor_optimize():
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in scipy_solver_imports(path)] == []
